@@ -176,18 +176,22 @@ def _resolve(args) -> tuple:
     return interval, config
 
 
-def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
-    gens = _build_generators(config.generators, interval)
-    pts = list(config.points)
+def _mean_of(gens: list, points=None):
+    """The quasi-arithmetic mean of a single generator, else the
+    generalized mean of the system, which takes one point per generator."""
     if len(gens) == 1:
-        mean = QuasiArithmeticMean(gens[0])
-    else:
-        if len(pts) != len(gens):
-            raise UsageError(
-                f"{len(gens)} generators take exactly {len(gens)} points,"
-                f" got {len(pts)}"
-            )
-        mean = GeneralizedQuasiArithmeticMean(GeneratorSystem(gens))
+        return QuasiArithmeticMean(gens[0])
+    if points is not None and len(points) != len(gens):
+        raise UsageError(
+            f"{len(gens)} generators take exactly {len(gens)} points,"
+            f" got {len(points)}"
+        )
+    return GeneralizedQuasiArithmeticMean(GeneratorSystem(gens))
+
+
+def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
+    pts = list(config.points)
+    mean = _mean_of(_build_generators(config.generators, interval), pts)
     value = mean(pts)
     prop = mean_property_check(mean, pts)
     report = RunReport(
@@ -206,24 +210,12 @@ def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
 
 
 def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
-    gens = _build_generators(config.generators, interval)
     pts = list(config.points)
-    if len(gens) == 1:
-        mean = QuasiArithmeticMean(gens[0])
-        mapping = cyclic_mapping(mean, arity=len(pts))
-    else:
-        if len(pts) != len(gens):
-            raise UsageError(
-                f"{len(gens)} generators take exactly {len(gens)} points,"
-                f" got {len(pts)}"
-            )
-        mapping = cyclic_mapping(
-            GeneralizedQuasiArithmeticMean(GeneratorSystem(gens))
-        )
-    gap_tol = config.tolerance if config.tolerance is not None else 1e-10
+    mean = _mean_of(_build_generators(config.generators, interval), pts)
+    mapping = cyclic_mapping(mean, arity=len(pts))
     code = 0
     try:
-        limit, trace = gauss_iterate(mapping, pts, gap_tol, config.max_iterations)
+        limit, trace = gauss_iterate(mapping, pts, config.tolerance, config.max_iterations)
         verdict = "converged"
     except ConvergenceError as exc:
         if exc.trace is None:
@@ -251,78 +243,66 @@ def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
     return report, code
 
 
-def _verify_m1(system: GeneratorSystem, config: ExperimentConfig) -> RunReport:
+def _sample_rngs(config: ExperimentConfig):
+    """One generator per sample, spawned from the seed."""
+    for child in np.random.SeedSequence(config.seed).spawn(config.samples):
+        yield np.random.default_rng(child)
+
+
+def _m1_pairs(system: GeneratorSystem, config: ExperimentConfig):
     # floor the budget: slow systems must fail on residuals, never on an
     # artificially small iteration allowance
     check = composition_closed_form_check(
         system, config.samples, config.tolerance, seed=config.seed,
         max_iterations=max(config.max_iterations, CHECK_MAX_ITER),
     )
-    rows = [
-        result_row(
-            "m1", i, lhs=it, rhs=closed, residual=res,
-            verdict="pass" if res <= config.tolerance else "fail",
-        )
-        for i, (_pt, it, closed, res) in enumerate(check.rows)
-    ]
-    details = {
-        "max_residual": f"{check.max_residual:.7g}",
-        "verdict": "pass" if check.passed else "fail",
-    }
-    return RunReport("verify", config.as_dict(), rows, details)
+    return ((it, closed) for _pt, it, closed, _res in check.rows)
 
 
-def _verify_gbs(system: GeneratorSystem, config: ExperimentConfig) -> RunReport:
-    rows = []
-    worst = -1.0
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.samples)):
-        m = random_matrix(np.random.default_rng(child), system.domain, system.n)
+def _gbs_pairs(system: GeneratorSystem, config: ExperimentConfig):
+    for rng in _sample_rngs(config):
+        m = random_matrix(rng, system.domain, system.n)
         rep = generalized_bisymmetry_check(system, m, config.tolerance)
-        worst = max(worst, rep.residual)
-        rows.append(result_row(
-            "gbs", i, lhs=rep.lhs, rhs=rep.rhs, residual=rep.residual,
-            verdict="pass" if rep.passed else "fail",
-        ))
-    details = {
-        "max_residual": f"{worst:.7g}",
-        "verdict": "pass" if worst <= config.tolerance else "fail",
-    }
-    return RunReport("verify", config.as_dict(), rows, details)
+        yield rep.lhs, rep.rhs
 
 
-def _verify_bs(mean: QuasiArithmeticMean, config: ExperimentConfig) -> RunReport:
-    rows = []
-    worst = -1.0
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.samples)):
+def _bs_pairs(gen: Generator, config: ExperimentConfig):
+    mean = QuasiArithmeticMean(gen)
+    for i, rng in enumerate(_sample_rngs(config)):
         n = 2 + (i % 2)   # alternate 2x2 and 3x3 grids
-        m = random_matrix(np.random.default_rng(child), mean.domain, n)
-        rep = bisymmetry_check(mean, m, config.tolerance)
-        worst = max(worst, rep.residual)
-        rows.append(result_row(
-            "bs", i, lhs=rep.lhs, rhs=rep.rhs, residual=rep.residual,
-            verdict="pass" if rep.passed else "fail",
-        ))
-    details = {
-        "max_residual": f"{worst:.7g}",
-        "verdict": "pass" if worst <= config.tolerance else "fail",
-    }
-    return RunReport("verify", config.as_dict(), rows, details)
+        rep = bisymmetry_check(mean, random_matrix(rng, mean.domain, n), config.tolerance)
+        yield rep.lhs, rep.rhs
 
 
-def _verify_as(gen: Generator, config: ExperimentConfig) -> RunReport:
+def _as_pairs(gen: Generator, config: ExperimentConfig):
     shapes = ((1, 2), (2, 2), (2, 3))
-    rows = []
-    worst = -1.0
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.samples)):
-        rng = np.random.default_rng(child)
+    for i, rng in enumerate(_sample_rngs(config)):
         k, m = shapes[i % len(shapes)]
         xs = [float(v) for v in gen.domain.sample(rng, k)]
         ys = [float(v) for v in gen.domain.sample(rng, m)]
         rep = associativity_check(gen, xs, ys, config.tolerance)
-        worst = max(worst, rep.residual)
+        yield rep.lhs, rep.rhs
+
+
+# sampled identity checks: name -> (takes a system, (lhs, rhs) per sample)
+_SAMPLED_CHECKS = {
+    "m1": (True, _m1_pairs),
+    "gbs": (True, _gbs_pairs),
+    "bs": (False, _bs_pairs),
+    "as": (False, _as_pairs),
+}
+
+
+def _run_check(name: str, pairs, config: ExperimentConfig) -> RunReport:
+    """Rows, worst residual and verdict of a sampled identity check."""
+    rows = []
+    worst = -1.0
+    for i, (lhs, rhs) in enumerate(pairs):
+        residual = abs(lhs - rhs)
+        worst = max(worst, residual)
         rows.append(result_row(
-            "as", i, lhs=rep.lhs, rhs=rep.rhs, residual=rep.residual,
-            verdict="pass" if rep.passed else "fail",
+            name, i, lhs=lhs, rhs=rhs, residual=residual,
+            verdict="pass" if residual <= config.tolerance else "fail",
         ))
     details = {
         "max_residual": f"{worst:.7g}",
@@ -370,11 +350,7 @@ def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
 
 def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunReport:
     if config.generators:
-        gens = _build_generators(config.generators, interval)
-        if len(gens) == 1:
-            means = [QuasiArithmeticMean(gens[0])]
-        else:
-            means = [GeneralizedQuasiArithmeticMean(GeneratorSystem(gens))]
+        means = [_mean_of(_build_generators(config.generators, interval))]
     else:
         means = [lehmer_mean(interval), minmax_blend(interval)]
     base = CharacterizeConfig()
@@ -407,18 +383,17 @@ def cmd_verify(interval: Interval, config: ExperimentConfig) -> tuple:
         return _verify_equality(interval, config), 0
     if which == "characterize":
         return _verify_characterize(interval, config), 0
+    takes_system, pairs = _SAMPLED_CHECKS[which]
     gens = _build_generators(config.generators, interval)
-    if which in ("m1", "gbs"):
+    if takes_system:
         if len(gens) < 2:
             raise UsageError(f"verify {which} needs at least two --gen")
-        system = GeneratorSystem(gens)
-        report = _verify_m1(system, config) if which == "m1" else _verify_gbs(system, config)
-        return report, 0
-    if len(gens) != 1:
-        raise UsageError(f"verify {which} takes exactly one --gen")
-    if which == "bs":
-        return _verify_bs(QuasiArithmeticMean(gens[0]), config), 0
-    return _verify_as(gens[0], config), 0
+        subject = GeneratorSystem(gens)
+    else:
+        if len(gens) != 1:
+            raise UsageError(f"verify {which} takes exactly one --gen")
+        subject = gens[0]
+    return _run_check(which, pairs(subject, config), config), 0
 
 
 def _setup_logging() -> None:

@@ -65,8 +65,8 @@ def midpoint(xs: Sequence[float]) -> float:
 
 def _trace(iterates, gaps, used, converged, gap_tol) -> IterationTrace:
     return IterationTrace(
-        iterates=tuple(tuple(float(v) for v in row) for row in iterates[: used + 1]),
-        gaps=tuple(float(g) for g in gaps[: used + 1]),
+        iterates=tuple(map(tuple, iterates[: used + 1].tolist())),
+        gaps=tuple(gaps[: used + 1].tolist()),
         converged=converged,
         iterations_used=int(used),
         gap_tol=gap_tol,
@@ -96,12 +96,10 @@ def gauss_iterate(
     if inv_tol is None:
         inv_tol = getattr(mapping.base, "tol", DEFAULT_INVERT_TOL)
     clamped = [mapping.domain.clamp(x) for x in pts]
-
+    iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
+    gaps = np.empty(max_iter + 1, dtype=np.float64)
     if mapping.system is not None:
         codes, operands, offsets, total = mapping.system.tape_pack()
-        n = mapping.arity
-        iterates = np.empty((max_iter + 1, n), dtype=np.float64)
-        gaps = np.empty(max_iter + 1, dtype=np.float64)
         used, status = kernels.ACTIVE.cyclic_gauss(
             codes,
             operands,
@@ -116,46 +114,47 @@ def gauss_iterate(
             iterates,
             gaps,
         )
-        trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)
-        if status == kernels.STATUS_OK:
-            log.debug(
-                "%s converged in %d steps (gap %.3e)",
-                mapping.label, trace.iterations_used, trace.gaps[-1],
-            )
-            return midpoint(trace.last), trace
-        if status == kernels.STATUS_BUDGET:
-            raise ConvergenceError(
-                f"gap {trace.gaps[-1]:.3e} still above {gap_tol} after"
-                f" {used} iterations of {mapping.label!r}",
-                trace=trace,
-            )
-        if status == kernels.STATUS_RANGE:
-            raise RangeError(
-                f"an inner inversion of {mapping.label!r} lost its bracket"
-            )
-        raise EvalError(f"{mapping.label!r} is not finite along the orbit")
+    else:
+        used, status = _orbit(mapping, clamped, gap_tol, max_iter, iterates, gaps)
+    trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)
+    if status == kernels.STATUS_OK:
+        log.debug(
+            "%s converged in %d steps (gap %.3e)",
+            mapping.label, trace.iterations_used, trace.gaps[-1],
+        )
+        return midpoint(trace.last), trace
+    if status == kernels.STATUS_BUDGET:
+        raise ConvergenceError(
+            f"gap {trace.gaps[-1]:.3e} still above {gap_tol} after"
+            f" {used} iterations of {mapping.label!r}",
+            trace=trace,
+        )
+    if status == kernels.STATUS_RANGE:
+        raise RangeError(
+            f"an inner inversion of {mapping.label!r} lost its bracket"
+        )
+    raise EvalError(f"{mapping.label!r} is not finite along the orbit")
 
-    x = tuple(clamped)
-    iterates = [x]
-    gaps = [max(x) - min(x)]
+
+def _orbit(mapping: MeanTypeMapping, x0, gap_tol, max_iter, iterates, gaps):
+    """Gauss iteration through the mapping's components, with the
+    contract of the fused ``cyclic_gauss`` kernel: fills iterates/gaps in
+    place from the starting vector on and returns (iterations_used,
+    status).  Failures inside a component propagate as exceptions."""
+    x = tuple(x0)
+    gap = max(x) - min(x)
+    iterates[0] = x
+    gaps[0] = gap
     used = 0
-    while gaps[-1] > gap_tol:
+    while gap > gap_tol:
         if used >= max_iter:
-            raise ConvergenceError(
-                f"gap {gaps[-1]:.3e} still above {gap_tol} after"
-                f" {used} iterations of {mapping.label!r}",
-                trace=_trace(iterates, gaps, used, False, gap_tol),
-            )
+            return used, kernels.STATUS_BUDGET
         x = mapping.apply(x)
-        iterates.append(x)
-        gaps.append(max(x) - min(x))
+        gap = max(x) - min(x)
         used += 1
-    trace = _trace(iterates, gaps, used, True, gap_tol)
-    log.debug(
-        "%s converged in %d steps (gap %.3e)",
-        mapping.label, trace.iterations_used, trace.gaps[-1],
-    )
-    return midpoint(x), trace
+        iterates[used] = x
+        gaps[used] = gap
+    return used, kernels.STATUS_OK
 
 
 class GaussComposition(Mean):

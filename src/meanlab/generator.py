@@ -8,7 +8,10 @@ so code downstream may rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on the residual test |g(x) - y| <= tol * max(1, |y|) within a
-200-step budget.
+200-step budget.  There is one solver, ``kernels.make_invert``: tape-backed
+generators run the active kernel family's instance of it, callable-backed
+ones an uncompiled instance over ``_eval_fn``.  ``_check_invert_status``
+turns its status codes into package exceptions.
 """
 
 from __future__ import annotations
@@ -128,10 +131,7 @@ class Generator:
         if self.tape is not None:
             v = kernels.ACTIVE.eval_one(self.tape.code, self.tape.operands, x)
         else:
-            try:
-                v = float(self.fn(x))
-            except (ValueError, OverflowError, ZeroDivisionError):
-                v = math.nan
+            v = _eval_fn(self.fn, None, 0, 0, x)
         if not math.isfinite(v):
             raise EvalError(f"{self.label!r} is not finite at x = {x}")
         return v
@@ -147,10 +147,7 @@ class Generator:
             return kernels.ACTIVE.eval_grid(self.tape.code, self.tape.operands, xs)
         out = np.empty(xs.shape[0], dtype=np.float64)
         for i, x in enumerate(xs):
-            try:
-                out[i] = float(self.fn(float(x)))
-            except (ValueError, OverflowError, ZeroDivisionError):
-                out[i] = math.nan
+            out[i] = _eval_fn(self.fn, None, 0, 0, float(x))
         return out
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
@@ -172,17 +169,14 @@ class Generator:
                 self.tape.code, self.tape.operands, y, lo, hi, tol, INVERT_BUDGET
             )
         else:
-            x, status = _invert_callable(self._raw, y, lo, hi, tol, INVERT_BUDGET)
+            x, status = _invert_fn(self.fn, None, 0, 0, y, lo, hi, tol, INVERT_BUDGET)
         return self._check_invert_status(x, status, y, tol)
 
     def _raw(self, x: float) -> float:
+        """Value at x, NaN where the body is not finite."""
         if self.tape is not None:
             return kernels.ACTIVE.eval_one(self.tape.code, self.tape.operands, x)
-        try:
-            v = float(self.fn(x))
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return math.nan
-        return v if math.isfinite(v) else math.nan
+        return _eval_fn(self.fn, None, 0, 0, x)
 
     def _check_invert_status(self, x, status, y, tol):
         if status == kernels.STATUS_OK:
@@ -237,58 +231,17 @@ def inverse_generator(g: Generator, label: str | None = None) -> Generator:
     )
 
 
-def _invert_callable(raw, y, lo, hi, tol, budget):
-    """Bracketed solve for callable-backed generators.
+def _eval_fn(fn, _operands, _start, _stop, x):
+    """A Python body as the evaluator of the shared solver: the tape
+    arguments are unused, and failures and non-finite values are NaN."""
+    try:
+        v = float(fn(x))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
+    return v if math.isfinite(v) else math.nan
 
-    Same algorithm and status codes as the kernel version; kept separate
-    because arbitrary Python callables cannot enter compiled code.
-    """
-    glo = raw(lo)
-    ghi = raw(hi)
-    if math.isnan(glo) or math.isnan(ghi):
-        return math.nan, kernels.STATUS_NONFINITE
-    scale = tol * max(1.0, abs(y))
-    if y <= glo:
-        if glo - y <= scale:
-            return lo, kernels.STATUS_OK
-        return math.nan, kernels.STATUS_RANGE
-    if y >= ghi:
-        if y - ghi <= scale:
-            return hi, kernels.STATUS_OK
-        return math.nan, kernels.STATUS_RANGE
-    a, b = lo, hi
-    fa, fb = glo - y, ghi - y
-    side = 0
-    for _ in range(budget):
-        denom = fb - fa
-        xm = a - fa * (b - a) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not (a < xm < b):
-            xm = 0.5 * (a + b)
-        if not (a < xm < b):
-            if -fa <= fb:
-                if -fa <= scale:
-                    return a, kernels.STATUS_OK
-            else:
-                if fb <= scale:
-                    return b, kernels.STATUS_OK
-            return 0.5 * (a + b), kernels.STATUS_BUDGET
-        fm = raw(xm)
-        if math.isnan(fm):
-            return math.nan, kernels.STATUS_NONFINITE
-        fm -= y
-        if abs(fm) <= scale:
-            return xm, kernels.STATUS_OK
-        if fm < 0.0:
-            a, fa = xm, fm
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = xm, fm
-            if side == 1:
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b), kernels.STATUS_BUDGET
+
+_invert_fn = kernels.make_invert(_eval_fn)
 
 
 def check_monotone(g: Generator, grid_size: int = DEFAULT_GRID) -> MonotonicityReport:

@@ -3,15 +3,22 @@
 The hot loops of this package are scalar: tape evaluation inside bracketed
 root-finding inside Gauss iteration.  Both backends run the same
 algorithms; the numba family is the same source compiled with ``njit``.
+The bracketed solve is written once, in ``make_invert``: the kernel
+families build it over tape evaluation, and callable-backed generators
+run the same source uncompiled over their Python body.
 Selection is by the MEANLAB_BACKEND environment variable:
 
     auto    numba when importable, otherwise the fallback (default)
     numba   require numba, fail at import if missing
-    numpy   force the fallback
+    numpy   force the fallback (``python`` is an alias)
+
+An unknown value is reported on stderr and treated as ``auto``.
 
 Kernels never raise.  Scalar evaluation signals trouble with NaN and the
-solvers return status codes; the wrappers in generator/gauss translate
-those into package exceptions.
+solvers return status codes.  The callers turn those into package
+exceptions: ``Generator._check_invert_status`` for one inversion (also
+used by ``means.gqam_eval``) and ``gauss.gauss_iterate`` for a whole
+orbit, fused or not.
 
 Status codes shared by the solvers:
 
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +73,78 @@ class KernelSet(NamedTuple):
     invert: callable
     gqam: callable
     cyclic_gauss: callable
+
+
+def make_invert(evaluate, jit=lambda f: f):
+    """The bracketed solve for g(x) = y on [lo, hi], g increasing, over
+    an evaluator ``evaluate(code, operands, start, stop, x)`` that
+    returns NaN where g is not finite.
+
+    Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
+    bracket with bisection as the fallback; stops on the residual test
+    |g(x)-y| <= tol*max(1,|y|).  Returns (x, status).  ``_build`` makes
+    it over ``eval_core``, jitted or not; callable-backed generators run
+    it uncompiled over their Python body.
+    """
+
+    @jit
+    def invert_core(code, operands, start, stop, y, lo, hi, tol, budget):
+        glo = evaluate(code, operands, start, stop, lo)
+        ghi = evaluate(code, operands, start, stop, hi)
+        if math.isnan(glo) or math.isnan(ghi):
+            return np.nan, STATUS_NONFINITE
+        scale = tol * max(1.0, abs(y))
+        if y <= glo:
+            if glo - y <= scale:
+                return lo, STATUS_OK
+            return np.nan, STATUS_RANGE
+        if y >= ghi:
+            if y - ghi <= scale:
+                return hi, STATUS_OK
+            return np.nan, STATUS_RANGE
+        a = lo
+        b = hi
+        fa = glo - y
+        fb = ghi - y
+        side = 0
+        for _ in range(budget):
+            denom = fb - fa
+            if denom != 0.0:
+                xm = a - fa * (b - a) / denom
+            else:
+                xm = 0.5 * (a + b)
+            if not (a < xm < b):
+                xm = 0.5 * (a + b)
+            if not (a < xm < b):
+                # bracket has collapsed to adjacent floats
+                if -fa <= fb:
+                    if -fa <= scale:
+                        return a, STATUS_OK
+                else:
+                    if fb <= scale:
+                        return b, STATUS_OK
+                return 0.5 * (a + b), STATUS_BUDGET
+            fm = evaluate(code, operands, start, stop, xm)
+            if math.isnan(fm):
+                return np.nan, STATUS_NONFINITE
+            fm -= y
+            if abs(fm) <= scale:
+                return xm, STATUS_OK
+            if fm < 0.0:
+                a = xm
+                fa = fm
+                if side == -1:
+                    fb *= 0.5
+                side = -1
+            else:
+                b = xm
+                fb = fm
+                if side == 1:
+                    fa *= 0.5
+                side = 1
+        return 0.5 * (a + b), STATUS_BUDGET
+
+    return invert_core
 
 
 def _build(jit, name: str) -> KernelSet:
@@ -134,65 +214,7 @@ def _build(jit, name: str) -> KernelSet:
             out[i] = eval_core(code, operands, 0, code.shape[0], xs[i])
         return out
 
-    @jit
-    def invert_core(code, operands, start, stop, y, lo, hi, tol, budget):
-        # Bracketing root solve for g(x) = y on [lo, hi], g increasing.
-        # Illinois-damped secant steps on the bracket with bisection as
-        # the fallback; stops on the residual test |g(x)-y| <= tol*max(1,|y|).
-        glo = eval_core(code, operands, start, stop, lo)
-        ghi = eval_core(code, operands, start, stop, hi)
-        if math.isnan(glo) or math.isnan(ghi):
-            return np.nan, STATUS_NONFINITE
-        scale = tol * max(1.0, abs(y))
-        if y <= glo:
-            if glo - y <= scale:
-                return lo, STATUS_OK
-            return np.nan, STATUS_RANGE
-        if y >= ghi:
-            if y - ghi <= scale:
-                return hi, STATUS_OK
-            return np.nan, STATUS_RANGE
-        a = lo
-        b = hi
-        fa = glo - y
-        fb = ghi - y
-        side = 0
-        for _ in range(budget):
-            denom = fb - fa
-            if denom != 0.0:
-                xm = a - fa * (b - a) / denom
-            else:
-                xm = 0.5 * (a + b)
-            if not (a < xm < b):
-                xm = 0.5 * (a + b)
-            if not (a < xm < b):
-                # bracket has collapsed to adjacent floats
-                if -fa <= fb:
-                    if -fa <= scale:
-                        return a, STATUS_OK
-                else:
-                    if fb <= scale:
-                        return b, STATUS_OK
-                return 0.5 * (a + b), STATUS_BUDGET
-            fm = eval_core(code, operands, start, stop, xm)
-            if math.isnan(fm):
-                return np.nan, STATUS_NONFINITE
-            fm -= y
-            if abs(fm) <= scale:
-                return xm, STATUS_OK
-            if fm < 0.0:
-                a = xm
-                fa = fm
-                if side == -1:
-                    fb *= 0.5
-                side = -1
-            else:
-                b = xm
-                fb = fm
-                if side == 1:
-                    fa *= 0.5
-                side = 1
-        return 0.5 * (a + b), STATUS_BUDGET
+    invert_core = make_invert(eval_core, jit)
 
     @jit
     def invert(code, operands, y, lo, hi, tol, budget):
@@ -307,15 +329,16 @@ def _build(jit, name: str) -> KernelSet:
 
 def _resolve_backend() -> str:
     env = os.environ.get("MEANLAB_BACKEND", "auto").strip().lower()
-    if env in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
     if env == "numba":
         if not HAS_NUMBA:
             raise ImportError("MEANLAB_BACKEND=numba but numba is not importable")
         return "numba"
     if env in ("numpy", "python"):
         return "numpy"
-    raise ValueError(f"unknown MEANLAB_BACKEND value {env!r}")
+    if env not in ("", "auto"):
+        print(f"meanlab: unknown MEANLAB_BACKEND value {env!r}, using auto",
+              file=sys.stderr)
+    return "numba" if HAS_NUMBA else "numpy"
 
 
 _PY_KERNELS = _build(lambda f: f, "numpy")

@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, report formats, determinism.
 
-Everything drives `main(argv)` in-process; one subprocess test at the
-end covers the installed console script.
+Everything drives `main(argv)` in-process; subprocess tests at the end
+cover the console-script target named in pyproject.toml and a bad
+backend name, which is read at import.
 """
 
 import csv
@@ -10,12 +11,17 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 from meanlab.cli import main, parse_interval
 from meanlab.errors import UsageError
 from meanlab.report import RESULT_COLUMNS, strip_volatile
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -327,12 +333,44 @@ def test_unknown_log_level_warns_and_runs(capsys, monkeypatch):
     assert "meanlab eval" in out
 
 
+# the generators are linear, so the pinned bytes do not depend on the
+# platform's libm
+@pytest.mark.parametrize("which,gens", [
+    ("m1", ("x", "2*x")), ("gbs", ("x", "2*x")), ("bs", ("x",)), ("as", ("x",)),
+])
+def test_verify_csv_bytes_are_pinned(capsys, which, gens):
+    argv = ["--format", "csv", "--seed", "0", "--samples", "10"]
+    for g in gens:
+        argv += ["--gen", g]
+    code, out, _ = run(capsys, *argv, "verify", which)
+    assert code == 0
+    assert out.encode() == (DATA / f"verify_{which}.csv").read_bytes()
+
+
+def _subprocess_env(**extra):
+    # the subprocess imports the tree under test, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_console_script_roundtrip():
-    env = dict(os.environ, MEANLAB_BACKEND="numpy")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["meanlab"]
+    module, func = target.split(":")
     out = subprocess.run(
-        ["meanlab", "--format", "json", "--gen", "x", "--gen", "2*x",
-         "eval", "0.5", "3"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-c", f"import {module}; {module}.{func}()",
+         "--format", "json", "--gen", "x", "--gen", "2*x", "eval", "0.5", "3"],
+        capture_output=True, text=True, env=_subprocess_env(MEANLAB_BACKEND="numpy"),
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["details"]["value"] == "2.166667"
+
+
+def test_unknown_backend_warns_and_runs():
+    out = subprocess.run(
+        [sys.executable, "-m", "meanlab", "eval", "1", "2"],
+        capture_output=True, text=True, env=_subprocess_env(MEANLAB_BACKEND="bogus"),
+    )
+    assert out.returncode == 0
+    assert out.stderr == "meanlab: unknown MEANLAB_BACKEND value 'bogus', using auto\n"
+    assert "meanlab eval" in out.stdout

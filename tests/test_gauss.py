@@ -273,3 +273,27 @@ def test_gaps_contract_for_builtin_systems(name):
         for before, after in zip(trace.gaps, trace.gaps[1:]):
             if before > 1e-13:
                 assert after < before
+
+
+# --- one driver: the generic orbit against the fused kernel ------------------
+
+
+@pytest.mark.parametrize("name", sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]))
+def test_generic_driver_matches_fused(name):
+    system = builtin_system(name)
+    mean = GeneralizedQuasiArithmeticMean(system)
+    fused = cyclic_mapping(mean)
+    # same components, no system: gauss_iterate takes the generic orbit
+    generic = MeanTypeMapping(fused.components, base=mean, label=fused.label)
+    assert fused.system is not None and generic.system is None
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        pts = [float(v) for v in system.domain.sample(rng, system.n)]
+        assert gauss_iterate(generic, pts, max_iter=2000) == gauss_iterate(fused, pts, max_iter=2000)
+    raised = []
+    for mapping in (generic, fused):
+        with pytest.raises(ConvergenceError) as exc:
+            gauss_iterate(mapping, pts, max_iter=3)
+        raised.append((str(exc.value), exc.value.trace))
+    assert raised[0] == raised[1]
+    assert raised[0][1].iterations_used == 3

@@ -19,6 +19,7 @@ from meanlab import (
     Generator,
     GeneratorSystem,
     Interval,
+    MeanlabError,
     MonotonicityError,
     RangeError,
     affine_fit,
@@ -30,6 +31,7 @@ from meanlab import (
     inverse_generator,
     sum_generators,
 )
+from meanlab.dsl import compile_expr, parse
 
 I010 = Interval(0.0, 10.0)
 
@@ -122,13 +124,39 @@ def test_invert_on_narrow_bracket():
         g.invert_on(y, 3.0, 4.0)  # bracket excludes the root
 
 
+def _invert_outcome(g, y, lo, hi, tol):
+    try:
+        return g.invert_on(y, lo, hi, tol)
+    except MeanlabError as exc:
+        return type(exc), str(exc)
+
+
+# bodies whose Python and tape forms round alike, so both solvers must
+# agree bit for bit, with the exits each one reaches below: values past
+# either end of the range exit RANGE; at tol 0 the cubic's solves mostly
+# collapse the bracket without an exact root and exit BUDGET, while the
+# line's secant steps land on exact roots; sqrt(x - 1) is not finite at
+# the lower end of (0.1, 5)
+CALLABLE_BODIES = [
+    ("2*x + 1", lambda x: 2 * x + 1, {float, RangeError}),
+    ("x*x*x + x", lambda x: x * x * x + x, {float, RangeError, ConvergenceError}),
+    ("sqrt(x - 1)", lambda x: math.sqrt(x - 1), {EvalError}),
+]
+
+
 def test_callable_inversion_matches_tape():
-    body = "x^3 + x"
     dom = Interval(0.1, 5.0)
-    tape = Generator.from_expression(body, dom)
-    fn = Generator.from_callable(lambda x: x**3 + x, dom, label="cubic")
-    for y in (0.5, 2.0, 30.0, 100.0):
-        assert fn.invert(y) == pytest.approx(tape.invert(y), abs=1e-10)
+    lo, hi = dom.clamp(dom.lo), dom.clamp(dom.hi)
+    for source, body, exits in CALLABLE_BODIES:
+        tape = Generator(dom, tape=compile_expr(parse(source)), label="g", validate=False)
+        fn = Generator.from_callable(body, dom, label="g", validate=False)
+        seen = set()
+        for y in np.linspace(-1.0, tape._raw(hi) + 1.0, 97):
+            for tol in (1e-12, 0.0):
+                got = _invert_outcome(fn, float(y), lo, hi, tol)
+                assert got == _invert_outcome(tape, float(y), lo, hi, tol)
+                seen.add(got[0] if isinstance(got, tuple) else type(got))
+        assert seen == exits, source
 
 
 # --- monotonicity --------------------------------------------------------

@@ -246,10 +246,11 @@ def test_resolve_backend_auto(monkeypatch):
     assert kernels._resolve_backend() == want
 
 
-def test_resolve_backend_rejects_unknown(monkeypatch):
+def test_resolve_backend_unknown_falls_back_to_auto(monkeypatch, capsys):
     monkeypatch.setenv("MEANLAB_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        kernels._resolve_backend()
+    want = "numba" if kernels.HAS_NUMBA else "numpy"
+    assert kernels._resolve_backend() == want
+    assert capsys.readouterr().err == "meanlab: unknown MEANLAB_BACKEND value 'cuda', using auto\n"
 
 
 def test_resolve_backend_numba_missing(monkeypatch):
