@@ -42,15 +42,19 @@ def rotated(xs: Sequence[float], power: int) -> tuple:
 
 
 class PermutedMean(Mean):
-    """A mean pre-composed with a cyclic rotation of its arguments."""
+    """A mean pre-composed with a cyclic rotation of its arguments.
+
+    ``arity`` pins the number of arguments, which a variadic base leaves
+    open; shift 0 with a pinned arity is a plain arity pin.
+    """
 
     __slots__ = ("base", "shift")
 
-    def __init__(self, base: Mean, shift: int):
+    def __init__(self, base: Mean, shift: int, arity: int | None = None):
         super().__init__(
             base.domain,
-            arity=base.arity,
-            label=f"{base.label}<{shift}>",
+            arity=base.arity if arity is None else arity,
+            label=f"{base.label}<{shift}>" if shift else base.label,
         )
         self.base = base
         self.shift = shift
@@ -60,17 +64,18 @@ class PermutedMean(Mean):
 
 
 def permuted_mean(mean: Mean, shift: int) -> Mean:
-    """Rotate a mean's arguments, collapsing stacked or trivial rotations."""
+    """Rotate a mean's arguments, collapsing stacked or trivial rotations
+    and keeping a pinned arity."""
     base = mean
     total = shift
     if isinstance(mean, PermutedMean):
         base = mean.base
         total = mean.shift + shift
-    if base.arity is not None:
-        total %= base.arity
-    if total == 0:
+    if mean.arity is not None:
+        total %= mean.arity
+    if total == 0 and base.arity == mean.arity:
         return base
-    return PermutedMean(base, total)
+    return PermutedMean(base, total, mean.arity)
 
 
 class MeanTypeMapping:
@@ -142,35 +147,23 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
         if n < 1:
             raise ValueError("arity must be at least 1")
     # rotating a variadic mean still needs fixed-length vectors here, so
-    # pin the component arity through a fixed-arity view
-    comps = [fixed_arity(permuted_mean(mean, i), n) for i in range(n)]
+    # pin the arity first; every rotation keeps the pin
+    pinned = fixed_arity(mean, n)
+    comps = [permuted_mean(pinned, i) for i in range(n)]
     system = None
     if isinstance(mean, GeneralizedQuasiArithmeticMean) and mean.system.is_tape_backed:
         system = mean.system
     return MeanTypeMapping(comps, system=system, base=mean, label=f"cyclic[{mean.label}]")
 
 
-class _FixedArityView(Mean):
-    """Arity pin over a variadic mean; evaluation passes straight through."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Mean, arity: int):
-        super().__init__(base.domain, arity=arity, label=base.label)
-        self.base = base
-
-    def _evaluate(self, pts):
-        return self.base(pts)
-
-
 def fixed_arity(mean: Mean, n: int) -> Mean:
-    """The mean itself if its arity is already n, a pinned view of a
-    variadic mean otherwise; mismatched fixed arities are an error."""
+    """The mean itself if its arity is already n, a variadic mean pinned
+    to n arguments otherwise; mismatched fixed arities are an error."""
     if mean.arity == n:
         return mean
     if mean.arity is not None:
         raise ValueError(f"mean {mean.label!r} has arity {mean.arity}, not {n}")
-    return _FixedArityView(mean, n)
+    return PermutedMean(mean, 0, n)
 
 
 def shared_domain(means: Sequence[Mean]) -> Interval:

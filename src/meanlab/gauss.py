@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
-from .errors import ConvergenceError, DomainError, EvalError, RangeError
+from .errors import ConvergenceError, DomainError
 from .generator import DEFAULT_INVERT_TOL, INVERT_BUDGET, GeneratorSystem
 from .means import (
     GeneralizedQuasiArithmeticMean,
@@ -78,12 +78,12 @@ def gauss_iterate(
     xs: Sequence[float],
     gap_tol: float = DEFAULT_GAP_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    inv_tol: float | None = None,
 ) -> tuple[float, IterationTrace]:
     """Iterate the mapping from xs until the spread closes to gap_tol.
 
     Returns (limit, trace).  Raises ConvergenceError carrying the partial
-    trace when max_iter steps are not enough.
+    trace when max_iter steps are not enough; a step that fails inside a
+    component raises that component's exception, without a trace.
     """
     pts = [float(x) for x in xs]
     if len(pts) != mapping.arity:
@@ -93,8 +93,6 @@ def gauss_iterate(
             raise DomainError(f"point {x} is outside {mapping.domain}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if inv_tol is None:
-        inv_tol = getattr(mapping.base, "tol", DEFAULT_INVERT_TOL)
     clamped = [mapping.domain.clamp(x) for x in pts]
     iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
     gaps = np.empty(max_iter + 1, dtype=np.float64)
@@ -108,7 +106,7 @@ def gauss_iterate(
             total.operands,
             np.asarray(clamped, dtype=np.float64),
             gap_tol,
-            inv_tol,
+            getattr(mapping.base, "tol", DEFAULT_INVERT_TOL),
             INVERT_BUDGET,
             max_iter,
             iterates,
@@ -123,17 +121,16 @@ def gauss_iterate(
             mapping.label, trace.iterations_used, trace.gaps[-1],
         )
         return midpoint(trace.last), trace
-    if status == kernels.STATUS_BUDGET:
-        raise ConvergenceError(
-            f"gap {trace.gaps[-1]:.3e} still above {gap_tol} after"
-            f" {used} iterations of {mapping.label!r}",
-            trace=trace,
-        )
-    if status == kernels.STATUS_RANGE:
-        raise RangeError(
-            f"an inner inversion of {mapping.label!r} lost its bracket"
-        )
-    raise EvalError(f"{mapping.label!r} is not finite along the orbit")
+    if used < max_iter:
+        # the fused kernel reports only that step used + 1 failed; the
+        # components compute that step bit for bit, so replaying it raises
+        # exactly what _orbit raises there
+        mapping.apply(trace.last)
+    raise ConvergenceError(
+        f"gap {trace.gaps[-1]:.3e} still above {gap_tol} after"
+        f" {used} iterations of {mapping.label!r}",
+        trace=trace,
+    )
 
 
 def _orbit(mapping: MeanTypeMapping, x0, gap_tol, max_iter, iterates, gaps):
@@ -160,14 +157,13 @@ def _orbit(mapping: MeanTypeMapping, x0, gap_tol, max_iter, iterates, gaps):
 class GaussComposition(Mean):
     """The limit of Gauss iteration, packaged as a mean of arity n."""
 
-    __slots__ = ("mapping", "gap_tol", "max_iterations", "inv_tol")
+    __slots__ = ("mapping", "gap_tol", "max_iterations")
 
     def __init__(
         self,
         mapping: MeanTypeMapping,
         gap_tol: float = DEFAULT_GAP_TOL,
         max_iterations: int = DEFAULT_MAX_ITER,
-        inv_tol: float | None = None,
         label: str | None = None,
     ):
         super().__init__(
@@ -178,24 +174,18 @@ class GaussComposition(Mean):
         self.mapping = mapping
         self.gap_tol = gap_tol
         self.max_iterations = max_iterations
-        self.inv_tol = inv_tol
 
     def _evaluate(self, pts):
-        return gauss_iterate(
-            self.mapping, pts, self.gap_tol, self.max_iterations, self.inv_tol
-        )[0]
+        return gauss_iterate(self.mapping, pts, self.gap_tol, self.max_iterations)[0]
 
     def trace(self, xs: Sequence[float]) -> IterationTrace:
-        return gauss_iterate(
-            self.mapping, xs, self.gap_tol, self.max_iterations, self.inv_tol
-        )[1]
+        return gauss_iterate(self.mapping, xs, self.gap_tol, self.max_iterations)[1]
 
 
 def gauss_composition(
     mapping: MeanTypeMapping,
     gap_tol: float = DEFAULT_GAP_TOL,
     max_iterations: int = DEFAULT_MAX_ITER,
-    inv_tol: float | None = None,
     validate: bool = True,
     probes: int = 6,
 ) -> GaussComposition:
@@ -221,7 +211,7 @@ def gauss_composition(
                         f" {tuple(vec)}: value {report.value} outside"
                         f" [{report.low}, {report.high}]"
                     )
-    return GaussComposition(mapping, gap_tol, max_iterations, inv_tol)
+    return GaussComposition(mapping, gap_tol, max_iterations)
 
 
 def invariance_residual(candidate: Mean, mapping: MeanTypeMapping,
@@ -252,7 +242,6 @@ def composition_closed_form_check(
     seed: int = 0,
     gap_tol: float = CHECK_GAP_TOL,
     max_iterations: int = CHECK_MAX_ITER,
-    inv_tol: float | None = None,
 ) -> CompositionCheckReport:
     """Gauss-iterate the cyclic mapping of the system's mean and compare
     against the quasi-arithmetic mean of the summed generators."""
@@ -266,7 +255,7 @@ def composition_closed_form_check(
     for child in children:
         rng = np.random.default_rng(child)
         pts = [float(v) for v in system.domain.sample(rng, system.n)]
-        left = gauss_iterate(mapping, pts, gap_tol, max_iterations, inv_tol)[0]
+        left = gauss_iterate(mapping, pts, gap_tol, max_iterations)[0]
         right = closed(pts)
         residual = abs(left - right)
         rows.append((tuple(pts), left, right, residual))

@@ -10,8 +10,11 @@ Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on the residual test |g(x) - y| <= tol * max(1, |y|) within a
 200-step budget.  There is one solver, ``kernels.make_invert``: tape-backed
 generators run the active kernel family's instance of it, callable-backed
-ones an uncompiled instance over ``_eval_fn``.  ``_check_invert_status``
-turns its status codes into package exceptions.
+ones an uncompiled instance over ``_eval_fn``.  ``Generator._invert_error``
+is the one place its status codes become package exceptions: for one
+solve in ``invert_on``, for one generalized mean in ``means.gqam_eval``
+(whose kernel runs the solve on the sum generator), and so for every
+Gauss step, fused or not.
 """
 
 from __future__ import annotations
@@ -170,7 +173,9 @@ class Generator:
             )
         else:
             x, status = _invert_fn(self.fn, None, 0, 0, y, lo, hi, tol, INVERT_BUDGET)
-        return self._check_invert_status(x, status, y, tol)
+        if status != kernels.STATUS_OK:
+            raise self._invert_error(status, f"y = {y}", tol)
+        return float(x)  # numpy-backend kernels hand back numpy scalars
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
@@ -178,19 +183,19 @@ class Generator:
             return kernels.ACTIVE.eval_one(self.tape.code, self.tape.operands, x)
         return _eval_fn(self.fn, None, 0, 0, x)
 
-    def _check_invert_status(self, x, status, y, tol):
-        if status == kernels.STATUS_OK:
-            return float(x)  # numpy-backend kernels hand back numpy scalars
+    def _invert_error(self, status, target, tol):
+        """The package exception for a failed solve; ``target`` names
+        the value that was inverted."""
         if status == kernels.STATUS_RANGE:
-            raise RangeError(
-                f"y = {y} is outside the value range of {self.label!r} on {self.domain}"
+            return RangeError(
+                f"{target} is outside the value range of {self.label!r} on {self.domain}"
             )
         if status == kernels.STATUS_BUDGET:
-            raise ConvergenceError(
+            return ConvergenceError(
                 f"inversion of {self.label!r} did not reach tol = {tol}"
                 f" within {INVERT_BUDGET} steps"
             )
-        raise EvalError(f"{self.label!r} is not finite inside {self.domain}")
+        return EvalError(f"{self.label!r} is not finite inside {self.domain}")
 
     def affine(self, a: float, b: float) -> "Generator":
         """The generator a*g + b; a must be positive to preserve growth."""

@@ -5,7 +5,11 @@ root-finding inside Gauss iteration.  Both backends run the same
 algorithms; the numba family is the same source compiled with ``njit``.
 The bracketed solve is written once, in ``make_invert``: the kernel
 families build it over tape evaluation, and callable-backed generators
-run the same source uncompiled over their Python body.
+run the same source uncompiled over their Python body.  One step of a
+generalized quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum)
+is written once too, as ``gqam_rotated``: ``gqam`` is that step at
+rotation 0, and one Gauss iteration of ``cyclic_gauss`` runs it at every
+rotation 0..n-1.
 Selection is by the MEANLAB_BACKEND environment variable:
 
     auto    numba when importable, otherwise the fallback (default)
@@ -16,9 +20,11 @@ An unknown value is reported on stderr and treated as ``auto``.
 
 Kernels never raise.  Scalar evaluation signals trouble with NaN and the
 solvers return status codes.  The callers turn those into package
-exceptions: ``Generator._check_invert_status`` for one inversion (also
-used by ``means.gqam_eval``) and ``gauss.gauss_iterate`` for a whole
-orbit, fused or not.
+exceptions, through ``Generator._invert_error``: ``Generator.invert_on``
+for one solve and ``means.gqam_eval`` for one mean.  ``gauss.gauss_iterate``
+adds only the Gauss budget: a fused orbit whose step failed replays that
+step through the mapping's components, so it raises what
+``means.gqam_eval`` raises.
 
 Status codes shared by the solvers:
 
@@ -221,26 +227,37 @@ def _build(jit, name: str) -> KernelSet:
         return invert_core(code, operands, 0, code.shape[0], y, lo, hi, tol, budget)
 
     @jit
-    def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
-        # (f1+...+fn)^{-1}(f1(x1)+...+fn(xn)); the mean property brackets
-        # the result by [min xs, max xs].
-        n = offsets.shape[0] - 1
+    def span(xs):
         mn = xs[0]
         mx = xs[0]
+        for j in range(1, xs.shape[0]):
+            if xs[j] < mn:
+                mn = xs[j]
+            if xs[j] > mx:
+                mx = xs[j]
+        return mn, mx
+
+    @jit
+    def gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
+                     shift, lo, hi, tol, budget):
+        # One rotated mean, the step kernel of both gqam and cyclic_gauss:
+        # (f1+...+fn)^{-1}(f1(y1)+...+fn(yn)) solved on [lo, hi], where
+        # y = xs rotated by ``shift`` (y_j = xs[(j - shift) mod n]).
+        n = offsets.shape[0] - 1
         s = 0.0
         for j in range(n):
-            xj = xs[j]
-            if xj < mn:
-                mn = xj
-            if xj > mx:
-                mx = xj
-            v = eval_core(codes, operands, offsets[j], offsets[j + 1], xj)
+            v = eval_core(codes, operands, offsets[j], offsets[j + 1], xs[(j - shift) % n])
             if math.isnan(v):
                 return np.nan, STATUS_NONFINITE
             s += v
-        return invert_core(
-            sum_code, sum_operands, 0, sum_code.shape[0], s, mn, mx, tol, budget
-        )
+        return invert_core(sum_code, sum_operands, 0, sum_code.shape[0], s, lo, hi, tol, budget)
+
+    @jit
+    def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
+        # the mean property brackets the result by [min xs, max xs]
+        mn, mx = span(xs)
+        return gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
+                            0, mn, mx, tol, budget)
 
     @jit
     def cyclic_gauss(
@@ -258,62 +275,31 @@ def _build(jit, name: str) -> KernelSet:
         gaps,
     ):
         # Gauss iteration of the cyclic mean-type mapping built from one
-        # generalized quasi-arithmetic mean: component i permutes the
-        # argument vector by the i-th cyclic power before applying it.
+        # generalized quasi-arithmetic mean: component i is gqam_rotated
+        # at shift i, every component bracketed by the current [min, max].
         # Returns (iterations_used, status); iterates/gaps are filled in
-        # place with the orbit including the starting vector.
+        # place with the orbit including the starting vector.  A failed
+        # step returns its status with the iterations completed before it.
         n = x0.shape[0]
         x = x0.copy()
-        fvals = np.empty((n, n), dtype=np.float64)
         newx = np.empty(n, dtype=np.float64)
-        mn = x[0]
-        mx = x[0]
-        for c in range(n):
-            if x[c] < mn:
-                mn = x[c]
-            if x[c] > mx:
-                mx = x[c]
+        mn, mx = span(x)
         used = 0
         iterates[0, :] = x
         gaps[0] = mx - mn
         while mx - mn > gap_tol:
             if used >= max_iter:
                 return used, STATUS_BUDGET
-            for j in range(n):
-                for c in range(n):
-                    v = eval_core(codes, operands, offsets[j], offsets[j + 1], x[c])
-                    if math.isnan(v):
-                        return used, STATUS_NONFINITE
-                    fvals[j, c] = v
             for i in range(n):
-                s = 0.0
-                for j in range(n):
-                    s += fvals[j, (j - i) % n]
-                val, st = invert_core(
-                    sum_code,
-                    sum_operands,
-                    0,
-                    sum_code.shape[0],
-                    s,
-                    mn,
-                    mx,
-                    inv_tol,
-                    inv_budget,
-                )
+                val, st = gqam_rotated(codes, operands, offsets, sum_code, sum_operands,
+                                       x, i, mn, mx, inv_tol, inv_budget)
                 if st != STATUS_OK:
                     return used, st
                 newx[i] = val
-            for c in range(n):
-                x[c] = newx[c]
+            x, newx = newx, x
             used += 1
             iterates[used, :] = x
-            mn = x[0]
-            mx = x[0]
-            for c in range(n):
-                if x[c] < mn:
-                    mn = x[c]
-                if x[c] > mx:
-                    mx = x[c]
+            mn, mx = span(x)
             gaps[used] = mx - mn
         return used, STATUS_OK
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, EvalError
+from .errors import DomainError
 from .generator import (
     DEFAULT_INVERT_TOL,
     INVERT_BUDGET,
@@ -80,11 +80,10 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float], tol: float = DEFAULT
             tol,
             INVERT_BUDGET,
         )
-        if status == kernels.STATUS_NONFINITE:
-            raise EvalError(f"system [{system.label}] is not finite at {pts}")
-        # other failures surface through the sum generator for a message
         if status != kernels.STATUS_OK:
-            return system.sum_generator()._check_invert_status(v, status, float("nan"), tol)
+            # the kernel solved for the sum of the members at pts
+            target = f"the sum of [{system.label}] at {pts}"
+            raise system.sum_generator()._invert_error(status, target, tol)
         return float(v)
     total = system.sum_generator()
     s = 0.0

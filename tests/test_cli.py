@@ -112,6 +112,19 @@ def test_compose_budget_exhaustion_exits_3_with_trace(capsys):
     assert trace["gaps"][1] < trace["gaps"][0]
 
 
+def test_compose_failed_inner_inversion_exits_3_without_report(capsys):
+    # the first Gauss step's inner solve runs out of steps: that is the
+    # error to report, not an exhausted Gauss budget
+    code, out, err = run(
+        capsys, "--interval", "1,1.03", "--gen", "x^20000", "--gen", "x^20000",
+        "compose", "1.0191088506114259", "1.008093601426729",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == ("meanlab: inversion of 'x^20000.0 + x^20000.0' did not reach"
+                   " tol = 1e-12 within 200 steps\n")
+
+
 def test_compose_gap_rows_decrease(capsys):
     code, payload, _ = run_json(
         capsys, "--interval", "0.1,5", "--gen", "x", "--gen", "x^3",
@@ -345,6 +358,26 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
     code, out, _ = run(capsys, *argv, "verify", which)
     assert code == 0
     assert out.encode() == (DATA / f"verify_{which}.csv").read_bytes()
+
+
+def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
+    # the benchmark's tracer swaps these names from outside the package
+    monkeypatch.syspath_prepend(str(ROOT))
+    from meanlab import cli, gauss, kernels
+    from perfbench.tracing import Tracer, install
+
+    active, iterate = kernels.ACTIVE, gauss.gauss_iterate
+    tracer = Tracer()
+    uninstall = install(tracer)
+    try:
+        assert cli.main(["--gen", "x", "--gen", "2*x", "compose", "1", "7"]) == 0
+        assert cli.main(["--samples", "3", "verify", "m1"]) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert {"kernels.cyclic_gauss", "gauss", "cli.main"} <= set(tracer.calls)
+    assert kernels.ACTIVE is active
+    assert gauss.gauss_iterate is iterate
 
 
 def _subprocess_env(**extra):

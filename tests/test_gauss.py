@@ -15,8 +15,11 @@ from meanlab import (
     FunctionMean,
     GaussComposition,
     GeneralizedQuasiArithmeticMean,
+    Generator,
+    GeneratorSystem,
     Interval,
     MeanTypeMapping,
+    RangeError,
     arithmetic_mean,
     builtin_system,
     composition_closed_form_check,
@@ -29,6 +32,7 @@ from meanlab import (
     midpoint,
 )
 from meanlab.cyclic import fixed_arity
+from meanlab.dsl import compile_expr, parse
 
 POS = Interval(0.1, 10.0)
 
@@ -278,22 +282,60 @@ def test_gaps_contract_for_builtin_systems(name):
 # --- one driver: the generic orbit against the fused kernel ------------------
 
 
-@pytest.mark.parametrize("name", sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]))
+def _steep_system():
+    # x^20000 + x^20000 is too steep for the inner solve's step budget
+    dom = Interval(1.0, 1.03)
+    return GeneratorSystem([Generator.from_expression("x^20000", dom)] * 2)
+
+
+def _decreasing_system():
+    # an unvalidated decreasing member: the inner solve loses its bracket
+    dom = Interval(0.1, 5.0)
+    return GeneratorSystem([
+        Generator(dom, tape=compile_expr(parse(t)), label=t, validate=False)
+        for t in ("x", "0 - 2*x")
+    ])
+
+
+# systems whose first Gauss step fails inside a component:
+# (builder, start, what that step raises)
+INNER_FAILURES = {
+    "x^20000,x^20000": (_steep_system, [1.0191088506114259, 1.008093601426729],
+                        ConvergenceError),
+    "x,0 - 2*x": (_decreasing_system, [1.0, 2.0], RangeError),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]) + sorted(INNER_FAILURES),
+)
 def test_generic_driver_matches_fused(name):
-    system = builtin_system(name)
+    if name in INNER_FAILURES:
+        build, pts, error = INNER_FAILURES[name]
+        system = build()
+    else:
+        system, error = builtin_system(name), ConvergenceError
     mean = GeneralizedQuasiArithmeticMean(system)
     fused = cyclic_mapping(mean)
     # same components, no system: gauss_iterate takes the generic orbit
     generic = MeanTypeMapping(fused.components, base=mean, label=fused.label)
     assert fused.system is not None and generic.system is None
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        pts = [float(v) for v in system.domain.sample(rng, system.n)]
-        assert gauss_iterate(generic, pts, max_iter=2000) == gauss_iterate(fused, pts, max_iter=2000)
+    if name not in INNER_FAILURES:
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            pts = [float(v) for v in system.domain.sample(rng, system.n)]
+            assert gauss_iterate(generic, pts, max_iter=2000) == gauss_iterate(fused, pts, max_iter=2000)
+    # the builtin orbits exhaust 3 steps, the failing ones stop in step 1
     raised = []
     for mapping in (generic, fused):
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(error) as exc:
             gauss_iterate(mapping, pts, max_iter=3)
-        raised.append((str(exc.value), exc.value.trace))
+        raised.append((type(exc.value), str(exc.value), getattr(exc.value, "trace", None)))
     assert raised[0] == raised[1]
-    assert raised[0][1].iterations_used == 3
+    _, text, trace = raised[0]
+    if name in INNER_FAILURES:
+        assert trace is None
+        assert "nan" not in text
+    else:
+        assert trace.iterations_used == 3
