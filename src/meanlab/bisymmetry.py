@@ -46,6 +46,15 @@ from .means import (
 
 log = logging.getLogger("meanlab.bisymmetry")
 
+# fixed settings of ``characterize``
+LATTICE_POINTS = 3          # lattice values per matrix entry
+WITNESS_FACTOR = 10.0       # a residual above factor*tol is a witness
+REFLEXIVITY_TOL = 1e-9
+CONTINUITY_DELTA = 1e-5
+LIPSCHITZ_BOUND = 1e3
+MONOTONE_STEP = 1e-4
+MONOTONE_SLACK = 1e-10
+
 # Entries x[i][j]; row index first.  Validated, not wrapped in a class.
 InputMatrix = tuple[tuple[float, ...], ...]
 
@@ -183,16 +192,8 @@ class CharacterizeConfig:
     grid_size: int = 16
     probe_count: int = 24
     trials: int = 1000
-    lattice_points: int = 3
     lattice_cap: int = 128
     tol: float = 1e-7
-    witness_factor: float = 10.0    # residual above factor*tol is a witness
-    reflexivity_tol: float = 1e-9
-    continuity_delta: float = 1e-5
-    lipschitz_bound: float = 1e3
-    monotone_step: float = 1e-4
-    monotone_slack: float = 1e-10
-    gap_tol: float = DEFAULT_GAP_TOL
     max_iterations: int = 4000
     seed: int = 0
 
@@ -231,6 +232,21 @@ def _probe_vectors(domain: Interval, n: int, count: int, seed_seq) -> list:
     return [[float(v) for v in domain.sample(rng, n)] for _ in range(count)]
 
 
+def _first_bad_nudge(mean, vectors, step, bad):
+    """The first (vector, coordinate) at which raising that coordinate by
+    ``step`` moves the mean by an amount ``bad`` rejects, or None."""
+    for vec in vectors:
+        base = mean(vec)
+        for k in range(len(vec)):
+            if not mean.domain.contains(vec[k] + step):
+                continue
+            bumped = list(vec)
+            bumped[k] += step
+            if bad(mean(bumped) - base):
+                return tuple(vec), k
+    return None
+
+
 def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> CharacterizationVerdict:
     """Collect numeric evidence for or against generalized
     quasi-arithmetic structure.
@@ -255,10 +271,9 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
     failed = []
     witness_matrix = None
     witness_residual = None
-    witness_point = None
     notes = [
-        f"continuity probe is a sampled bound |dM| <= {cfg.lipschitz_bound:g}*delta"
-        f" with delta = {cfg.continuity_delta:g}, heuristic only",
+        f"continuity probe is a sampled bound |dM| <= {LIPSCHITZ_BOUND:g}*delta"
+        f" with delta = {CONTINUITY_DELTA:g}, heuristic only",
     ]
 
     def record(name, ok):
@@ -266,50 +281,28 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
         if not ok:
             failed.append(name)
 
-    # sampled continuity: nudge one coordinate, bound the output move
-    delta = cfg.continuity_delta
-    ok = True
-    for vec in _probe_vectors(dom, n, cfg.probe_count, seeds[0]):
-        base = mean(vec)
-        for k in range(n):
-            if not dom.contains(vec[k] + delta):
-                continue
-            bumped = list(vec)
-            bumped[k] += delta
-            if abs(mean(bumped) - base) > cfg.lipschitz_bound * delta:
-                ok = False
-                if witness_point is None:
-                    witness_point = (tuple(vec), k)
-                break
-        if not ok:
-            break
-    record("continuity", ok)
+    # sampled continuity: nudging one coordinate moves the mean boundedly
+    witness_point = _first_bad_nudge(
+        mean, _probe_vectors(dom, n, cfg.probe_count, seeds[0]), CONTINUITY_DELTA,
+        lambda move: abs(move) > LIPSCHITZ_BOUND * CONTINUITY_DELTA,
+    )
+    record("continuity", witness_point is None)
 
     # strict growth in every coordinate
-    step = cfg.monotone_step
-    ok = True
-    for vec in _probe_vectors(dom, n, cfg.probe_count, seeds[1]):
-        base = mean(vec)
-        for k in range(n):
-            if not dom.contains(vec[k] + step):
-                continue
-            bumped = list(vec)
-            bumped[k] += step
-            if mean(bumped) - base <= cfg.monotone_slack:
-                ok = False
-                if witness_point is None:
-                    witness_point = (tuple(vec), k)
-                break
-        if not ok:
-            break
-    record("strict-monotonicity", ok)
+    bad = _first_bad_nudge(
+        mean, _probe_vectors(dom, n, cfg.probe_count, seeds[1]), MONOTONE_STEP,
+        lambda move: move <= MONOTONE_SLACK,
+    )
+    record("strict-monotonicity", bad is None)
+    if witness_point is None:
+        witness_point = bad
 
     # reflexivity on a grid
     ok = True
     for x in dom.grid(cfg.grid_size):
         x = float(x)
         dev = abs(mean([x] * n) - x)
-        if dev > cfg.reflexivity_tol * max(1.0, abs(x)):
+        if dev > REFLEXIVITY_TOL * max(1.0, abs(x)):
             ok = False
             if witness_point is None:
                 witness_point = ((x,) * n, None)
@@ -320,17 +313,17 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
     trials_run = 0
     try:
         mapping = cyclic_mapping(mean, arity=n)
-        composition = GaussComposition(mapping, cfg.gap_tol, cfg.max_iterations)
+        composition = GaussComposition(mapping, DEFAULT_GAP_TOL, cfg.max_iterations)
         # force one evaluation so convergence failures surface here
         probe = [float(v) for v in dom.grid(max(2, n))][:n]
-        gauss_iterate(mapping, probe, cfg.gap_tol, cfg.max_iterations)
+        gauss_iterate(mapping, probe, DEFAULT_GAP_TOL, cfg.max_iterations)
     except MeanlabError as exc:
         notes.append(f"composition did not converge: {exc}")
         record("composition-convergence", False)
         composition = None
     if composition is not None:
-        threshold = cfg.witness_factor * cfg.tol
-        lattice_values = [float(v) for v in dom.grid(cfg.lattice_points)]
+        threshold = WITNESS_FACTOR * cfg.tol
+        lattice_values = [float(v) for v in dom.grid(LATTICE_POINTS)]
         lattice = itertools.islice(
             itertools.product(lattice_values, repeat=n * n), cfg.lattice_cap
         )

@@ -1,11 +1,13 @@
 """Gauss iteration: drive a mean-type mapping to its common limit.
 
 Every component of a mapping is a mean, so each step shrinks the spread
-max(x) - min(x); iteration stops once the spread drops to ``gap_tol``
-and the limit is reported as the midpoint of the final bracket.  The
-bracket always contains the true limit, and the midpoint sits much
-closer than the gap itself, so a modest gap tolerance already pins the
-value tightly.
+max(x) - min(x); iteration stops once the spread drops to ``gap_tol``,
+or to a few ulp of the iterates if that is larger, and the limit is
+reported as the midpoint of the final bracket.  The bracket always
+contains the true limit, and the midpoint sits much closer than the gap
+itself, so a modest gap tolerance already pins the value tightly.  One
+loop, ``kernels.make_orbit``, runs every orbit: as the fused
+``cyclic_gauss`` kernel, or uncompiled over ``MeanTypeMapping.apply``.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
 iterating the cyclic mapping of a generalized quasi-arithmetic mean must
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .generator import DEFAULT_INVERT_TOL, INVERT_BUDGET, GeneratorSystem
 from .means import (
     GeneralizedQuasiArithmeticMean,
@@ -42,6 +44,7 @@ DEFAULT_MAX_ITER = 500
 CHECK_GAP_TOL = 1e-9
 CHECK_MAX_ITER = 2000
 SYMMETRY_TOL = 1e-9
+VALIDATION_PROBES = 6  # random vectors gauss_composition checks components on
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,12 +91,10 @@ def gauss_iterate(
     pts = [float(x) for x in xs]
     if len(pts) != mapping.arity:
         raise ValueError(f"expected {mapping.arity} points, got {len(pts)}")
-    for x in pts:
-        if not mapping.domain.contains(x):
-            raise DomainError(f"point {x} is outside {mapping.domain}")
+    mapping.domain.check_points(pts)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    clamped = [mapping.domain.clamp(x) for x in pts]
+    x0 = np.asarray([mapping.domain.clamp(x) for x in pts], dtype=np.float64)
     iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
     gaps = np.empty(max_iter + 1, dtype=np.float64)
     if mapping.system is not None:
@@ -104,7 +105,7 @@ def gauss_iterate(
             offsets,
             total.code,
             total.operands,
-            np.asarray(clamped, dtype=np.float64),
+            x0,
             gap_tol,
             getattr(mapping.base, "tol", DEFAULT_INVERT_TOL),
             INVERT_BUDGET,
@@ -113,7 +114,7 @@ def gauss_iterate(
             gaps,
         )
     else:
-        used, status = _orbit(mapping, clamped, gap_tol, max_iter, iterates, gaps)
+        used, status = _orbit(mapping, x0, gap_tol, max_iter, iterates, gaps)
     trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)
     if status == kernels.STATUS_OK:
         log.debug(
@@ -133,25 +134,13 @@ def gauss_iterate(
     )
 
 
-def _orbit(mapping: MeanTypeMapping, x0, gap_tol, max_iter, iterates, gaps):
-    """Gauss iteration through the mapping's components, with the
-    contract of the fused ``cyclic_gauss`` kernel: fills iterates/gaps in
-    place from the starting vector on and returns (iterations_used,
-    status).  Failures inside a component propagate as exceptions."""
-    x = tuple(x0)
-    gap = max(x) - min(x)
-    iterates[0] = x
-    gaps[0] = gap
-    used = 0
-    while gap > gap_tol:
-        if used >= max_iter:
-            return used, kernels.STATUS_BUDGET
-        x = mapping.apply(x)
-        gap = max(x) - min(x)
-        used += 1
-        iterates[used] = x
-        gaps[used] = gap
-    return used, kernels.STATUS_OK
+def _apply_step(mapping, x, _mn, _mx, out):
+    # component exceptions propagate out of the orbit
+    out[:] = mapping.apply(x)
+    return kernels.STATUS_OK
+
+
+_orbit = kernels.make_orbit(_apply_step)
 
 
 class GaussComposition(Mean):
@@ -187,7 +176,6 @@ def gauss_composition(
     gap_tol: float = DEFAULT_GAP_TOL,
     max_iterations: int = DEFAULT_MAX_ITER,
     validate: bool = True,
-    probes: int = 6,
 ) -> GaussComposition:
     """Build the composed mean, first probing that every component
     really behaves like a strict mean (otherwise iteration has no
@@ -200,7 +188,7 @@ def gauss_composition(
             [dom.clamp(dom.lo + 0.1 * w + 0.8 * w * k / max(1, mapping.arity - 1))
              for k in range(mapping.arity)]
         ]
-        for _ in range(probes):
+        for _ in range(VALIDATION_PROBES):
             vectors.append([float(v) for v in dom.sample(rng, mapping.arity)])
         for comp in mapping.components:
             for vec in vectors:

@@ -131,10 +131,7 @@ class Generator:
         singularity of the body.
         """
         x = self.domain.clamp(x)
-        if self.tape is not None:
-            v = kernels.ACTIVE.eval_one(self.tape.code, self.tape.operands, x)
-        else:
-            v = _eval_fn(self.fn, None, 0, 0, x)
+        v = self._raw(x)
         if not math.isfinite(v):
             raise EvalError(f"{self.label!r} is not finite at x = {x}")
         return v
@@ -148,10 +145,7 @@ class Generator:
         xs = np.asarray(xs, dtype=np.float64)
         if self.tape is not None:
             return kernels.ACTIVE.eval_grid(self.tape.code, self.tape.operands, xs)
-        out = np.empty(xs.shape[0], dtype=np.float64)
-        for i, x in enumerate(xs):
-            out[i] = _eval_fn(self.fn, None, 0, 0, float(x))
-        return out
+        return np.array([self._raw(float(x)) for x in xs], dtype=np.float64)
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Solve g(x) = y on the domain.

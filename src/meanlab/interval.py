@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 # Relative inset used when work must stay away from open endpoints.
 ENDPOINT_INSET = 1e-9
 
@@ -41,6 +43,12 @@ class Interval:
         ok_lo = x > self.lo if self.lo_open else x >= self.lo
         ok_hi = x < self.hi if self.hi_open else x <= self.hi
         return ok_lo and ok_hi
+
+    def check_points(self, pts) -> None:
+        """Raise DomainError for the first point outside the interval."""
+        for x in pts:
+            if not self.contains(x):
+                raise DomainError(f"point {x} is outside {self}")
 
     @property
     def width(self) -> float:

@@ -8,8 +8,10 @@ families build it over tape evaluation, and callable-backed generators
 run the same source uncompiled over their Python body.  One step of a
 generalized quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum)
 is written once too, as ``gqam_rotated``: ``gqam`` is that step at
-rotation 0, and one Gauss iteration of ``cyclic_gauss`` runs it at every
-rotation 0..n-1.
+rotation 0.  Gauss iteration, with its one stopping rule, is written once
+in ``make_orbit``: ``cyclic_gauss`` runs it over ``gqam_rotated`` at every
+rotation 0..n-1, and ``gauss`` runs the same source uncompiled over the
+components of any mean-type mapping.
 Selection is by the MEANLAB_BACKEND environment variable:
 
     auto    numba when importable, otherwise the fallback (default)
@@ -70,6 +72,9 @@ STATUS_OK = 0
 STATUS_RANGE = 1
 STATUS_BUDGET = 2
 STATUS_NONFINITE = 3
+
+# relative gap at which a Gauss orbit has closed as far as float64 allows
+GAP_FLOOR = 4.0 * sys.float_info.epsilon
 
 
 class KernelSet(NamedTuple):
@@ -153,6 +158,49 @@ def make_invert(evaluate, jit=lambda f: f):
     return invert_core
 
 
+def span(xs):
+    """(min, max) of a nonempty float64 vector."""
+    mn = xs[0]
+    mx = xs[0]
+    for j in range(1, xs.shape[0]):
+        if xs[j] < mn:
+            mn = xs[j]
+        if xs[j] > mx:
+            mx = xs[j]
+    return mn, mx
+
+
+def make_orbit(step, jit=lambda f: f):
+    """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx, out)
+    -> status`` writes the image of x, of span [mn, mx], into out, until
+    the gap mx - mn is at most max(gap_tol, GAP_FLOOR * max(|mn|, |mx|)).
+    Fills iterates/gaps from the starting vector on and returns
+    (iterations_used, status); a failed step ends the orbit with its status.
+    """
+    sp = jit(span)
+
+    @jit
+    def orbit(ctx, x0, gap_tol, max_iter, iterates, gaps):
+        x = x0.copy()
+        out = np.empty_like(x)
+        used = 0
+        while True:
+            iterates[used, :] = x
+            mn, mx = sp(x)
+            gaps[used] = mx - mn
+            if not (mx - mn > max(gap_tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
+                return used, STATUS_OK
+            if used >= max_iter:
+                return used, STATUS_BUDGET
+            st = step(ctx, x, mn, mx, out)
+            if st != STATUS_OK:
+                return used, st
+            x, out = out, x
+            used += 1
+
+    return orbit
+
+
 def _build(jit, name: str) -> KernelSet:
     pw = jit(power)
 
@@ -221,21 +269,11 @@ def _build(jit, name: str) -> KernelSet:
         return out
 
     invert_core = make_invert(eval_core, jit)
+    sp = jit(span)
 
     @jit
     def invert(code, operands, y, lo, hi, tol, budget):
         return invert_core(code, operands, 0, code.shape[0], y, lo, hi, tol, budget)
-
-    @jit
-    def span(xs):
-        mn = xs[0]
-        mx = xs[0]
-        for j in range(1, xs.shape[0]):
-            if xs[j] < mn:
-                mn = xs[j]
-            if xs[j] > mx:
-                mx = xs[j]
-        return mn, mx
 
     @jit
     def gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
@@ -255,53 +293,29 @@ def _build(jit, name: str) -> KernelSet:
     @jit
     def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
         # the mean property brackets the result by [min xs, max xs]
-        mn, mx = span(xs)
+        mn, mx = sp(xs)
         return gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
                             0, mn, mx, tol, budget)
 
     @jit
-    def cyclic_gauss(
-        codes,
-        operands,
-        offsets,
-        sum_code,
-        sum_operands,
-        x0,
-        gap_tol,
-        inv_tol,
-        inv_budget,
-        max_iter,
-        iterates,
-        gaps,
-    ):
-        # Gauss iteration of the cyclic mean-type mapping built from one
-        # generalized quasi-arithmetic mean: component i is gqam_rotated
-        # at shift i, every component bracketed by the current [min, max].
-        # Returns (iterations_used, status); iterates/gaps are filled in
-        # place with the orbit including the starting vector.  A failed
-        # step returns its status with the iterations completed before it.
-        n = x0.shape[0]
-        x = x0.copy()
-        newx = np.empty(n, dtype=np.float64)
-        mn, mx = span(x)
-        used = 0
-        iterates[0, :] = x
-        gaps[0] = mx - mn
-        while mx - mn > gap_tol:
-            if used >= max_iter:
-                return used, STATUS_BUDGET
-            for i in range(n):
-                val, st = gqam_rotated(codes, operands, offsets, sum_code, sum_operands,
-                                       x, i, mn, mx, inv_tol, inv_budget)
-                if st != STATUS_OK:
-                    return used, st
-                newx[i] = val
-            x, newx = newx, x
-            used += 1
-            iterates[used, :] = x
-            mn, mx = span(x)
-            gaps[used] = mx - mn
-        return used, STATUS_OK
+    def rotated_means(ctx, x, mn, mx, out):
+        # component i of the cyclic mapping is gqam_rotated at shift i
+        codes, operands, offsets, sum_code, sum_operands, tol, budget = ctx
+        for i in range(x.shape[0]):
+            val, st = gqam_rotated(codes, operands, offsets, sum_code, sum_operands,
+                                   x, i, mn, mx, tol, budget)
+            if st != STATUS_OK:
+                return st
+            out[i] = val
+        return STATUS_OK
+
+    orbit = make_orbit(rotated_means, jit)
+
+    @jit
+    def cyclic_gauss(codes, operands, offsets, sum_code, sum_operands, x0,
+                     gap_tol, inv_tol, inv_budget, max_iter, iterates, gaps):
+        ctx = (codes, operands, offsets, sum_code, sum_operands, inv_tol, inv_budget)
+        return orbit(ctx, x0, gap_tol, max_iter, iterates, gaps)
 
     return KernelSet(
         name=name,

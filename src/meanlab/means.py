@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
 from .generator import (
     DEFAULT_INVERT_TOL,
     INVERT_BUDGET,
@@ -47,9 +46,7 @@ def qam_eval(f: Generator, xs: Sequence[float], tol: float = DEFAULT_INVERT_TOL)
     pts = [float(x) for x in xs]
     if not pts:
         raise ValueError("qam_eval needs at least one point")
-    for x in pts:
-        if not f.domain.contains(x):
-            raise DomainError(f"point {x} is outside {f.domain}")
+    f.domain.check_points(pts)
     clamped = [f.domain.clamp(x) for x in pts]
     s = 0.0
     for x in clamped:
@@ -63,9 +60,7 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float], tol: float = DEFAULT
     pts = [float(x) for x in xs]
     if len(pts) != system.n:
         raise ValueError(f"expected {system.n} points, got {len(pts)}")
-    for x in pts:
-        if not system.domain.contains(x):
-            raise DomainError(f"point {x} is outside {system.domain}")
+    system.domain.check_points(pts)
     clamped = [system.domain.clamp(x) for x in pts]
     pack = system.tape_pack()
     if pack is not None:
@@ -116,9 +111,7 @@ class Mean:
             )
         if not pts:
             raise ValueError(f"{self.label!r} needs at least one point")
-        for x in pts:
-            if not self.domain.contains(x):
-                raise DomainError(f"point {x} is outside {self.domain}")
+        self.domain.check_points(pts)
         return self._evaluate(pts)
 
     def _evaluate(self, pts: list[float]) -> float:
@@ -302,9 +295,7 @@ class QuasiSum:
         pts = [float(x) for x in xs]
         if len(pts) != self.inner.n:
             raise ValueError(f"expected {self.inner.n} points, got {len(pts)}")
-        for x in pts:
-            if not self.inner.domain.contains(x):
-                raise DomainError(f"point {x} is outside {self.inner.domain}")
+        self.inner.domain.check_points(pts)
         s = 0.0
         for g, x in zip(self.inner.generators, pts):
             s += g.eval_inside(x)

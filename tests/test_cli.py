@@ -125,6 +125,18 @@ def test_compose_failed_inner_inversion_exits_3_without_report(capsys):
                    " tol = 1e-12 within 200 steps\n")
 
 
+def test_compose_large_magnitudes_converge_at_float_resolution(capsys):
+    # gap_tol 1e-10 is below one ulp of these iterates; the orbit stops on
+    # the floor instead of exhausting the budget
+    code, payload, _ = run_json(
+        capsys, "--interval", "1e6,1e7", "--gen", "x^1.1", "--gen", "x^1.2",
+        "--max-iter", "300", "compose", "2e6", "9e6",
+    )
+    assert code == 0
+    assert payload["results"][0]["verdict"] == "converged"
+    assert int(payload["details"]["iterations"]) < 300
+
+
 def test_compose_gap_rows_decrease(capsys):
     code, payload, _ = run_json(
         capsys, "--interval", "0.1,5", "--gen", "x", "--gen", "x^3",
@@ -358,6 +370,21 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
     code, out, _ = run(capsys, *argv, "verify", which)
     assert code == 0
     assert out.encode() == (DATA / f"verify_{which}.csv").read_bytes()
+
+
+# pinned JSON reports: a fused compose trace and characterize, whose
+# demo means run the generic Gauss loop; only + - * / and x**2.0 enter
+@pytest.mark.parametrize("name,argv", [
+    ("compose_x_2x", ["--gen", "x", "--gen", "2*x", "compose", "1", "7"]),
+    ("characterize_demo", ["--samples", "30", "verify", "characterize"]),
+    ("characterize_x_2x", ["--gen", "x", "--gen", "2*x", "--samples", "30",
+                           "verify", "characterize"]),
+])
+def test_json_reports_are_pinned(capsys, name, argv):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    text = json.dumps(strip_volatile(payload), sort_keys=True, indent=2) + "\n"
+    assert text.encode() == (DATA / f"{name}.json").read_bytes()
 
 
 def test_perfbench_hooks_still_resolve(capsys, monkeypatch):

@@ -297,36 +297,46 @@ def _decreasing_system():
     ])
 
 
-# systems whose first Gauss step fails inside a component:
-# (builder, start, what that step raises)
-INNER_FAILURES = {
+def _large_system():
+    # the orbit closes to a few ulp of 1e6..1e7, above the default gap_tol
+    dom = Interval(1e6, 1e7)
+    return GeneratorSystem([Generator.from_expression(t, dom) for t in ("x^1.1", "x^1.2")])
+
+
+# systems run from one fixed start: (builder, start, what 3 steps raise)
+FIXED_STARTS = {
     "x^20000,x^20000": (_steep_system, [1.0191088506114259, 1.008093601426729],
                         ConvergenceError),
     "x,0 - 2*x": (_decreasing_system, [1.0, 2.0], RangeError),
+    "x^1.1,x^1.2": (_large_system, [2e6, 9e6], ConvergenceError),
 }
+# those whose first Gauss step fails inside a component
+INNER_FAILURES = ("x^20000,x^20000", "x,0 - 2*x")
 
 
 @pytest.mark.parametrize(
     "name",
-    sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]) + sorted(INNER_FAILURES),
+    sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]) + sorted(FIXED_STARTS),
 )
 def test_generic_driver_matches_fused(name):
-    if name in INNER_FAILURES:
-        build, pts, error = INNER_FAILURES[name]
+    if name in FIXED_STARTS:
+        build, pts, error = FIXED_STARTS[name]
         system = build()
+        starts = [pts]
     else:
         system, error = builtin_system(name), ConvergenceError
+        rng = np.random.default_rng(23)
+        starts = [[float(v) for v in system.domain.sample(rng, system.n)] for _ in range(20)]
+        pts = starts[-1]
     mean = GeneralizedQuasiArithmeticMean(system)
     fused = cyclic_mapping(mean)
     # same components, no system: gauss_iterate takes the generic orbit
     generic = MeanTypeMapping(fused.components, base=mean, label=fused.label)
     assert fused.system is not None and generic.system is None
     if name not in INNER_FAILURES:
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            pts = [float(v) for v in system.domain.sample(rng, system.n)]
-            assert gauss_iterate(generic, pts, max_iter=2000) == gauss_iterate(fused, pts, max_iter=2000)
-    # the builtin orbits exhaust 3 steps, the failing ones stop in step 1
+        for start in starts:
+            assert gauss_iterate(generic, start, max_iter=2000) == gauss_iterate(fused, start, max_iter=2000)
+    # the other orbits exhaust 3 steps, the failing ones stop in step 1
     raised = []
     for mapping in (generic, fused):
         with pytest.raises(error) as exc:
@@ -339,3 +349,15 @@ def test_generic_driver_matches_fused(name):
         assert "nan" not in text
     else:
         assert trace.iterations_used == 3
+
+
+def test_gap_floor_does_not_stop_a_stalled_orbit():
+    # (max, min) swaps the ends forever: the gap never shrinks, so the
+    # floor at float resolution must not end the orbit early
+    dom = Interval(0.0, 10.0)
+    mapping = MeanTypeMapping([FunctionMean(max, dom, arity=2), FunctionMean(min, dom, arity=2)])
+    with pytest.raises(ConvergenceError) as exc:
+        gauss_iterate(mapping, [1.0, 9.0], max_iter=40)
+    trace = exc.value.trace
+    assert trace.iterations_used == 40
+    assert set(trace.gaps) == {8.0}
