@@ -82,16 +82,16 @@ class MeanTypeMapping:
     """A vector of means over one interval, applied synchronously.
 
     ``system`` is set (by ``cyclic_mapping``) exactly when the mapping is
-    the cyclic rotation family of a tape-backed generalized
-    quasi-arithmetic mean; iteration code uses it to run fused compiled
-    steps instead of calling the components one by one.
+    the cyclic rotation family of a generalized quasi-arithmetic mean,
+    tape-backed or not; iteration code uses it to run the fused
+    ``cyclic_gauss`` kernel on the system's program instead of calling
+    the components one by one.
     """
 
-    __slots__ = ("components", "domain", "arity", "label", "system", "base")
+    __slots__ = ("components", "domain", "arity", "label", "system")
 
     def __init__(self, components: Sequence[Mean], *,
                  system: GeneratorSystem | None = None,
-                 base: Mean | None = None,
                  label: str | None = None):
         comps = tuple(components)
         if not comps:
@@ -110,7 +110,6 @@ class MeanTypeMapping:
         self.arity = n
         self.label = label if label is not None else f"({', '.join(c.label for c in comps)})"
         self.system = system
-        self.base = base
 
     def apply(self, xs: Sequence[float]) -> tuple:
         """One synchronous step: every component sees the same input."""
@@ -150,10 +149,8 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
     # pin the arity first; every rotation keeps the pin
     pinned = fixed_arity(mean, n)
     comps = [permuted_mean(pinned, i) for i in range(n)]
-    system = None
-    if isinstance(mean, GeneralizedQuasiArithmeticMean) and mean.system.is_tape_backed:
-        system = mean.system
-    return MeanTypeMapping(comps, system=system, base=mean, label=f"cyclic[{mean.label}]")
+    system = mean.system if isinstance(mean, GeneralizedQuasiArithmeticMean) else None
+    return MeanTypeMapping(comps, system=system, label=f"cyclic[{mean.label}]")
 
 
 def fixed_arity(mean: Mean, n: int) -> Mean:

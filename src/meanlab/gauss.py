@@ -7,7 +7,9 @@ reported as the midpoint of the final bracket.  The bracket always
 contains the true limit, and the midpoint sits much closer than the gap
 itself, so a modest gap tolerance already pins the value tightly.  One
 loop, ``kernels.make_orbit``, runs every orbit: as the fused
-``cyclic_gauss`` kernel, or uncompiled over ``MeanTypeMapping.apply``.
+``cyclic_gauss`` kernel of the system's family for the cyclic mapping of
+any generalized quasi-arithmetic mean, or uncompiled over
+``MeanTypeMapping.apply`` for every other mapping.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
 iterating the cyclic mapping of a generalized quasi-arithmetic mean must
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
-from .errors import ConvergenceError
+from .errors import ConvergenceError, MeanlabError
 from .generator import DEFAULT_INVERT_TOL, INVERT_BUDGET, GeneratorSystem
 from .means import (
     GeneralizedQuasiArithmeticMean,
@@ -87,6 +89,8 @@ def gauss_iterate(
     Returns (limit, trace).  Raises ConvergenceError carrying the partial
     trace when max_iter steps are not enough; a step that fails inside a
     component raises that component's exception, without a trace.
+    Raises MeanlabError when the trace of max_iter steps cannot be
+    allocated.
     """
     pts = [float(x) for x in xs]
     if len(pts) != mapping.arity:
@@ -95,24 +99,15 @@ def gauss_iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     x0 = np.asarray([mapping.domain.clamp(x) for x in pts], dtype=np.float64)
-    iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
-    gaps = np.empty(max_iter + 1, dtype=np.float64)
+    try:
+        iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
+        gaps = np.empty(max_iter + 1, dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise MeanlabError(f"max_iter = {max_iter} is too large to allocate its trace") from None
     if mapping.system is not None:
-        codes, operands, offsets, total = mapping.system.tape_pack()
-        used, status = kernels.ACTIVE.cyclic_gauss(
-            codes,
-            operands,
-            offsets,
-            total.code,
-            total.operands,
-            x0,
-            gap_tol,
-            getattr(mapping.base, "tol", DEFAULT_INVERT_TOL),
-            INVERT_BUDGET,
-            max_iter,
-            iterates,
-            gaps,
-        )
+        ks, *program = mapping.system.program()
+        used, status = ks.cyclic_gauss(*program, x0, gap_tol, DEFAULT_INVERT_TOL,
+                                       INVERT_BUDGET, max_iter, iterates, gaps)
     else:
         used, status = _orbit(mapping, x0, gap_tol, max_iter, iterates, gaps)
     trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)

@@ -1,20 +1,19 @@
 """Strictly increasing generator functions on an interval.
 
-A Generator pairs a scalar function with its domain.  Most generators are
-built from DSL expressions and carry a compiled tape, which keeps them on
-the kernel fast path; arbitrary Python callables are supported as a slow
-path with identical semantics.  Construction grid-checks strict growth,
-so code downstream may rely on invertibility.
+A Generator pairs a scalar function with its domain: a compiled DSL tape
+or an arbitrary Python callable.  ``Generator.program`` and
+``GeneratorSystem.program`` pick the kernel family for either kind, and
+every evaluation, inversion, mean step and fused Gauss orbit runs the same
+kernels on that program.  Construction grid-checks strict growth, so code
+downstream may rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on the residual test |g(x) - y| <= tol * max(1, |y|) within a
-200-step budget.  There is one solver, ``kernels.make_invert``: tape-backed
-generators run the active kernel family's instance of it, callable-backed
-ones an uncompiled instance over ``_eval_fn``.  ``Generator._invert_error``
-is the one place its status codes become package exceptions: for one
-solve in ``invert_on``, for one generalized mean in ``means.gqam_eval``
-(whose kernel runs the solve on the sum generator), and so for every
-Gauss step, fused or not.
+200-step budget.  There is one solver, ``kernels.make_invert``.
+``Generator._invert_error`` is the one place its status codes become
+package exceptions: for one solve in ``invert_on``, for one generalized
+mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
+generator), and so for every Gauss step, fused or not.
 """
 
 from __future__ import annotations
@@ -113,6 +112,13 @@ class Generator:
     def is_tape_backed(self) -> bool:
         return self.tape is not None
 
+    def program(self):
+        """(family, code, operands): ``kernels.ACTIVE``, read at call
+        time, over the tape, or ``kernels.CALLABLE`` over (fn,)."""
+        if self.tape is not None:
+            return kernels.ACTIVE, self.tape.code, self.tape.operands
+        return kernels.CALLABLE, (self.fn,), None
+
     def __call__(self, x: float) -> float:
         """Evaluate at a point of the domain.
 
@@ -142,10 +148,8 @@ class Generator:
         Non-finite entries come back as NaN; callers decide whether that
         is an error.
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        if self.tape is not None:
-            return kernels.ACTIVE.eval_grid(self.tape.code, self.tape.operands, xs)
-        return np.array([self._raw(float(x)) for x in xs], dtype=np.float64)
+        ks, code, operands = self.program()
+        return ks.eval_grid(code, operands, np.asarray(xs, dtype=np.float64))
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Solve g(x) = y on the domain.
@@ -161,21 +165,16 @@ class Generator:
     def invert_on(self, y: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Inversion with a caller-supplied bracket inside the domain."""
         y = float(y)
-        if self.tape is not None:
-            x, status = kernels.ACTIVE.invert(
-                self.tape.code, self.tape.operands, y, lo, hi, tol, INVERT_BUDGET
-            )
-        else:
-            x, status = _invert_fn(self.fn, None, 0, 0, y, lo, hi, tol, INVERT_BUDGET)
+        ks, code, operands = self.program()
+        x, status = ks.invert(code, operands, y, lo, hi, tol, INVERT_BUDGET)
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}", tol)
         return float(x)  # numpy-backend kernels hand back numpy scalars
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
-        if self.tape is not None:
-            return kernels.ACTIVE.eval_one(self.tape.code, self.tape.operands, x)
-        return _eval_fn(self.fn, None, 0, 0, x)
+        ks, code, operands = self.program()
+        return ks.eval_one(code, operands, x)
 
     def _invert_error(self, status, target, tol):
         """The package exception for a failed solve; ``target`` names
@@ -228,19 +227,6 @@ def inverse_generator(g: Generator, label: str | None = None) -> Generator:
         rng,
         label=label if label is not None else f"inv[{g.label}]",
     )
-
-
-def _eval_fn(fn, _operands, _start, _stop, x):
-    """A Python body as the evaluator of the shared solver: the tape
-    arguments are unused, and failures and non-finite values are NaN."""
-    try:
-        v = float(fn(x))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return math.nan
-    return v if math.isfinite(v) else math.nan
-
-
-_invert_fn = kernels.make_invert(_eval_fn)
 
 
 def check_monotone(g: Generator, grid_size: int = DEFAULT_GRID) -> MonotonicityReport:
@@ -333,6 +319,20 @@ class GeneratorSystem:
             total = tape_sum([g.tape for g in self.generators])
             self._pack = (codes, operands, offsets, total)
         return self._pack
+
+    def program(self):
+        """(family, codes, operands, offsets, sum_code, sum_operands) for
+        the kernels ``gqam`` and ``cyclic_gauss``: ``kernels.ACTIVE``,
+        read at call time, over ``tape_pack()``, or, when any member is
+        callable-backed, ``kernels.CALLABLE`` over the members' ``_raw``
+        and the sum generator's program."""
+        pack = self.tape_pack()
+        if pack is not None:
+            codes, operands, offsets, total = pack
+            return kernels.ACTIVE, codes, operands, offsets, total.code, total.operands
+        _, sum_code, _ = self.sum_generator().program()
+        bodies = tuple(g._raw for g in self.generators)
+        return kernels.CALLABLE, bodies, None, np.arange(self.n + 1), sum_code, None
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
         """Member-wise images a*f_i + b_i with one shared slope."""

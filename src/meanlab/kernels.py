@@ -1,18 +1,22 @@
-"""Numeric kernels with a numba fast path and a pure NumPy/Python fallback.
+"""Numeric kernels, each written once over an evaluator of programs.
 
-The hot loops of this package are scalar: tape evaluation inside bracketed
-root-finding inside Gauss iteration.  Both backends run the same
-algorithms; the numba family is the same source compiled with ``njit``.
-The bracketed solve is written once, in ``make_invert``: the kernel
-families build it over tape evaluation, and callable-backed generators
-run the same source uncompiled over their Python body.  One step of a
-generalized quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum)
-is written once too, as ``gqam_rotated``: ``gqam`` is that step at
-rotation 0.  Gauss iteration, with its one stopping rule, is written once
-in ``make_orbit``: ``cyclic_gauss`` runs it over ``gqam_rotated`` at every
-rotation 0..n-1, and ``gauss`` runs the same source uncompiled over the
-components of any mean-type mapping.
-Selection is by the MEANLAB_BACKEND environment variable:
+The hot loops of this package are scalar: program evaluation inside
+bracketed root-finding inside Gauss iteration.  ``_build`` writes every
+kernel over an evaluator ``eval_core(code, operands, start, stop, x)``
+that is NaN where the program code[start:stop] is not finite at x.  One
+family per program kind: DSL tapes on the stack machine of
+``tape_evaluator`` (uncompiled, or compiled with numba's ``njit``), and
+``CALLABLE``, never compiled, whose program is a tuple of Python bodies,
+one slot per member, run by ``eval_callable``.  The bracketed solve is
+written once, in ``make_invert``.  One step of a generalized
+quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum) is
+``gqam_rotated``: ``gqam`` is that step at rotation 0.  Gauss iteration,
+with its one stopping rule, is written once in ``make_orbit``:
+``cyclic_gauss`` runs it over ``gqam_rotated`` at every rotation 0..n-1,
+and ``gauss`` runs the same source uncompiled over the components of any
+other mean-type mapping.  ``Generator.program`` and
+``GeneratorSystem.program`` pick family and program; tape programs run
+``ACTIVE``, selected by the MEANLAB_BACKEND environment variable:
 
     auto    numba when importable, otherwise the fallback (default)
     numba   require numba, fail at import if missing
@@ -93,9 +97,7 @@ def make_invert(evaluate, jit=lambda f: f):
 
     Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
     bracket with bisection as the fallback; stops on the residual test
-    |g(x)-y| <= tol*max(1,|y|).  Returns (x, status).  ``_build`` makes
-    it over ``eval_core``, jitted or not; callable-backed generators run
-    it uncompiled over their Python body.
+    |g(x)-y| <= tol*max(1,|y|).  Returns (x, status).
     """
 
     @jit
@@ -201,11 +203,12 @@ def make_orbit(step, jit=lambda f: f):
     return orbit
 
 
-def _build(jit, name: str) -> KernelSet:
+def tape_evaluator(jit=lambda f: f):
+    """The stack machine over DSL tapes, evaluator of the tape families."""
     pw = jit(power)
 
     @jit
-    def eval_core(code, operands, start, stop, x):
+    def eval_tape(code, operands, start, stop, x):
         stack = np.empty(stop - start, dtype=np.float64)
         top = -1
         for k in range(start, stop):
@@ -257,15 +260,32 @@ def _build(jit, name: str) -> KernelSet:
             return np.nan
         return v
 
+    return eval_tape
+
+
+def eval_callable(bodies, _operands, start, _stop, x):
+    """The evaluator of ``CALLABLE``: calls the Python body in slot
+    ``start`` on a float; failures and non-finite values are NaN."""
+    try:
+        v = float(bodies[start](float(x)))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
+    return v if math.isfinite(v) else math.nan
+
+
+def _build(jit, name: str, eval_core) -> KernelSet:
+    """The kernel family over ``eval_core``, compiled with ``jit`` (which
+    must also have compiled ``eval_core``)."""
+
     @jit
     def eval_one(code, operands, x):
-        return eval_core(code, operands, 0, code.shape[0], x)
+        return eval_core(code, operands, 0, len(code), x)
 
     @jit
     def eval_grid(code, operands, xs):
         out = np.empty(xs.shape[0], dtype=np.float64)
         for i in range(xs.shape[0]):
-            out[i] = eval_core(code, operands, 0, code.shape[0], xs[i])
+            out[i] = eval_core(code, operands, 0, len(code), xs[i])
         return out
 
     invert_core = make_invert(eval_core, jit)
@@ -273,7 +293,7 @@ def _build(jit, name: str) -> KernelSet:
 
     @jit
     def invert(code, operands, y, lo, hi, tol, budget):
-        return invert_core(code, operands, 0, code.shape[0], y, lo, hi, tol, budget)
+        return invert_core(code, operands, 0, len(code), y, lo, hi, tol, budget)
 
     @jit
     def gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
@@ -288,7 +308,7 @@ def _build(jit, name: str) -> KernelSet:
             if math.isnan(v):
                 return np.nan, STATUS_NONFINITE
             s += v
-        return invert_core(sum_code, sum_operands, 0, sum_code.shape[0], s, lo, hi, tol, budget)
+        return invert_core(sum_code, sum_operands, 0, len(sum_code), s, lo, hi, tol, budget)
 
     @jit
     def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
@@ -341,12 +361,11 @@ def _resolve_backend() -> str:
     return "numba" if HAS_NUMBA else "numpy"
 
 
-_PY_KERNELS = _build(lambda f: f, "numpy")
-_NB_KERNELS = (
-    _build(numba.njit(cache=False, fastmath=False, nogil=True), "numba")
-    if HAS_NUMBA
-    else None
-)
+_PY_KERNELS = _build(lambda f: f, "numpy", tape_evaluator())
+_njit = numba.njit(cache=False, fastmath=False, nogil=True) if HAS_NUMBA else None
+_NB_KERNELS = _build(_njit, "numba", tape_evaluator(_njit)) if HAS_NUMBA else None
+# never compiled: the bodies are arbitrary Python
+CALLABLE = _build(lambda f: f, "callable", eval_callable)
 
 BACKEND = _resolve_backend()
 ACTIVE = _NB_KERNELS if BACKEND == "numba" else _PY_KERNELS

@@ -8,7 +8,8 @@ The two evaluators are
 with every inversion bracketed by [min xs, max xs]: monotonicity of the
 generators pins the result inside the input range, which both guarantees
 a bracket and makes reflexivity exact (constant input short-circuits at
-the bracket endpoint).
+the bracket endpoint).  Both solve to ``generator.DEFAULT_INVERT_TOL``;
+``gqam_eval`` is one ``gqam`` kernel call on the system's program.
 
 The Mean class hierarchy wraps evaluators with domain and arity
 validation so mapping/iteration code can treat all means uniformly.
@@ -41,7 +42,7 @@ QUASISUM_TOL = 1e-8
 EQUALITY_FIT_THRESHOLD = 1e-6
 
 
-def qam_eval(f: Generator, xs: Sequence[float], tol: float = DEFAULT_INVERT_TOL) -> float:
+def qam_eval(f: Generator, xs: Sequence[float]) -> float:
     """Quasi-arithmetic mean generated by f, at any arity >= 1."""
     pts = [float(x) for x in xs]
     if not pts:
@@ -51,10 +52,10 @@ def qam_eval(f: Generator, xs: Sequence[float], tol: float = DEFAULT_INVERT_TOL)
     s = 0.0
     for x in clamped:
         s += f.eval_inside(x)
-    return f.invert_on(s / len(clamped), min(clamped), max(clamped), tol)
+    return f.invert_on(s / len(clamped), min(clamped), max(clamped))
 
 
-def gqam_eval(system: GeneratorSystem, xs: Sequence[float], tol: float = DEFAULT_INVERT_TOL) -> float:
+def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
     """Generalized quasi-arithmetic mean of the system, one generator per
     coordinate."""
     pts = [float(x) for x in xs]
@@ -62,29 +63,14 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float], tol: float = DEFAULT
         raise ValueError(f"expected {system.n} points, got {len(pts)}")
     system.domain.check_points(pts)
     clamped = [system.domain.clamp(x) for x in pts]
-    pack = system.tape_pack()
-    if pack is not None:
-        codes, operands, offsets, total = pack
-        v, status = kernels.ACTIVE.gqam(
-            codes,
-            operands,
-            offsets,
-            total.code,
-            total.operands,
-            np.asarray(clamped, dtype=np.float64),
-            tol,
-            INVERT_BUDGET,
-        )
-        if status != kernels.STATUS_OK:
-            # the kernel solved for the sum of the members at pts
-            target = f"the sum of [{system.label}] at {pts}"
-            raise system.sum_generator()._invert_error(status, target, tol)
-        return float(v)
-    total = system.sum_generator()
-    s = 0.0
-    for g, x in zip(system.generators, clamped):
-        s += g.eval_inside(x)
-    return total.invert_on(s, min(clamped), max(clamped), tol)
+    ks, *program = system.program()
+    v, status = ks.gqam(*program, np.asarray(clamped, dtype=np.float64),
+                        DEFAULT_INVERT_TOL, INVERT_BUDGET)
+    if status != kernels.STATUS_OK:
+        # the kernel solved for the sum of the members at pts
+        target = f"the sum of [{system.label}] at {pts}"
+        raise system.sum_generator()._invert_error(status, target, DEFAULT_INVERT_TOL)
+    return float(v)
 
 
 class Mean:
@@ -125,37 +111,35 @@ class Mean:
 class QuasiArithmeticMean(Mean):
     """Variadic mean generated by a single generator."""
 
-    __slots__ = ("generator", "tol")
+    __slots__ = ("generator",)
 
-    def __init__(self, generator: Generator, tol: float = DEFAULT_INVERT_TOL, label=None):
+    def __init__(self, generator: Generator, label=None):
         super().__init__(
             generator.domain,
             arity=None,
             label=label if label is not None else f"qam[{generator.label}]",
         )
         self.generator = generator
-        self.tol = tol
 
     def _evaluate(self, pts):
-        return qam_eval(self.generator, pts, self.tol)
+        return qam_eval(self.generator, pts)
 
 
 class GeneralizedQuasiArithmeticMean(Mean):
     """Fixed-arity mean with one generator per coordinate."""
 
-    __slots__ = ("system", "tol")
+    __slots__ = ("system",)
 
-    def __init__(self, system: GeneratorSystem, tol: float = DEFAULT_INVERT_TOL, label=None):
+    def __init__(self, system: GeneratorSystem, label=None):
         super().__init__(
             system.domain,
             arity=system.n,
             label=label if label is not None else f"gqam[{system.label}]",
         )
         self.system = system
-        self.tol = tol
 
     def _evaluate(self, pts):
-        return gqam_eval(self.system, pts, self.tol)
+        return gqam_eval(self.system, pts)
 
 
 class FunctionMean(Mean):

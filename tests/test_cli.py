@@ -125,6 +125,16 @@ def test_compose_failed_inner_inversion_exits_3_without_report(capsys):
                    " tol = 1e-12 within 200 steps\n")
 
 
+@pytest.mark.parametrize("budget", ["100000000000000000", "100000000000000000000"])
+def test_compose_unallocatable_budget_exits_4(capsys, budget):
+    # the trace of max_iter + 1 rows is out of memory (1e17), or past
+    # numpy's largest array (1e20): an operational failure, no traceback
+    code, out, err = run(capsys, "--max-iter", budget, "compose", "1", "7")
+    assert code == 4
+    assert out == ""
+    assert err == f"meanlab: max_iter = {budget} is too large to allocate its trace\n"
+
+
 def test_compose_large_magnitudes_converge_at_float_resolution(capsys):
     # gap_tol 1e-10 is below one ulp of these iterates; the orbit stops on
     # the floor instead of exhausting the budget

@@ -303,6 +303,22 @@ def _large_system():
     return GeneratorSystem([Generator.from_expression(t, dom) for t in ("x^1.1", "x^1.2")])
 
 
+def _callable_system():
+    # Python bodies that round like the tapes x^3 and 2*x^3
+    dom = Interval(0.1, 5.0)
+    return GeneratorSystem([
+        Generator.from_callable(lambda x: x ** 3, dom, label="x^3"),
+        Generator.from_callable(lambda x: 2 * x ** 3, dom, label="2*x^3"),
+    ])
+
+
+# systems run from 20 random starts, by name
+RANDOM_STARTS = {
+    name: (lambda name=name: builtin_system(name))
+    for name in ["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]
+}
+RANDOM_STARTS["callable x^3,2*x^3"] = _callable_system
+
 # systems run from one fixed start: (builder, start, what 3 steps raise)
 FIXED_STARTS = {
     "x^20000,x^20000": (_steep_system, [1.0191088506114259, 1.008093601426729],
@@ -314,24 +330,21 @@ FIXED_STARTS = {
 INNER_FAILURES = ("x^20000,x^20000", "x,0 - 2*x")
 
 
-@pytest.mark.parametrize(
-    "name",
-    sorted(["x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"]) + sorted(FIXED_STARTS),
-)
+@pytest.mark.parametrize("name", sorted(RANDOM_STARTS) + sorted(FIXED_STARTS))
 def test_generic_driver_matches_fused(name):
     if name in FIXED_STARTS:
         build, pts, error = FIXED_STARTS[name]
         system = build()
         starts = [pts]
     else:
-        system, error = builtin_system(name), ConvergenceError
+        system, error = RANDOM_STARTS[name](), ConvergenceError
         rng = np.random.default_rng(23)
         starts = [[float(v) for v in system.domain.sample(rng, system.n)] for _ in range(20)]
         pts = starts[-1]
     mean = GeneralizedQuasiArithmeticMean(system)
     fused = cyclic_mapping(mean)
     # same components, no system: gauss_iterate takes the generic orbit
-    generic = MeanTypeMapping(fused.components, base=mean, label=fused.label)
+    generic = MeanTypeMapping(fused.components, label=fused.label)
     assert fused.system is not None and generic.system is None
     if name not in INNER_FAILURES:
         for start in starts:

@@ -13,12 +13,15 @@ from hypothesis import given, strategies as st
 
 from meanlab import (
     DomainError,
+    EvalError,
     GeneralizedQuasiArithmeticMean,
     Generator,
     GeneratorSystem,
     Interval,
+    MeanlabError,
     QuasiArithmeticMean,
     QuasiSum,
+    RangeError,
     arithmetic_mean,
     builtin_generator,
     builtin_system,
@@ -35,6 +38,7 @@ from meanlab import (
     quasisum_reflexivity_check,
     reflexivity_check,
 )
+from meanlab.dsl import compile_expr, parse
 
 I010 = Interval(0.0, 10.0)
 
@@ -96,6 +100,50 @@ def test_exact_reflexivity_on_equal_points():
     s = builtin_system("x,x^3")
     for c in (0.2, 1.0, 3.7):
         assert gqam_eval(s, (c, c)) == c
+
+
+def _gqam_outcome(system, pts):
+    try:
+        return gqam_eval(system, pts)
+    except MeanlabError as exc:
+        return type(exc), str(exc)
+
+
+# (tape text, Python body that rounds like it) per member; the exits each
+# system reaches below: x - 2x is decreasing, so its solve exits RANGE,
+# and sqrt(x - 1) is not finite below 1, at a point or inside the bracket
+GQAM_BODIES = {
+    "x^3,2*x^3": ([("x^3", lambda x: x ** 3), ("2*x^3", lambda x: 2 * x ** 3)],
+                  {float}),
+    "x,0 - 2*x": ([("x", lambda x: x), ("0 - 2*x", lambda x: 0 - 2 * x)],
+                  {RangeError}),
+    "x,sqrt(x - 1)": ([("x", lambda x: x), ("sqrt(x - 1)", lambda x: math.sqrt(x - 1))],
+                      {float, EvalError}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GQAM_BODIES))
+def test_gqam_callable_system_matches_tape(name):
+    dom = Interval(0.1, 5.0)
+    members, exits = GQAM_BODIES[name]
+    tape = GeneratorSystem([
+        Generator(dom, tape=compile_expr(parse(t)), label=t, validate=False)
+        for t, _ in members
+    ])
+    fn = GeneratorSystem([
+        Generator.from_callable(body, dom, label=t, validate=False) for t, body in members
+    ])
+    # one member of each kind: the callable kernels over the tape's _raw
+    mixed = GeneratorSystem([tape[0], fn[1]])
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(40):
+        pts = [float(v) for v in dom.sample(rng, 2)]
+        want = _gqam_outcome(tape, pts)
+        assert _gqam_outcome(fn, pts) == want
+        assert _gqam_outcome(mixed, pts) == want
+        seen.add(want[0] if isinstance(want, tuple) else type(want))
+    assert seen == exits
 
 
 # --- mean objects ----------------------------------------------------------
