@@ -1,6 +1,6 @@
 """Functional-equation verifiers on rectangular input grids.
 
-Three equations, each compared at a stated tolerance:
+Three equations, each decided by ``means.agrees`` at a stated tolerance:
 
   bisymmetry            M(M(rows)) = M(M(columns)), one mean throughout
   generalized form      outer/inner families with cyclically rotated
@@ -38,9 +38,11 @@ from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
 from .generator import Generator, GeneratorSystem
 from .interval import Interval
 from .means import (
+    REFLEXIVITY_TOL,
     GeneralizedQuasiArithmeticMean,
     Mean,
     QuasiArithmeticMean,
+    agrees,
     qam_eval,
 )
 
@@ -48,8 +50,7 @@ log = logging.getLogger("meanlab.bisymmetry")
 
 # fixed settings of ``characterize``
 LATTICE_POINTS = 3          # lattice values per matrix entry
-WITNESS_FACTOR = 10.0       # a residual above factor*tol is a witness
-REFLEXIVITY_TOL = 1e-9
+WITNESS_FACTOR = 10.0       # sides that disagree at factor*tol are a witness
 CONTINUITY_DELTA = 1e-5
 LIPSCHITZ_BOUND = 1e3
 MONOTONE_STEP = 1e-4
@@ -106,13 +107,12 @@ class EquationReport:
 
 
 def _report(equation, lhs, rhs, tol, matrix=None, point=None) -> EquationReport:
-    residual = abs(lhs - rhs)
     return EquationReport(
         equation=equation,
         lhs=lhs,
         rhs=rhs,
-        residual=residual,
-        passed=residual <= tol,
+        residual=abs(lhs - rhs),
+        passed=agrees(lhs, rhs, tol),
         tol=tol,
         matrix=matrix,
         point=point,
@@ -137,8 +137,8 @@ def generalized_bisymmetry_check(system: GeneratorSystem, matrix,
                                  tol: float = 1e-7) -> EquationReport:
     """Identity form for a generator system: the outer mean comes from
     the summed generators, the inner means are the cyclic rotations of
-    the system's own mean.  Holds for every system; a residual above
-    tol indicates a numerical problem, not a mathematical one.
+    the system's own mean.  Holds for every system; sides that disagree
+    at tol indicate a numerical problem, not a mathematical one.
 
     Column/row orientation: inner mean i reads column i on the lhs.
     """
@@ -301,8 +301,7 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
     ok = True
     for x in dom.grid(cfg.grid_size):
         x = float(x)
-        dev = abs(mean([x] * n) - x)
-        if dev > REFLEXIVITY_TOL * max(1.0, abs(x)):
+        if not agrees(mean([x] * n), x, REFLEXIVITY_TOL):
             ok = False
             if witness_point is None:
                 witness_point = ((x,) * n, None)
@@ -341,7 +340,7 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
             except ConvergenceError:
                 errors += 1
                 continue
-            if rep.residual > threshold:
+            if not agrees(rep.lhs, rep.rhs, threshold):
                 ok = False
                 witness_matrix = rep.matrix
                 witness_residual = rep.residual

@@ -50,6 +50,7 @@ from .interval import Interval
 from .means import (
     GeneralizedQuasiArithmeticMean,
     QuasiArithmeticMean,
+    agrees,
     lehmer_mean,
     mean_property_check,
     minmax_blend,
@@ -99,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen2", action="append", metavar="EXPR",
                    help="second generator list for `verify equality`")
     p.add_argument("--tol", type=float, default=None,
-                   help="tolerance of the selected check or iteration")
+                   help="tolerance of the selected check or iteration; verify's"
+                   " identity checks pass when |lhs-rhs| <= tol*max(1,|rhs|)")
     p.add_argument("--max-iter", type=int, default=500,
                    help="iteration budget for Gauss composition (default %(default)s)")
     p.add_argument("--samples", type=int, default=None,
@@ -302,11 +304,11 @@ def _run_check(name: str, pairs, config: ExperimentConfig) -> RunReport:
         worst = max(worst, residual)
         rows.append(result_row(
             name, i, lhs=lhs, rhs=rhs, residual=residual,
-            verdict="pass" if residual <= config.tolerance else "fail",
+            verdict="pass" if agrees(lhs, rhs, config.tolerance) else "fail",
         ))
     details = {
         "max_residual": f"{worst:.7g}",
-        "verdict": "pass" if worst <= config.tolerance else "fail",
+        "verdict": "pass" if all(r["verdict"] == "pass" for r in rows) else "fail",
     }
     return RunReport("verify", config.as_dict(), rows, details)
 
@@ -321,15 +323,11 @@ def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
         )
     first = _build_generators(config.generators, interval)
     second = _build_generators(config.generators2, interval)
+    settings = {"probes": config.samples, "seed": config.seed, "threshold": config.tolerance}
     if len(first) == 1:
-        rep = qam_equality_check(
-            first[0], second[0], seed=config.seed, threshold=config.tolerance
-        )
+        rep = qam_equality_check(first[0], second[0], **settings)
     else:
-        rep = gqam_equality_check(
-            GeneratorSystem(first), GeneratorSystem(second),
-            seed=config.seed, threshold=config.tolerance,
-        )
+        rep = gqam_equality_check(GeneratorSystem(first), GeneratorSystem(second), **settings)
     rows = []
     for i, (a, b, r) in enumerate(zip(rep.slopes, rep.offsets, rep.fit_residuals)):
         rows.append(result_row(

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .generator import GeneratorSystem
-from .interval import Interval
 from .means import GeneralizedQuasiArithmeticMean, Mean
 
 
@@ -161,15 +160,3 @@ def fixed_arity(mean: Mean, n: int) -> Mean:
     if mean.arity is not None:
         raise ValueError(f"mean {mean.label!r} has arity {mean.arity}, not {n}")
     return PermutedMean(mean, 0, n)
-
-
-def shared_domain(means: Sequence[Mean]) -> Interval:
-    """The common interval of a family, or ValueError if they disagree."""
-    ms = tuple(means)
-    if not ms:
-        raise ValueError("no means given")
-    domain = ms[0].domain
-    for m in ms[1:]:
-        if m.domain != domain:
-            raise ValueError("means live on different intervals")
-    return domain

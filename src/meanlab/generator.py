@@ -8,8 +8,9 @@ kernels on that program.  Construction grid-checks strict growth, so code
 downstream may rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
-terminating on the residual test |g(x) - y| <= tol * max(1, |y|) within a
-200-step budget.  There is one solver, ``kernels.make_invert``.
+terminating on a residual test relative to |y| and to the generator's
+values on the bracket, within a 200-step budget.  There is one solver,
+``kernels.make_invert``, whose docstring states the test.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
@@ -316,8 +317,7 @@ class GeneratorSystem:
             return None
         if self._pack is None:
             codes, operands, offsets = pack_tapes([g.tape for g in self.generators])
-            total = tape_sum([g.tape for g in self.generators])
-            self._pack = (codes, operands, offsets, total)
+            self._pack = (codes, operands, offsets, self.sum_generator().tape)
         return self._pack
 
     def program(self):

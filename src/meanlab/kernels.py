@@ -97,7 +97,11 @@ def make_invert(evaluate, jit=lambda f: f):
 
     Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
     bracket with bisection as the fallback; stops on the residual test
-    |g(x)-y| <= tol*max(1,|y|).  Returns (x, status).
+    |g(x)-y| <= tol*max(|y|, min(1, max(|g(lo)|, |g(hi)|))), relative to
+    g's values on the bracket even below 1.  At an endpoint, or between
+    adjacent floats, |g(x)-y| <= tol*max(1,|y|) suffices: cancellation in
+    g near a zero crossing can leave no x that passes the relative test.
+    Returns (x, status).
     """
 
     @jit
@@ -106,13 +110,14 @@ def make_invert(evaluate, jit=lambda f: f):
         ghi = evaluate(code, operands, start, stop, hi)
         if math.isnan(glo) or math.isnan(ghi):
             return np.nan, STATUS_NONFINITE
-        scale = tol * max(1.0, abs(y))
+        scale = tol * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
+        loose = tol * max(1.0, abs(y))
         if y <= glo:
-            if glo - y <= scale:
+            if glo - y <= loose:
                 return lo, STATUS_OK
             return np.nan, STATUS_RANGE
         if y >= ghi:
-            if y - ghi <= scale:
+            if y - ghi <= loose:
                 return hi, STATUS_OK
             return np.nan, STATUS_RANGE
         a = lo
@@ -131,10 +136,10 @@ def make_invert(evaluate, jit=lambda f: f):
             if not (a < xm < b):
                 # bracket has collapsed to adjacent floats
                 if -fa <= fb:
-                    if -fa <= scale:
+                    if -fa <= loose:
                         return a, STATUS_OK
                 else:
-                    if fb <= scale:
+                    if fb <= loose:
                         return b, STATUS_OK
                 return 0.5 * (a + b), STATUS_BUDGET
             fm = evaluate(code, operands, start, stop, xm)

@@ -42,6 +42,12 @@ QUASISUM_TOL = 1e-8
 EQUALITY_FIT_THRESHOLD = 1e-6
 
 
+def agrees(lhs: float, rhs: float, tol: float) -> bool:
+    """The verdict of every identity check: the two sides agree when
+    |lhs - rhs| <= tol * max(1, |rhs|), relative once |rhs| exceeds 1."""
+    return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+
+
 def qam_eval(f: Generator, xs: Sequence[float]) -> float:
     """Quasi-arithmetic mean generated by f, at any arity >= 1."""
     pts = [float(x) for x in xs]
@@ -246,12 +252,11 @@ class ReflexivityReport:
 
 def reflexivity_check(mean: Mean, x: float, count: int | None = None,
                       tol: float = REFLEXIVITY_TOL) -> ReflexivityReport:
-    """|M(x,...,x) - x| <= tol * max(1, |x|)."""
+    """M(x,...,x) agrees with x."""
     x = float(x)
     k = count if count is not None else (mean.arity if mean.arity is not None else 2)
     v = mean([x] * k)
-    dev = abs(v - x)
-    return ReflexivityReport(dev <= tol * max(1.0, abs(x)), x, v, dev, tol)
+    return ReflexivityReport(agrees(v, x, tol), x, v, abs(v - x), tol)
 
 
 class QuasiSum:
@@ -299,15 +304,18 @@ def quasisum_reflexivity_check(q: QuasiSum, grid_size: int = 64,
                                tol: float = QUASISUM_TOL) -> QuasiSumReport:
     """Scan the diagonal: outer(sum of inner at x) should give back x."""
     xs = q.inner.domain.grid(grid_size)
+    reflexive = True
     worst_dev = -1.0
     worst_x = float(xs[0])
     for x in xs:
         x = float(x)
-        dev = abs(q([x] * q.inner.n) - x)
+        v = q([x] * q.inner.n)
+        reflexive = reflexive and agrees(v, x, tol)
+        dev = abs(v - x)
         if dev > worst_dev:
             worst_dev = dev
             worst_x = x
-    return QuasiSumReport(worst_dev <= tol, worst_dev, worst_x, grid_size, tol)
+    return QuasiSumReport(reflexive, worst_dev, worst_x, grid_size, tol)
 
 
 @dataclass(frozen=True, slots=True)

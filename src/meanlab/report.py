@@ -86,10 +86,6 @@ class RunReport:
         self.timestamp = datetime.now(timezone.utc).isoformat()
         return self
 
-    @property
-    def verdicts(self) -> list:
-        return [r["verdict"] for r in self.results]
-
     def to_json(self) -> str:
         payload = {
             "command": self.command,

@@ -127,6 +127,18 @@ def test_report_residual_is_absolute_gap():
     assert report.residual == abs(report.lhs - report.rhs)
 
 
+def test_verdict_is_relative_to_the_right_side():
+    # the blend is not bisymmetric; pick tol so that its residual lies
+    # strictly between tol and tol * |rhs|
+    blend = minmax_blend(Interval(1e6, 1e7))
+    m = [[2e6, 9e6], [5e6, 3e6]]
+    probe = bisymmetry_check(blend, m)
+    tol = 2 * probe.residual / abs(probe.rhs)
+    assert tol < probe.residual < tol * abs(probe.rhs)
+    assert bisymmetry_check(blend, m, tol).passed
+    assert not bisymmetry_check(blend, m, tol / 4).passed
+
+
 # --- generalized bisymmetry for generator systems -------------------------------
 
 

@@ -171,6 +171,44 @@ def test_verify_m1_default_system(capsys):
     assert max(r["residual"] for r in rows) <= 1e-7
 
 
+def test_eval_is_accurate_on_values_below_one(capsys):
+    from mpmath import cbrt, mp, mpf
+
+    mp.dps = 40
+    code, payload, _ = run_json(
+        capsys, "--interval", "0,1e-3", "--gen", "x^3", "eval", "1e-4", "5e-4"
+    )
+    assert code == 0
+    truth = cbrt((mpf(1e-4) ** 3 + mpf(5e-4) ** 3) / 2)
+    assert abs(payload["results"][0]["lhs"] / truth - 1) <= 1e-9
+
+
+LARGE_M1 = ("--interval", "1e6,5e7", "--gen", "x^3", "--gen", "2*x^3", "--samples", "5")
+
+
+def test_verify_m1_large_magnitudes_pass_relative(capsys):
+    # residuals near 1e-5 on values near 3e7: about 5e-13 relative
+    code, payload, _ = run_json(capsys, *LARGE_M1, "verify", "m1")
+    assert code == 0
+    rows = payload["results"]
+    assert max(r["residual"] for r in rows) > 1e-7
+    assert all(r["verdict"] == "pass" for r in rows)
+    assert payload["details"]["verdict"] == "pass"
+
+
+def test_verify_m1_verdict_is_the_library_verdict(capsys):
+    from meanlab import Generator, GeneratorSystem, Interval, composition_closed_form_check
+    from meanlab.gauss import CHECK_MAX_ITER
+
+    _, payload, _ = run_json(capsys, *LARGE_M1, "verify", "m1")
+    dom = Interval(1e6, 5e7)
+    system = GeneratorSystem([Generator.from_expression(g, dom) for g in ("x^3", "2*x^3")])
+    check = composition_closed_form_check(system, 5, 1e-7, max_iterations=CHECK_MAX_ITER)
+    assert [r["residual"] for r in payload["results"]] == [row[3] for row in check.rows]
+    assert check.passed
+    assert payload["details"]["verdict"] == "pass"
+
+
 def test_verify_m1_needs_a_system(capsys):
     code, _, err = run(capsys, "--gen", "x", "verify", "m1")
     assert code == 2
@@ -235,6 +273,23 @@ def test_verify_equality_distinguishes_generators(capsys):
     )
     assert code == 0
     assert payload["details"]["verdict"] == "distinct"
+
+
+def test_verify_equality_probes_follow_samples(capsys):
+    from meanlab import Generator, Interval, qam_equality_check
+
+    argv = ("--interval", "0.1,3", "--gen", "x", "--gen2", "exp(x)")
+    gaps = {}
+    for samples in ("3", "50"):
+        _, payload, _ = run_json(capsys, *argv, "--samples", samples, "verify", "equality")
+        gaps[samples] = payload["results"][-1]["residual"]
+    dom = Interval(0.1, 3.0)
+    three = qam_equality_check(
+        Generator.from_expression("x", dom), Generator.from_expression("exp(x)", dom),
+        probes=3, threshold=1e-6,
+    )
+    assert gaps["3"] == three.max_value_gap
+    assert gaps["3"] < gaps["50"]
 
 
 def test_verify_equality_requires_gen2(capsys):

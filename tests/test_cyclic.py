@@ -25,7 +25,7 @@ from meanlab import (
     sigma,
     sigma_pow,
 )
-from meanlab.cyclic import fixed_arity, shared_domain
+from meanlab.cyclic import fixed_arity
 from meanlab.means import QuasiArithmeticMean
 
 
@@ -273,13 +273,3 @@ def test_fixed_arity_passthrough_and_pin():
     assert pinned((1.0, 2.0, 3.0)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         pinned((1.0, 2.0))
-
-
-def test_shared_domain():
-    a = arithmetic_mean(DOM)
-    b = weighted_pair_mean()
-    assert shared_domain([a, b]) == DOM
-    with pytest.raises(ValueError):
-        shared_domain([a, arithmetic_mean(Interval(0.0, 1.0))])
-    with pytest.raises(ValueError):
-        shared_domain([])

@@ -230,6 +230,19 @@ def test_closed_form_check_passes(name):
     assert report.worst_point in {row[0] for row in report.rows}
 
 
+def test_closed_form_check_is_accurate_on_values_below_one():
+    from mpmath import cbrt, mp, mpf
+
+    mp.dps = 40
+    dom = Interval(1e-4, 5e-3)
+    system = GeneratorSystem([Generator.from_expression(g, dom) for g in ("x^3", "2*x^3")])
+    report = composition_closed_form_check(system, samples=20, seed=3)
+    for (x1, x2), iterated, closed, _ in report.rows:
+        truth = cbrt((mpf(x1) ** 3 + mpf(x2) ** 3) / 2)
+        assert abs(iterated / truth - 1) <= 1e-9
+        assert abs(closed / truth - 1) <= 1e-9
+
+
 def test_closed_form_check_is_seed_deterministic():
     a = composition_closed_form_check(builtin_system("x,2*x"), samples=20, seed=5)
     b = composition_closed_form_check(builtin_system("x,2*x"), samples=20, seed=5)

@@ -110,6 +110,29 @@ def test_invert_reports_nonfinite(ks):
     assert math.isnan(val)
 
 
+def test_invert_is_relative_below_one(ks):
+    # the mean of 1e-4 and 5e-4 under x^3: every value is far below 1
+    from mpmath import cbrt, mp, mpf
+
+    mp.dps = 40
+    t = tape("x^3")
+    y = (1e-4**3 + 5e-4**3) / 2
+    val, status = ks.invert(t.code, t.operands, y, 1e-4, 5e-4, 1e-12, 200)
+    assert status == STATUS_OK
+    assert abs(val / cbrt(mpf(y)) - 1) <= 1e-9
+
+
+def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
+    # 3*log(x) crosses 0 inside a bracket a few hundred ulp wide, where
+    # no x reaches a residual relative to the bracket's tiny values
+    t = tape("3*log(x)")
+    lo, hi = 1.0 - 1e-13, 1.0 + 1e-13
+    for y in np.linspace(3 * math.log(lo), 3 * math.log(hi), 41):
+        val, status = ks.invert(t.code, t.operands, float(y), lo, hi, 1e-12, 200)
+        assert status == STATUS_OK
+        assert lo <= val <= hi
+
+
 @needs_both
 def test_backends_agree_on_inversion():
     t = tape("exp(x)+x")
