@@ -3,9 +3,9 @@
 Three equations, each decided by ``means.agrees`` at a stated tolerance:
 
   bisymmetry            M(M(rows)) = M(M(columns)), one mean throughout
-  generalized form      outer/inner families with cyclically rotated
-                        arguments; two flavors below differ in which
-                        family sits inside
+  generalized           K(M_1(row 1), ..., M_n(row n))
+  bisymmetry              = K(M_1(column 1), ..., M_n(column n)), for the
+                        cyclic rotations M_i of a mean M and a mean K
   associativity         merging a block of arguments through their own
                         mean must not move the total mean
 
@@ -14,8 +14,13 @@ mean a generalized quasi-arithmetic mean?" into one verdict.  All of it
 is sampling — a pass is consistency evidence, only a failure is a hard
 certificate (the witness can be re-evaluated).
 
-Orientation of the two generalized checks is deliberately asymmetric
-and pinned by tests with lopsided matrices:
+The generalized equation is computed once, in ``_gbs_sides``.
+``gbs_for_mean_check`` takes any fixed-arity M and the K the caller
+supplies, typically the Gauss composition of M's rotations.  Its
+instance ``generalized_bisymmetry_check`` is the identity form: M is the
+generalized quasi-arithmetic mean of a system and K the quasi-arithmetic
+mean of f1+...+fn, the composition in closed form.  The two report the
+sides in opposite orientations, pinned by tests with lopsided matrices:
 
   generalized_bisymmetry_check   lhs: inner mean i on column i
                                  rhs: inner mean i on row i
@@ -38,15 +43,19 @@ from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
 from .generator import Generator, GeneratorSystem
 from .interval import Interval
 from .means import (
-    REFLEXIVITY_TOL,
     GeneralizedQuasiArithmeticMean,
     Mean,
     QuasiArithmeticMean,
     agrees,
     qam_eval,
+    reflexivity_check,
 )
 
 log = logging.getLogger("meanlab.bisymmetry")
+
+EQUATION_TOL = 1e-9  # default of bisymmetry_check and associativity_check
+GBS_TOL = 1e-7  # default of the generalized checks and characterize
+CHARACTERIZE_TRIALS = 1000  # random matrices of the witness search
 
 # fixed settings of ``characterize``
 LATTICE_POINTS = 3          # lattice values per matrix entry
@@ -84,9 +93,9 @@ def validate_matrix(matrix, domain: Interval, rows: int | None = None,
     return tuple(out)
 
 
-def random_matrix(rng: np.random.Generator, domain: Interval,
-                  rows: int, cols: int | None = None) -> InputMatrix:
-    m = domain.sample(rng, (rows, cols if cols is not None else rows))
+def random_matrix(rng: np.random.Generator, domain: Interval, n: int) -> InputMatrix:
+    """An n x n matrix of independent samples from the interval."""
+    m = domain.sample(rng, (n, n))
     return tuple(tuple(float(v) for v in row) for row in m)
 
 
@@ -119,7 +128,7 @@ def _report(equation, lhs, rhs, tol, matrix=None, point=None) -> EquationReport:
     )
 
 
-def bisymmetry_check(mean: Mean, matrix, tol: float = 1e-9) -> EquationReport:
+def bisymmetry_check(mean: Mean, matrix, tol: float = EQUATION_TOL) -> EquationReport:
     """One mean, both nestings: aggregate rows first on the left,
     columns first on the right."""
     m = validate_matrix(matrix, mean.domain)
@@ -133,8 +142,18 @@ def bisymmetry_check(mean: Mean, matrix, tol: float = 1e-9) -> EquationReport:
     return _report("bisymmetry", lhs, rhs, tol, matrix=m)
 
 
+def _gbs_sides(mean: Mean, composition: Mean, m: InputMatrix) -> tuple[float, float]:
+    """(K(M_i(row i))_i, K(M_i(column i))_i) on a validated n x n matrix,
+    for the rotations M_i of ``mean`` and the composition K."""
+    n = len(m)
+    comps = [permuted_mean(mean, i) for i in range(n)]
+    rows = composition([comps[i](m[i]) for i in range(n)])
+    columns = composition([comps[i](_column(m, i)) for i in range(n)])
+    return rows, columns
+
+
 def generalized_bisymmetry_check(system: GeneratorSystem, matrix,
-                                 tol: float = 1e-7) -> EquationReport:
+                                 tol: float = GBS_TOL) -> EquationReport:
     """Identity form for a generator system: the outer mean comes from
     the summed generators, the inner means are the cyclic rotations of
     the system's own mean.  Holds for every system; sides that disagree
@@ -142,35 +161,28 @@ def generalized_bisymmetry_check(system: GeneratorSystem, matrix,
 
     Column/row orientation: inner mean i reads column i on the lhs.
     """
-    n = system.n
-    m = validate_matrix(matrix, system.domain, rows=n, cols=n)
-    inner = GeneralizedQuasiArithmeticMean(system)
-    outer = QuasiArithmeticMean(system.sum_generator())
-    comps = [permuted_mean(inner, i) for i in range(n)]
-    lhs = outer([comps[i](_column(m, i)) for i in range(n)])
-    rhs = outer([comps[i](m[i]) for i in range(n)])
-    return _report("generalized-bisymmetry", lhs, rhs, tol, matrix=m)
+    m = validate_matrix(matrix, system.domain, rows=system.n, cols=system.n)
+    rows, columns = _gbs_sides(GeneralizedQuasiArithmeticMean(system),
+                               QuasiArithmeticMean(system.sum_generator()), m)
+    return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
 
 
 def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
-                       tol: float = 1e-7) -> EquationReport:
-    """Same equation shape for an arbitrary mean, with the composed
+                       tol: float = GBS_TOL) -> EquationReport:
+    """The equation for an arbitrary fixed-arity mean, with the composed
     limit mean supplied by the caller (typically a GaussComposition of
     the rotation family).  Note the mirrored orientation: inner mean i
     reads row i on the lhs here.
     """
     if mean.arity is None:
         raise ValueError("gbs_for_mean_check needs a fixed-arity mean")
-    n = mean.arity
-    m = validate_matrix(matrix, mean.domain, rows=n, cols=n)
-    comps = [permuted_mean(mean, i) for i in range(n)]
-    lhs = composition([comps[i](m[i]) for i in range(n)])
-    rhs = composition([comps[i](_column(m, i)) for i in range(n)])
-    return _report("gbs", lhs, rhs, tol, matrix=m)
+    m = validate_matrix(matrix, mean.domain, rows=mean.arity, cols=mean.arity)
+    rows, columns = _gbs_sides(mean, composition, m)
+    return _report("gbs", rows, columns, tol, matrix=m)
 
 
 def associativity_check(f: Generator, xs: Sequence[float], ys: Sequence[float],
-                        tol: float = 1e-9) -> EquationReport:
+                        tol: float = EQUATION_TOL) -> EquationReport:
     """Replacing a block of arguments by their own mean (repeated to
     keep the count) must leave the overall mean unchanged."""
     xs = [float(v) for v in xs]
@@ -191,9 +203,9 @@ class CharacterizeConfig:
     arity: int | None = None        # None: take the mean's own, or 2
     grid_size: int = 16
     probe_count: int = 24
-    trials: int = 1000
+    trials: int = CHARACTERIZE_TRIALS
     lattice_cap: int = 128
-    tol: float = 1e-7
+    tol: float = GBS_TOL
     max_iterations: int = 4000
     seed: int = 0
 
@@ -298,15 +310,11 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
         witness_point = bad
 
     # reflexivity on a grid
-    ok = True
-    for x in dom.grid(cfg.grid_size):
-        x = float(x)
-        if not agrees(mean([x] * n), x, REFLEXIVITY_TOL):
-            ok = False
-            if witness_point is None:
-                witness_point = ((x,) * n, None)
-            break
-    record("reflexivity", ok)
+    reports = (reflexivity_check(mean, x, n) for x in dom.grid(cfg.grid_size))
+    off_diagonal = next((rep for rep in reports if not rep.passed), None)
+    record("reflexivity", off_diagonal is None)
+    if witness_point is None and off_diagonal is not None:
+        witness_point = ((off_diagonal.point,) * n, None)
 
     # composed limit of the rotation family, then the witness search
     trials_run = 0
@@ -321,7 +329,6 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
         record("composition-convergence", False)
         composition = None
     if composition is not None:
-        threshold = WITNESS_FACTOR * cfg.tol
         lattice_values = [float(v) for v in dom.grid(LATTICE_POINTS)]
         lattice = itertools.islice(
             itertools.product(lattice_values, repeat=n * n), cfg.lattice_cap
@@ -336,11 +343,11 @@ def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> Charac
         for m in matrices:
             trials_run += 1
             try:
-                rep = gbs_for_mean_check(pinned, composition, m, cfg.tol)
+                rep = gbs_for_mean_check(pinned, composition, m, WITNESS_FACTOR * cfg.tol)
             except ConvergenceError:
                 errors += 1
                 continue
-            if not agrees(rep.lhs, rep.rhs, threshold):
+            if not rep.passed:
                 ok = False
                 witness_matrix = rep.matrix
                 witness_residual = rep.residual

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -27,6 +28,9 @@ import time
 import numpy as np
 
 from .bisymmetry import (
+    CHARACTERIZE_TRIALS,
+    EQUATION_TOL,
+    GBS_TOL,
     CharacterizeConfig,
     associativity_check,
     bisymmetry_check,
@@ -44,10 +48,20 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .gauss import CHECK_MAX_ITER, composition_closed_form_check, gauss_iterate
+from .gauss import (
+    CHECK_MAX_ITER,
+    CHECK_SAMPLES,
+    CHECK_TOL,
+    DEFAULT_GAP_TOL,
+    DEFAULT_MAX_ITER,
+    composition_closed_form_check,
+    gauss_iterate,
+)
 from .generator import Generator, GeneratorSystem
 from .interval import Interval
 from .means import (
+    EQUALITY_FIT_THRESHOLD,
+    EQUALITY_PROBES,
     GeneralizedQuasiArithmeticMean,
     QuasiArithmeticMean,
     agrees,
@@ -66,24 +80,21 @@ DEFAULT_GENERATORS = ("x", "2*x")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
 
-# per-subcommand fallbacks when the flag is not given
+# per-subcommand fallbacks when the flag is not given: the library's own
+# defaults; every other sampled check runs CHECK_SAMPLES samples
 _TOL_DEFAULTS = {
     "eval": None,
-    "compose": 1e-10,
-    "m1": 1e-7,
-    "gbs": 1e-7,
-    "bs": 1e-9,
-    "as": 1e-9,
-    "equality": 1e-6,
-    "characterize": 1e-7,
+    "compose": DEFAULT_GAP_TOL,
+    "m1": CHECK_TOL,
+    "gbs": GBS_TOL,
+    "bs": EQUATION_TOL,
+    "as": EQUATION_TOL,
+    "equality": EQUALITY_FIT_THRESHOLD,
+    "characterize": GBS_TOL,
 }
 _SAMPLE_DEFAULTS = {
-    "m1": 100,
-    "gbs": 100,
-    "bs": 100,
-    "as": 100,
-    "equality": 50,
-    "characterize": 1000,
+    "equality": EQUALITY_PROBES,
+    "characterize": CHARACTERIZE_TRIALS,
 }
 
 
@@ -100,9 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen2", action="append", metavar="EXPR",
                    help="second generator list for `verify equality`")
     p.add_argument("--tol", type=float, default=None,
-                   help="tolerance of the selected check or iteration; verify's"
-                   " identity checks pass when |lhs-rhs| <= tol*max(1,|rhs|)")
-    p.add_argument("--max-iter", type=int, default=500,
+                   help="tolerance of the selected check or iteration, finite and"
+                   " at least 0; verify's identity checks pass when"
+                   " |lhs-rhs| <= tol*max(1,|rhs|)")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="iteration budget for Gauss composition (default %(default)s)")
     p.add_argument("--samples", type=int, default=None,
                    help="randomized instances for verify commands")
@@ -151,14 +163,18 @@ def _resolve(args) -> tuple:
     interval = parse_interval(args.interval)
     which = getattr(args, "which", None)
     key = which if args.command == "verify" else args.command
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise UsageError("--tol must be a finite number at least 0")
     tol = args.tol if args.tol is not None else _TOL_DEFAULTS.get(key)
     samples = args.samples
     if samples is None:
-        samples = _SAMPLE_DEFAULTS.get(key, 100)
+        samples = _SAMPLE_DEFAULTS.get(key, CHECK_SAMPLES)
     if samples < 1:
         raise UsageError("--samples must be at least 1")
     if args.max_iter < 1:
         raise UsageError("--max-iter must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0")
     gen_texts = tuple(args.gen) if args.gen else ()
     if not gen_texts and not (args.command == "verify" and which == "characterize"):
         gen_texts = DEFAULT_GENERATORS

@@ -21,7 +21,7 @@ from .compiler import Tape, compile_expr, pack_tapes, tape_sum
 from .parser import parse
 
 
-def to_generator(source, domain, label=None, grid=256):
+def to_generator(source, domain):
     """Bind an expression (tree or text) to an interval as a Generator.
 
     Runs the strictly-increasing grid check; failures raise
@@ -29,7 +29,7 @@ def to_generator(source, domain, label=None, grid=256):
     """
     from ..generator import Generator
 
-    return Generator.from_expression(source, domain, label=label, grid=grid)
+    return Generator.from_expression(source, domain)
 
 
 __all__ = [

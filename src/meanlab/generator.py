@@ -41,7 +41,8 @@ from .interval import Interval
 
 DEFAULT_INVERT_TOL = 1e-12
 INVERT_BUDGET = 200
-DEFAULT_GRID = 256
+MONOTONE_GRID = 256  # grid points of the strict-growth check
+AFFINE_FIT_GRID = 64  # grid points of affine_fit
 
 # Relative spread below which a function is treated as constant by
 # affine_fit; the slope is not identifiable past this point.
@@ -76,7 +77,6 @@ class Generator:
         fn: Callable[[float], float] | None = None,
         label: str = "f",
         validate: bool = True,
-        grid: int = DEFAULT_GRID,
     ):
         if (tape is None) == (fn is None):
             raise ValueError("exactly one of tape or fn is required")
@@ -85,7 +85,7 @@ class Generator:
         self.tape = tape
         self.fn = fn
         if validate:
-            report = check_monotone(self, grid_size=grid)
+            report = check_monotone(self)
             if not report.passed:
                 raise MonotonicityError(
                     f"{label!r} is not strictly increasing on {domain}"
@@ -94,7 +94,7 @@ class Generator:
                 )
 
     @classmethod
-    def from_expression(cls, source, domain: Interval, *, label=None, grid=DEFAULT_GRID):
+    def from_expression(cls, source, domain: Interval, *, label=None):
         """Build from DSL text or an already-parsed expression tree."""
         expr: Expr = parse(source) if isinstance(source, str) else source
         text = to_text(expr)
@@ -102,12 +102,11 @@ class Generator:
             domain,
             tape=compile_expr(expr),
             label=label if label is not None else text,
-            grid=grid,
         )
 
     @classmethod
-    def from_callable(cls, fn, domain: Interval, *, label="f", validate=True, grid=DEFAULT_GRID):
-        return cls(domain, fn=fn, label=label, validate=validate, grid=grid)
+    def from_callable(cls, fn, domain: Interval, *, label="f", validate=True):
+        return cls(domain, fn=fn, label=label, validate=validate)
 
     @property
     def is_tape_backed(self) -> bool:
@@ -216,42 +215,39 @@ class Generator:
         return f"Generator({self.label!r} on {self.domain}, {kind})"
 
 
-def inverse_generator(g: Generator, label: str | None = None) -> Generator:
+def inverse_generator(g: Generator) -> Generator:
     """The inverse of g, as a generator on g's value range.
 
     Callable-backed: every evaluation is a bracketed solve.  Meant for
     composing checks, not hot loops.
     """
     rng = g.value_interval()
-    return Generator.from_callable(
-        g.invert,
-        rng,
-        label=label if label is not None else f"inv[{g.label}]",
-    )
+    return Generator.from_callable(g.invert, rng, label=f"inv[{g.label}]")
 
 
-def check_monotone(g: Generator, grid_size: int = DEFAULT_GRID) -> MonotonicityReport:
-    """Grid check for strict growth.  Never raises.
+def check_monotone(g: Generator) -> MonotonicityReport:
+    """Grid check for strict growth on MONOTONE_GRID points.  Never raises.
 
     Non-finite values fail the check too, with the offending point
     doubled as the witness pair.
     """
-    xs = g.domain.grid(grid_size)
+    xs = g.domain.grid(MONOTONE_GRID)
     vs = g.eval_grid(xs)
-    for i in range(grid_size):
+    for i in range(MONOTONE_GRID):
         if not math.isfinite(vs[i]):
             x = float(xs[i])
-            return MonotonicityReport(False, grid_size, (x, x), "non-finite")
-    for i in range(grid_size - 1):
+            return MonotonicityReport(False, MONOTONE_GRID, (x, x), "non-finite")
+    for i in range(MONOTONE_GRID - 1):
         if vs[i] >= vs[i + 1]:
             return MonotonicityReport(
-                False, grid_size, (float(xs[i]), float(xs[i + 1])), "not increasing"
+                False, MONOTONE_GRID, (float(xs[i]), float(xs[i + 1])), "not increasing"
             )
-    return MonotonicityReport(True, grid_size)
+    return MonotonicityReport(True, MONOTONE_GRID)
 
 
-def affine_fit(f: Generator, g: Generator, sample_count: int = 64) -> tuple[float, float, float]:
-    """Least-squares fit g ~ a*f + b on a shared grid.
+def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
+    """Least-squares fit g ~ a*f + b on a shared grid of AFFINE_FIT_GRID
+    points.
 
     Returns (a, b, residual) with residual the maximum absolute deviation
     over the grid.  Raises DegenerateError when f is numerically constant
@@ -259,7 +255,7 @@ def affine_fit(f: Generator, g: Generator, sample_count: int = 64) -> tuple[floa
     """
     if f.domain != g.domain:
         raise ValueError("affine_fit needs generators on the same interval")
-    xs = f.domain.grid(sample_count)
+    xs = f.domain.grid(AFFINE_FIT_GRID)
     fv = f.eval_grid(xs)
     gv = g.eval_grid(xs)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):

@@ -180,7 +180,9 @@ def span(xs):
 def make_orbit(step, jit=lambda f: f):
     """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx, out)
     -> status`` writes the image of x, of span [mn, mx], into out, until
-    the gap mx - mn is at most max(gap_tol, GAP_FLOOR * max(|mn|, |mx|)).
+    the gap mx - mn is at most max(tol, GAP_FLOOR * max(|mn|, |mx|)),
+    with tol = gap_tol * min(1, max|x0|) scaled once by the start vector
+    (by the current iterate, an orbit whose limit is 0 would never stop).
     Fills iterates/gaps from the starting vector on and returns
     (iterations_used, status); a failed step ends the orbit with its status.
     """
@@ -190,12 +192,14 @@ def make_orbit(step, jit=lambda f: f):
     def orbit(ctx, x0, gap_tol, max_iter, iterates, gaps):
         x = x0.copy()
         out = np.empty_like(x)
+        mn, mx = sp(x)
+        tol = gap_tol * min(1.0, max(abs(mn), abs(mx)))
         used = 0
         while True:
             iterates[used, :] = x
             mn, mx = sp(x)
             gaps[used] = mx - mn
-            if not (mx - mn > max(gap_tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
+            if not (mx - mn > max(tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
                 return used, STATUS_OK
             if used >= max_iter:
                 return used, STATUS_BUDGET

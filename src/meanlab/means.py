@@ -39,7 +39,10 @@ BOUND_SLACK = 1e-9
 STRICTNESS_SPREAD = 1e-6
 REFLEXIVITY_TOL = 1e-9
 QUASISUM_TOL = 1e-8
+QUASISUM_GRID = 64  # diagonal points quasisum_reflexivity_check scans
 EQUALITY_FIT_THRESHOLD = 1e-6
+EQUALITY_PROBES = 50  # random vectors the equality checks evaluate both means on
+QAM_PROBE_ARITY = 2  # length of those vectors for a single generator
 
 
 def agrees(lhs: float, rhs: float, tol: float) -> bool:
@@ -119,12 +122,8 @@ class QuasiArithmeticMean(Mean):
 
     __slots__ = ("generator",)
 
-    def __init__(self, generator: Generator, label=None):
-        super().__init__(
-            generator.domain,
-            arity=None,
-            label=label if label is not None else f"qam[{generator.label}]",
-        )
+    def __init__(self, generator: Generator):
+        super().__init__(generator.domain, arity=None, label=f"qam[{generator.label}]")
         self.generator = generator
 
     def _evaluate(self, pts):
@@ -136,12 +135,8 @@ class GeneralizedQuasiArithmeticMean(Mean):
 
     __slots__ = ("system",)
 
-    def __init__(self, system: GeneratorSystem, label=None):
-        super().__init__(
-            system.domain,
-            arity=system.n,
-            label=label if label is not None else f"gqam[{system.label}]",
-        )
+    def __init__(self, system: GeneratorSystem):
+        super().__init__(system.domain, arity=system.n, label=f"gqam[{system.label}]")
         self.system = system
 
     def _evaluate(self, pts):
@@ -179,22 +174,22 @@ def geometric_mean(domain: Interval) -> FunctionMean:
     return FunctionMean(gm, domain, label="GM")
 
 
-def lehmer_mean(domain: Interval, exponent: float = 2.0) -> FunctionMean:
-    """Ratio of power sums; not quasi-arithmetic for exponent 2, which
-    makes it the stock refutation example for the characterizer."""
+def lehmer_mean(domain: Interval) -> FunctionMean:
+    """The contraharmonic mean (x1^2+...+xk^2)/(x1+...+xk), the Lehmer
+    mean of exponent 2; not quasi-arithmetic, which makes it the stock
+    refutation example for the characterizer."""
     if domain.lo < 0.0:
         raise ValueError("Lehmer mean needs a non-negative interval")
-    p = float(exponent)
 
     def lm(pts):
         num = 0.0
         den = 0.0
         for x in pts:
-            num += x**p
-            den += x ** (p - 1.0)
+            num += x**2.0
+            den += x
         return num / den
 
-    return FunctionMean(lm, domain, label=f"lehmer{p:g}")
+    return FunctionMean(lm, domain, label="lehmer2")
 
 
 def minmax_blend(domain: Interval, top_weight: float = 0.7) -> FunctionMean:
@@ -250,9 +245,10 @@ class ReflexivityReport:
     tol: float
 
 
-def reflexivity_check(mean: Mean, x: float, count: int | None = None,
+def reflexivity_check(mean, x: float, count: int | None = None,
                       tol: float = REFLEXIVITY_TOL) -> ReflexivityReport:
-    """M(x,...,x) agrees with x."""
+    """M(x,...,x) agrees with x, for a mean or any other callable on
+    vectors; ``count`` copies of x, by default the mean's arity or 2."""
     x = float(x)
     k = count if count is not None else (mean.arity if mean.arity is not None else 2)
     v = mean([x] * k)
@@ -300,22 +296,13 @@ class QuasiSumReport:
     tol: float
 
 
-def quasisum_reflexivity_check(q: QuasiSum, grid_size: int = 64,
-                               tol: float = QUASISUM_TOL) -> QuasiSumReport:
+def quasisum_reflexivity_check(q: QuasiSum) -> QuasiSumReport:
     """Scan the diagonal: outer(sum of inner at x) should give back x."""
-    xs = q.inner.domain.grid(grid_size)
-    reflexive = True
-    worst_dev = -1.0
-    worst_x = float(xs[0])
-    for x in xs:
-        x = float(x)
-        v = q([x] * q.inner.n)
-        reflexive = reflexive and agrees(v, x, tol)
-        dev = abs(v - x)
-        if dev > worst_dev:
-            worst_dev = dev
-            worst_x = x
-    return QuasiSumReport(reflexive, worst_dev, worst_x, grid_size, tol)
+    reports = [reflexivity_check(q, x, q.inner.n, QUASISUM_TOL)
+               for x in q.inner.domain.grid(QUASISUM_GRID)]
+    worst = max(reports, key=lambda rep: rep.deviation)  # the first, on ties
+    return QuasiSumReport(all(rep.passed for rep in reports), worst.deviation,
+                          worst.point, QUASISUM_GRID, QUASISUM_TOL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,69 +324,55 @@ class EqualityReport:
     threshold: float
 
 
-def _probe_gap(eval_a, eval_b, domain, arity, probes, seed):
+def _equality(pairs, mean_a, mean_b, arity, probes, seed, threshold) -> EqualityReport:
+    """Affine fits of each (f, g) pair, the common-slope test, and the
+    largest gap between the means ``mean_a`` and ``mean_b`` on ``probes``
+    seeded random vectors of length ``arity`` from the generators' interval."""
+    slopes, offsets, residuals = zip(*(affine_fit(f, g) for f, g in pairs))
+    base = slopes[0]
+    common_slope = all(
+        abs(a - base) <= threshold * max(1.0, abs(base)) for a in slopes
+    )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = -1.0
     worst_pt = None
     for _ in range(probes):
-        pts = [float(v) for v in domain.sample(rng, arity)]
-        gap = abs(eval_a(pts) - eval_b(pts))
+        pts = [float(v) for v in pairs[0][0].domain.sample(rng, arity)]
+        gap = abs(mean_a(pts) - mean_b(pts))
         if gap > worst:
             worst = gap
             worst_pt = tuple(pts)
-    return worst, worst_pt
-
-
-def qam_equality_check(f: Generator, g: Generator, *, sample_count: int = 64,
-                       probes: int = 50, arity: int = 2, seed: int = 0,
-                       threshold: float = EQUALITY_FIT_THRESHOLD) -> EqualityReport:
-    a, b, residual = affine_fit(f, g, sample_count)
-    gap, gap_pt = _probe_gap(
-        lambda pts: qam_eval(f, pts),
-        lambda pts: qam_eval(g, pts),
-        f.domain, arity, probes, seed,
-    )
     return EqualityReport(
-        equal=residual <= threshold,
-        slopes=(a,),
-        offsets=(b,),
-        fit_residuals=(residual,),
-        max_value_gap=gap,
-        gap_point=gap_pt,
+        equal=common_slope and all(r <= threshold for r in residuals),
+        slopes=slopes,
+        offsets=offsets,
+        fit_residuals=residuals,
+        max_value_gap=worst,
+        gap_point=worst_pt,
         threshold=threshold,
     )
 
 
+def qam_equality_check(f: Generator, g: Generator, *, probes: int = EQUALITY_PROBES,
+                       seed: int = 0,
+                       threshold: float = EQUALITY_FIT_THRESHOLD) -> EqualityReport:
+    """Two generators induce one mean exactly when g is a positive
+    affine image of f; the one-pair case of the system check."""
+    return _equality(
+        [(f, g)], lambda pts: qam_eval(f, pts), lambda pts: qam_eval(g, pts),
+        QAM_PROBE_ARITY, probes, seed, threshold,
+    )
+
+
 def gqam_equality_check(first: GeneratorSystem, second: GeneratorSystem, *,
-                        sample_count: int = 64, probes: int = 50, seed: int = 0,
+                        probes: int = EQUALITY_PROBES, seed: int = 0,
                         threshold: float = EQUALITY_FIT_THRESHOLD) -> EqualityReport:
     """Systems induce one mean exactly when the members match pairwise
     under affine images with a single common slope."""
     if first.n != second.n:
         raise ValueError("systems must have the same length")
-    slopes = []
-    offsets = []
-    residuals = []
-    for f, g in zip(first.generators, second.generators):
-        a, b, r = affine_fit(f, g, sample_count)
-        slopes.append(a)
-        offsets.append(b)
-        residuals.append(r)
-    base = slopes[0]
-    common_slope = all(
-        abs(a - base) <= threshold * max(1.0, abs(base)) for a in slopes
-    )
-    gap, gap_pt = _probe_gap(
-        lambda pts: gqam_eval(first, pts),
-        lambda pts: gqam_eval(second, pts),
-        first.domain, first.n, probes, seed,
-    )
-    return EqualityReport(
-        equal=common_slope and all(r <= threshold for r in residuals),
-        slopes=tuple(slopes),
-        offsets=tuple(offsets),
-        fit_residuals=tuple(residuals),
-        max_value_gap=gap,
-        gap_point=gap_pt,
-        threshold=threshold,
+    return _equality(
+        list(zip(first.generators, second.generators)),
+        lambda pts: gqam_eval(first, pts), lambda pts: gqam_eval(second, pts),
+        first.n, probes, seed, threshold,
     )

@@ -34,15 +34,15 @@ class ExperimentConfig:
 
     command: str
     interval: tuple[float, float]
-    generators: tuple[str, ...] = ()
-    generators2: tuple[str, ...] = ()
-    which: str | None = None
-    tolerance: float | None = None
-    max_iterations: int = 500
-    samples: int = 100
-    seed: int = 0
-    output_format: str = "text"
-    points: tuple[float, ...] = ()
+    generators: tuple[str, ...]
+    generators2: tuple[str, ...]
+    which: str | None
+    tolerance: float | None
+    max_iterations: int
+    samples: int
+    seed: int
+    output_format: str
+    points: tuple[float, ...]
 
     def as_dict(self) -> dict:
         return {

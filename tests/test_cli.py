@@ -405,6 +405,27 @@ def test_bad_sample_and_iteration_counts(capsys):
     assert run(capsys, "--max-iter", "0", "--gen", "x", "compose", "1", "2")[0] == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ("--gen", "x", "--gen", "x^3", "--interval", "0.1,5", "compose", "0.2", "4.8"),
+    ("--samples", "3", "verify", "m1"),
+    ("--gen", "x", "--gen2", "2*x", "verify", "equality"),
+])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol, command):
+    # a NaN gap tolerance would stop the orbit at once and report the
+    # start's midpoint as a converged limit
+    code, out, err = run(capsys, "--tol", tol, *command)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a finite number at least 0" in err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, _, err = run(capsys, "--seed", "-1", "--samples", "3", "verify", "m1")
+    assert code == 2
+    assert "--seed must be at least 0" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -437,13 +458,22 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
     assert out.encode() == (DATA / f"verify_{which}.csv").read_bytes()
 
 
-# pinned JSON reports: a fused compose trace and characterize, whose
-# demo means run the generic Gauss loop; only + - * / and x**2.0 enter
+# pinned JSON reports: a fused compose trace, characterize, whose demo
+# means run the generic Gauss loop, and the equality and generalized
+# bisymmetry suites; only + - * / and powers with integer exponents enter
 @pytest.mark.parametrize("name,argv", [
     ("compose_x_2x", ["--gen", "x", "--gen", "2*x", "compose", "1", "7"]),
     ("characterize_demo", ["--samples", "30", "verify", "characterize"]),
     ("characterize_x_2x", ["--gen", "x", "--gen", "2*x", "--samples", "30",
                            "verify", "characterize"]),
+    ("characterize_x_x2_x3", ["--gen", "x", "--gen", "x^2", "--gen", "x^3",
+                              "--interval", "0.1,5", "--samples", "30",
+                              "verify", "characterize"]),
+    ("equality_affine_pair", ["--gen", "x", "--gen", "2*x", "--gen2", "3*x+1",
+                              "--gen2", "6*x-2", "verify", "equality"]),
+    ("equality_x_x2", ["--gen", "x", "--gen2", "x^2", "verify", "equality"]),
+    ("verify_gbs_x_x2_x3", ["--gen", "x", "--gen", "x^2", "--gen", "x^3",
+                            "--interval", "0.1,5", "--samples", "8", "verify", "gbs"]),
 ])
 def test_json_reports_are_pinned(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)

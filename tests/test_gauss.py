@@ -103,13 +103,22 @@ def conservation_oracle(x: float, y: float, steps: int = 80) -> float:
     return 0.5 * (x + y)
 
 
-def test_weighted_pair_converges_to_arithmetic_mean():
+def _weighted_pair_limit(start):
     dom = Interval(-1.0, 10.0)
     mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x", dom))
-    limit, trace = gauss_iterate(cyclic_mapping(mean), (0.0, 3.0))
+    limit, trace = gauss_iterate(cyclic_mapping(mean), start)
     assert trace.converged
-    assert limit == pytest.approx(1.5, abs=1e-9)
-    assert limit == pytest.approx(conservation_oracle(0.0, 3.0), abs=1e-9)
+    assert limit == pytest.approx(conservation_oracle(*start), abs=1e-9)
+    return limit
+
+
+def test_weighted_pair_converges_to_arithmetic_mean():
+    assert _weighted_pair_limit((0.0, 3.0)) == pytest.approx(1.5, abs=1e-9)
+
+
+def test_weighted_pair_converges_to_a_zero_limit():
+    # a stop scaled by the current iterate would never be met here
+    assert _weighted_pair_limit((-0.5, 0.5)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_identical_components_converge_in_one_step():
@@ -117,6 +126,13 @@ def test_identical_components_converge_in_one_step():
     limit, trace = gauss_iterate(mapping, (1.0, 3.0))
     assert limit == pytest.approx(2.0, abs=1e-12)
     assert trace.iterations_used <= 1
+
+
+@pytest.mark.parametrize("gap_tol", [math.nan, math.inf, -1.0])
+def test_gap_tol_must_be_finite_and_nonnegative(gap_tol):
+    mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(builtin_system("x,x^3")))
+    with pytest.raises(ValueError, match="gap_tol"):
+        gauss_iterate(mapping, (0.2, 4.8), gap_tol=gap_tol)
 
 
 def test_budget_exhaustion_carries_trace():
@@ -130,6 +146,15 @@ def test_budget_exhaustion_carries_trace():
     assert trace.iterations_used == 1
     assert len(trace.iterates) == 2  # start plus the one step taken
     assert trace.gaps[1] < trace.gaps[0]
+
+
+def test_budget_exhaustion_names_the_scaled_stop():
+    dom = Interval(1e-7, 5e-6)
+    mean = GeneralizedQuasiArithmeticMean(
+        GeneratorSystem([Generator.from_expression(g, dom) for g in ("x^3", "2*x^3")])
+    )
+    with pytest.raises(ConvergenceError, match="still above 4e-16 after 12 iterations"):
+        gauss_iterate(cyclic_mapping(mean), (2e-7, 4e-6), 1e-10, 12)
 
 
 def test_trace_records_orbit():
@@ -230,17 +255,27 @@ def test_closed_form_check_passes(name):
     assert report.worst_point in {row[0] for row in report.rows}
 
 
-def test_closed_form_check_is_accurate_on_values_below_one():
+def _assert_cubic_m1_is_accurate(lo, hi):
     from mpmath import cbrt, mp, mpf
 
     mp.dps = 40
-    dom = Interval(1e-4, 5e-3)
+    dom = Interval(lo, hi)
     system = GeneratorSystem([Generator.from_expression(g, dom) for g in ("x^3", "2*x^3")])
     report = composition_closed_form_check(system, samples=20, seed=3)
     for (x1, x2), iterated, closed, _ in report.rows:
         truth = cbrt((mpf(x1) ** 3 + mpf(x2) ** 3) / 2)
         assert abs(iterated / truth - 1) <= 1e-9
         assert abs(closed / truth - 1) <= 1e-9
+
+
+def test_closed_form_check_is_accurate_on_values_below_one():
+    _assert_cubic_m1_is_accurate(1e-4, 5e-3)
+
+
+def test_closed_form_check_is_accurate_on_values_near_1e_minus_6():
+    # needs a Gauss stop relative below 1: an absolute 1e-9 gap is 1e-3
+    # of values near 1e-6
+    _assert_cubic_m1_is_accurate(1e-7, 5e-6)
 
 
 def test_closed_form_check_is_seed_deterministic():
