@@ -56,9 +56,13 @@ log = logging.getLogger("meanlab.bisymmetry")
 EQUATION_TOL = 1e-9  # default of bisymmetry_check and associativity_check
 GBS_TOL = 1e-7  # default of the generalized checks and characterize
 CHARACTERIZE_TRIALS = 1000  # random matrices of the witness search
+CHARACTERIZE_MAX_ITER = 4000  # Gauss budget of characterize's composed limit
 
 # fixed settings of ``characterize``
 LATTICE_POINTS = 3          # lattice values per matrix entry
+LATTICE_CAP = 128           # lattice matrices tried before the random ones
+PROBE_COUNT = 24            # random vectors per continuity/growth probe
+REFLEXIVITY_GRID = 16       # diagonal points of the reflexivity scan
 WITNESS_FACTOR = 10.0       # sides that disagree at factor*tol are a witness
 CONTINUITY_DELTA = 1e-5
 LIPSCHITZ_BOUND = 1e3
@@ -196,21 +200,6 @@ def associativity_check(f: Generator, xs: Sequence[float], ys: Sequence[float],
 
 
 @dataclass(frozen=True, slots=True)
-class CharacterizeConfig:
-    """Knobs for the characterization pipeline.  Defaults favor the
-    demo scale: ~1e3 random matrices and modest grids."""
-
-    arity: int | None = None        # None: take the mean's own, or 2
-    grid_size: int = 16
-    probe_count: int = 24
-    trials: int = CHARACTERIZE_TRIALS
-    lattice_cap: int = 128
-    tol: float = GBS_TOL
-    max_iterations: int = 4000
-    seed: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class CharacterizationVerdict:
     """Outcome of the evidence pipeline.
 
@@ -239,9 +228,9 @@ class CharacterizationVerdict:
         return f"refuted: failed {', '.join(self.failed_conditions)}"
 
 
-def _probe_vectors(domain: Interval, n: int, count: int, seed_seq) -> list:
+def _probe_vectors(domain: Interval, n: int, seed_seq) -> list:
     rng = np.random.default_rng(seed_seq)
-    return [[float(v) for v in domain.sample(rng, n)] for _ in range(count)]
+    return [[float(v) for v in domain.sample(rng, n)] for _ in range(PROBE_COUNT)]
 
 
 def _first_bad_nudge(mean, vectors, step, bad):
@@ -259,113 +248,105 @@ def _first_bad_nudge(mean, vectors, step, bad):
     return None
 
 
-def characterize(mean: Mean, config: CharacterizeConfig | None = None) -> CharacterizationVerdict:
-    """Collect numeric evidence for or against generalized
-    quasi-arithmetic structure.
+def _search_matrices(domain: Interval, n: int, seed_seq, trials: int):
+    """The witness search's n x n matrices: the first LATTICE_CAP of the
+    lattice over LATTICE_POINTS grid values, then ``trials`` random ones."""
+    values = [float(v) for v in domain.grid(LATTICE_POINTS)]
+    for flat in itertools.islice(itertools.product(values, repeat=n * n), LATTICE_CAP):
+        yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
+    for child in seed_seq.spawn(trials):
+        yield random_matrix(np.random.default_rng(child), domain, n)
 
-    Pipeline: sampled continuity probe (a Lipschitz bound stand-in, see
-    notes), per-coordinate strict growth probe, reflexivity on a grid,
-    then Gauss composition of the rotation family and a witness search
-    over lattice + random matrices.  Nothing here proves consistency;
-    a witness, however, is a checkable refutation.
+
+def characterize(
+    mean: Mean,
+    *,
+    trials: int = CHARACTERIZE_TRIALS,
+    tol: float = GBS_TOL,
+    seed: int = 0,
+    max_iterations: int = CHARACTERIZE_MAX_ITER,
+) -> CharacterizationVerdict:
+    """Collect numeric evidence for or against generalized
+    quasi-arithmetic structure, at the mean's own arity (2 for a
+    variadic mean; pin another with ``cyclic.fixed_arity(mean, n)``).
+
+    Phases, in order: sampled continuity probe (a Lipschitz bound
+    stand-in, see notes), per-coordinate strict growth probe,
+    reflexivity on a grid, then Gauss composition of the rotation family
+    (``composition-convergence`` fails when it cannot be computed) and a
+    witness search over lattice + random matrices with ``trials`` random
+    ones, seeded by ``seed``, at ``WITNESS_FACTOR * tol``.  The composed
+    limit runs at most ``max_iterations`` Gauss steps.  Nothing here
+    proves consistency; a witness, however, is a checkable refutation.
     """
-    cfg = config if config is not None else CharacterizeConfig()
-    if cfg.arity is not None:
-        n = cfg.arity
-        if mean.arity is not None and mean.arity != n:
-            raise ValueError(f"mean {mean.label!r} has arity {mean.arity}, not {n}")
-    else:
-        n = mean.arity if mean.arity is not None else 2
-    pinned = fixed_arity(mean, n)
+    n = mean.arity if mean.arity is not None else 2
     dom = mean.domain
-    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    phases = []
-    failed = []
-    witness_matrix = None
-    witness_residual = None
+    seeds = np.random.SeedSequence(seed).spawn(3)
     notes = [
         f"continuity probe is a sampled bound |dM| <= {LIPSCHITZ_BOUND:g}*delta"
         f" with delta = {CONTINUITY_DELTA:g}, heuristic only",
     ]
 
-    def record(name, ok):
-        phases.append((name, ok))
-        if not ok:
-            failed.append(name)
-
     # sampled continuity: nudging one coordinate moves the mean boundedly
-    witness_point = _first_bad_nudge(
-        mean, _probe_vectors(dom, n, cfg.probe_count, seeds[0]), CONTINUITY_DELTA,
+    jump = _first_bad_nudge(
+        mean, _probe_vectors(dom, n, seeds[0]), CONTINUITY_DELTA,
         lambda move: abs(move) > LIPSCHITZ_BOUND * CONTINUITY_DELTA,
     )
-    record("continuity", witness_point is None)
-
     # strict growth in every coordinate
-    bad = _first_bad_nudge(
-        mean, _probe_vectors(dom, n, cfg.probe_count, seeds[1]), MONOTONE_STEP,
+    flat = _first_bad_nudge(
+        mean, _probe_vectors(dom, n, seeds[1]), MONOTONE_STEP,
         lambda move: move <= MONOTONE_SLACK,
     )
-    record("strict-monotonicity", bad is None)
-    if witness_point is None:
-        witness_point = bad
-
     # reflexivity on a grid
-    reports = (reflexivity_check(mean, x, n) for x in dom.grid(cfg.grid_size))
+    reports = (reflexivity_check(mean, x, n) for x in dom.grid(REFLEXIVITY_GRID))
     off_diagonal = next((rep for rep in reports if not rep.passed), None)
-    record("reflexivity", off_diagonal is None)
-    if witness_point is None and off_diagonal is not None:
-        witness_point = ((off_diagonal.point,) * n, None)
+    off_point = None if off_diagonal is None else ((off_diagonal.point,) * n, None)
+    phases = [
+        ("continuity", jump is None),
+        ("strict-monotonicity", flat is None),
+        ("reflexivity", off_diagonal is None),
+    ]
 
     # composed limit of the rotation family, then the witness search
     trials_run = 0
+    witness = None
     try:
         mapping = cyclic_mapping(mean, arity=n)
-        composition = GaussComposition(mapping, DEFAULT_GAP_TOL, cfg.max_iterations)
+        composition = GaussComposition(mapping, DEFAULT_GAP_TOL, max_iterations)
         # force one evaluation so convergence failures surface here
         probe = [float(v) for v in dom.grid(max(2, n))][:n]
-        gauss_iterate(mapping, probe, DEFAULT_GAP_TOL, cfg.max_iterations)
+        gauss_iterate(mapping, probe, DEFAULT_GAP_TOL, max_iterations)
     except MeanlabError as exc:
         notes.append(f"composition did not converge: {exc}")
-        record("composition-convergence", False)
-        composition = None
-    if composition is not None:
-        lattice_values = [float(v) for v in dom.grid(LATTICE_POINTS)]
-        lattice = itertools.islice(
-            itertools.product(lattice_values, repeat=n * n), cfg.lattice_cap
-        )
-        matrices = itertools.chain(
-            (tuple(flat[i * n:(i + 1) * n] for i in range(n)) for flat in lattice),
-            (random_matrix(np.random.default_rng(child), dom, n)
-             for child in seeds[2].spawn(cfg.trials)),
-        )
-        ok = True
+        phases.append(("composition-convergence", False))
+    else:
+        pinned = fixed_arity(mean, n)
         errors = 0
-        for m in matrices:
+        for m in _search_matrices(dom, n, seeds[2], trials):
             trials_run += 1
             try:
-                rep = gbs_for_mean_check(pinned, composition, m, WITNESS_FACTOR * cfg.tol)
+                rep = gbs_for_mean_check(pinned, composition, m, WITNESS_FACTOR * tol)
             except ConvergenceError:
                 errors += 1
                 continue
             if not rep.passed:
-                ok = False
-                witness_matrix = rep.matrix
-                witness_residual = rep.residual
+                witness = rep
                 break
         if errors:
             notes.append(f"{errors} matrices skipped on convergence failures")
             if errors == trials_run:
-                record("composition-convergence", False)
-        record("generalized-bisymmetry", ok)
+                phases.append(("composition-convergence", False))
+        phases.append(("generalized-bisymmetry", witness is None))
 
+    failed = tuple(name for name, ok in phases if not ok)
     verdict = CharacterizationVerdict(
         consistent=not failed,
-        tolerance=cfg.tol,
+        tolerance=tol,
         phases=tuple(phases),
-        failed_conditions=tuple(failed),
-        witness_matrix=witness_matrix,
-        witness_residual=witness_residual,
-        witness_point=witness_point,
+        failed_conditions=failed,
+        witness_matrix=None if witness is None else witness.matrix,
+        witness_residual=None if witness is None else witness.residual,
+        witness_point=next((w for w in (jump, flat, off_point) if w is not None), None),
         trials_run=trials_run,
         notes="; ".join(notes),
     )

@@ -28,10 +28,10 @@ import time
 import numpy as np
 
 from .bisymmetry import (
+    CHARACTERIZE_MAX_ITER,
     CHARACTERIZE_TRIALS,
     EQUATION_TOL,
     GBS_TOL,
-    CharacterizeConfig,
     associativity_check,
     bisymmetry_check,
     characterize,
@@ -367,15 +367,13 @@ def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunRep
         means = [_mean_of(_build_generators(config.generators, interval))]
     else:
         means = [lehmer_mean(interval), minmax_blend(interval)]
-    base = CharacterizeConfig()
-    cfg = CharacterizeConfig(
-        trials=config.samples, tol=config.tolerance, seed=config.seed,
-        max_iterations=max(config.max_iterations, base.max_iterations),
-    )
     rows = []
     details = {}
     for idx, mean in enumerate(means):
-        verdict = characterize(mean, cfg)
+        verdict = characterize(
+            mean, trials=config.samples, tol=config.tolerance, seed=config.seed,
+            max_iterations=max(config.max_iterations, CHARACTERIZE_MAX_ITER),
+        )
         for phase, ok in verdict.phases:
             rows.append(result_row(
                 f"{mean.label}:{phase}", idx, verdict="pass" if ok else "fail"

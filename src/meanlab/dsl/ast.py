@@ -8,6 +8,11 @@ to the flat tapes the numeric kernels run on.
 
 ``eval_expr`` is a direct recursive walk and serves as the reference
 semantics; the tape compiler in ``compiler.py`` is tested against it.
+Non-finite values do not come back: exp, log, sqrt, division and ``^``
+are NaN outside their guards, and so is any binary operation whose
+result is not finite, so an overflow stays NaN through a later division
+or exp.  The stack machine of ``kernels.tape_evaluator`` follows the
+same rule, and any other evaluator of tapes must.
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ def safe_div(num: float, den: float) -> float:
 
 
 def eval_expr(expr: Expr, x: float) -> float:
-    """Evaluate at a scalar, raising EvalError on any non-finite result."""
+    """Evaluate at a scalar, raising EvalError where the expression is
+    not finite (see the module docstring for where that is)."""
     v = _walk(expr, float(x))
     if not math.isfinite(v):
         raise EvalError(f"expression is not finite at x = {x}")
@@ -144,14 +150,16 @@ def _walk(expr: Expr, x: float) -> float:
     a = _walk(expr.left, x)
     b = _walk(expr.right, x)
     if expr.op == "+":
-        return a + b
-    if expr.op == "-":
-        return a - b
-    if expr.op == "*":
-        return a * b
-    if expr.op == "/":
-        return safe_div(a, b)
-    return power(a, b)
+        r = a + b
+    elif expr.op == "-":
+        r = a - b
+    elif expr.op == "*":
+        r = a * b
+    elif expr.op == "/":
+        r = safe_div(a, b)
+    else:
+        r = power(a, b)
+    return r if math.isfinite(r) else math.nan
 
 
 # Printer precedence levels, matching the grammar in parser.py:

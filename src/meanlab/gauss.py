@@ -131,7 +131,7 @@ def gauss_iterate(
         # components compute that step bit for bit, so replaying it raises
         # exactly what _orbit raises there
         mapping.apply(trace.last)
-    stop = gap_tol * min(1.0, float(np.max(np.abs(x0))))  # as kernels.make_orbit scales it
+    stop = float(kernels.scaled_stop(gap_tol, *kernels.span(x0)))
     raise ConvergenceError(
         f"gap {trace.gaps[-1]:.3e} still above {stop} after"
         f" {used} iterations of {mapping.label!r}",
@@ -175,30 +175,29 @@ def gauss_composition(
     mapping: MeanTypeMapping,
     gap_tol: float = DEFAULT_GAP_TOL,
     max_iterations: int = DEFAULT_MAX_ITER,
-    validate: bool = True,
 ) -> GaussComposition:
     """Build the composed mean, first probing that every component
     really behaves like a strict mean (otherwise iteration has no
-    business converging and the composition would be garbage)."""
-    if validate:
-        rng = np.random.default_rng(np.random.SeedSequence(20260816))
-        dom = mapping.domain
-        w = dom.width
-        vectors = [
-            [dom.clamp(dom.lo + 0.1 * w + 0.8 * w * k / max(1, mapping.arity - 1))
-             for k in range(mapping.arity)]
-        ]
-        for _ in range(VALIDATION_PROBES):
-            vectors.append([float(v) for v in dom.sample(rng, mapping.arity)])
-        for comp in mapping.components:
-            for vec in vectors:
-                report = mean_property_check(comp, vec)
-                if not report.passed:
-                    raise ValueError(
-                        f"component {comp.label!r} fails the mean property at"
-                        f" {tuple(vec)}: value {report.value} outside"
-                        f" [{report.low}, {report.high}]"
-                    )
+    business converging and the composition would be garbage).
+    ``GaussComposition(mapping, ...)`` builds it without the probe."""
+    rng = np.random.default_rng(np.random.SeedSequence(20260816))
+    dom = mapping.domain
+    w = dom.width
+    vectors = [
+        [dom.clamp(dom.lo + 0.1 * w + 0.8 * w * k / max(1, mapping.arity - 1))
+         for k in range(mapping.arity)]
+    ]
+    for _ in range(VALIDATION_PROBES):
+        vectors.append([float(v) for v in dom.sample(rng, mapping.arity)])
+    for comp in mapping.components:
+        for vec in vectors:
+            report = mean_property_check(comp, vec)
+            if not report.passed:
+                raise ValueError(
+                    f"component {comp.label!r} fails the mean property at"
+                    f" {tuple(vec)}: value {report.value} outside"
+                    f" [{report.low}, {report.high}]"
+                )
     return GaussComposition(mapping, gap_tol, max_iterations)
 
 
@@ -228,11 +227,11 @@ def composition_closed_form_check(
     tol: float = CHECK_TOL,
     *,
     seed: int = 0,
-    gap_tol: float = CHECK_GAP_TOL,
     max_iterations: int = CHECK_MAX_ITER,
 ) -> CompositionCheckReport:
-    """Gauss-iterate the cyclic mapping of the system's mean and compare
-    against the quasi-arithmetic mean of the summed generators."""
+    """Gauss-iterate the cyclic mapping of the system's mean, to a gap of
+    CHECK_GAP_TOL, and compare against the quasi-arithmetic mean of the
+    summed generators."""
     mean = GeneralizedQuasiArithmeticMean(system)
     mapping = cyclic_mapping(mean)
     closed = QuasiArithmeticMean(system.sum_generator())
@@ -243,7 +242,7 @@ def composition_closed_form_check(
     for child in children:
         rng = np.random.default_rng(child)
         pts = [float(v) for v in system.domain.sample(rng, system.n)]
-        left = gauss_iterate(mapping, pts, gap_tol, max_iterations)[0]
+        left = gauss_iterate(mapping, pts, CHECK_GAP_TOL, max_iterations)[0]
         right = closed(pts)
         residual = abs(left - right)
         rows.append((tuple(pts), left, right, residual))

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +80,11 @@ STATUS_NONFINITE = 3
 
 # relative gap at which a Gauss orbit has closed as far as float64 allows
 GAP_FLOOR = 4.0 * sys.float_info.epsilon
+
+# The uncompiled stack machine, ``power`` included, computes on numpy
+# scalars, which warn on overflow; the NaN it returns is the signal.
+warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning,
+                        r"meanlab\.(kernels|dsl\.ast)$")
 
 
 class KernelSet(NamedTuple):
@@ -177,23 +183,30 @@ def span(xs):
     return mn, mx
 
 
+def scaled_stop(gap_tol, mn, mx):
+    """The orbit's gap tolerance for a start vector of span [mn, mx]:
+    gap_tol * min(1, max|x0|), relative below 1."""
+    return gap_tol * min(1.0, max(abs(mn), abs(mx)))
+
+
 def make_orbit(step, jit=lambda f: f):
     """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx, out)
     -> status`` writes the image of x, of span [mn, mx], into out, until
     the gap mx - mn is at most max(tol, GAP_FLOOR * max(|mn|, |mx|)),
-    with tol = gap_tol * min(1, max|x0|) scaled once by the start vector
-    (by the current iterate, an orbit whose limit is 0 would never stop).
+    with tol = ``scaled_stop`` of the start vector, computed once (by the
+    current iterate, an orbit whose limit is 0 would never stop).
     Fills iterates/gaps from the starting vector on and returns
     (iterations_used, status); a failed step ends the orbit with its status.
     """
     sp = jit(span)
+    stop_of = jit(scaled_stop)
 
     @jit
     def orbit(ctx, x0, gap_tol, max_iter, iterates, gaps):
         x = x0.copy()
         out = np.empty_like(x)
         mn, mx = sp(x)
-        tol = gap_tol * min(1.0, max(abs(mn), abs(mx)))
+        tol = stop_of(gap_tol, mn, mx)
         used = 0
         while True:
             iterates[used, :] = x

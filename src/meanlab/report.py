@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 RESULT_COLUMNS = ("check_name", "sample_index", "lhs", "rhs", "residual", "verdict")
@@ -45,19 +45,7 @@ class ExperimentConfig:
     points: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "which": self.which,
-            "interval": list(self.interval),
-            "generators": list(self.generators),
-            "generators2": list(self.generators2),
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "samples": self.samples,
-            "seed": self.seed,
-            "output_format": self.output_format,
-            "points": list(self.points),
-        }
+        return asdict(self)
 
 
 def result_row(check_name: str, sample_index: int, lhs=None, rhs=None,

@@ -53,8 +53,7 @@ def test_c1_iterated_composition_matches_closed_form():
     worst = {}
     for name, system in builtin_systems().items():
         check = composition_closed_form_check(
-            system, samples=200, tol=1e-7, seed=11,
-            gap_tol=1e-10, max_iterations=4000,
+            system, samples=200, tol=1e-7, seed=11, max_iterations=4000,
         )
         worst[name] = check.max_residual
     elapsed = time.perf_counter() - start

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from meanlab import (
-    CharacterizeConfig,
     DomainError,
     GeneralizedQuasiArithmeticMean,
     Generator,
@@ -294,12 +293,9 @@ def test_associativity_rejects_empty():
 # --- the characterization pipeline --------------------------------------------------
 
 
-FAST_CONFIG = CharacterizeConfig(trials=30, lattice_cap=30, probe_count=12, grid_size=8)
-
-
 def test_characterize_accepts_weighted_pair():
     mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
-    verdict = characterize(mean, FAST_CONFIG)
+    verdict = characterize(mean, trials=30)
     assert verdict.consistent
     assert verdict.failed_conditions == ()
     assert verdict.witness_matrix is None
@@ -350,7 +346,11 @@ def test_characterize_runs_every_phase_despite_failures():
     ]
 
 
-def test_characterize_arity_mismatch():
-    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
-    with pytest.raises(ValueError):
-        characterize(mean, CharacterizeConfig(arity=2))
+def test_characterize_takes_the_arity_fixed_arity_pins():
+    # a variadic mean is examined at arity 2 unless fixed_arity pins another
+    assert len(characterize(lehmer_mean(I010), trials=20).witness_matrix) == 2
+    verdict = characterize(fixed_arity(lehmer_mean(I010), 3), trials=20)
+    assert not verdict.consistent
+    assert "generalized-bisymmetry" in verdict.failed_conditions
+    assert len(verdict.witness_matrix) == 3
+    assert all(len(row) == 3 for row in verdict.witness_matrix)

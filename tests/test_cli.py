@@ -1,8 +1,9 @@
 """Command-line behavior: exit codes, report formats, determinism.
 
 Everything drives `main(argv)` in-process; subprocess tests at the end
-cover the console-script target named in pyproject.toml and a bad
-backend name, which is read at import.
+cover the console-script target named in pyproject.toml, a bad backend
+name, which is read at import, and the stderr of an overflowing
+generator, whose warning filter is installed at import.
 """
 
 import csv
@@ -460,7 +461,9 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
 
 # pinned JSON reports: a fused compose trace, characterize, whose demo
 # means run the generic Gauss loop, and the equality and generalized
-# bisymmetry suites; only + - * / and powers with integer exponents enter
+# bisymmetry suites; only + - * / and powers with integer exponents enter,
+# but for the verdicts of characterize on log(x), a variadic mean that it
+# examines at arity 2
 @pytest.mark.parametrize("name,argv", [
     ("compose_x_2x", ["--gen", "x", "--gen", "2*x", "compose", "1", "7"]),
     ("characterize_demo", ["--samples", "30", "verify", "characterize"]),
@@ -474,6 +477,8 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
     ("equality_x_x2", ["--gen", "x", "--gen2", "x^2", "verify", "equality"]),
     ("verify_gbs_x_x2_x3", ["--gen", "x", "--gen", "x^2", "--gen", "x^3",
                             "--interval", "0.1,5", "--samples", "8", "verify", "gbs"]),
+    ("characterize_log_x", ["--gen", "log(x)", "--interval", "0.1,10", "--samples", "30",
+                            "verify", "characterize"]),
 ])
 def test_json_reports_are_pinned(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)
@@ -529,3 +534,16 @@ def test_unknown_backend_warns_and_runs():
     assert out.returncode == 0
     assert out.stderr == "meanlab: unknown MEANLAB_BACKEND value 'bogus', using auto\n"
     assert "meanlab eval" in out.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_overflow_is_one_error_line(flags):
+    # the stack machine's NaN is the signal; numpy's overflow warning is not
+    out = subprocess.run(
+        [sys.executable, *flags, "-m", "meanlab", "--interval", "1,2",
+         "--gen", "x*1e300*1e10", "eval", "1.5", "1.6"],
+        capture_output=True, text=True, env=_subprocess_env(MEANLAB_BACKEND="numpy"),
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("meanlab: ")
+    assert out.stderr.count("\n") == 1

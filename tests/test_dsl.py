@@ -10,7 +10,7 @@ against ``eval_expr`` on both kernel backends.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meanlab import (
     Binary,
@@ -191,8 +191,8 @@ constants = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=32).
 )
 
 
-def exprs(depth: int = 3) -> st.SearchStrategy[Expr]:
-    leaf = st.one_of(constants, st.just(Variable()))
+def exprs(consts: st.SearchStrategy[Constant] = constants) -> st.SearchStrategy[Expr]:
+    leaf = st.one_of(consts, st.just(Variable()))
     return st.recursive(
         leaf,
         lambda sub: st.one_of(
@@ -245,6 +245,27 @@ def test_tape_guards_return_nan(backend):
     for source, x in [("log(x)", -1.0), ("sqrt(x)", -4.0), ("1/x", 0.0), ("x^0.5", -2.0)]:
         tape = compile_expr(parse(source))
         assert math.isnan(kernels.eval_one(tape.code, tape.operands, x))
+
+
+# Constants and x up to 1e300: products overflow and their sum or quotient
+# could come back finite, so this pins where a non-finite value stops.
+wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+# pytest resets the warning filters meanlab.kernels installs at import
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("backend", available_backends())
+@settings(max_examples=400, deadline=None)
+@given(exprs(wide.map(Constant)), wide)
+def test_tape_is_nan_exactly_where_the_walker_raises(backend, expr, x):
+    tape = compile_expr(expr)
+    got = kernels_for(backend).eval_one(tape.code, tape.operands, x)
+    try:
+        want = eval_expr(expr, x)
+    except EvalError:
+        assert math.isnan(got)
+    else:
+        assert got == want
 
 
 def test_power_negative_base_integer_exponent():

@@ -190,10 +190,8 @@ def test_composition_validation_rejects_non_mean():
     mapping = MeanTypeMapping([bogus, fixed_arity(arithmetic_mean(POS), 2)])
     with pytest.raises(ValueError):
         gauss_composition(mapping)
-    # opting out of validation defers the damage; construction succeeds
-    assert isinstance(
-        gauss_composition(mapping, validate=False), GaussComposition
-    )
+    # the class itself does not validate; construction succeeds
+    assert isinstance(GaussComposition(mapping), GaussComposition)
 
 
 def test_composition_closed_form_for_weighted_pair():
