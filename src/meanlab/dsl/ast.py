@@ -12,7 +12,8 @@ Non-finite values do not come back: exp, log, sqrt, division and ``^``
 are NaN outside their guards, and so is any binary operation whose
 result is not finite, so an overflow stays NaN through a later division
 or exp.  The stack machine of ``kernels.tape_evaluator`` follows the
-same rule, and any other evaluator of tapes must.
+same rule, and so do the Python bodies ``kernels.lower_tape`` makes of
+tapes, which repeat its ops in order; any other evaluator of tapes must.
 """
 
 from __future__ import annotations

@@ -2,10 +2,14 @@
 
 A Generator pairs a scalar function with its domain: a compiled DSL tape
 or an arbitrary Python callable.  ``Generator.program`` and
-``GeneratorSystem.program`` pick the kernel family for either kind, and
-every evaluation, inversion, mean step and fused Gauss orbit runs the same
-kernels on that program.  Construction grid-checks strict growth, so code
-downstream may rely on invertibility.
+``GeneratorSystem.program`` pick the kernel family and program for either
+kind: a tape runs on ``kernels.ACTIVE``, as its arrays under numba and
+otherwise as its body, the tape lowered once to straight-line Python and
+kept on the generator (a system keeps its members' bodies next to its
+tape pack); a callable runs on ``kernels.CALLABLE``.  Every evaluation,
+inversion, mean step and fused Gauss orbit runs the same kernels on that
+program.  Construction grid-checks strict growth, so code downstream may
+rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
@@ -67,7 +71,7 @@ class MonotonicityReport:
 class Generator:
     """A strictly increasing scalar function on an interval."""
 
-    __slots__ = ("domain", "label", "tape", "fn")
+    __slots__ = ("domain", "label", "tape", "fn", "_body")
 
     def __init__(
         self,
@@ -84,6 +88,7 @@ class Generator:
         self.label = label
         self.tape = tape
         self.fn = fn
+        self._body = fn
         if validate:
             report = check_monotone(self)
             if not report.passed:
@@ -112,12 +117,22 @@ class Generator:
     def is_tape_backed(self) -> bool:
         return self.tape is not None
 
+    def body(self):
+        """The generator as a Python function of x: the callable, or the
+        tape lowered once by ``kernels.lower_tape``."""
+        if self._body is None:
+            self._body = kernels.lower_tape(self.tape.code, self.tape.operands)
+        return self._body
+
     def program(self):
         """(family, code, operands): ``kernels.ACTIVE``, read at call
-        time, over the tape, or ``kernels.CALLABLE`` over (fn,)."""
-        if self.tape is not None:
+        time, over the tape's arrays under numba; otherwise over
+        (body,), with ``kernels.CALLABLE`` for a callable."""
+        tape_backed = self.tape is not None
+        if tape_backed and kernels.BACKEND == "numba":
             return kernels.ACTIVE, self.tape.code, self.tape.operands
-        return kernels.CALLABLE, (self.fn,), None
+        family = kernels.ACTIVE if tape_backed else kernels.CALLABLE
+        return family, (self.body(),), None
 
     def __call__(self, x: float) -> float:
         """Evaluate at a point of the domain.
@@ -273,7 +288,7 @@ def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
 class GeneratorSystem:
     """An ordered tuple of n >= 2 generators on one shared interval."""
 
-    __slots__ = ("generators", "domain", "_sum", "_pack")
+    __slots__ = ("generators", "domain", "_sum", "_pack", "_bodies")
 
     def __init__(self, generators: Sequence[Generator]):
         gens = tuple(generators)
@@ -287,6 +302,7 @@ class GeneratorSystem:
         self.domain = domain
         self._sum = None
         self._pack = None
+        self._bodies = None
 
     @property
     def n(self) -> int:
@@ -319,16 +335,19 @@ class GeneratorSystem:
     def program(self):
         """(family, codes, operands, offsets, sum_code, sum_operands) for
         the kernels ``gqam`` and ``cyclic_gauss``: ``kernels.ACTIVE``,
-        read at call time, over ``tape_pack()``, or, when any member is
-        callable-backed, ``kernels.CALLABLE`` over the members' ``_raw``
-        and the sum generator's program."""
-        pack = self.tape_pack()
-        if pack is not None:
-            codes, operands, offsets, total = pack
+        read at call time, over ``tape_pack()`` under numba; otherwise
+        over the members' bodies and the sum generator's body, with
+        ``kernels.CALLABLE`` when any member is callable-backed."""
+        tape_backed = self.is_tape_backed
+        if tape_backed and kernels.BACKEND == "numba":
+            codes, operands, offsets, total = self.tape_pack()
             return kernels.ACTIVE, codes, operands, offsets, total.code, total.operands
-        _, sum_code, _ = self.sum_generator().program()
-        bodies = tuple(g._raw for g in self.generators)
-        return kernels.CALLABLE, bodies, None, np.arange(self.n + 1), sum_code, None
+        if self._bodies is None:
+            self._bodies = (tuple(g.body() for g in self.generators),
+                            np.arange(self.n + 1), (self.sum_generator().body(),))
+        bodies, offsets, sum_body = self._bodies
+        family = kernels.ACTIVE if tape_backed else kernels.CALLABLE
+        return family, bodies, None, offsets, sum_body, None
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
         """Member-wise images a*f_i + b_i with one shared slope."""
@@ -367,7 +386,7 @@ def sum_generators(generators) -> Generator:
     label = " + ".join(g.label for g in gens)
     if all(g.is_tape_backed for g in gens):
         return Generator(domain, tape=tape_sum([g.tape for g in gens]), label=label, validate=False)
-    parts = [g._raw for g in gens]
+    parts = [g.body() for g in gens]
 
     def body(x, parts=parts):
         s = 0.0

@@ -3,20 +3,31 @@
 The hot loops of this package are scalar: program evaluation inside
 bracketed root-finding inside Gauss iteration.  ``_build`` writes every
 kernel over an evaluator ``eval_core(code, operands, start, stop, x)``
-that is NaN where the program code[start:stop] is not finite at x.  One
-family per program kind: DSL tapes on the stack machine of
-``tape_evaluator`` (uncompiled, or compiled with numba's ``njit``), and
-``CALLABLE``, never compiled, whose program is a tuple of Python bodies,
-one slot per member, run by ``eval_callable``.  The bracketed solve is
-written once, in ``make_invert``.  One step of a generalized
-quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum) is
-``gqam_rotated``: ``gqam`` is that step at rotation 0.  Gauss iteration,
-with its one stopping rule, is written once in ``make_orbit``:
+that is NaN where the program code[start:stop] is not finite at x.  The
+families:
+
+    numba     DSL tapes on the stack machine of ``tape_evaluator``,
+              compiled with numba's ``njit``
+    fallback  DSL tapes lowered once by ``lower_tape`` to straight-line
+              Python bodies, the runtime without numba; its program is a
+              tuple of bodies, one slot per member, run by ``eval_body``
+    CALLABLE  user callables, never compiled, as a tuple of bodies run
+              by ``eval_callable``, which guards their failures
+
+The stack machine also runs uncompiled, as ``kernels_for("numpy")``: it
+is the source numba compiles and the reference the lowered bodies are
+tested against, bit for bit.
+
+The bracketed solve is written once, in ``make_invert``.  One step of a
+generalized quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum)
+is ``gqam_rotated``: ``gqam`` is that step at rotation 0.  Gauss
+iteration, with its one stopping rule, is written once in ``make_orbit``:
 ``cyclic_gauss`` runs it over ``gqam_rotated`` at every rotation 0..n-1,
 and ``gauss`` runs the same source uncompiled over the components of any
 other mean-type mapping.  ``Generator.program`` and
 ``GeneratorSystem.program`` pick family and program; tape programs run
-``ACTIVE``, selected by the MEANLAB_BACKEND environment variable:
+on ``ACTIVE``, the numba family or the fallback, selected by the
+MEANLAB_BACKEND environment variable:
 
     auto    numba when importable, otherwise the fallback (default)
     numba   require numba, fail at import if missing
@@ -82,7 +93,8 @@ STATUS_NONFINITE = 3
 GAP_FLOOR = 4.0 * sys.float_info.epsilon
 
 # The uncompiled stack machine, ``power`` included, computes on numpy
-# scalars, which warn on overflow; the NaN it returns is the signal.
+# scalars, and so do the lowered bodies when x is one; numpy warns on
+# overflow, but the NaN they return is the signal.
 warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning,
                         r"meanlab\.(kernels|dsl\.ast)$")
 
@@ -226,7 +238,8 @@ def make_orbit(step, jit=lambda f: f):
 
 
 def tape_evaluator(jit=lambda f: f):
-    """The stack machine over DSL tapes, evaluator of the tape families."""
+    """The stack machine over DSL tapes: the evaluator numba compiles,
+    and uncompiled the reference of ``lower_tape``."""
     pw = jit(power)
 
     @jit
@@ -285,12 +298,72 @@ def tape_evaluator(jit=lambda f: f):
     return eval_tape
 
 
+_GUARDED_UNARY = {OP_EXP: (f"> {_EXP_MAX!r}", "exp"), OP_LOG: ("<= 0.0", "log"),
+                  OP_SQRT: ("< 0.0", "sqrt")}
+_BINARY_SYMBOL = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*", OP_DIV: "/"}
+
+
+def lower_tape(code, operands):
+    """The tape as a straight-line Python function of x: the ops of
+    ``tape_evaluator`` in the same order, with the same guards, on named
+    temporaries instead of a stack, so it returns the value the stack
+    machine returns, NaN where that is NaN."""
+    names = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
+             "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "power": power}
+    lines = ["def body(x):"]
+    stack = []
+    for k, (op, c) in enumerate(zip(code.tolist(), operands.tolist())):
+        if op == OP_CONST:
+            if math.isfinite(c):
+                stack.append(f"({c!r})")
+            else:  # affine images may carry one; it has no literal
+                names[f"c{k}"] = c
+                stack.append(f"c{k}")
+            continue
+        if op == OP_X:
+            stack.append("x")
+            continue
+        t = f"t{k}"
+        if op == OP_NEG:
+            lines.append(f"    {t} = -{stack.pop()}")
+        elif op in _GUARDED_UNARY:
+            guard, fn = _GUARDED_UNARY[op]
+            a = stack.pop()
+            lines += [f"    if {a} {guard}:", "        return nan", f"    {t} = {fn}({a})"]
+        else:
+            b = stack.pop()
+            a = stack.pop()
+            if op == OP_DIV:
+                lines += [f"    if {b} == 0.0:", "        return nan"]
+            if op == OP_POW:
+                lines.append(f"    {t} = power({a}, {b})")
+            else:
+                lines.append(f"    {t} = {a} {_BINARY_SYMBOL[op]} {b}")
+            lines += [f"    if not isfinite({t}):", "        return nan"]
+        stack.append(t)
+    lines += [f"    if not isfinite({stack[-1]}):", "        return nan",
+              f"    return {stack[-1]}"]
+    exec(compile("\n".join(lines), "<meanlab tape>", "exec"), names)
+    return names["body"]
+
+
+def eval_body(bodies, _operands, start, _stop, x):
+    """The evaluator of the fallback family: the body that ``lower_tape``
+    made of a tape, in slot ``start``."""
+    return bodies[start](x)
+
+
 def eval_callable(bodies, _operands, start, _stop, x):
     """The evaluator of ``CALLABLE``: calls the Python body in slot
-    ``start`` on a float; failures and non-finite values are NaN."""
+    ``start`` on a float; failures, values that are not real numbers
+    and non-finite values are NaN."""
     try:
-        v = float(bodies[start](float(x)))
+        v = bodies[start](float(x))
     except (ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
+    try:
+        v = float(v)
+    except (TypeError, ValueError, OverflowError):
         return math.nan
     return v if math.isfinite(v) else math.nan
 
@@ -383,14 +456,17 @@ def _resolve_backend() -> str:
     return "numba" if HAS_NUMBA else "numpy"
 
 
+# the stack machine uncompiled: the reference the other families are tested against
 _PY_KERNELS = _build(lambda f: f, "numpy", tape_evaluator())
 _njit = numba.njit(cache=False, fastmath=False, nogil=True) if HAS_NUMBA else None
 _NB_KERNELS = _build(_njit, "numba", tape_evaluator(_njit)) if HAS_NUMBA else None
+# the fallback's runtime, over lowered tapes
+_BODY_KERNELS = _build(lambda f: f, "numpy", eval_body)
 # never compiled: the bodies are arbitrary Python
 CALLABLE = _build(lambda f: f, "callable", eval_callable)
 
 BACKEND = _resolve_backend()
-ACTIVE = _NB_KERNELS if BACKEND == "numba" else _PY_KERNELS
+ACTIVE = _NB_KERNELS if BACKEND == "numba" else _BODY_KERNELS
 
 
 def active_backend() -> str:
@@ -399,10 +475,12 @@ def active_backend() -> str:
 
 
 def kernels_for(name: str) -> KernelSet:
-    """Fetch a specific kernel family, independent of the env selection.
+    """Fetch a stack-machine family over tape arrays, independent of the
+    env selection: "numpy" runs it uncompiled, "numba" compiled.
 
     Used by the backend-agreement tests and the benchmark; regular code
-    goes through the module-level ACTIVE set.
+    goes through the module-level ACTIVE set, whose fallback runs
+    lowered tapes instead.
     """
     if name == "numpy":
         return _PY_KERNELS
@@ -418,25 +496,35 @@ def available_backends() -> tuple[str, ...]:
 
 
 def warm_up(kernels: KernelSet | None = None):
-    """Force compilation of every kernel in the family.
+    """Run every kernel of a family once.
 
     The numba family compiles lazily on first call; timing-sensitive
     callers run this once beforehand so measurements exclude JIT cost.
+    By default the programs are the ones ``Generator.program`` and
+    ``GeneratorSystem.program`` choose, run on the family they choose;
+    a family from ``kernels_for`` runs the tape arrays.
     """
-    from .dsl.compiler import Tape, pack_tapes, tape_sum
+    from .dsl.compiler import Tape
+    from .generator import Generator, GeneratorSystem
+    from .interval import Interval
 
-    ks = kernels if kernels is not None else ACTIVE
     t = Tape(np.asarray([OP_X, OP_CONST, OP_MUL], dtype=np.int64),
              np.asarray([0.0, 2.0, 0.0], dtype=np.float64))
     ident = Tape(np.asarray([OP_X], dtype=np.int64), np.asarray([0.0], dtype=np.float64))
-    codes, operands, offsets = pack_tapes([ident, t])
-    total = tape_sum([ident, t])
-    ks.eval_one(t.code, t.operands, 1.0)
-    ks.eval_grid(t.code, t.operands, np.asarray([1.0, 2.0]))
-    ks.invert(t.code, t.operands, 2.0, 0.5, 4.0, 1e-12, 200)
-    ks.gqam(codes, operands, offsets, total.code, total.operands,
-            np.asarray([1.0, 2.0]), 1e-12, 200)
+    dom = Interval(0.5, 4.0)
+    g = Generator(dom, tape=t, validate=False)
+    system = GeneratorSystem([Generator(dom, tape=ident, validate=False), g])
+    if kernels is None:
+        ks, code, operands = g.program()
+        _, *packed = system.program()
+    else:
+        codes, ops, offsets, total = system.tape_pack()
+        ks, code, operands = kernels, t.code, t.operands
+        packed = (codes, ops, offsets, total.code, total.operands)
+    ks.eval_one(code, operands, 1.0)
+    ks.eval_grid(code, operands, np.asarray([1.0, 2.0]))
+    ks.invert(code, operands, 2.0, 0.5, 4.0, 1e-12, 200)
+    ks.gqam(*packed, np.asarray([1.0, 2.0]), 1e-12, 200)
     iterates = np.empty((8, 2), dtype=np.float64)
     gaps = np.empty(8, dtype=np.float64)
-    ks.cyclic_gauss(codes, operands, offsets, total.code, total.operands,
-                    np.asarray([1.0, 2.0]), 1e-10, 1e-12, 200, 7, iterates, gaps)
+    ks.cyclic_gauss(*packed, np.asarray([1.0, 2.0]), 1e-10, 1e-12, 200, 7, iterates, gaps)

@@ -460,9 +460,10 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
 
 
 # pinned JSON reports: a fused compose trace, characterize, whose demo
-# means run the generic Gauss loop, and the equality and generalized
-# bisymmetry suites; only + - * / and powers with integer exponents enter,
-# but for the verdicts of characterize on log(x), a variadic mean that it
+# means run the generic Gauss loop, the equality and generalized
+# bisymmetry suites, and m1 on the benchmark's slowly contracting
+# system; only + - * / and powers with integer exponents enter, but for
+# the verdicts of characterize on log(x), a variadic mean that it
 # examines at arity 2
 @pytest.mark.parametrize("name,argv", [
     ("compose_x_2x", ["--gen", "x", "--gen", "2*x", "compose", "1", "7"]),
@@ -479,6 +480,8 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
                             "--interval", "0.1,5", "--samples", "8", "verify", "gbs"]),
     ("characterize_log_x", ["--gen", "log(x)", "--interval", "0.1,10", "--samples", "30",
                             "verify", "characterize"]),
+    ("verify_m1_x_x2_x3", ["--interval", "0.1,5", "--gen", "x", "--gen", "x^2", "--gen", "x^3",
+                           "--samples", "20", "--seed", "1", "verify", "m1"]),
 ])
 def test_json_reports_are_pinned(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)

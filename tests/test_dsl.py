@@ -4,7 +4,8 @@ The reference semantics is ``eval_expr`` (a plain recursive walk).  An
 independent oracle below translates source text into a Python expression
 and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The tape compiler is then tested
-against ``eval_expr`` on both kernel backends.
+against ``eval_expr`` on the stack machine of each kernel backend and on
+the tape lowered to a Python body.
 """
 
 import math
@@ -28,7 +29,8 @@ from meanlab import (
     to_generator,
     to_text,
 )
-from meanlab.kernels import available_backends, kernels_for
+from meanlab import kernels
+from meanlab.kernels import available_backends, kernels_for, lower_tape
 
 
 def oracle_eval(source: str, x: float) -> float:
@@ -224,27 +226,35 @@ def test_printed_text_always_reparses(expr):
 
 # --- tape compiler vs the tree walker -----------------------------------
 
+# the stack machine of each tape family, and the lowered tape on the
+# fallback family that runs it
+EVALUATORS = (*available_backends(), "lowered")
+
+
+def tape_eval(evaluator, tape, x):
+    if evaluator == "lowered":
+        body = lower_tape(tape.code, tape.operands)
+        return kernels._BODY_KERNELS.eval_one((body,), None, x)
+    return kernels_for(evaluator).eval_one(tape.code, tape.operands, x)
+
+
 TAPE_SOURCES = ["x", "x^2", "x^3", "2*x", "log(x)", "exp(x)", "sqrt(x)", "x^3 + x", "1/(x+1)"]
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", EVALUATORS)
 @pytest.mark.parametrize("source", TAPE_SOURCES)
 def test_tape_agrees_with_walker(backend, source):
     expr = parse(source)
     tape = compile_expr(expr)
-    kernels = kernels_for(backend)
     for x in Interval(0.3, 5.0).grid(33):
-        assert kernels.eval_one(tape.code, tape.operands, x) == pytest.approx(
-            eval_expr(expr, x), rel=1e-15
-        )
+        assert tape_eval(backend, tape, x) == pytest.approx(eval_expr(expr, x), rel=1e-15)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", EVALUATORS)
 def test_tape_guards_return_nan(backend):
-    kernels = kernels_for(backend)
     for source, x in [("log(x)", -1.0), ("sqrt(x)", -4.0), ("1/x", 0.0), ("x^0.5", -2.0)]:
         tape = compile_expr(parse(source))
-        assert math.isnan(kernels.eval_one(tape.code, tape.operands, x))
+        assert math.isnan(tape_eval(backend, tape, x))
 
 
 # Constants and x up to 1e300: products overflow and their sum or quotient
@@ -254,12 +264,12 @@ wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 # pytest resets the warning filters meanlab.kernels installs at import
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", EVALUATORS)
 @settings(max_examples=400, deadline=None)
 @given(exprs(wide.map(Constant)), wide)
 def test_tape_is_nan_exactly_where_the_walker_raises(backend, expr, x):
     tape = compile_expr(expr)
-    got = kernels_for(backend).eval_one(tape.code, tape.operands, x)
+    got = tape_eval(backend, tape, x)
     try:
         want = eval_expr(expr, x)
     except EvalError:

@@ -31,6 +31,7 @@ from meanlab import (
     inverse_generator,
     sum_generators,
 )
+from meanlab import kernels
 from meanlab.dsl import compile_expr, parse
 
 I010 = Interval(0.0, 10.0)
@@ -189,6 +190,16 @@ def test_check_monotone_nonfinite_witness():
     assert a == b  # the offending point, doubled
 
 
+def test_callable_value_that_is_not_real_is_nan_but_a_bad_body_raises():
+    # the square root of a negative float is complex: not finite, not an error
+    with pytest.raises(MonotonicityError) as exc:
+        Generator.from_callable(lambda x: x**0.5, Interval(-1.0, 1.0))
+    assert exc.value.report.reason == "non-finite"
+    # a body that cannot be called on x is a programming error
+    with pytest.raises(TypeError):
+        Generator.from_callable(lambda: 1.0, I010)
+
+
 def test_from_expression_rejects_decreasing():
     with pytest.raises(MonotonicityError):
         Generator.from_expression("0 - x", I010)
@@ -324,6 +335,18 @@ def test_sum_generators_callable_path():
     ]
     total = sum_generators(parts)
     assert total(2.0) == pytest.approx(10.0)
+
+
+def test_mixed_system_hands_the_callable_family_each_members_own_body():
+    dom = Interval(0.1, 5.0)
+    cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
+    line = Generator.from_expression("x", dom)
+    family, bodies, *_ = GeneratorSystem([cube, line]).program()
+    assert family is kernels.CALLABLE
+    assert bodies == (cube.fn, line.body())
+    # the lowered body is the tape's value, NaN where it is not finite
+    assert line.body()(2.5) == line._raw(2.5) == 2.5
+    assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
 
 
 def test_system_affine():

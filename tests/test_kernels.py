@@ -1,8 +1,10 @@
-"""Kernel family contracts: both backends must agree bitwise, and the
-status codes must classify every failure mode."""
+"""Kernel family contracts: both backends must agree bitwise, the
+fallback's lowered tapes bit for bit with the stack machine they replace,
+and the status codes must classify every failure mode."""
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from meanlab.kernels import (
     STATUS_RANGE,
     available_backends,
     kernels_for,
+    lower_tape,
+    tape_evaluator,
     warm_up,
 )
 
@@ -71,6 +75,47 @@ def test_backends_agree_bitwise_on_grids(source):
     a = kernels_for("numpy").eval_grid(t.code, t.operands, xs)
     b = kernels_for("numba").eval_grid(t.code, t.operands, xs)
     np.testing.assert_array_equal(a, b)
+
+
+# every op and guard, overflow into each guard, exp on both sides of its
+# cut-off, cancellation to 0 and to -0, and powers with negative bases
+LOWERING_SOURCES = [
+    "x", "-x", "2.5", "x - -2", "x + 1e300", "x*1e300*1e10", "x*x*x*x", "1/x", "x/x/x",
+    "(x - 1)/(x - 1)", "exp(x)", "exp(-x)", "exp(x)/x", "exp(x - 0.5)", "log(x)",
+    "log(log(x))", "log(x)*x", "sqrt(x)", "sqrt(x)^3", "x^0.5", "x^-2", "2^x", "x^x",
+    "-2*x^3 + x^2", "0*x", "-(0*x)",
+]
+# text has no non-finite constants, but affine images can carry them
+LOWERING_TAPES = {
+    **{source: tape(source) for source in LOWERING_SOURCES},
+    "inf*x": tape("x").affine(math.inf, 0.0),
+    "x + nan": tape("x").affine(1.0, math.nan),
+}
+LOWERING_POINTS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+    709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0,
+]
+
+
+def _outcome(evaluate):
+    # the value's bits, or the exception the evaluation raised
+    try:
+        return struct.pack("<d", evaluate())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("source", LOWERING_TAPES)
+def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
+    t = LOWERING_TAPES[source]
+    body = lower_tape(t.code, t.operands)
+    machine = tape_evaluator()
+    for x in LOWERING_POINTS:
+        for arg in (x, np.float64(x)):  # both kinds of float reach the kernels
+            want = _outcome(lambda: machine(t.code, t.operands, 0, len(t), arg))
+            assert _outcome(lambda: body(arg)) == want, (source, arg)
 
 
 # --- inversion --------------------------------------------------------------
@@ -183,14 +228,26 @@ def test_backends_agree_on_gqam():
 # --- fused Gauss iteration ----------------------------------------------------
 
 
-def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500):
-    codes, operands, offsets, total = packed(*sources)
+def lowered(*sources):
+    """The system program of the fallback family: each member's tape and
+    the sum tape lowered to bodies."""
+    tapes = [tape(s) for s in sources]
+    total = tape_sum(tapes)
+    return (tuple(lower_tape(t.code, t.operands) for t in tapes), None,
+            np.arange(len(tapes) + 1), (lower_tape(total.code, total.operands),), None)
+
+
+def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, lower=False):
+    if lower:
+        program = lowered(*sources)
+    else:
+        codes, operands, offsets, total = packed(*sources)
+        program = (codes, operands, offsets, total.code, total.operands)
     n = len(x0)
     iterates = np.empty((max_iter + 1, n), dtype=np.float64)
     gaps = np.empty(max_iter + 1, dtype=np.float64)
     used, status = ks.cyclic_gauss(
-        codes, operands, offsets, total.code, total.operands,
-        np.asarray(x0, dtype=np.float64), gap_tol, 1e-13, 200, max_iter,
+        *program, np.asarray(x0, dtype=np.float64), gap_tol, 1e-13, 200, max_iter,
         iterates, gaps,
     )
     return used, status, iterates, gaps
@@ -222,6 +279,20 @@ def test_cyclic_gauss_budget_status(ks):
 def test_backends_agree_on_cyclic_gauss():
     a = run_cyclic(kernels_for("numpy"), ["x", "x^2", "x^3"], [0.3, 2.0, 4.5], max_iter=2000)
     b = run_cyclic(kernels_for("numba"), ["x", "x^2", "x^3"], [0.3, 2.0, 4.5], max_iter=2000)
+    assert (a[0], a[1]) == (b[0], b[1])
+    np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
+    np.testing.assert_array_equal(a[3][: a[0] + 1], b[3][: b[0] + 1])
+
+
+@pytest.mark.parametrize("sources,x0", [
+    (["x", "x^3"], [0.2, 4.8]),
+    (["x", "x^2", "x^3"], [0.3, 2.0, 4.5]),
+    (["x^1.1", "x^1.2"], [1.5e6, 9.5e6]),
+])
+def test_lowered_family_runs_the_same_orbits_as_the_stack_machine(sources, x0):
+    a = run_cyclic(kernels_for("numpy"), sources, x0, max_iter=2000)
+    b = run_cyclic(kernels._BODY_KERNELS, sources, x0, max_iter=2000, lower=True)
+    assert a[1] == STATUS_OK
     assert (a[0], a[1]) == (b[0], b[1])
     np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
     np.testing.assert_array_equal(a[3][: a[0] + 1], b[3][: b[0] + 1])
