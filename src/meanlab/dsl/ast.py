@@ -93,8 +93,9 @@ def power(base: float, exponent: float) -> float:
         if exponent == 0.0:
             return 1.0
         return math.nan
-    # negative base: integer exponents only
-    if exponent != math.floor(exponent) or abs(exponent) > 2**31:
+    # negative base: integer exponents only; the magnitude test comes
+    # first, as math.floor raises on an infinite exponent
+    if abs(exponent) > 2**31 or exponent != math.floor(exponent):
         return math.nan
     if exponent * math.log(-base) > _EXP_MAX:
         return math.nan

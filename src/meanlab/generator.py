@@ -2,14 +2,14 @@
 
 A Generator pairs a scalar function with its domain: a compiled DSL tape
 or an arbitrary Python callable.  ``Generator.program`` and
-``GeneratorSystem.program`` pick the kernel family and program for either
-kind: a tape runs on ``kernels.ACTIVE``, as its arrays under numba and
-otherwise as its body, the tape lowered once to straight-line Python and
-kept on the generator (a system keeps its members' bodies next to its
-tape pack); a callable runs on ``kernels.CALLABLE``.  Every evaluation,
-inversion, mean step and fused Gauss orbit runs the same kernels on that
-program.  Construction grid-checks strict growth, so code downstream may
-rely on invertibility.
+``GeneratorSystem.program`` pick the kernel family and program by one
+rule: tape arrays on ``kernels.ACTIVE`` when numba is the backend and
+every member has a tape; otherwise bodies (the callable, or the tape
+lowered once to straight-line Python and kept on the generator; a system
+keeps its members' bodies next to its tape pack) on ``kernels.PYTHON``.
+Every evaluation, inversion, mean step and fused Gauss orbit runs the
+same kernels on that program.  Construction grid-checks strict growth,
+so code downstream may rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
@@ -66,6 +66,13 @@ class MonotonicityReport:
     grid_size: int
     witness: tuple[float, float] | None = None
     reason: str | None = None
+
+
+def _body_family():
+    """``kernels.PYTHON`` beside numba; without numba it is
+    ``kernels.ACTIVE``, read at call time so that a wrapper installed
+    there (the benchmark's tracer) sees every body-backed call."""
+    return kernels.PYTHON if kernels.BACKEND == "numba" else kernels.ACTIVE
 
 
 class Generator:
@@ -125,14 +132,11 @@ class Generator:
         return self._body
 
     def program(self):
-        """(family, code, operands): ``kernels.ACTIVE``, read at call
-        time, over the tape's arrays under numba; otherwise over
-        (body,), with ``kernels.CALLABLE`` for a callable."""
-        tape_backed = self.tape is not None
-        if tape_backed and kernels.BACKEND == "numba":
+        """(family, code, operands): ``kernels.ACTIVE`` over the tape's
+        arrays under numba; otherwise the body family over (body,)."""
+        if self.tape is not None and kernels.BACKEND == "numba":
             return kernels.ACTIVE, self.tape.code, self.tape.operands
-        family = kernels.ACTIVE if tape_backed else kernels.CALLABLE
-        return family, (self.body(),), None
+        return _body_family(), (self.body(),), None
 
     def __call__(self, x: float) -> float:
         """Evaluate at a point of the domain.
@@ -184,7 +188,7 @@ class Generator:
         x, status = ks.invert(code, operands, y, lo, hi, tol, INVERT_BUDGET)
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}", tol)
-        return float(x)  # numpy-backend kernels hand back numpy scalars
+        return float(x)  # a solve at an endpoint hands back lo or hi as given
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
@@ -336,18 +340,16 @@ class GeneratorSystem:
         """(family, codes, operands, offsets, sum_code, sum_operands) for
         the kernels ``gqam`` and ``cyclic_gauss``: ``kernels.ACTIVE``,
         read at call time, over ``tape_pack()`` under numba; otherwise
-        over the members' bodies and the sum generator's body, with
-        ``kernels.CALLABLE`` when any member is callable-backed."""
-        tape_backed = self.is_tape_backed
-        if tape_backed and kernels.BACKEND == "numba":
+        the body family over the members' bodies and the sum
+        generator's body."""
+        if self.is_tape_backed and kernels.BACKEND == "numba":
             codes, operands, offsets, total = self.tape_pack()
             return kernels.ACTIVE, codes, operands, offsets, total.code, total.operands
         if self._bodies is None:
             self._bodies = (tuple(g.body() for g in self.generators),
                             np.arange(self.n + 1), (self.sum_generator().body(),))
         bodies, offsets, sum_body = self._bodies
-        family = kernels.ACTIVE if tape_backed else kernels.CALLABLE
-        return family, bodies, None, offsets, sum_body, None
+        return _body_family(), bodies, None, offsets, sum_body, None
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
         """Member-wise images a*f_i + b_i with one shared slope."""

@@ -6,13 +6,12 @@ kernel over an evaluator ``eval_core(code, operands, start, stop, x)``
 that is NaN where the program code[start:stop] is not finite at x.  The
 families:
 
-    numba     DSL tapes on the stack machine of ``tape_evaluator``,
-              compiled with numba's ``njit``
-    fallback  DSL tapes lowered once by ``lower_tape`` to straight-line
-              Python bodies, the runtime without numba; its program is a
-              tuple of bodies, one slot per member, run by ``eval_body``
-    CALLABLE  user callables, never compiled, as a tuple of bodies run
-              by ``eval_callable``, which guards their failures
+    numba   DSL tapes on the stack machine of ``tape_evaluator``,
+            compiled with numba's ``njit``
+    PYTHON  Python functions of x, never compiled: DSL tapes lowered
+            once by ``lower_tape`` to straight-line Python, and user
+            callables; its program is a tuple of bodies, one slot per
+            member, run by ``eval_body``, which guards their failures
 
 The stack machine also runs uncompiled, as ``kernels_for("numpy")``: it
 is the source numba compiles and the reference the lowered bodies are
@@ -25,13 +24,14 @@ iteration, with its one stopping rule, is written once in ``make_orbit``:
 ``cyclic_gauss`` runs it over ``gqam_rotated`` at every rotation 0..n-1,
 and ``gauss`` runs the same source uncompiled over the components of any
 other mean-type mapping.  ``Generator.program`` and
-``GeneratorSystem.program`` pick family and program; tape programs run
-on ``ACTIVE``, the numba family or the fallback, selected by the
-MEANLAB_BACKEND environment variable:
+``GeneratorSystem.program`` pick family and program: tape arrays on the
+numba family when it is the backend and every member has a tape, bodies
+on ``PYTHON`` otherwise.  ``ACTIVE`` is the numba family or ``PYTHON``,
+selected by the MEANLAB_BACKEND environment variable:
 
-    auto    numba when importable, otherwise the fallback (default)
+    auto    numba when importable, otherwise PYTHON (default)
     numba   require numba, fail at import if missing
-    numpy   force the fallback (``python`` is an alias)
+    numpy   force PYTHON (``python`` is an alias)
 
 An unknown value is reported on stderr and treated as ``auto``.
 
@@ -93,7 +93,7 @@ STATUS_NONFINITE = 3
 GAP_FLOOR = 4.0 * sys.float_info.epsilon
 
 # The uncompiled stack machine, ``power`` included, computes on numpy
-# scalars, and so do the lowered bodies when x is one; numpy warns on
+# scalars, and so does a lowered body called on one; numpy warns on
 # overflow, but the NaN they return is the signal.
 warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning,
                         r"meanlab\.(kernels|dsl\.ast)$")
@@ -184,14 +184,17 @@ def make_invert(evaluate, jit=lambda f: f):
 
 
 def span(xs):
-    """(min, max) of a nonempty float64 vector."""
-    mn = xs[0]
-    mx = xs[0]
+    """(min, max) of a nonempty float64 vector, as floats: the solves and
+    the stopping test of ``PYTHON`` then compute on Python floats, not
+    numpy scalars (under numba the conversion is a no-op)."""
+    mn = float(xs[0])
+    mx = mn
     for j in range(1, xs.shape[0]):
-        if xs[j] < mn:
-            mn = xs[j]
-        if xs[j] > mx:
-            mx = xs[j]
+        v = float(xs[j])
+        if v < mn:
+            mn = v
+        if v > mx:
+            mx = v
     return mn, mx
 
 
@@ -348,15 +351,10 @@ def lower_tape(code, operands):
 
 
 def eval_body(bodies, _operands, start, _stop, x):
-    """The evaluator of the fallback family: the body that ``lower_tape``
-    made of a tape, in slot ``start``."""
-    return bodies[start](x)
-
-
-def eval_callable(bodies, _operands, start, _stop, x):
-    """The evaluator of ``CALLABLE``: calls the Python body in slot
-    ``start`` on a float; failures, values that are not real numbers
-    and non-finite values are NaN."""
+    """The evaluator of ``PYTHON``: calls the body in slot ``start`` on a
+    float; failures, values that are not real numbers and non-finite
+    values are NaN, while a ``TypeError`` from the call itself, such as
+    a body of the wrong arity, propagates."""
     try:
         v = bodies[start](float(x))
     except (ValueError, OverflowError, ZeroDivisionError):
@@ -460,13 +458,11 @@ def _resolve_backend() -> str:
 _PY_KERNELS = _build(lambda f: f, "numpy", tape_evaluator())
 _njit = numba.njit(cache=False, fastmath=False, nogil=True) if HAS_NUMBA else None
 _NB_KERNELS = _build(_njit, "numba", tape_evaluator(_njit)) if HAS_NUMBA else None
-# the fallback's runtime, over lowered tapes
-_BODY_KERNELS = _build(lambda f: f, "numpy", eval_body)
-# never compiled: the bodies are arbitrary Python
-CALLABLE = _build(lambda f: f, "callable", eval_callable)
+# never compiled: lowered tapes and user callables, as Python bodies
+PYTHON = _build(lambda f: f, "numpy", eval_body)
 
 BACKEND = _resolve_backend()
-ACTIVE = _NB_KERNELS if BACKEND == "numba" else _BODY_KERNELS
+ACTIVE = _NB_KERNELS if BACKEND == "numba" else PYTHON
 
 
 def active_backend() -> str:
@@ -479,8 +475,8 @@ def kernels_for(name: str) -> KernelSet:
     env selection: "numpy" runs it uncompiled, "numba" compiled.
 
     Used by the backend-agreement tests and the benchmark; regular code
-    goes through the module-level ACTIVE set, whose fallback runs
-    lowered tapes instead.
+    goes through ``Generator.program``, whose family without numba is
+    ``PYTHON``, running lowered tapes instead.
     """
     if name == "numpy":
         return _PY_KERNELS

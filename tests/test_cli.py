@@ -482,6 +482,8 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
                             "verify", "characterize"]),
     ("verify_m1_x_x2_x3", ["--interval", "0.1,5", "--gen", "x", "--gen", "x^2", "--gen", "x^3",
                            "--samples", "20", "--seed", "1", "verify", "m1"]),
+    ("verify_m1_x3_2x3_small", ["--gen", "x^3", "--gen", "2*x^3", "--interval", "1e-4,5e-3",
+                                "--samples", "20", "verify", "m1"]),
 ])
 def test_json_reports_are_pinned(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)
@@ -493,19 +495,26 @@ def test_json_reports_are_pinned(capsys, name, argv):
 def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
     # the benchmark's tracer swaps these names from outside the package
     monkeypatch.syspath_prepend(str(ROOT))
-    from meanlab import cli, gauss, kernels
+    from meanlab import Generator, GeneratorSystem, Interval, cli, gauss, kernels
     from perfbench.tracing import Tracer, install
 
+    dom = Interval(0.1, 5.0)
+    callables = GeneratorSystem([Generator.from_callable(lambda x: x**3, dom),
+                                 Generator.from_callable(lambda x: 2 * x**3, dom)])
     active, iterate = kernels.ACTIVE, gauss.gauss_iterate
     tracer = Tracer()
     uninstall = install(tracer)
     try:
         assert cli.main(["--gen", "x", "--gen", "2*x", "compose", "1", "7"]) == 0
         assert cli.main(["--samples", "3", "verify", "m1"]) == 0
+        assert gauss.composition_closed_form_check(callables, samples=3).passed
     finally:
         uninstall()
     capsys.readouterr()
     assert {"kernels.cyclic_gauss", "gauss", "cli.main"} <= set(tracer.calls)
+    if kernels.BACKEND != "numba":
+        # every orbit, callable ones included, runs in a kernel span
+        assert tracer.calls["kernels.cyclic_gauss"] == tracer.calls["gauss"]
     assert kernels.ACTIVE is active
     assert gauss.gauss_iterate is iterate
 

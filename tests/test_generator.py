@@ -337,13 +337,23 @@ def test_sum_generators_callable_path():
     assert total(2.0) == pytest.approx(10.0)
 
 
-def test_mixed_system_hands_the_callable_family_each_members_own_body():
+def test_systems_hand_the_body_family_each_members_own_body():
     dom = Interval(0.1, 5.0)
     cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
     line = Generator.from_expression("x", dom)
-    family, bodies, *_ = GeneratorSystem([cube, line]).program()
-    assert family is kernels.CALLABLE
-    assert bodies == (cube.fn, line.body())
+    square = Generator.from_expression("x^2", dom)
+    tapes = [line, square]
+    numba = kernels.BACKEND == "numba"
+    for members, own in [([cube, line], (cube.fn, line.body())),
+                         ([cube, cube], (cube.fn, cube.fn)),
+                         (tapes, (line.body(), square.body()))]:
+        family, bodies, *_ = GeneratorSystem(members).program()
+        if numba and members is tapes:
+            assert family is kernels.ACTIVE  # numba over the tape arrays
+            continue
+        # without numba every system runs on ACTIVE, the family a tracer wraps
+        assert family is (kernels.PYTHON if numba else kernels.ACTIVE)
+        assert bodies == own
     # the lowered body is the tape's value, NaN where it is not finite
     assert line.body()(2.5) == line._raw(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))

@@ -1,6 +1,6 @@
-"""Kernel family contracts: both backends must agree bitwise, the
-fallback's lowered tapes bit for bit with the stack machine they replace,
-and the status codes must classify every failure mode."""
+"""Kernel family contracts: both backends must agree bitwise, lowered
+tapes bit for bit with the stack machine they replace, and the status
+codes must classify every failure mode."""
 
 import math
 import os
@@ -229,7 +229,7 @@ def test_backends_agree_on_gqam():
 
 
 def lowered(*sources):
-    """The system program of the fallback family: each member's tape and
+    """The system program of the Python family: each member's tape and
     the sum tape lowered to bodies."""
     tapes = [tape(s) for s in sources]
     total = tape_sum(tapes)
@@ -291,7 +291,7 @@ def test_backends_agree_on_cyclic_gauss():
 ])
 def test_lowered_family_runs_the_same_orbits_as_the_stack_machine(sources, x0):
     a = run_cyclic(kernels_for("numpy"), sources, x0, max_iter=2000)
-    b = run_cyclic(kernels._BODY_KERNELS, sources, x0, max_iter=2000, lower=True)
+    b = run_cyclic(kernels.PYTHON, sources, x0, max_iter=2000, lower=True)
     assert a[1] == STATUS_OK
     assert (a[0], a[1]) == (b[0], b[1])
     np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
