@@ -65,8 +65,9 @@ def tape_sum(tapes) -> Tape:
     """Tape computing the left-fold sum of the given tapes.
 
     The fold order matches how mean evaluators accumulate per-coordinate
-    terms, so the sum tape at a constant input reproduces that
-    accumulation exactly.
+    terms, so the sum tape at x equals 0.0 + f1(x) + ... + fn(x), and is
+    NaN where that is not finite: the fused Gauss step reads the sum at
+    a coordinate off the members' values there instead of evaluating it.
     """
     tapes = list(tapes)
     if not tapes:

@@ -4,9 +4,10 @@ A Generator pairs a scalar function with its domain: a compiled DSL tape
 or an arbitrary Python callable.  ``Generator.program`` and
 ``GeneratorSystem.program`` pick the kernel family and program by one
 rule: tape arrays on ``kernels.ACTIVE`` when numba is the backend and
-every member has a tape; otherwise bodies (the callable, or the tape
-lowered once to straight-line Python and kept on the generator; a system
-keeps its members' bodies next to its tape pack) on ``kernels.PYTHON``.
+every member has a tape; otherwise bodies (the tape lowered once to
+straight-line Python, or the callable wrapped once in the evaluation
+guard, kept on the generator; a system keeps its members' bodies next to
+its tape pack) on ``kernels.PYTHON``.
 Every evaluation, inversion, mean step and fused Gauss orbit runs the
 same kernels on that program.  Construction grid-checks strict growth,
 so code downstream may rely on invertibility.
@@ -95,7 +96,7 @@ class Generator:
         self.label = label
         self.tape = tape
         self.fn = fn
-        self._body = fn
+        self._body = None
         if validate:
             report = check_monotone(self)
             if not report.passed:
@@ -125,10 +126,15 @@ class Generator:
         return self.tape is not None
 
     def body(self):
-        """The generator as a Python function of x: the callable, or the
-        tape lowered once by ``kernels.lower_tape``."""
+        """The generator as a body of ``kernels.PYTHON``, a Python
+        function of a float that returns a float, NaN where the generator
+        is not finite: the tape lowered once by ``kernels.lower_tape``, or
+        the callable wrapped once by ``kernels.guard``."""
         if self._body is None:
-            self._body = kernels.lower_tape(self.tape.code, self.tape.operands)
+            if self.tape is not None:
+                self._body = kernels.lower_tape(self.tape.code, self.tape.operands)
+            else:
+                self._body = kernels.guard(self.fn)
         return self._body
 
     def program(self):
@@ -188,7 +194,7 @@ class Generator:
         x, status = ks.invert(code, operands, y, lo, hi, tol, INVERT_BUDGET)
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}", tol)
-        return float(x)  # a solve at an endpoint hands back lo or hi as given
+        return x
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""

@@ -3,27 +3,36 @@
 The hot loops of this package are scalar: program evaluation inside
 bracketed root-finding inside Gauss iteration.  ``_build`` writes every
 kernel over an evaluator ``eval_core(code, operands, start, stop, x)``
-that is NaN where the program code[start:stop] is not finite at x.  The
+that is NaN where the program code[start:stop] is not finite at x, and
+each kernel converts its numpy inputs to floats once per call.  The
 families:
 
     numba   DSL tapes on the stack machine of ``tape_evaluator``,
             compiled with numba's ``njit``
     PYTHON  Python functions of x, never compiled: DSL tapes lowered
             once by ``lower_tape`` to straight-line Python, and user
-            callables; its program is a tuple of bodies, one slot per
-            member, run by ``eval_body``, which guards their failures
+            callables wrapped once by ``guard``; its program is a tuple
+            of bodies, one slot per member, and ``eval_body`` calls the
+            body in a slot.  A body returns a float, NaN where its member
+            is not finite: it is guarded when it is made, not per call.
 
 The stack machine also runs uncompiled, as ``kernels_for("numpy")``: it
 is the source numba compiles and the reference the lowered bodies are
 tested against, bit for bit.
 
-The bracketed solve is written once, in ``make_invert``.  One step of a
-generalized quasi-arithmetic mean (evaluate f1..fn, sum, invert the sum)
-is ``gqam_rotated``: ``gqam`` is that step at rotation 0.  Gauss
-iteration, with its one stopping rule, is written once in ``make_orbit``:
-``cyclic_gauss`` runs it over ``gqam_rotated`` at every rotation 0..n-1,
-and ``gauss`` runs the same source uncompiled over the components of any
-other mean-type mapping.  ``Generator.program`` and
+The bracketed solve is written once, in ``make_invert``; its callers
+evaluate the bracket's endpoints.  ``gqam`` is one generalized
+quasi-arithmetic mean: evaluate f1..fn, sum, invert the sum
+F = f1+...+fn.  Gauss iteration, with its one stopping rule, is written
+once in ``make_orbit``: ``cyclic_gauss`` runs it over a fused step that
+computes the n rotated means of the cyclic mapping from one matrix of
+member values f_j(x_k), evaluated once per step.  Each mean's target is
+a fold of that matrix, and so are F(min x) and F(max x), the values at
+the bracket all n solves share: ``tape_sum`` makes F's program the left
+fold of the members', so the step gives what ``gqam`` gives on each
+rotation, bit for bit, and fails (``STATUS_NONFINITE``) where a member
+value or one of those two folds is not finite.  ``gauss`` runs ``make_orbit`` uncompiled over the
+components of any other mean-type mapping.  ``Generator.program`` and
 ``GeneratorSystem.program`` pick family and program: tape arrays on the
 numba family when it is the backend and every member has a tape, bodies
 on ``PYTHON`` otherwise.  ``ACTIVE`` is the numba family or ``PYTHON``,
@@ -35,7 +44,8 @@ selected by the MEANLAB_BACKEND environment variable:
 
 An unknown value is reported on stderr and treated as ``auto``.
 
-Kernels never raise.  Scalar evaluation signals trouble with NaN and the
+Kernels never raise, save for a ``TypeError`` from calling a body of
+the wrong arity.  Scalar evaluation signals trouble with NaN and the
 solvers return status codes.  The callers turn those into package
 exceptions, through ``Generator._invert_error``: ``Generator.invert_on``
 for one solve and ``means.gqam_eval`` for one mean.  ``gauss.gauss_iterate``
@@ -109,9 +119,10 @@ class KernelSet(NamedTuple):
 
 
 def make_invert(evaluate, jit=lambda f: f):
-    """The bracketed solve for g(x) = y on [lo, hi], g increasing, over
-    an evaluator ``evaluate(code, operands, start, stop, x)`` that
-    returns NaN where g is not finite.
+    """The bracketed solve for g(x) = y on [lo, hi], g increasing, given
+    the endpoint values glo = g(lo) and ghi = g(hi) (NaN where g is not
+    finite) and an evaluator ``evaluate(code, operands, start, stop, x)``
+    of g inside the bracket that returns NaN where g is not finite.
 
     Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
     bracket with bisection as the fallback; stops on the residual test
@@ -119,13 +130,12 @@ def make_invert(evaluate, jit=lambda f: f):
     g's values on the bracket even below 1.  At an endpoint, or between
     adjacent floats, |g(x)-y| <= tol*max(1,|y|) suffices: cancellation in
     g near a zero crossing can leave no x that passes the relative test.
-    Returns (x, status).
+    Returns (x, status).  The callers evaluate the endpoints: ``invert``
+    and ``gqam`` on g itself, the Gauss step once for all its solves.
     """
 
     @jit
-    def invert_core(code, operands, start, stop, y, lo, hi, tol, budget):
-        glo = evaluate(code, operands, start, stop, lo)
-        ghi = evaluate(code, operands, start, stop, hi)
+    def invert_core(code, operands, start, stop, y, lo, hi, glo, ghi, tol, budget):
         if math.isnan(glo) or math.isnan(ghi):
             return np.nan, STATUS_NONFINITE
         scale = tol * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
@@ -310,11 +320,17 @@ def lower_tape(code, operands):
     """The tape as a straight-line Python function of x: the ops of
     ``tape_evaluator`` in the same order, with the same guards, on named
     temporaries instead of a stack, so it returns the value the stack
-    machine returns, NaN where that is NaN."""
+    machine returns, NaN where that is NaN.  Finite constants become
+    literals, in parentheses, and a negated literal is one too.  A power
+    with a literal exponent runs the positive-base branch of ``power``
+    inline and calls ``power`` for every other base.  The final finite
+    test is left out where the last op has just made it."""
     names = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
-             "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "power": power}
+             "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
+             "power": power}
     lines = ["def body(x):"]
     stack = []
+    checked = None  # the last binary result, tested finite where it is made
     for k, (op, c) in enumerate(zip(code.tolist(), operands.tolist())):
         if op == OP_CONST:
             if math.isfinite(c):
@@ -327,43 +343,67 @@ def lower_tape(code, operands):
             stack.append("x")
             continue
         t = f"t{k}"
+        if op == OP_NEG and stack[-1].startswith("("):  # a literal: negated exactly
+            stack.append(f"({-float(stack.pop()[1:-1])!r})")
+            continue
         if op == OP_NEG:
             lines.append(f"    {t} = -{stack.pop()}")
         elif op in _GUARDED_UNARY:
-            guard, fn = _GUARDED_UNARY[op]
+            cut, fn = _GUARDED_UNARY[op]
             a = stack.pop()
-            lines += [f"    if {a} {guard}:", "        return nan", f"    {t} = {fn}({a})"]
+            lines += [f"    if {a} {cut}:", "        return nan", f"    {t} = {fn}({a})"]
         else:
             b = stack.pop()
             a = stack.pop()
             if op == OP_DIV:
                 lines += [f"    if {b} == 0.0:", "        return nan"]
-            if op == OP_POW:
+            if op == OP_POW and b.startswith("("):
+                lines += [f"    if {a} > 0.0:",
+                          f"        if {b} * log({a}) > {_EXP_MAX!r}:",
+                          "            return nan",
+                          f"        {t} = pow({a}, {b})",
+                          "    else:",
+                          f"        {t} = power({a}, {b})"]
+            elif op == OP_POW:
                 lines.append(f"    {t} = power({a}, {b})")
             else:
                 lines.append(f"    {t} = {a} {_BINARY_SYMBOL[op]} {b}")
             lines += [f"    if not isfinite({t}):", "        return nan"]
+            checked = t
         stack.append(t)
-    lines += [f"    if not isfinite({stack[-1]}):", "        return nan",
-              f"    return {stack[-1]}"]
+    if stack[-1] != checked:
+        lines += [f"    if not isfinite({stack[-1]}):", "        return nan"]
+    lines.append(f"    return {stack[-1]}")
     exec(compile("\n".join(lines), "<meanlab tape>", "exec"), names)
     return names["body"]
 
 
+def guard(fn):
+    """A Python callable as a body of ``PYTHON``: fn(x) as a float, NaN
+    where fn raises ``ValueError``, ``OverflowError`` or
+    ``ZeroDivisionError`` or returns a value that is not a finite real
+    number; a ``TypeError`` from the call itself, such as a callable of
+    the wrong arity, propagates."""
+
+    def body(x):
+        try:
+            v = fn(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            return math.nan
+        try:
+            v = float(v)
+        except (TypeError, ValueError, OverflowError):
+            return math.nan
+        return v if math.isfinite(v) else math.nan
+
+    return body
+
+
 def eval_body(bodies, _operands, start, _stop, x):
-    """The evaluator of ``PYTHON``: calls the body in slot ``start`` on a
-    float; failures, values that are not real numbers and non-finite
-    values are NaN, while a ``TypeError`` from the call itself, such as
-    a body of the wrong arity, propagates."""
-    try:
-        v = bodies[start](float(x))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return math.nan
-    try:
-        v = float(v)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-    return v if math.isfinite(v) else math.nan
+    """The evaluator of ``PYTHON``: the body in slot ``start`` at x.
+    Bodies are guarded when they are made (``lower_tape``, ``guard``),
+    so the call returns a float, NaN where the member is not finite."""
+    return bodies[start](x)
 
 
 def _build(jit, name: str, eval_core) -> KernelSet:
@@ -372,13 +412,13 @@ def _build(jit, name: str, eval_core) -> KernelSet:
 
     @jit
     def eval_one(code, operands, x):
-        return eval_core(code, operands, 0, len(code), x)
+        return eval_core(code, operands, 0, len(code), float(x))
 
     @jit
     def eval_grid(code, operands, xs):
         out = np.empty(xs.shape[0], dtype=np.float64)
         for i in range(xs.shape[0]):
-            out[i] = eval_core(code, operands, 0, len(code), xs[i])
+            out[i] = eval_core(code, operands, 0, len(code), float(xs[i]))
         return out
 
     invert_core = make_invert(eval_core, jit)
@@ -386,37 +426,69 @@ def _build(jit, name: str, eval_core) -> KernelSet:
 
     @jit
     def invert(code, operands, y, lo, hi, tol, budget):
-        return invert_core(code, operands, 0, len(code), y, lo, hi, tol, budget)
-
-    @jit
-    def gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
-                     shift, lo, hi, tol, budget):
-        # One rotated mean, the step kernel of both gqam and cyclic_gauss:
-        # (f1+...+fn)^{-1}(f1(y1)+...+fn(yn)) solved on [lo, hi], where
-        # y = xs rotated by ``shift`` (y_j = xs[(j - shift) mod n]).
-        n = offsets.shape[0] - 1
-        s = 0.0
-        for j in range(n):
-            v = eval_core(codes, operands, offsets[j], offsets[j + 1], xs[(j - shift) % n])
-            if math.isnan(v):
-                return np.nan, STATUS_NONFINITE
-            s += v
-        return invert_core(sum_code, sum_operands, 0, len(sum_code), s, lo, hi, tol, budget)
+        stop = len(code)
+        lo = float(lo)
+        hi = float(hi)
+        return invert_core(code, operands, 0, stop, float(y), lo, hi,
+                           eval_core(code, operands, 0, stop, lo),
+                           eval_core(code, operands, 0, stop, hi), tol, budget)
 
     @jit
     def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
-        # the mean property brackets the result by [min xs, max xs]
+        # (f1+...+fn)^{-1}(f1(x1)+...+fn(xn)), solved on [min xs, max xs],
+        # which brackets it by the mean property
+        s = 0.0
+        for j in range(offsets.shape[0] - 1):
+            v = eval_core(codes, operands, offsets[j], offsets[j + 1], float(xs[j]))
+            if math.isnan(v):
+                return np.nan, STATUS_NONFINITE
+            s += v
         mn, mx = sp(xs)
-        return gqam_rotated(codes, operands, offsets, sum_code, sum_operands, xs,
-                            0, mn, mx, tol, budget)
+        return invert(sum_code, sum_operands, s, mn, mx, tol, budget)
 
     @jit
     def rotated_means(ctx, x, mn, mx, out):
-        # component i of the cyclic mapping is gqam_rotated at shift i
+        # Component i of the cyclic mapping is the mean of x rotated by i,
+        # F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n] and
+        # F = f1+...+fn, solved on [mn, mx].  The step evaluates the
+        # member matrix f_j(x_k) once, member by member, and folds each
+        # value, in member order, into target i = (j - k) mod n and, in
+        # the columns where mn and mx sit, into F(mn) and F(mx): the sum
+        # program's values there (a zero may differ in sign, which the
+        # solve never reads), shared by the n solves.
         codes, operands, offsets, sum_code, sum_operands, tol, budget = ctx
-        for i in range(x.shape[0]):
-            val, st = gqam_rotated(codes, operands, offsets, sum_code, sum_operands,
-                                   x, i, mn, mx, tol, budget)
+        n = x.shape[0]
+        xs = []
+        kmn = 0  # where mn and mx sit: their first places, as span finds them
+        kmx = 0
+        for k in range(n):
+            v = float(x[k])
+            xs.append(v)
+            if v < xs[kmn]:
+                kmn = k
+            if v > xs[kmx]:
+                kmx = k
+        ys = [0.0] * n
+        glo = 0.0
+        ghi = 0.0
+        for j in range(n):
+            start = offsets[j]
+            stop = offsets[j + 1]
+            for k in range(n):
+                v = eval_core(codes, operands, start, stop, xs[k])
+                if math.isnan(v):
+                    return STATUS_NONFINITE
+                ys[(j - k) % n] += v
+                if k == kmn:
+                    glo += v
+                if k == kmx:
+                    ghi += v
+        if not (math.isfinite(glo) and math.isfinite(ghi)):
+            return STATUS_NONFINITE
+        stop = len(sum_code)
+        for i in range(n):
+            val, st = invert_core(sum_code, sum_operands, 0, stop, ys[i], mn, mx,
+                                  glo, ghi, tol, budget)
             if st != STATUS_OK:
                 return st
             out[i] = val

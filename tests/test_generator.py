@@ -343,20 +343,32 @@ def test_systems_hand_the_body_family_each_members_own_body():
     line = Generator.from_expression("x", dom)
     square = Generator.from_expression("x^2", dom)
     tapes = [line, square]
+    value = {cube: lambda x: x**3, line: lambda x: x, square: lambda x: x * x}
     numba = kernels.BACKEND == "numba"
-    for members, own in [([cube, line], (cube.fn, line.body())),
-                         ([cube, cube], (cube.fn, cube.fn)),
-                         (tapes, (line.body(), square.body()))]:
-        family, bodies, *_ = GeneratorSystem(members).program()
+    for members in ([cube, line], [cube, cube], tapes):
+        family, bodies, operands, offsets, *_ = GeneratorSystem(members).program()
         if numba and members is tapes:
             assert family is kernels.ACTIVE  # numba over the tape arrays
             continue
         # without numba every system runs on ACTIVE, the family a tracer wraps
         assert family is (kernels.PYTHON if numba else kernels.ACTIVE)
-        assert bodies == own
+        for j, g in enumerate(members):  # slot j evaluates member j
+            for x in (0.5, 2.5):
+                got = kernels.eval_body(bodies, operands, offsets[j], offsets[j + 1], x)
+                assert got == value[g](x)
     # the lowered body is the tape's value, NaN where it is not finite
     assert line.body()(2.5) == line._raw(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
+    # a callable is guarded once, when its body is made
+    for fails in (math.log, lambda x: 1 / (x - x), lambda x: 10**400 * x,
+                  lambda x: math.inf, lambda x: complex(x, 1), lambda x: "x"):
+        assert math.isnan(Generator.from_callable(fails, dom, validate=False).body()(-1.0))
+    wrong_arity = Generator.from_callable(lambda x, y: x, dom, validate=False)
+    with pytest.raises(TypeError):
+        wrong_arity.body()(1.0)
+    family, *program = GeneratorSystem([wrong_arity, line]).program()
+    with pytest.raises(TypeError):
+        family.gqam(*program, np.asarray([1.0, 2.0]), 1e-12, 200)
 
 
 def test_system_affine():

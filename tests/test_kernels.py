@@ -1,5 +1,6 @@
 """Kernel family contracts: both backends must agree bitwise, lowered
-tapes bit for bit with the stack machine they replace, and the status
+tapes bit for bit with the stack machine they replace, one fused Gauss
+step bit for bit with the rotated means it computes, and the status
 codes must classify every failure mode."""
 
 import math
@@ -9,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from meanlab import kernels
+from meanlab import Generator, GeneratorSystem, Interval, builtin_systems, kernels
 from meanlab.dsl import compile_expr, parse
 from meanlab.dsl.compiler import pack_tapes, tape_sum
 from meanlab.kernels import (
@@ -78,12 +79,15 @@ def test_backends_agree_bitwise_on_grids(source):
 
 
 # every op and guard, overflow into each guard, exp on both sides of its
-# cut-off, cancellation to 0 and to -0, and powers with negative bases
+# cut-off, cancellation to 0 and to -0, and powers with negative bases;
+# the inlined power with a literal exponent on every branch: x^3 on both
+# sides of its overflow guard (1e102, 1e103), a negative base that falls
+# back to power, negated and tiny exponents
 LOWERING_SOURCES = [
-    "x", "-x", "2.5", "x - -2", "x + 1e300", "x*1e300*1e10", "x*x*x*x", "1/x", "x/x/x",
-    "(x - 1)/(x - 1)", "exp(x)", "exp(-x)", "exp(x)/x", "exp(x - 0.5)", "log(x)",
+    "x", "-x", "2.5", "-2.5", "x - -2", "x + 1e300", "x*1e300*1e10", "x*x*x*x", "1/x",
+    "x/x/x", "(x - 1)/(x - 1)", "exp(x)", "exp(-x)", "exp(x)/x", "exp(x - 0.5)", "log(x)",
     "log(log(x))", "log(x)*x", "sqrt(x)", "sqrt(x)^3", "x^0.5", "x^-2", "2^x", "x^x",
-    "-2*x^3 + x^2", "0*x", "-(0*x)",
+    "-2*x^3 + x^2", "0*x", "-(0*x)", "x^3", "(x - 1)^3", "x^-0.5", "x^1e-300", "x^-0",
 ]
 # text has no non-finite constants, but affine images can carry them
 LOWERING_TAPES = {
@@ -93,7 +97,7 @@ LOWERING_TAPES = {
 }
 LOWERING_POINTS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
-    709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0,
+    709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0, 1e102, 1e103, -1e102, -1e103,
 ]
 
 
@@ -296,6 +300,102 @@ def test_lowered_family_runs_the_same_orbits_as_the_stack_machine(sources, x0):
     assert (a[0], a[1]) == (b[0], b[1])
     np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
     np.testing.assert_array_equal(a[3][: a[0] + 1], b[3][: b[0] + 1])
+
+
+def mixed_system():
+    # a callable member beside a tape member: bodies on the Python family
+    dom = Interval(0.1, 5.0)
+    return GeneratorSystem([Generator.from_callable(lambda x: x**3 + x, dom, label="cube"),
+                            Generator.from_expression("x^2", dom)])
+
+
+def on_family(family, sources):
+    """(kernels, system program) of the stack machine or the lowered family."""
+    if family == "lowered":
+        return kernels.PYTHON, lowered(*sources)
+    codes, operands, offsets, total = packed(*sources)
+    return kernels_for("numpy"), (codes, operands, offsets, total.code, total.operands)
+
+
+def one_step(ks, program, x):
+    iterates = np.empty((2, len(x)), dtype=np.float64)
+    gaps = np.empty(2, dtype=np.float64)
+    used, status = ks.cyclic_gauss(*program, np.asarray(x, dtype=np.float64), 0.0, 1e-13,
+                                   200, 1, iterates, gaps)
+    return used, status, iterates[1].tolist()
+
+
+def assert_step_is_the_rotated_means(ks, program, x):
+    used, status, step = one_step(ks, program, x)
+    assert (used, status) == (1, STATUS_BUDGET)
+    means = [ks.gqam(*program, np.roll(x, i), 1e-13, 200) for i in range(len(x))]
+    assert [st for _, st in means] == [STATUS_OK] * len(x)
+    assert step == [val for val, _ in means], x
+
+
+@pytest.mark.parametrize("family", ["stack machine", "lowered"])
+@pytest.mark.parametrize("sources,interval", [
+    (["x", "x^3"], (0.1, 5.0)),
+    (["x", "x^2", "x^3"], (0.1, 5.0)),
+    (["log(x)", "x"], (0.1, 10.0)),
+    (["exp(x)", "x"], (0.0, 3.0)),
+    (["x^1.1", "x^1.2"], (1e6, 1e7)),
+])
+def test_one_fused_step_is_the_rotated_means_bit_for_bit(family, sources, interval):
+    # the step reads its targets and the shared F(min), F(max) off one
+    # matrix of member values; gqam evaluates them its own way
+    ks, program = on_family(family, sources)
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        assert_step_is_the_rotated_means(ks, program, rng.uniform(*interval, len(sources)))
+
+
+def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
+    ks, *program = mixed_system().program()
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        assert_step_is_the_rotated_means(ks, program, rng.uniform(0.1, 5.0, 2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", ["stack machine", "lowered"])
+@pytest.mark.parametrize("sources,x", [
+    (["log(x)", "x"], [2.0, -1.0]),  # a member is not finite
+    (["x*1e308", "x*1e308"], [0.5, 1.5]),  # members are, their sum at max x is not
+])
+def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sources, x):
+    ks, program = on_family(family, sources)
+    used, status, _ = one_step(ks, program, x)
+    assert (used, status) == (0, STATUS_NONFINITE)
+
+
+# points from +-1e-300 to +-1e300, signed zeros, infinities and NaN
+FOLD_POINTS = [sign * 10.0**e for e in range(-300, 301, 20) for sign in (1.0, -1.0)] + [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, 2.5, 709.5, -709.5]
+
+
+@pytest.mark.parametrize("name", [*builtin_systems(), "mixed"])
+def test_sum_body_is_the_fold_of_the_member_bodies(name):
+    # what the fused step relies on to read F off its member matrix:
+    # F(x) == 0.0 + f1(x) + ... + fn(x), NaN exactly where that is not finite
+    system = mixed_system() if name == "mixed" else builtin_systems()[name]
+    pairs = [([g.body() for g in system], system.sum_generator().body())]
+    if system.is_tape_backed:  # and so on the stack machine
+        machine = kernels_for("numpy")
+
+        def run(t):
+            return lambda x: machine.eval_one(t.code, t.operands, x)
+
+        pairs.append(([run(g.tape) for g in system], run(system.sum_generator().tape)))
+    for members, total in pairs:
+        for x in FOLD_POINTS:
+            fold = 0.0
+            for body in members:
+                fold += body(x)
+            if math.isfinite(fold):
+                assert total(x) == fold, (name, x)
+            else:
+                assert math.isnan(total(x)), (name, x)
 
 
 # --- backend selection ---------------------------------------------------------
