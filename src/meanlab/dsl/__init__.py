@@ -3,8 +3,9 @@
 Public surface: ``parse`` text into an expression tree, ``eval_expr`` as
 the reference evaluator, ``to_text`` as the canonical printer, and
 ``to_generator`` to bind an expression to an interval after the
-monotonicity grid check.  Compilation to kernel tapes lives in
-``compiler`` and is mostly an implementation detail of Generator.
+monotonicity grid check.  Compilation to tapes, which the kernels lower
+to Python, lives in ``compiler`` and is mostly an implementation detail
+of Generator.
 """
 
 from .ast import (
@@ -17,7 +18,7 @@ from .ast import (
     eval_expr,
     to_text,
 )
-from .compiler import Tape, compile_expr, pack_tapes, tape_sum
+from .compiler import Tape, compile_expr, tape_sum
 from .parser import parse
 
 
@@ -42,7 +43,6 @@ __all__ = [
     "X",
     "compile_expr",
     "eval_expr",
-    "pack_tapes",
     "parse",
     "tape_sum",
     "to_generator",

@@ -4,16 +4,17 @@ The language is deliberately tiny: the variable ``x``, decimal constants,
 the four arithmetic operators plus ``^``, unary minus, and the functions
 ``exp``, ``log`` and ``sqrt``.  That is enough to express every generator
 used by the mean constructions here, while keeping expressions compilable
-to the flat tapes the numeric kernels run on.
+to the flat tapes the numeric kernels lower to Python.
 
 ``eval_expr`` is a direct recursive walk and serves as the reference
-semantics; the tape compiler in ``compiler.py`` is tested against it.
-Non-finite values do not come back: exp, log, sqrt, division and ``^``
-are NaN outside their guards, and so is any binary operation whose
-result is not finite, so an overflow stays NaN through a later division
-or exp.  The stack machine of ``kernels.tape_evaluator`` follows the
-same rule, and so do the Python bodies ``kernels.lower_tape`` makes of
-tapes, which repeat its ops in order; any other evaluator of tapes must.
+semantics: the Python bodies ``kernels.lower_tape`` makes of compiled
+tapes, and the member matrices of ``kernels.lower_matrix``, are tested
+against it bit for bit.  Non-finite values do not come back: exp, log,
+sqrt, division and ``^`` are NaN outside their guards, and so is any
+binary operation whose result is not finite, so an overflow stays NaN
+through a later division or exp.  The lowered bodies follow the same
+rule, op by op in the order of the tape; any other evaluator of tapes
+must.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def power(base: float, exponent: float) -> float:
     Semantically exp(exponent*log base) on positive bases; negative bases
     are accepted only with integer exponents, and 0^0 is taken as 1.  The
     magnitude guard runs before math.pow so overflow surfaces as NaN
-    instead of an exception, identically in both kernel backends.
+    instead of an exception, in the walker and in lowered bodies alike.
     """
     if math.isnan(base) or math.isnan(exponent):
         return math.nan

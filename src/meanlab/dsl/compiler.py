@@ -1,10 +1,11 @@
 """Compilation of expression trees to flat postfix tapes.
 
 A tape is a pair of parallel arrays: int64 opcodes and float64 operands
-(only OP_CONST slots use the operand).  Tapes are what the numeric
-kernels execute; they also concatenate cheaply, which is how sums and
-affine images of generators stay on the fast path instead of falling
-back to Python callables.
+(only OP_CONST slots use the operand).  Tapes are the form in which
+``kernels.lower_tape`` and ``kernels.lower_matrix`` read a generator and
+lower it to straight-line Python; they also concatenate cheaply, which
+is how sums and affine images of generators are lowered too instead of
+falling back to Python callables.
 """
 
 from __future__ import annotations
@@ -80,24 +81,6 @@ def tape_sum(tapes) -> Tape:
         code_parts.extend([t.code, add_code])
         op_parts.extend([t.operands, add_op])
     return Tape(np.concatenate(code_parts), np.concatenate(op_parts))
-
-
-def pack_tapes(tapes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten several tapes into (code, operands, offsets) arrays.
-
-    offsets has length n+1; tape j occupies [offsets[j], offsets[j+1]).
-    This is the layout the system-level kernels iterate over.
-    """
-    tapes = list(tapes)
-    offsets = np.zeros(len(tapes) + 1, dtype=np.int64)
-    for j, t in enumerate(tapes):
-        offsets[j + 1] = offsets[j] + len(t)
-    code = np.concatenate([t.code for t in tapes])
-    operands = np.concatenate([t.operands for t in tapes])
-    code.setflags(write=False)
-    operands.setflags(write=False)
-    offsets.setflags(write=False)
-    return code, operands, offsets
 
 
 def compile_expr(expr: Expr) -> Tape:

@@ -8,8 +8,8 @@ the midpoint of the final bracket.  The bracket always contains the true
 limit, and the midpoint sits much closer than the gap itself, so a
 modest gap tolerance already pins the value tightly.  One
 loop, ``kernels.make_orbit``, runs every orbit: as the fused
-``cyclic_gauss`` kernel of the system's family for the cyclic mapping of
-any generalized quasi-arithmetic mean, or uncompiled over
+``cyclic_gauss`` kernel over the system's member matrix for the cyclic
+mapping of any generalized quasi-arithmetic mean, or over
 ``MeanTypeMapping.apply`` for every other mapping.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
@@ -107,16 +107,17 @@ def gauss_iterate(
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
-    x0 = np.asarray([mapping.domain.clamp(x) for x in pts], dtype=np.float64)
+    x0 = [mapping.domain.clamp(x) for x in pts]
     try:
         iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
         gaps = np.empty(max_iter + 1, dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array
         raise MeanlabError(f"max_iter = {max_iter} is too large to allocate its trace") from None
     if mapping.system is not None:
-        ks, *program = mapping.system.program()
-        used, status = ks.cyclic_gauss(*program, x0, gap_tol, DEFAULT_INVERT_TOL,
-                                       INVERT_BUDGET, max_iter, iterates, gaps)
+        ks, _, total = mapping.system.program()
+        used, status = ks.cyclic_gauss(mapping.system.matrix(), total, x0, gap_tol,
+                                       DEFAULT_INVERT_TOL, INVERT_BUDGET, max_iter,
+                                       iterates, gaps)
     else:
         used, status = _orbit(mapping, x0, gap_tol, max_iter, iterates, gaps)
     trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)
@@ -131,7 +132,7 @@ def gauss_iterate(
         # components compute that step bit for bit, so replaying it raises
         # exactly what _orbit raises there
         mapping.apply(trace.last)
-    stop = float(kernels.scaled_stop(gap_tol, *kernels.span(x0)))
+    stop = kernels.scaled_stop(gap_tol, min(x0), max(x0))
     raise ConvergenceError(
         f"gap {trace.gaps[-1]:.3e} still above {stop} after"
         f" {used} iterations of {mapping.label!r}",
@@ -139,10 +140,9 @@ def gauss_iterate(
     )
 
 
-def _apply_step(mapping, x, _mn, _mx, out):
+def _apply_step(mapping, x, _mn, _mx):
     # component exceptions propagate out of the orbit
-    out[:] = mapping.apply(x)
-    return kernels.STATUS_OK
+    return kernels.STATUS_OK, mapping.apply(x)
 
 
 _orbit = kernels.make_orbit(_apply_step)

@@ -1,21 +1,19 @@
 """Strictly increasing generator functions on an interval.
 
 A Generator pairs a scalar function with its domain: a compiled DSL tape
-or an arbitrary Python callable.  ``Generator.program`` and
-``GeneratorSystem.program`` pick the kernel family and program by one
-rule: tape arrays on ``kernels.ACTIVE`` when numba is the backend and
-every member has a tape; otherwise bodies (the tape lowered once to
-straight-line Python, or the callable wrapped once in the evaluation
-guard, kept on the generator; a system keeps its members' bodies next to
-its tape pack) on ``kernels.PYTHON``.
-Every evaluation, inversion, mean step and fused Gauss orbit runs the
-same kernels on that program.  Construction grid-checks strict growth,
-so code downstream may rely on invertibility.
+or an arbitrary Python callable.  Either runs on the one kernel family,
+``kernels.ACTIVE``, as a body (the tape lowered once to straight-line
+Python, or the callable wrapped once in the evaluation guard, kept on
+the generator); ``Generator.program``, ``GeneratorSystem.program`` and
+``GeneratorSystem.matrix`` hand the kernels their programs.  Every
+evaluation, inversion, mean step and fused Gauss orbit runs the same
+kernels on those programs.  Construction grid-checks strict growth, so
+code downstream may rely on invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
 values on the bracket, within a 200-step budget.  There is one solver,
-``kernels.make_invert``, whose docstring states the test.
+``kernels.invert_core``, whose docstring states the test.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
@@ -33,7 +31,7 @@ import numpy as np
 from . import kernels
 from .dsl import compile_expr, parse, to_text
 from .dsl.ast import Expr
-from .dsl.compiler import Tape, pack_tapes, tape_sum
+from .dsl.compiler import Tape, tape_sum
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -67,13 +65,6 @@ class MonotonicityReport:
     grid_size: int
     witness: tuple[float, float] | None = None
     reason: str | None = None
-
-
-def _body_family():
-    """``kernels.PYTHON`` beside numba; without numba it is
-    ``kernels.ACTIVE``, read at call time so that a wrapper installed
-    there (the benchmark's tracer) sees every body-backed call."""
-    return kernels.PYTHON if kernels.BACKEND == "numba" else kernels.ACTIVE
 
 
 class Generator:
@@ -126,7 +117,7 @@ class Generator:
         return self.tape is not None
 
     def body(self):
-        """The generator as a body of ``kernels.PYTHON``, a Python
+        """The generator as a body of the kernels, a Python
         function of a float that returns a float, NaN where the generator
         is not finite: the tape lowered once by ``kernels.lower_tape``, or
         the callable wrapped once by ``kernels.guard``."""
@@ -138,11 +129,10 @@ class Generator:
         return self._body
 
     def program(self):
-        """(family, code, operands): ``kernels.ACTIVE`` over the tape's
-        arrays under numba; otherwise the body family over (body,)."""
-        if self.tape is not None and kernels.BACKEND == "numba":
-            return kernels.ACTIVE, self.tape.code, self.tape.operands
-        return _body_family(), (self.body(),), None
+        """(family, body): ``kernels.ACTIVE``, read at call time so that
+        a wrapper installed there (the benchmark's tracer) sees every
+        call, and the generator's body."""
+        return kernels.ACTIVE, self.body()
 
     def __call__(self, x: float) -> float:
         """Evaluate at a point of the domain.
@@ -173,8 +163,8 @@ class Generator:
         Non-finite entries come back as NaN; callers decide whether that
         is an error.
         """
-        ks, code, operands = self.program()
-        return ks.eval_grid(code, operands, np.asarray(xs, dtype=np.float64))
+        ks, body = self.program()
+        return ks.eval_grid(body, np.asarray(xs, dtype=np.float64))
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Solve g(x) = y on the domain.
@@ -190,16 +180,16 @@ class Generator:
     def invert_on(self, y: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Inversion with a caller-supplied bracket inside the domain."""
         y = float(y)
-        ks, code, operands = self.program()
-        x, status = ks.invert(code, operands, y, lo, hi, tol, INVERT_BUDGET)
+        ks, body = self.program()
+        x, status = ks.invert(body, y, lo, hi, tol, INVERT_BUDGET)
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}", tol)
         return x
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
-        ks, code, operands = self.program()
-        return ks.eval_one(code, operands, x)
+        ks, body = self.program()
+        return ks.eval_one(body, x)
 
     def _invert_error(self, status, target, tol):
         """The package exception for a failed solve; ``target`` names
@@ -298,7 +288,7 @@ def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
 class GeneratorSystem:
     """An ordered tuple of n >= 2 generators on one shared interval."""
 
-    __slots__ = ("generators", "domain", "_sum", "_pack", "_bodies")
+    __slots__ = ("generators", "domain", "_sum", "_program", "_matrix")
 
     def __init__(self, generators: Sequence[Generator]):
         gens = tuple(generators)
@@ -311,8 +301,8 @@ class GeneratorSystem:
         self.generators = gens
         self.domain = domain
         self._sum = None
-        self._pack = None
-        self._bodies = None
+        self._program = None
+        self._matrix = None
 
     @property
     def n(self) -> int:
@@ -332,30 +322,23 @@ class GeneratorSystem:
             self._sum = sum_generators(self.generators)
         return self._sum
 
-    def tape_pack(self):
-        """(codes, operands, offsets, sum_tape) for the system kernels,
-        or None when any member is callable-backed."""
-        if not self.is_tape_backed:
-            return None
-        if self._pack is None:
-            codes, operands, offsets = pack_tapes([g.tape for g in self.generators])
-            self._pack = (codes, operands, offsets, self.sum_generator().tape)
-        return self._pack
-
     def program(self):
-        """(family, codes, operands, offsets, sum_code, sum_operands) for
-        the kernels ``gqam`` and ``cyclic_gauss``: ``kernels.ACTIVE``,
-        read at call time, over ``tape_pack()`` under numba; otherwise
-        the body family over the members' bodies and the sum
-        generator's body."""
-        if self.is_tape_backed and kernels.BACKEND == "numba":
-            codes, operands, offsets, total = self.tape_pack()
-            return kernels.ACTIVE, codes, operands, offsets, total.code, total.operands
-        if self._bodies is None:
-            self._bodies = (tuple(g.body() for g in self.generators),
-                            np.arange(self.n + 1), (self.sum_generator().body(),))
-        bodies, offsets, sum_body = self._bodies
-        return _body_family(), bodies, None, offsets, sum_body, None
+        """(family, bodies, total) for the kernels ``gqam`` and
+        ``cyclic_gauss``: ``kernels.ACTIVE``, read at call time, the
+        members' bodies and the sum generator's body, made once."""
+        if self._program is None:
+            self._program = (tuple(g.body() for g in self.generators),
+                             self.sum_generator().body())
+        return (kernels.ACTIVE, *self._program)
+
+    def matrix(self):
+        """The member matrix of ``kernels.lower_matrix`` over the members'
+        tapes, or their bodies where they have none, which ``cyclic_gauss``
+        steps on; lowered once, on first use, and kept next to the bodies."""
+        if self._matrix is None:
+            self._matrix = kernels.lower_matrix(
+                [g.tape if g.tape is not None else g.body() for g in self.generators])
+        return self._matrix
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
         """Member-wise images a*f_i + b_i with one shared slope."""

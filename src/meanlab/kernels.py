@@ -1,48 +1,44 @@
-"""Numeric kernels, each written once over an evaluator of programs.
+"""Numeric kernels: plain Python on floats and lists.
 
-The hot loops of this package are scalar: program evaluation inside
-bracketed root-finding inside Gauss iteration.  ``_build`` writes every
-kernel over an evaluator ``eval_core(code, operands, start, stop, x)``
-that is NaN where the program code[start:stop] is not finite at x, and
-each kernel converts its numpy inputs to floats once per call.  The
-families:
+The hot loops of this package are scalar: evaluation of a generator
+inside bracketed root-finding inside Gauss iteration.  A generator runs
+as a body, a Python function of a float that returns a float, NaN where
+the generator is not finite: a DSL tape lowered once by ``lower_tape``
+to straight-line Python, or a user callable wrapped once by ``guard``.
+Bodies are guarded when they are made, not per call.
 
-    numba   DSL tapes on the stack machine of ``tape_evaluator``,
-            compiled with numba's ``njit``
-    PYTHON  Python functions of x, never compiled: DSL tapes lowered
-            once by ``lower_tape`` to straight-line Python, and user
-            callables wrapped once by ``guard``; its program is a tuple
-            of bodies, one slot per member, and ``eval_body`` calls the
-            body in a slot.  A body returns a float, NaN where its member
-            is not finite: it is guarded when it is made, not per call.
+``lower_tape`` and ``lower_matrix`` are the two uses of one statement
+emitter, ``_emit_tape``.  ``lower_matrix`` makes a system's member
+matrix: one generated function of x0..x_{n-1} that evaluates every
+member at every coordinate, tape members inlined and callable members
+called through their bodies, and returns the folds the Gauss step needs.
 
-The stack machine also runs uncompiled, as ``kernels_for("numpy")``: it
-is the source numba compiles and the reference the lowered bodies are
-tested against, bit for bit.
+The bracketed solve is written once, in ``invert_core``, which calls
+the body it inverts; its callers evaluate the bracket's endpoints.
+``gqam`` is one generalized quasi-arithmetic mean: evaluate f1..fn, sum,
+invert the sum F = f1+...+fn.  Gauss iteration, with its one stopping
+rule, is written once in ``make_orbit``: ``cyclic_gauss`` runs it over a
+fused step that computes the n rotated means of the cyclic mapping from
+one call of the member matrix.  Each mean's target is a fold of that
+matrix, and so are F(min x) and F(max x), the values at the bracket all
+n solves share: ``tape_sum`` makes F's program the left fold of the
+members', so the step gives what ``gqam`` gives on each rotation, bit
+for bit, and fails (``STATUS_NONFINITE``) where a member value or one
+of those two folds is not finite.  ``gauss`` runs ``make_orbit`` over
+the components of any other mean-type mapping.
 
-The bracketed solve is written once, in ``make_invert``; its callers
-evaluate the bracket's endpoints.  ``gqam`` is one generalized
-quasi-arithmetic mean: evaluate f1..fn, sum, invert the sum
-F = f1+...+fn.  Gauss iteration, with its one stopping rule, is written
-once in ``make_orbit``: ``cyclic_gauss`` runs it over a fused step that
-computes the n rotated means of the cyclic mapping from one matrix of
-member values f_j(x_k), evaluated once per step.  Each mean's target is
-a fold of that matrix, and so are F(min x) and F(max x), the values at
-the bracket all n solves share: ``tape_sum`` makes F's program the left
-fold of the members', so the step gives what ``gqam`` gives on each
-rotation, bit for bit, and fails (``STATUS_NONFINITE``) where a member
-value or one of those two folds is not finite.  ``gauss`` runs ``make_orbit`` uncompiled over the
-components of any other mean-type mapping.  ``Generator.program`` and
-``GeneratorSystem.program`` pick family and program: tape arrays on the
-numba family when it is the backend and every member has a tape, bodies
-on ``PYTHON`` otherwise.  ``ACTIVE`` is the numba family or ``PYTHON``,
-selected by the MEANLAB_BACKEND environment variable:
+``PYTHON`` is the one kernel family and ``ACTIVE`` names it; callers
+read ``ACTIVE`` at call time, so a wrapper installed there (the
+benchmark's tracer) sees every kernel call.  ``Generator.program``,
+``GeneratorSystem.program`` and ``GeneratorSystem.matrix`` hand it its
+programs: a generator's body, a system's member bodies and sum body,
+and its member matrix.  The MEANLAB_BACKEND environment variable is
+read at import:
 
-    auto    numba when importable, otherwise PYTHON (default)
-    numba   require numba, fail at import if missing
-    numpy   force PYTHON (``python`` is an alias)
+    auto    the Python family (default; ``numpy`` and ``python`` alias it)
+    numba   no longer a backend: one ``meanlab:`` line, exit status 2
 
-An unknown value is reported on stderr and treated as ``auto``.
+Any other value is reported on stderr and treated as ``auto``.
 
 Kernels never raise, save for a ``TypeError`` from calling a body of
 the wrong arity.  Scalar evaluation signals trouble with NaN and the
@@ -86,13 +82,9 @@ from .dsl.compiler import (
     OP_X,
 )
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
+# numba is not a backend: the kernels are plain Python.  The name stays
+# because the benchmark harness reads it.
+HAS_NUMBA = False
 
 STATUS_OK = 0
 STATUS_RANGE = 1
@@ -102,9 +94,8 @@ STATUS_NONFINITE = 3
 # relative gap at which a Gauss orbit has closed as far as float64 allows
 GAP_FLOOR = 4.0 * sys.float_info.epsilon
 
-# The uncompiled stack machine, ``power`` included, computes on numpy
-# scalars, and so does a lowered body called on one; numpy warns on
-# overflow, but the NaN they return is the signal.
+# A lowered body called on a numpy scalar computes on it, and so does
+# ``power``; numpy warns on overflow, but the NaN they return is the signal.
 warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning,
                         r"meanlab\.(kernels|dsl\.ast)$")
 
@@ -118,11 +109,10 @@ class KernelSet(NamedTuple):
     cyclic_gauss: callable
 
 
-def make_invert(evaluate, jit=lambda f: f):
-    """The bracketed solve for g(x) = y on [lo, hi], g increasing, given
-    the endpoint values glo = g(lo) and ghi = g(hi) (NaN where g is not
-    finite) and an evaluator ``evaluate(code, operands, start, stop, x)``
-    of g inside the bracket that returns NaN where g is not finite.
+def invert_core(g, y, lo, hi, glo, ghi, tol, budget):
+    """The bracketed solve for g(x) = y on [lo, hi], g a body that is
+    increasing there, given the endpoint values glo = g(lo) and
+    ghi = g(hi) (NaN where g is not finite).
 
     Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
     bracket with bisection as the fallback; stops on the residual test
@@ -133,79 +123,59 @@ def make_invert(evaluate, jit=lambda f: f):
     Returns (x, status).  The callers evaluate the endpoints: ``invert``
     and ``gqam`` on g itself, the Gauss step once for all its solves.
     """
-
-    @jit
-    def invert_core(code, operands, start, stop, y, lo, hi, glo, ghi, tol, budget):
-        if math.isnan(glo) or math.isnan(ghi):
-            return np.nan, STATUS_NONFINITE
-        scale = tol * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
-        loose = tol * max(1.0, abs(y))
-        if y <= glo:
-            if glo - y <= loose:
-                return lo, STATUS_OK
-            return np.nan, STATUS_RANGE
-        if y >= ghi:
-            if y - ghi <= loose:
-                return hi, STATUS_OK
-            return np.nan, STATUS_RANGE
-        a = lo
-        b = hi
-        fa = glo - y
-        fb = ghi - y
-        side = 0
-        for _ in range(budget):
-            denom = fb - fa
-            if denom != 0.0:
-                xm = a - fa * (b - a) / denom
+    if math.isnan(glo) or math.isnan(ghi):
+        return math.nan, STATUS_NONFINITE
+    scale = tol * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
+    loose = tol * max(1.0, abs(y))
+    if y <= glo:
+        if glo - y <= loose:
+            return lo, STATUS_OK
+        return math.nan, STATUS_RANGE
+    if y >= ghi:
+        if y - ghi <= loose:
+            return hi, STATUS_OK
+        return math.nan, STATUS_RANGE
+    a = lo
+    b = hi
+    fa = glo - y
+    fb = ghi - y
+    side = 0
+    for _ in range(budget):
+        denom = fb - fa
+        if denom != 0.0:
+            xm = a - fa * (b - a) / denom
+        else:
+            xm = 0.5 * (a + b)
+        if not (a < xm < b):
+            xm = 0.5 * (a + b)
+        if not (a < xm < b):
+            # bracket has collapsed to adjacent floats
+            if -fa <= fb:
+                if -fa <= loose:
+                    return a, STATUS_OK
             else:
-                xm = 0.5 * (a + b)
-            if not (a < xm < b):
-                xm = 0.5 * (a + b)
-            if not (a < xm < b):
-                # bracket has collapsed to adjacent floats
-                if -fa <= fb:
-                    if -fa <= loose:
-                        return a, STATUS_OK
-                else:
-                    if fb <= loose:
-                        return b, STATUS_OK
-                return 0.5 * (a + b), STATUS_BUDGET
-            fm = evaluate(code, operands, start, stop, xm)
-            if math.isnan(fm):
-                return np.nan, STATUS_NONFINITE
-            fm -= y
-            if abs(fm) <= scale:
-                return xm, STATUS_OK
-            if fm < 0.0:
-                a = xm
-                fa = fm
-                if side == -1:
-                    fb *= 0.5
-                side = -1
-            else:
-                b = xm
-                fb = fm
-                if side == 1:
-                    fa *= 0.5
-                side = 1
-        return 0.5 * (a + b), STATUS_BUDGET
-
-    return invert_core
-
-
-def span(xs):
-    """(min, max) of a nonempty float64 vector, as floats: the solves and
-    the stopping test of ``PYTHON`` then compute on Python floats, not
-    numpy scalars (under numba the conversion is a no-op)."""
-    mn = float(xs[0])
-    mx = mn
-    for j in range(1, xs.shape[0]):
-        v = float(xs[j])
-        if v < mn:
-            mn = v
-        if v > mx:
-            mx = v
-    return mn, mx
+                if fb <= loose:
+                    return b, STATUS_OK
+            return 0.5 * (a + b), STATUS_BUDGET
+        fm = g(xm)
+        if math.isnan(fm):
+            return math.nan, STATUS_NONFINITE
+        fm -= y
+        if abs(fm) <= scale:
+            return xm, STATUS_OK
+        if fm < 0.0:
+            a = xm
+            fa = fm
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b = xm
+            fb = fm
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b), STATUS_BUDGET
 
 
 def scaled_stop(gap_tol, mn, mx):
@@ -214,121 +184,69 @@ def scaled_stop(gap_tol, mn, mx):
     return gap_tol * min(1.0, max(abs(mn), abs(mx)))
 
 
-def make_orbit(step, jit=lambda f: f):
-    """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx, out)
-    -> status`` writes the image of x, of span [mn, mx], into out, until
-    the gap mx - mn is at most max(tol, GAP_FLOOR * max(|mn|, |mx|)),
-    with tol = ``scaled_stop`` of the start vector, computed once (by the
-    current iterate, an orbit whose limit is 0 would never stop).
-    Fills iterates/gaps from the starting vector on and returns
-    (iterations_used, status); a failed step ends the orbit with its status.
+def make_orbit(step):
+    """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx) ->
+    (status, out)`` gives the image ``out`` of the list x, of span
+    [mn, mx], as a sequence of floats, until the gap mx - mn is at most
+    max(tol, GAP_FLOOR * max(|mn|, |mx|)), with tol = ``scaled_stop`` of
+    the start list x0, computed once (by the current iterate, an orbit
+    whose limit is 0 would never stop).  The rows and gaps are kept in
+    lists and written into iterates/gaps, from the start vector on, when
+    the orbit ends.  Returns (iterations_used, status); a failed step
+    ends the orbit with its status.
     """
-    sp = jit(span)
-    stop_of = jit(scaled_stop)
 
-    @jit
     def orbit(ctx, x0, gap_tol, max_iter, iterates, gaps):
-        x = x0.copy()
-        out = np.empty_like(x)
-        mn, mx = sp(x)
-        tol = stop_of(gap_tol, mn, mx)
+        x = x0
+        tol = scaled_stop(gap_tol, min(x), max(x))
+        rows = []
+        spans = []
         used = 0
         while True:
-            iterates[used, :] = x
-            mn, mx = sp(x)
-            gaps[used] = mx - mn
-            if not (mx - mn > max(tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
-                return used, STATUS_OK
+            rows.append(x)
+            mn = min(x)
+            mx = max(x)
+            gap = mx - mn
+            spans.append(gap)
+            if not (gap > max(tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
+                status = STATUS_OK
+                break
             if used >= max_iter:
-                return used, STATUS_BUDGET
-            st = step(ctx, x, mn, mx, out)
-            if st != STATUS_OK:
-                return used, st
-            x, out = out, x
+                status = STATUS_BUDGET
+                break
+            status, out = step(ctx, x, mn, mx)
+            if status != STATUS_OK:
+                break
+            x = out
             used += 1
+        iterates[: used + 1] = rows
+        gaps[: used + 1] = spans
+        return used, status
 
     return orbit
-
-
-def tape_evaluator(jit=lambda f: f):
-    """The stack machine over DSL tapes: the evaluator numba compiles,
-    and uncompiled the reference of ``lower_tape``."""
-    pw = jit(power)
-
-    @jit
-    def eval_tape(code, operands, start, stop, x):
-        stack = np.empty(stop - start, dtype=np.float64)
-        top = -1
-        for k in range(start, stop):
-            op = code[k]
-            if op == OP_CONST:
-                top += 1
-                stack[top] = operands[k]
-            elif op == OP_X:
-                top += 1
-                stack[top] = x
-            elif op == OP_NEG:
-                stack[top] = -stack[top]
-            elif op == OP_EXP:
-                v = stack[top]
-                if v > _EXP_MAX:
-                    return np.nan
-                stack[top] = math.exp(v)
-            elif op == OP_LOG:
-                v = stack[top]
-                if v <= 0.0:
-                    return np.nan
-                stack[top] = math.log(v)
-            elif op == OP_SQRT:
-                v = stack[top]
-                if v < 0.0:
-                    return np.nan
-                stack[top] = math.sqrt(v)
-            else:
-                b = stack[top]
-                top -= 1
-                a = stack[top]
-                if op == OP_ADD:
-                    r = a + b
-                elif op == OP_SUB:
-                    r = a - b
-                elif op == OP_MUL:
-                    r = a * b
-                elif op == OP_DIV:
-                    if b == 0.0:
-                        return np.nan
-                    r = a / b
-                else:
-                    r = pw(a, b)
-                if not math.isfinite(r):
-                    return np.nan
-                stack[top] = r
-        v = stack[0]
-        if not math.isfinite(v):
-            return np.nan
-        return v
-
-    return eval_tape
 
 
 _GUARDED_UNARY = {OP_EXP: (f"> {_EXP_MAX!r}", "exp"), OP_LOG: ("<= 0.0", "log"),
                   OP_SQRT: ("< 0.0", "sqrt")}
 _BINARY_SYMBOL = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*", OP_DIV: "/"}
+# what lowered code may name
+_LOWERED_NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
+                  "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
+                  "power": power}
 
 
-def lower_tape(code, operands):
-    """The tape as a straight-line Python function of x: the ops of
-    ``tape_evaluator`` in the same order, with the same guards, on named
-    temporaries instead of a stack, so it returns the value the stack
-    machine returns, NaN where that is NaN.  Finite constants become
+def _emit_tape(code, operands, x, prefix, fail, names):
+    """Statements that compute the tape at the input named ``x`` and the
+    expression of its value: the tape's ops in order, on temporaries
+    named ``prefix`` + "t" + slot, each guard running the statement
+    ``fail`` where the value is not finite.  A non-finite constant is
+    bound in ``names`` as ``prefix`` + "c" + slot; finite ones become
     literals, in parentheses, and a negated literal is one too.  A power
     with a literal exponent runs the positive-base branch of ``power``
     inline and calls ``power`` for every other base.  The final finite
-    test is left out where the last op has just made it."""
-    names = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
-             "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
-             "power": power}
-    lines = ["def body(x):"]
+    test is left out where the last op has just made it.  Statements
+    are indented relative to their block."""
+    lines = []
     stack = []
     checked = None  # the last binary result, tested finite where it is made
     for k, (op, c) in enumerate(zip(code.tolist(), operands.tolist())):
@@ -336,54 +254,105 @@ def lower_tape(code, operands):
             if math.isfinite(c):
                 stack.append(f"({c!r})")
             else:  # affine images may carry one; it has no literal
-                names[f"c{k}"] = c
-                stack.append(f"c{k}")
+                names[f"{prefix}c{k}"] = c
+                stack.append(f"{prefix}c{k}")
             continue
         if op == OP_X:
-            stack.append("x")
+            stack.append(x)
             continue
-        t = f"t{k}"
+        t = f"{prefix}t{k}"
         if op == OP_NEG and stack[-1].startswith("("):  # a literal: negated exactly
             stack.append(f"({-float(stack.pop()[1:-1])!r})")
             continue
         if op == OP_NEG:
-            lines.append(f"    {t} = -{stack.pop()}")
+            lines.append(f"{t} = -{stack.pop()}")
         elif op in _GUARDED_UNARY:
             cut, fn = _GUARDED_UNARY[op]
             a = stack.pop()
-            lines += [f"    if {a} {cut}:", "        return nan", f"    {t} = {fn}({a})"]
+            lines += [f"if {a} {cut}:", f"    {fail}", f"{t} = {fn}({a})"]
         else:
             b = stack.pop()
             a = stack.pop()
             if op == OP_DIV:
-                lines += [f"    if {b} == 0.0:", "        return nan"]
+                lines += [f"if {b} == 0.0:", f"    {fail}"]
             if op == OP_POW and b.startswith("("):
-                lines += [f"    if {a} > 0.0:",
-                          f"        if {b} * log({a}) > {_EXP_MAX!r}:",
-                          "            return nan",
-                          f"        {t} = pow({a}, {b})",
-                          "    else:",
-                          f"        {t} = power({a}, {b})"]
+                lines += [f"if {a} > 0.0:",
+                          f"    if {b} * log({a}) > {_EXP_MAX!r}:",
+                          f"        {fail}",
+                          f"    {t} = pow({a}, {b})",
+                          "else:",
+                          f"    {t} = power({a}, {b})"]
             elif op == OP_POW:
-                lines.append(f"    {t} = power({a}, {b})")
+                lines.append(f"{t} = power({a}, {b})")
             else:
-                lines.append(f"    {t} = {a} {_BINARY_SYMBOL[op]} {b}")
-            lines += [f"    if not isfinite({t}):", "        return nan"]
+                lines.append(f"{t} = {a} {_BINARY_SYMBOL[op]} {b}")
+            lines += [f"if not isfinite({t}):", f"    {fail}"]
             checked = t
         stack.append(t)
     if stack[-1] != checked:
-        lines += [f"    if not isfinite({stack[-1]}):", "        return nan"]
-    lines.append(f"    return {stack[-1]}")
-    exec(compile("\n".join(lines), "<meanlab tape>", "exec"), names)
-    return names["body"]
+        lines += [f"if not isfinite({stack[-1]}):", f"    {fail}"]
+    return lines, stack[-1]
+
+
+def _define(name, params, lines, names):
+    """The function ``name`` with body ``lines``, compiled in ``names``."""
+    source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
+    exec(compile(source, f"<meanlab {name}>", "exec"), names)
+    return names[name]
+
+
+def lower_tape(code, operands):
+    """The tape as a body: a straight-line Python function of x that
+    returns the tape's value, NaN where ``dsl.eval_expr`` of the tape's
+    expression raises (a guard fails or a binary result is not finite)."""
+    names = dict(_LOWERED_NAMES)
+    lines, value = _emit_tape(code, operands, "x", "", "return nan", names)
+    return _define("body", "x", [*lines, f"return {value}"], names)
+
+
+def lower_matrix(members):
+    """A system's member matrix: ``matrix(x0, ..., x_{n-1})`` evaluates
+    each member f_j at each coordinate x_k, member by member, and
+    returns (targets, folds), two lists of floats:
+
+        targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n})
+        folds[k]   = 0.0 + f_0(x_k) + ... + f_{n-1}(x_k)
+
+    each folded in member order; it returns None where some member value
+    is NaN.  A member is a tape, inlined at each coordinate by the
+    emitter of ``lower_tape``, or a body, called with a NaN test."""
+    n = len(members)
+    names = dict(_LOWERED_NAMES)
+    lines = []
+    value = {}
+    for j, member in enumerate(members):
+        if callable(member):
+            names[f"b{j}"] = member
+        for k in range(n):
+            if callable(member):
+                v = f"m{j}_{k}"
+                lines += [f"{v} = b{j}(x{k})", f"if {v} != {v}:", "    return None"]
+            else:
+                emitted, v = _emit_tape(member.code, member.operands, f"x{k}",
+                                        f"m{j}_{k}_", "return None", names)
+                lines += emitted
+            value[j, k] = v
+
+    def fold(terms):
+        return " + ".join(["0.0", *terms])
+
+    targets = [fold(value[j, (j - i) % n] for j in range(n)) for i in range(n)]
+    folds = [fold(value[j, k] for j in range(n)) for k in range(n)]
+    lines.append(f"return [{', '.join(targets)}], [{', '.join(folds)}]")
+    return _define("matrix", ", ".join(f"x{k}" for k in range(n)), lines, names)
 
 
 def guard(fn):
-    """A Python callable as a body of ``PYTHON``: fn(x) as a float, NaN
-    where fn raises ``ValueError``, ``OverflowError`` or
-    ``ZeroDivisionError`` or returns a value that is not a finite real
-    number; a ``TypeError`` from the call itself, such as a callable of
-    the wrong arity, propagates."""
+    """A Python callable as a body: fn(x) as a float, NaN where fn
+    raises ``ValueError``, ``OverflowError`` or ``ZeroDivisionError`` or
+    returns a value that is not a finite real number; a ``TypeError``
+    from the call itself, such as a callable of the wrong arity,
+    propagates."""
 
     def body(x):
         try:
@@ -399,142 +368,85 @@ def guard(fn):
     return body
 
 
-def eval_body(bodies, _operands, start, _stop, x):
-    """The evaluator of ``PYTHON``: the body in slot ``start`` at x.
-    Bodies are guarded when they are made (``lower_tape``, ``guard``),
-    so the call returns a float, NaN where the member is not finite."""
-    return bodies[start](x)
+def eval_one(body, x):
+    """The body at x, NaN where it is not finite."""
+    return body(float(x))
 
 
-def _build(jit, name: str, eval_core) -> KernelSet:
-    """The kernel family over ``eval_core``, compiled with ``jit`` (which
-    must also have compiled ``eval_core``)."""
+def eval_grid(body, xs):
+    """The body at each point of a float64 vector, as one."""
+    return np.asarray([body(x) for x in xs.tolist()], dtype=np.float64)
 
-    @jit
-    def eval_one(code, operands, x):
-        return eval_core(code, operands, 0, len(code), float(x))
 
-    @jit
-    def eval_grid(code, operands, xs):
-        out = np.empty(xs.shape[0], dtype=np.float64)
-        for i in range(xs.shape[0]):
-            out[i] = eval_core(code, operands, 0, len(code), float(xs[i]))
-        return out
+def invert(g, y, lo, hi, tol, budget):
+    """``invert_core`` for the body g, which it evaluates at lo and hi."""
+    lo = float(lo)
+    hi = float(hi)
+    return invert_core(g, float(y), lo, hi, g(lo), g(hi), tol, budget)
 
-    invert_core = make_invert(eval_core, jit)
-    sp = jit(span)
 
-    @jit
-    def invert(code, operands, y, lo, hi, tol, budget):
-        stop = len(code)
-        lo = float(lo)
-        hi = float(hi)
-        return invert_core(code, operands, 0, stop, float(y), lo, hi,
-                           eval_core(code, operands, 0, stop, lo),
-                           eval_core(code, operands, 0, stop, hi), tol, budget)
+def gqam(bodies, total, xs, tol, budget):
+    """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, with
+    ``total`` the body of the sum, solved on [min xs, max xs], which
+    brackets it by the mean property."""
+    s = 0.0
+    for body, x in zip(bodies, xs):
+        v = body(x)
+        if math.isnan(v):
+            return math.nan, STATUS_NONFINITE
+        s += v
+    return invert(total, s, min(xs), max(xs), tol, budget)
 
-    @jit
-    def gqam(codes, operands, offsets, sum_code, sum_operands, xs, tol, budget):
-        # (f1+...+fn)^{-1}(f1(x1)+...+fn(xn)), solved on [min xs, max xs],
-        # which brackets it by the mean property
-        s = 0.0
-        for j in range(offsets.shape[0] - 1):
-            v = eval_core(codes, operands, offsets[j], offsets[j + 1], float(xs[j]))
-            if math.isnan(v):
-                return np.nan, STATUS_NONFINITE
-            s += v
-        mn, mx = sp(xs)
-        return invert(sum_code, sum_operands, s, mn, mx, tol, budget)
 
-    @jit
-    def rotated_means(ctx, x, mn, mx, out):
-        # Component i of the cyclic mapping is the mean of x rotated by i,
-        # F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n] and
-        # F = f1+...+fn, solved on [mn, mx].  The step evaluates the
-        # member matrix f_j(x_k) once, member by member, and folds each
-        # value, in member order, into target i = (j - k) mod n and, in
-        # the columns where mn and mx sit, into F(mn) and F(mx): the sum
-        # program's values there (a zero may differ in sign, which the
-        # solve never reads), shared by the n solves.
-        codes, operands, offsets, sum_code, sum_operands, tol, budget = ctx
-        n = x.shape[0]
-        xs = []
-        kmn = 0  # where mn and mx sit: their first places, as span finds them
-        kmx = 0
-        for k in range(n):
-            v = float(x[k])
-            xs.append(v)
-            if v < xs[kmn]:
-                kmn = k
-            if v > xs[kmx]:
-                kmx = k
-        ys = [0.0] * n
-        glo = 0.0
-        ghi = 0.0
-        for j in range(n):
-            start = offsets[j]
-            stop = offsets[j + 1]
-            for k in range(n):
-                v = eval_core(codes, operands, start, stop, xs[k])
-                if math.isnan(v):
-                    return STATUS_NONFINITE
-                ys[(j - k) % n] += v
-                if k == kmn:
-                    glo += v
-                if k == kmx:
-                    ghi += v
-        if not (math.isfinite(glo) and math.isfinite(ghi)):
-            return STATUS_NONFINITE
-        stop = len(sum_code)
-        for i in range(n):
-            val, st = invert_core(sum_code, sum_operands, 0, stop, ys[i], mn, mx,
-                                  glo, ghi, tol, budget)
-            if st != STATUS_OK:
-                return st
-            out[i] = val
-        return STATUS_OK
+def rotated_means(ctx, x, mn, mx):
+    # Component i of the cyclic mapping is the mean of x rotated by i,
+    # F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n] and
+    # F = f1+...+fn, solved on [mn, mx].  One call of the member matrix
+    # gives every target and, in the columns where mn and mx first sit,
+    # F(mn) and F(mx): the sum program's values there (a zero may differ
+    # in sign, which the solve never reads), shared by the n solves.
+    matrix, total, tol, budget = ctx
+    m = matrix(*x)
+    if m is None:
+        return STATUS_NONFINITE, None
+    targets, folds = m
+    glo = folds[x.index(mn)]
+    ghi = folds[x.index(mx)]
+    if not (math.isfinite(glo) and math.isfinite(ghi)):
+        return STATUS_NONFINITE, None
+    out = []
+    for y in targets:
+        val, st = invert_core(total, y, mn, mx, glo, ghi, tol, budget)
+        if st != STATUS_OK:
+            return st, None
+        out.append(val)
+    return STATUS_OK, out
 
-    orbit = make_orbit(rotated_means, jit)
 
-    @jit
-    def cyclic_gauss(codes, operands, offsets, sum_code, sum_operands, x0,
-                     gap_tol, inv_tol, inv_budget, max_iter, iterates, gaps):
-        ctx = (codes, operands, offsets, sum_code, sum_operands, inv_tol, inv_budget)
-        return orbit(ctx, x0, gap_tol, max_iter, iterates, gaps)
+_orbit = make_orbit(rotated_means)
 
-    return KernelSet(
-        name=name,
-        eval_one=eval_one,
-        eval_grid=eval_grid,
-        invert=invert,
-        gqam=gqam,
-        cyclic_gauss=cyclic_gauss,
-    )
+
+def cyclic_gauss(matrix, total, x0, gap_tol, inv_tol, inv_budget, max_iter, iterates, gaps):
+    """Gauss iteration of the cyclic mapping of a system, given its
+    member matrix and sum body, from the list of floats x0."""
+    return _orbit((matrix, total, inv_tol, inv_budget), x0, gap_tol, max_iter, iterates, gaps)
 
 
 def _resolve_backend() -> str:
     env = os.environ.get("MEANLAB_BACKEND", "auto").strip().lower()
     if env == "numba":
-        if not HAS_NUMBA:
-            raise ImportError("MEANLAB_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env in ("numpy", "python"):
-        return "numpy"
-    if env not in ("", "auto"):
+        print("meanlab: MEANLAB_BACKEND=numba: numba is no longer a backend;"
+              " unset it or use auto, numpy or python", file=sys.stderr)
+        raise SystemExit(2)
+    if env not in ("", "auto", "numpy", "python"):
         print(f"meanlab: unknown MEANLAB_BACKEND value {env!r}, using auto",
               file=sys.stderr)
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
-# the stack machine uncompiled: the reference the other families are tested against
-_PY_KERNELS = _build(lambda f: f, "numpy", tape_evaluator())
-_njit = numba.njit(cache=False, fastmath=False, nogil=True) if HAS_NUMBA else None
-_NB_KERNELS = _build(_njit, "numba", tape_evaluator(_njit)) if HAS_NUMBA else None
-# never compiled: lowered tapes and user callables, as Python bodies
-PYTHON = _build(lambda f: f, "numpy", eval_body)
-
+PYTHON = KernelSet("numpy", eval_one, eval_grid, invert, gqam, cyclic_gauss)
 BACKEND = _resolve_backend()
-ACTIVE = _NB_KERNELS if BACKEND == "numba" else PYTHON
+ACTIVE = PYTHON
 
 
 def active_backend() -> str:
@@ -542,36 +454,10 @@ def active_backend() -> str:
     return BACKEND
 
 
-def kernels_for(name: str) -> KernelSet:
-    """Fetch a stack-machine family over tape arrays, independent of the
-    env selection: "numpy" runs it uncompiled, "numba" compiled.
-
-    Used by the backend-agreement tests and the benchmark; regular code
-    goes through ``Generator.program``, whose family without numba is
-    ``PYTHON``, running lowered tapes instead.
-    """
-    if name == "numpy":
-        return _PY_KERNELS
-    if name == "numba":
-        if _NB_KERNELS is None:
-            raise ImportError("numba backend requested but numba is not importable")
-        return _NB_KERNELS
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if HAS_NUMBA else ("numpy",)
-
-
-def warm_up(kernels: KernelSet | None = None):
-    """Run every kernel of a family once.
-
-    The numba family compiles lazily on first call; timing-sensitive
-    callers run this once beforehand so measurements exclude JIT cost.
-    By default the programs are the ones ``Generator.program`` and
-    ``GeneratorSystem.program`` choose, run on the family they choose;
-    a family from ``kernels_for`` runs the tape arrays.
-    """
+def warm_up():
+    """Run every kernel of ``ACTIVE`` once on the programs that
+    ``Generator`` and ``GeneratorSystem`` make, so that
+    a timed run starts with every module imported and every path taken."""
     from .dsl.compiler import Tape
     from .generator import Generator, GeneratorSystem
     from .interval import Interval
@@ -581,18 +467,13 @@ def warm_up(kernels: KernelSet | None = None):
     ident = Tape(np.asarray([OP_X], dtype=np.int64), np.asarray([0.0], dtype=np.float64))
     dom = Interval(0.5, 4.0)
     g = Generator(dom, tape=t, validate=False)
+    ks, body = g.program()
     system = GeneratorSystem([Generator(dom, tape=ident, validate=False), g])
-    if kernels is None:
-        ks, code, operands = g.program()
-        _, *packed = system.program()
-    else:
-        codes, ops, offsets, total = system.tape_pack()
-        ks, code, operands = kernels, t.code, t.operands
-        packed = (codes, ops, offsets, total.code, total.operands)
-    ks.eval_one(code, operands, 1.0)
-    ks.eval_grid(code, operands, np.asarray([1.0, 2.0]))
-    ks.invert(code, operands, 2.0, 0.5, 4.0, 1e-12, 200)
-    ks.gqam(*packed, np.asarray([1.0, 2.0]), 1e-12, 200)
+    _, bodies, total = system.program()
+    ks.eval_one(body, 1.0)
+    ks.eval_grid(body, np.asarray([1.0, 2.0]))
+    ks.invert(body, 2.0, 0.5, 4.0, 1e-12, 200)
+    ks.gqam(bodies, total, [1.0, 2.0], 1e-12, 200)
     iterates = np.empty((8, 2), dtype=np.float64)
     gaps = np.empty(8, dtype=np.float64)
-    ks.cyclic_gauss(*packed, np.asarray([1.0, 2.0]), 1e-10, 1e-12, 200, 7, iterates, gaps)
+    ks.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 1e-12, 200, 7, iterates, gaps)

@@ -72,14 +72,13 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
         raise ValueError(f"expected {system.n} points, got {len(pts)}")
     system.domain.check_points(pts)
     clamped = [system.domain.clamp(x) for x in pts]
-    ks, *program = system.program()
-    v, status = ks.gqam(*program, np.asarray(clamped, dtype=np.float64),
-                        DEFAULT_INVERT_TOL, INVERT_BUDGET)
+    ks, bodies, total = system.program()
+    v, status = ks.gqam(bodies, total, clamped, DEFAULT_INVERT_TOL, INVERT_BUDGET)
     if status != kernels.STATUS_OK:
         # the kernel solved for the sum of the members at pts
         target = f"the sum of [{system.label}] at {pts}"
         raise system.sum_generator()._invert_error(status, target, DEFAULT_INVERT_TOL)
-    return float(v)
+    return v
 
 
 class Mean:

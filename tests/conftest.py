@@ -1,9 +1,8 @@
 """Shared test configuration.
 
 The hypothesis profile is registered here so every property test runs
-derandomized (CI reproducibility) and without deadlines — the numba
-backend JIT-compiles on first call, which would trip any per-example
-deadline.
+derandomized (CI reproducibility) and without deadlines, which a slow
+first call (a lowered body compiled on first use) could trip.
 """
 
 from hypothesis import HealthCheck, settings

@@ -36,7 +36,7 @@ from meanlab import (
 )
 from meanlab.cli import main
 from meanlab.cyclic import fixed_arity
-from meanlab.kernels import active_backend, warm_up
+from meanlab.kernels import warm_up
 from meanlab.report import strip_volatile
 
 I010 = Interval(0.0, 10.0)
@@ -57,19 +57,13 @@ def test_c1_iterated_composition_matches_closed_form():
         )
         worst[name] = check.max_residual
     elapsed = time.perf_counter() - start
-    ok = max(worst.values()) <= 1e-7
-    timed = active_backend() == "numba"
-    if timed:
-        ok = ok and elapsed <= 10.0
     _line(
         "C1 iterated composition = summed-generator mean (5 systems x 200 pts)",
-        ok,
-        f"max residual {max(worst.values()):.3g}, {elapsed:.2f}s"
-        + ("" if timed else ", untimed on numpy backend"),
+        max(worst.values()) <= 1e-7 and elapsed <= 10.0,
+        f"max residual {max(worst.values()):.3g}, {elapsed:.2f}s",
     )
     assert max(worst.values()) <= 1e-7, worst
-    if timed:
-        assert elapsed <= 10.0
+    assert elapsed <= 10.0
 
 
 def test_c2_generalized_bisymmetry_and_collapse():

@@ -512,9 +512,8 @@ def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
         uninstall()
     capsys.readouterr()
     assert {"kernels.cyclic_gauss", "gauss", "cli.main"} <= set(tracer.calls)
-    if kernels.BACKEND != "numba":
-        # every orbit, callable ones included, runs in a kernel span
-        assert tracer.calls["kernels.cyclic_gauss"] == tracer.calls["gauss"]
+    # every orbit, callable ones included, runs in a kernel span
+    assert tracer.calls["kernels.cyclic_gauss"] == tracer.calls["gauss"]
     assert kernels.ACTIVE is active
     assert gauss.gauss_iterate is iterate
 
@@ -548,9 +547,30 @@ def test_unknown_backend_warns_and_runs():
     assert "meanlab eval" in out.stdout
 
 
+@pytest.mark.parametrize("value", ["auto", "numpy", "python"])
+def test_backend_values_run(value):
+    out = subprocess.run(
+        [sys.executable, "-m", "meanlab", "eval", "1", "2"],
+        capture_output=True, text=True, env=_subprocess_env(MEANLAB_BACKEND=value),
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "meanlab eval" in out.stdout
+
+
+def test_numba_backend_is_one_error_line():
+    out = subprocess.run(
+        [sys.executable, "-m", "meanlab", "eval", "1", "2"],
+        capture_output=True, text=True, env=_subprocess_env(MEANLAB_BACKEND="numba"),
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("meanlab: MEANLAB_BACKEND=numba: numba is no longer a backend")
+    assert out.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
 def test_overflow_is_one_error_line(flags):
-    # the stack machine's NaN is the signal; numpy's overflow warning is not
+    # the body's NaN is the signal; numpy's overflow warning is not
     out = subprocess.run(
         [sys.executable, *flags, "-m", "meanlab", "--interval", "1,2",
          "--gen", "x*1e300*1e10", "eval", "1.5", "1.6"],

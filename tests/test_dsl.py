@@ -4,12 +4,14 @@ The reference semantics is ``eval_expr`` (a plain recursive walk).  An
 independent oracle below translates source text into a Python expression
 and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The tape compiler is then tested
-against ``eval_expr`` on the stack machine of each kernel backend and on
-the tape lowered to a Python body.
+against ``eval_expr`` through the tape lowered to a Python body, run by
+the kernels on a float and on a float64 vector, and inlined into a
+one-member matrix.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,7 +32,7 @@ from meanlab import (
     to_text,
 )
 from meanlab import kernels
-from meanlab.kernels import available_backends, kernels_for, lower_tape
+from meanlab.kernels import lower_matrix, lower_tape
 
 
 def oracle_eval(source: str, x: float) -> float:
@@ -226,16 +228,20 @@ def test_printed_text_always_reparses(expr):
 
 # --- tape compiler vs the tree walker -----------------------------------
 
-# the stack machine of each tape family, and the lowered tape on the
-# Python family that runs it
-EVALUATORS = (*available_backends(), "lowered")
+# the lowered tape run by the kernel family on one float ("lowered") and
+# on a float64 vector (the family's name, "numpy"), and the tape inlined
+# into a one-member matrix, whose fold is the tape's value, None for NaN
+EVALUATORS = (kernels.active_backend(), "lowered", "matrix")
 
 
 def tape_eval(evaluator, tape, x):
+    if evaluator == "matrix":
+        folds = lower_matrix([tape])(x)
+        return math.nan if folds is None else folds[1][0]
+    body = lower_tape(tape.code, tape.operands)
     if evaluator == "lowered":
-        body = lower_tape(tape.code, tape.operands)
-        return kernels.PYTHON.eval_one((body,), None, x)
-    return kernels_for(evaluator).eval_one(tape.code, tape.operands, x)
+        return kernels.ACTIVE.eval_one(body, x)
+    return kernels.ACTIVE.eval_grid(body, np.asarray([x], dtype=np.float64))[0]
 
 
 TAPE_SOURCES = ["x", "x^2", "x^3", "2*x", "log(x)", "exp(x)", "sqrt(x)", "x^3 + x", "1/(x+1)"]

@@ -344,18 +344,19 @@ def test_systems_hand_the_body_family_each_members_own_body():
     square = Generator.from_expression("x^2", dom)
     tapes = [line, square]
     value = {cube: lambda x: x**3, line: lambda x: x, square: lambda x: x * x}
-    numba = kernels.BACKEND == "numba"
     for members in ([cube, line], [cube, cube], tapes):
-        family, bodies, operands, offsets, *_ = GeneratorSystem(members).program()
-        if numba and members is tapes:
-            assert family is kernels.ACTIVE  # numba over the tape arrays
-            continue
-        # without numba every system runs on ACTIVE, the family a tracer wraps
-        assert family is (kernels.PYTHON if numba else kernels.ACTIVE)
+        system = GeneratorSystem(members)
+        family, bodies, total = system.program()
+        matrix = system.matrix()
+        # every system runs on ACTIVE, the family a tracer wraps
+        assert family is kernels.ACTIVE
         for j, g in enumerate(members):  # slot j evaluates member j
             for x in (0.5, 2.5):
-                got = kernels.eval_body(bodies, operands, offsets[j], offsets[j + 1], x)
-                assert got == value[g](x)
+                assert bodies[j](x) == value[g](x)
+        for x in ([0.5, 2.5], [2.5, 0.5]):  # row j of the matrix is member j
+            folds = matrix(*x)[1]
+            assert folds == [value[members[0]](v) + value[members[1]](v) for v in x]
+            assert folds == [total(v) for v in x]
     # the lowered body is the tape's value, NaN where it is not finite
     assert line.body()(2.5) == line._raw(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
@@ -366,9 +367,12 @@ def test_systems_hand_the_body_family_each_members_own_body():
     wrong_arity = Generator.from_callable(lambda x, y: x, dom, validate=False)
     with pytest.raises(TypeError):
         wrong_arity.body()(1.0)
-    family, *program = GeneratorSystem([wrong_arity, line]).program()
+    system = GeneratorSystem([wrong_arity, line])
+    family, bodies, total = system.program()
     with pytest.raises(TypeError):
-        family.gqam(*program, np.asarray([1.0, 2.0]), 1e-12, 200)
+        family.gqam(bodies, total, [1.0, 2.0], 1e-12, 200)
+    with pytest.raises(TypeError):
+        system.matrix()(1.0, 2.0)
 
 
 def test_system_affine():

@@ -1,7 +1,8 @@
-"""Kernel family contracts: both backends must agree bitwise, lowered
-tapes bit for bit with the stack machine they replace, one fused Gauss
-step bit for bit with the rotated means it computes, and the status
-codes must classify every failure mode."""
+"""Kernel contracts: lowered tapes bit for bit with the tree walker,
+member matrices bit for bit with the folds of the member bodies, one
+fused Gauss step bit for bit with the rotated means it computes, fused
+orbits with the generic Gauss loop, and status codes that classify
+every failure mode."""
 
 import math
 import os
@@ -10,38 +11,50 @@ import struct
 import numpy as np
 import pytest
 
-from meanlab import Generator, GeneratorSystem, Interval, builtin_systems, kernels
-from meanlab.dsl import compile_expr, parse
-from meanlab.dsl.compiler import pack_tapes, tape_sum
+from meanlab import (
+    Generator,
+    GeneralizedQuasiArithmeticMean,
+    GeneratorSystem,
+    Interval,
+    builtin_systems,
+    cyclic_mapping,
+    gauss,
+    kernels,
+)
+from meanlab.dsl import Binary, Constant, X, compile_expr, eval_expr, parse
+from meanlab.errors import EvalError
 from meanlab.kernels import (
     STATUS_BUDGET,
     STATUS_NONFINITE,
     STATUS_OK,
     STATUS_RANGE,
-    available_backends,
-    kernels_for,
+    guard,
+    lower_matrix,
     lower_tape,
-    tape_evaluator,
     warm_up,
 )
 
-BACKENDS = available_backends()
-needs_both = pytest.mark.skipif(len(BACKENDS) < 2, reason="numba unavailable")
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=[kernels.active_backend()])
 def ks(request):
-    return kernels_for(request.param)
+    # the one family, under the name it reports
+    return kernels.ACTIVE
 
 
 def tape(source):
     return compile_expr(parse(source))
 
 
-def packed(*sources):
-    tapes = [tape(s) for s in sources]
-    codes, operands, offsets = pack_tapes(tapes)
-    return codes, operands, offsets, tape_sum(tapes)
+def body(source):
+    t = tape(source)
+    return lower_tape(t.code, t.operands)
+
+
+def program(*sources, domain=Interval(0.1, 5.0)):
+    """(bodies, total, matrix) of the system of the given tape members."""
+    members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
+    system = GeneratorSystem(members)
+    return (*system.program()[1:], system.matrix())
 
 
 # --- evaluation -------------------------------------------------------------
@@ -52,11 +65,11 @@ EVAL_SOURCES = ["x", "2*x+1", "x^3+x", "log(x)", "exp(x)", "x^2/(1+x)"]
 
 @pytest.mark.parametrize("source", EVAL_SOURCES)
 def test_eval_one_matches_grid(ks, source):
-    t = tape(source)
+    b = body(source)
     xs = np.linspace(0.1, 5.0, 37)
-    grid = ks.eval_grid(t.code, t.operands, xs)
+    grid = ks.eval_grid(b, xs)
     for x, want in zip(xs, grid):
-        assert ks.eval_one(t.code, t.operands, float(x)) == want
+        assert ks.eval_one(b, float(x)) == want
 
 
 @pytest.mark.parametrize(
@@ -64,18 +77,19 @@ def test_eval_one_matches_grid(ks, source):
     [("log(x)", -1.0), ("log(x)", 0.0), ("sqrt(x)", -4.0), ("1/x", 0.0), ("exp(x)", 1e4)],
 )
 def test_eval_one_guards_with_nan(ks, source, x):
-    t = tape(source)
-    assert math.isnan(ks.eval_one(t.code, t.operands, x))
+    assert math.isnan(ks.eval_one(body(source), x))
 
 
-@needs_both
-@pytest.mark.parametrize("source", EVAL_SOURCES)
-def test_backends_agree_bitwise_on_grids(source):
-    t = tape(source)
-    xs = np.linspace(0.1, 5.0, 101)
-    a = kernels_for("numpy").eval_grid(t.code, t.operands, xs)
-    b = kernels_for("numba").eval_grid(t.code, t.operands, xs)
-    np.testing.assert_array_equal(a, b)
+def constant(value):
+    # text has no non-finite constants, but affine images can carry them;
+    # the walker reads such a node like any other constant
+    node = object.__new__(Constant)
+    object.__setattr__(node, "value", value)
+    return node
+
+
+def affine_of_x(a, b):
+    return Binary("+", Binary("*", X, constant(a)), constant(b))
 
 
 # every op and guard, overflow into each guard, exp on both sides of its
@@ -89,22 +103,27 @@ LOWERING_SOURCES = [
     "log(log(x))", "log(x)*x", "sqrt(x)", "sqrt(x)^3", "x^0.5", "x^-2", "2^x", "x^x",
     "-2*x^3 + x^2", "0*x", "-(0*x)", "x^3", "(x - 1)^3", "x^-0.5", "x^1e-300", "x^-0",
 ]
-# text has no non-finite constants, but affine images can carry them
+# (expression, tape) pairs; text has no non-finite constants, but affine
+# images of a tape can carry them
 LOWERING_TAPES = {
-    **{source: tape(source) for source in LOWERING_SOURCES},
-    "inf*x": tape("x").affine(math.inf, 0.0),
-    "x + nan": tape("x").affine(1.0, math.nan),
+    **{source: (parse(source), tape(source)) for source in LOWERING_SOURCES},
+    "inf*x": (affine_of_x(math.inf, 0.0), tape("x").affine(math.inf, 0.0)),
+    "x + nan": (affine_of_x(1.0, math.nan), tape("x").affine(1.0, math.nan)),
 }
 LOWERING_POINTS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
     709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0, 1e102, 1e103, -1e102, -1e103,
 ]
+NAN_BITS = struct.pack("<d", math.nan)
 
 
 def _outcome(evaluate):
-    # the value's bits, or the exception the evaluation raised
+    # the value's bits, or the exception the evaluation raised; the
+    # walker's EvalError reads as NaN, what a body returns in its place
     try:
         return struct.pack("<d", evaluate())
+    except EvalError:
+        return NAN_BITS
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
 
@@ -113,48 +132,144 @@ def _outcome(evaluate):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("source", LOWERING_TAPES)
 def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
-    t = LOWERING_TAPES[source]
-    body = lower_tape(t.code, t.operands)
-    machine = tape_evaluator()
+    # the reference is the tree walker eval_expr, whose semantics the
+    # stack machine of earlier versions implemented op by op
+    expr, t = LOWERING_TAPES[source]
+    compiled = compile_expr(expr)
+    assert np.array_equal(compiled.code, t.code)
+    assert np.array_equal(compiled.operands, t.operands, equal_nan=True)
+    lowered = lower_tape(t.code, t.operands)
     for x in LOWERING_POINTS:
-        for arg in (x, np.float64(x)):  # both kinds of float reach the kernels
-            want = _outcome(lambda: machine(t.code, t.operands, 0, len(t), arg))
-            assert _outcome(lambda: body(arg)) == want, (source, arg)
+        want = _outcome(lambda: eval_expr(expr, x))
+        for arg in (x, np.float64(x)):  # both kinds of float reach a body
+            assert _outcome(lambda: lowered(arg)) == want, (source, arg)
+
+
+# --- member matrices ----------------------------------------------------------
+
+
+# negated literals, 1/x at 0, the log/sqrt/exp guards, and the inlined
+# power either side of its overflow guard; members 1 and 11 keep their
+# result in the same tape slot, so names that do not keep member and
+# coordinate apart ("m1" "11" and "m11" "1") would clash at n = 12
+MATRIX_TAPES = [tape(s) for s in (
+    "x", "x^3", "1/x", "log(x)", "sqrt(x)", "exp(x)", "-x + -2.5", "x - -2", "x^-0.5",
+    "exp(-x)*2", "(x - 1)^3", "2^x")]
+MATRIX_CALLABLES = [math.log, lambda x: 1 / x, lambda x: x**3, math.sqrt, math.exp,
+                    lambda x: -x, lambda x: x * 1e300, lambda x: 0.0 * x]
+MATRIX_POINTS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e102, 1e103, -1e103, 709.5, 1e-300,
+                 math.inf, -math.inf, math.nan]
+BENIGN_POINTS = [0.5, 1.0, 1.5, 2.5, 3.75]
+
+
+def matrix_members(kind, n):
+    """n members as lower_matrix takes them (tapes or bodies) and as bodies."""
+    members = []
+    for j in range(n):
+        use_tape = kind == "tapes" or (kind == "mixed" and j % 2 == 0)
+        if use_tape:
+            members.append(MATRIX_TAPES[j % len(MATRIX_TAPES)])
+        else:
+            members.append(guard(MATRIX_CALLABLES[j % len(MATRIX_CALLABLES)]))
+    bodies = [m if callable(m) else lower_tape(m.code, m.operands) for m in members]
+    return members, bodies
+
+
+def folded(bodies, x):
+    # the member bodies' values folded as the matrix folds them, or None
+    n = len(x)
+    values = [[b(v) for v in x] for b in bodies]
+    if any(math.isnan(v) for row in values for v in row):
+        return None
+    targets, folds = [], []
+    for i in range(n):
+        s = 0.0
+        for j in range(n):
+            s += values[j][(j - i) % n]
+        targets.append(s)
+    for k in range(n):
+        s = 0.0
+        for j in range(n):
+            s += values[j][k]
+        folds.append(s)
+    return targets, folds
+
+
+def bits(result):
+    return None if result is None else [[struct.pack("<d", v) for v in part] for part in result]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["tapes", "callables", "mixed"])
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_member_matrix_is_the_fold_of_the_member_bodies(kind, n):
+    members, bodies = matrix_members(kind, n)
+    matrix = lower_matrix(members)
+    rng = np.random.default_rng(n)
+    seen = set()
+    for trial in range(300):
+        pool = BENIGN_POINTS if trial % 2 else MATRIX_POINTS
+        x = [pool[i] for i in rng.integers(len(pool), size=n)]
+        want = folded(bodies, x)
+        assert bits(matrix(*x)) == bits(want), (kind, n, x)
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_a_member_matrix_binds_a_non_finite_affine_constant():
+    # an affine image a*f + b with a or b not finite is NaN everywhere
+    for a, b in ((1.0, -math.inf), (math.inf, 0.0), (1.0, math.nan)):
+        members = [tape("x^3"), tape("x").affine(a, b), guard(math.log)]
+        matrix = lower_matrix(members)
+        for x in ([0.5, 1.0, 2.0], [0.0, -0.0, 3.0], [1e103, 2.0, 1.0]):
+            assert matrix(*x) is None
+        assert lower_matrix(members[::2])(0.5, 2.0) is not None
+
+
+def test_a_system_matrix_inlines_tapes_and_calls_bodies():
+    dom = Interval(0.1, 5.0)
+    cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
+    system = GeneratorSystem([Generator.from_expression("x^2", dom), cube,
+                              Generator.from_expression("log(x)", dom)])
+    _, bodies, total = system.program()
+    matrix = system.matrix()
+    assert system.matrix() is matrix  # made once
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x = rng.uniform(0.1, 5.0, 3).tolist()
+        assert bits(matrix(*x)) == bits(folded(bodies, x))
+        assert matrix(*x)[1] == [total(v) for v in x]
+    assert matrix(1.0, 2.0, -1.0) is None
 
 
 # --- inversion --------------------------------------------------------------
 
 
 def test_invert_finds_root(ks):
-    t = tape("x^3+x")
-    val, status = ks.invert(t.code, t.operands, 10.0, 0.0, 5.0, 1e-12, 200)
+    val, status = ks.invert(body("x^3+x"), 10.0, 0.0, 5.0, 1e-12, 200)
     assert status == STATUS_OK
     assert val == pytest.approx(2.0, abs=1e-9)
 
 
 def test_invert_endpoint_fast_path(ks):
-    t = tape("x")
-    val, status = ks.invert(t.code, t.operands, 0.0, 0.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("x"), 0.0, 0.0, 10.0, 1e-12, 200)
     assert status == STATUS_OK and val == 0.0
 
 
 def test_invert_reports_range(ks):
-    t = tape("x")
-    val, status = ks.invert(t.code, t.operands, -5.0, 0.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("x"), -5.0, 0.0, 10.0, 1e-12, 200)
     assert status == STATUS_RANGE
     assert math.isnan(val)
 
 
 def test_invert_reports_budget(ks):
-    t = tape("x")
-    val, status = ks.invert(t.code, t.operands, 5.0, 0.0, 10.0, 0.0, 0)
+    val, status = ks.invert(body("x"), 5.0, 0.0, 10.0, 0.0, 0)
     assert status == STATUS_BUDGET
     assert 0.0 <= val <= 10.0  # midpoint of the last bracket
 
 
 def test_invert_reports_nonfinite(ks):
-    t = tape("log(x)")
-    val, status = ks.invert(t.code, t.operands, 0.5, -1.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("log(x)"), 0.5, -1.0, 10.0, 1e-12, 200)
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
 
@@ -164,9 +279,8 @@ def test_invert_is_relative_below_one(ks):
     from mpmath import cbrt, mp, mpf
 
     mp.dps = 40
-    t = tape("x^3")
     y = (1e-4**3 + 5e-4**3) / 2
-    val, status = ks.invert(t.code, t.operands, y, 1e-4, 5e-4, 1e-12, 200)
+    val, status = ks.invert(body("x^3"), y, 1e-4, 5e-4, 1e-12, 200)
     assert status == STATUS_OK
     assert abs(val / cbrt(mpf(y)) - 1) <= 1e-9
 
@@ -174,86 +288,41 @@ def test_invert_is_relative_below_one(ks):
 def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
     # 3*log(x) crosses 0 inside a bracket a few hundred ulp wide, where
     # no x reaches a residual relative to the bracket's tiny values
-    t = tape("3*log(x)")
+    g = body("3*log(x)")
     lo, hi = 1.0 - 1e-13, 1.0 + 1e-13
     for y in np.linspace(3 * math.log(lo), 3 * math.log(hi), 41):
-        val, status = ks.invert(t.code, t.operands, float(y), lo, hi, 1e-12, 200)
+        val, status = ks.invert(g, float(y), lo, hi, 1e-12, 200)
         assert status == STATUS_OK
         assert lo <= val <= hi
-
-
-@needs_both
-def test_backends_agree_on_inversion():
-    t = tape("exp(x)+x")
-    for y in np.linspace(1.2, 140.0, 23):
-        a = kernels_for("numpy").invert(t.code, t.operands, float(y), 0.0, 5.0, 1e-13, 200)
-        b = kernels_for("numba").invert(t.code, t.operands, float(y), 0.0, 5.0, 1e-13, 200)
-        assert a == b
 
 
 # --- generalized quasi-arithmetic combination --------------------------------
 
 
 def test_gqam_weighted_pair_closed_form(ks):
-    codes, operands, offsets, total = packed("x", "2*x")
-    val, status = ks.gqam(
-        codes, operands, offsets, total.code, total.operands,
-        np.asarray([1.0, 4.0]), 1e-12, 200,
-    )
+    bodies, total, _ = program("x", "2*x")
+    val, status = ks.gqam(bodies, total, [1.0, 4.0], 1e-12, 200)
     assert status == STATUS_OK
     assert val == pytest.approx(3.0, abs=1e-9)  # (x1 + 2 x2) / 3
 
 
 def test_gqam_flags_domain_violation(ks):
-    codes, operands, offsets, total = packed("log(x)", "x")
-    val, status = ks.gqam(
-        codes, operands, offsets, total.code, total.operands,
-        np.asarray([-1.0, 2.0]), 1e-12, 200,
-    )
+    bodies, total, _ = program("log(x)", "x")
+    val, status = ks.gqam(bodies, total, [-1.0, 2.0], 1e-12, 200)
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
-
-
-@needs_both
-def test_backends_agree_on_gqam():
-    codes, operands, offsets, total = packed("x", "x^2", "x^3")
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        xs = rng.uniform(0.2, 4.8, 3)
-        a = kernels_for("numpy").gqam(
-            codes, operands, offsets, total.code, total.operands, xs, 1e-13, 200
-        )
-        b = kernels_for("numba").gqam(
-            codes, operands, offsets, total.code, total.operands, xs, 1e-13, 200
-        )
-        assert a == b
 
 
 # --- fused Gauss iteration ----------------------------------------------------
 
 
-def lowered(*sources):
-    """The system program of the Python family: each member's tape and
-    the sum tape lowered to bodies."""
-    tapes = [tape(s) for s in sources]
-    total = tape_sum(tapes)
-    return (tuple(lower_tape(t.code, t.operands) for t in tapes), None,
-            np.arange(len(tapes) + 1), (lower_tape(total.code, total.operands),), None)
-
-
-def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, lower=False):
-    if lower:
-        program = lowered(*sources)
-    else:
-        codes, operands, offsets, total = packed(*sources)
-        program = (codes, operands, offsets, total.code, total.operands)
+def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
+    _, total, matrix = program(*sources, domain=domain)
     n = len(x0)
     iterates = np.empty((max_iter + 1, n), dtype=np.float64)
     gaps = np.empty(max_iter + 1, dtype=np.float64)
-    used, status = ks.cyclic_gauss(
-        *program, np.asarray(x0, dtype=np.float64), gap_tol, 1e-13, 200, max_iter,
-        iterates, gaps,
-    )
+    used, status = ks.cyclic_gauss(matrix, total, [float(v) for v in x0], gap_tol, 1e-13,
+                                   200, max_iter, iterates, gaps)
     return used, status, iterates, gaps
 
 
@@ -279,61 +348,66 @@ def test_cyclic_gauss_budget_status(ks):
     np.testing.assert_array_equal(iterates[0], [0.2, 4.8])
 
 
-@needs_both
-def test_backends_agree_on_cyclic_gauss():
-    a = run_cyclic(kernels_for("numpy"), ["x", "x^2", "x^3"], [0.3, 2.0, 4.5], max_iter=2000)
-    b = run_cyclic(kernels_for("numba"), ["x", "x^2", "x^3"], [0.3, 2.0, 4.5], max_iter=2000)
-    assert (a[0], a[1]) == (b[0], b[1])
-    np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
-    np.testing.assert_array_equal(a[3][: a[0] + 1], b[3][: b[0] + 1])
-
-
-@pytest.mark.parametrize("sources,x0", [
-    (["x", "x^3"], [0.2, 4.8]),
-    (["x", "x^2", "x^3"], [0.3, 2.0, 4.5]),
-    (["x^1.1", "x^1.2"], [1.5e6, 9.5e6]),
+@pytest.mark.parametrize("sources,x0,interval", [
+    (["x", "x^3"], [0.2, 4.8], (0.1, 5.0)),
+    (["x", "x^2", "x^3"], [0.3, 2.0, 4.5], (0.1, 5.0)),
+    (["x^1.1", "x^1.2"], [1.5e6, 9.5e6], (1e6, 1e7)),
 ])
-def test_lowered_family_runs_the_same_orbits_as_the_stack_machine(sources, x0):
-    a = run_cyclic(kernels_for("numpy"), sources, x0, max_iter=2000)
-    b = run_cyclic(kernels.PYTHON, sources, x0, max_iter=2000, lower=True)
-    assert a[1] == STATUS_OK
-    assert (a[0], a[1]) == (b[0], b[1])
-    np.testing.assert_array_equal(a[2][: a[0] + 1], b[2][: b[0] + 1])
-    np.testing.assert_array_equal(a[3][: a[0] + 1], b[3][: b[0] + 1])
+def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
+    # the generic loop runs the mapping's components, each one gqam_eval
+    dom = Interval(*interval)
+    system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
+    mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
+    bufs = [(np.empty((2001, len(x0))), np.empty(2001)) for _ in range(2)]
+    _, _, total = system.program()
+    fused = kernels.ACTIVE.cyclic_gauss(system.matrix(), total, x0, 1e-10,
+                                        gauss.DEFAULT_INVERT_TOL, gauss.INVERT_BUDGET, 2000,
+                                        *bufs[0])
+    generic = gauss._orbit(mapping, x0, 1e-10, 2000, *bufs[1])
+    assert fused[1] == STATUS_OK
+    assert fused == generic
+    rows = slice(fused[0] + 1)
+    (fused_iterates, fused_gaps), (generic_iterates, generic_gaps) = bufs
+    np.testing.assert_array_equal(fused_iterates[rows], generic_iterates[rows])
+    np.testing.assert_array_equal(fused_gaps[rows], generic_gaps[rows])
 
 
 def mixed_system():
-    # a callable member beside a tape member: bodies on the Python family
+    # a callable member beside a tape member
     dom = Interval(0.1, 5.0)
     return GeneratorSystem([Generator.from_callable(lambda x: x**3 + x, dom, label="cube"),
                             Generator.from_expression("x^2", dom)])
 
 
-def on_family(family, sources):
-    """(kernels, system program) of the stack machine or the lowered family."""
+def on_family(family, sources, domain=Interval(0.1, 5.0)):
+    """The system program of tape members, inlined into the member
+    matrix, or of the same members' lowered bodies as callables, which
+    the matrix calls."""
     if family == "lowered":
-        return kernels.PYTHON, lowered(*sources)
-    codes, operands, offsets, total = packed(*sources)
-    return kernels_for("numpy"), (codes, operands, offsets, total.code, total.operands)
+        members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
+    else:
+        members = [Generator(domain, fn=body(s), label=s, validate=False) for s in sources]
+    system = GeneratorSystem(members)
+    return (*system.program(), system.matrix())
 
 
-def one_step(ks, program, x):
+def one_step(ks, matrix, total, x):
     iterates = np.empty((2, len(x)), dtype=np.float64)
     gaps = np.empty(2, dtype=np.float64)
-    used, status = ks.cyclic_gauss(*program, np.asarray(x, dtype=np.float64), 0.0, 1e-13,
-                                   200, 1, iterates, gaps)
+    used, status = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1, iterates, gaps)
     return used, status, iterates[1].tolist()
 
 
-def assert_step_is_the_rotated_means(ks, program, x):
-    used, status, step = one_step(ks, program, x)
+def assert_step_is_the_rotated_means(ks, bodies, total, matrix, x):
+    x = [float(v) for v in x]
+    used, status, step = one_step(ks, matrix, total, x)
     assert (used, status) == (1, STATUS_BUDGET)
-    means = [ks.gqam(*program, np.roll(x, i), 1e-13, 200) for i in range(len(x))]
+    means = [ks.gqam(bodies, total, x[-i:] + x[:-i], 1e-13, 200) for i in range(len(x))]
     assert [st for _, st in means] == [STATUS_OK] * len(x)
     assert step == [val for val, _ in means], x
 
 
-@pytest.mark.parametrize("family", ["stack machine", "lowered"])
+@pytest.mark.parametrize("family", ["lowered", "callable"])
 @pytest.mark.parametrize("sources,interval", [
     (["x", "x^3"], (0.1, 5.0)),
     (["x", "x^2", "x^3"], (0.1, 5.0)),
@@ -344,28 +418,30 @@ def assert_step_is_the_rotated_means(ks, program, x):
 def test_one_fused_step_is_the_rotated_means_bit_for_bit(family, sources, interval):
     # the step reads its targets and the shared F(min), F(max) off one
     # matrix of member values; gqam evaluates them its own way
-    ks, program = on_family(family, sources)
+    ks, *program = on_family(family, sources, Interval(*interval))
     rng = np.random.default_rng(11)
     for _ in range(25):
-        assert_step_is_the_rotated_means(ks, program, rng.uniform(*interval, len(sources)))
+        assert_step_is_the_rotated_means(ks, *program, rng.uniform(*interval, len(sources)))
 
 
 def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
-    ks, *program = mixed_system().program()
+    system = mixed_system()
+    ks, *program = system.program()
+    program.append(system.matrix())
     rng = np.random.default_rng(12)
     for _ in range(25):
-        assert_step_is_the_rotated_means(ks, program, rng.uniform(0.1, 5.0, 2))
+        assert_step_is_the_rotated_means(ks, *program, rng.uniform(0.1, 5.0, 2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("family", ["stack machine", "lowered"])
+@pytest.mark.parametrize("family", ["lowered", "callable"])
 @pytest.mark.parametrize("sources,x", [
     (["log(x)", "x"], [2.0, -1.0]),  # a member is not finite
     (["x*1e308", "x*1e308"], [0.5, 1.5]),  # members are, their sum at max x is not
 ])
 def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sources, x):
-    ks, program = on_family(family, sources)
-    used, status, _ = one_step(ks, program, x)
+    ks, _, total, matrix = on_family(family, sources)
+    used, status, _ = one_step(ks, matrix, total, x)
     assert (used, status) == (0, STATUS_NONFINITE)
 
 
@@ -379,48 +455,25 @@ def test_sum_body_is_the_fold_of_the_member_bodies(name):
     # what the fused step relies on to read F off its member matrix:
     # F(x) == 0.0 + f1(x) + ... + fn(x), NaN exactly where that is not finite
     system = mixed_system() if name == "mixed" else builtin_systems()[name]
-    pairs = [([g.body() for g in system], system.sum_generator().body())]
-    if system.is_tape_backed:  # and so on the stack machine
-        machine = kernels_for("numpy")
-
-        def run(t):
-            return lambda x: machine.eval_one(t.code, t.operands, x)
-
-        pairs.append(([run(g.tape) for g in system], run(system.sum_generator().tape)))
-    for members, total in pairs:
-        for x in FOLD_POINTS:
-            fold = 0.0
-            for body in members:
-                fold += body(x)
-            if math.isfinite(fold):
-                assert total(x) == fold, (name, x)
-            else:
-                assert math.isnan(total(x)), (name, x)
+    members = [g.body() for g in system]
+    total = system.sum_generator().body()
+    for x in FOLD_POINTS:
+        fold = 0.0
+        for b in members:
+            fold += b(x)
+        if math.isfinite(fold):
+            assert total(x) == fold, (name, x)
+        else:
+            assert math.isnan(total(x)), (name, x)
 
 
 # --- backend selection ---------------------------------------------------------
 
 
-def test_available_backends_always_has_numpy():
-    assert "numpy" in BACKENDS
-    if kernels.HAS_NUMBA:
-        assert BACKENDS == ("numpy", "numba")
-
-
 def test_active_matches_selection():
-    assert kernels.ACTIVE.name == kernels.active_backend()
-    assert kernels.active_backend() in BACKENDS
-
-
-def test_kernels_for_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        kernels_for("fortran")
-
-
-def test_kernels_for_numba_without_numba(monkeypatch):
-    monkeypatch.setattr(kernels, "_NB_KERNELS", None)
-    with pytest.raises(ImportError):
-        kernels_for("numba")
+    assert kernels.ACTIVE.name == kernels.active_backend() == "numpy"
+    assert kernels.ACTIVE is kernels.PYTHON
+    assert not kernels.HAS_NUMBA
 
 
 @pytest.mark.parametrize(
@@ -434,30 +487,29 @@ def test_resolve_backend_numpy_spellings(monkeypatch, value, expected):
 
 def test_resolve_backend_auto(monkeypatch):
     monkeypatch.setenv("MEANLAB_BACKEND", "auto")
-    want = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert kernels._resolve_backend() == want
+    assert kernels._resolve_backend() == "numpy"
     monkeypatch.delenv("MEANLAB_BACKEND")
-    assert kernels._resolve_backend() == want
+    assert kernels._resolve_backend() == "numpy"
 
 
 def test_resolve_backend_unknown_falls_back_to_auto(monkeypatch, capsys):
     monkeypatch.setenv("MEANLAB_BACKEND", "cuda")
-    want = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert kernels._resolve_backend() == want
+    assert kernels._resolve_backend() == "numpy"
     assert capsys.readouterr().err == "meanlab: unknown MEANLAB_BACKEND value 'cuda', using auto\n"
 
 
-def test_resolve_backend_numba_missing(monkeypatch):
+def test_resolve_backend_numba_missing(monkeypatch, capsys):
+    # numba is no longer a backend: one line and exit status 2
     monkeypatch.setenv("MEANLAB_BACKEND", "numba")
-    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-    with pytest.raises(ImportError):
+    with pytest.raises(SystemExit) as exc:
         kernels._resolve_backend()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("meanlab: ") and err.count("\n") == 1 and "no longer" in err
 
 
 def test_warm_up_compiles_each_family():
-    for name in BACKENDS:
-        warm_up(kernels_for(name))
-    warm_up()  # default family
+    warm_up()
 
 
 def test_env_flag_reaches_import(tmp_path):
