@@ -35,13 +35,11 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .cyclic import cyclic_mapping, fixed_arity, permuted_mean
 from .errors import ConvergenceError, DomainError, MeanlabError
 from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
 from .generator import Generator, GeneratorSystem
-from .interval import Interval
+from .interval import Interval, seeded_rng
 from .means import (
     GeneralizedQuasiArithmeticMean,
     Mean,
@@ -97,8 +95,9 @@ def validate_matrix(matrix, domain: Interval, rows: int | None = None,
     return tuple(out)
 
 
-def random_matrix(rng: np.random.Generator, domain: Interval, n: int) -> InputMatrix:
-    """An n x n matrix of independent samples from the interval."""
+def random_matrix(rng, domain: Interval, n: int) -> InputMatrix:
+    """An n x n matrix of independent samples from the interval, drawn
+    by ``rng``, a ``numpy.random.Generator``."""
     m = domain.sample(rng, (n, n))
     return tuple(tuple(float(v) for v in row) for row in m)
 
@@ -228,8 +227,7 @@ class CharacterizationVerdict:
         return f"refuted: failed {', '.join(self.failed_conditions)}"
 
 
-def _probe_vectors(domain: Interval, n: int, seed_seq) -> list:
-    rng = np.random.default_rng(seed_seq)
+def _probe_vectors(domain: Interval, n: int, rng) -> list:
     return [[float(v) for v in domain.sample(rng, n)] for _ in range(PROBE_COUNT)]
 
 
@@ -248,14 +246,15 @@ def _first_bad_nudge(mean, vectors, step, bad):
     return None
 
 
-def _search_matrices(domain: Interval, n: int, seed_seq, trials: int):
+def _search_matrices(domain: Interval, n: int, rng, trials: int):
     """The witness search's n x n matrices: the first LATTICE_CAP of the
-    lattice over LATTICE_POINTS grid values, then ``trials`` random ones."""
-    values = [float(v) for v in domain.grid(LATTICE_POINTS)]
+    lattice over LATTICE_POINTS grid values, then ``trials`` random ones
+    drawn by generators spawned from ``rng``."""
+    values = domain.grid(LATTICE_POINTS)
     for flat in itertools.islice(itertools.product(values, repeat=n * n), LATTICE_CAP):
         yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
-    for child in seed_seq.spawn(trials):
-        yield random_matrix(np.random.default_rng(child), domain, n)
+    for child in rng.spawn(trials):
+        yield random_matrix(child, domain, n)
 
 
 def characterize(
@@ -281,7 +280,7 @@ def characterize(
     """
     n = mean.arity if mean.arity is not None else 2
     dom = mean.domain
-    seeds = np.random.SeedSequence(seed).spawn(3)
+    rngs = seeded_rng(seed).spawn(3)
     notes = [
         f"continuity probe is a sampled bound |dM| <= {LIPSCHITZ_BOUND:g}*delta"
         f" with delta = {CONTINUITY_DELTA:g}, heuristic only",
@@ -289,12 +288,12 @@ def characterize(
 
     # sampled continuity: nudging one coordinate moves the mean boundedly
     jump = _first_bad_nudge(
-        mean, _probe_vectors(dom, n, seeds[0]), CONTINUITY_DELTA,
+        mean, _probe_vectors(dom, n, rngs[0]), CONTINUITY_DELTA,
         lambda move: abs(move) > LIPSCHITZ_BOUND * CONTINUITY_DELTA,
     )
     # strict growth in every coordinate
     flat = _first_bad_nudge(
-        mean, _probe_vectors(dom, n, seeds[1]), MONOTONE_STEP,
+        mean, _probe_vectors(dom, n, rngs[1]), MONOTONE_STEP,
         lambda move: move <= MONOTONE_SLACK,
     )
     # reflexivity on a grid
@@ -314,7 +313,7 @@ def characterize(
         mapping = cyclic_mapping(mean, arity=n)
         composition = GaussComposition(mapping, DEFAULT_GAP_TOL, max_iterations)
         # force one evaluation so convergence failures surface here
-        probe = [float(v) for v in dom.grid(max(2, n))][:n]
+        probe = dom.grid(max(2, n))[:n]
         gauss_iterate(mapping, probe, DEFAULT_GAP_TOL, max_iterations)
     except MeanlabError as exc:
         notes.append(f"composition did not converge: {exc}")
@@ -322,7 +321,7 @@ def characterize(
     else:
         pinned = fixed_arity(mean, n)
         errors = 0
-        for m in _search_matrices(dom, n, seeds[2], trials):
+        for m in _search_matrices(dom, n, rngs[2], trials):
             trials_run += 1
             try:
                 rep = gbs_for_mean_check(pinned, composition, m, WITNESS_FACTOR * tol)

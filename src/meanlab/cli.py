@@ -25,8 +25,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .bisymmetry import (
     CHARACTERIZE_MAX_ITER,
     CHARACTERIZE_TRIALS,
@@ -58,7 +56,7 @@ from .gauss import (
     gauss_iterate,
 )
 from .generator import Generator, GeneratorSystem
-from .interval import Interval
+from .interval import Interval, seeded_rng
 from .means import (
     EQUALITY_FIT_THRESHOLD,
     EQUALITY_PROBES,
@@ -263,8 +261,7 @@ def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
 
 def _sample_rngs(config: ExperimentConfig):
     """One generator per sample, spawned from the seed."""
-    for child in np.random.SeedSequence(config.seed).spawn(config.samples):
-        yield np.random.default_rng(child)
+    return seeded_rng(config.seed).spawn(config.samples)
 
 
 def _m1_pairs(system: GeneratorSystem, config: ExperimentConfig):

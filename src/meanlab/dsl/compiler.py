@@ -1,6 +1,6 @@
 """Compilation of expression trees to flat postfix tapes.
 
-A tape is a pair of parallel arrays: int64 opcodes and float64 operands
+A tape is a pair of parallel tuples: int opcodes and float operands
 (only OP_CONST slots use the operand).  Tapes are the form in which
 ``kernels.lower_tape`` and ``kernels.lower_matrix`` read a generator and
 lower it to straight-line Python; they also concatenate cheaply, which
@@ -11,8 +11,6 @@ falling back to Python callables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ast import Binary, Constant, Expr, Unary, Variable
 
@@ -34,32 +32,28 @@ _BINARY_CODE = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
 
 @dataclass(frozen=True, slots=True)
 class Tape:
-    """Immutable postfix program over a single variable."""
+    """Immutable postfix program over a single variable: ``code``, a
+    tuple of ints, and ``operands``, a tuple of floats of the same,
+    non-zero length."""
 
-    code: np.ndarray
-    operands: np.ndarray
+    code: tuple
+    operands: tuple
 
     def __post_init__(self):
-        code = np.ascontiguousarray(self.code, dtype=np.int64)
-        operands = np.ascontiguousarray(self.operands, dtype=np.float64)
-        if code.shape != operands.shape or code.ndim != 1 or code.size == 0:
+        code = tuple(int(op) for op in self.code)
+        operands = tuple(float(c) for c in self.operands)
+        if len(code) != len(operands) or not code:
             raise ValueError("malformed tape")
-        code.setflags(write=False)
-        operands.setflags(write=False)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "operands", operands)
 
     def __len__(self):
-        return self.code.size
+        return len(self.code)
 
     def affine(self, a: float, b: float) -> "Tape":
         """Tape computing a*f(x) + b on top of this tape's f."""
-        extra_code = [OP_CONST, OP_MUL, OP_CONST, OP_ADD]
-        extra_ops = [float(a), 0.0, float(b), 0.0]
-        return Tape(
-            np.concatenate([self.code, np.asarray(extra_code, dtype=np.int64)]),
-            np.concatenate([self.operands, np.asarray(extra_ops, dtype=np.float64)]),
-        )
+        return Tape(self.code + (OP_CONST, OP_MUL, OP_CONST, OP_ADD),
+                    self.operands + (float(a), 0.0, float(b), 0.0))
 
 
 def tape_sum(tapes) -> Tape:
@@ -73,14 +67,12 @@ def tape_sum(tapes) -> Tape:
     tapes = list(tapes)
     if not tapes:
         raise ValueError("tape_sum needs at least one tape")
-    code_parts = [tapes[0].code]
-    op_parts = [tapes[0].operands]
-    add_code = np.asarray([OP_ADD], dtype=np.int64)
-    add_op = np.asarray([0.0], dtype=np.float64)
+    code = tapes[0].code
+    operands = tapes[0].operands
     for t in tapes[1:]:
-        code_parts.extend([t.code, add_code])
-        op_parts.extend([t.operands, add_op])
-    return Tape(np.concatenate(code_parts), np.concatenate(op_parts))
+        code += t.code + (OP_ADD,)
+        operands += t.operands + (0.0,)
+    return Tape(code, operands)
 
 
 def compile_expr(expr: Expr) -> Tape:
@@ -108,4 +100,4 @@ def compile_expr(expr: Expr) -> Tape:
             raise TypeError(f"not an expression node: {node!r}")
 
     emit(expr)
-    return Tape(np.asarray(code, dtype=np.int64), np.asarray(operands, dtype=np.float64))
+    return Tape(code, operands)

@@ -3,7 +3,8 @@
 Every component of a mapping is a mean, so each step shrinks the spread
 max(x) - min(x); iteration stops once the spread drops to ``gap_tol``
 times min(1, max|x0|) of the start vector x0, relative below 1, or to a
-few ulp of the iterates if that is larger, and the limit is reported as
+few ulp of the iterates if that is larger, or stops shrinking within
+twice those few ulp (``kernels.make_orbit``), and the limit is reported as
 the midpoint of the final bracket.  The bracket always contains the true
 limit, and the midpoint sits much closer than the gap itself, so a
 modest gap tolerance already pins the value tightly.  One
@@ -24,12 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
-from .errors import ConvergenceError, MeanlabError
+from .errors import ConvergenceError
 from .generator import DEFAULT_INVERT_TOL, INVERT_BUDGET, GeneratorSystem
+from .interval import seeded_rng
 from .means import (
     GeneralizedQuasiArithmeticMean,
     Mean,
@@ -74,16 +74,6 @@ def midpoint(xs: Sequence[float]) -> float:
     return 0.5 * (min(xs) + max(xs))
 
 
-def _trace(iterates, gaps, used, converged, gap_tol) -> IterationTrace:
-    return IterationTrace(
-        iterates=tuple(map(tuple, iterates[: used + 1].tolist())),
-        gaps=tuple(gaps[: used + 1].tolist()),
-        converged=converged,
-        iterations_used=int(used),
-        gap_tol=gap_tol,
-    )
-
-
 def gauss_iterate(
     mapping: MeanTypeMapping,
     xs: Sequence[float],
@@ -96,8 +86,7 @@ def gauss_iterate(
     Returns (limit, trace).  Raises ConvergenceError carrying the partial
     trace when max_iter steps are not enough; a step that fails inside a
     component raises that component's exception, without a trace.
-    Raises ValueError when gap_tol is not finite or is below 0, and
-    MeanlabError when the trace of max_iter steps cannot be allocated.
+    Raises ValueError when gap_tol is not finite or is below 0.
     """
     pts = [float(x) for x in xs]
     if len(pts) != mapping.arity:
@@ -108,19 +97,14 @@ def gauss_iterate(
     if not 0.0 <= gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
     x0 = [mapping.domain.clamp(x) for x in pts]
-    try:
-        iterates = np.empty((max_iter + 1, mapping.arity), dtype=np.float64)
-        gaps = np.empty(max_iter + 1, dtype=np.float64)
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-        raise MeanlabError(f"max_iter = {max_iter} is too large to allocate its trace") from None
     if mapping.system is not None:
         ks, _, total = mapping.system.program()
-        used, status = ks.cyclic_gauss(mapping.system.matrix(), total, x0, gap_tol,
-                                       DEFAULT_INVERT_TOL, INVERT_BUDGET, max_iter,
-                                       iterates, gaps)
+        used, status, rows, gaps = ks.cyclic_gauss(mapping.system.matrix(), total, x0, gap_tol,
+                                                   DEFAULT_INVERT_TOL, INVERT_BUDGET, max_iter)
     else:
-        used, status = _orbit(mapping, x0, gap_tol, max_iter, iterates, gaps)
-    trace = _trace(iterates, gaps, used, status == kernels.STATUS_OK, gap_tol)
+        used, status, rows, gaps = _orbit(mapping, x0, gap_tol, max_iter)
+    trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
+                           used, gap_tol)
     if status == kernels.STATUS_OK:
         log.debug(
             "%s converged in %d steps (gap %.3e)",
@@ -142,7 +126,7 @@ def gauss_iterate(
 
 def _apply_step(mapping, x, _mn, _mx):
     # component exceptions propagate out of the orbit
-    return kernels.STATUS_OK, mapping.apply(x)
+    return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
 
 
 _orbit = kernels.make_orbit(_apply_step)
@@ -180,7 +164,7 @@ def gauss_composition(
     really behaves like a strict mean (otherwise iteration has no
     business converging and the composition would be garbage).
     ``GaussComposition(mapping, ...)`` builds it without the probe."""
-    rng = np.random.default_rng(np.random.SeedSequence(20260816))
+    rng = seeded_rng(20260816)
     dom = mapping.domain
     w = dom.width
     vectors = [
@@ -235,12 +219,10 @@ def composition_closed_form_check(
     mean = GeneralizedQuasiArithmeticMean(system)
     mapping = cyclic_mapping(mean)
     closed = QuasiArithmeticMean(system.sum_generator())
-    children = np.random.SeedSequence(seed).spawn(samples)
     rows = []
     worst = -1.0
     worst_point = None
-    for child in children:
-        rng = np.random.default_rng(child)
+    for rng in seeded_rng(seed).spawn(samples):
         pts = [float(v) for v in system.domain.sample(rng, system.n)]
         left = gauss_iterate(mapping, pts, CHECK_GAP_TOL, max_iterations)[0]
         right = closed(pts)
@@ -286,13 +268,11 @@ def cyclic_symmetry_check(mean_or_system, samples: int = 50) -> SymmetryCheckRep
         raise ValueError("cyclic symmetry needs a fixed-arity mean")
     mapping = cyclic_mapping(mean)
     n = mean.arity
-    children = np.random.SeedSequence(0).spawn(samples)
     passed = True
     worst = -1.0
     worst_point = None
     worst_rot = 0
-    for child in children:
-        rng = np.random.default_rng(child)
+    for rng in seeded_rng(0).spawn(samples):
         pts = [float(v) for v in mean.domain.sample(rng, n)]
         base = gauss_iterate(mapping, pts, DEFAULT_GAP_TOL, CHECK_MAX_ITER)[0]
         for i in range(1, n):

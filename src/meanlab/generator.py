@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import kernels
 from .dsl import compile_expr, parse, to_text
 from .dsl.ast import Expr
@@ -157,14 +155,15 @@ class Generator:
             raise EvalError(f"{self.label!r} is not finite at x = {x}")
         return v
 
-    def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vector evaluation over points assumed inside the domain.
+    def eval_grid(self, xs: Sequence[float]) -> list:
+        """Evaluation at each of a sequence of points assumed inside the
+        domain, as a list of floats.
 
         Non-finite entries come back as NaN; callers decide whether that
         is an error.
         """
         ks, body = self.program()
-        return ks.eval_grid(body, np.asarray(xs, dtype=np.float64))
+        return ks.eval_grid(body, xs)
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Solve g(x) = y on the domain.
@@ -250,12 +249,11 @@ def check_monotone(g: Generator) -> MonotonicityReport:
     vs = g.eval_grid(xs)
     for i in range(MONOTONE_GRID):
         if not math.isfinite(vs[i]):
-            x = float(xs[i])
-            return MonotonicityReport(False, MONOTONE_GRID, (x, x), "non-finite")
+            return MonotonicityReport(False, MONOTONE_GRID, (xs[i], xs[i]), "non-finite")
     for i in range(MONOTONE_GRID - 1):
         if vs[i] >= vs[i + 1]:
             return MonotonicityReport(
-                False, MONOTONE_GRID, (float(xs[i]), float(xs[i + 1])), "not increasing"
+                False, MONOTONE_GRID, (xs[i], xs[i + 1]), "not increasing"
             )
     return MonotonicityReport(True, MONOTONE_GRID)
 
@@ -268,11 +266,13 @@ def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
     over the grid.  Raises DegenerateError when f is numerically constant
     on the grid, since no slope is identifiable then.
     """
+    import numpy as np
+
     if f.domain != g.domain:
         raise ValueError("affine_fit needs generators on the same interval")
     xs = f.domain.grid(AFFINE_FIT_GRID)
-    fv = f.eval_grid(xs)
-    gv = g.eval_grid(xs)
+    fv = np.asarray(f.eval_grid(xs))
+    gv = np.asarray(g.eval_grid(xs))
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
         raise EvalError("affine_fit hit a non-finite value on the sample grid")
     spread = float(fv.max() - fv.min())

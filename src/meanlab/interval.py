@@ -12,12 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 # Relative inset used when work must stay away from open endpoints.
 ENDPOINT_INSET = 1e-9
+
+
+def seeded_rng(seed):
+    """numpy's default generator seeded by ``seed``; its ``spawn(n)``
+    gives the generators of ``numpy.random.SeedSequence(seed).spawn(n)``.
+    Seeded sampling is one of the two places the package imports numpy,
+    here, on first use; the other is ``generator.affine_fit``."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,14 +76,22 @@ class Interval:
         """
         return min(max(x, self.lo + self.inset), self.hi - self.inset)
 
-    def grid(self, count: int) -> np.ndarray:
-        """Equally spaced points on the inset interior, endpoints included."""
+    def grid(self, count: int) -> list:
+        """``count`` equally spaced points on the inset interior, endpoints
+        included, as a list of floats: i*step + start with the last point
+        set to the end, which is ``numpy.linspace`` bit for bit."""
         if count < 2:
             raise ValueError("grid needs at least 2 points")
-        return np.linspace(self.lo + self.inset, self.hi - self.inset, count)
+        start = self.lo + self.inset
+        stop = self.hi - self.inset
+        step = (stop - start) / (count - 1)
+        points = [i * step + start for i in range(count)]
+        points[-1] = stop
+        return points
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Uniform draws from the inset interior."""
+    def sample(self, rng, size=None):
+        """Uniform draws from the inset interior by ``rng``, a
+        ``numpy.random.Generator``: a float, or an array of shape ``size``."""
         return rng.uniform(self.lo + self.inset, self.hi - self.inset, size)
 
     def __str__(self):

@@ -1,7 +1,9 @@
 """Numeric kernels: plain Python on floats and lists.
 
 The hot loops of this package are scalar: evaluation of a generator
-inside bracketed root-finding inside Gauss iteration.  A generator runs
+inside bracketed root-finding inside Gauss iteration.  No kernel
+imports numpy: ``eval_grid`` returns a list of floats, and an orbit
+returns the rows and gaps it collects as lists.  A generator runs
 as a body, a Python function of a float that returns a float, NaN where
 the generator is not finite: a DSL tape lowered once by ``lower_tape``
 to straight-line Python, or a user callable wrapped once by ``guard``.
@@ -65,8 +67,6 @@ import sys
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 from .dsl.ast import power, _EXP_MAX
 from .dsl.compiler import (
     OP_ADD,
@@ -93,6 +93,9 @@ STATUS_NONFINITE = 3
 
 # relative gap at which a Gauss orbit has closed as far as float64 allows
 GAP_FLOOR = 4.0 * sys.float_info.epsilon
+# an orbit whose gap stops shrinking within this multiple of the floor
+# has converged: rounding, not the mapping, sets the gap there
+STALL_FLOOR = 2.0
 
 # A lowered body called on a numpy scalar computes on it, and so does
 # ``power``; numpy warns on overflow, but the NaN they return is the signal.
@@ -187,28 +190,32 @@ def scaled_stop(gap_tol, mn, mx):
 def make_orbit(step):
     """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx) ->
     (status, out)`` gives the image ``out`` of the list x, of span
-    [mn, mx], as a sequence of floats, until the gap mx - mn is at most
-    max(tol, GAP_FLOOR * max(|mn|, |mx|)), with tol = ``scaled_stop`` of
+    [mn, mx], as a list of floats.  The orbit has converged once the gap
+    mx - mn is at most max(tol, floor), with tol = ``scaled_stop`` of
     the start list x0, computed once (by the current iterate, an orbit
-    whose limit is 0 would never stop).  The rows and gaps are kept in
-    lists and written into iterates/gaps, from the start vector on, when
-    the orbit ends.  Returns (iterations_used, status); a failed step
-    ends the orbit with its status.
+    whose limit is 0 would never stop), and floor = GAP_FLOOR *
+    max(|mn|, |mx|); or once a step leaves the gap no smaller while it
+    is within STALL_FLOOR * floor.  Returns (iterations_used, status,
+    rows, gaps): the iterates from x0 on and their gaps, two lists of
+    iterations_used + 1 entries; a failed step ends the orbit with its
+    status.
     """
 
-    def orbit(ctx, x0, gap_tol, max_iter, iterates, gaps):
+    def orbit(ctx, x0, gap_tol, max_iter):
         x = x0
         tol = scaled_stop(gap_tol, min(x), max(x))
         rows = []
-        spans = []
+        gaps = []
+        last = math.inf
         used = 0
         while True:
             rows.append(x)
             mn = min(x)
             mx = max(x)
             gap = mx - mn
-            spans.append(gap)
-            if not (gap > max(tol, GAP_FLOOR * max(abs(mn), abs(mx)))):
+            gaps.append(gap)
+            floor = GAP_FLOOR * max(abs(mn), abs(mx))
+            if not (gap > max(tol, floor)) or (gap >= last and gap <= STALL_FLOOR * floor):
                 status = STATUS_OK
                 break
             if used >= max_iter:
@@ -218,10 +225,9 @@ def make_orbit(step):
             if status != STATUS_OK:
                 break
             x = out
+            last = gap
             used += 1
-        iterates[: used + 1] = rows
-        gaps[: used + 1] = spans
-        return used, status
+        return used, status, rows, gaps
 
     return orbit
 
@@ -249,7 +255,7 @@ def _emit_tape(code, operands, x, prefix, fail, names):
     lines = []
     stack = []
     checked = None  # the last binary result, tested finite where it is made
-    for k, (op, c) in enumerate(zip(code.tolist(), operands.tolist())):
+    for k, (op, c) in enumerate(zip(code, operands)):
         if op == OP_CONST:
             if math.isfinite(c):
                 stack.append(f"({c!r})")
@@ -374,8 +380,9 @@ def eval_one(body, x):
 
 
 def eval_grid(body, xs):
-    """The body at each point of a float64 vector, as one."""
-    return np.asarray([body(x) for x in xs.tolist()], dtype=np.float64)
+    """The body at each point of a sequence of numbers, as a list of
+    floats."""
+    return [body(float(x)) for x in xs]
 
 
 def invert(g, y, lo, hi, tol, budget):
@@ -426,10 +433,11 @@ def rotated_means(ctx, x, mn, mx):
 _orbit = make_orbit(rotated_means)
 
 
-def cyclic_gauss(matrix, total, x0, gap_tol, inv_tol, inv_budget, max_iter, iterates, gaps):
+def cyclic_gauss(matrix, total, x0, gap_tol, inv_tol, inv_budget, max_iter):
     """Gauss iteration of the cyclic mapping of a system, given its
-    member matrix and sum body, from the list of floats x0."""
-    return _orbit((matrix, total, inv_tol, inv_budget), x0, gap_tol, max_iter, iterates, gaps)
+    member matrix and sum body, from the list of floats x0: ``make_orbit``'s
+    (iterations_used, status, rows, gaps)."""
+    return _orbit((matrix, total, inv_tol, inv_budget), x0, gap_tol, max_iter)
 
 
 def _resolve_backend() -> str:
@@ -462,18 +470,15 @@ def warm_up():
     from .generator import Generator, GeneratorSystem
     from .interval import Interval
 
-    t = Tape(np.asarray([OP_X, OP_CONST, OP_MUL], dtype=np.int64),
-             np.asarray([0.0, 2.0, 0.0], dtype=np.float64))
-    ident = Tape(np.asarray([OP_X], dtype=np.int64), np.asarray([0.0], dtype=np.float64))
+    t = Tape((OP_X, OP_CONST, OP_MUL), (0.0, 2.0, 0.0))
+    ident = Tape((OP_X,), (0.0,))
     dom = Interval(0.5, 4.0)
     g = Generator(dom, tape=t, validate=False)
     ks, body = g.program()
     system = GeneratorSystem([Generator(dom, tape=ident, validate=False), g])
     _, bodies, total = system.program()
     ks.eval_one(body, 1.0)
-    ks.eval_grid(body, np.asarray([1.0, 2.0]))
+    ks.eval_grid(body, [1.0, 2.0])
     ks.invert(body, 2.0, 0.5, 4.0, 1e-12, 200)
     ks.gqam(bodies, total, [1.0, 2.0], 1e-12, 200)
-    iterates = np.empty((8, 2), dtype=np.float64)
-    gaps = np.empty(8, dtype=np.float64)
-    ks.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 1e-12, 200, 7, iterates, gaps)
+    ks.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 1e-12, 200, 7)

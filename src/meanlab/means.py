@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import kernels
 from .generator import (
     DEFAULT_INVERT_TOL,
@@ -31,7 +29,7 @@ from .generator import (
     GeneratorSystem,
     affine_fit,
 )
-from .interval import Interval
+from .interval import Interval, seeded_rng
 
 # Slack applied to mean bound comparisons, scaled by max(1, |value|).
 BOUND_SLACK = 1e-9
@@ -332,7 +330,7 @@ def _equality(pairs, mean_a, mean_b, arity, probes, seed, threshold) -> Equality
     common_slope = all(
         abs(a - base) <= threshold * max(1.0, abs(base)) for a in slopes
     )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     worst = -1.0
     worst_pt = None
     for _ in range(probes):

@@ -2,8 +2,9 @@
 
 Everything drives `main(argv)` in-process; subprocess tests at the end
 cover the console-script target named in pyproject.toml, a bad backend
-name, which is read at import, and the stderr of an overflowing
-generator, whose warning filter is installed at import.
+name, which is read at import, the commands that leave numpy unloaded,
+and the stderr of an overflowing generator, whose warning filter is
+installed at import.
 """
 
 import csv
@@ -127,13 +128,25 @@ def test_compose_failed_inner_inversion_exits_3_without_report(capsys):
 
 
 @pytest.mark.parametrize("budget", ["100000000000000000", "100000000000000000000"])
-def test_compose_unallocatable_budget_exits_4(capsys, budget):
-    # the trace of max_iter + 1 rows is out of memory (1e17), or past
-    # numpy's largest array (1e20): an operational failure, no traceback
-    code, out, err = run(capsys, "--max-iter", budget, "compose", "1", "7")
-    assert code == 4
-    assert out == ""
-    assert err == f"meanlab: max_iter = {budget} is too large to allocate its trace\n"
+def test_compose_huge_budget_is_only_a_cap(capsys, budget):
+    # the orbit keeps the rows it makes, so a budget far past memory
+    # allocates nothing up front: the run is the default budget's run
+    code, payload, err = run_json(capsys, "--max-iter", budget, "compose", "1", "7")
+    assert (code, err) == (0, "")
+    _, default, _ = run_json(capsys, "compose", "1", "7")
+    assert payload["results"] == default["results"]
+    assert payload["details"] == default["details"]
+
+
+def test_m1_orbit_stalled_a_few_ulp_above_the_floor_passes(capsys):
+    # sample 0's orbit stops shrinking at a gap of 5.59e-9, just above the
+    # 4-ulp floor; it has converged, so the budget does not run out
+    code, payload, err = run_json(
+        capsys, "--interval", "1e6,1e7", "--gen", "x^1.1", "--gen", "x^1.2",
+        "--samples", "10", "--seed", "2", "--max-iter", "5000", "verify", "m1",
+    )
+    assert (code, err) == (0, "")
+    assert payload["details"]["verdict"] == "pass"
 
 
 def test_compose_large_magnitudes_converge_at_float_resolution(capsys):
@@ -566,6 +579,32 @@ def test_numba_backend_is_one_error_line():
     assert out.stdout == ""
     assert out.stderr.startswith("meanlab: MEANLAB_BACKEND=numba: numba is no longer a backend")
     assert out.stderr.count("\n") == 1
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import meanlab
+from meanlab import cli
+loaded = ["numpy" in sys.modules]
+meanlab.warm_up()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["eval", "1", "2"]), cli.main(["compose", "1", "7"]),
+             cli.main(["--interval", "0.1,5", "--gen", "x", "--gen", "x^3",
+                       "--max-iter", "2000", "compose", "0.2", "4.8"])]
+    loaded.append("numpy" in sys.modules)
+    codes.append(cli.main(["--samples", "2", "verify", "m1"]))
+    loaded.append("numpy" in sys.modules)
+print(codes, loaded)
+"""
+
+
+def test_import_eval_and_compose_leave_numpy_unloaded():
+    # numpy is imported on first use by seeded sampling and the affine
+    # fit; import, warm-up, eval and compose need neither
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True,
+                         env=_subprocess_env())
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "[0, 0, 0, 0] [False, False, True]\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])

@@ -9,6 +9,7 @@ the kernels on a float and on a float64 vector, and inlined into a
 one-member matrix.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from meanlab import (
     Interval,
     MonotonicityError,
     ParseError,
+    Tape,
     Unary,
     Variable,
     compile_expr,
@@ -32,6 +34,8 @@ from meanlab import (
     to_text,
 )
 from meanlab import kernels
+from meanlab.dsl import tape_sum
+from meanlab.dsl.compiler import OP_ADD, OP_CONST, OP_MUL, OP_NEG, OP_X
 from meanlab.kernels import lower_matrix, lower_tape
 
 
@@ -232,6 +236,30 @@ def test_printed_text_always_reparses(expr):
 # on a float64 vector (the family's name, "numpy"), and the tape inlined
 # into a one-member matrix, whose fold is the tape's value, None for NaN
 EVALUATORS = (kernels.active_backend(), "lowered", "matrix")
+
+
+def test_tape_is_two_immutable_tuples_of_one_length():
+    code = [OP_X, OP_CONST, OP_ADD]
+    operands = [0.0, 2, 0.0]
+    tape = Tape(code, operands)
+    code.append(OP_NEG)  # the tape keeps its own copy
+    assert (tape.code, tape.operands) == ((OP_X, OP_CONST, OP_ADD), (0.0, 2.0, 0.0))
+    assert type(tape.operands[1]) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tape.code = ()
+    for code, operands in [((), ()), ((OP_X,), (0.0, 1.0)),
+                           ((OP_X, OP_NEG), (0.0,))]:
+        with pytest.raises(ValueError, match="malformed tape"):
+            Tape(code, operands)
+
+
+def test_tape_sum_and_affine_concatenate():
+    f, g = compile_expr(parse("x")), compile_expr(parse("2*x"))
+    assert tape_sum([f, g]) == Tape(f.code + g.code + (OP_ADD,),
+                                    f.operands + g.operands + (0.0,))
+    assert f.affine(3, -1) == Tape(
+        f.code + (OP_CONST, OP_MUL, OP_CONST, OP_ADD),
+        f.operands + (3.0, 0.0, -1.0, 0.0))
 
 
 def tape_eval(evaluator, tape, x):

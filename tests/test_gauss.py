@@ -29,6 +29,7 @@ from meanlab import (
     gauss_iterate,
     geometric_mean,
     invariance_residual,
+    kernels,
     midpoint,
 )
 from meanlab.cyclic import fixed_arity
@@ -420,3 +421,21 @@ def test_gap_floor_does_not_stop_a_stalled_orbit():
     trace = exc.value.trace
     assert trace.iterations_used == 40
     assert set(trace.gaps) == {8.0}
+
+
+def test_an_orbit_stalled_just_above_the_floor_has_converged():
+    # x^1.1, x^1.2 near 6e6: the gap sticks at 5.59e-9, above the 4-ulp
+    # floor of 5.40e-9 and far above the 1e-9 tolerance, so only the
+    # stall rule ends the orbit; both orbit drivers apply it
+    dom = Interval(1e6, 1e7)
+    system = GeneratorSystem([Generator.from_expression(s, dom) for s in ("x^1.1", "x^1.2")])
+    fused = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
+    generic = MeanTypeMapping(fused.components, label=fused.label)
+    start = [9422099.115220385, 2319884.8216855596]
+    limit, trace = gauss_iterate(fused, start, 1e-9, 5000)
+    assert gauss_iterate(generic, start, 1e-9, 5000) == (limit, trace)
+    assert trace.converged and trace.iterations_used < 5000
+    floor = kernels.GAP_FLOOR * max(trace.last)
+    assert floor < trace.gaps[-1] <= kernels.STALL_FLOOR * floor
+    assert trace.gaps[-1] >= trace.gaps[-2]
+    assert all(later < earlier for earlier, later in zip(trace.gaps[:-2], trace.gaps[1:-1]))

@@ -66,8 +66,19 @@ def test_eval_grid_matches_scalar_eval():
     g = Generator.from_expression("exp(x) - 1", Interval(0.0, 3.0))
     xs = g.domain.grid(32)
     vs = g.eval_grid(xs)
+    assert [type(v) for v in vs] == [float] * 32
     for x, v in zip(xs, vs):
-        assert v == g(float(x))
+        assert v == g(x)
+
+
+@pytest.mark.parametrize("bounds", [(0.1, 5.0), (1e-7, 5e-6), (1e6, 5e7), (-3.0, 3.0)])
+def test_grid_is_linspace_bit_for_bit(bounds):
+    dom = Interval(*bounds)
+    for n in range(2, 401):
+        xs = dom.grid(n)
+        assert [type(x) for x in xs] == [float] * n
+        want = np.linspace(dom.lo + dom.inset, dom.hi - dom.inset, n)
+        assert np.asarray(xs).tobytes() == want.tobytes(), n
 
 
 def test_callable_generator():

@@ -7,6 +7,7 @@ every failure mode."""
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -318,11 +319,9 @@ def test_gqam_flags_domain_violation(ks):
 
 def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
     _, total, matrix = program(*sources, domain=domain)
-    n = len(x0)
-    iterates = np.empty((max_iter + 1, n), dtype=np.float64)
-    gaps = np.empty(max_iter + 1, dtype=np.float64)
-    used, status = ks.cyclic_gauss(matrix, total, [float(v) for v in x0], gap_tol, 1e-13,
-                                   200, max_iter, iterates, gaps)
+    used, status, iterates, gaps = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
+                                                   gap_tol, 1e-13, 200, max_iter)
+    assert len(iterates) == len(gaps) == used + 1
     return used, status, iterates, gaps
 
 
@@ -358,18 +357,25 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
     dom = Interval(*interval)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    bufs = [(np.empty((2001, len(x0))), np.empty(2001)) for _ in range(2)]
     _, _, total = system.program()
     fused = kernels.ACTIVE.cyclic_gauss(system.matrix(), total, x0, 1e-10,
-                                        gauss.DEFAULT_INVERT_TOL, gauss.INVERT_BUDGET, 2000,
-                                        *bufs[0])
-    generic = gauss._orbit(mapping, x0, 1e-10, 2000, *bufs[1])
+                                        gauss.DEFAULT_INVERT_TOL, gauss.INVERT_BUDGET, 2000)
+    generic = gauss._orbit(mapping, x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK
+    # (used, status, rows, gaps), every row and gap equal
     assert fused == generic
-    rows = slice(fused[0] + 1)
-    (fused_iterates, fused_gaps), (generic_iterates, generic_gaps) = bufs
-    np.testing.assert_array_equal(fused_iterates[rows], generic_iterates[rows])
-    np.testing.assert_array_equal(fused_gaps[rows], generic_gaps[rows])
+    assert len(fused[2]) == len(fused[3]) == fused[0] + 1
+
+
+def test_an_orbit_whose_gap_stalls_within_twice_the_floor_has_converged():
+    # the identity mapping never shrinks a gap: 6 ulp at 1.0 is above the
+    # 4-ulp floor and within twice it, 9 ulp is beyond
+    orbit = kernels.make_orbit(lambda ctx, x, mn, mx: (STATUS_OK, list(x)))
+    eps = sys.float_info.epsilon
+    used, status, rows, gaps = orbit(None, [1.0, 1.0 + 6 * eps], 0.0, 50)
+    assert (used, status, gaps) == (1, STATUS_OK, [6 * eps, 6 * eps])
+    assert orbit(None, [1.0, 1.0 + 9 * eps], 0.0, 50)[:2] == (50, STATUS_BUDGET)
+    assert orbit(None, [1.0, 1.0 + 4 * eps], 0.0, 50)[:2] == (0, STATUS_OK)  # the floor
 
 
 def mixed_system():
@@ -392,10 +398,8 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
 
 
 def one_step(ks, matrix, total, x):
-    iterates = np.empty((2, len(x)), dtype=np.float64)
-    gaps = np.empty(2, dtype=np.float64)
-    used, status = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1, iterates, gaps)
-    return used, status, iterates[1].tolist()
+    used, status, iterates, _ = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1)
+    return used, status, iterates[-1]
 
 
 def assert_step_is_the_rotated_means(ks, bodies, total, matrix, x):
