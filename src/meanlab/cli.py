@@ -255,6 +255,11 @@ def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
     }
     if limit is not None:
         details["limit"] = f"{limit:.7g}"
+        details["stop"] = trace.stop
+    if trace.estimate is not None:
+        # the extrapolated limit beside the last iterate's bracket
+        details["estimate"] = repr(trace.estimate)
+        details["bracket"] = f"[{min(trace.last)!r}, {max(trace.last)!r}]"
     report = RunReport("compose", config.as_dict(), rows, details)
     return report, code
 

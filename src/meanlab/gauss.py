@@ -1,16 +1,20 @@
 """Gauss iteration: drive a mean-type mapping to its common limit.
 
 Every component of a mapping is a mean, so each step shrinks the spread
-max(x) - min(x); iteration stops once the spread drops to ``gap_tol``
-times min(1, max|x0|) of the start vector x0, relative below 1, or to a
-few ulp of the iterates if that is larger, or stops shrinking within
-twice those few ulp (``kernels.make_orbit``), and the limit is reported as
-the midpoint of the final bracket.  The bracket always contains the true
-limit, and the midpoint sits much closer than the gap itself, so a
-modest gap tolerance already pins the value tightly.  One
-loop, ``kernels.make_orbit``, runs every orbit: as the fused
-``cyclic_gauss`` kernel over the system's member matrix for the cyclic
-mapping of any generalized quasi-arithmetic mean, or over
+max(x) - min(x).  One loop, ``kernels.make_orbit``, runs every orbit and
+ends it, converged, on the first of three tests: the spread drops to
+``gap_tol`` times min(1, max|x0|) of the start vector x0, relative below
+1, or to a few ulp of the iterates if that is larger (a gap stop); it
+stops shrinking within twice those few ulp (a stall); or successive
+Shanks estimates of the limit, extrapolated from the arithmetic means of
+the iterates, agree (an extrapolated stop).  The limit is the Shanks
+estimate on an extrapolated stop and the midpoint of the final bracket
+otherwise.  The bracket always contains the true limit, and the midpoint
+sits much closer than the gap itself, so a modest gap tolerance already
+pins the value tightly; the estimate lies in the bracket too, and ends
+a slowly contracting orbit long before its gap closes.  The loop runs as
+the fused ``cyclic_gauss`` kernel over the system's member matrix for
+the cyclic mapping of any generalized quasi-arithmetic mean, or over
 ``MeanTypeMapping.apply`` for every other mapping.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
@@ -47,8 +51,10 @@ CHECK_TOL = 1e-7
 CHECK_SAMPLES = 100
 # The limit is itself a mean of every iterate, so the midpoint of the
 # final bracket is within gap/2 of it: a 1e-9 gap pins the limit to
-# 5e-10, two orders under the checks' 1e-7 tolerance (relative above 1).
-# Linearly contracting systems need the larger budget to close that gap.
+# 5e-10, two orders under the checks' 1e-7 tolerance (relative above 1);
+# a Shanks estimate must agree to 1/100 of that gap and lie in the
+# bracket.  Linearly contracting systems need the larger budget to close
+# that gap.
 CHECK_GAP_TOL = 1e-9
 CHECK_MAX_ITER = 2000
 SYMMETRY_TOL = 1e-9
@@ -57,17 +63,34 @@ VALIDATION_PROBES = 6  # random vectors gauss_composition checks components on
 
 @dataclass(frozen=True, slots=True)
 class IterationTrace:
-    """Full orbit of one Gauss iteration, starting vector included."""
+    """Full orbit of one Gauss iteration, starting vector included, and
+    the Shanks estimate of its limit where the orbit ended on one (None
+    otherwise); ``stop`` names the test that ended a converged orbit."""
 
     iterates: tuple
     gaps: tuple
     converged: bool
     iterations_used: int
     gap_tol: float
+    estimate: float | None = None
 
     @property
     def last(self) -> tuple:
         return self.iterates[-1]
+
+    @property
+    def stop(self) -> str | None:
+        """Which test of ``kernels.make_orbit`` ended a converged orbit:
+        "extrapolated" (the Shanks estimate), "gap" or "stall"; None
+        when the orbit did not converge."""
+        if not self.converged:
+            return None
+        if self.estimate is not None:
+            return "extrapolated"
+        x0 = self.iterates[0]
+        tol = kernels.scaled_stop(self.gap_tol, min(x0), max(x0))
+        floor = kernels.GAP_FLOOR * max(abs(min(self.last)), abs(max(self.last)))
+        return "stall" if self.gaps[-1] > max(tol, floor) else "gap"
 
 
 def midpoint(xs: Sequence[float]) -> float:
@@ -81,9 +104,11 @@ def gauss_iterate(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, IterationTrace]:
     """Iterate the mapping from xs until the spread closes to gap_tol,
-    scaled by min(1, max|xs|) (see ``kernels.make_orbit``).
+    scaled by min(1, max|xs|), stalls at float resolution, or the orbit's
+    Shanks estimates agree (see ``kernels.make_orbit``).
 
-    Returns (limit, trace).  Raises ConvergenceError carrying the partial
+    Returns (limit, trace): the limit is the estimate where there is
+    one, the midpoint of the last iterate otherwise.  Raises ConvergenceError carrying the partial
     trace when max_iter steps are not enough; a step that fails inside a
     component raises that component's exception, without a trace.
     Raises ValueError when gap_tol is not finite or is below 0.
@@ -99,18 +124,19 @@ def gauss_iterate(
     x0 = [mapping.domain.clamp(x) for x in pts]
     if mapping.system is not None:
         ks, _, total = mapping.system.program()
-        used, status, rows, gaps = ks.cyclic_gauss(mapping.system.matrix(), total, x0, gap_tol,
-                                                   DEFAULT_INVERT_TOL, INVERT_BUDGET, max_iter)
+        used, status, rows, gaps, estimate = ks.cyclic_gauss(
+            mapping.system.matrix(), total, x0, gap_tol, DEFAULT_INVERT_TOL, INVERT_BUDGET,
+            max_iter)
     else:
-        used, status, rows, gaps = _orbit(mapping, x0, gap_tol, max_iter)
+        used, status, rows, gaps, estimate = _orbit(mapping, x0, gap_tol, max_iter)
     trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
-                           used, gap_tol)
+                           used, gap_tol, estimate)
     if status == kernels.STATUS_OK:
         log.debug(
-            "%s converged in %d steps (gap %.3e)",
-            mapping.label, trace.iterations_used, trace.gaps[-1],
+            "%s converged in %d steps (%s stop, gap %.3e)",
+            mapping.label, trace.iterations_used, trace.stop, trace.gaps[-1],
         )
-        return midpoint(trace.last), trace
+        return midpoint(trace.last) if estimate is None else estimate, trace
     if used < max_iter:
         # the fused kernel reports only that step used + 1 failed; the
         # components compute that step bit for bit, so replaying it raises

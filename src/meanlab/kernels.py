@@ -18,8 +18,9 @@ called through their bodies, and returns the folds the Gauss step needs.
 The bracketed solve is written once, in ``invert_core``, which calls
 the body it inverts; its callers evaluate the bracket's endpoints.
 ``gqam`` is one generalized quasi-arithmetic mean: evaluate f1..fn, sum,
-invert the sum F = f1+...+fn.  Gauss iteration, with its one stopping
-rule, is written once in ``make_orbit``: ``cyclic_gauss`` runs it over a
+invert the sum F = f1+...+fn.  Gauss iteration, with its stopping
+rules (a closed gap, a stalled gap, or a Shanks estimate of the limit),
+is written once in ``make_orbit``: ``cyclic_gauss`` runs it over a
 fused step that computes the n rotated means of the cyclic mapping from
 one call of the member matrix.  Each mean's target is a fold of that
 matrix, and so are F(min x) and F(max x), the values at the bracket all
@@ -37,7 +38,7 @@ programs: a generator's body, a system's member bodies and sum body,
 and its member matrix.  The MEANLAB_BACKEND environment variable is
 read at import:
 
-    auto    the Python family (default; ``numpy`` and ``python`` alias it)
+    auto    the Python family ``python`` (default; ``numpy`` aliases it)
     numba   no longer a backend: one ``meanlab:`` line, exit status 2
 
 Any other value is reported on stderr and treated as ``auto``.
@@ -96,6 +97,9 @@ GAP_FLOOR = 4.0 * sys.float_info.epsilon
 # an orbit whose gap stops shrinking within this multiple of the floor
 # has converged: rounding, not the mapping, sets the gap there
 STALL_FLOOR = 2.0
+# successive Shanks estimates of an orbit's limit must agree to this
+# fraction of the orbit's gap tolerance (or to its floor) to end it
+SHANKS_AGREE = 0.01
 
 # A lowered body called on a numpy scalar computes on it, and so does
 # ``power``; numpy warns on overflow, but the NaN they return is the signal.
@@ -190,23 +194,65 @@ def scaled_stop(gap_tol, mn, mx):
 def make_orbit(step):
     """Gauss iteration of a mapping whose ``step(ctx, x, mn, mx) ->
     (status, out)`` gives the image ``out`` of the list x, of span
-    [mn, mx], as a list of floats.  The orbit has converged once the gap
-    mx - mn is at most max(tol, floor), with tol = ``scaled_stop`` of
-    the start list x0, computed once (by the current iterate, an orbit
-    whose limit is 0 would never stop), and floor = GAP_FLOOR *
-    max(|mn|, |mx|); or once a step leaves the gap no smaller while it
-    is within STALL_FLOOR * floor.  Returns (iterations_used, status,
-    rows, gaps): the iterates from x0 on and their gaps, two lists of
-    iterations_used + 1 entries; a failed step ends the orbit with its
-    status.
+    [mn, mx], as a list of floats.  The orbit stops, converged, on the
+    first of three tests, checked in this order at each iterate:
+
+    gap      the gap mx - mn is at most max(tol, floor), with tol =
+             ``scaled_stop`` of the start list x0, computed once (by the
+             current iterate, an orbit whose limit is 0 would never
+             stop), and floor = GAP_FLOOR * max(|mn|, |mx|);
+    stall    a step left the gap no smaller while it is within
+             STALL_FLOOR * floor;
+    Shanks   the orbit's limit is extrapolated from the arithmetic means
+             m_k = fsum(x_k)/n of its iterates.
+
+    The mapping preserves the arithmetic mean to first order (its
+    Jacobian at the limit is a circulant whose rows and columns sum to
+    1), so m_k - L is led by K = n(n-1)/2 geometric modes, the products
+    of pairs of the Jacobian's n - 1 non-unit eigenvalues.  Shanks'
+    transform e_K (Shanks, J. Math. Phys. 34, 1955) of the last 2K+1
+    means, computed by Wynn's epsilon algorithm (Wynn, MTAC 10, 1956),
+    annihilates them.  The orbit stops on the estimate once all three
+    hold:
+
+    - it lies in [mn, mx];
+    - it and the previous iterate's estimate each differ from the
+      estimate before them by at most (1 - rho) * max(SHANKS_AGREE * tol,
+      floor), where rho = (gap_k / gap_{k-2K})^(1/2K) is the gap's
+      contraction rate over the estimate's window: estimates that still
+      move by d a step at rate rho are about d / (1 - rho) from their
+      limit, so a slowly contracting orbit must agree the more closely;
+      and the estimates' error can change sign from step to step, so
+      one small difference may be a coincidence, two in a row rarely;
+    - every step over the estimate's window moved the mean by more than
+      floor: a step that does not starts the table again, so a mean
+      sequence with no geometric tail, such as that of a linear
+      mapping, never extrapolates.
+
+    The orbit is never restarted from an estimate: the mapping fixes the
+    whole diagonal, and the limit depends on the start.
+
+    Returns (iterations_used, status, rows, gaps, estimate): the
+    iterates from x0 on and their gaps, two lists of iterations_used + 1
+    entries, and the Shanks estimate on that stop, None on the others;
+    a failed step ends the orbit with its status.
     """
 
     def orbit(ctx, x0, gap_tol, max_iter):
         x = x0
+        n = len(x0)
+        depth = n * (n - 1)  # the column 2K of the epsilon table is e_K
         tol = scaled_stop(gap_tol, min(x), max(x))
+        agree = SHANKS_AGREE * tol
         rows = []
         gaps = []
         last = math.inf
+        mean = math.nan
+        estimate = math.nan
+        agreed = False  # the last estimate agreed with the one before it
+        # the last ascending diagonal of Wynn's epsilon table up to column
+        # 2K - 1: entry k is epsilon_k of the means from the (k+1)-th last on
+        diagonal = []
         used = 0
         while True:
             rows.append(x)
@@ -218,6 +264,35 @@ def make_orbit(step):
             if not (gap > max(tol, floor)) or (gap >= last and gap <= STALL_FLOOR * floor):
                 status = STATUS_OK
                 break
+            m = math.fsum(x) / n
+            if abs(m - mean) > floor:
+                # the next diagonal, written over the last one in place:
+                # epsilon_{k+1} = epsilon_{k-1} of the older diagonal
+                # + 1/(epsilon_k - epsilon_k of the older diagonal)
+                e = m
+                below = 0.0  # epsilon_{-1} = 0
+                for k, older in enumerate(diagonal):
+                    diagonal[k] = e
+                    d = e - older
+                    e = below + 1.0 / d if d != 0.0 else math.nan
+                    below = older
+                if len(diagonal) < depth:
+                    diagonal.append(e)
+                else:
+                    close = abs(e - estimate) <= (
+                        1.0 - (gap / gaps[-1 - depth]) ** (1.0 / depth)) * max(agree, floor)
+                    if close and agreed and mn <= e <= mx:
+                        return used, STATUS_OK, rows, gaps, e
+                    agreed = close
+                    estimate = e
+            else:
+                # a mean that does not move has no geometric tail: start
+                # the table again from it
+                diagonal.clear()
+                diagonal.append(m)
+                estimate = math.nan
+                agreed = False
+            mean = m
             if used >= max_iter:
                 status = STATUS_BUDGET
                 break
@@ -227,7 +302,7 @@ def make_orbit(step):
             x = out
             last = gap
             used += 1
-        return used, status, rows, gaps
+        return used, status, rows, gaps, None
 
     return orbit
 
@@ -436,7 +511,7 @@ _orbit = make_orbit(rotated_means)
 def cyclic_gauss(matrix, total, x0, gap_tol, inv_tol, inv_budget, max_iter):
     """Gauss iteration of the cyclic mapping of a system, given its
     member matrix and sum body, from the list of floats x0: ``make_orbit``'s
-    (iterations_used, status, rows, gaps)."""
+    (iterations_used, status, rows, gaps, estimate)."""
     return _orbit((matrix, total, inv_tol, inv_budget), x0, gap_tol, max_iter)
 
 
@@ -446,13 +521,13 @@ def _resolve_backend() -> str:
         print("meanlab: MEANLAB_BACKEND=numba: numba is no longer a backend;"
               " unset it or use auto, numpy or python", file=sys.stderr)
         raise SystemExit(2)
-    if env not in ("", "auto", "numpy", "python"):
+    if env not in ("", "auto", "numpy", "python"):  # numpy: the family's former name
         print(f"meanlab: unknown MEANLAB_BACKEND value {env!r}, using auto",
               file=sys.stderr)
-    return "numpy"
+    return "python"
 
 
-PYTHON = KernelSet("numpy", eval_one, eval_grid, invert, gqam, cyclic_gauss)
+PYTHON = KernelSet("python", eval_one, eval_grid, invert, gqam, cyclic_gauss)
 BACKEND = _resolve_backend()
 ACTIVE = PYTHON
 
@@ -472,13 +547,16 @@ def warm_up():
 
     t = Tape((OP_X, OP_CONST, OP_MUL), (0.0, 2.0, 0.0))
     ident = Tape((OP_X,), (0.0,))
+    cube = Tape((OP_X, OP_X, OP_MUL, OP_X, OP_MUL), (0.0,) * 5)
     dom = Interval(0.5, 4.0)
     g = Generator(dom, tape=t, validate=False)
     ks, body = g.program()
-    system = GeneratorSystem([Generator(dom, tape=ident, validate=False), g])
+    # x, x^3 contracts slowly enough that its orbit ends on a Shanks estimate
+    system = GeneratorSystem([Generator(dom, tape=ident, validate=False),
+                              Generator(dom, tape=cube, validate=False)])
     _, bodies, total = system.program()
     ks.eval_one(body, 1.0)
     ks.eval_grid(body, [1.0, 2.0])
     ks.invert(body, 2.0, 0.5, 4.0, 1e-12, 200)
     ks.gqam(bodies, total, [1.0, 2.0], 1e-12, 200)
-    ks.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 1e-12, 200, 7)
+    ks.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 1e-12, 200, 100)

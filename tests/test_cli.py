@@ -162,14 +162,29 @@ def test_compose_large_magnitudes_converge_at_float_resolution(capsys):
 
 
 def test_compose_gap_rows_decrease(capsys):
-    code, payload, _ = run_json(
-        capsys, "--interval", "0.1,5", "--gen", "x", "--gen", "x^3",
-        "--max-iter", "2000", "compose", "1", "3",
-    )
-    assert code == 0
-    gaps = [r["residual"] for r in payload["results"] if r["check_name"] == "gap"]
-    assert gaps == sorted(gaps, reverse=True)
-    assert gaps[-1] <= 1e-10
+    # x, x^3 ends on its Shanks estimate, shown beside the last bracket;
+    # x, 2*x, whose mean has no geometric tail, closes its gap
+    stops = []
+    for gen in ("x^3", "2*x"):
+        code, payload, _ = run_json(
+            capsys, "--interval", "0.1,5", "--gen", "x", "--gen", gen,
+            "--max-iter", "2000", "compose", "1", "3",
+        )
+        assert code == 0
+        gaps = [r["residual"] for r in payload["results"] if r["check_name"] == "gap"]
+        assert gaps == sorted(gaps, reverse=True)
+        details = payload["details"]
+        stops.append(details["stop"])
+        if details["stop"] == "gap":
+            assert gaps[-1] <= 1e-10
+            assert "estimate" not in details and "bracket" not in details
+        else:
+            estimate = float(details["estimate"])
+            last = details["trace"]["iterates"][-1]
+            assert json.loads(details["bracket"]) == [min(last), max(last)]
+            assert min(last) <= estimate <= max(last)
+            assert payload["results"][0]["lhs"] == estimate
+    assert stops == ["extrapolated", "gap"]
 
 
 # --- verify suites ---------------------------------------------------------------

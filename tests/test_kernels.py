@@ -36,9 +36,11 @@ from meanlab.kernels import (
 )
 
 
-@pytest.fixture(params=[kernels.active_backend()])
-def ks(request):
-    # the one family, under the name it reports
+@pytest.fixture(params=["numpy"])
+def ks(request, monkeypatch):
+    # the one family, as MEANLAB_BACKEND selects it under its former name
+    monkeypatch.setenv("MEANLAB_BACKEND", request.param)
+    assert kernels._resolve_backend() == kernels.ACTIVE.name
     return kernels.ACTIVE
 
 
@@ -319,8 +321,8 @@ def test_gqam_flags_domain_violation(ks):
 
 def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
     _, total, matrix = program(*sources, domain=domain)
-    used, status, iterates, gaps = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
-                                                   gap_tol, 1e-13, 200, max_iter)
+    used, status, iterates, gaps, _ = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
+                                                      gap_tol, 1e-13, 200, max_iter)
     assert len(iterates) == len(gaps) == used + 1
     return used, status, iterates, gaps
 
@@ -362,7 +364,7 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
                                         gauss.DEFAULT_INVERT_TOL, gauss.INVERT_BUDGET, 2000)
     generic = gauss._orbit(mapping, x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK
-    # (used, status, rows, gaps), every row and gap equal
+    # (used, status, rows, gaps, estimate), every row, gap and the estimate equal
     assert fused == generic
     assert len(fused[2]) == len(fused[3]) == fused[0] + 1
 
@@ -372,10 +374,46 @@ def test_an_orbit_whose_gap_stalls_within_twice_the_floor_has_converged():
     # 4-ulp floor and within twice it, 9 ulp is beyond
     orbit = kernels.make_orbit(lambda ctx, x, mn, mx: (STATUS_OK, list(x)))
     eps = sys.float_info.epsilon
-    used, status, rows, gaps = orbit(None, [1.0, 1.0 + 6 * eps], 0.0, 50)
-    assert (used, status, gaps) == (1, STATUS_OK, [6 * eps, 6 * eps])
+    used, status, rows, gaps, estimate = orbit(None, [1.0, 1.0 + 6 * eps], 0.0, 50)
+    assert (used, status, gaps, estimate) == (1, STATUS_OK, [6 * eps, 6 * eps], None)
     assert orbit(None, [1.0, 1.0 + 9 * eps], 0.0, 50)[:2] == (50, STATUS_BUDGET)
     assert orbit(None, [1.0, 1.0 + 4 * eps], 0.0, 50)[:2] == (0, STATUS_OK)  # the floor
+
+
+def replayed_orbit(n, modes, spread, count=80):
+    """The orbit of a step that replays rows of n coordinates: the mean
+    of row k is 1 + sum a r^k over ``modes`` (a, r) and the row spreads
+    around it by (d q^k)(-1, 1) or (d q^k)(-1, 0, 1), for spread (d, q)."""
+    d, q = spread
+    rows = []
+    for k in range(count):
+        m = 1.0 + sum(a * r**k for a, r in modes)
+        s = d * q**k
+        rows.append([m - s, m + s] if n == 2 else [m - s, m, m + s])
+    replay = iter(rows[1:])
+    orbit = kernels.make_orbit(lambda ctx, x, mn, mx: (STATUS_OK, next(replay)))
+    return orbit(None, rows[0], 1e-9, count - 1)
+
+
+@pytest.mark.parametrize("n,modes", [
+    (2, [(0.01, 0.25)]),
+    (3, [(0.01, 0.5), (-0.02, 0.3), (0.005, 0.2)]),
+])
+def test_shanks_estimate_annihilates_the_means_geometric_modes(n, modes):
+    # e_K, K = n(n-1)/2, of 2K+1 means is exact on K modes: the estimates
+    # of the iterates 2K, 2K+1 and 2K+2 agree, and the third ends the orbit
+    used, status, rows, gaps, estimate = replayed_orbit(n, modes, (0.5, 0.7))
+    assert (used, status) == (n * (n - 1) + 2, STATUS_OK)
+    assert estimate == pytest.approx(1.0, abs=1e-15)
+    assert gaps[-1] > 1e-3
+
+
+def test_a_shanks_estimate_outside_the_bracket_does_not_stop_the_orbit():
+    # the mean tends to 1 far slower than the rows close around it, so the
+    # exact estimate 1 soon leaves every bracket; the gap stop ends the orbit
+    used, status, rows, gaps, estimate = replayed_orbit(2, [(1.0, 0.9)], (0.01, 0.5))
+    assert (status, estimate) == (STATUS_OK, None)
+    assert gaps[-1] <= 1e-9 < gaps[-2]
 
 
 def mixed_system():
@@ -398,7 +436,7 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
 
 
 def one_step(ks, matrix, total, x):
-    used, status, iterates, _ = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1)
+    used, status, iterates, _, _ = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1)
     return used, status, iterates[-1]
 
 
@@ -475,14 +513,14 @@ def test_sum_body_is_the_fold_of_the_member_bodies(name):
 
 
 def test_active_matches_selection():
-    assert kernels.ACTIVE.name == kernels.active_backend() == "numpy"
+    assert kernels.ACTIVE.name == kernels.active_backend() == "python"
     assert kernels.ACTIVE is kernels.PYTHON
     assert not kernels.HAS_NUMBA
 
 
 @pytest.mark.parametrize(
     "value,expected",
-    [("numpy", "numpy"), ("python", "numpy"), ("NumPy", "numpy"), (" numpy ", "numpy")],
+    [("numpy", "python"), ("python", "python"), ("NumPy", "python"), (" numpy ", "python")],
 )
 def test_resolve_backend_numpy_spellings(monkeypatch, value, expected):
     monkeypatch.setenv("MEANLAB_BACKEND", value)
@@ -491,14 +529,14 @@ def test_resolve_backend_numpy_spellings(monkeypatch, value, expected):
 
 def test_resolve_backend_auto(monkeypatch):
     monkeypatch.setenv("MEANLAB_BACKEND", "auto")
-    assert kernels._resolve_backend() == "numpy"
+    assert kernels._resolve_backend() == "python"
     monkeypatch.delenv("MEANLAB_BACKEND")
-    assert kernels._resolve_backend() == "numpy"
+    assert kernels._resolve_backend() == "python"
 
 
 def test_resolve_backend_unknown_falls_back_to_auto(monkeypatch, capsys):
     monkeypatch.setenv("MEANLAB_BACKEND", "cuda")
-    assert kernels._resolve_backend() == "numpy"
+    assert kernels._resolve_backend() == "python"
     assert capsys.readouterr().err == "meanlab: unknown MEANLAB_BACKEND value 'cuda', using auto\n"
 
 
@@ -512,8 +550,19 @@ def test_resolve_backend_numba_missing(monkeypatch, capsys):
     assert err.startswith("meanlab: ") and err.count("\n") == 1 and "no longer" in err
 
 
-def test_warm_up_compiles_each_family():
+def test_warm_up_compiles_each_family(monkeypatch):
+    # its orbit takes the Shanks stop, so first use is paid in warm_up
+    orbits = []
+    active = kernels.ACTIVE
+
+    def cyclic_gauss(*args):
+        orbits.append(active.cyclic_gauss(*args))
+        return orbits[-1]
+
+    monkeypatch.setattr(kernels, "ACTIVE", active._replace(cyclic_gauss=cyclic_gauss))
     warm_up()
+    [(used, status, _, _, estimate)] = orbits
+    assert status == STATUS_OK and estimate is not None
 
 
 def test_env_flag_reaches_import(tmp_path):
@@ -526,4 +575,4 @@ def test_env_flag_reaches_import(tmp_path):
         [sys.executable, "-c", "import meanlab; print(meanlab.kernels.active_backend())"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "numpy"
+    assert out.stdout.strip() == "python"
