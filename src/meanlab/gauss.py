@@ -1,21 +1,22 @@
 """Gauss iteration: drive a mean-type mapping to its common limit.
 
 Every component of a mapping is a mean, so each step shrinks the spread
-max(x) - min(x).  One loop, ``kernels.make_orbit``, runs every orbit and
-ends it, converged, on the first of three tests: the spread drops to
-``gap_tol`` times min(1, max|x0|) of the start vector x0, relative below
-1, or to a few ulp of the iterates if that is larger (a gap stop); it
-stops shrinking within twice those few ulp (a stall); or successive
-Shanks estimates of the limit, extrapolated from the arithmetic means of
-the iterates, agree (an extrapolated stop).  The limit is the Shanks
+max(x) - min(x).  One loop, ``kernels.orbit``, runs every orbit and
+ends it, converged, on the first of three tests, and names the test:
+the spread drops to ``gap_tol`` times min(1, max|x0|) of the start
+vector x0, relative below 1, or to a few ulp of the iterates if that is
+larger ("gap"); it stops shrinking within twice those few ulp ("stall");
+or successive Shanks estimates of the limit, extrapolated from the
+arithmetic means of the iterates, agree ("extrapolated").  The trace
+keeps that name as ``IterationTrace.stop``.  The limit is the Shanks
 estimate on an extrapolated stop and the midpoint of the final bracket
 otherwise.  The bracket always contains the true limit, and the midpoint
 sits much closer than the gap itself, so a modest gap tolerance already
 pins the value tightly; the estimate lies in the bracket too, and ends
 a slowly contracting orbit long before its gap closes.  The loop runs as
 the fused ``cyclic_gauss`` kernel over the system's member matrix for
-the cyclic mapping of any generalized quasi-arithmetic mean, or over
-``MeanTypeMapping.apply`` for every other mapping.
+the cyclic mapping of any generalized quasi-arithmetic mean, or over a
+step that calls ``MeanTypeMapping.apply`` for every other mapping.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
 iterating the cyclic mapping of a generalized quasi-arithmetic mean must
@@ -32,7 +33,7 @@ from typing import Sequence
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
 from .errors import ConvergenceError
-from .generator import DEFAULT_INVERT_TOL, INVERT_BUDGET, GeneratorSystem
+from .generator import GeneratorSystem
 from .interval import seeded_rng
 from .means import (
     GeneralizedQuasiArithmeticMean,
@@ -65,7 +66,9 @@ VALIDATION_PROBES = 6  # random vectors gauss_composition checks components on
 class IterationTrace:
     """Full orbit of one Gauss iteration, starting vector included, and
     the Shanks estimate of its limit where the orbit ended on one (None
-    otherwise); ``stop`` names the test that ended a converged orbit."""
+    otherwise).  ``stop`` is the test of ``kernels.orbit`` that ended a
+    converged orbit, as the orbit named it: "gap", "stall" or
+    "extrapolated" (the Shanks estimate); None when it did not converge."""
 
     iterates: tuple
     gaps: tuple
@@ -73,24 +76,11 @@ class IterationTrace:
     iterations_used: int
     gap_tol: float
     estimate: float | None = None
+    stop: str | None = None
 
     @property
     def last(self) -> tuple:
         return self.iterates[-1]
-
-    @property
-    def stop(self) -> str | None:
-        """Which test of ``kernels.make_orbit`` ended a converged orbit:
-        "extrapolated" (the Shanks estimate), "gap" or "stall"; None
-        when the orbit did not converge."""
-        if not self.converged:
-            return None
-        if self.estimate is not None:
-            return "extrapolated"
-        x0 = self.iterates[0]
-        tol = kernels.scaled_stop(self.gap_tol, min(x0), max(x0))
-        floor = kernels.GAP_FLOOR * max(abs(min(self.last)), abs(max(self.last)))
-        return "stall" if self.gaps[-1] > max(tol, floor) else "gap"
 
 
 def midpoint(xs: Sequence[float]) -> float:
@@ -105,12 +95,13 @@ def gauss_iterate(
 ) -> tuple[float, IterationTrace]:
     """Iterate the mapping from xs until the spread closes to gap_tol,
     scaled by min(1, max|xs|), stalls at float resolution, or the orbit's
-    Shanks estimates agree (see ``kernels.make_orbit``).
+    Shanks estimates agree (see ``kernels.orbit``).
 
     Returns (limit, trace): the limit is the estimate where there is
-    one, the midpoint of the last iterate otherwise.  Raises ConvergenceError carrying the partial
-    trace when max_iter steps are not enough; a step that fails inside a
-    component raises that component's exception, without a trace.
+    one, the midpoint of the last iterate otherwise; ``trace.stop`` names
+    the test that ended the orbit.  Raises ConvergenceError carrying the
+    partial trace when max_iter steps are not enough; a step that fails
+    inside a component raises that component's exception, without a trace.
     Raises ValueError when gap_tol is not finite or is below 0.
     """
     pts = [float(x) for x in xs]
@@ -123,39 +114,34 @@ def gauss_iterate(
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
     x0 = [mapping.domain.clamp(x) for x in pts]
     if mapping.system is not None:
-        ks, _, total = mapping.system.program()
-        used, status, rows, gaps, estimate = ks.cyclic_gauss(
-            mapping.system.matrix(), total, x0, gap_tol, DEFAULT_INVERT_TOL, INVERT_BUDGET,
-            max_iter)
+        _, total = mapping.system.program()
+        used, status, rows, gaps, estimate, stop = kernels.ACTIVE.cyclic_gauss(
+            mapping.system.matrix(), total, x0, gap_tol, max_iter)
     else:
-        used, status, rows, gaps, estimate = _orbit(mapping, x0, gap_tol, max_iter)
+        def apply(x, _mn, _mx):
+            # component exceptions propagate out of the orbit
+            return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
+
+        used, status, rows, gaps, estimate, stop = kernels.orbit(apply, x0, gap_tol, max_iter)
     trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
-                           used, gap_tol, estimate)
+                           used, gap_tol, estimate, stop)
     if status == kernels.STATUS_OK:
         log.debug(
             "%s converged in %d steps (%s stop, gap %.3e)",
-            mapping.label, trace.iterations_used, trace.stop, trace.gaps[-1],
+            mapping.label, used, stop, trace.gaps[-1],
         )
         return midpoint(trace.last) if estimate is None else estimate, trace
     if used < max_iter:
         # the fused kernel reports only that step used + 1 failed; the
         # components compute that step bit for bit, so replaying it raises
-        # exactly what _orbit raises there
+        # exactly what the generic orbit raises there
         mapping.apply(trace.last)
-    stop = kernels.scaled_stop(gap_tol, min(x0), max(x0))
+    bound = kernels.scaled_stop(gap_tol, min(x0), max(x0))
     raise ConvergenceError(
-        f"gap {trace.gaps[-1]:.3e} still above {stop} after"
+        f"gap {trace.gaps[-1]:.3e} still above {bound} after"
         f" {used} iterations of {mapping.label!r}",
         trace=trace,
     )
-
-
-def _apply_step(mapping, x, _mn, _mx):
-    # component exceptions propagate out of the orbit
-    return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
-
-
-_orbit = kernels.make_orbit(_apply_step)
 
 
 class GaussComposition(Mean):

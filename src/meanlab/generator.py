@@ -1,19 +1,22 @@
 """Strictly increasing generator functions on an interval.
 
 A Generator pairs a scalar function with its domain: a compiled DSL tape
-or an arbitrary Python callable.  Either runs on the one kernel family,
+or an arbitrary Python callable.  Either runs on the kernels,
 ``kernels.ACTIVE``, as a body (the tape lowered once to straight-line
 Python, or the callable wrapped once in the evaluation guard, kept on
-the generator); ``Generator.program``, ``GeneratorSystem.program`` and
+the generator); ``Generator.body``, ``GeneratorSystem.program`` and
 ``GeneratorSystem.matrix`` hand the kernels their programs.  Every
 evaluation, inversion, mean step and fused Gauss orbit runs the same
-kernels on those programs.  Construction grid-checks strict growth, so
-code downstream may rely on invertibility.
+kernels on those programs, read from ``kernels.ACTIVE`` at each call.
+Construction grid-checks strict growth, so code downstream may rely on
+invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
-values on the bracket, within a 200-step budget.  There is one solver,
-``kernels.invert_core``, whose docstring states the test.
+values on the bracket, within ``INVERT_BUDGET`` (200) steps.  There is
+one solver, ``kernels.invert_core``, whose docstring states the test;
+its tolerance and budget, ``DEFAULT_INVERT_TOL`` and ``INVERT_BUDGET``,
+are the kernels' constants.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
@@ -39,9 +42,8 @@ from .errors import (
     RangeError,
 )
 from .interval import Interval
+from .kernels import DEFAULT_INVERT_TOL, INVERT_BUDGET
 
-DEFAULT_INVERT_TOL = 1e-12
-INVERT_BUDGET = 200
 MONOTONE_GRID = 256  # grid points of the strict-growth check
 AFFINE_FIT_GRID = 64  # grid points of affine_fit
 
@@ -126,12 +128,6 @@ class Generator:
                 self._body = kernels.guard(self.fn)
         return self._body
 
-    def program(self):
-        """(family, body): ``kernels.ACTIVE``, read at call time so that
-        a wrapper installed there (the benchmark's tracer) sees every
-        call, and the generator's body."""
-        return kernels.ACTIVE, self.body()
-
     def __call__(self, x: float) -> float:
         """Evaluate at a point of the domain.
 
@@ -162,8 +158,7 @@ class Generator:
         Non-finite entries come back as NaN; callers decide whether that
         is an error.
         """
-        ks, body = self.program()
-        return ks.eval_grid(body, xs)
+        return kernels.ACTIVE.eval_grid(self.body(), xs)
 
     def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Solve g(x) = y on the domain.
@@ -179,16 +174,14 @@ class Generator:
     def invert_on(self, y: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
         """Inversion with a caller-supplied bracket inside the domain."""
         y = float(y)
-        ks, body = self.program()
-        x, status = ks.invert(body, y, lo, hi, tol, INVERT_BUDGET)
+        x, status = kernels.ACTIVE.invert(self.body(), y, lo, hi, tol)
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}", tol)
         return x
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
-        ks, body = self.program()
-        return ks.eval_one(body, x)
+        return kernels.ACTIVE.eval_one(self.body(), x)
 
     def _invert_error(self, status, target, tol):
         """The package exception for a failed solve; ``target`` names
@@ -323,13 +316,12 @@ class GeneratorSystem:
         return self._sum
 
     def program(self):
-        """(family, bodies, total) for the kernels ``gqam`` and
-        ``cyclic_gauss``: ``kernels.ACTIVE``, read at call time, the
-        members' bodies and the sum generator's body, made once."""
+        """(bodies, total) for the kernels ``gqam`` and ``cyclic_gauss``:
+        the members' bodies and the sum generator's body, made once."""
         if self._program is None:
             self._program = (tuple(g.body() for g in self.generators),
                              self.sum_generator().body())
-        return (kernels.ACTIVE, *self._program)
+        return self._program
 
     def matrix(self):
         """The member matrix of ``kernels.lower_matrix`` over the members'

@@ -8,8 +8,9 @@ The two evaluators are
 with every inversion bracketed by [min xs, max xs]: monotonicity of the
 generators pins the result inside the input range, which both guarantees
 a bracket and makes reflexivity exact (constant input short-circuits at
-the bracket endpoint).  Both solve to ``generator.DEFAULT_INVERT_TOL``;
-``gqam_eval`` is one ``gqam`` kernel call on the system's program.
+the bracket endpoint).  Both solve to ``kernels.DEFAULT_INVERT_TOL``;
+``gqam_eval`` is one call of ``kernels.ACTIVE.gqam`` on the system's
+program.
 
 The Mean class hierarchy wraps evaluators with domain and arity
 validation so mapping/iteration code can treat all means uniformly.
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import kernels
-from .generator import (
-    DEFAULT_INVERT_TOL,
-    INVERT_BUDGET,
-    Generator,
-    GeneratorSystem,
-    affine_fit,
-)
+from .generator import Generator, GeneratorSystem, affine_fit
 from .interval import Interval, seeded_rng
 
 # Slack applied to mean bound comparisons, scaled by max(1, |value|).
@@ -70,12 +65,11 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
         raise ValueError(f"expected {system.n} points, got {len(pts)}")
     system.domain.check_points(pts)
     clamped = [system.domain.clamp(x) for x in pts]
-    ks, bodies, total = system.program()
-    v, status = ks.gqam(bodies, total, clamped, DEFAULT_INVERT_TOL, INVERT_BUDGET)
+    v, status = kernels.ACTIVE.gqam(*system.program(), clamped)
     if status != kernels.STATUS_OK:
         # the kernel solved for the sum of the members at pts
         target = f"the sum of [{system.label}] at {pts}"
-        raise system.sum_generator()._invert_error(status, target, DEFAULT_INVERT_TOL)
+        raise system.sum_generator()._invert_error(status, target, kernels.DEFAULT_INVERT_TOL)
     return v
 
 

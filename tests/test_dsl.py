@@ -232,7 +232,7 @@ def test_printed_text_always_reparses(expr):
 
 # --- tape compiler vs the tree walker -----------------------------------
 
-# the lowered tape run by the kernel family on one float ("lowered") and
+# the lowered tape run by the kernels on one float ("lowered") and
 # on a numpy float64 vector ("numpy"), and the tape inlined into a
 # one-member matrix, whose fold is the tape's value, None for NaN
 EVALUATORS = ("numpy", "lowered", "matrix")
@@ -296,8 +296,8 @@ def test_tape_guards_return_nan(backend):
 wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 
-# pytest resets the warning filters meanlab.kernels installs at import
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# Every evaluator computes on Python floats, which overflow to inf
+# without a warning: no warning filter is needed here.
 @pytest.mark.parametrize("backend", EVALUATORS)
 @settings(max_examples=400, deadline=None)
 @given(exprs(wide.map(Constant)), wide)

@@ -5,7 +5,6 @@ orbits with the generic Gauss loop, and status codes that classify
 every failure mode."""
 
 import math
-import os
 import struct
 import sys
 
@@ -19,7 +18,6 @@ from meanlab import (
     Interval,
     builtin_systems,
     cyclic_mapping,
-    gauss,
     kernels,
 )
 from meanlab.dsl import Binary, Constant, X, compile_expr, eval_expr, parse
@@ -36,11 +34,8 @@ from meanlab.kernels import (
 )
 
 
-@pytest.fixture(params=["numpy"])
-def ks(request, monkeypatch):
-    # the one family, as MEANLAB_BACKEND selects it under its former name
-    monkeypatch.setenv("MEANLAB_BACKEND", request.param)
-    assert kernels._resolve_backend() == kernels.ACTIVE.name
+@pytest.fixture(params=["numpy"])  # the kernels' former name, kept as the tests' id
+def ks():
     return kernels.ACTIVE
 
 
@@ -57,7 +52,7 @@ def program(*sources, domain=Interval(0.1, 5.0)):
     """(bodies, total, matrix) of the system of the given tape members."""
     members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
     system = GeneratorSystem(members)
-    return (*system.program()[1:], system.matrix())
+    return (*system.program(), system.matrix())
 
 
 # --- evaluation -------------------------------------------------------------
@@ -234,7 +229,7 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
     cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
     system = GeneratorSystem([Generator.from_expression("x^2", dom), cube,
                               Generator.from_expression("log(x)", dom)])
-    _, bodies, total = system.program()
+    bodies, total = system.program()
     matrix = system.matrix()
     assert system.matrix() is matrix  # made once
     rng = np.random.default_rng(3)
@@ -249,30 +244,31 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
 
 
 def test_invert_finds_root(ks):
-    val, status = ks.invert(body("x^3+x"), 10.0, 0.0, 5.0, 1e-12, 200)
+    val, status = ks.invert(body("x^3+x"), 10.0, 0.0, 5.0, 1e-12)
     assert status == STATUS_OK
     assert val == pytest.approx(2.0, abs=1e-9)
 
 
 def test_invert_endpoint_fast_path(ks):
-    val, status = ks.invert(body("x"), 0.0, 0.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("x"), 0.0, 0.0, 10.0, 1e-12)
     assert status == STATUS_OK and val == 0.0
 
 
 def test_invert_reports_range(ks):
-    val, status = ks.invert(body("x"), -5.0, 0.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("x"), -5.0, 0.0, 10.0, 1e-12)
     assert status == STATUS_RANGE
     assert math.isnan(val)
 
 
-def test_invert_reports_budget(ks):
-    val, status = ks.invert(body("x"), 5.0, 0.0, 10.0, 0.0, 0)
+def test_invert_reports_budget(ks, monkeypatch):
+    monkeypatch.setattr(kernels, "INVERT_BUDGET", 0)
+    val, status = ks.invert(body("x"), 5.0, 0.0, 10.0, 0.0)
     assert status == STATUS_BUDGET
     assert 0.0 <= val <= 10.0  # midpoint of the last bracket
 
 
 def test_invert_reports_nonfinite(ks):
-    val, status = ks.invert(body("log(x)"), 0.5, -1.0, 10.0, 1e-12, 200)
+    val, status = ks.invert(body("log(x)"), 0.5, -1.0, 10.0, 1e-12)
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
 
@@ -283,7 +279,7 @@ def test_invert_is_relative_below_one(ks):
 
     mp.dps = 40
     y = (1e-4**3 + 5e-4**3) / 2
-    val, status = ks.invert(body("x^3"), y, 1e-4, 5e-4, 1e-12, 200)
+    val, status = ks.invert(body("x^3"), y, 1e-4, 5e-4, 1e-12)
     assert status == STATUS_OK
     assert abs(val / cbrt(mpf(y)) - 1) <= 1e-9
 
@@ -294,7 +290,7 @@ def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
     g = body("3*log(x)")
     lo, hi = 1.0 - 1e-13, 1.0 + 1e-13
     for y in np.linspace(3 * math.log(lo), 3 * math.log(hi), 41):
-        val, status = ks.invert(g, float(y), lo, hi, 1e-12, 200)
+        val, status = ks.invert(g, float(y), lo, hi, 1e-12)
         assert status == STATUS_OK
         assert lo <= val <= hi
 
@@ -304,14 +300,14 @@ def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
 
 def test_gqam_weighted_pair_closed_form(ks):
     bodies, total, _ = program("x", "2*x")
-    val, status = ks.gqam(bodies, total, [1.0, 4.0], 1e-12, 200)
+    val, status = ks.gqam(bodies, total, [1.0, 4.0])
     assert status == STATUS_OK
     assert val == pytest.approx(3.0, abs=1e-9)  # (x1 + 2 x2) / 3
 
 
 def test_gqam_flags_domain_violation(ks):
     bodies, total, _ = program("log(x)", "x")
-    val, status = ks.gqam(bodies, total, [-1.0, 2.0], 1e-12, 200)
+    val, status = ks.gqam(bodies, total, [-1.0, 2.0])
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
 
@@ -321,8 +317,8 @@ def test_gqam_flags_domain_violation(ks):
 
 def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
     _, total, matrix = program(*sources, domain=domain)
-    used, status, iterates, gaps, _ = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
-                                                      gap_tol, 1e-13, 200, max_iter)
+    used, status, iterates, gaps, _, _ = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
+                                                         gap_tol, max_iter)
     assert len(iterates) == len(gaps) == used + 1
     return used, status, iterates, gaps
 
@@ -355,16 +351,17 @@ def test_cyclic_gauss_budget_status(ks):
     (["x^1.1", "x^1.2"], [1.5e6, 9.5e6], (1e6, 1e7)),
 ])
 def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
-    # the generic loop runs the mapping's components, each one gqam_eval
+    # the generic orbit steps through the mapping's components, each one gqam_eval
     dom = Interval(*interval)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    _, _, total = system.program()
-    fused = kernels.ACTIVE.cyclic_gauss(system.matrix(), total, x0, 1e-10,
-                                        gauss.DEFAULT_INVERT_TOL, gauss.INVERT_BUDGET, 2000)
-    generic = gauss._orbit(mapping, x0, 1e-10, 2000)
-    assert fused[1] == STATUS_OK
-    # (used, status, rows, gaps, estimate), every row, gap and the estimate equal
+    _, total = system.program()
+    fused = kernels.ACTIVE.cyclic_gauss(system.matrix(), total, x0, 1e-10, 2000)
+    generic = kernels.orbit(lambda x, mn, mx: (STATUS_OK, list(mapping.apply(x))),
+                            x0, 1e-10, 2000)
+    assert fused[1] == STATUS_OK and fused[5] in ("gap", "stall", "extrapolated")
+    # (used, status, rows, gaps, estimate, stop): every row and gap, the
+    # estimate and the stop equal
     assert fused == generic
     assert len(fused[2]) == len(fused[3]) == fused[0] + 1
 
@@ -372,12 +369,18 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
 def test_an_orbit_whose_gap_stalls_within_twice_the_floor_has_converged():
     # the identity mapping never shrinks a gap: 6 ulp at 1.0 is above the
     # 4-ulp floor and within twice it, 9 ulp is beyond
-    orbit = kernels.make_orbit(lambda ctx, x, mn, mx: (STATUS_OK, list(x)))
+    def identity(x, mn, mx):
+        return STATUS_OK, list(x)
+
     eps = sys.float_info.epsilon
-    used, status, rows, gaps, estimate = orbit(None, [1.0, 1.0 + 6 * eps], 0.0, 50)
-    assert (used, status, gaps, estimate) == (1, STATUS_OK, [6 * eps, 6 * eps], None)
-    assert orbit(None, [1.0, 1.0 + 9 * eps], 0.0, 50)[:2] == (50, STATUS_BUDGET)
-    assert orbit(None, [1.0, 1.0 + 4 * eps], 0.0, 50)[:2] == (0, STATUS_OK)  # the floor
+    used, status, rows, gaps, estimate, stop = kernels.orbit(
+        identity, [1.0, 1.0 + 6 * eps], 0.0, 50)
+    assert (used, status, gaps, estimate, stop) == (
+        1, STATUS_OK, [6 * eps, 6 * eps], None, "stall")
+    out = kernels.orbit(identity, [1.0, 1.0 + 9 * eps], 0.0, 50)
+    assert (out[:2], out[5]) == ((50, STATUS_BUDGET), None)
+    out = kernels.orbit(identity, [1.0, 1.0 + 4 * eps], 0.0, 50)  # the floor
+    assert (out[:2], out[5]) == ((0, STATUS_OK), "gap")
 
 
 def replayed_orbit(n, modes, spread, count=80):
@@ -391,8 +394,7 @@ def replayed_orbit(n, modes, spread, count=80):
         s = d * q**k
         rows.append([m - s, m + s] if n == 2 else [m - s, m, m + s])
     replay = iter(rows[1:])
-    orbit = kernels.make_orbit(lambda ctx, x, mn, mx: (STATUS_OK, next(replay)))
-    return orbit(None, rows[0], 1e-9, count - 1)
+    return kernels.orbit(lambda x, mn, mx: (STATUS_OK, next(replay)), rows[0], 1e-9, count - 1)
 
 
 @pytest.mark.parametrize("n,modes", [
@@ -402,8 +404,8 @@ def replayed_orbit(n, modes, spread, count=80):
 def test_shanks_estimate_annihilates_the_means_geometric_modes(n, modes):
     # e_K, K = n(n-1)/2, of 2K+1 means is exact on K modes: the estimates
     # of the iterates 2K, 2K+1 and 2K+2 agree, and the third ends the orbit
-    used, status, rows, gaps, estimate = replayed_orbit(n, modes, (0.5, 0.7))
-    assert (used, status) == (n * (n - 1) + 2, STATUS_OK)
+    used, status, rows, gaps, estimate, stop = replayed_orbit(n, modes, (0.5, 0.7))
+    assert (used, status, stop) == (n * (n - 1) + 2, STATUS_OK, "extrapolated")
     assert estimate == pytest.approx(1.0, abs=1e-15)
     assert gaps[-1] > 1e-3
 
@@ -411,8 +413,8 @@ def test_shanks_estimate_annihilates_the_means_geometric_modes(n, modes):
 def test_a_shanks_estimate_outside_the_bracket_does_not_stop_the_orbit():
     # the mean tends to 1 far slower than the rows close around it, so the
     # exact estimate 1 soon leaves every bracket; the gap stop ends the orbit
-    used, status, rows, gaps, estimate = replayed_orbit(2, [(1.0, 0.9)], (0.01, 0.5))
-    assert (status, estimate) == (STATUS_OK, None)
+    used, status, rows, gaps, estimate, stop = replayed_orbit(2, [(1.0, 0.9)], (0.01, 0.5))
+    assert (status, estimate, stop) == (STATUS_OK, None, "gap")
     assert gaps[-1] <= 1e-9 < gaps[-2]
 
 
@@ -424,9 +426,9 @@ def mixed_system():
 
 
 def on_family(family, sources, domain=Interval(0.1, 5.0)):
-    """The system program of tape members, inlined into the member
-    matrix, or of the same members' lowered bodies as callables, which
-    the matrix calls."""
+    """(bodies, total, matrix) of a system of tape members, inlined into
+    the member matrix, or of the same members' lowered bodies as
+    callables, which the matrix calls."""
     if family == "lowered":
         members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
     else:
@@ -435,16 +437,16 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
     return (*system.program(), system.matrix())
 
 
-def one_step(ks, matrix, total, x):
-    used, status, iterates, _, _ = ks.cyclic_gauss(matrix, total, list(x), 0.0, 1e-13, 200, 1)
+def one_step(matrix, total, x):
+    used, status, iterates, _, _, _ = kernels.ACTIVE.cyclic_gauss(matrix, total, list(x), 0.0, 1)
     return used, status, iterates[-1]
 
 
-def assert_step_is_the_rotated_means(ks, bodies, total, matrix, x):
+def assert_step_is_the_rotated_means(bodies, total, matrix, x):
     x = [float(v) for v in x]
-    used, status, step = one_step(ks, matrix, total, x)
+    used, status, step = one_step(matrix, total, x)
     assert (used, status) == (1, STATUS_BUDGET)
-    means = [ks.gqam(bodies, total, x[-i:] + x[:-i], 1e-13, 200) for i in range(len(x))]
+    means = [kernels.ACTIVE.gqam(bodies, total, x[-i:] + x[:-i]) for i in range(len(x))]
     assert [st for _, st in means] == [STATUS_OK] * len(x)
     assert step == [val for val, _ in means], x
 
@@ -460,19 +462,18 @@ def assert_step_is_the_rotated_means(ks, bodies, total, matrix, x):
 def test_one_fused_step_is_the_rotated_means_bit_for_bit(family, sources, interval):
     # the step reads its targets and the shared F(min), F(max) off one
     # matrix of member values; gqam evaluates them its own way
-    ks, *program = on_family(family, sources, Interval(*interval))
+    program = on_family(family, sources, Interval(*interval))
     rng = np.random.default_rng(11)
     for _ in range(25):
-        assert_step_is_the_rotated_means(ks, *program, rng.uniform(*interval, len(sources)))
+        assert_step_is_the_rotated_means(*program, rng.uniform(*interval, len(sources)))
 
 
 def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
     system = mixed_system()
-    ks, *program = system.program()
-    program.append(system.matrix())
+    program = (*system.program(), system.matrix())
     rng = np.random.default_rng(12)
     for _ in range(25):
-        assert_step_is_the_rotated_means(ks, *program, rng.uniform(0.1, 5.0, 2))
+        assert_step_is_the_rotated_means(*program, rng.uniform(0.1, 5.0, 2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -482,8 +483,8 @@ def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
     (["x*1e308", "x*1e308"], [0.5, 1.5]),  # members are, their sum at max x is not
 ])
 def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sources, x):
-    ks, _, total, matrix = on_family(family, sources)
-    used, status, _ = one_step(ks, matrix, total, x)
+    _, total, matrix = on_family(family, sources)
+    used, status, _ = one_step(matrix, total, x)
     assert (used, status) == (0, STATUS_NONFINITE)
 
 
@@ -509,70 +510,23 @@ def test_sum_body_is_the_fold_of_the_member_bodies(name):
             assert math.isnan(total(x)), (name, x)
 
 
-# --- backend selection ---------------------------------------------------------
+# --- warm-up -------------------------------------------------------------------
 
 
-def test_active_matches_selection():
-    assert kernels.ACTIVE.name == kernels.active_backend() == "python"
-    assert kernels.ACTIVE is kernels.PYTHON
-    assert not kernels.HAS_NUMBA
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [("numpy", "python"), ("python", "python"), ("NumPy", "python"), (" numpy ", "python")],
-)
-def test_resolve_backend_numpy_spellings(monkeypatch, value, expected):
-    monkeypatch.setenv("MEANLAB_BACKEND", value)
-    assert kernels._resolve_backend() == expected
-
-
-def test_resolve_backend_auto(monkeypatch):
-    monkeypatch.setenv("MEANLAB_BACKEND", "auto")
-    assert kernels._resolve_backend() == "python"
-    monkeypatch.delenv("MEANLAB_BACKEND")
-    assert kernels._resolve_backend() == "python"
-
-
-def test_resolve_backend_unknown_falls_back_to_auto(monkeypatch, capsys):
-    monkeypatch.setenv("MEANLAB_BACKEND", "cuda")
-    assert kernels._resolve_backend() == "python"
-    assert capsys.readouterr().err == "meanlab: unknown MEANLAB_BACKEND value 'cuda', using auto\n"
-
-
-def test_resolve_backend_numba_missing(monkeypatch, capsys):
-    # numba is no longer a backend: one line and exit status 2
-    monkeypatch.setenv("MEANLAB_BACKEND", "numba")
-    with pytest.raises(SystemExit) as exc:
-        kernels._resolve_backend()
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("meanlab: ") and err.count("\n") == 1 and "no longer" in err
-
-
-def test_warm_up_compiles_each_family(monkeypatch):
+def test_warm_up_runs_every_kernel_and_the_shanks_stop(monkeypatch):
     # its orbit takes the Shanks stop, so first use is paid in warm_up
-    orbits = []
+    calls = []
     active = kernels.ACTIVE
 
-    def cyclic_gauss(*args):
-        orbits.append(active.cyclic_gauss(*args))
-        return orbits[-1]
+    def record(name):
+        def kernel(*args):
+            calls.append((name, getattr(active, name)(*args)))
+            return calls[-1][1]
+        return kernel
 
-    monkeypatch.setattr(kernels, "ACTIVE", active._replace(cyclic_gauss=cyclic_gauss))
+    monkeypatch.setattr(kernels, "ACTIVE", active._replace(
+        **{name: record(name) for name in active._fields}))
     warm_up()
-    [(used, status, _, _, estimate)] = orbits
-    assert status == STATUS_OK and estimate is not None
-
-
-def test_env_flag_reaches_import(tmp_path):
-    # subprocess import honors the flag end to end
-    import subprocess
-    import sys
-
-    env = dict(os.environ, MEANLAB_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import meanlab; print(meanlab.kernels.active_backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert [name for name, _ in calls] == list(active._fields)
+    used, status, _, _, estimate, stop = calls[-1][1]
+    assert (status, stop) == (STATUS_OK, "extrapolated") and estimate is not None

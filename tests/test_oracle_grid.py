@@ -1,7 +1,7 @@
 """Oracle gate of the Gauss stop: limits against a 40-digit reference.
 
 Each orbit ends on the first of the gap, stall and Shanks tests of
-``kernels.make_orbit``, and its limit is the midpoint of the last
+``kernels.orbit``, and its limit is the midpoint of the last
 bracket or the Shanks estimate.  Both are checked here against the
 benchmark's independent mpmath oracle (``perfbench/oracle.py``, the
 quasi-arithmetic mean of f1+...+fn, which the paper proves is the
