@@ -97,7 +97,7 @@ def validate_matrix(matrix, domain: Interval, rows: int | None = None,
 
 def random_matrix(rng, domain: Interval, n: int) -> InputMatrix:
     """An n x n matrix of independent samples from the interval, drawn
-    by ``rng``, a ``numpy.random.Generator``."""
+    by ``rng`` through ``Interval.sample``, as a tuple of row tuples."""
     m = domain.sample(rng, (n, n))
     return tuple(tuple(float(v) for v in row) for row in m)
 

@@ -253,28 +253,29 @@ def check_monotone(g: Generator) -> MonotonicityReport:
 
 def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
     """Least-squares fit g ~ a*f + b on a shared grid of AFFINE_FIT_GRID
-    points.
+    points, in the centered closed form summed by ``math.fsum``:
+    a = sum((f-mean f)(g-mean g)) / sum((f-mean f)^2), b = mean(g - a*f).
 
     Returns (a, b, residual) with residual the maximum absolute deviation
     over the grid.  Raises DegenerateError when f is numerically constant
     on the grid, since no slope is identifiable then.
     """
-    import numpy as np
-
     if f.domain != g.domain:
         raise ValueError("affine_fit needs generators on the same interval")
     xs = f.domain.grid(AFFINE_FIT_GRID)
-    fv = np.asarray(f.eval_grid(xs))
-    gv = np.asarray(g.eval_grid(xs))
-    if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+    fv = f.eval_grid(xs)
+    gv = g.eval_grid(xs)
+    if not all(map(math.isfinite, fv + gv)):
         raise EvalError("affine_fit hit a non-finite value on the sample grid")
-    spread = float(fv.max() - fv.min())
-    if spread < _DEGENERATE_SPREAD * max(1.0, float(np.abs(fv).max())):
+    spread = max(fv) - min(fv)
+    if spread < _DEGENERATE_SPREAD * max(1.0, max(map(abs, fv))):
         raise DegenerateError(f"{f.label!r} is numerically constant; no affine fit")
-    design = np.column_stack([fv, np.ones_like(fv)])
-    coeff, *_ = np.linalg.lstsq(design, gv, rcond=None)
-    a, b = float(coeff[0]), float(coeff[1])
-    residual = float(np.max(np.abs(design @ coeff - gv)))
+    n = len(fv)
+    f_mean, g_mean = math.fsum(fv) / n, math.fsum(gv) / n
+    df = [v - f_mean for v in fv]
+    a = math.fsum(d * (w - g_mean) for d, w in zip(df, gv)) / math.fsum(d * d for d in df)
+    b = math.fsum(w - a * v for v, w in zip(fv, gv)) / n
+    residual = max(abs(a * v + b - w) for v, w in zip(fv, gv))
     return a, b, residual
 
 

@@ -19,13 +19,14 @@ ENDPOINT_INSET = 1e-9
 
 
 def seeded_rng(seed):
-    """numpy's default generator seeded by ``seed``; its ``spawn(n)``
-    gives the generators of ``numpy.random.SeedSequence(seed).spawn(n)``.
-    Seeded sampling is one of the two places the package imports numpy,
-    here, on first use; the other is ``generator.affine_fit``."""
-    import numpy as np
+    """A generator of uniform draws seeded by ``seed``, a non-negative int
+    (None takes fresh OS entropy): ``pcg.default_rng``, which draws what
+    ``numpy.random.default_rng(seed)`` draws, bit for bit, in pure Python.
+    Its ``spawn(n)`` gives the children of ``SeedSequence(seed).spawn(n)``.
+    The module is imported here, on first use."""
+    from .pcg import default_rng
 
-    return np.random.default_rng(seed)
+    return default_rng(seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +91,10 @@ class Interval:
         return points
 
     def sample(self, rng, size=None):
-        """Uniform draws from the inset interior by ``rng``, a
-        ``numpy.random.Generator``: a float, or an array of shape ``size``."""
+        """Uniform draws from the inset interior by ``rng``, anything with
+        ``uniform(lo, hi, size)`` (``seeded_rng``'s generator or a
+        ``numpy.random.Generator``): a float when ``size`` is None, else
+        the draws of shape ``size`` as ``rng`` returns them."""
         return rng.uniform(self.lo + self.inset, self.hi - self.inset, size)
 
     def __str__(self):

@@ -2,15 +2,18 @@
 
 Everything drives `main(argv)` in-process; subprocess tests at the end
 cover the console-script target named in pyproject.toml, an environment
-that still sets the retired MEANLAB_BACKEND, the commands that leave
-numpy unloaded, and the stderr of an overflowing generator, also with
-warnings turned into errors.
+that still sets the retired MEANLAB_BACKEND, and the stderr of an
+overflowing generator, also with warnings turned into errors.  Two more
+check that no command loads numpy and that `verify` runs where numpy
+cannot be imported.
 """
 
+import ast
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -593,19 +596,53 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["--interval", "0.1,5", "--gen", "x", "--gen", "x^3",
                        "--max-iter", "2000", "compose", "0.2", "4.8"])]
     loaded.append("numpy" in sys.modules)
-    codes.append(cli.main(["--samples", "2", "verify", "m1"]))
-    loaded.append("numpy" in sys.modules)
+    for argv in (["verify", "m1"], ["verify", "characterize"], ["verify", "gbs"],
+                 ["--gen", "x", "verify", "bs"], ["--gen", "x", "verify", "as"],
+                 ["--gen", "x", "--gen2", "2*x+1", "verify", "equality"]):
+        codes.append(cli.main(["--samples", "2", *argv]))
+        loaded.append("numpy" in sys.modules)
 print(codes, loaded)
 """
 
 
 def test_import_eval_and_compose_leave_numpy_unloaded():
-    # numpy is imported on first use by seeded sampling and the affine
-    # fit; import, warm-up, eval and compose need neither
+    # seeded sampling and the affine fit are pure Python, so import,
+    # warm-up, eval, compose and every verify suite leave numpy unloaded
     out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True,
                          env=_subprocess_env())
     assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == "[0, 0, 0, 0] [False, False, True]\n"
+    assert out.stdout == f"{[0] * 9} {[False] * 8}\n"
+
+
+def test_verify_runs_where_numpy_cannot_be_imported():
+    # a None entry in sys.modules makes any "import numpy" raise
+    argv = ["meanlab", "--samples", "5", "verify", "m1"]
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            f"sys.argv = {argv!r}; runpy.run_module('meanlab', run_name='__main__')")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_subprocess_env())
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "meanlab verify" in out.stdout
+
+
+def _imported_packages(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_neither_imports_nor_requires_numpy():
+    # numpy is a test extra: no module of the package may import it, and
+    # the install must not pull it in
+    offenders = [f"{path.relative_to(ROOT)}:{line}"
+                 for path in sorted((ROOT / "src" / "meanlab").rglob("*.py"))
+                 for line, name in _imported_packages(path) if name == "numpy"]
+    assert offenders == []
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"].get("dependencies", [])
+    assert [d for d in deps if re.match(r"numpy\b", d.strip(), re.IGNORECASE)] == []
 
 
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])

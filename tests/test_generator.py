@@ -252,10 +252,17 @@ def test_affine_fit_exp_vs_line_residual():
     f = builtin_generator("x", I010)
     g = builtin_generator("exp(x)", I010)
     a, b, residual = affine_fit(f, g)
-    # frozen from an independent least-squares run (numpy.linalg.lstsq on
-    # the same 64-point grid): exp is nowhere near affine in x on (0,10)
+    # frozen from a second least-squares solver, numpy.linalg.lstsq's SVD
+    # on the same 64-point grid, which the closed form must match:
+    # exp is nowhere near affine in x on (0,10)
     assert residual == pytest.approx(14121.499243805294, rel=1e-9)
     assert residual > 0.1
+
+
+def test_affine_fit_is_exact_on_an_exactly_affine_pair():
+    # the centered sums cancel exactly here; a matrix solve was 1-2 ulp off
+    f = Generator.from_expression("x", I010)
+    assert affine_fit(f, Generator.from_expression("3*x+1", I010)) == (3.0, 1.0, 0.0)
 
 
 def test_affine_fit_degenerate():
