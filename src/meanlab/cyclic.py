@@ -82,7 +82,7 @@ class MeanTypeMapping:
 
     ``system`` is set (by ``cyclic_mapping``) exactly when the mapping is
     the cyclic rotation family of a generalized quasi-arithmetic mean,
-    tape-backed or not; iteration code uses it to run the fused
+    expression or callable generators alike; iteration code uses it to run the fused
     ``cyclic_gauss`` kernel on the system's program instead of calling
     the components one by one.
     """

@@ -1,11 +1,11 @@
 """Tiny expression language for strictly increasing generators.
 
 Public surface: ``parse`` text into an expression tree, ``eval_expr`` as
-the reference evaluator, ``to_text`` as the canonical printer, and
-``to_generator`` to bind an expression to an interval after the
-monotonicity grid check.  Compilation to tapes, which the kernels lower
-to Python, lives in ``compiler`` and is mostly an implementation detail
-of Generator.
+the reference evaluator, ``to_text`` as the canonical printer,
+``compile_expr`` to lower a tree to a Python body, and ``to_generator``
+to bind an expression to an interval after the monotonicity grid check.
+The tree is the one program form: ``compiler`` lowers it straight to
+Python, for a generator's body and a system's member matrix alike.
 """
 
 from .ast import (
@@ -18,7 +18,7 @@ from .ast import (
     eval_expr,
     to_text,
 )
-from .compiler import Tape, compile_expr, tape_sum
+from .compiler import compile_expr
 from .parser import parse
 
 
@@ -37,14 +37,12 @@ __all__ = [
     "Binary",
     "Constant",
     "Expr",
-    "Tape",
     "Unary",
     "Variable",
     "X",
     "compile_expr",
     "eval_expr",
     "parse",
-    "tape_sum",
     "to_generator",
     "to_text",
 ]

@@ -3,18 +3,18 @@
 The language is deliberately tiny: the variable ``x``, decimal constants,
 the four arithmetic operators plus ``^``, unary minus, and the functions
 ``exp``, ``log`` and ``sqrt``.  That is enough to express every generator
-used by the mean constructions here, while keeping expressions compilable
-to the flat tapes the numeric kernels lower to Python.
+used by the mean constructions here.  The tree is the one form a
+generator's program takes: ``compiler`` lowers it straight to Python.
 
 ``eval_expr`` is a direct recursive walk and serves as the reference
-semantics: the Python bodies ``kernels.lower_tape`` makes of compiled
-tapes, and the member matrices of ``kernels.lower_matrix``, are tested
+semantics: the Python bodies ``compiler.compile_expr`` makes of trees,
+and the member matrices of ``compiler.compile_matrix``, are tested
 against it bit for bit.  Non-finite values do not come back: exp, log,
 sqrt, division and ``^`` are NaN outside their guards, and so is any
 binary operation whose result is not finite, so an overflow stays NaN
 through a later division or exp.  The lowered bodies follow the same
-rule, op by op in the order of the tape; any other evaluator of tapes
-must.
+rule, node by node in the walker's post-order; any other evaluator of
+trees must.
 """
 
 from __future__ import annotations

@@ -1,103 +1,130 @@
-"""Compilation of expression trees to flat postfix tapes.
+"""Lowering of expression trees to straight-line Python.
 
-A tape is a pair of parallel tuples: int opcodes and float operands
-(only OP_CONST slots use the operand).  Tapes are the form in which
-``kernels.lower_tape`` and ``kernels.lower_matrix`` read a generator and
-lower it to straight-line Python; they also concatenate cheaply, which
-is how sums and affine images of generators are lowered too instead of
-falling back to Python callables.
+This is the one place where a tree becomes code.  ``compile_expr``
+makes a generator's body, a Python function of x; ``compile_matrix``
+makes a system's member matrix, a Python function of x0..x_{n-1}.  Both
+emit the same statements for a tree: one per node, in post-order, so
+the tree's operations run in the order ``eval_expr`` runs them and give
+its values bit for bit.  Sums and affine images of generators are trees
+too, left-folded ``+`` nodes and ``f*a + b``, and lower the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
 
-from .ast import Binary, Constant, Expr, Unary, Variable
+from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, power
 
-OP_CONST = 0
-OP_X = 1
-OP_NEG = 2
-OP_EXP = 3
-OP_LOG = 4
-OP_SQRT = 5
-OP_ADD = 6
-OP_SUB = 7
-OP_MUL = 8
-OP_DIV = 9
-OP_POW = 10
-
-_UNARY_CODE = {"neg": OP_NEG, "exp": OP_EXP, "log": OP_LOG, "sqrt": OP_SQRT}
-_BINARY_CODE = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
+# the test under which each guarded function is not finite
+_GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
+# what lowered code may name
+_NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
+          "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
+          "power": power}
 
 
-@dataclass(frozen=True, slots=True)
-class Tape:
-    """Immutable postfix program over a single variable: ``code``, a
-    tuple of ints, and ``operands``, a tuple of floats of the same,
-    non-zero length."""
+def _emit(expr, x, prefix, fail):
+    """Statements that compute the tree at the input named ``x`` and the
+    expression of its value: the tree's nodes in post-order, on
+    temporaries named ``prefix`` + "t" + the node's post-order index,
+    each guard running the statement ``fail`` where the value is not
+    finite.  Constants become literals, in parentheses, and a negated
+    literal is one too.  A power with a literal exponent runs the
+    positive-base branch of ``power`` inline and calls ``power`` for
+    every other base.  Every binary result is tested finite where it is
+    made, so the final test is left out where the root is binary.
+    Statements are indented relative to their block."""
+    lines = []
+    slots = itertools.count()
 
-    code: tuple
-    operands: tuple
-
-    def __post_init__(self):
-        code = tuple(int(op) for op in self.code)
-        operands = tuple(float(c) for c in self.operands)
-        if len(code) != len(operands) or not code:
-            raise ValueError("malformed tape")
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "operands", operands)
-
-    def __len__(self):
-        return len(self.code)
-
-    def affine(self, a: float, b: float) -> "Tape":
-        """Tape computing a*f(x) + b on top of this tape's f."""
-        return Tape(self.code + (OP_CONST, OP_MUL, OP_CONST, OP_ADD),
-                    self.operands + (float(a), 0.0, float(b), 0.0))
-
-
-def tape_sum(tapes) -> Tape:
-    """Tape computing the left-fold sum of the given tapes.
-
-    The fold order matches how mean evaluators accumulate per-coordinate
-    terms, so the sum tape at x equals 0.0 + f1(x) + ... + fn(x), and is
-    NaN where that is not finite: the fused Gauss step reads the sum at
-    a coordinate off the members' values there instead of evaluating it.
-    """
-    tapes = list(tapes)
-    if not tapes:
-        raise ValueError("tape_sum needs at least one tape")
-    code = tapes[0].code
-    operands = tapes[0].operands
-    for t in tapes[1:]:
-        code += t.code + (OP_ADD,)
-        operands += t.operands + (0.0,)
-    return Tape(code, operands)
-
-
-def compile_expr(expr: Expr) -> Tape:
-    """Lower an expression tree to a postfix tape."""
-    code: list[int] = []
-    operands: list[float] = []
-
-    def emit(node: Expr):
-        if isinstance(node, Constant):
-            code.append(OP_CONST)
-            operands.append(node.value)
-        elif isinstance(node, Variable):
-            code.append(OP_X)
-            operands.append(0.0)
-        elif isinstance(node, Unary):
-            emit(node.operand)
-            code.append(_UNARY_CODE[node.op])
-            operands.append(0.0)
+    def walk(node):
+        if isinstance(node, Unary):
+            a = walk(node.operand)
         elif isinstance(node, Binary):
-            emit(node.left)
-            emit(node.right)
-            code.append(_BINARY_CODE[node.op])
-            operands.append(0.0)
+            a = walk(node.left)
+            b = walk(node.right)
+        t = f"{prefix}t{next(slots)}"
+        if isinstance(node, Constant):
+            return f"({node.value!r})"
+        if isinstance(node, Variable):
+            return x
+        if isinstance(node, Unary):
+            if node.op != "neg":
+                lines.extend([f"if {a} {_GUARD[node.op]}:", f"    {fail}", f"{t} = {node.op}({a})"])
+            elif a.startswith("("):  # a literal: negated exactly
+                return f"({-float(a[1:-1])!r})"
+            else:
+                lines.append(f"{t} = -{a}")
+            return t
+        if node.op == "/":
+            lines.extend([f"if {b} == 0.0:", f"    {fail}"])
+        if node.op == "^" and b.startswith("("):
+            lines.extend([f"if {a} > 0.0:",
+                          f"    if {b} * log({a}) > {_EXP_MAX!r}:",
+                          f"        {fail}",
+                          f"    {t} = pow({a}, {b})",
+                          "else:",
+                          f"    {t} = power({a}, {b})"])
+        elif node.op == "^":
+            lines.append(f"{t} = power({a}, {b})")
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            lines.append(f"{t} = {a} {node.op} {b}")
+        lines.extend([f"if not isfinite({t}):", f"    {fail}"])
+        return t
 
-    emit(expr)
-    return Tape(code, operands)
+    value = walk(expr)
+    if not isinstance(expr, Binary):
+        lines.extend([f"if not isfinite({value}):", f"    {fail}"])
+    return lines, value
+
+
+def _define(name, params, lines, names):
+    """The function ``name`` with body ``lines``, compiled in ``names``."""
+    source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
+    exec(compile(source, f"<meanlab {name}>", "exec"), names)
+    return names[name]
+
+
+def compile_expr(expr: Expr):
+    """The tree as a body: a straight-line Python function of x that
+    returns the tree's value, NaN where ``eval_expr`` raises (a guard
+    fails or a binary result is not finite)."""
+    lines, value = _emit(expr, "x", "", "return nan")
+    return _define("body", "x", [*lines, f"return {value}"], dict(_NAMES))
+
+
+def compile_matrix(members):
+    """A system's member matrix: ``matrix(x0, ..., x_{n-1})`` evaluates
+    each member f_j at each coordinate x_k, member by member, and
+    returns (targets, folds), two lists of floats:
+
+        targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n})
+        folds[k]   = 0.0 + f_0(x_k) + ... + f_{n-1}(x_k)
+
+    each folded in member order; it returns None where some member value
+    is NaN.  A member is a tree, inlined at each coordinate by the
+    emitter of ``compile_expr``, or a body, called with a NaN test."""
+    n = len(members)
+    names = dict(_NAMES)
+    lines = []
+    value = {}
+    for j, member in enumerate(members):
+        if callable(member):
+            names[f"b{j}"] = member
+        for k in range(n):
+            if callable(member):
+                v = f"m{j}_{k}"
+                lines += [f"{v} = b{j}(x{k})", f"if {v} != {v}:", "    return None"]
+            else:
+                emitted, v = _emit(member, f"x{k}", f"m{j}_{k}_", "return None")
+                lines += emitted
+            value[j, k] = v
+
+    def fold(terms):
+        return " + ".join(["0.0", *terms])
+
+    targets = [fold(value[j, (j - i) % n] for j in range(n)) for i in range(n)]
+    folds = [fold(value[j, k] for j in range(n)) for k in range(n)]
+    lines.append(f"return [{', '.join(targets)}], [{', '.join(folds)}]")
+    return _define("matrix", ", ".join(f"x{k}" for k in range(n)), lines, names)

@@ -1,11 +1,13 @@
 """Strictly increasing generator functions on an interval.
 
-A Generator pairs a scalar function with its domain: a compiled DSL tape
-or an arbitrary Python callable.  Either runs on the kernels,
-``kernels.ACTIVE``, as a body (the tape lowered once to straight-line
+A Generator pairs a scalar function with its domain: a DSL expression
+tree or an arbitrary Python callable.  Either runs on the kernels,
+``kernels.ACTIVE``, as a body (the tree lowered once to straight-line
 Python, or the callable wrapped once in the evaluation guard, kept on
-the generator); ``Generator.body``, ``GeneratorSystem.program`` and
-``GeneratorSystem.matrix`` hand the kernels their programs.  Every
+the generator).  Sums and affine images of expression generators are
+trees themselves, so they lower the same way.  ``Generator.body``,
+``GeneratorSystem.program`` and ``GeneratorSystem.matrix`` hand the
+kernels their programs.  Every
 evaluation, inversion, mean step and fused Gauss orbit runs the same
 kernels on those programs, read from ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
@@ -31,8 +33,8 @@ from typing import Callable, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
-from .dsl.ast import Expr
-from .dsl.compiler import Tape, tape_sum
+from .dsl.ast import Binary, Constant, Expr
+from .dsl.compiler import compile_matrix
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -70,22 +72,22 @@ class MonotonicityReport:
 class Generator:
     """A strictly increasing scalar function on an interval."""
 
-    __slots__ = ("domain", "label", "tape", "fn", "_body")
+    __slots__ = ("domain", "label", "expr", "fn", "_body")
 
     def __init__(
         self,
         domain: Interval,
         *,
-        tape: Tape | None = None,
+        expr: Expr | None = None,
         fn: Callable[[float], float] | None = None,
         label: str = "f",
         validate: bool = True,
     ):
-        if (tape is None) == (fn is None):
-            raise ValueError("exactly one of tape or fn is required")
+        if (expr is None) == (fn is None):
+            raise ValueError("exactly one of expr or fn is required")
         self.domain = domain
         self.label = label
-        self.tape = tape
+        self.expr = expr
         self.fn = fn
         self._body = None
         if validate:
@@ -101,29 +103,20 @@ class Generator:
     def from_expression(cls, source, domain: Interval, *, label=None):
         """Build from DSL text or an already-parsed expression tree."""
         expr: Expr = parse(source) if isinstance(source, str) else source
-        text = to_text(expr)
-        return cls(
-            domain,
-            tape=compile_expr(expr),
-            label=label if label is not None else text,
-        )
+        return cls(domain, expr=expr, label=label if label is not None else to_text(expr))
 
     @classmethod
     def from_callable(cls, fn, domain: Interval, *, label="f", validate=True):
         return cls(domain, fn=fn, label=label, validate=validate)
 
-    @property
-    def is_tape_backed(self) -> bool:
-        return self.tape is not None
-
     def body(self):
         """The generator as a body of the kernels, a Python
         function of a float that returns a float, NaN where the generator
-        is not finite: the tape lowered once by ``kernels.lower_tape``, or
-        the callable wrapped once by ``kernels.guard``."""
+        is not finite: the tree lowered once by ``compile_expr``, or the
+        callable wrapped once by ``kernels.guard``."""
         if self._body is None:
-            if self.tape is not None:
-                self._body = kernels.lower_tape(self.tape.code, self.tape.operands)
+            if self.expr is not None:
+                self._body = compile_expr(self.expr)
             else:
                 self._body = kernels.guard(self.fn)
         return self._body
@@ -198,14 +191,17 @@ class Generator:
         return EvalError(f"{self.label!r} is not finite inside {self.domain}")
 
     def affine(self, a: float, b: float) -> "Generator":
-        """The generator a*g + b; a must be positive to preserve growth."""
+        """The generator a*g + b, the tree g*a + b for an expression
+        generator; a must be positive to preserve growth, and a and b
+        finite."""
         a = float(a)
         b = float(b)
-        if not a > 0.0:
-            raise ValueError("affine image of a generator needs a > 0")
+        if not (0.0 < a < math.inf and math.isfinite(b)):
+            raise ValueError("affine image of a generator needs 0 < a < inf and a finite b")
         label = f"{a!r}*({self.label}) + {b!r}"
-        if self.tape is not None:
-            return Generator(self.domain, tape=self.tape.affine(a, b), label=label, validate=False)
+        if self.expr is not None:
+            expr = Binary("+", Binary("*", self.expr, Constant(a)), Constant(b))
+            return Generator(self.domain, expr=expr, label=label, validate=False)
         base = self.fn
         return Generator(
             self.domain, fn=lambda x: a * base(x) + b, label=label, validate=False
@@ -218,7 +214,7 @@ class Generator:
         return Interval(lo, hi, lo_open=False, hi_open=False)
 
     def __repr__(self):
-        kind = "tape" if self.tape is not None else "callable"
+        kind = "expression" if self.expr is not None else "callable"
         return f"Generator({self.label!r} on {self.domain}, {kind})"
 
 
@@ -306,10 +302,6 @@ class GeneratorSystem:
     def label(self) -> str:
         return ",".join(g.label for g in self.generators)
 
-    @property
-    def is_tape_backed(self) -> bool:
-        return all(g.is_tape_backed for g in self.generators)
-
     def sum_generator(self) -> Generator:
         """The pointwise sum f1 + ... + fn, itself strictly increasing."""
         if self._sum is None:
@@ -325,12 +317,12 @@ class GeneratorSystem:
         return self._program
 
     def matrix(self):
-        """The member matrix of ``kernels.lower_matrix`` over the members'
-        tapes, or their bodies where they have none, which ``cyclic_gauss``
+        """The member matrix of ``compile_matrix`` over the members'
+        trees, or their bodies where they have none, which ``cyclic_gauss``
         steps on; lowered once, on first use, and kept next to the bodies."""
         if self._matrix is None:
-            self._matrix = kernels.lower_matrix(
-                [g.tape if g.tape is not None else g.body() for g in self.generators])
+            self._matrix = compile_matrix(
+                [g.expr if g.expr is not None else g.body() for g in self.generators])
         return self._matrix
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
@@ -358,7 +350,8 @@ def sum_generators(generators) -> Generator:
     """Pointwise sum of generators on one interval.
 
     A sum of strictly increasing functions is strictly increasing, so the
-    grid check is skipped.
+    grid check is skipped.  The sum of expression generators is the
+    left-folded tree f1 + ... + fn.
     """
     gens = tuple(generators.generators if isinstance(generators, GeneratorSystem) else generators)
     if not gens:
@@ -368,8 +361,11 @@ def sum_generators(generators) -> Generator:
         if g.domain != domain:
             raise ValueError("summed generators must share one interval")
     label = " + ".join(g.label for g in gens)
-    if all(g.is_tape_backed for g in gens):
-        return Generator(domain, tape=tape_sum([g.tape for g in gens]), label=label, validate=False)
+    if all(g.expr is not None for g in gens):
+        expr = gens[0].expr
+        for g in gens[1:]:
+            expr = Binary("+", expr, g.expr)
+        return Generator(domain, expr=expr, label=label, validate=False)
     parts = [g.body() for g in gens]
 
     def body(x, parts=parts):

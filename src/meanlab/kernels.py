@@ -5,15 +5,14 @@ inside bracketed root-finding inside Gauss iteration.  No kernel
 imports numpy: ``eval_grid`` returns a list of floats, and an orbit
 returns the rows and gaps it collects as lists.  A generator runs
 as a body, a Python function of a float that returns a float, NaN where
-the generator is not finite: a DSL tape lowered once by ``lower_tape``
-to straight-line Python, or a user callable wrapped once by ``guard``.
-Bodies are guarded when they are made, not per call.
-
-``lower_tape`` and ``lower_matrix`` are the two uses of one statement
-emitter, ``_emit_tape``.  ``lower_matrix`` makes a system's member
-matrix: one generated function of x0..x_{n-1} that evaluates every
-member at every coordinate, tape members inlined and callable members
-called through their bodies, and returns the folds the Gauss step needs.
+the generator is not finite: a DSL expression tree lowered once by
+``dsl.compiler.compile_expr`` to straight-line Python, or a user
+callable wrapped once by ``guard``.  Bodies are guarded when they are
+made, not per call.  A system's member matrix, made once by
+``dsl.compiler.compile_matrix``, is one generated function of
+x0..x_{n-1} that evaluates every member at every coordinate, tree
+members inlined and callable members called through their bodies, and
+returns the folds the Gauss step needs.  This module only runs them.
 
 The bracketed solve is written once, in ``invert_core``, which calls
 the body it inverts; its callers evaluate the bracket's endpoints.
@@ -27,12 +26,12 @@ is written once in ``orbit``, which names the rule that ended it.
 ``cyclic_gauss`` runs it over a fused step that computes the n rotated
 means of the cyclic mapping from one call of the member matrix.  Each
 mean's target is a fold of that matrix, and so are F(min x) and
-F(max x), the values at the bracket all n solves share: ``tape_sum``
-makes F's program the left fold of the members', so the step gives
-what ``gqam`` gives on each rotation, bit for bit, and fails
-(``STATUS_NONFINITE``) where a member value or one of those two folds
-is not finite.  ``gauss`` runs ``orbit`` over the components of any
-other mean-type mapping.
+F(max x), the values at the bracket all n solves share: F's program
+is the left fold of the members', so the step gives what ``gqam``
+gives on each rotation, bit for bit, and fails (``STATUS_NONFINITE``)
+where a member value or one of those two folds is not finite.
+``gauss`` runs ``orbit`` over the components of any other mean-type
+mapping.
 
 ``ACTIVE`` holds the kernels, a ``KernelSet`` of ``eval_one``,
 ``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  Callers read
@@ -64,21 +63,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import NamedTuple
-
-from .dsl.ast import power, _EXP_MAX
-from .dsl.compiler import (
-    OP_ADD,
-    OP_CONST,
-    OP_DIV,
-    OP_EXP,
-    OP_LOG,
-    OP_MUL,
-    OP_NEG,
-    OP_POW,
-    OP_SQRT,
-    OP_SUB,
-    OP_X,
-)
 
 # numba is not a backend: the kernels are plain Python.  The name stays
 # because the benchmark harness reads it on every run.
@@ -301,127 +285,6 @@ def orbit(step, x0, gap_tol, max_iter):
         used += 1
 
 
-_GUARDED_UNARY = {OP_EXP: (f"> {_EXP_MAX!r}", "exp"), OP_LOG: ("<= 0.0", "log"),
-                  OP_SQRT: ("< 0.0", "sqrt")}
-_BINARY_SYMBOL = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*", OP_DIV: "/"}
-# what lowered code may name
-_LOWERED_NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
-                  "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
-                  "power": power}
-
-
-def _emit_tape(code, operands, x, prefix, fail, names):
-    """Statements that compute the tape at the input named ``x`` and the
-    expression of its value: the tape's ops in order, on temporaries
-    named ``prefix`` + "t" + slot, each guard running the statement
-    ``fail`` where the value is not finite.  A non-finite constant is
-    bound in ``names`` as ``prefix`` + "c" + slot; finite ones become
-    literals, in parentheses, and a negated literal is one too.  A power
-    with a literal exponent runs the positive-base branch of ``power``
-    inline and calls ``power`` for every other base.  The final finite
-    test is left out where the last op has just made it.  Statements
-    are indented relative to their block."""
-    lines = []
-    stack = []
-    checked = None  # the last binary result, tested finite where it is made
-    for k, (op, c) in enumerate(zip(code, operands)):
-        if op == OP_CONST:
-            if math.isfinite(c):
-                stack.append(f"({c!r})")
-            else:  # affine images may carry one; it has no literal
-                names[f"{prefix}c{k}"] = c
-                stack.append(f"{prefix}c{k}")
-            continue
-        if op == OP_X:
-            stack.append(x)
-            continue
-        t = f"{prefix}t{k}"
-        if op == OP_NEG and stack[-1].startswith("("):  # a literal: negated exactly
-            stack.append(f"({-float(stack.pop()[1:-1])!r})")
-            continue
-        if op == OP_NEG:
-            lines.append(f"{t} = -{stack.pop()}")
-        elif op in _GUARDED_UNARY:
-            cut, fn = _GUARDED_UNARY[op]
-            a = stack.pop()
-            lines += [f"if {a} {cut}:", f"    {fail}", f"{t} = {fn}({a})"]
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            if op == OP_DIV:
-                lines += [f"if {b} == 0.0:", f"    {fail}"]
-            if op == OP_POW and b.startswith("("):
-                lines += [f"if {a} > 0.0:",
-                          f"    if {b} * log({a}) > {_EXP_MAX!r}:",
-                          f"        {fail}",
-                          f"    {t} = pow({a}, {b})",
-                          "else:",
-                          f"    {t} = power({a}, {b})"]
-            elif op == OP_POW:
-                lines.append(f"{t} = power({a}, {b})")
-            else:
-                lines.append(f"{t} = {a} {_BINARY_SYMBOL[op]} {b}")
-            lines += [f"if not isfinite({t}):", f"    {fail}"]
-            checked = t
-        stack.append(t)
-    if stack[-1] != checked:
-        lines += [f"if not isfinite({stack[-1]}):", f"    {fail}"]
-    return lines, stack[-1]
-
-
-def _define(name, params, lines, names):
-    """The function ``name`` with body ``lines``, compiled in ``names``."""
-    source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
-    exec(compile(source, f"<meanlab {name}>", "exec"), names)
-    return names[name]
-
-
-def lower_tape(code, operands):
-    """The tape as a body: a straight-line Python function of x that
-    returns the tape's value, NaN where ``dsl.eval_expr`` of the tape's
-    expression raises (a guard fails or a binary result is not finite)."""
-    names = dict(_LOWERED_NAMES)
-    lines, value = _emit_tape(code, operands, "x", "", "return nan", names)
-    return _define("body", "x", [*lines, f"return {value}"], names)
-
-
-def lower_matrix(members):
-    """A system's member matrix: ``matrix(x0, ..., x_{n-1})`` evaluates
-    each member f_j at each coordinate x_k, member by member, and
-    returns (targets, folds), two lists of floats:
-
-        targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n})
-        folds[k]   = 0.0 + f_0(x_k) + ... + f_{n-1}(x_k)
-
-    each folded in member order; it returns None where some member value
-    is NaN.  A member is a tape, inlined at each coordinate by the
-    emitter of ``lower_tape``, or a body, called with a NaN test."""
-    n = len(members)
-    names = dict(_LOWERED_NAMES)
-    lines = []
-    value = {}
-    for j, member in enumerate(members):
-        if callable(member):
-            names[f"b{j}"] = member
-        for k in range(n):
-            if callable(member):
-                v = f"m{j}_{k}"
-                lines += [f"{v} = b{j}(x{k})", f"if {v} != {v}:", "    return None"]
-            else:
-                emitted, v = _emit_tape(member.code, member.operands, f"x{k}",
-                                        f"m{j}_{k}_", "return None", names)
-                lines += emitted
-            value[j, k] = v
-
-    def fold(terms):
-        return " + ".join(["0.0", *terms])
-
-    targets = [fold(value[j, (j - i) % n] for j in range(n)) for i in range(n)]
-    folds = [fold(value[j, k] for j in range(n)) for k in range(n)]
-    lines.append(f"return [{', '.join(targets)}], [{', '.join(folds)}]")
-    return _define("matrix", ", ".join(f"x{k}" for k in range(n)), lines, names)
-
-
 def guard(fn):
     """A Python callable as a body: fn(x) as a float, NaN where fn
     raises ``ValueError``, ``OverflowError`` or ``ZeroDivisionError`` or
@@ -520,18 +383,16 @@ def warm_up():
     """Run every kernel of ``ACTIVE`` once on the programs that
     ``Generator`` and ``GeneratorSystem`` make, so that
     a timed run starts with every module imported and every path taken."""
-    from .dsl.compiler import Tape
+    from .dsl.ast import Binary, Constant, X
     from .generator import Generator, GeneratorSystem
     from .interval import Interval
 
-    t = Tape((OP_X, OP_CONST, OP_MUL), (0.0, 2.0, 0.0))
-    ident = Tape((OP_X,), (0.0,))
-    cube = Tape((OP_X, OP_X, OP_MUL, OP_X, OP_MUL), (0.0,) * 5)
     dom = Interval(0.5, 4.0)
-    body = Generator(dom, tape=t, validate=False).body()
+    body = Generator(dom, expr=Binary("*", X, Constant(2.0)), validate=False).body()
     # x, x^3 contracts slowly enough that its orbit ends on a Shanks estimate
-    system = GeneratorSystem([Generator(dom, tape=ident, validate=False),
-                              Generator(dom, tape=cube, validate=False)])
+    cube = Binary("*", Binary("*", X, X), X)
+    system = GeneratorSystem([Generator(dom, expr=X, validate=False),
+                              Generator(dom, expr=cube, validate=False)])
     bodies, total = system.program()
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])

@@ -539,6 +539,7 @@ def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
     dom = Interval(0.1, 5.0)
     callables = GeneratorSystem([Generator.from_callable(lambda x: x**3, dom),
                                  Generator.from_callable(lambda x: 2 * x**3, dom)])
+    tree = meanlab.parse("x^2")
     active, iterate = kernels.ACTIVE, gauss.gauss_iterate
     tracer = Tracer()
     uninstall = install(tracer)
@@ -546,10 +547,16 @@ def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
         assert cli.main(["--gen", "x", "--gen", "2*x", "compose", "1", "7"]) == 0
         assert cli.main(["--samples", "3", "verify", "m1"]) == 0
         assert gauss.composition_closed_form_check(callables, samples=3).passed
+        # a generator built from a tree is parsed nowhere: only its body's
+        # lowering, through generator.compile_expr, is in the dsl span
+        lowered = tracer.calls["dsl"]
+        Generator.from_expression(tree, dom, label="square").body()
     finally:
         uninstall()
     capsys.readouterr()
     assert {"kernels.cyclic_gauss", "gauss", "cli.main"} <= set(tracer.calls)
+    assert lowered > 0
+    assert tracer.calls["dsl"] > lowered
     # every orbit, callable ones included, runs in a kernel span
     assert tracer.calls["kernels.cyclic_gauss"] == tracer.calls["gauss"]
     assert kernels.ACTIVE is active
@@ -560,6 +567,16 @@ def _subprocess_env(**extra):
     # the subprocess imports the tree under test, installed or not
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_export_lists_resolve():
+    # a name left in __all__ after its definition is gone breaks import *
+    import meanlab
+    import meanlab.dsl
+
+    for module in (meanlab, meanlab.dsl):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_console_script_roundtrip():

@@ -214,8 +214,8 @@ def test_cyclic_mapping_components_are_means():
 
 
 def test_cyclic_mapping_fused_flag():
-    tape_backed = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
-    assert cyclic_mapping(tape_backed).system is not None
+    expressions = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
+    assert cyclic_mapping(expressions).system is not None
     callable_backed = GeneralizedQuasiArithmeticMean(GeneratorSystem([
         Generator.from_callable(lambda x: x, DOM, label="x"),
         Generator.from_callable(lambda x: 2 * x, DOM, label="2*x"),

@@ -1,15 +1,14 @@
-"""Parser, printer, evaluator, and tape compiler for the generator language.
+"""Parser, printer, evaluator, and compiler for the generator language.
 
 The reference semantics is ``eval_expr`` (a plain recursive walk).  An
 independent oracle below translates source text into a Python expression
 and evaluates it with the math module — on inputs where no guard fires,
-the two must agree to float equality.  The tape compiler is then tested
-against ``eval_expr`` through the tape lowered to a Python body, run by
+the two must agree to float equality.  The compiler is then tested
+against ``eval_expr`` through the tree lowered to a Python body, run by
 the kernels on a float and on a float64 vector, and inlined into a
 one-member matrix.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +23,6 @@ from meanlab import (
     Interval,
     MonotonicityError,
     ParseError,
-    Tape,
     Unary,
     Variable,
     compile_expr,
@@ -34,9 +32,7 @@ from meanlab import (
     to_text,
 )
 from meanlab import kernels
-from meanlab.dsl import tape_sum
-from meanlab.dsl.compiler import OP_ADD, OP_CONST, OP_MUL, OP_NEG, OP_X
-from meanlab.kernels import lower_matrix, lower_tape
+from meanlab.dsl.compiler import compile_matrix
 
 
 def oracle_eval(source: str, x: float) -> float:
@@ -230,65 +226,40 @@ def test_printed_text_always_reparses(expr):
     assert parse(to_text(expr)) is not None
 
 
-# --- tape compiler vs the tree walker -----------------------------------
+# --- compiler vs the tree walker ----------------------------------------
 
-# the lowered tape run by the kernels on one float ("lowered") and
-# on a numpy float64 vector ("numpy"), and the tape inlined into a
-# one-member matrix, whose fold is the tape's value, None for NaN
+# the lowered tree run by the kernels on one float ("lowered") and
+# on a numpy float64 vector ("numpy"), and the tree inlined into a
+# one-member matrix, whose fold is the tree's value, None for NaN;
+# the tests keep the names they had when trees compiled to tapes
 EVALUATORS = ("numpy", "lowered", "matrix")
 
 
-def test_tape_is_two_immutable_tuples_of_one_length():
-    code = [OP_X, OP_CONST, OP_ADD]
-    operands = [0.0, 2, 0.0]
-    tape = Tape(code, operands)
-    code.append(OP_NEG)  # the tape keeps its own copy
-    assert (tape.code, tape.operands) == ((OP_X, OP_CONST, OP_ADD), (0.0, 2.0, 0.0))
-    assert type(tape.operands[1]) is float
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tape.code = ()
-    for code, operands in [((), ()), ((OP_X,), (0.0, 1.0)),
-                           ((OP_X, OP_NEG), (0.0,))]:
-        with pytest.raises(ValueError, match="malformed tape"):
-            Tape(code, operands)
-
-
-def test_tape_sum_and_affine_concatenate():
-    f, g = compile_expr(parse("x")), compile_expr(parse("2*x"))
-    assert tape_sum([f, g]) == Tape(f.code + g.code + (OP_ADD,),
-                                    f.operands + g.operands + (0.0,))
-    assert f.affine(3, -1) == Tape(
-        f.code + (OP_CONST, OP_MUL, OP_CONST, OP_ADD),
-        f.operands + (3.0, 0.0, -1.0, 0.0))
-
-
-def tape_eval(evaluator, tape, x):
+def lowered_eval(evaluator, expr, x):
     if evaluator == "matrix":
-        folds = lower_matrix([tape])(x)
+        folds = compile_matrix([expr])(x)
         return math.nan if folds is None else folds[1][0]
-    body = lower_tape(tape.code, tape.operands)
+    body = compile_expr(expr)
     if evaluator == "lowered":
         return kernels.ACTIVE.eval_one(body, x)
     return kernels.ACTIVE.eval_grid(body, np.asarray([x], dtype=np.float64))[0]
 
 
-TAPE_SOURCES = ["x", "x^2", "x^3", "2*x", "log(x)", "exp(x)", "sqrt(x)", "x^3 + x", "1/(x+1)"]
+LOWERED_SOURCES = ["x", "x^2", "x^3", "2*x", "log(x)", "exp(x)", "sqrt(x)", "x^3 + x", "1/(x+1)"]
 
 
 @pytest.mark.parametrize("backend", EVALUATORS)
-@pytest.mark.parametrize("source", TAPE_SOURCES)
+@pytest.mark.parametrize("source", LOWERED_SOURCES)
 def test_tape_agrees_with_walker(backend, source):
     expr = parse(source)
-    tape = compile_expr(expr)
     for x in Interval(0.3, 5.0).grid(33):
-        assert tape_eval(backend, tape, x) == pytest.approx(eval_expr(expr, x), rel=1e-15)
+        assert lowered_eval(backend, expr, x) == pytest.approx(eval_expr(expr, x), rel=1e-15)
 
 
 @pytest.mark.parametrize("backend", EVALUATORS)
 def test_tape_guards_return_nan(backend):
     for source, x in [("log(x)", -1.0), ("sqrt(x)", -4.0), ("1/x", 0.0), ("x^0.5", -2.0)]:
-        tape = compile_expr(parse(source))
-        assert math.isnan(tape_eval(backend, tape, x))
+        assert math.isnan(lowered_eval(backend, parse(source), x))
 
 
 # Constants and x up to 1e300: products overflow and their sum or quotient
@@ -303,8 +274,7 @@ wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 @given(exprs(wide.map(Constant)), wide)
 @example(parse("x^x"), -math.inf)  # a negative base to an infinite power
 def test_tape_is_nan_exactly_where_the_walker_raises(backend, expr, x):
-    tape = compile_expr(expr)
-    got = tape_eval(backend, tape, x)
+    got = lowered_eval(backend, expr, x)
     try:
         want = eval_expr(expr, x)
     except EvalError:

@@ -33,7 +33,7 @@ from meanlab import (
     midpoint,
 )
 from meanlab.cyclic import fixed_arity
-from meanlab.dsl import compile_expr, parse
+from meanlab.dsl import parse
 
 POS = Interval(0.1, 10.0)
 
@@ -341,7 +341,7 @@ def _decreasing_system():
     # an unvalidated decreasing member: the inner solve loses its bracket
     dom = Interval(0.1, 5.0)
     return GeneratorSystem([
-        Generator(dom, tape=compile_expr(parse(t)), label=t, validate=False)
+        Generator(dom, expr=parse(t), label=t, validate=False)
         for t in ("x", "0 - 2*x")
     ])
 
@@ -353,7 +353,7 @@ def _large_system():
 
 
 def _callable_system():
-    # Python bodies that round like the tapes x^3 and 2*x^3
+    # Python bodies that round like the expressions x^3 and 2*x^3
     dom = Interval(0.1, 5.0)
     return GeneratorSystem([
         Generator.from_callable(lambda x: x ** 3, dom, label="x^3"),

@@ -32,7 +32,7 @@ from meanlab import (
     sum_generators,
 )
 from meanlab import kernels
-from meanlab.dsl import compile_expr, parse
+from meanlab.dsl import parse
 
 I010 = Interval(0.0, 10.0)
 
@@ -43,7 +43,7 @@ I010 = Interval(0.0, 10.0)
 def test_expression_generator_evaluates():
     g = Generator.from_expression("x^3", I010)
     assert g(2.0) == pytest.approx(8.0)
-    assert g.is_tape_backed
+    assert g.expr == parse("x^3") and g.fn is None
 
 
 def test_domain_error_outside_interval():
@@ -83,7 +83,7 @@ def test_grid_is_linspace_bit_for_bit(bounds):
 
 def test_callable_generator():
     g = Generator.from_callable(lambda x: x + math.sin(x) * 0.1, I010, label="wavy")
-    assert not g.is_tape_backed
+    assert g.expr is None
     assert g(1.0) == pytest.approx(1.0 + 0.1 * math.sin(1.0))
 
 
@@ -143,7 +143,7 @@ def _invert_outcome(g, y, lo, hi, tol):
         return type(exc), str(exc)
 
 
-# bodies whose Python and tape forms round alike, so both solvers must
+# bodies whose Python and expression forms round alike, so both solvers must
 # agree bit for bit, with the exits each one reaches below: values past
 # either end of the range exit RANGE; at tol 0 the cubic's solves mostly
 # collapse the bracket without an exact root and exit BUDGET, while the
@@ -160,13 +160,13 @@ def test_callable_inversion_matches_tape():
     dom = Interval(0.1, 5.0)
     lo, hi = dom.clamp(dom.lo), dom.clamp(dom.hi)
     for source, body, exits in CALLABLE_BODIES:
-        tape = Generator(dom, tape=compile_expr(parse(source)), label="g", validate=False)
+        tree = Generator(dom, expr=parse(source), label="g", validate=False)
         fn = Generator.from_callable(body, dom, label="g", validate=False)
         seen = set()
-        for y in np.linspace(-1.0, tape._raw(hi) + 1.0, 97):
+        for y in np.linspace(-1.0, tree._raw(hi) + 1.0, 97):
             for tol in (1e-12, 0.0):
                 got = _invert_outcome(fn, float(y), lo, hi, tol)
-                assert got == _invert_outcome(tape, float(y), lo, hi, tol)
+                assert got == _invert_outcome(tree, float(y), lo, hi, tol)
                 seen.add(got[0] if isinstance(got, tuple) else type(got))
         assert seen == exits, source
 
@@ -237,6 +237,17 @@ def test_affine_requires_positive_slope():
         g.affine(-1.0, 0.0)
     with pytest.raises(ValueError):
         g.affine(0.0, 5.0)
+
+
+def test_affine_needs_finite_coefficients():
+    # a*g + b with a or b not finite would be NaN everywhere
+    dom = Interval(0.1, 5.0)
+    for g in (Generator.from_expression("x^3", dom), Generator.from_callable(lambda x: x**3, dom)):
+        for a, b in ((math.inf, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+                     (math.nan, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                g.affine(a, b)
+        assert g.affine(2.0, -1.0)(2.0) == 15.0
 
 
 def test_affine_fit_recovers_coefficients():
@@ -312,7 +323,7 @@ def test_builtin_system_names():
     assert set(systems) == {"x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"}
     assert systems["x,x^2,x^3"].n == 3
     for s in systems.values():
-        assert s.is_tape_backed
+        assert all(g.expr is not None for g in s)
 
 
 def test_builtin_rebind_domain():
@@ -360,9 +371,9 @@ def test_systems_hand_the_body_family_each_members_own_body():
     cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
     line = Generator.from_expression("x", dom)
     square = Generator.from_expression("x^2", dom)
-    tapes = [line, square]
+    trees = [line, square]
     value = {cube: lambda x: x**3, line: lambda x: x, square: lambda x: x * x}
-    for members in ([cube, line], [cube, cube], tapes):
+    for members in ([cube, line], [cube, cube], trees):
         system = GeneratorSystem(members)
         bodies, total = system.program()
         matrix = system.matrix()
@@ -373,7 +384,7 @@ def test_systems_hand_the_body_family_each_members_own_body():
             folds = matrix(*x)[1]
             assert folds == [value[members[0]](v) + value[members[1]](v) for v in x]
             assert folds == [total(v) for v in x]
-    # the lowered body is the tape's value, NaN where it is not finite
+    # the lowered body is the tree's value, NaN where it is not finite
     assert line.body()(2.5) == line._raw(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
     # a callable is guarded once, when its body is made

@@ -1,4 +1,4 @@
-"""Kernel contracts: lowered tapes bit for bit with the tree walker,
+"""Kernel contracts: lowered trees bit for bit with the tree walker,
 member matrices bit for bit with the folds of the member bodies, one
 fused Gauss step bit for bit with the rotated means it computes, fused
 orbits with the generic Gauss loop, and status codes that classify
@@ -19,8 +19,10 @@ from meanlab import (
     builtin_systems,
     cyclic_mapping,
     kernels,
+    sum_generators,
 )
-from meanlab.dsl import Binary, Constant, X, compile_expr, eval_expr, parse
+from meanlab.dsl import compile_expr, eval_expr, parse
+from meanlab.dsl.compiler import compile_matrix
 from meanlab.errors import EvalError
 from meanlab.kernels import (
     STATUS_BUDGET,
@@ -28,8 +30,6 @@ from meanlab.kernels import (
     STATUS_OK,
     STATUS_RANGE,
     guard,
-    lower_matrix,
-    lower_tape,
     warm_up,
 )
 
@@ -39,18 +39,13 @@ def ks():
     return kernels.ACTIVE
 
 
-def tape(source):
+def body(source):
     return compile_expr(parse(source))
 
 
-def body(source):
-    t = tape(source)
-    return lower_tape(t.code, t.operands)
-
-
 def program(*sources, domain=Interval(0.1, 5.0)):
-    """(bodies, total, matrix) of the system of the given tape members."""
-    members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
+    """(bodies, total, matrix) of the system of the given expression members."""
+    members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     system = GeneratorSystem(members)
     return (*system.program(), system.matrix())
 
@@ -78,18 +73,6 @@ def test_eval_one_guards_with_nan(ks, source, x):
     assert math.isnan(ks.eval_one(body(source), x))
 
 
-def constant(value):
-    # text has no non-finite constants, but affine images can carry them;
-    # the walker reads such a node like any other constant
-    node = object.__new__(Constant)
-    object.__setattr__(node, "value", value)
-    return node
-
-
-def affine_of_x(a, b):
-    return Binary("+", Binary("*", X, constant(a)), constant(b))
-
-
 # every op and guard, overflow into each guard, exp on both sides of its
 # cut-off, cancellation to 0 and to -0, and powers with negative bases;
 # the inlined power with a literal exponent on every branch: x^3 on both
@@ -101,13 +84,6 @@ LOWERING_SOURCES = [
     "log(log(x))", "log(x)*x", "sqrt(x)", "sqrt(x)^3", "x^0.5", "x^-2", "2^x", "x^x",
     "-2*x^3 + x^2", "0*x", "-(0*x)", "x^3", "(x - 1)^3", "x^-0.5", "x^1e-300", "x^-0",
 ]
-# (expression, tape) pairs; text has no non-finite constants, but affine
-# images of a tape can carry them
-LOWERING_TAPES = {
-    **{source: (parse(source), tape(source)) for source in LOWERING_SOURCES},
-    "inf*x": (affine_of_x(math.inf, 0.0), tape("x").affine(math.inf, 0.0)),
-    "x + nan": (affine_of_x(1.0, math.nan), tape("x").affine(1.0, math.nan)),
-}
 LOWERING_POINTS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
     709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0, 1e102, 1e103, -1e102, -1e103,
@@ -128,19 +104,35 @@ def _outcome(evaluate):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("source", LOWERING_TAPES)
+@pytest.mark.parametrize("source", LOWERING_SOURCES)
 def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
-    # the reference is the tree walker eval_expr, whose semantics the
-    # stack machine of earlier versions implemented op by op
-    expr, t = LOWERING_TAPES[source]
-    compiled = compile_expr(expr)
-    assert np.array_equal(compiled.code, t.code)
-    assert np.array_equal(compiled.operands, t.operands, equal_nan=True)
-    lowered = lower_tape(t.code, t.operands)
+    # the name is older than the tree lowering; the reference is the tree
+    # walker eval_expr, whose semantics the stack machine of earlier
+    # versions implemented op by op
+    expr = parse(source)
+    lowered = compile_expr(expr)
+    matrix = compile_matrix([expr])
     for x in LOWERING_POINTS:
         want = _outcome(lambda: eval_expr(expr, x))
         for arg in (x, np.float64(x)):  # both kinds of float reach a body
             assert _outcome(lambda: lowered(arg)) == want, (source, arg)
+        # the one-member matrix folds the value onto 0.0 and is None for NaN
+        folded = _outcome(lambda: 0.0 + eval_expr(expr, x))
+        assert _outcome(lambda: math.nan if matrix(x) is None else matrix(x)[1][0]) == folded
+
+
+def test_sum_and_affine_bodies_are_their_members_values_bit_for_bit():
+    # a sum is the left-folded tree f + g + h and an affine image the tree
+    # f*a + b; their bodies give those values, NaN where one is not finite
+    dom = Interval(0.1, 5.0)
+    f, g, h = (Generator.from_expression(s, dom) for s in ("x^3", "log(x)", "2*x + 1"))
+    total = sum_generators([f, g, h]).body()
+    image = f.affine(2.5, -1.0).body()
+    for x in LOWERING_POINTS:
+        fx, gx, hx = f.body()(x), g.body()(x), h.body()(x)
+        for got, want in ((total(x), fx + gx + hx), (image(x), fx * 2.5 + -1.0)):
+            want = want if math.isfinite(want) else math.nan
+            assert struct.pack("<d", got) == struct.pack("<d", want), x
 
 
 # --- member matrices ----------------------------------------------------------
@@ -148,9 +140,9 @@ def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
 
 # negated literals, 1/x at 0, the log/sqrt/exp guards, and the inlined
 # power either side of its overflow guard; members 1 and 11 keep their
-# result in the same tape slot, so names that do not keep member and
-# coordinate apart ("m1" "11" and "m11" "1") would clash at n = 12
-MATRIX_TAPES = [tape(s) for s in (
+# result in the same post-order slot, so names that do not keep member
+# and coordinate apart ("m1" "11" and "m11" "1") would clash at n = 12
+MATRIX_TREES = [parse(s) for s in (
     "x", "x^3", "1/x", "log(x)", "sqrt(x)", "exp(x)", "-x + -2.5", "x - -2", "x^-0.5",
     "exp(-x)*2", "(x - 1)^3", "2^x")]
 MATRIX_CALLABLES = [math.log, lambda x: 1 / x, lambda x: x**3, math.sqrt, math.exp,
@@ -161,15 +153,16 @@ BENIGN_POINTS = [0.5, 1.0, 1.5, 2.5, 3.75]
 
 
 def matrix_members(kind, n):
-    """n members as lower_matrix takes them (tapes or bodies) and as bodies."""
+    """n members as compile_matrix takes them (trees or bodies) and as
+    bodies; the kind "tapes", the trees' former form, is kept as the
+    tests' id."""
     members = []
     for j in range(n):
-        use_tape = kind == "tapes" or (kind == "mixed" and j % 2 == 0)
-        if use_tape:
-            members.append(MATRIX_TAPES[j % len(MATRIX_TAPES)])
+        if kind == "tapes" or (kind == "mixed" and j % 2 == 0):
+            members.append(MATRIX_TREES[j % len(MATRIX_TREES)])
         else:
             members.append(guard(MATRIX_CALLABLES[j % len(MATRIX_CALLABLES)]))
-    bodies = [m if callable(m) else lower_tape(m.code, m.operands) for m in members]
+    bodies = [m if callable(m) else compile_expr(m) for m in members]
     return members, bodies
 
 
@@ -202,7 +195,7 @@ def bits(result):
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 def test_member_matrix_is_the_fold_of_the_member_bodies(kind, n):
     members, bodies = matrix_members(kind, n)
-    matrix = lower_matrix(members)
+    matrix = compile_matrix(members)
     rng = np.random.default_rng(n)
     seen = set()
     for trial in range(300):
@@ -212,16 +205,6 @@ def test_member_matrix_is_the_fold_of_the_member_bodies(kind, n):
         assert bits(matrix(*x)) == bits(want), (kind, n, x)
         seen.add(want is None)
     assert seen == {True, False}
-
-
-def test_a_member_matrix_binds_a_non_finite_affine_constant():
-    # an affine image a*f + b with a or b not finite is NaN everywhere
-    for a, b in ((1.0, -math.inf), (math.inf, 0.0), (1.0, math.nan)):
-        members = [tape("x^3"), tape("x").affine(a, b), guard(math.log)]
-        matrix = lower_matrix(members)
-        for x in ([0.5, 1.0, 2.0], [0.0, -0.0, 3.0], [1e103, 2.0, 1.0]):
-            assert matrix(*x) is None
-        assert lower_matrix(members[::2])(0.5, 2.0) is not None
 
 
 def test_a_system_matrix_inlines_tapes_and_calls_bodies():
@@ -419,18 +402,18 @@ def test_a_shanks_estimate_outside_the_bracket_does_not_stop_the_orbit():
 
 
 def mixed_system():
-    # a callable member beside a tape member
+    # a callable member beside an expression member
     dom = Interval(0.1, 5.0)
     return GeneratorSystem([Generator.from_callable(lambda x: x**3 + x, dom, label="cube"),
                             Generator.from_expression("x^2", dom)])
 
 
 def on_family(family, sources, domain=Interval(0.1, 5.0)):
-    """(bodies, total, matrix) of a system of tape members, inlined into
+    """(bodies, total, matrix) of a system of expression members, inlined into
     the member matrix, or of the same members' lowered bodies as
     callables, which the matrix calls."""
     if family == "lowered":
-        members = [Generator(domain, tape=tape(s), label=s, validate=False) for s in sources]
+        members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     else:
         members = [Generator(domain, fn=body(s), label=s, validate=False) for s in sources]
     system = GeneratorSystem(members)

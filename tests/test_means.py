@@ -38,7 +38,7 @@ from meanlab import (
     quasisum_reflexivity_check,
     reflexivity_check,
 )
-from meanlab.dsl import compile_expr, parse
+from meanlab.dsl import parse
 
 I010 = Interval(0.0, 10.0)
 
@@ -109,7 +109,7 @@ def _gqam_outcome(system, pts):
         return type(exc), str(exc)
 
 
-# (tape text, Python body that rounds like it) per member; the exits each
+# (expression text, Python body that rounds like it) per member; the exits each
 # system reaches below: x - 2x is decreasing, so its solve exits RANGE,
 # and sqrt(x - 1) is not finite below 1, at a point or inside the bracket
 GQAM_BODIES = {
@@ -126,20 +126,20 @@ GQAM_BODIES = {
 def test_gqam_callable_system_matches_tape(name):
     dom = Interval(0.1, 5.0)
     members, exits = GQAM_BODIES[name]
-    tape = GeneratorSystem([
-        Generator(dom, tape=compile_expr(parse(t)), label=t, validate=False)
+    tree = GeneratorSystem([
+        Generator(dom, expr=parse(t), label=t, validate=False)
         for t, _ in members
     ])
     fn = GeneratorSystem([
         Generator.from_callable(body, dom, label=t, validate=False) for t, body in members
     ])
-    # one member of each kind: the callable kernels over the tape's _raw
-    mixed = GeneratorSystem([tape[0], fn[1]])
+    # one member of each kind
+    mixed = GeneratorSystem([tree[0], fn[1]])
     rng = np.random.default_rng(29)
     seen = set()
     for _ in range(40):
         pts = [float(v) for v in dom.sample(rng, 2)]
-        want = _gqam_outcome(tape, pts)
+        want = _gqam_outcome(tree, pts)
         assert _gqam_outcome(fn, pts) == want
         assert _gqam_outcome(mixed, pts) == want
         seen.add(want[0] if isinstance(want, tuple) else type(want))
