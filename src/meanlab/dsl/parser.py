@@ -11,9 +11,12 @@ Grammar, in precedence order from loosest to tightest:
 ``^`` is right associative and binds tighter than unary minus, so
 ``-x^2`` is ``-(x^2)`` and ``2*3^2`` is ``18``.  The only identifiers are
 ``x`` and the function names ``exp``, ``log``, ``sqrt``; anything else is
-a ParseError at the identifier's position.  Every ParseError carries the
-0-based offset of the offending token (the input length for premature
-end of input).
+a ParseError at the identifier's position.  So is input nested more
+than 100 levels deep (parentheses, function calls, unary minus and the
+exponents of a ^ chain each add a level) or whose tree would be more
+than 200 levels high (a sum of 200 terms is 200 levels high).  Every
+ParseError carries the 0-based offset of the offending token (the input
+length for premature end of input).
 """
 
 from __future__ import annotations
@@ -35,9 +38,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# Nesting bound keeps arbitrary input from exhausting the Python stack;
-# anything legitimate sits far below it.
+# Bounds that keep arbitrary input from exhausting the Python stack;
+# anything legitimate sits far below them.  The parser recurses through
+# ``factor`` once per level of nesting (a parenthesis, a function call, a
+# unary minus or the exponent of a ^), some five frames a level; every
+# walker of the tree it returns recurses once per level of its height.
 _MAX_DEPTH = 100
+_MAX_HEIGHT = 200
 
 
 class _Token:
@@ -85,73 +92,77 @@ class _Parser:
             raise ParseError(f"expected {sym!r}", tok.pos)
         return self.advance()
 
-    def _enter(self, pos: int):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError("expression nested too deeply", pos)
+    def _node(self, node: Expr, height: int, tok: _Token):
+        """(node, height), a subtree with the number of levels on its
+        longest path, refused above _MAX_HEIGHT."""
+        if height > _MAX_HEIGHT:
+            raise ParseError("expression nested too deeply", tok.pos)
+        return node, height
 
-    def expr(self) -> Expr:
-        node = self.term()
+    # Each rule returns (node, height).
+
+    def expr(self):
+        node, height = self.term()
         while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, h = self.term()
+            node, height = self._node(Binary(tok.text, node, right), max(height, h) + 1, tok)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self):
+        node, height = self.factor()
         while self.peek().kind == "sym" and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, h = self.factor()
+            node, height = self._node(Binary(tok.text, node, right), max(height, h) + 1, tok)
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self):
+        # every recursive descent passes through here: the one guard on
+        # nesting, which a failed parse never needs to unwind
         tok = self.peek()
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", tok.pos)
+        self.depth += 1
         if tok.kind == "sym" and tok.text == "-":
             self.advance()
-            self._enter(tok.pos)
-            try:
-                return Unary("neg", self.factor())
-            finally:
-                self.depth -= 1
-        return self.power()
+            operand, h = self.factor()
+            node = self._node(Unary("neg", operand), h + 1, tok)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self):
+        base, height = self.atom()
         tok = self.peek()
         if tok.kind == "sym" and tok.text == "^":
             self.advance()
-            return Binary("^", base, self.factor())
-        return base
+            exponent, h = self.factor()
+            return self._node(Binary("^", base, exponent), max(height, h) + 1, tok)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "eof":
             raise ParseError("unexpected end of input", tok.pos)
         if tok.kind == "number":
             self.advance()
-            return Constant(float(tok.text))
+            return Constant(float(tok.text)), 1
         if tok.kind == "ident":
             if tok.text == "x":
                 self.advance()
-                return Variable()
+                return Variable(), 1
             if tok.text in FUNCTIONS:
                 self.advance()
                 self.expect_sym("(")
-                self._enter(tok.pos)
-                try:
-                    inner = self.expr()
-                finally:
-                    self.depth -= 1
+                inner, h = self.expr()
                 self.expect_sym(")")
-                return Unary(tok.text, inner)
+                return self._node(Unary(tok.text, inner), h + 1, tok)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
-            self._enter(tok.pos)
-            try:
-                inner = self.expr()
-            finally:
-                self.depth -= 1
+            inner = self.expr()
             self.expect_sym(")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
@@ -160,7 +171,7 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse expression text, raising ParseError with a 0-based offset."""
     parser = _Parser(text)
-    node = parser.expr()
+    node, _ = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)

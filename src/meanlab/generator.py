@@ -15,10 +15,10 @@ invertibility.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
-values on the bracket, within ``INVERT_BUDGET`` (200) steps.  There is
-one solver, ``kernels.invert_core``, whose docstring states the test;
-its tolerance and budget, ``DEFAULT_INVERT_TOL`` and ``INVERT_BUDGET``,
-are the kernels' constants.
+values on the bracket.  There is one solve, ``kernels.invert``, whose
+docstring states the test; it takes the body's values at the bracket's
+ends, which ``invert_on`` computes, and stops on the kernels' constants
+``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
@@ -44,7 +44,7 @@ from .errors import (
     RangeError,
 )
 from .interval import Interval
-from .kernels import DEFAULT_INVERT_TOL, INVERT_BUDGET
+from .kernels import INVERT_BUDGET  # noqa: F401 - the benchmark harness imports it from here
 
 MONOTONE_GRID = 256  # grid points of the strict-growth check
 AFFINE_FIT_GRID = 64  # grid points of affine_fit
@@ -153,7 +153,7 @@ class Generator:
         """
         return kernels.ACTIVE.eval_grid(self.body(), xs)
 
-    def invert(self, y: float, tol: float = DEFAULT_INVERT_TOL) -> float:
+    def invert(self, y: float) -> float:
         """Solve g(x) = y on the domain.
 
         Raises RangeError when y is not bracketed by the values at the
@@ -162,21 +162,22 @@ class Generator:
         """
         lo = self.domain.clamp(self.domain.lo)
         hi = self.domain.clamp(self.domain.hi)
-        return self.invert_on(y, lo, hi, tol)
+        return self.invert_on(y, lo, hi)
 
-    def invert_on(self, y: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
+    def invert_on(self, y: float, lo: float, hi: float) -> float:
         """Inversion with a caller-supplied bracket inside the domain."""
-        y = float(y)
-        x, status = kernels.ACTIVE.invert(self.body(), y, lo, hi, tol)
+        y, lo, hi = float(y), float(lo), float(hi)
+        g = self.body()
+        x, status = kernels.ACTIVE.invert(g, y, lo, hi, g(lo), g(hi))
         if status != kernels.STATUS_OK:
-            raise self._invert_error(status, f"y = {y}", tol)
+            raise self._invert_error(status, f"y = {y}")
         return x
 
     def _raw(self, x: float) -> float:
         """Value at x, NaN where the body is not finite."""
         return kernels.ACTIVE.eval_one(self.body(), x)
 
-    def _invert_error(self, status, target, tol):
+    def _invert_error(self, status, target):
         """The package exception for a failed solve; ``target`` names
         the value that was inverted."""
         if status == kernels.STATUS_RANGE:
@@ -185,8 +186,8 @@ class Generator:
             )
         if status == kernels.STATUS_BUDGET:
             return ConvergenceError(
-                f"inversion of {self.label!r} did not reach tol = {tol}"
-                f" within {INVERT_BUDGET} steps"
+                f"inversion of {self.label!r} did not reach tol = {kernels.INVERT_TOL}"
+                f" within {kernels.INVERT_BUDGET} steps"
             )
         return EvalError(f"{self.label!r} is not finite inside {self.domain}")
 

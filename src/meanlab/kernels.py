@@ -14,11 +14,10 @@ x0..x_{n-1} that evaluates every member at every coordinate, tree
 members inlined and callable members called through their bodies, and
 returns the folds the Gauss step needs.  This module only runs them.
 
-The bracketed solve is written once, in ``invert_core``, which calls
-the body it inverts; its callers evaluate the bracket's endpoints.
-Every solve has ``INVERT_BUDGET`` steps.  ``gqam`` and ``cyclic_gauss``
-solve to ``DEFAULT_INVERT_TOL``; ``invert`` takes its tolerance as an
-argument, which ``Generator.invert`` lets its callers vary.
+The bracketed solve is one function, ``invert``, which calls the body
+it inverts; its callers evaluate the bracket's endpoints.  Every solve
+stops on ``INVERT_TOL`` within ``INVERT_BUDGET`` steps, two constants
+read at each call and set nowhere else.
 ``gqam`` is one generalized quasi-arithmetic mean: evaluate f1..fn, sum,
 invert the sum F = f1+...+fn.  Gauss iteration, with its stopping
 rules (a closed gap, a stalled gap, or a Shanks estimate of the limit),
@@ -75,7 +74,7 @@ STATUS_NONFINITE = 3
 
 # the bracketed solve's residual tolerance, relative to the values, and
 # its step budget
-DEFAULT_INVERT_TOL = 1e-12
+INVERT_TOL = 1e-12
 INVERT_BUDGET = 200
 
 # relative gap at which a Gauss orbit has closed as far as float64 allows
@@ -96,7 +95,7 @@ class KernelSet(NamedTuple):
     cyclic_gauss: callable
 
 
-def invert_core(g, y, lo, hi, glo, ghi, tol):
+def invert(g, y, lo, hi, glo, ghi):
     """The bracketed solve for g(x) = y on [lo, hi], g a body that is
     increasing there, given the endpoint values glo = g(lo) and
     ghi = g(hi) (NaN where g is not finite).
@@ -104,17 +103,18 @@ def invert_core(g, y, lo, hi, glo, ghi, tol):
     Illinois-damped secant steps (Dowell & Jarratt, BIT 11, 1971) on the
     bracket with bisection as the fallback, within INVERT_BUDGET steps;
     stops on the residual test
-    |g(x)-y| <= tol*max(|y|, min(1, max(|g(lo)|, |g(hi)|))), relative to
-    g's values on the bracket even below 1.  At an endpoint, or between
-    adjacent floats, |g(x)-y| <= tol*max(1,|y|) suffices: cancellation in
-    g near a zero crossing can leave no x that passes the relative test.
-    Returns (x, status).  The callers evaluate the endpoints: ``invert``
-    and ``gqam`` on g itself, the Gauss step once for all its solves.
+    |g(x)-y| <= INVERT_TOL*max(|y|, min(1, max(|g(lo)|, |g(hi)|))),
+    relative to g's values on the bracket even below 1.  At an endpoint,
+    or between adjacent floats, |g(x)-y| <= INVERT_TOL*max(1,|y|)
+    suffices: cancellation in g near a zero crossing can leave no x that
+    passes the relative test.  Returns (x, status).  The callers evaluate
+    the endpoints: ``Generator.invert_on`` and ``gqam`` on g itself, the
+    Gauss step once for all its solves.
     """
     if math.isnan(glo) or math.isnan(ghi):
         return math.nan, STATUS_NONFINITE
-    scale = tol * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
-    loose = tol * max(1.0, abs(y))
+    scale = INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
+    loose = INVERT_TOL * max(1.0, abs(y))
     if y <= glo:
         if glo - y <= loose:
             return lo, STATUS_OK
@@ -317,13 +317,6 @@ def eval_grid(body, xs):
     return [body(float(x)) for x in xs]
 
 
-def invert(g, y, lo, hi, tol):
-    """``invert_core`` for the body g, which it evaluates at lo and hi."""
-    lo = float(lo)
-    hi = float(hi)
-    return invert_core(g, float(y), lo, hi, g(lo), g(hi), tol)
-
-
 def gqam(bodies, total, xs):
     """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, with
     ``total`` the body of the sum, solved on [min xs, max xs], which
@@ -334,7 +327,8 @@ def gqam(bodies, total, xs):
         if math.isnan(v):
             return math.nan, STATUS_NONFINITE
         s += v
-    return invert(total, s, min(xs), max(xs), DEFAULT_INVERT_TOL)
+    lo, hi = min(xs), max(xs)
+    return invert(total, s, lo, hi, total(lo), total(hi))
 
 
 def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
@@ -359,7 +353,7 @@ def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
             return STATUS_NONFINITE, None
         out = []
         for y in targets:
-            val, st = invert_core(total, y, mn, mx, glo, ghi, DEFAULT_INVERT_TOL)
+            val, st = invert(total, y, mn, mx, glo, ghi)
             if st != STATUS_OK:
                 return st, None
             out.append(val)
@@ -396,6 +390,6 @@ def warm_up():
     bodies, total = system.program()
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])
-    ACTIVE.invert(body, 2.0, 0.5, 4.0, DEFAULT_INVERT_TOL)
+    ACTIVE.invert(body, 2.0, 0.5, 4.0, body(0.5), body(4.0))
     ACTIVE.gqam(bodies, total, [1.0, 2.0])
     ACTIVE.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 100)

@@ -8,9 +8,9 @@ The two evaluators are
 with every inversion bracketed by [min xs, max xs]: monotonicity of the
 generators pins the result inside the input range, which both guarantees
 a bracket and makes reflexivity exact (constant input short-circuits at
-the bracket endpoint).  Both solve to ``kernels.DEFAULT_INVERT_TOL``;
-``gqam_eval`` is one call of ``kernels.ACTIVE.gqam`` on the system's
-program.
+the bracket endpoint).  Both run the one solve, ``kernels.invert``:
+``qam_eval`` through ``Generator.invert_on``, ``gqam_eval`` as one call
+of ``kernels.ACTIVE.gqam`` on the system's program.
 
 The Mean class hierarchy wraps evaluators with domain and arity
 validation so mapping/iteration code can treat all means uniformly.
@@ -69,7 +69,7 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
     if status != kernels.STATUS_OK:
         # the kernel solved for the sum of the members at pts
         target = f"the sum of [{system.label}] at {pts}"
-        raise system.sum_generator()._invert_error(status, target, kernels.DEFAULT_INVERT_TOL)
+        raise system.sum_generator()._invert_error(status, target)
     return v
 
 

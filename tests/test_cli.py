@@ -416,6 +416,34 @@ def test_output_to_missing_directory_exits_4(tmp_path, capsys):
     assert "cannot write report" in err
 
 
+# --- exit codes -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--tol", "nan", "--samples", "3", "verify", "m1"], 2),
+    (["--gen", "y", "eval", "1"], 2),
+    (["--gen", "x", "--gen", "2*x", "eval", "1"], 2),
+    (["--interval", "0.1,10", "--gen", "log(x)", "eval", "20"], 2),
+    (["--interval", "0,inf", "--gen", "x", "eval", "1"], 2),
+    (["--interval=-1,1", "--gen", "log(x)", "eval", "0.5"], 2),
+    (["--gen", "x", "verify", "gbs"], 2),
+    (["--gen", "x", "verify", "equality"], 2),
+    (["--output", "{dir}", "--gen", "x", "eval", "2"], 4),
+    (["--interval", "1,2", "--gen", "x" + "^1" * 2000, "eval", "1.5"], 2),
+    (["--interval", "1,2", "--gen", "+".join(["x"] * 5000), "eval", "1.5"], 2),
+], ids=["tol-nan", "unknown-identifier", "point-count", "point-outside", "infinite-endpoint",
+        "nonfinite-on-grid", "gbs-one-gen", "equality-no-gen2", "unwritable-output",
+        "deep-power", "deep-sum"])
+def test_hostile_input_exits_with_a_documented_code(capsys, tmp_path, argv, want):
+    # the contract: a documented exit code, no traceback, and on 2 or 4 one
+    # line on stderr that names the program; a directory is not writable as
+    # a report
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == want
+    assert out == ""
+    assert [line.startswith("meanlab: ") for line in err.splitlines()] == [True]
+
+
 # --- argument handling ------------------------------------------------------------------
 
 
@@ -551,10 +579,16 @@ def test_perfbench_hooks_still_resolve(capsys, monkeypatch):
         # lowering, through generator.compile_expr, is in the dsl span
         lowered = tracer.calls["dsl"]
         Generator.from_expression(tree, dom, label="square").body()
+        # one mean of a system and one of a single generator, whose solve
+        # is the kernel's invert
+        assert cli.main(["--gen", "x", "--gen", "2*x", "eval", "0.5", "3"]) == 0
+        assert cli.main(["--interval", "0.1,10", "--gen", "log(x)", "eval", "1", "4"]) == 0
     finally:
         uninstall()
     capsys.readouterr()
     assert {"kernels.cyclic_gauss", "gauss", "cli.main"} <= set(tracer.calls)
+    assert tracer.calls["kernels.invert"] > 0
+    assert tracer.calls["kernels.gqam"] > 0
     assert lowered > 0
     assert tracer.calls["dsl"] > lowered
     # every orbit, callable ones included, runs in a kernel span

@@ -153,6 +153,48 @@ def test_error_position_monotone_under_truncation(source):
         assert second.position <= pos
 
 
+# --- depth bounds -------------------------------------------------------
+
+
+def _chain(op, n):
+    return f" {op} ".join(["x"] * n)
+
+
+@pytest.mark.parametrize("source,position", [
+    ("(" * 101 + "x" + ")" * 101, 101),  # the 101st parenthesis
+    ("sqrt(" * 101 + "x" + ")" * 101, 505),
+    ("-" * 101 + "x", 101),
+    ("x" + "^1" * 2000, 202),  # the exponent of the 101st ^
+    (_chain("+", 5000), 4 * 200 - 2),  # the 200th +, above 200 levels
+    (_chain("*", 201), 4 * 200 - 2),
+    ("sqrt(" * 50 + _chain("+", 160) + ")" * 50, 5 * 9),  # 160 + 41 levels
+], ids=["parentheses", "calls", "minus", "power", "sum", "product", "calls-over-sum"])
+def test_nesting_past_the_bounds_is_a_parse_error(source, position):
+    # parsing and every recursive walker of the tree stay off Python's
+    # recursion limit
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.message == "expression nested too deeply"
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 100 + "x" + ")" * 100,
+    "sqrt(" * 100 + "x" + ")" * 100,
+    "-" * 100 + "x",
+    "x" + "^1" * 100,
+    _chain("+", 200),
+    _chain("*", 200),
+    "sqrt(" * 50 + _chain("+", 150) + ")" * 50,
+], ids=["parentheses", "calls", "minus", "power", "sum", "product", "calls-over-sum"])
+def test_nesting_within_the_bounds_parses_prints_and_lowers(source):
+    expr = parse(source)
+    assert parse(to_text(expr)) == expr
+    want = eval_expr(expr, 0.5)
+    assert compile_expr(expr)(0.5) == want
+    assert compile_matrix([expr])(0.5)[0] == [want]
+
+
 # --- round trips --------------------------------------------------------
 
 ROUND_TRIP_SOURCES = [

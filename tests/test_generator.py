@@ -136,19 +136,26 @@ def test_invert_on_narrow_bracket():
         g.invert_on(y, 3.0, 4.0)  # bracket excludes the root
 
 
-def _invert_outcome(g, y, lo, hi, tol):
+def test_a_spent_budget_names_the_constants_the_solve_ran_with(monkeypatch):
+    monkeypatch.setattr(kernels, "INVERT_BUDGET", 3)
+    g = Generator.from_expression("x^3 + x", Interval(0.1, 5.0))
+    with pytest.raises(ConvergenceError, match="did not reach tol = 1e-12 within 3 steps"):
+        g.invert(7.0)
+
+
+def _invert_outcome(g, y, lo, hi):
     try:
-        return g.invert_on(y, lo, hi, tol)
+        return g.invert_on(y, lo, hi)
     except MeanlabError as exc:
         return type(exc), str(exc)
 
 
 # bodies whose Python and expression forms round alike, so both solvers must
 # agree bit for bit, with the exits each one reaches below: values past
-# either end of the range exit RANGE; at tol 0 the cubic's solves mostly
-# collapse the bracket without an exact root and exit BUDGET, while the
-# line's secant steps land on exact roots; sqrt(x - 1) is not finite at
-# the lower end of (0.1, 5)
+# either end of the range exit RANGE; with INVERT_TOL at 0 the cubic's
+# solves mostly collapse the bracket without an exact root and exit BUDGET,
+# while the line's secant steps land on exact roots; sqrt(x - 1) is not
+# finite at the lower end of (0.1, 5)
 CALLABLE_BODIES = [
     ("2*x + 1", lambda x: 2 * x + 1, {float, RangeError}),
     ("x*x*x + x", lambda x: x * x * x + x, {float, RangeError, ConvergenceError}),
@@ -156,17 +163,18 @@ CALLABLE_BODIES = [
 ]
 
 
-def test_callable_inversion_matches_tape():
+def test_callable_inversion_matches_tape(monkeypatch):
     dom = Interval(0.1, 5.0)
     lo, hi = dom.clamp(dom.lo), dom.clamp(dom.hi)
     for source, body, exits in CALLABLE_BODIES:
         tree = Generator(dom, expr=parse(source), label="g", validate=False)
         fn = Generator.from_callable(body, dom, label="g", validate=False)
         seen = set()
-        for y in np.linspace(-1.0, tree._raw(hi) + 1.0, 97):
-            for tol in (1e-12, 0.0):
-                got = _invert_outcome(fn, float(y), lo, hi, tol)
-                assert got == _invert_outcome(tree, float(y), lo, hi, tol)
+        for tol in (1e-12, 0.0):
+            monkeypatch.setattr(kernels, "INVERT_TOL", tol)
+            for y in np.linspace(-1.0, tree._raw(hi) + 1.0, 97):
+                got = _invert_outcome(fn, float(y), lo, hi)
+                assert got == _invert_outcome(tree, float(y), lo, hi)
                 seen.add(got[0] if isinstance(got, tuple) else type(got))
         assert seen == exits, source
 
