@@ -7,12 +7,19 @@ emit the same statements for a tree: one per node, in post-order, so
 the tree's operations run in the order ``eval_expr`` runs them and give
 its values bit for bit.  Sums and affine images of generators are trees
 too, left-folded ``+`` nodes and ``f*a + b``, and lower the same way.
+A power with a literal exponent c takes no log per call: its base is
+tested against a float cut computed once per exponent, at lowering,
+where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
+is the walker's to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import struct
+import sys
 
 from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, power
 
@@ -22,6 +29,36 @@ _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
 _NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
           "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
           "power": power}
+_MAX_BITS = struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@functools.cache
+def _power_cut(c):
+    """The test under which a positive base a makes ``power(a, c)`` NaN,
+    for a literal exponent c: "> HI" for c > 0 or "< LO" for c < 0, with
+    HI and LO the floats at which power's test ``c*log(a) > _EXP_MAX``
+    flips, found by bisection over the bit patterns of the positive
+    floats, which order as the floats do; None where no finite positive
+    base fails, as for c = 0, c = 0.5 or -0.9 < c < 0."""
+
+    def fails(bits):
+        return c * math.log(_float(bits)) > _EXP_MAX
+
+    lo, hi = 1, _MAX_BITS  # the least and the greatest finite positive float
+    edge = fails(lo)
+    if edge == fails(hi):
+        return None
+    while hi - lo > 1:  # fails(lo) == edge != fails(hi)
+        mid = (lo + hi) // 2
+        if fails(mid) == edge:
+            lo = mid
+        else:
+            hi = mid
+    return f"> {_float(lo)!r}" if c > 0.0 else f"< {_float(hi)!r}"
 
 
 def _emit(expr, x, prefix, fail):
@@ -30,11 +67,16 @@ def _emit(expr, x, prefix, fail):
     temporaries named ``prefix`` + "t" + the node's post-order index,
     each guard running the statement ``fail`` where the value is not
     finite.  Constants become literals, in parentheses, and a negated
-    literal is one too.  A power with a literal exponent runs the
+    literal is one too.  A power with a literal exponent c runs the
     positive-base branch of ``power`` inline and calls ``power`` for
-    every other base.  Every binary result is tested finite where it is
-    made, so the final test is left out where the root is binary.
-    Statements are indented relative to their block."""
+    every other base.  Inline, the base is tested against the cut of c,
+    computed once by ``_power_cut`` exactly where power's log test
+    flips, and pow below the cut is finite, so only ``power``'s value is
+    tested; an exponent with no cut (c = 0, c = 0.5) leaves pow's value,
+    inf at an infinite base, to the finite test.  Every other binary
+    result is tested finite where it is made, so the final test is left
+    out where the root is binary.  Statements are indented relative to
+    their block."""
     lines = []
     slots = itertools.count()
 
@@ -60,12 +102,15 @@ def _emit(expr, x, prefix, fail):
         if node.op == "/":
             lines.extend([f"if {b} == 0.0:", f"    {fail}"])
         if node.op == "^" and b.startswith("("):
+            cut = _power_cut(float(b[1:-1]))
             lines.extend([f"if {a} > 0.0:",
-                          f"    if {b} * log({a}) > {_EXP_MAX!r}:",
-                          f"        {fail}",
+                          *([f"    if {a} {cut}:", f"        {fail}"] if cut else []),
                           f"    {t} = pow({a}, {b})",
                           "else:",
                           f"    {t} = power({a}, {b})"])
+            if cut:  # below the cut pow is finite: only power's value is tested
+                lines.extend([f"    if not isfinite({t}):", f"        {fail}"])
+                return t
         elif node.op == "^":
             lines.append(f"{t} = power({a}, {b})")
         else:

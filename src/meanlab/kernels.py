@@ -107,20 +107,21 @@ def invert(g, y, lo, hi, glo, ghi):
     relative to g's values on the bracket even below 1.  At an endpoint,
     or between adjacent floats, |g(x)-y| <= INVERT_TOL*max(1,|y|)
     suffices: cancellation in g near a zero crossing can leave no x that
-    passes the relative test.  Returns (x, status).  The callers evaluate
-    the endpoints: ``Generator.invert_on`` and ``gqam`` on g itself, the
-    Gauss step once for all its solves.
+    passes the relative test, and that tolerance is computed only there.
+    A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``).
+    Returns (x, status).  The callers evaluate the endpoints:
+    ``Generator.invert_on`` and ``gqam`` on g itself, the Gauss step once
+    for all its solves.
     """
     if math.isnan(glo) or math.isnan(ghi):
         return math.nan, STATUS_NONFINITE
     scale = INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
-    loose = INVERT_TOL * max(1.0, abs(y))
     if y <= glo:
-        if glo - y <= loose:
+        if glo - y <= INVERT_TOL * max(1.0, abs(y)):
             return lo, STATUS_OK
         return math.nan, STATUS_RANGE
     if y >= ghi:
-        if y - ghi <= loose:
+        if y - ghi <= INVERT_TOL * max(1.0, abs(y)):
             return hi, STATUS_OK
         return math.nan, STATUS_RANGE
     a = lo
@@ -136,20 +137,21 @@ def invert(g, y, lo, hi, glo, ghi):
             xm = 0.5 * (a + b)
         if not (a < xm < b):
             xm = 0.5 * (a + b)
-        if not (a < xm < b):
-            # bracket has collapsed to adjacent floats
-            if -fa <= fb:
-                if -fa <= loose:
-                    return a, STATUS_OK
-            else:
-                if fb <= loose:
-                    return b, STATUS_OK
-            return 0.5 * (a + b), STATUS_BUDGET
+            if not (a < xm < b):
+                # bracket has collapsed to adjacent floats
+                loose = INVERT_TOL * max(1.0, abs(y))
+                if -fa <= fb:
+                    if -fa <= loose:
+                        return a, STATUS_OK
+                else:
+                    if fb <= loose:
+                        return b, STATUS_OK
+                return 0.5 * (a + b), STATUS_BUDGET
         fm = g(xm)
-        if math.isnan(fm):
+        if fm != fm:  # NaN
             return math.nan, STATUS_NONFINITE
         fm -= y
-        if abs(fm) <= scale:
+        if -scale <= fm <= scale:
             return xm, STATUS_OK
         if fm < 0.0:
             a = xm

@@ -102,23 +102,67 @@ def _outcome(evaluate):
         return type(exc)
 
 
+# numpy scalars warn where floats overflow silently: these filter the
+# warnings of the np.float64 arguments below, not of any evaluator
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("source", LOWERING_SOURCES)
 def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
     # the name is older than the tree lowering; the reference is the tree
-    # walker eval_expr, whose semantics the stack machine of earlier
-    # versions implemented op by op
+    # walker eval_expr
     expr = parse(source)
     lowered = compile_expr(expr)
     matrix = compile_matrix([expr])
     for x in LOWERING_POINTS:
         want = _outcome(lambda: eval_expr(expr, x))
-        for arg in (x, np.float64(x)):  # both kinds of float reach a body
+        # a caller of Generator.body may pass np.float64; the package never does
+        for arg in (x, np.float64(x)):
             assert _outcome(lambda: lowered(arg)) == want, (source, arg)
         # the one-member matrix folds the value onto 0.0 and is None for NaN
         folded = _outcome(lambda: 0.0 + eval_expr(expr, x))
         assert _outcome(lambda: math.nan if matrix(x) is None else matrix(x)[1][0]) == folded
+
+
+def _walker_flip(c):
+    """The float next to which x^c starts to be NaN in the walker: the
+    greatest passing base for c > 0, the least for c < 0, found by
+    bisection over the bit patterns of the positive floats."""
+    expr = parse(f"x^{c!r}")
+
+    def base(bits):
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    def fails(bits):
+        return _outcome(lambda: eval_expr(expr, base(bits))) == NAN_BITS
+
+    lo, hi = 1, struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
+    edge = fails(lo)
+    assert edge != fails(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fails(mid) == edge else (lo, mid)
+    return base(hi if edge else lo)
+
+
+@pytest.mark.parametrize("c", [2, 3, 7.3, 1e6, 1e16, 1e17, 1e300, -2, -0.96, -1e16])
+def test_a_literal_power_fails_exactly_where_the_walker_does(c):
+    # the lowered x^c tests its base against a cut computed once; at the
+    # walker's flip and one ulp on either side it gives the walker's
+    # value, NaN included, and never raises (a cut one ulp too high lets
+    # pow overflow at c = 1e17)
+    expr = parse(f"x^{c!r}")
+    lowered = compile_expr(expr)
+    matrix = compile_matrix([expr])
+    flip = _walker_flip(c)
+    for x in (math.nextafter(flip, 0.0), flip, math.nextafter(flip, math.inf)):
+        want = _outcome(lambda: eval_expr(expr, x))
+        assert _outcome(lambda: lowered(x)) == want, (c, x)
+        folded = _outcome(lambda: 0.0 + eval_expr(expr, x))
+        assert _outcome(lambda: math.nan if matrix(x) is None else matrix(x)[1][0]) == folded, (c, x)
+
+
+def test_literal_powers_take_no_log():
+    assert "log" not in compile_expr(parse("x + x^2 + x^3")).__code__.co_names
 
 
 def test_sum_and_affine_bodies_are_their_members_values_bit_for_bit():
@@ -259,6 +303,37 @@ def test_invert_reports_nonfinite(ks):
     val, status = solve(ks, body("log(x)"), 0.5, -1.0, 10.0)
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
+
+
+def test_invert_reports_nonfinite_inside_the_bracket(ks):
+    # finite at both ends, NaN where the first secant step lands
+    g = guard(lambda x: math.nan if 0.4 < x < 0.6 else x)
+    val, status = solve(ks, g, 0.5, 0.0, 1.0)
+    assert status == STATUS_NONFINITE
+    assert math.isnan(val)
+
+
+@pytest.mark.parametrize("source,lo,hi,calls", [
+    ("x^3+x", 0.1, 5.0, 175),
+    ("3*log(x)", 0.1, 5.0, 195),
+    ("3*log(x)", 1.0 - 1e-13, 1.0 + 1e-13, 192),
+])
+def test_invert_takes_the_pinned_steps(ks, source, lo, hi, calls):
+    # the body calls of 20 solves across the range, counted before the
+    # solve loop was last reworked: the same arithmetic takes the same steps
+    g = body(source)
+    count = 0
+
+    def counted(x):
+        nonlocal count
+        count += 1
+        return g(x)
+
+    glo, ghi = g(lo), g(hi)
+    for k in range(1, 21):
+        val, status = ks.invert(counted, glo + (ghi - glo) * k / 21, lo, hi, glo, ghi)
+        assert status == STATUS_OK
+    assert count == calls
 
 
 def test_invert_is_relative_below_one(ks):
