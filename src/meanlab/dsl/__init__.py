@@ -5,7 +5,8 @@ the reference evaluator, ``to_text`` as the canonical printer,
 ``compile_expr`` to lower a tree to a Python body, and ``to_generator``
 to bind an expression to an interval after the monotonicity grid check.
 The tree is the one program form: ``compiler`` lowers it straight to
-Python, for a generator's body and a system's member matrix alike.
+Python, for a generator's body and a system's member matrix alike.  A
+Python callable, guarded, enters a tree as a leaf, which has no text.
 """
 
 from .ast import (

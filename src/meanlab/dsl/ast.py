@@ -5,23 +5,28 @@ the four arithmetic operators plus ``^``, unary minus, and the functions
 ``exp``, ``log`` and ``sqrt``.  That is enough to express every generator
 used by the mean constructions here.  The tree is the one form a
 generator's program takes: ``compiler`` lowers it straight to Python.
+A body, a Python function of a float that returns a float, NaN where it
+is not finite, may stand as any leaf of a tree: that is how a Python
+callable, guarded once by ``kernels.guard``, enters sums and affine
+images of generators, and a bare body is a tree of one leaf.  A body
+has no text form.
 
 ``eval_expr`` is a direct recursive walk and serves as the reference
 semantics: the Python bodies ``compiler.compile_expr`` makes of trees,
 and the member matrices of ``compiler.compile_matrix``, are tested
-against it bit for bit.  Non-finite values do not come back: exp, log,
-sqrt, division and ``^`` are NaN outside their guards, and so is any
-binary operation whose result is not finite, so an overflow stays NaN
-through a later division or exp.  The lowered bodies follow the same
-rule, node by node in the walker's post-order; any other evaluator of
-trees must.
+against it bit for bit.  A body leaf's value is what the body returns.
+Non-finite values do not come back: exp, log, sqrt, division and ``^``
+are NaN outside their guards, and so is any binary operation whose
+result is not finite, so an overflow stays NaN through a later division
+or exp.  The lowered bodies follow the same rule, node by node in the
+walker's post-order; any other evaluator of trees must.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from ..errors import EvalError
 
@@ -69,7 +74,8 @@ class Binary:
             raise ValueError(f"unknown binary op {self.op!r}")
 
 
-Expr = Union[Constant, Variable, Unary, Binary]
+# a body leaf: a Python function of a float, NaN where it is not finite
+Expr = Union[Constant, Variable, Unary, Binary, Callable[[float], float]]
 
 X = Variable()
 
@@ -137,6 +143,8 @@ def eval_expr(expr: Expr, x: float) -> float:
 
 
 def _walk(expr: Expr, x: float) -> float:
+    if callable(expr):
+        return expr(x)
     if isinstance(expr, Constant):
         return expr.value
     if isinstance(expr, Variable):
@@ -191,7 +199,8 @@ def _prec(expr: Expr) -> int:
 
 def to_text(expr: Expr) -> str:
     """Canonical text form: minimal parentheses, reparses to an
-    expression with identical evaluation semantics."""
+    expression with identical evaluation semantics.  Raises TypeError on
+    a tree that holds a body leaf."""
     return _fmt(expr, 0)
 
 
@@ -200,6 +209,8 @@ def _fmt(expr: Expr, context: int) -> str:
         text = repr(expr.value) if expr.value >= 0.0 else "-" + repr(-expr.value)
     elif isinstance(expr, Variable):
         text = "x"
+    elif callable(expr):
+        raise TypeError(f"a body leaf has no text form: {expr!r}")
     elif isinstance(expr, Unary):
         if expr.op == "neg":
             text = "-" + _fmt(expr.operand, _PREC_NEG)

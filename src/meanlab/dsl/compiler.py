@@ -7,6 +7,9 @@ emit the same statements for a tree: one per node, in post-order, so
 the tree's operations run in the order ``eval_expr`` runs them and give
 its values bit for bit.  Sums and affine images of generators are trees
 too, left-folded ``+`` nodes and ``f*a + b``, and lower the same way.
+A body leaf, the guarded body of a Python callable, is bound once in
+the lowered function's namespace and called with a NaN test; a bare
+body is its own lowering.
 A power with a literal exponent c takes no log per call: its base is
 tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
@@ -61,22 +64,24 @@ def _power_cut(c):
     return f"> {_float(lo)!r}" if c > 0.0 else f"< {_float(hi)!r}"
 
 
-def _emit(expr, x, prefix, fail):
+def _emit(expr, x, prefix, fail, names):
     """Statements that compute the tree at the input named ``x`` and the
     expression of its value: the tree's nodes in post-order, on
     temporaries named ``prefix`` + "t" + the node's post-order index,
     each guard running the statement ``fail`` where the value is not
     finite.  Constants become literals, in parentheses, and a negated
-    literal is one too.  A power with a literal exponent c runs the
-    positive-base branch of ``power`` inline and calls ``power`` for
-    every other base.  Inline, the base is tested against the cut of c,
-    computed once by ``_power_cut`` exactly where power's log test
-    flips, and pow below the cut is finite, so only ``power``'s value is
-    tested; an exponent with no cut (c = 0, c = 0.5) leaves pow's value,
-    inf at an infinite base, to the finite test.  Every other binary
-    result is tested finite where it is made, so the final test is left
-    out where the root is binary.  Statements are indented relative to
-    their block."""
+    literal is one too.  A body leaf is bound in the namespace ``names``
+    once, under "b" and a number, and its value is tested for NaN only,
+    the one non-finite value a body returns.  A power with a literal
+    exponent c runs the positive-base branch of ``power`` inline and
+    calls ``power`` for every other base.  Inline, the base is tested
+    against the cut of c, computed once by ``_power_cut`` exactly where
+    power's log test flips, and pow below the cut is finite, so only
+    ``power``'s value is tested; an exponent with no cut (c = 0,
+    c = 0.5) leaves pow's value, inf at an infinite base, to the finite
+    test.  Every other binary result is tested finite where it is made,
+    so the final test is left out where the root is binary or a body.
+    Statements are indented relative to their block."""
     lines = []
     slots = itertools.count()
 
@@ -91,6 +96,11 @@ def _emit(expr, x, prefix, fail):
             return f"({node.value!r})"
         if isinstance(node, Variable):
             return x
+        if callable(node):
+            b = next((k for k, v in names.items() if v is node), f"b{len(names)}")
+            names[b] = node
+            lines.extend([f"{t} = {b}({x})", f"if {t} != {t}:", f"    {fail}"])
+            return t
         if isinstance(node, Unary):
             if node.op != "neg":
                 lines.extend([f"if {a} {_GUARD[node.op]}:", f"    {fail}", f"{t} = {node.op}({a})"])
@@ -119,7 +129,7 @@ def _emit(expr, x, prefix, fail):
         return t
 
     value = walk(expr)
-    if not isinstance(expr, Binary):
+    if not (isinstance(expr, Binary) or callable(expr)):
         lines.extend([f"if not isfinite({value}):", f"    {fail}"])
     return lines, value
 
@@ -134,9 +144,13 @@ def _define(name, params, lines, names):
 def compile_expr(expr: Expr):
     """The tree as a body: a straight-line Python function of x that
     returns the tree's value, NaN where ``eval_expr`` raises (a guard
-    fails or a binary result is not finite)."""
-    lines, value = _emit(expr, "x", "", "return nan")
-    return _define("body", "x", [*lines, f"return {value}"], dict(_NAMES))
+    fails, a body leaf is NaN or a binary result is not finite).  A
+    bare body comes back as it is."""
+    if callable(expr):
+        return expr
+    names = dict(_NAMES)
+    lines, value = _emit(expr, "x", "", "return nan", names)
+    return _define("body", "x", [*lines, f"return {value}"], names)
 
 
 def compile_matrix(members):
@@ -148,23 +162,16 @@ def compile_matrix(members):
         folds[k]   = 0.0 + f_0(x_k) + ... + f_{n-1}(x_k)
 
     each folded in member order; it returns None where some member value
-    is NaN.  A member is a tree, inlined at each coordinate by the
-    emitter of ``compile_expr``, or a body, called with a NaN test."""
+    is NaN.  Each member is a tree, inlined at each coordinate by the
+    emitter of ``compile_expr``."""
     n = len(members)
     names = dict(_NAMES)
     lines = []
     value = {}
     for j, member in enumerate(members):
-        if callable(member):
-            names[f"b{j}"] = member
         for k in range(n):
-            if callable(member):
-                v = f"m{j}_{k}"
-                lines += [f"{v} = b{j}(x{k})", f"if {v} != {v}:", "    return None"]
-            else:
-                emitted, v = _emit(member, f"x{k}", f"m{j}_{k}_", "return None")
-                lines += emitted
-            value[j, k] = v
+            emitted, value[j, k] = _emit(member, f"x{k}", f"m{j}_{k}_", "return None", names)
+            lines += emitted
 
     def fold(terms):
         return " + ".join(["0.0", *terms])

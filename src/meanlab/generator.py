@@ -1,13 +1,15 @@
 """Strictly increasing generator functions on an interval.
 
-A Generator pairs a scalar function with its domain: a DSL expression
-tree or an arbitrary Python callable.  Either runs on the kernels,
-``kernels.ACTIVE``, as a body (the tree lowered once to straight-line
-Python, or the callable wrapped once in the evaluation guard, kept on
-the generator).  Sums and affine images of expression generators are
-trees themselves, so they lower the same way.  ``Generator.body``,
-``GeneratorSystem.program`` and ``GeneratorSystem.matrix`` hand the
-kernels their programs.  Every
+A Generator pairs a scalar function with its domain.  Its one program
+is an expression tree, ``Generator.expr``: a DSL expression, or for an
+arbitrary Python callable a tree of one leaf, the callable wrapped once
+in the evaluation guard (``callable(g.expr)`` marks such a generator).
+It runs on the kernels, ``kernels.ACTIVE``, as a body, the tree lowered
+once to straight-line Python and kept on the generator.  Sums and affine
+images of generators are trees themselves, with the members' trees, body
+leaves included, as subtrees, so they lower the same way.
+``Generator.body``, ``GeneratorSystem.program`` and
+``GeneratorSystem.matrix`` hand the kernels their programs.  Every
 evaluation, inversion, mean step and fused Gauss orbit runs the same
 kernels on those programs, read from ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
@@ -44,7 +46,6 @@ from .errors import (
     RangeError,
 )
 from .interval import Interval
-from .kernels import INVERT_BUDGET  # noqa: F401 - the benchmark harness imports it from here
 
 MONOTONE_GRID = 256  # grid points of the strict-growth check
 AFFINE_FIT_GRID = 64  # grid points of affine_fit
@@ -70,9 +71,11 @@ class MonotonicityReport:
 
 
 class Generator:
-    """A strictly increasing scalar function on an interval."""
+    """A strictly increasing scalar function on an interval, given as an
+    expression tree ``expr`` or as a Python callable ``fn``, which is
+    guarded and kept as the tree."""
 
-    __slots__ = ("domain", "label", "expr", "fn", "_body")
+    __slots__ = ("domain", "label", "expr", "_body")
 
     def __init__(
         self,
@@ -87,8 +90,7 @@ class Generator:
             raise ValueError("exactly one of expr or fn is required")
         self.domain = domain
         self.label = label
-        self.expr = expr
-        self.fn = fn
+        self.expr = expr if fn is None else kernels.guard(fn)
         self._body = None
         if validate:
             report = check_monotone(self)
@@ -102,6 +104,9 @@ class Generator:
     @classmethod
     def from_expression(cls, source, domain: Interval, *, label=None):
         """Build from DSL text or an already-parsed expression tree."""
+        if callable(source):
+            raise TypeError("from_expression takes DSL text or a tree;"
+                            " build a generator of a callable with Generator.from_callable")
         expr: Expr = parse(source) if isinstance(source, str) else source
         return cls(domain, expr=expr, label=label if label is not None else to_text(expr))
 
@@ -112,13 +117,9 @@ class Generator:
     def body(self):
         """The generator as a body of the kernels, a Python
         function of a float that returns a float, NaN where the generator
-        is not finite: the tree lowered once by ``compile_expr``, or the
-        callable wrapped once by ``kernels.guard``."""
+        is not finite: the tree lowered once by ``compile_expr``."""
         if self._body is None:
-            if self.expr is not None:
-                self._body = compile_expr(self.expr)
-            else:
-                self._body = kernels.guard(self.fn)
+            self._body = compile_expr(self.expr)
         return self._body
 
     def __call__(self, x: float) -> float:
@@ -192,21 +193,15 @@ class Generator:
         return EvalError(f"{self.label!r} is not finite inside {self.domain}")
 
     def affine(self, a: float, b: float) -> "Generator":
-        """The generator a*g + b, the tree g*a + b for an expression
-        generator; a must be positive to preserve growth, and a and b
-        finite."""
+        """The generator a*g + b, the tree g*a + b; a must be positive to
+        preserve growth, and a and b finite."""
         a = float(a)
         b = float(b)
         if not (0.0 < a < math.inf and math.isfinite(b)):
             raise ValueError("affine image of a generator needs 0 < a < inf and a finite b")
-        label = f"{a!r}*({self.label}) + {b!r}"
-        if self.expr is not None:
-            expr = Binary("+", Binary("*", self.expr, Constant(a)), Constant(b))
-            return Generator(self.domain, expr=expr, label=label, validate=False)
-        base = self.fn
-        return Generator(
-            self.domain, fn=lambda x: a * base(x) + b, label=label, validate=False
-        )
+        expr = Binary("+", Binary("*", self.expr, Constant(a)), Constant(b))
+        return Generator(self.domain, expr=expr, label=f"{a!r}*({self.label}) + {b!r}",
+                         validate=False)
 
     def value_interval(self) -> Interval:
         """The (closed) range of the generator over the inset interior."""
@@ -215,8 +210,7 @@ class Generator:
         return Interval(lo, hi, lo_open=False, hi_open=False)
 
     def __repr__(self):
-        kind = "expression" if self.expr is not None else "callable"
-        return f"Generator({self.label!r} on {self.domain}, {kind})"
+        return f"Generator({self.label!r} on {self.domain})"
 
 
 def inverse_generator(g: Generator) -> Generator:
@@ -319,11 +313,10 @@ class GeneratorSystem:
 
     def matrix(self):
         """The member matrix of ``compile_matrix`` over the members'
-        trees, or their bodies where they have none, which ``cyclic_gauss``
-        steps on; lowered once, on first use, and kept next to the bodies."""
+        trees, which ``cyclic_gauss`` steps on; lowered once, on first
+        use, and kept next to the bodies."""
         if self._matrix is None:
-            self._matrix = compile_matrix(
-                [g.expr if g.expr is not None else g.body() for g in self.generators])
+            self._matrix = compile_matrix([g.expr for g in self.generators])
         return self._matrix
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
@@ -351,8 +344,8 @@ def sum_generators(generators) -> Generator:
     """Pointwise sum of generators on one interval.
 
     A sum of strictly increasing functions is strictly increasing, so the
-    grid check is skipped.  The sum of expression generators is the
-    left-folded tree f1 + ... + fn.
+    grid check is skipped.  The sum is the left-folded tree
+    f1 + ... + fn of the members' trees.
     """
     gens = tuple(generators.generators if isinstance(generators, GeneratorSystem) else generators)
     if not gens:
@@ -361,21 +354,11 @@ def sum_generators(generators) -> Generator:
     for g in gens[1:]:
         if g.domain != domain:
             raise ValueError("summed generators must share one interval")
-    label = " + ".join(g.label for g in gens)
-    if all(g.expr is not None for g in gens):
-        expr = gens[0].expr
-        for g in gens[1:]:
-            expr = Binary("+", expr, g.expr)
-        return Generator(domain, expr=expr, label=label, validate=False)
-    parts = [g.body() for g in gens]
-
-    def body(x, parts=parts):
-        s = 0.0
-        for p in parts:
-            s += p(x)
-        return s
-
-    return Generator(domain, fn=body, label=label, validate=False)
+    expr = gens[0].expr
+    for g in gens[1:]:
+        expr = Binary("+", expr, g.expr)
+    return Generator(domain, expr=expr, label=" + ".join(g.label for g in gens),
+                     validate=False)
 
 
 # Built-in generators with their customary intervals.  The system

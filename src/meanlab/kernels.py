@@ -5,14 +5,15 @@ inside bracketed root-finding inside Gauss iteration.  No kernel
 imports numpy: ``eval_grid`` returns a list of floats, and an orbit
 returns the rows and gaps it collects as lists.  A generator runs
 as a body, a Python function of a float that returns a float, NaN where
-the generator is not finite: a DSL expression tree lowered once by
-``dsl.compiler.compile_expr`` to straight-line Python, or a user
-callable wrapped once by ``guard``.  Bodies are guarded when they are
-made, not per call.  A system's member matrix, made once by
-``dsl.compiler.compile_matrix``, is one generated function of
-x0..x_{n-1} that evaluates every member at every coordinate, tree
-members inlined and callable members called through their bodies, and
-returns the folds the Gauss step needs.  This module only runs them.
+the generator is not finite: its expression tree lowered once by
+``dsl.compiler.compile_expr`` to straight-line Python.  A user callable
+is wrapped once by ``guard`` and is a leaf of that tree, called by the
+lowered code; a tree of that one leaf is its own body.  Bodies are
+guarded when they are made, not per call.  A system's member matrix,
+made once by ``dsl.compiler.compile_matrix``, is one generated function
+of x0..x_{n-1} that evaluates every member at every coordinate, each
+member's tree inlined, and returns the folds the Gauss step needs.
+This module only runs them.
 
 The bracketed solve is one function, ``invert``, which calls the body
 it inverts; its callers evaluate the bracket's endpoints.  Every solve
@@ -108,15 +109,15 @@ def invert(g, y, lo, hi, glo, ghi):
     or between adjacent floats, |g(x)-y| <= INVERT_TOL*max(1,|y|)
     suffices: cancellation in g near a zero crossing can leave no x that
     passes the relative test, and that tolerance is computed only there.
-    A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``).
+    A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``);
+    a NaN target is bracketed by no values (``STATUS_RANGE``).
     Returns (x, status).  The callers evaluate the endpoints:
     ``Generator.invert_on`` and ``gqam`` on g itself, the Gauss step once
     for all its solves.
     """
     if math.isnan(glo) or math.isnan(ghi):
         return math.nan, STATUS_NONFINITE
-    scale = INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
-    if y <= glo:
+    if not y > glo:  # y <= glo, or y is NaN, which no endpoint passes
         if glo - y <= INVERT_TOL * max(1.0, abs(y)):
             return lo, STATUS_OK
         return math.nan, STATUS_RANGE
@@ -124,6 +125,7 @@ def invert(g, y, lo, hi, glo, ghi):
         if y - ghi <= INVERT_TOL * max(1.0, abs(y)):
             return hi, STATUS_OK
         return math.nan, STATUS_RANGE
+    scale = INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
     a = lo
     b = hi
     fa = glo - y

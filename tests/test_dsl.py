@@ -268,6 +268,14 @@ def test_printed_text_always_reparses(expr):
     assert parse(to_text(expr)) is not None
 
 
+def test_a_body_leaf_has_no_text_form():
+    leaf = kernels.guard(math.log)
+    for expr in (leaf, Binary("+", Variable(), leaf), Unary("neg", leaf)):
+        with pytest.raises(TypeError, match="no text form"):
+            to_text(expr)
+    assert eval_expr(Binary("+", Variable(), leaf), 1.0) == 1.0  # the walker calls it
+
+
 # --- compiler vs the tree walker ----------------------------------------
 
 # the lowered tree run by the kernels on one float ("lowered") and

@@ -28,6 +28,7 @@ from meanlab import (
     gauss_composition,
     gauss_iterate,
     geometric_mean,
+    gqam_eval,
     invariance_residual,
     kernels,
     midpoint,
@@ -471,3 +472,56 @@ def test_a_slowly_contracting_orbit_stops_on_its_shanks_estimate():
     assert min(trace.last) <= limit <= max(trace.last)
     assert trace.gaps[-1] > 1e-6
     assert len(trace.iterates) < 200
+
+
+def _mixed_system():
+    dom = Interval(0.1, 5.0)
+    return GeneratorSystem([Generator.from_callable(lambda x: x**3 + x, dom, label="cube"),
+                            Generator.from_expression("x^2", dom)])
+
+
+LIBRARY_SYSTEMS = {
+    "callable": _callable_system,
+    "mixed": _mixed_system,
+    "affine": lambda: _callable_system().affine(2.5, [1.0, -3.0]),
+}
+LIBRARY_POINTS = [(0.3, 4.2), (1.0, 2.0), (4.9, 0.15), (2.5, 2.5)]
+# composition_closed_form_check (left, right) of 2 samples at each of the
+# seeds 0-4, then gqam_eval at LIBRARY_POINTS, by system
+LIBRARY_PINS = {
+    "callable": ([
+        (3.7991795748009487, 3.7991795748015664), (2.7609084305183806, 2.7609084305187848),
+        (2.816385305945954, 2.816385305946529), (2.770816545539957, 2.7708165455405496),
+        (3.72537604970236, 3.725376049703167), (3.7017341104270356, 3.701734110427817),
+        (2.419759206599347, 2.419759206599769), (2.544642295402791, 2.544642295403349),
+        (3.6201540023256302, 3.6201540023263488), (4.903068987880081, 4.903068987880295),
+    ], [3.6692607905174714, 1.7828270804130446, 3.3975352186218037, 2.5]),
+    "mixed": ([
+        (3.749550344060631, 3.7495503440616686), (2.7141529221041427, 2.7141529221047547),
+        (2.754757749041469, 2.7547577490422146), (2.7665459544744486, 2.7665459544748243),
+        (3.653438252341991, 3.653438252343369), (3.639197730765303, 3.6391977307663668),
+        (2.4103226699940277, 2.4103226699941898), (2.471042373931048, 2.4710423739323146),
+        (3.561335994124366, 3.5613359941256224), (4.90306635938944, 4.903066359389607),
+    ], [2.2139318356394013, 1.3891935965396842, 4.592871175682247, 2.5]),
+    "affine": ([
+        (3.7991795748009487, 3.7991795748015664), (2.7609084305183798, 2.7609084305187843),
+        (2.816385305945955, 2.8163853059465294), (2.7708165455399576, 2.7708165455405496),
+        (3.72537604970236, 3.725376049703167), (3.701734110427037, 3.701734110427817),
+        (2.4197592065993474, 2.4197592065997684), (2.5446422954027916, 2.544642295403349),
+        (3.6201540023256293, 3.620154002326349), (4.903068987880081, 4.903068987880295),
+    ], [3.6692607905174714, 1.7828270804130446, 3.3975352186218037, 2.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SYSTEMS))
+def test_library_results_of_callable_systems_are_pinned_bit_for_bit(name):
+    # values taken when a sum of callables was a Python loop over their
+    # guarded bodies and an affine image a wrapped lambda; as lowered trees
+    # with the callables as leaves they must not move a bit
+    system = LIBRARY_SYSTEMS[name]()
+    rows = []
+    for seed in range(5):
+        report = composition_closed_form_check(system, samples=2, seed=seed)
+        rows += [(left, right) for _, left, right, _ in report.rows]
+    assert rows == LIBRARY_PINS[name][0]
+    assert [gqam_eval(system, x) for x in LIBRARY_POINTS] == LIBRARY_PINS[name][1]

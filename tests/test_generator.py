@@ -32,7 +32,7 @@ from meanlab import (
     sum_generators,
 )
 from meanlab import kernels
-from meanlab.dsl import parse
+from meanlab.dsl import parse, to_generator
 
 I010 = Interval(0.0, 10.0)
 
@@ -43,7 +43,7 @@ I010 = Interval(0.0, 10.0)
 def test_expression_generator_evaluates():
     g = Generator.from_expression("x^3", I010)
     assert g(2.0) == pytest.approx(8.0)
-    assert g.expr == parse("x^3") and g.fn is None
+    assert g.expr == parse("x^3") and not hasattr(g, "fn")
 
 
 def test_domain_error_outside_interval():
@@ -83,7 +83,7 @@ def test_grid_is_linspace_bit_for_bit(bounds):
 
 def test_callable_generator():
     g = Generator.from_callable(lambda x: x + math.sin(x) * 0.1, I010, label="wavy")
-    assert g.expr is None
+    assert callable(g.expr)  # the guarded callable, a tree of one leaf
     assert g(1.0) == pytest.approx(1.0 + 0.1 * math.sin(1.0))
 
 
@@ -126,6 +126,26 @@ def test_invert_out_of_range():
         g.invert(11.0)
     with pytest.raises(RangeError):
         g.invert(-1.0)
+
+
+def test_a_nan_target_is_out_of_range_after_the_endpoints():
+    # the solve reads only the two endpoint values: no value brackets NaN
+    calls = []
+    g = Generator.from_callable(lambda x: calls.append(x) or x**3, Interval(0.1, 5.0),
+                                label="cube", validate=False)
+    with pytest.raises(RangeError, match="y = nan is outside the value range of 'cube'"):
+        g.invert(math.nan)
+    assert len(calls) == 2
+    tree = Generator.from_expression("x^3", Interval(0.1, 5.0))
+    with pytest.raises(RangeError, match="y = nan is outside"):
+        tree.invert(math.nan)
+
+
+def test_from_expression_refuses_a_callable():
+    # a callable in a tree must be guarded, which only fn= does
+    for build in (Generator.from_expression, to_generator):
+        with pytest.raises(TypeError, match="from_callable"):
+            build(lambda x: x, I010)
 
 
 def test_invert_on_narrow_bracket():
@@ -372,6 +392,21 @@ def test_sum_generators_callable_path():
     ]
     total = sum_generators(parts)
     assert total(2.0) == pytest.approx(10.0)
+
+
+def test_sums_and_affine_images_of_callables_are_lowered_trees():
+    # the members' guarded callables are leaves of one lowered function,
+    # each bound once in its namespace, however often the tree holds it
+    dom = Interval(0.1, 5.0)
+    cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
+    line = Generator.from_expression("x", dom)
+    for g in (sum_generators([cube, line, cube]), cube.affine(2.5, 1.0),
+              GeneratorSystem([cube, cube]).sum_generator()):
+        body = g.body()
+        assert body.__code__.co_filename == "<meanlab body>"
+        assert [v is cube.expr for v in body.__globals__.values()].count(True) == 1
+    # a callable's own body is its guarded callable, with no frame around it
+    assert cube.body() is cube.expr
 
 
 def test_systems_hand_the_body_family_each_members_own_body():

@@ -21,7 +21,7 @@ from meanlab import (
     kernels,
     sum_generators,
 )
-from meanlab.dsl import compile_expr, eval_expr, parse
+from meanlab.dsl import Binary, Constant, Unary, X, compile_expr, eval_expr, parse
 from meanlab.dsl.compiler import compile_matrix
 from meanlab.errors import EvalError
 from meanlab.kernels import (
@@ -88,6 +88,22 @@ LOWERING_POINTS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
     709.0, 709.5, -709.0, -709.5, 1.0, -1.0, 0.5, 2.5, -3.0, 1e102, 1e103, -1e102, -1e103,
 ]
+# trees that hold guarded callables as leaves, NaN in places: a bare body,
+# a body under each kind of node, and one body at two leaves
+_CUBE = guard(lambda x: x**3)
+_LOG = guard(math.log)
+_GAP = guard(lambda x: math.nan if -1.0 < x < 1.0 else x)
+BODY_LEAF_TREES = {
+    "cube": _CUBE,
+    "cube + x": Binary("+", _CUBE, X),
+    "log*2.5 + -1": Binary("+", Binary("*", _LOG, Constant(2.5)), Constant(-1.0)),
+    "exp(log)": Unary("exp", _LOG),
+    "-gap": Unary("neg", _GAP),
+    "sqrt(gap)": Unary("sqrt", _GAP),
+    "cube^3": Binary("^", _CUBE, Constant(3.0)),
+    "1/gap": Binary("/", Constant(1.0), _GAP),
+    "cube + log + cube": Binary("+", Binary("+", _CUBE, _LOG), _CUBE),
+}
 NAN_BITS = struct.pack("<d", math.nan)
 
 
@@ -106,11 +122,12 @@ def _outcome(evaluate):
 # warnings of the np.float64 arguments below, not of any evaluator
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("source", LOWERING_SOURCES)
+@pytest.mark.parametrize("source", [*LOWERING_SOURCES, *(
+    pytest.param(tree, id=name) for name, tree in BODY_LEAF_TREES.items())])
 def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
     # the name is older than the tree lowering; the reference is the tree
-    # walker eval_expr
-    expr = parse(source)
+    # walker eval_expr, on DSL text and on trees with body leaves
+    expr = parse(source) if isinstance(source, str) else source
     lowered = compile_expr(expr)
     matrix = compile_matrix([expr])
     for x in LOWERING_POINTS:
