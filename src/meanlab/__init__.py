@@ -40,7 +40,6 @@ from .dsl import (
     compile_expr,
     eval_expr,
     parse,
-    to_generator,
     to_text,
 )
 from .errors import (
@@ -75,7 +74,6 @@ from .generator import (
     builtin_system,
     builtin_systems,
     check_monotone,
-    inverse_generator,
     sum_generators,
 )
 from .interval import Interval
@@ -85,7 +83,6 @@ from .means import (
     GeneralizedQuasiArithmeticMean,
     Mean,
     QuasiArithmeticMean,
-    QuasiSum,
     arithmetic_mean,
     geometric_mean,
     gqam_equality_check,
@@ -95,7 +92,6 @@ from .means import (
     minmax_blend,
     qam_equality_check,
     qam_eval,
-    quasisum_reflexivity_check,
     reflexivity_check,
 )
 
@@ -127,7 +123,6 @@ __all__ = [
     "ParseError",
     "PermutedMean",
     "QuasiArithmeticMean",
-    "QuasiSum",
     "RangeError",
     "Unary",
     "UsageError",
@@ -156,7 +151,6 @@ __all__ = [
     "gqam_equality_check",
     "gqam_eval",
     "invariance_residual",
-    "inverse_generator",
     "lehmer_mean",
     "mean_property_check",
     "midpoint",
@@ -165,14 +159,12 @@ __all__ = [
     "permuted_mean",
     "qam_equality_check",
     "qam_eval",
-    "quasisum_reflexivity_check",
     "random_matrix",
     "reflexivity_check",
     "rotated",
     "sigma",
     "sigma_pow",
     "sum_generators",
-    "to_generator",
     "to_text",
     "validate_matrix",
     "warm_up",

@@ -13,7 +13,8 @@ non-examples.
 
 Exit codes: 0 command ran (pass/fail lives in the report), 2 bad usage
 or inputs outside the interval, 3 iteration budget exhausted, 4
-operational failures (unwritable output and the like).
+evaluation and operational failures (a generator that is not finite at
+a given point, an unwritable output and the like).
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ from .means import (
     gqam_equality_check,
 )
 from .report import ExperimentConfig, RunReport, result_row
-
-log = logging.getLogger("meanlab.cli")
 
 DEFAULT_INTERVAL = "0,10"
 DEFAULT_GENERATORS = ("x", "2*x")

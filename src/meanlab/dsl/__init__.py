@@ -1,9 +1,10 @@
 """Tiny expression language for strictly increasing generators.
 
 Public surface: ``parse`` text into an expression tree, ``eval_expr`` as
-the reference evaluator, ``to_text`` as the canonical printer,
-``compile_expr`` to lower a tree to a Python body, and ``to_generator``
-to bind an expression to an interval after the monotonicity grid check.
+the reference evaluator, ``to_text`` as the canonical printer, and
+``compile_expr`` to lower a tree to a Python body.  A tree or its text
+becomes a generator on an interval through
+``Generator.from_expression``, after the monotonicity grid check.
 The tree is the one program form: ``compiler`` lowers it straight to
 Python, for a generator's body and a system's member matrix alike.  A
 Python callable, guarded, enters a tree as a leaf, which has no text.
@@ -22,18 +23,6 @@ from .ast import (
 from .compiler import compile_expr
 from .parser import parse
 
-
-def to_generator(source, domain):
-    """Bind an expression (tree or text) to an interval as a Generator.
-
-    Runs the strictly-increasing grid check; failures raise
-    MonotonicityError carrying the witness report.
-    """
-    from ..generator import Generator
-
-    return Generator.from_expression(source, domain)
-
-
 __all__ = [
     "Binary",
     "Constant",
@@ -44,6 +33,5 @@ __all__ = [
     "compile_expr",
     "eval_expr",
     "parse",
-    "to_generator",
     "to_text",
 ]

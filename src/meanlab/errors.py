@@ -22,7 +22,7 @@ class EvalError(MeanlabError):
 
 class RangeError(MeanlabError):
     """An inversion target is not bracketed by the function's values at
-    the clamped interval endpoints."""
+    the ends of the bracket it is solved on."""
 
 
 class ConvergenceError(MeanlabError):

@@ -112,17 +112,16 @@ def gauss_iterate(
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
-    x0 = [mapping.domain.clamp(x) for x in pts]
     if mapping.system is not None:
         _, total = mapping.system.program()
         used, status, rows, gaps, estimate, stop = kernels.ACTIVE.cyclic_gauss(
-            mapping.system.matrix(), total, x0, gap_tol, max_iter)
+            mapping.system.matrix(), total, pts, gap_tol, max_iter)
     else:
         def apply(x, _mn, _mx):
             # component exceptions propagate out of the orbit
             return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
 
-        used, status, rows, gaps, estimate, stop = kernels.orbit(apply, x0, gap_tol, max_iter)
+        used, status, rows, gaps, estimate, stop = kernels.orbit(apply, pts, gap_tol, max_iter)
     trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
                            used, gap_tol, estimate, stop)
     if status == kernels.STATUS_OK:
@@ -136,7 +135,7 @@ def gauss_iterate(
         # components compute that step bit for bit, so replaying it raises
         # exactly what the generic orbit raises there
         mapping.apply(trace.last)
-    bound = kernels.scaled_stop(gap_tol, min(x0), max(x0))
+    bound = kernels.scaled_stop(gap_tol, min(pts), max(pts))
     raise ConvergenceError(
         f"gap {trace.gaps[-1]:.3e} still above {bound} after"
         f" {used} iterations of {mapping.label!r}",
@@ -180,7 +179,7 @@ def gauss_composition(
     dom = mapping.domain
     w = dom.width
     vectors = [
-        [dom.clamp(dom.lo + 0.1 * w + 0.8 * w * k / max(1, mapping.arity - 1))
+        [dom.lo + 0.1 * w + 0.8 * w * k / max(1, mapping.arity - 1)
          for k in range(mapping.arity)]
     ]
     for _ in range(VALIDATION_PROBES):

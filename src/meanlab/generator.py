@@ -13,7 +13,8 @@ leaves included, as subtrees, so they lower the same way.
 evaluation, inversion, mean step and fused Gauss orbit runs the same
 kernels on those programs, read from ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
-invertibility.
+invertibility.  A callable enters a tree only through ``fn=``, which
+guards it.  A caller's point is evaluated exactly where it is.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
-from .dsl.ast import Binary, Constant, Expr
+from .dsl.ast import Binary, Constant, Expr, Unary
 from .dsl.compiler import compile_matrix
 from .errors import (
     ConvergenceError,
@@ -73,7 +74,8 @@ class MonotonicityReport:
 class Generator:
     """A strictly increasing scalar function on an interval, given as an
     expression tree ``expr`` or as a Python callable ``fn``, which is
-    guarded and kept as the tree."""
+    guarded and kept as the tree.  A callable in ``expr`` that
+    ``kernels.guard`` did not make, bare or as a leaf, is a TypeError."""
 
     __slots__ = ("domain", "label", "expr", "_body")
 
@@ -88,6 +90,10 @@ class Generator:
     ):
         if (expr is None) == (fn is None):
             raise ValueError("exactly one of expr or fn is required")
+        raw = None if fn is not None else _raw_callable(expr)
+        if raw is not None:
+            raise TypeError(f"expr holds the unguarded callable {raw!r}; pass a"
+                            " callable as fn= or build with Generator.from_callable")
         self.domain = domain
         self.label = label
         self.expr = expr if fn is None else kernels.guard(fn)
@@ -123,7 +129,7 @@ class Generator:
         return self._body
 
     def __call__(self, x: float) -> float:
-        """Evaluate at a point of the domain.
+        """Evaluate at a point of the open domain, exactly there.
 
         Raises DomainError outside the interval and EvalError when the
         body fails to produce a finite value.
@@ -134,12 +140,8 @@ class Generator:
         return self.eval_inside(x)
 
     def eval_inside(self, x: float) -> float:
-        """Evaluate with the domain check already done by the caller.
-
-        Clamps into the inset interior so open endpoints never reach a
-        singularity of the body.
-        """
-        x = self.domain.clamp(x)
+        """Evaluate at x, with the domain check already done by the
+        caller; EvalError where the body is not finite at x."""
         v = self._raw(x)
         if not math.isfinite(v):
             raise EvalError(f"{self.label!r} is not finite at x = {x}")
@@ -158,8 +160,8 @@ class Generator:
         """Solve g(x) = y on the domain.
 
         Raises RangeError when y is not bracketed by the values at the
-        clamped endpoints, ConvergenceError if the step budget runs out,
-        and EvalError on non-finite evaluations.
+        endpoints clamped into the inset interior, ConvergenceError if the
+        step budget runs out, and EvalError on non-finite evaluations.
         """
         lo = self.domain.clamp(self.domain.lo)
         hi = self.domain.clamp(self.domain.hi)
@@ -203,24 +205,17 @@ class Generator:
         return Generator(self.domain, expr=expr, label=f"{a!r}*({self.label}) + {b!r}",
                          validate=False)
 
-    def value_interval(self) -> Interval:
-        """The (closed) range of the generator over the inset interior."""
-        lo = self.eval_inside(self.domain.lo)
-        hi = self.eval_inside(self.domain.hi)
-        return Interval(lo, hi, lo_open=False, hi_open=False)
-
     def __repr__(self):
         return f"Generator({self.label!r} on {self.domain})"
 
 
-def inverse_generator(g: Generator) -> Generator:
-    """The inverse of g, as a generator on g's value range.
-
-    Callable-backed: every evaluation is a bracketed solve.  Meant for
-    composing checks, not hot loops.
-    """
-    rng = g.value_interval()
-    return Generator.from_callable(g.invert, rng, label=f"inv[{g.label}]")
+def _raw_callable(expr):
+    """A callable in the tree that ``kernels.guard`` did not make, or None."""
+    if isinstance(expr, Binary):
+        return _raw_callable(expr.left) or _raw_callable(expr.right)
+    if isinstance(expr, Unary):
+        return _raw_callable(expr.operand)
+    return expr if callable(expr) and not getattr(expr, "guarded", False) else None
 
 
 def check_monotone(g: Generator) -> MonotonicityReport:

@@ -1,10 +1,10 @@
 """Open intervals of the real line.
 
-All functions in this package live on an interval with finite endpoints.
-Endpoints are open by default, which matches the natural domains of the
-built-in generators (log needs 0 excluded, and means of interior points
-stay interior).  Closed endpoints are supported for completeness but the
-command line only ever builds open intervals.
+All functions in this package live on an open interval (lo, hi) with
+finite endpoints, the paper's I, which matches the natural domains of
+the built-in generators (log needs 0 excluded, and means of interior
+points stay interior).  A caller's point is evaluated exactly where it
+is; only points the package picks itself keep the inset from the ends.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ def seeded_rng(seed):
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A non-degenerate real interval with optionally open endpoints."""
+    """A non-degenerate open interval (lo, hi) of the real line."""
 
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_open: bool = True
 
     def __post_init__(self):
         lo = float(self.lo)
@@ -49,9 +47,7 @@ class Interval:
         object.__setattr__(self, "hi", hi)
 
     def contains(self, x: float) -> bool:
-        ok_lo = x > self.lo if self.lo_open else x >= self.lo
-        ok_hi = x < self.hi if self.hi_open else x <= self.hi
-        return ok_lo and ok_hi
+        return self.lo < x < self.hi
 
     def check_points(self, pts) -> None:
         """Raise DomainError for the first point outside the interval."""
@@ -65,16 +61,13 @@ class Interval:
 
     @property
     def inset(self) -> float:
-        """Absolute margin kept from each endpoint by clamp() and grid()."""
+        """Absolute margin kept from each end by clamp(), grid(), sample()."""
         return ENDPOINT_INSET * self.width
 
     def clamp(self, x: float) -> float:
-        """Pull x into the inset interior [lo+eps, hi-eps].
-
-        Evaluation near an open endpoint would otherwise hit singularities
-        of generators such as log; the inset is small enough (1e-9 of the
-        width) to be invisible at the tolerances used elsewhere.
-        """
+        """Pull x into the inset interior [lo+eps, hi-eps]: the ends of
+        ``Generator.invert``'s domain-wide bracket, where a generator such
+        as log is singular, never a caller's point."""
         return min(max(x, self.lo + self.inset), self.hi - self.inset)
 
     def grid(self, count: int) -> list:
@@ -98,6 +91,4 @@ class Interval:
         return rng.uniform(self.lo + self.inset, self.hi - self.inset, size)
 
     def __str__(self):
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
+        return f"({self.lo}, {self.hi})"

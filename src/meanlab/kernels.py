@@ -294,7 +294,8 @@ def guard(fn):
     raises ``ValueError``, ``OverflowError`` or ``ZeroDivisionError`` or
     returns a value that is not a finite real number; a ``TypeError``
     from the call itself, such as a callable of the wrong arity,
-    propagates."""
+    propagates.  The body carries ``guarded = True``, the mark by which
+    ``Generator`` tells it from a raw callable."""
 
     def body(x):
         try:
@@ -307,6 +308,7 @@ def guard(fn):
             return math.nan
         return v if math.isfinite(v) else math.nan
 
+    body.guarded = True
     return body
 
 

@@ -8,9 +8,12 @@ The two evaluators are
 with every inversion bracketed by [min xs, max xs]: monotonicity of the
 generators pins the result inside the input range, which both guarantees
 a bracket and makes reflexivity exact (constant input short-circuits at
-the bracket endpoint).  Both run the one solve, ``kernels.invert``:
-``qam_eval`` through ``Generator.invert_on``, ``gqam_eval`` as one call
-of ``kernels.ACTIVE.gqam`` on the system's program.
+the bracket endpoint).  The points are evaluated exactly where the
+caller gives them, anywhere in the open interval; a generator that is
+not finite at one of them is an EvalError.  Both run the one solve,
+``kernels.invert``: ``qam_eval`` through ``Generator.invert_on``,
+``gqam_eval`` as one call of ``kernels.ACTIVE.gqam`` on the system's
+program.
 
 The Mean class hierarchy wraps evaluators with domain and arity
 validation so mapping/iteration code can treat all means uniformly.
@@ -31,8 +34,6 @@ BOUND_SLACK = 1e-9
 # Bounds are only tested strictly when the inputs are spread wider than this.
 STRICTNESS_SPREAD = 1e-6
 REFLEXIVITY_TOL = 1e-9
-QUASISUM_TOL = 1e-8
-QUASISUM_GRID = 64  # diagonal points quasisum_reflexivity_check scans
 EQUALITY_FIT_THRESHOLD = 1e-6
 EQUALITY_PROBES = 50  # random vectors the equality checks evaluate both means on
 QAM_PROBE_ARITY = 2  # length of those vectors for a single generator
@@ -50,11 +51,10 @@ def qam_eval(f: Generator, xs: Sequence[float]) -> float:
     if not pts:
         raise ValueError("qam_eval needs at least one point")
     f.domain.check_points(pts)
-    clamped = [f.domain.clamp(x) for x in pts]
     s = 0.0
-    for x in clamped:
+    for x in pts:
         s += f.eval_inside(x)
-    return f.invert_on(s / len(clamped), min(clamped), max(clamped))
+    return f.invert_on(s / len(pts), min(pts), max(pts))
 
 
 def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
@@ -64,8 +64,7 @@ def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
     if len(pts) != system.n:
         raise ValueError(f"expected {system.n} points, got {len(pts)}")
     system.domain.check_points(pts)
-    clamped = [system.domain.clamp(x) for x in pts]
-    v, status = kernels.ACTIVE.gqam(*system.program(), clamped)
+    v, status = kernels.ACTIVE.gqam(*system.program(), pts)
     if status != kernels.STATUS_OK:
         # the kernel solved for the sum of the members at pts
         target = f"the sum of [{system.label}] at {pts}"
@@ -198,8 +197,9 @@ def minmax_blend(domain: Interval, top_weight: float = 0.7) -> FunctionMean:
 
 @dataclass(frozen=True, slots=True)
 class MeanPropertyReport:
-    """Bounds check min <= M(xs) <= max with slack, plus strictness when
-    the inputs are spread enough to make strictness meaningful."""
+    """Bounds check min <= M(xs) <= max with slack BOUND_SLACK, plus
+    strictness when the inputs are spread enough to make strictness
+    meaningful."""
 
     passed: bool
     value: float
@@ -210,12 +210,12 @@ class MeanPropertyReport:
     strict_ok: bool | None
 
 
-def mean_property_check(mean: Mean, xs: Sequence[float], slack: float = BOUND_SLACK) -> MeanPropertyReport:
+def mean_property_check(mean: Mean, xs: Sequence[float]) -> MeanPropertyReport:
     pts = [float(x) for x in xs]
     v = mean(pts)
     lo = min(pts)
     hi = max(pts)
-    s = slack * max(1.0, abs(v))
+    s = BOUND_SLACK * max(1.0, abs(v))
     bounds_ok = (lo - s <= v) and (v <= hi + s)
     strict_checked = (hi - lo) > STRICTNESS_SPREAD
     strict_ok = None
@@ -236,64 +236,13 @@ class ReflexivityReport:
     tol: float
 
 
-def reflexivity_check(mean, x: float, count: int | None = None,
-                      tol: float = REFLEXIVITY_TOL) -> ReflexivityReport:
-    """M(x,...,x) agrees with x, for a mean or any other callable on
-    vectors; ``count`` copies of x, by default the mean's arity or 2."""
+def reflexivity_check(mean: Mean, x: float, count: int | None = None) -> ReflexivityReport:
+    """M(x,...,x) agrees with x to REFLEXIVITY_TOL; ``count`` copies of
+    x, by default the mean's arity or 2."""
     x = float(x)
     k = count if count is not None else (mean.arity if mean.arity is not None else 2)
     v = mean([x] * k)
-    return ReflexivityReport(agrees(v, x, tol), x, v, abs(v - x), tol)
-
-
-class QuasiSum:
-    """outer(f1(x1) + ... + fn(xn)) for an increasing outer function.
-
-    The outer function is a Generator on the summed value range, so its
-    strict growth is grid-checked at construction.  Reflexivity of the
-    composite on the diagonal is exactly what quasisum_reflexivity_check
-    measures; it holds precisely when outer inverts the pointwise sum.
-    """
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: Generator, inner: GeneratorSystem):
-        total = inner.sum_generator()
-        summed = total.value_interval()
-        if not (outer.domain.contains(summed.lo) and outer.domain.contains(summed.hi)):
-            raise ValueError(
-                f"outer domain {outer.domain} does not cover the summed range {summed}"
-            )
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, xs: Sequence[float]) -> float:
-        pts = [float(x) for x in xs]
-        if len(pts) != self.inner.n:
-            raise ValueError(f"expected {self.inner.n} points, got {len(pts)}")
-        self.inner.domain.check_points(pts)
-        s = 0.0
-        for g, x in zip(self.inner.generators, pts):
-            s += g.eval_inside(x)
-        return self.outer.eval_inside(s)
-
-
-@dataclass(frozen=True, slots=True)
-class QuasiSumReport:
-    reflexive: bool
-    max_deviation: float
-    worst_point: float
-    grid_size: int
-    tol: float
-
-
-def quasisum_reflexivity_check(q: QuasiSum) -> QuasiSumReport:
-    """Scan the diagonal: outer(sum of inner at x) should give back x."""
-    reports = [reflexivity_check(q, x, q.inner.n, QUASISUM_TOL)
-               for x in q.inner.domain.grid(QUASISUM_GRID)]
-    worst = max(reports, key=lambda rep: rep.deviation)  # the first, on ties
-    return QuasiSumReport(all(rep.passed for rep in reports), worst.deviation,
-                          worst.point, QUASISUM_GRID, QUASISUM_TOL)
+    return ReflexivityReport(agrees(v, x, REFLEXIVITY_TOL), x, v, abs(v - x), REFLEXIVITY_TOL)
 
 
 @dataclass(frozen=True, slots=True)

@@ -217,12 +217,12 @@ def test_c7_mean_axioms_and_associativity():
         for i in range(500):
             k = arity if arity is not None else 2 + i % 3
             xs = [float(v) for v in mean.domain.sample(rng, k)]
-            prop = mean_property_check(mean, xs, slack=1e-9)
+            prop = mean_property_check(mean, xs)
             if not prop.passed or (prop.strict_checked and prop.strict_ok is not True):
                 axioms_ok = False
                 break
             c = float(mean.domain.sample(rng))
-            if not reflexivity_check(mean, c, count=k, tol=1e-9).passed:
+            if not reflexivity_check(mean, c, count=k).passed:
                 axioms_ok = False
                 break
         if not axioms_ok:

@@ -215,6 +215,29 @@ def test_eval_is_accurate_on_values_below_one(capsys):
     assert abs(payload["results"][0]["lhs"] / truth - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("argv,code,value", [
+    (["--interval", "0,1e6", "--gen", "x", "eval", "0.0001", "0.0002"], 0, "0.00015"),
+    (["--interval", "0,10", "--gen", "log(x)", "eval", "1e-300", "1"], 0, "1e-150"),
+    (["--interval", "0,10", "--gen=-1/x", "eval", "1e-320", "1"], 4, None),
+    (["--interval", "0,10", "--gen", "x", "--gen", "x^3", "compose", "1e-9", "5e-9"], 3, None),
+], ids=["x-wide-interval", "log-tiny-point", "reciprocal-subnormal", "near-identity-orbit"])
+def test_points_in_the_inset_band_are_evaluated_where_they_are(capsys, argv, code, value):
+    # each point lies within 1e-9 of the width from 0, where nothing moves it
+    got, payload, err = run_json(capsys, *argv)
+    assert got == code
+    if code == 4:
+        assert payload is None
+        assert err == "meanlab: '-1.0/x' is not finite at x = 1e-320\n"
+        return
+    assert err == ""
+    if code == 3:
+        assert payload["results"][0]["verdict"] == "budget-exhausted"
+        assert "limit" not in payload["details"]
+        return
+    assert payload["details"]["value"] == value
+    assert [r["verdict"] for r in payload["results"]] == ["ok", "pass"]
+
+
 LARGE_M1 = ("--interval", "1e6,5e7", "--gen", "x^3", "--gen", "2*x^3", "--samples", "5")
 
 

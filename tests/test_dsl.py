@@ -21,14 +21,12 @@ from meanlab import (
     EvalError,
     Expr,
     Interval,
-    MonotonicityError,
     ParseError,
     Unary,
     Variable,
     compile_expr,
     eval_expr,
     parse,
-    to_generator,
     to_text,
 )
 from meanlab import kernels
@@ -338,18 +336,3 @@ def test_power_negative_base_integer_exponent():
     assert eval_expr(parse("x^2"), -3.0) == 9.0
     with pytest.raises(EvalError):
         eval_expr(parse("x^2.5"), -3.0)  # would leave the reals
-
-
-# --- binding text to a domain -------------------------------------------
-
-
-def test_to_generator_accepts_increasing_body():
-    g = to_generator("x^3", Interval(0.0, 10.0))
-    assert g(2.0) == pytest.approx(8.0)
-
-
-def test_to_generator_rejects_decreasing_body():
-    with pytest.raises(MonotonicityError) as exc:
-        to_generator("0 - x", Interval(0.0, 10.0))
-    report = exc.value.report
-    assert report is not None and not report.passed

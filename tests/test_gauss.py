@@ -123,6 +123,26 @@ def test_weighted_pair_converges_to_a_zero_limit():
     assert _weighted_pair_limit((-0.5, 0.5)) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_an_orbit_from_the_inset_band_starts_where_it_is_given():
+    # the start vector is never moved onto the inset margin (1e-8 on
+    # (0, 10)): the limit lies between the given points, fused or not
+    for start in ((1e-12, 3e-12), (1e-300, 3e-300), (10.0 - 3e-12, 10.0 - 1e-12)):
+        limit, trace = gauss_iterate(cyclic_mapping(
+            GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))), start)
+        assert trace.iterates[0] == start
+        assert min(start) <= limit <= max(start)
+        assert limit == pytest.approx(sum(start) / 2, rel=1e-9)
+    agm = agm_mapping(Interval(0.0, 10.0))
+    limit, trace = gauss_iterate(agm, (1e-12, 4e-12))
+    assert trace.iterates[0] == (1e-12, 4e-12)
+    assert 1e-12 <= limit <= 4e-12
+    # x, x^3 below 1e-8 is nearly the identity: the orbit crawls
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,x^3", Interval(0.0, 10.0)))
+    with pytest.raises(ConvergenceError) as exc:
+        gauss_iterate(cyclic_mapping(mean), (1e-9, 5e-9))
+    assert all(1e-9 <= v <= 5e-9 for row in exc.value.trace.iterates for v in row)
+
+
 def test_identical_components_converge_in_one_step():
     mapping = MeanTypeMapping([fixed_arity(arithmetic_mean(POS), 2)] * 2)
     limit, trace = gauss_iterate(mapping, (1.0, 3.0))

@@ -28,11 +28,10 @@ from meanlab import (
     builtin_system,
     builtin_systems,
     check_monotone,
-    inverse_generator,
     sum_generators,
 )
 from meanlab import kernels
-from meanlab.dsl import parse, to_generator
+from meanlab.dsl import Binary, Constant, X, parse
 
 I010 = Interval(0.0, 10.0)
 
@@ -58,8 +57,19 @@ def test_open_endpoints_are_outside():
     g = Generator.from_expression("log(x)", I010)
     with pytest.raises(DomainError):
         g(0.0)
-    # clamping keeps interior evaluation clear of the singularity
+    # a point just inside is evaluated where it is, clear of the singularity
     assert math.isfinite(g(1e-15 + I010.inset))
+
+
+def test_a_point_in_the_inset_band_is_evaluated_where_it_is():
+    # nothing moves a caller's point onto the inset margin, 1e-9 of the
+    # width from each end
+    g = Generator.from_expression("log(x)", I010)
+    for x in (1e-300, 5e-324, 1e-9, 10.0 - 1e-12):
+        assert g(x) == math.log(x) == g.eval_inside(x)
+    inv = Generator.from_expression("-1/x", I010, label="-1/x")
+    with pytest.raises(EvalError, match="not finite at x = 1e-320"):
+        inv(1e-320)
 
 
 def test_eval_grid_matches_scalar_eval():
@@ -143,9 +153,29 @@ def test_a_nan_target_is_out_of_range_after_the_endpoints():
 
 def test_from_expression_refuses_a_callable():
     # a callable in a tree must be guarded, which only fn= does
-    for build in (Generator.from_expression, to_generator):
-        with pytest.raises(TypeError, match="from_callable"):
-            build(lambda x: x, I010)
+    with pytest.raises(TypeError, match="from_callable"):
+        Generator.from_expression(lambda x: x, I010)
+
+
+def test_expr_refuses_an_unguarded_callable_bare_or_as_a_leaf():
+    # refused before anything evaluates it
+    def raw(x):
+        raise AssertionError("evaluated")
+
+    dom = Interval(0.1, 5.0)
+    for expr in (raw, Binary("+", X, raw), Binary("*", Binary("+", raw, X), Constant(2.0))):
+        for validate in (True, False):
+            with pytest.raises(TypeError, match="from_callable"):
+                Generator(dom, expr=expr, validate=validate)
+    with pytest.raises(TypeError, match="from_callable"):
+        # unguarded, it raised ValueError out of the monotonicity check
+        Generator(dom, expr=lambda x: math.log(x - 1))
+    # the same callable is taken through fn=, guarded, also inside a tree
+    g = Generator.from_callable(lambda x: math.log(x - 1), dom, validate=False)
+    assert math.isnan(g.body()(0.5))
+    tree = Generator(dom, expr=Binary("+", X, g.expr), validate=False)
+    assert tree.body()(3.0) == 3.0 + math.log(2.0)
+    assert math.isnan(tree.body()(0.5))
 
 
 def test_invert_on_narrow_bracket():
@@ -240,8 +270,10 @@ def test_callable_value_that_is_not_real_is_nan_but_a_bad_body_raises():
 
 
 def test_from_expression_rejects_decreasing():
-    with pytest.raises(MonotonicityError):
+    with pytest.raises(MonotonicityError) as exc:
         Generator.from_expression("0 - x", I010)
+    report = exc.value.report
+    assert report is not None and not report.passed
 
 
 def test_flat_body_rejected():
@@ -316,24 +348,6 @@ def test_affine_fit_domain_mismatch():
     g = Generator.from_expression("x", Interval(0.0, 5.0))
     with pytest.raises(ValueError):
         affine_fit(f, g)
-
-
-# --- inverses as generators ----------------------------------------------
-
-
-def test_inverse_generator_round_trip():
-    g = Generator.from_expression("exp(x)", Interval(0.0, 3.0))
-    ginv = inverse_generator(g)
-    for x in (0.5, 1.0, 2.5):
-        assert ginv(g(x)) == pytest.approx(x, abs=1e-9)
-    assert ginv.domain == g.value_interval()
-
-
-def test_value_interval_brackets_outputs():
-    g = Generator.from_expression("x^2", Interval(0.1, 5.0))
-    rng = g.value_interval()
-    for x in g.domain.grid(16):
-        assert rng.contains(g(float(x)))
 
 
 # --- registries and systems ----------------------------------------------

@@ -1,5 +1,5 @@
-"""Quasi-arithmetic means, the mean-property/reflexivity checks, quasi-sums,
-and the affine-equality decision.
+"""Quasi-arithmetic means, the mean-property/reflexivity checks, and the
+affine-equality decision.
 
 Closed forms used as oracles: A_x is the arithmetic mean, A_log the
 geometric, A_{x^2} the root mean square, and gqam{x,2x}(x,y) = (x+2y)/3.
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from meanlab import (
     DomainError,
@@ -20,7 +20,6 @@ from meanlab import (
     Interval,
     MeanlabError,
     QuasiArithmeticMean,
-    QuasiSum,
     RangeError,
     arithmetic_mean,
     builtin_generator,
@@ -29,13 +28,11 @@ from meanlab import (
     geometric_mean,
     gqam_equality_check,
     gqam_eval,
-    inverse_generator,
     lehmer_mean,
     mean_property_check,
     minmax_blend,
     qam_equality_check,
     qam_eval,
-    quasisum_reflexivity_check,
     reflexivity_check,
 )
 from meanlab.dsl import parse
@@ -92,6 +89,22 @@ def test_gqam_asymmetric():
     m = gqam_eval(s, (2.0, 5.0))
     assert math.log(m) + m == pytest.approx(math.log(2.0) + 5.0, abs=1e-9)
     assert 2.0 < m < 5.0
+
+
+def test_points_in_the_inset_band_are_evaluated_where_they_are():
+    # within 1e-9 of the width from an end, where nothing moves them
+    assert qam_eval(gen("x", Interval(0.0, 1e6)), (1e-4, 2e-4)) == pytest.approx(1.5e-4, rel=1e-12)
+    assert qam_eval(gen("log(x)"), (1e-300, 1.0)) == pytest.approx(1e-150, rel=1e-12)
+    assert qam_eval(gen("x^3"), (1e-12, 1e-12)) == 1e-12
+    s = builtin_system("x,2*x")  # on (0, 10)
+    assert gqam_eval(s, (1e-12, 4e-12)) == pytest.approx(3e-12, rel=1e-12)
+    assert gqam_eval(s, (1e-300, 1e-300)) == 1e-300
+    dom = Interval(0.1, 5.0)
+    cases = [(qam_eval, gen("x^2", dom), (0.1 + 1e-15, 0.1 + 4e-15)),
+             (gqam_eval, builtin_system("x,x^3"), (0.1 + 2e-15, 0.1 + 1e-15)),
+             (gqam_eval, builtin_system("x,x^2,x^3"), (5.0 - 1e-14, 5.0 - 4e-15, 5.0 - 1e-14))]
+    for evaluate, subject, pts in cases:
+        assert min(pts) <= evaluate(subject, pts) <= max(pts)
 
 
 def test_exact_reflexivity_on_equal_points():
@@ -239,41 +252,6 @@ def test_reflexivity_on_grid(name):
         assert reflexivity_check(m, float(x)).passed
 
 
-# --- quasi-sums -------------------------------------------------------------
-
-
-def test_quasisum_inverted_outer_is_reflexive():
-    inner = builtin_system("x,2*x")
-    outer = inverse_generator(inner.sum_generator())
-    report = quasisum_reflexivity_check(QuasiSum(outer, inner))
-    assert report.reflexive
-
-
-def test_quasisum_third_is_reflexive():
-    inner = builtin_system("x,2*x")
-    outer = gen("x/3", Interval(0.0, 30.0))
-    report = quasisum_reflexivity_check(QuasiSum(outer, inner))
-    assert report.reflexive
-    assert report.max_deviation <= 1e-8
-
-
-def test_quasisum_half_is_not_reflexive():
-    # outer s/2 against inner {x,2x} returns 3x/2 on the diagonal
-    inner = builtin_system("x,2*x")
-    outer = gen("x/2", Interval(0.0, 30.0))
-    report = quasisum_reflexivity_check(QuasiSum(outer, inner))
-    assert not report.reflexive
-    x = report.worst_point
-    assert report.max_deviation == pytest.approx(x / 2.0, rel=1e-9)
-    assert x == pytest.approx(10.0, abs=1e-6)  # deviation grows with x
-
-
-def test_quasisum_outer_domain_must_cover_sum_range():
-    inner = builtin_system("x,2*x")
-    with pytest.raises(ValueError):
-        QuasiSum(gen("x", Interval(0.0, 5.0)), inner)
-
-
 # --- equality of means (affine invariance) ----------------------------------
 
 
@@ -359,19 +337,31 @@ def test_gqam_equality_arity_mismatch():
 # --- properties --------------------------------------------------------------
 
 
-@given(
-    st.sampled_from(sorted(builtin_systems())),
-    st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3),
-    st.integers(min_value=0, max_value=2),
-)
-def test_per_variable_monotonicity(name, units, coord):
-    system = builtin_system(name)
-    n = system.n
+SYSTEMS = builtin_systems()
+
+
+def _system_points(name):
+    dom, n = SYSTEMS[name].domain, SYSTEMS[name].n
+    point = st.floats(dom.lo, dom.hi, exclude_min=True, exclude_max=True)
+    return st.tuples(st.just(name), st.lists(point, min_size=n, max_size=n))
+
+
+# a stock system and n points anywhere in its open interval, the ends'
+# inset bands included
+SYSTEM_POINTS = st.sampled_from(sorted(SYSTEMS)).flatmap(_system_points)
+
+
+@given(SYSTEM_POINTS, st.integers(min_value=0, max_value=2))
+@example(("x,2*x", [1e-300, 5e-324]), 0)
+@example(("x,x^3", [0.1 + 1e-15, 5.0 - 1e-15]), 1)
+@example(("x,x^2,x^3", [0.1 + 2e-15, 0.1 + 1e-15, 0.1 + 3e-15]), 2)
+def test_per_variable_monotonicity(case, coord):
+    name, pts = case
+    system = SYSTEMS[name]
     dom = system.domain
-    pts = [dom.clamp(dom.lo + u * dom.width) for u in units[:n]]
-    k = coord % n
-    if pts[k] + 1e-3 >= dom.clamp(dom.hi):
-        pts[k] = dom.clamp(dom.hi) - 1e-2
+    k = coord % system.n
+    if pts[k] + 1e-3 >= dom.hi:
+        pts[k] = dom.hi - 1e-2
     bumped = list(pts)
     bumped[k] = pts[k] + 1e-3
     low = gqam_eval(system, pts)
@@ -379,13 +369,13 @@ def test_per_variable_monotonicity(name, units, coord):
     assert high - low > -1e-10  # strictly increasing up to inversion slack
 
 
-@given(
-    st.sampled_from(sorted(builtin_systems())),
-    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
-)
-def test_mean_property_random(name, units):
-    system = builtin_system(name)
-    dom = system.domain
-    pts = [dom.clamp(dom.lo + u * dom.width) for u in units[: system.n]]
-    m = GeneralizedQuasiArithmeticMean(system)
+@given(SYSTEM_POINTS)
+@example(("x,2*x", [1e-300, 5e-324]))
+@example(("exp(x),x", [1e-300, 2e-300]))
+@example(("x,x^3", [0.1 + 1e-15, 0.1 + 3e-15]))
+@example(("log(x),x", [0.1 + 1e-15, 0.1 + 2e-15]))
+@example(("x,x^2,x^3", [0.1 + 2e-15, 0.1 + 1e-15, 0.1 + 3e-15]))
+def test_mean_property_random(case):
+    name, pts = case
+    m = GeneralizedQuasiArithmeticMean(SYSTEMS[name])
     assert mean_property_check(m, pts).passed
