@@ -31,15 +31,14 @@ sides in opposite orientations, pinned by tests with lopsided matrices:
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclic import cyclic_mapping, fixed_arity, permuted_mean
 from .errors import ConvergenceError, DomainError, MeanlabError
 from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
 from .generator import Generator, GeneratorSystem
 from .interval import Interval, seeded_rng
+from .logs import log
 from .means import (
     GeneralizedQuasiArithmeticMean,
     Mean,
@@ -48,8 +47,6 @@ from .means import (
     qam_eval,
     reflexivity_check,
 )
-
-log = logging.getLogger("meanlab.bisymmetry")
 
 EQUATION_TOL = 1e-9  # default of bisymmetry_check and associativity_check
 GBS_TOL = 1e-7  # default of the generalized checks and characterize
@@ -106,8 +103,7 @@ def _column(matrix: InputMatrix, j: int) -> tuple:
     return tuple(row[j] for row in matrix)
 
 
-@dataclass(frozen=True, slots=True)
-class EquationReport:
+class EquationReport(NamedTuple):
     equation: str
     lhs: float
     rhs: float
@@ -198,8 +194,7 @@ def associativity_check(f: Generator, xs: Sequence[float], ys: Sequence[float],
     return _report("associativity", lhs, rhs, tol, point=(tuple(xs), tuple(ys)))
 
 
-@dataclass(frozen=True, slots=True)
-class CharacterizationVerdict:
+class CharacterizationVerdict(NamedTuple):
     """Outcome of the evidence pipeline.
 
     ``phases`` lists (name, passed) in execution order; every phase runs
@@ -349,5 +344,5 @@ def characterize(
         trials_run=trials_run,
         notes="; ".join(notes),
     )
-    log.info("characterize[%s]: %s", mean.label, verdict.summary())
+    log(__name__, "info", "characterize[%s]: %s", mean.label, verdict.summary())
     return verdict

@@ -20,7 +20,6 @@ a given point, an unwritable output and the like).
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -75,7 +74,8 @@ from .report import ExperimentConfig, RunReport, result_row
 DEFAULT_INTERVAL = "0,10"
 DEFAULT_GENERATORS = ("x", "2*x")
 
-_LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
+# MEANLAB_LOG values; quiet configures no logging, so none is imported
+_LOG_LEVELS = {"quiet": None, "info": "INFO", "trace": "DEBUG"}
 
 # per-subcommand fallbacks when the flag is not given: the library's own
 # defaults; every other sampled check runs CHECK_SAMPLES samples
@@ -415,11 +415,12 @@ def _setup_logging() -> None:
         print(f"meanlab: unknown MEANLAB_LOG value {name!r}, using quiet",
               file=sys.stderr)
         name = "quiet"
-    logging.basicConfig(
-        level=_LOG_LEVELS[name], stream=sys.stderr,
-        format="%(name)s: %(message)s",
-    )
-    logging.getLogger("meanlab").setLevel(_LOG_LEVELS[name])
+    level = _LOG_LEVELS[name]
+    if level is not None:
+        import logging
+
+        logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
+        logging.getLogger("meanlab").setLevel(level)
 
 
 def main(argv=None) -> int:

@@ -25,8 +25,7 @@ walker's post-order; any other evaluator of trees must.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from ..errors import EvalError
 
@@ -37,41 +36,47 @@ BINARY_OPS = ("+", "-", "*", "/", "^")
 _EXP_MAX = 709.0
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    value: float
+class Constant(NamedTuple("Constant", [("value", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = float(self.value)
+    def __new__(cls, value):
+        v = float(value)
         if not math.isfinite(v):
             raise ValueError("constants must be finite")
-        object.__setattr__(self, "value", v)
+        return super().__new__(cls, v)
 
 
-@dataclass(frozen=True, slots=True)
 class Variable:
-    pass
+    """The variable x: every Variable equals every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Variable)
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Variable()"
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str
-    operand: "Expr"
+class Unary(NamedTuple("Unary", [("op", str), ("operand", "Expr")])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op not in UNARY_OPS:
-            raise ValueError(f"unknown unary op {self.op!r}")
+    def __new__(cls, op, operand):
+        if op not in UNARY_OPS:
+            raise ValueError(f"unknown unary op {op!r}")
+        return super().__new__(cls, op, operand)
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Binary(NamedTuple("Binary", [("op", str), ("left", "Expr"), ("right", "Expr")])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op not in BINARY_OPS:
-            raise ValueError(f"unknown binary op {self.op!r}")
+    def __new__(cls, op, left, right):
+        if op not in BINARY_OPS:
+            raise ValueError(f"unknown binary op {op!r}")
+        return super().__new__(cls, op, left, right)
 
 
 # a body leaf: a Python function of a float, NaN where it is not finite

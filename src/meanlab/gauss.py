@@ -25,16 +25,15 @@ land on the plain quasi-arithmetic mean of the summed generators.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
 from .errors import ConvergenceError
 from .generator import GeneratorSystem
 from .interval import seeded_rng
+from .logs import log
 from .means import (
     GeneralizedQuasiArithmeticMean,
     Mean,
@@ -42,8 +41,6 @@ from .means import (
     agrees,
     mean_property_check,
 )
-
-log = logging.getLogger("meanlab.gauss")
 
 DEFAULT_GAP_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
@@ -62,8 +59,7 @@ SYMMETRY_TOL = 1e-9
 VALIDATION_PROBES = 6  # random vectors gauss_composition checks components on
 
 
-@dataclass(frozen=True, slots=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Full orbit of one Gauss iteration, starting vector included, and
     the Shanks estimate of its limit where the orbit ended on one (None
     otherwise).  ``stop`` is the test of ``kernels.orbit`` that ended a
@@ -125,10 +121,8 @@ def gauss_iterate(
     trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
                            used, gap_tol, estimate, stop)
     if status == kernels.STATUS_OK:
-        log.debug(
-            "%s converged in %d steps (%s stop, gap %.3e)",
-            mapping.label, used, stop, trace.gaps[-1],
-        )
+        log(__name__, "debug", "%s converged in %d steps (%s stop, gap %.3e)",
+            mapping.label, used, stop, trace.gaps[-1])
         return midpoint(trace.last) if estimate is None else estimate, trace
     if used < max_iter:
         # the fused kernel reports only that step used + 1 failed; the
@@ -203,8 +197,7 @@ def invariance_residual(candidate: Mean, mapping: MeanTypeMapping,
     return abs(candidate(mapping.apply(pts)) - candidate(pts))
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionCheckReport:
+class CompositionCheckReport(NamedTuple):
     """Iterated-limit vs closed-form comparison over random vectors."""
 
     passed: bool
@@ -251,15 +244,12 @@ def composition_closed_form_check(
         rows=tuple(rows),
         label=system.label,
     )
-    log.info(
-        "closed-form check [%s]: %d samples, max residual %.3e (%s)",
-        system.label, samples, worst, "pass" if report.passed else "FAIL",
-    )
+    log(__name__, "info", "closed-form check [%s]: %d samples, max residual %.3e (%s)",
+        system.label, samples, worst, "pass" if report.passed else "FAIL")
     return report
 
 
-@dataclass(frozen=True, slots=True)
-class SymmetryCheckReport:
+class SymmetryCheckReport(NamedTuple):
     passed: bool
     samples: int
     tol: float

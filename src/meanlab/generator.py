@@ -31,8 +31,7 @@ generator), and so for every Gauss step, fused or not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
@@ -56,8 +55,7 @@ AFFINE_FIT_GRID = 64  # grid points of affine_fit
 _DEGENERATE_SPREAD = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Outcome of the strictly-increasing grid check.
 
     ``witness`` is a pair (x, y) with x <= y at which the check failed:

@@ -10,7 +10,7 @@ is; only points the package picks itself keep the inset from the ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -29,22 +29,18 @@ def seeded_rng(seed):
     return default_rng(seed)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
     """A non-degenerate open interval (lo, hi) of the real line."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __new__(cls, lo, hi):
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if not lo < hi:
             raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return super().__new__(cls, lo, hi)
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi

@@ -22,14 +22,13 @@ validation so mapping/iteration code can treat all means uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import kernels
 from .generator import Generator, GeneratorSystem, affine_fit
 from .interval import Interval, seeded_rng
 
-# Slack applied to mean bound comparisons, scaled by max(1, |value|).
+# Slack applied to mean bound comparisons, scaled by max(|min|, |max|) of the inputs.
 BOUND_SLACK = 1e-9
 # Bounds are only tested strictly when the inputs are spread wider than this.
 STRICTNESS_SPREAD = 1e-6
@@ -195,9 +194,9 @@ def minmax_blend(domain: Interval, top_weight: float = 0.7) -> FunctionMean:
     return FunctionMean(blend, domain, label=f"blend{w:g}")
 
 
-@dataclass(frozen=True, slots=True)
-class MeanPropertyReport:
-    """Bounds check min <= M(xs) <= max with slack BOUND_SLACK, plus
+class MeanPropertyReport(NamedTuple):
+    """Bounds check min <= M(xs) <= max with slack BOUND_SLACK times
+    max(|min|, |max|), relative to the inputs at every scale, plus
     strictness when the inputs are spread enough to make strictness
     meaningful."""
 
@@ -215,7 +214,7 @@ def mean_property_check(mean: Mean, xs: Sequence[float]) -> MeanPropertyReport:
     v = mean(pts)
     lo = min(pts)
     hi = max(pts)
-    s = BOUND_SLACK * max(1.0, abs(v))
+    s = BOUND_SLACK * max(abs(lo), abs(hi))
     bounds_ok = (lo - s <= v) and (v <= hi + s)
     strict_checked = (hi - lo) > STRICTNESS_SPREAD
     strict_ok = None
@@ -227,8 +226,7 @@ def mean_property_check(mean: Mean, xs: Sequence[float]) -> MeanPropertyReport:
     return MeanPropertyReport(passed, v, lo, hi, s, strict_checked, strict_ok)
 
 
-@dataclass(frozen=True, slots=True)
-class ReflexivityReport:
+class ReflexivityReport(NamedTuple):
     passed: bool
     point: float
     value: float
@@ -245,8 +243,7 @@ def reflexivity_check(mean: Mean, x: float, count: int | None = None) -> Reflexi
     return ReflexivityReport(agrees(v, x, REFLEXIVITY_TOL), x, v, abs(v - x), REFLEXIVITY_TOL)
 
 
-@dataclass(frozen=True, slots=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     """Do two generators (or systems) induce the same mean?
 
     Built on affine fitting: a mean is unchanged exactly under positive

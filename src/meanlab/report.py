@@ -16,11 +16,10 @@ time, which obviously cannot repeat and are excluded from that contract.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 RESULT_COLUMNS = ("check_name", "sample_index", "lhs", "rhs", "residual", "verdict")
 
@@ -28,8 +27,7 @@ RESULT_COLUMNS = ("check_name", "sample_index", "lhs", "rhs", "residual", "verdi
 VOLATILE_KEYS = ("timestamp", "runtime_ms")
 
 
-@dataclass(slots=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Resolved run configuration, echoed verbatim into every report."""
 
     command: str
@@ -45,7 +43,7 @@ class ExperimentConfig:
     points: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def result_row(check_name: str, sample_index: int, lhs=None, rhs=None,
@@ -60,14 +58,17 @@ def result_row(check_name: str, sample_index: int, lhs=None, rhs=None,
     }
 
 
-@dataclass(slots=True)
 class RunReport:
-    command: str
-    config: dict
-    results: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    runtime_ms: float = 0.0
-    timestamp: str = ""
+    __slots__ = ("command", "config", "results", "details", "runtime_ms", "timestamp")
+
+    def __init__(self, command: str, config: dict, results: list | None = None,
+                 details: dict | None = None):
+        self.command = command
+        self.config = config
+        self.results = [] if results is None else results
+        self.details = {} if details is None else details
+        self.runtime_ms = 0.0
+        self.timestamp = ""
 
     def stamp(self, runtime_ms: float) -> "RunReport":
         self.runtime_ms = runtime_ms
@@ -87,6 +88,8 @@ class RunReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)

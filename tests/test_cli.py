@@ -730,3 +730,46 @@ def test_overflow_is_one_error_line(flags):
     assert out.returncode == 2
     assert out.stderr.startswith("meanlab: ")
     assert out.stderr.count("\n") == 1
+
+
+def _run_importing(*args, **env):
+    # the run and the set of modules it imported, read from -X importtime
+    out = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                         text=True, env=_subprocess_env(**env))
+    return out, {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                 if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("fmt,expected", [("json", set()), ("csv", {"csv"})])
+def test_cold_eval_imports_neither_dataclasses_nor_logging(fmt, expected):
+    # records are named tuples, quiet configures no logging, and csv is
+    # imported by the csv writer alone
+    _, bare = _run_importing("-c", "pass")
+    out, names = _run_importing("-m", "meanlab", "--format", fmt, "--gen", "x", "--gen", "2*x",
+                                "eval", "0.5", "3", MEANLAB_LOG="quiet")
+    assert out.returncode == 0
+    assert "2.166666666666667" in out.stdout
+    assert (names - bare) & {"dataclasses", "inspect", "logging", "csv"} == expected
+
+
+@pytest.mark.parametrize("level,argv,lines", [
+    ("info", ["--samples", "2", "verify", "m1"],
+     [r"meanlab\.gauss: closed-form check \[x,2\.0\*x\]: 2 samples, max residual \S+ \(pass\)"]),
+    ("info", ["--samples", "2", "verify", "characterize"],
+     [r"meanlab\.bisymmetry: characterize\[lehmer2\]: refuted: failed"
+      r" strict-monotonicity, generalized-bisymmetry",
+      r"meanlab\.bisymmetry: characterize\[blend0\.7\]: refuted: failed generalized-bisymmetry"]),
+    ("trace", ["compose", "1", "7"],
+     [r"meanlab\.gauss: cyclic\[gqam\[x,2\.0\*x\]\] converged in \d+ steps"
+      r" \(gap stop, gap \S+\)"]),
+    ("info", ["compose", "1", "7"], []),
+    ("quiet", ["--samples", "2", "verify", "characterize"], []),
+])
+def test_log_levels_show_their_records_on_stderr(level, argv, lines):
+    out = subprocess.run([sys.executable, "-m", "meanlab", *argv], capture_output=True,
+                         text=True, env=_subprocess_env(MEANLAB_LOG=level))
+    assert out.returncode == 0
+    got = out.stderr.splitlines()
+    assert len(got) == len(lines)
+    for pattern, line in zip(lines, got):
+        assert re.fullmatch(pattern, line), line

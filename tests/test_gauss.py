@@ -5,6 +5,7 @@ The classical AGM loop coded inline below is the oracle for the
 the arithmetic itself.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -275,6 +276,21 @@ def test_closed_form_check_passes(name):
     assert report.max_residual <= 1e-7
     assert len(report.rows) == 60
     assert report.worst_point in {row[0] for row in report.rows}
+
+
+def test_configured_logging_gets_records_from_the_calling_functions(caplog):
+    # a library caller who configured logging sees the package's records,
+    # each naming the function that logged it
+    caplog.set_level(logging.DEBUG, logger="meanlab.gauss")
+    report = composition_closed_form_check(builtin_system("x,2*x"), samples=2)
+    records = [r for r in caplog.records if r.name == "meanlab.gauss"]
+    assert [(r.levelname, r.funcName) for r in records] == [
+        ("DEBUG", "gauss_iterate"), ("DEBUG", "gauss_iterate"),
+        ("INFO", "composition_closed_form_check"),
+    ]
+    assert records[-1].getMessage() == (
+        f"closed-form check [x,2.0*x]: 2 samples, max residual {report.max_residual:.3e} (pass)")
+    assert records[-1].pathname.endswith("gauss.py")
 
 
 def _assert_cubic_m1_is_accurate(lo, hi):

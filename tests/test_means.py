@@ -225,6 +225,17 @@ def test_mean_property_detects_violation():
     assert not mean_property_check(bogus, (1.0, 3.0)).passed
 
 
+def test_mean_property_slack_follows_the_inputs_scale():
+    from meanlab import FunctionMean
+
+    # 5e-10 past the max is 250 times the inputs at this scale
+    bogus = FunctionMean(lambda pts: max(pts) + 5e-10, I010, label="over")
+    report = mean_property_check(bogus, (1e-12, 2e-12))
+    assert not report.passed
+    assert report.slack == pytest.approx(2e-21)
+    assert mean_property_check(arithmetic_mean(I010), (1e-12, 2e-12)).passed
+
+
 def test_mean_property_random_pairs_mixed_system():
     dom = Interval(0.0, 3.0)
     m = GeneralizedQuasiArithmeticMean(builtin_system("exp(x),x", dom))
