@@ -26,7 +26,6 @@ from .cyclic import (
     MeanTypeMapping,
     PermutedMean,
     cyclic_mapping,
-    permuted_mean,
     rotated,
     sigma,
     sigma_pow,
@@ -156,7 +155,6 @@ __all__ = [
     "midpoint",
     "minmax_blend",
     "parse",
-    "permuted_mean",
     "qam_equality_check",
     "qam_eval",
     "random_matrix",

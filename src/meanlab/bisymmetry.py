@@ -14,18 +14,14 @@ mean a generalized quasi-arithmetic mean?" into one verdict.  All of it
 is sampling — a pass is consistency evidence, only a failure is a hard
 certificate (the witness can be re-evaluated).
 
-The generalized equation is computed once, in ``_gbs_sides``.
-``gbs_for_mean_check`` takes any fixed-arity M and the K the caller
-supplies, typically the Gauss composition of M's rotations.  Its
-instance ``generalized_bisymmetry_check`` is the identity form: M is the
+The generalized equation is computed once, in ``gbs_for_mean_check``,
+for any fixed-arity M, whose rotations M_i are the components of
+``cyclic.cyclic_mapping(M)``, the family Gauss iteration runs, and the
+K the caller supplies, typically the Gauss composition of that family.
+``generalized_bisymmetry_check`` is its identity form: M is the
 generalized quasi-arithmetic mean of a system and K the quasi-arithmetic
-mean of f1+...+fn, the composition in closed form.  The two report the
-sides in opposite orientations, pinned by tests with lopsided matrices:
-
-  generalized_bisymmetry_check   lhs: inner mean i on column i
-                                 rhs: inner mean i on row i
-  gbs_for_mean_check             lhs: inner mean i on row i
-                                 rhs: inner mean i on column i
+mean of f1+...+fn, the composition in closed form.  Both report inner
+mean i on column i as lhs and inner mean i on row i as rhs.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .cyclic import cyclic_mapping, fixed_arity, permuted_mean
+from .cyclic import cyclic_mapping, fixed_arity
 from .errors import ConvergenceError, DomainError, MeanlabError
 from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
 from .generator import Generator, GeneratorSystem
@@ -141,43 +137,31 @@ def bisymmetry_check(mean: Mean, matrix, tol: float = EQUATION_TOL) -> EquationR
     return _report("bisymmetry", lhs, rhs, tol, matrix=m)
 
 
-def _gbs_sides(mean: Mean, composition: Mean, m: InputMatrix) -> tuple[float, float]:
-    """(K(M_i(row i))_i, K(M_i(column i))_i) on a validated n x n matrix,
-    for the rotations M_i of ``mean`` and the composition K."""
-    n = len(m)
-    comps = [permuted_mean(mean, i) for i in range(n)]
-    rows = composition([comps[i](m[i]) for i in range(n)])
-    columns = composition([comps[i](_column(m, i)) for i in range(n)])
-    return rows, columns
-
-
 def generalized_bisymmetry_check(system: GeneratorSystem, matrix,
                                  tol: float = GBS_TOL) -> EquationReport:
     """Identity form for a generator system: the outer mean comes from
     the summed generators, the inner means are the cyclic rotations of
     the system's own mean.  Holds for every system; sides that disagree
     at tol indicate a numerical problem, not a mathematical one.
-
-    Column/row orientation: inner mean i reads column i on the lhs.
     """
-    m = validate_matrix(matrix, system.domain, rows=system.n, cols=system.n)
-    rows, columns = _gbs_sides(GeneralizedQuasiArithmeticMean(system),
-                               QuasiArithmeticMean(system.sum_generator()), m)
-    return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
+    return gbs_for_mean_check(GeneralizedQuasiArithmeticMean(system),
+                              QuasiArithmeticMean(system.sum_generator()), matrix, tol)
 
 
 def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
                        tol: float = GBS_TOL) -> EquationReport:
-    """The equation for an arbitrary fixed-arity mean, with the composed
-    limit mean supplied by the caller (typically a GaussComposition of
-    the rotation family).  Note the mirrored orientation: inner mean i
-    reads row i on the lhs here.
+    """The equation for a fixed-arity mean M and the composed limit mean
+    K the caller supplies: lhs K(M_1(column 1), ..., M_n(column n)), rhs
+    K(M_1(row 1), ..., M_n(row n)), for the rotations M_i of M in
+    ``cyclic_mapping(M)``.
     """
     if mean.arity is None:
         raise ValueError("gbs_for_mean_check needs a fixed-arity mean")
     m = validate_matrix(matrix, mean.domain, rows=mean.arity, cols=mean.arity)
-    rows, columns = _gbs_sides(mean, composition, m)
-    return _report("gbs", rows, columns, tol, matrix=m)
+    comps = cyclic_mapping(mean).components
+    rows = composition([c(row) for c, row in zip(comps, m)])
+    columns = composition([c(_column(m, i)) for i, c in enumerate(comps)])
+    return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
 
 
 def associativity_check(f: Generator, xs: Sequence[float], ys: Sequence[float],

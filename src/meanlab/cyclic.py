@@ -62,21 +62,6 @@ class PermutedMean(Mean):
         return self.base(rotated(pts, self.shift))
 
 
-def permuted_mean(mean: Mean, shift: int) -> Mean:
-    """Rotate a mean's arguments, collapsing stacked or trivial rotations
-    and keeping a pinned arity."""
-    base = mean
-    total = shift
-    if isinstance(mean, PermutedMean):
-        base = mean.base
-        total = mean.shift + shift
-    if mean.arity is not None:
-        total %= mean.arity
-    if total == 0 and base.arity == mean.arity:
-        return base
-    return PermutedMean(base, total, mean.arity)
-
-
 class MeanTypeMapping:
     """A vector of means over one interval, applied synchronously.
 
@@ -145,9 +130,8 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
         if n < 1:
             raise ValueError("arity must be at least 1")
     # rotating a variadic mean still needs fixed-length vectors here, so
-    # pin the arity first; every rotation keeps the pin
-    pinned = fixed_arity(mean, n)
-    comps = [permuted_mean(pinned, i) for i in range(n)]
+    # every rotation pins the arity
+    comps = [fixed_arity(mean, n), *(PermutedMean(mean, i, n) for i in range(1, n))]
     system = mean.system if isinstance(mean, GeneralizedQuasiArithmeticMean) else None
     return MeanTypeMapping(comps, system=system, label=f"cyclic[{mean.label}]")
 

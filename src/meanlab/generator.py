@@ -154,19 +154,14 @@ class Generator:
         """
         return kernels.ACTIVE.eval_grid(self.body(), xs)
 
-    def invert(self, y: float) -> float:
-        """Solve g(x) = y on the domain.
-
-        Raises RangeError when y is not bracketed by the values at the
-        endpoints clamped into the inset interior, ConvergenceError if the
-        step budget runs out, and EvalError on non-finite evaluations.
-        """
-        lo = self.domain.clamp(self.domain.lo)
-        hi = self.domain.clamp(self.domain.hi)
-        return self.invert_on(y, lo, hi)
-
     def invert_on(self, y: float, lo: float, hi: float) -> float:
-        """Inversion with a caller-supplied bracket inside the domain."""
+        """Solve g(x) = y on a bracket [lo, hi] inside the domain, such as
+        ``domain.grid(2)``, the inset ends of the whole domain.
+
+        Raises RangeError when y is not bracketed by g(lo) and g(hi),
+        ConvergenceError if the step budget runs out, and EvalError on
+        non-finite evaluations.
+        """
         y, lo, hi = float(y), float(lo), float(hi)
         g = self.body()
         x, status = kernels.ACTIVE.invert(g, y, lo, hi, g(lo), g(hi))

@@ -57,14 +57,8 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
 
     @property
     def inset(self) -> float:
-        """Absolute margin kept from each end by clamp(), grid(), sample()."""
+        """Absolute margin kept from each end by grid() and sample()."""
         return ENDPOINT_INSET * self.width
-
-    def clamp(self, x: float) -> float:
-        """Pull x into the inset interior [lo+eps, hi-eps]: the ends of
-        ``Generator.invert``'s domain-wide bracket, where a generator such
-        as log is singular, never a caller's point."""
-        return min(max(x, self.lo + self.inset), self.hi - self.inset)
 
     def grid(self, count: int) -> list:
         """``count`` equally spaced points on the inset interior, endpoints

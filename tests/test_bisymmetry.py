@@ -15,6 +15,7 @@ from meanlab import (
     Generator,
     GeneratorSystem,
     Interval,
+    QuasiArithmeticMean,
     arithmetic_mean,
     associativity_check,
     bisymmetry_check,
@@ -111,7 +112,7 @@ def test_lehmer_violates_bisymmetry_somewhere():
 
 @pytest.mark.parametrize("name", ["x", "log(x)", "x^2"])
 def test_quasi_arithmetic_means_are_bisymmetric(name):
-    from meanlab import QuasiArithmeticMean, builtin_generator
+    from meanlab import builtin_generator
 
     g = builtin_generator(name)
     mean = QuasiArithmeticMean(g)
@@ -214,7 +215,7 @@ def test_gbs_weighted_pair_with_closed_form_limit():
 
 def test_gbs_symmetric_mean_reduces_to_bisymmetry():
     dom = Interval(0.1, 10.0)
-    from meanlab import QuasiArithmeticMean, builtin_generator
+    from meanlab import builtin_generator
 
     gm = fixed_arity(QuasiArithmeticMean(builtin_generator("log(x)", dom)), 2)
     comp = gauss_composition(cyclic_mapping(gm), gap_tol=1e-11)
@@ -227,24 +228,33 @@ def test_gbs_symmetric_mean_reduces_to_bisymmetry():
         assert gbs.lhs == pytest.approx(bs.lhs, abs=1e-9)
 
 
-def test_gbs_orientation_rows_on_the_left():
+def test_gbs_orientation_columns_on_the_left():
     # Lehmer's rotation family composes to a genuinely two-sided failure,
     # which exposes which orientation landed in lhs
     mean = fixed_arity(lehmer_mean(I010), 2)
     mapping = cyclic_mapping(mean)
     comp = gauss_composition(mapping)
-    m = ((I010.clamp(0.0), 5.0), (10.0 - I010.inset, 5.0))
+    lo, hi = I010.grid(2)
+    m = ((lo, 5.0), (hi, 5.0))
     report = gbs_for_mean_check(mean, comp, m)
     l_rows = [mean(m[0]), mean((m[1][1], m[1][0]))]
     l_cols = [mean((m[0][0], m[1][0])), mean((m[1][1], m[0][1]))]
-    assert report.lhs == pytest.approx(comp(l_rows), abs=1e-9)
-    assert report.rhs == pytest.approx(comp(l_cols), abs=1e-9)
+    assert report.lhs == pytest.approx(comp(l_cols), abs=1e-9)
+    assert report.rhs == pytest.approx(comp(l_rows), abs=1e-9)
     assert report.residual > 1e-4  # the counterexample the search relies on
 
 
-def test_gbs_needs_fixed_arity():
-    from meanlab import QuasiArithmeticMean
+def test_identity_form_is_the_equation_for_the_system_mean():
+    system = builtin_system("x,x^3")
+    m = ((0.2, 4.5), (3.0, 0.7))
+    closed_form = QuasiArithmeticMean(system.sum_generator())
+    direct = gbs_for_mean_check(GeneralizedQuasiArithmeticMean(system), closed_form, m)
+    report = generalized_bisymmetry_check(system, m)
+    assert report._asdict() == direct._asdict()
+    assert report.equation == "generalized-bisymmetry"
 
+
+def test_gbs_needs_fixed_arity():
     variadic = QuasiArithmeticMean(Generator.from_expression("x", I010))
     comp = fixed_arity(arithmetic_mean(I010), 2)
     with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from meanlab import (
     builtin_system,
     cyclic_mapping,
     mean_property_check,
-    permuted_mean,
     rotated,
     sigma,
     sigma_pow,
@@ -145,36 +144,18 @@ def weighted_pair_mean(domain=DOM):
 
 def test_permuted_mean_closed_form():
     m = weighted_pair_mean()
-    assert permuted_mean(m, 1)([0.0, 3.0]) == pytest.approx(1.0, abs=1e-10)
+    assert PermutedMean(m, 1)([0.0, 3.0]) == pytest.approx(1.0, abs=1e-10)
     assert m([0.0, 3.0]) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_zero_shift_returns_the_mean_itself():
-    m = weighted_pair_mean()
-    assert permuted_mean(m, 0) is m
-    assert permuted_mean(m, 2) is m  # full cycle collapses too
-
-
-def test_shifts_compose_and_collapse():
-    m = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
-    stacked = permuted_mean(permuted_mean(m, 1), 1)
-    direct = permuted_mean(m, 2)
-    assert isinstance(stacked, PermutedMean)
-    assert stacked.shift == direct.shift == 2
-    assert stacked.base is m
-    pts = (0.5, 2.0, 4.0)
-    assert stacked(pts) == direct(pts)
-    assert permuted_mean(stacked, 1) is m
 
 
 def test_symmetric_mean_is_rotation_blind():
     am = arithmetic_mean(DOM)
-    pinned = fixed_arity(am, 3)
+    rotations = cyclic_mapping(am, arity=3).components
     rng = np.random.default_rng(3)
     for _ in range(20):
         pts = DOM.sample(rng, 3)
-        for i in range(3):
-            assert permuted_mean(pinned, i)(pts) == pytest.approx(am(pts), rel=1e-15)
+        for rotation in rotations:
+            assert rotation(pts) == pytest.approx(am(pts), rel=1e-15)
 
 
 def test_full_cycle_is_identity_on_random_triples():
@@ -182,12 +163,12 @@ def test_full_cycle_is_identity_on_random_triples():
     rng = np.random.default_rng(5)
     for _ in range(20):
         pts = m.domain.sample(rng, 3)
-        assert permuted_mean(m, 3)(pts) == m(pts)
+        assert PermutedMean(m, 3)(pts) == m(pts)
 
 
 def test_permuted_label():
     m = weighted_pair_mean()
-    assert permuted_mean(m, 1).label.endswith("<1>")
+    assert PermutedMean(m, 1).label.endswith("<1>")
 
 
 # --- mean-type mappings --------------------------------------------------------

@@ -114,10 +114,10 @@ INVERT_CASES = [
 @pytest.mark.parametrize("source,domain", INVERT_CASES)
 def test_invert_agrees_with_brentq(source, domain):
     g = Generator.from_expression(source, domain)
-    lo, hi = domain.clamp(domain.lo), domain.clamp(domain.hi)
+    lo, hi = domain.grid(2)
     for x in domain.grid(17):
         y = g(float(x))
-        got = g.invert(y)
+        got = g.invert_on(y, lo, hi)
         want = brentq(lambda t: g(t) - y, lo, hi, xtol=1e-13, rtol=1e-15)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -125,17 +125,19 @@ def test_invert_agrees_with_brentq(source, domain):
 @pytest.mark.parametrize("source,domain", INVERT_CASES)
 def test_invert_round_trip_on_grid(source, domain):
     g = Generator.from_expression(source, domain)
+    lo, hi = domain.grid(2)
     for x in domain.grid(64):
         x = float(x)
-        assert g.invert(g(x)) == pytest.approx(x, abs=1e-8 * max(1.0, abs(x)))
+        assert g.invert_on(g(x), lo, hi) == pytest.approx(x, abs=1e-8 * max(1.0, abs(x)))
 
 
 def test_invert_out_of_range():
     g = Generator.from_expression("x", I010)
+    lo, hi = I010.grid(2)
     with pytest.raises(RangeError):
-        g.invert(11.0)
+        g.invert_on(11.0, lo, hi)
     with pytest.raises(RangeError):
-        g.invert(-1.0)
+        g.invert_on(-1.0, lo, hi)
 
 
 def test_a_nan_target_is_out_of_range_after_the_endpoints():
@@ -144,11 +146,11 @@ def test_a_nan_target_is_out_of_range_after_the_endpoints():
     g = Generator.from_callable(lambda x: calls.append(x) or x**3, Interval(0.1, 5.0),
                                 label="cube", validate=False)
     with pytest.raises(RangeError, match="y = nan is outside the value range of 'cube'"):
-        g.invert(math.nan)
+        g.invert_on(math.nan, *g.domain.grid(2))
     assert len(calls) == 2
     tree = Generator.from_expression("x^3", Interval(0.1, 5.0))
     with pytest.raises(RangeError, match="y = nan is outside"):
-        tree.invert(math.nan)
+        tree.invert_on(math.nan, *tree.domain.grid(2))
 
 
 def test_from_expression_refuses_a_callable():
@@ -190,7 +192,7 @@ def test_a_spent_budget_names_the_constants_the_solve_ran_with(monkeypatch):
     monkeypatch.setattr(kernels, "INVERT_BUDGET", 3)
     g = Generator.from_expression("x^3 + x", Interval(0.1, 5.0))
     with pytest.raises(ConvergenceError, match="did not reach tol = 1e-12 within 3 steps"):
-        g.invert(7.0)
+        g.invert_on(7.0, *g.domain.grid(2))
 
 
 def _invert_outcome(g, y, lo, hi):
@@ -215,7 +217,7 @@ CALLABLE_BODIES = [
 
 def test_callable_inversion_matches_tape(monkeypatch):
     dom = Interval(0.1, 5.0)
-    lo, hi = dom.clamp(dom.lo), dom.clamp(dom.hi)
+    lo, hi = dom.grid(2)
     for source, body, exits in CALLABLE_BODIES:
         tree = Generator(dom, expr=parse(source), label="g", validate=False)
         fn = Generator.from_callable(body, dom, label="g", validate=False)
@@ -472,9 +474,9 @@ def test_system_affine():
 @given(st.sampled_from(sorted(builtin_generators())), st.floats(0.0, 1.0))
 def test_round_trip_property(name, u):
     g = builtin_generator(name)
-    x = g.domain.lo + (g.domain.hi - g.domain.lo) * u
-    x = g.domain.clamp(x)
-    assert g.invert(g(x)) == pytest.approx(x, abs=1e-8 * max(1.0, abs(x)))
+    lo, hi = g.domain.grid(2)
+    x = min(max(g.domain.lo + g.domain.width * u, lo), hi)
+    assert g.invert_on(g(x), lo, hi) == pytest.approx(x, abs=1e-8 * max(1.0, abs(x)))
 
 
 @given(
@@ -497,4 +499,4 @@ def test_unreachable_target_exhausts_budget():
         lambda x: x if x < 5.0 else x + 1.0, I010, label="step"
     )
     with pytest.raises(ConvergenceError):
-        step.invert(5.5)
+        step.invert_on(5.5, *I010.grid(2))
