@@ -14,7 +14,7 @@ otherwise.  The bracket always contains the true limit, and the midpoint
 sits much closer than the gap itself, so a modest gap tolerance already
 pins the value tightly; the estimate lies in the bracket too, and ends
 a slowly contracting orbit long before its gap closes.  The loop runs as
-the fused ``cyclic_gauss`` kernel over the system's member matrix for
+the fused ``cyclic_gauss`` kernel over the system's program for
 the cyclic mapping of any generalized quasi-arithmetic mean, or over a
 step that calls ``MeanTypeMapping.apply`` for every other mapping.
 
@@ -109,9 +109,8 @@ def gauss_iterate(
     if not 0.0 <= gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
     if mapping.system is not None:
-        _, total = mapping.system.program()
         used, status, rows, gaps, estimate, stop = kernels.ACTIVE.cyclic_gauss(
-            mapping.system.matrix(), total, pts, gap_tol, max_iter)
+            *mapping.system.program(), pts, gap_tol, max_iter)
     else:
         def apply(x, _mn, _mx):
             # component exceptions propagate out of the orbit
@@ -126,8 +125,8 @@ def gauss_iterate(
         return midpoint(trace.last) if estimate is None else estimate, trace
     if used < max_iter:
         # the fused kernel reports only that step used + 1 failed; the
-        # components compute that step bit for bit, so replaying it raises
-        # exactly what the generic orbit raises there
+        # components run the same kernel routine one rotation each, so
+        # replaying the step raises exactly what the generic orbit raises there
         mapping.apply(trace.last)
     bound = kernels.scaled_stop(gap_tol, min(pts), max(pts))
     raise ConvergenceError(
@@ -182,9 +181,12 @@ def gauss_composition(
         for vec in vectors:
             report = mean_property_check(comp, vec)
             if not report.passed:
+                # within the slack of the bounds, only strictness failed
+                inside = report.low - report.slack <= report.value <= report.high + report.slack
                 raise ValueError(
                     f"component {comp.label!r} fails the mean property at"
-                    f" {tuple(vec)}: value {report.value} outside"
+                    f" {tuple(vec)}: value {report.value}"
+                    f" {'sits on a bound of' if inside else 'outside'}"
                     f" [{report.low}, {report.high}]"
                 )
     return GaussComposition(mapping, gap_tol, max_iterations)

@@ -8,10 +8,11 @@ It runs on the kernels, ``kernels.ACTIVE``, as a body, the tree lowered
 once to straight-line Python and kept on the generator.  Sums and affine
 images of generators are trees themselves, with the members' trees, body
 leaves included, as subtrees, so they lower the same way.
-``Generator.body``, ``GeneratorSystem.program`` and
-``GeneratorSystem.matrix`` hand the kernels their programs.  Every
-evaluation, inversion, mean step and fused Gauss orbit runs the same
-kernels on those programs, read from ``kernels.ACTIVE`` at each call.
+``Generator.body`` and ``GeneratorSystem.program`` hand the kernels
+their programs: a generator's body, and a system's member matrix and
+sum body, its one program.  Every evaluation, inversion, mean and fused
+Gauss orbit runs the same kernels on those programs, read from
+``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
 invertibility.  A callable enters a tree only through ``fn=``, which
 guards it.  A caller's point is evaluated exactly where it is.
@@ -140,7 +141,7 @@ class Generator:
     def eval_inside(self, x: float) -> float:
         """Evaluate at x, with the domain check already done by the
         caller; EvalError where the body is not finite at x."""
-        v = self._raw(x)
+        v = kernels.ACTIVE.eval_one(self.body(), x)
         if not math.isfinite(v):
             raise EvalError(f"{self.label!r} is not finite at x = {x}")
         return v
@@ -168,10 +169,6 @@ class Generator:
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}")
         return x
-
-    def _raw(self, x: float) -> float:
-        """Value at x, NaN where the body is not finite."""
-        return kernels.ACTIVE.eval_one(self.body(), x)
 
     def _invert_error(self, status, target):
         """The package exception for a failed solve; ``target`` names
@@ -261,7 +258,7 @@ def affine_fit(f: Generator, g: Generator) -> tuple[float, float, float]:
 class GeneratorSystem:
     """An ordered tuple of n >= 2 generators on one shared interval."""
 
-    __slots__ = ("generators", "domain", "_sum", "_program", "_matrix")
+    __slots__ = ("generators", "domain", "_sum", "_program")
 
     def __init__(self, generators: Sequence[Generator]):
         gens = tuple(generators)
@@ -275,7 +272,6 @@ class GeneratorSystem:
         self.domain = domain
         self._sum = None
         self._program = None
-        self._matrix = None
 
     @property
     def n(self) -> int:
@@ -292,20 +288,13 @@ class GeneratorSystem:
         return self._sum
 
     def program(self):
-        """(bodies, total) for the kernels ``gqam`` and ``cyclic_gauss``:
-        the members' bodies and the sum generator's body, made once."""
+        """(matrix, total) for the kernels ``gqam`` and ``cyclic_gauss``:
+        the member matrix of ``compile_matrix`` over the members' trees
+        and the sum generator's body, made once, on first use."""
         if self._program is None:
-            self._program = (tuple(g.body() for g in self.generators),
+            self._program = (compile_matrix([g.expr for g in self.generators]),
                              self.sum_generator().body())
         return self._program
-
-    def matrix(self):
-        """The member matrix of ``compile_matrix`` over the members'
-        trees, which ``cyclic_gauss`` steps on; lowered once, on first
-        use, and kept next to the bodies."""
-        if self._matrix is None:
-            self._matrix = compile_matrix([g.expr for g in self.generators])
-        return self._matrix
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
         """Member-wise images a*f_i + b_i with one shared slope."""

@@ -12,34 +12,30 @@ lowered code; a tree of that one leaf is its own body.  Bodies are
 guarded when they are made, not per call.  A system's member matrix,
 made once by ``dsl.compiler.compile_matrix``, is one generated function
 of x0..x_{n-1} that evaluates every member at every coordinate, each
-member's tree inlined, and returns the folds the Gauss step needs.
-This module only runs them.
+member's tree inlined, and returns the folds a mean needs.  This
+module only runs them.
 
 The bracketed solve is one function, ``invert``, which calls the body
 it inverts; its callers evaluate the bracket's endpoints.  Every solve
 stops on ``INVERT_TOL`` within ``INVERT_BUDGET`` steps, two constants
 read at each call and set nowhere else.
-``gqam`` is one generalized quasi-arithmetic mean: evaluate f1..fn, sum,
-invert the sum F = f1+...+fn.  Gauss iteration, with its stopping
-rules (a closed gap, a stalled gap, or a Shanks estimate of the limit),
-is written once in ``orbit``, which names the rule that ended it.
-``cyclic_gauss`` runs it over a fused step that computes the n rotated
-means of the cyclic mapping from one call of the member matrix.  Each
-mean's target is a fold of that matrix, and so are F(min x) and
-F(max x), the values at the bracket all n solves share: F's program
-is the left fold of the members', so the step gives what ``gqam``
-gives on each rotation, bit for bit, and fails (``STATUS_NONFINITE``)
-where a member value or one of those two folds is not finite.
-``gauss`` runs ``orbit`` over the components of any other mean-type
-mapping.
+A system's generalized quasi-arithmetic means are computed in one
+place, ``rotated_means``: one call of the member matrix gives the
+targets of the rotated means of the cyclic mapping and, as folds,
+F(min x) and F(max x) for F = f1+...+fn, then one solve per mean
+inverts F.  ``gqam``, one mean, is its first rotation.  Gauss
+iteration, with its stopping rules (a closed gap, a stalled gap, or a
+Shanks estimate of the limit), is written once in ``orbit``, which
+names the rule that ended it.  ``cyclic_gauss`` runs it over all n
+rotations, so a Gauss step is ``gqam`` on each rotation.  ``gauss``
+runs ``orbit`` over the components of any other mean-type mapping.
 
 ``ACTIVE`` holds the kernels, a ``KernelSet`` of ``eval_one``,
 ``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  Callers read
 it at each call, so a wrapper installed there (the benchmark's tracer)
-sees every kernel call.  ``Generator.body``, ``GeneratorSystem.program``
-and ``GeneratorSystem.matrix`` hand the kernels their programs: a
-generator's body, a system's member bodies and sum body, and its
-member matrix.
+sees every kernel call.  ``Generator.body`` and
+``GeneratorSystem.program`` hand the kernels their programs: a
+generator's body, and a system's member matrix and sum body.
 
 Kernels never raise, save for a ``TypeError`` from calling a body of
 the wrong arity.  Scalar evaluation signals trouble with NaN and the
@@ -112,8 +108,8 @@ def invert(g, y, lo, hi, glo, ghi):
     A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``);
     a NaN target is bracketed by no values (``STATUS_RANGE``).
     Returns (x, status).  The callers evaluate the endpoints:
-    ``Generator.invert_on`` and ``gqam`` on g itself, the Gauss step once
-    for all its solves.
+    ``Generator.invert_on`` on g itself, ``rotated_means`` off the member
+    matrix, once for all its solves.
     """
     if math.isnan(glo) or math.isnan(ghi):
         return math.nan, STATUS_NONFINITE
@@ -323,32 +319,22 @@ def eval_grid(body, xs):
     return [body(float(x)) for x in xs]
 
 
-def gqam(bodies, total, xs):
-    """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, with
-    ``total`` the body of the sum, solved on [min xs, max xs], which
-    brackets it by the mean property."""
-    s = 0.0
-    for body, x in zip(bodies, xs):
-        v = body(x)
-        if math.isnan(v):
-            return math.nan, STATUS_NONFINITE
-        s += v
-    lo, hi = min(xs), max(xs)
-    return invert(total, s, lo, hi, total(lo), total(hi))
+def rotated_means(matrix, total, count):
+    """The step ``step(x, mn, mx) -> (status, out)`` that gives the means
+    of the first ``count`` rotations of the list of floats x, of span
+    [mn, mx], for a system given by its member matrix and sum body.
 
+    Rotation i is F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n]
+    and F = f1+...+fn, solved on [mn, mx], which brackets it by the mean
+    property.  One call of the member matrix gives every target and, in
+    the columns where mn and mx first sit, F(mn) and F(mx), shared by
+    the solves (a zero may differ in sign from the sum body's, which the
+    solve never reads).  The step fails (``STATUS_NONFINITE``) where a
+    member value at any coordinate, or one of those two folds, is not
+    finite, and otherwise with the status of the first solve that fails.
+    """
 
-def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
-    """Gauss iteration of the cyclic mapping of a system, given its
-    member matrix and sum body, from the list of floats x0: ``orbit``'s
-    (iterations_used, status, rows, gaps, estimate, stop)."""
-
-    def rotated_means(x, mn, mx):
-        # Component i of the cyclic mapping is the mean of x rotated by i,
-        # F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n] and
-        # F = f1+...+fn, solved on [mn, mx].  One call of the member matrix
-        # gives every target and, in the columns where mn and mx first sit,
-        # F(mn) and F(mx): the sum program's values there (a zero may differ
-        # in sign, which the solve never reads), shared by the n solves.
+    def step(x, mn, mx):
         m = matrix(*x)
         if m is None:
             return STATUS_NONFINITE, None
@@ -358,14 +344,30 @@ def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
         if not (math.isfinite(glo) and math.isfinite(ghi)):
             return STATUS_NONFINITE, None
         out = []
-        for y in targets:
+        for y in targets[:count]:
             val, st = invert(total, y, mn, mx, glo, ghi)
             if st != STATUS_OK:
                 return st, None
             out.append(val)
         return STATUS_OK, out
 
-    return orbit(rotated_means, x0, gap_tol, max_iter)
+    return step
+
+
+def gqam(matrix, total, xs):
+    """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, given
+    the system's member matrix and sum body: the first rotated mean of
+    ``rotated_means``, as (value, status)."""
+    status, out = rotated_means(matrix, total, 1)(xs, min(xs), max(xs))
+    return (out[0], status) if status == STATUS_OK else (math.nan, status)
+
+
+def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
+    """Gauss iteration of the cyclic mapping of a system, given its
+    member matrix and sum body, from the list of floats x0: ``orbit``
+    over the step of all n ``rotated_means``, as (iterations_used,
+    status, rows, gaps, estimate, stop)."""
+    return orbit(rotated_means(matrix, total, len(x0)), x0, gap_tol, max_iter)
 
 
 # The kernels.  Callers read ACTIVE at each call and never keep it: the
@@ -393,9 +395,8 @@ def warm_up():
     cube = Binary("*", Binary("*", X, X), X)
     system = GeneratorSystem([Generator(dom, expr=X, validate=False),
                               Generator(dom, expr=cube, validate=False)])
-    bodies, total = system.program()
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])
     ACTIVE.invert(body, 2.0, 0.5, 4.0, body(0.5), body(4.0))
-    ACTIVE.gqam(bodies, total, [1.0, 2.0])
-    ACTIVE.cyclic_gauss(system.matrix(), total, [1.0, 2.0], 1e-10, 100)
+    ACTIVE.gqam(*system.program(), [1.0, 2.0])
+    ACTIVE.cyclic_gauss(*system.program(), [1.0, 2.0], 1e-10, 100)

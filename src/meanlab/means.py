@@ -13,7 +13,9 @@ caller gives them, anywhere in the open interval; a generator that is
 not finite at one of them is an EvalError.  Both run the one solve,
 ``kernels.invert``: ``qam_eval`` through ``Generator.invert_on``,
 ``gqam_eval`` as one call of ``kernels.ACTIVE.gqam`` on the system's
-program.
+program, its member matrix and sum body: the mean is the first rotation
+of the fused Gauss step, so it evaluates every member at every point
+and is an EvalError where any of them is not finite.
 
 The Mean class hierarchy wraps evaluators with domain and arity
 validation so mapping/iteration code can treat all means uniformly.
@@ -30,7 +32,8 @@ from .interval import Interval, seeded_rng
 
 # Slack applied to mean bound comparisons, scaled by max(|min|, |max|) of the inputs.
 BOUND_SLACK = 1e-9
-# Bounds are only tested strictly when the inputs are spread wider than this.
+# Bounds are only tested strictly when the inputs spread wider than this
+# fraction of max(|min|, |max|).
 STRICTNESS_SPREAD = 1e-6
 REFLEXIVITY_TOL = 1e-9
 EQUALITY_FIT_THRESHOLD = 1e-6
@@ -197,8 +200,8 @@ def minmax_blend(domain: Interval, top_weight: float = 0.7) -> FunctionMean:
 class MeanPropertyReport(NamedTuple):
     """Bounds check min <= M(xs) <= max with slack BOUND_SLACK times
     max(|min|, |max|), relative to the inputs at every scale, plus
-    strictness when the inputs are spread enough to make strictness
-    meaningful."""
+    strictness, min < M(xs) < max exactly, when the inputs spread wider
+    than STRICTNESS_SPREAD times max(|min|, |max|)."""
 
     passed: bool
     value: float
@@ -216,12 +219,8 @@ def mean_property_check(mean: Mean, xs: Sequence[float]) -> MeanPropertyReport:
     hi = max(pts)
     s = BOUND_SLACK * max(abs(lo), abs(hi))
     bounds_ok = (lo - s <= v) and (v <= hi + s)
-    strict_checked = (hi - lo) > STRICTNESS_SPREAD
-    strict_ok = None
-    if strict_checked:
-        # strictness is asserted up to slack: the value must not sit
-        # beyond either bound, machine noise aside
-        strict_ok = (v - lo > -s) and (hi - v > -s)
+    strict_checked = hi - lo > STRICTNESS_SPREAD * max(abs(lo), abs(hi))
+    strict_ok = lo < v < hi if strict_checked else None
     passed = bounds_ok and (strict_ok is not False)
     return MeanPropertyReport(passed, v, lo, hi, s, strict_checked, strict_ok)
 

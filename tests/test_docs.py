@@ -1,13 +1,16 @@
-"""The public examples run: the README's library block and the package
-docstring's doctest, with the results their comments state."""
+"""The public examples run: the README's library block, its CLI
+examples that show their output, and the package docstring's doctest,
+with the results their comments state."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import meanlab
+from meanlab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +30,51 @@ def test_readme_library_block_gives_its_commented_results():
     verdict = ns["verdict"]
     assert verdict.summary() == "refuted: failed strict-monotonicity, generalized-bisymmetry"
     assert verdict.witness_residual == pytest.approx(1.25, rel=1e-6)
+
+
+def _cli_examples():
+    """(comment, argv, shown lines) of each ``$ meanlab`` line of the
+    README's CLI block that is followed by its output; the comment is
+    the last one above it."""
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = []
+    comment, current = "", None
+    for line in block.splitlines():
+        if line.startswith("# "):
+            comment, current = line, None
+        elif line.startswith("$ meanlab "):
+            current = (comment, shlex.split(line, comments=True)[2:], [])
+            examples.append(current)
+        elif not line:
+            current = None
+        elif current is not None:
+            current[2].append(line)
+    return [example for example in examples if example[2]]
+
+
+CLI_EXAMPLES = _cli_examples()
+
+
+def test_the_readme_shows_four_cli_outputs():
+    # eval on x, 2*x and on log(x), the head of compose, the exit-4 case
+    assert len(CLI_EXAMPLES) == 4
+
+
+@pytest.mark.parametrize("comment,argv,shown", CLI_EXAMPLES,
+                         ids=[" ".join(argv) for _, argv, _ in CLI_EXAMPLES])
+def test_readme_cli_example_prints_the_lines_it_shows(capsys, comment, argv, shown):
+    # the shown lines appear in order, "..." and the run time aside; the
+    # exit code is 0 unless the comment says "exits N"
+    code = main(argv)
+    captured = capsys.readouterr()
+    printed = iter((captured.out + captured.err).splitlines())
+    for line in shown:
+        if line != "  ..." and "done in" not in line:
+            assert line in printed, line
+    expected = re.search(r"exits (\d)", comment)
+    assert code == (int(expected.group(1)) if expected else 0)
 
 
 def test_package_doctests_pass():

@@ -213,10 +213,14 @@ def test_composition_of_identical_arithmetic_components():
 def test_composition_validation_rejects_non_mean():
     bogus = FunctionMean(lambda pts: max(pts) + 1.0, POS, arity=2, label="over")
     mapping = MeanTypeMapping([bogus, fixed_arity(arithmetic_mean(POS), 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'over' .* outside"):
         gauss_composition(mapping)
     # the class itself does not validate; construction succeeds
     assert isinstance(GaussComposition(mapping), GaussComposition)
+    # min is within every bound but on one, not strictly inside
+    low = FunctionMean(min, POS, arity=2, label="min")
+    with pytest.raises(ValueError, match=r"'min' .* sits on a bound of"):
+        gauss_composition(MeanTypeMapping([low, fixed_arity(arithmetic_mean(POS), 2)]))
 
 
 def test_composition_closed_form_for_weighted_pair():

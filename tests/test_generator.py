@@ -224,7 +224,7 @@ def test_callable_inversion_matches_tape(monkeypatch):
         seen = set()
         for tol in (1e-12, 0.0):
             monkeypatch.setattr(kernels, "INVERT_TOL", tol)
-            for y in np.linspace(-1.0, tree._raw(hi) + 1.0, 97):
+            for y in np.linspace(-1.0, tree.body()(hi) + 1.0, 97):
                 got = _invert_outcome(fn, float(y), lo, hi)
                 assert got == _invert_outcome(tree, float(y), lo, hi)
                 seen.add(got[0] if isinstance(got, tuple) else type(got))
@@ -434,17 +434,17 @@ def test_systems_hand_the_body_family_each_members_own_body():
     value = {cube: lambda x: x**3, line: lambda x: x, square: lambda x: x * x}
     for members in ([cube, line], [cube, cube], trees):
         system = GeneratorSystem(members)
-        bodies, total = system.program()
-        matrix = system.matrix()
-        for j, g in enumerate(members):  # slot j evaluates member j
+        matrix, total = system.program()
+        for g in members:
             for x in (0.5, 2.5):
-                assert bodies[j](x) == value[g](x)
+                assert g.body()(x) == value[g](x)
         for x in ([0.5, 2.5], [2.5, 0.5]):  # row j of the matrix is member j
-            folds = matrix(*x)[1]
+            targets, folds = matrix(*x)
+            assert targets[0] == value[members[0]](x[0]) + value[members[1]](x[1])
             assert folds == [value[members[0]](v) + value[members[1]](v) for v in x]
             assert folds == [total(v) for v in x]
     # the lowered body is the tree's value, NaN where it is not finite
-    assert line.body()(2.5) == line._raw(2.5) == 2.5
+    assert line.body()(2.5) == line.eval_inside(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
     # a callable is guarded once, when its body is made
     for fails in (math.log, lambda x: 1 / (x - x), lambda x: 10**400 * x,
@@ -457,7 +457,7 @@ def test_systems_hand_the_body_family_each_members_own_body():
     with pytest.raises(TypeError):
         kernels.ACTIVE.gqam(*system.program(), [1.0, 2.0])
     with pytest.raises(TypeError):
-        system.matrix()(1.0, 2.0)
+        system.program()[0](1.0, 2.0)
 
 
 def test_system_affine():

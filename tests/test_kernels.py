@@ -1,8 +1,8 @@
 """Kernel contracts: lowered trees bit for bit with the tree walker,
 member matrices bit for bit with the folds of the member bodies, one
-fused Gauss step bit for bit with the rotated means it computes, fused
-orbits with the generic Gauss loop, and status codes that classify
-every failure mode."""
+fused Gauss step and ``gqam`` bit for bit with the rotated means
+computed from the member bodies, fused orbits with the generic Gauss
+loop, and status codes that classify every failure mode."""
 
 import math
 import struct
@@ -18,6 +18,7 @@ from meanlab import (
     Interval,
     builtin_systems,
     cyclic_mapping,
+    gqam_eval,
     kernels,
     sum_generators,
 )
@@ -44,10 +45,23 @@ def body(source):
 
 
 def program(*sources, domain=Interval(0.1, 5.0)):
-    """(bodies, total, matrix) of the system of the given expression members."""
+    """(matrix, total) of the system of the given expression members."""
     members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
-    system = GeneratorSystem(members)
-    return (*system.program(), system.matrix())
+    return GeneratorSystem(members).program()
+
+
+def reference_gqam(bodies, total, xs):
+    """The generalized mean from the member bodies, as (value, status):
+    each member at its own coordinate, summed in member order, then the
+    sum body solved for on [min xs, max xs], given its values there."""
+    s = 0.0
+    for b, x in zip(bodies, xs):
+        v = b(x)
+        if math.isnan(v):
+            return math.nan, STATUS_NONFINITE
+        s += v
+    lo, hi = min(xs), max(xs)
+    return kernels.invert(total, s, lo, hi, total(lo), total(hi))
 
 
 # --- evaluation -------------------------------------------------------------
@@ -272,9 +286,9 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
     cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
     system = GeneratorSystem([Generator.from_expression("x^2", dom), cube,
                               Generator.from_expression("log(x)", dom)])
-    bodies, total = system.program()
-    matrix = system.matrix()
-    assert system.matrix() is matrix  # made once
+    matrix, total = system.program()
+    assert system.program()[0] is matrix  # made once
+    bodies = [g.body() for g in system]
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(0.1, 5.0, 3).tolist()
@@ -379,15 +393,13 @@ def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
 
 
 def test_gqam_weighted_pair_closed_form(ks):
-    bodies, total, _ = program("x", "2*x")
-    val, status = ks.gqam(bodies, total, [1.0, 4.0])
+    val, status = ks.gqam(*program("x", "2*x"), [1.0, 4.0])
     assert status == STATUS_OK
     assert val == pytest.approx(3.0, abs=1e-9)  # (x1 + 2 x2) / 3
 
 
 def test_gqam_flags_domain_violation(ks):
-    bodies, total, _ = program("log(x)", "x")
-    val, status = ks.gqam(bodies, total, [-1.0, 2.0])
+    val, status = ks.gqam(*program("log(x)", "x"), [-1.0, 2.0])
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
 
@@ -396,7 +408,7 @@ def test_gqam_flags_domain_violation(ks):
 
 
 def run_cyclic(ks, sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
-    _, total, matrix = program(*sources, domain=domain)
+    matrix, total = program(*sources, domain=domain)
     used, status, iterates, gaps, _, _ = ks.cyclic_gauss(matrix, total, [float(v) for v in x0],
                                                          gap_tol, max_iter)
     assert len(iterates) == len(gaps) == used + 1
@@ -435,8 +447,7 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
     dom = Interval(*interval)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    _, total = system.program()
-    fused = kernels.ACTIVE.cyclic_gauss(system.matrix(), total, x0, 1e-10, 2000)
+    fused = kernels.ACTIVE.cyclic_gauss(*system.program(), x0, 1e-10, 2000)
     generic = kernels.orbit(lambda x, mn, mx: (STATUS_OK, list(mapping.apply(x))),
                             x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK and fused[5] in ("gap", "stall", "extrapolated")
@@ -506,15 +517,14 @@ def mixed_system():
 
 
 def on_family(family, sources, domain=Interval(0.1, 5.0)):
-    """(bodies, total, matrix) of a system of expression members, inlined into
-    the member matrix, or of the same members' lowered bodies as
-    callables, which the matrix calls."""
+    """A system of expression members, inlined into the member matrix,
+    or of the same members' lowered bodies as callables, which the
+    matrix calls."""
     if family == "lowered":
         members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     else:
         members = [Generator(domain, fn=body(s), label=s, validate=False) for s in sources]
-    system = GeneratorSystem(members)
-    return (*system.program(), system.matrix())
+    return GeneratorSystem(members)
 
 
 def one_step(matrix, total, x):
@@ -522,13 +532,19 @@ def one_step(matrix, total, x):
     return used, status, iterates[-1]
 
 
-def assert_step_is_the_rotated_means(bodies, total, matrix, x):
+def assert_step_is_the_rotated_means(system, x):
+    # the rotated means from the member bodies, the step's and gqam's
     x = [float(v) for v in x]
+    matrix, total = system.program()
+    bodies = [g.body() for g in system]
+    rotations = [x[-i:] + x[:-i] for i in range(len(x))]
+    means = [reference_gqam(bodies, total, r) for r in rotations]
+    assert [st for _, st in means] == [STATUS_OK] * len(x)
     used, status, step = one_step(matrix, total, x)
     assert (used, status) == (1, STATUS_BUDGET)
-    means = [kernels.ACTIVE.gqam(bodies, total, x[-i:] + x[:-i]) for i in range(len(x))]
-    assert [st for _, st in means] == [STATUS_OK] * len(x)
-    assert step == [val for val, _ in means], x
+    assert bits([step]) == bits([[val for val, _ in means]]), x
+    got = [kernels.ACTIVE.gqam(matrix, total, r) for r in rotations]
+    assert bits(got) == bits(means), x
 
 
 @pytest.mark.parametrize("family", ["lowered", "callable"])
@@ -538,22 +554,24 @@ def assert_step_is_the_rotated_means(bodies, total, matrix, x):
     (["log(x)", "x"], (0.1, 10.0)),
     (["exp(x)", "x"], (0.0, 3.0)),
     (["x^1.1", "x^1.2"], (1e6, 1e7)),
+    (["x", "x^2", "x^3", "log(x)"], (0.1, 5.0)),
+    (["x", "x^1.5", "x^2", "x^2.5", "x^3", "exp(x)"], (0.1, 5.0)),
+    (["x", "2*x", "x^2", "x^3", "log(x)", "sqrt(x)", "exp(x)", "x^1.5"], (0.1, 5.0)),
 ])
 def test_one_fused_step_is_the_rotated_means_bit_for_bit(family, sources, interval):
-    # the step reads its targets and the shared F(min), F(max) off one
-    # matrix of member values; gqam evaluates them its own way
-    program = on_family(family, sources, Interval(*interval))
+    # the step and gqam read their targets and the shared F(min), F(max)
+    # off one matrix of member values; the reference evaluates them from
+    # the member bodies and the sum body
+    system = on_family(family, sources, Interval(*interval))
     rng = np.random.default_rng(11)
     for _ in range(25):
-        assert_step_is_the_rotated_means(*program, rng.uniform(*interval, len(sources)))
+        assert_step_is_the_rotated_means(system, rng.uniform(*interval, len(sources)))
 
 
 def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
-    system = mixed_system()
-    program = (*system.program(), system.matrix())
     rng = np.random.default_rng(12)
     for _ in range(25):
-        assert_step_is_the_rotated_means(*program, rng.uniform(0.1, 5.0, 2))
+        assert_step_is_the_rotated_means(mixed_system(), rng.uniform(0.1, 5.0, 2))
 
 
 @pytest.mark.parametrize("family", ["lowered", "callable"])
@@ -562,9 +580,29 @@ def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
     (["x*1e308", "x*1e308"], [0.5, 1.5]),  # members are, their sum at max x is not
 ])
 def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sources, x):
-    _, total, matrix = on_family(family, sources)
+    matrix, total = on_family(family, sources).program()
     used, status, _ = one_step(matrix, total, x)
     assert (used, status) == (0, STATUS_NONFINITE)
+    val, status = kernels.ACTIVE.gqam(matrix, total, x)
+    assert status == STATUS_NONFINITE and math.isnan(val)
+
+
+def test_a_member_not_finite_at_another_coordinate_fails_the_mean():
+    # the first member is NaN at 2.0 alone, off its validation grid: the
+    # member bodies never evaluate it there at (1, 2, 3), but gqam, like
+    # the fused step, evaluates every member at every coordinate
+    dom = Interval(0.1, 5.0)
+    hole = Generator.from_callable(lambda x: math.nan if x == 2.0 else x, dom, label="hole")
+    system = GeneratorSystem([hole, Generator.from_expression("x^2", dom),
+                              Generator.from_expression("x^3", dom)])
+    xs = [1.0, 2.0, 3.0]
+    matrix, total = system.program()
+    assert reference_gqam([g.body() for g in system], total, xs)[1] == STATUS_OK
+    val, status = kernels.ACTIVE.gqam(matrix, total, xs)
+    assert status == STATUS_NONFINITE and math.isnan(val)
+    assert one_step(matrix, total, xs)[:2] == (0, STATUS_NONFINITE)
+    with pytest.raises(EvalError, match="not finite inside"):
+        gqam_eval(system, xs)
 
 
 # points from +-1e-300 to +-1e300, signed zeros, infinities and NaN
@@ -574,7 +612,8 @@ FOLD_POINTS = [sign * 10.0**e for e in range(-300, 301, 20) for sign in (1.0, -1
 
 @pytest.mark.parametrize("name", [*builtin_systems(), "mixed"])
 def test_sum_body_is_the_fold_of_the_member_bodies(name):
-    # what the fused step relies on to read F off its member matrix:
+    # the solve reads F at the bracket's ends off the member matrix and
+    # inside it from the sum body, which agree:
     # F(x) == 0.0 + f1(x) + ... + fn(x), NaN exactly where that is not finite
     system = mixed_system() if name == "mixed" else builtin_systems()[name]
     members = [g.body() for g in system]

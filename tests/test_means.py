@@ -225,6 +225,24 @@ def test_mean_property_detects_violation():
     assert not mean_property_check(bogus, (1.0, 3.0)).passed
 
 
+def test_mean_property_strictness_is_exact():
+    from meanlab import FunctionMean
+
+    # min and max are within the bounds and on one of them
+    for bound in (min, max):
+        report = mean_property_check(FunctionMean(bound, I010), (1.0, 3.0))
+        assert report.strict_checked and report.strict_ok is False
+        assert not report.passed
+    # strictness is tested at any scale once the spread exceeds 1e-6 of
+    # the inputs' size, and not below that
+    am = arithmetic_mean(I010)
+    assert mean_property_check(am, (1e-12, 2e-12)).strict_ok is True
+    assert mean_property_check(am, (1.0, 1.0 + 1e-9)).strict_checked is False
+    low = FunctionMean(min, I010)
+    assert mean_property_check(low, (1e-12, 2e-12)).passed is False
+    assert mean_property_check(low, (1.0, 1.0 + 1e-9)).passed is True
+
+
 def test_mean_property_slack_follows_the_inputs_scale():
     from meanlab import FunctionMean
 
@@ -388,5 +406,11 @@ def test_per_variable_monotonicity(case, coord):
 @example(("x,x^2,x^3", [0.1 + 2e-15, 0.1 + 1e-15, 0.1 + 3e-15]))
 def test_mean_property_random(case):
     name, pts = case
-    m = GeneralizedQuasiArithmeticMean(SYSTEMS[name])
-    assert mean_property_check(m, pts).passed
+    system = SYSTEMS[name]
+    report = mean_property_check(GeneralizedQuasiArithmeticMean(system), pts)
+    assert report.low - report.slack <= report.value <= report.high + report.slack
+    # strictness fails only where the sum of the generators takes one
+    # float value on the whole span (exp(x) + x at 1e-300 and 2e-300 is
+    # 1.0 at both), so that no solve of it tells the mean from a bound
+    total = system.sum_generator()
+    assert report.passed or total.eval_inside(report.low) == total.eval_inside(report.high)
