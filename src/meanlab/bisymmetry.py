@@ -153,12 +153,10 @@ def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
     """The equation for a fixed-arity mean M and the composed limit mean
     K the caller supplies: lhs K(M_1(column 1), ..., M_n(column n)), rhs
     K(M_1(row 1), ..., M_n(row n)), for the rotations M_i of M in
-    ``cyclic_mapping(M)``.
+    ``cyclic_mapping(M)``, which refuses a variadic M.
     """
-    if mean.arity is None:
-        raise ValueError("gbs_for_mean_check needs a fixed-arity mean")
-    m = validate_matrix(matrix, mean.domain, rows=mean.arity, cols=mean.arity)
     comps = cyclic_mapping(mean).components
+    m = validate_matrix(matrix, mean.domain, rows=len(comps), cols=len(comps))
     rows = composition([c(row) for c, row in zip(comps, m)])
     columns = composition([c(_column(m, i)) for i, c in enumerate(comps)])
     return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
@@ -258,6 +256,8 @@ def characterize(
     proves consistency; a witness, however, is a checkable refutation.
     """
     n = mean.arity if mean.arity is not None else 2
+    # one rotation family: K iterates the rotations the equation evaluates
+    pinned = fixed_arity(mean, n)
     dom = mean.domain
     rngs = seeded_rng(seed).spawn(3)
     notes = [
@@ -289,7 +289,7 @@ def characterize(
     trials_run = 0
     witness = None
     try:
-        mapping = cyclic_mapping(mean, arity=n)
+        mapping = cyclic_mapping(pinned)
         composition = GaussComposition(mapping, DEFAULT_GAP_TOL, max_iterations)
         # force one evaluation so convergence failures surface here
         probe = dom.grid(max(2, n))[:n]
@@ -298,7 +298,6 @@ def characterize(
         notes.append(f"composition did not converge: {exc}")
         phases.append(("composition-convergence", False))
     else:
-        pinned = fixed_arity(mean, n)
         errors = 0
         for m in _search_matrices(dom, n, rngs[2], trials):
             trials_run += 1

@@ -44,12 +44,15 @@ class PermutedMean(Mean):
     """A mean pre-composed with a cyclic rotation of its arguments.
 
     ``arity`` pins the number of arguments, which a variadic base leaves
-    open; shift 0 with a pinned arity is a plain arity pin.
+    open; shift 0 with a pinned arity is a plain arity pin.  A fixed-arity
+    base takes exactly its arity, so any other ``arity`` is an error here.
     """
 
     __slots__ = ("base", "shift")
 
     def __init__(self, base: Mean, shift: int, arity: int | None = None):
+        if base.arity is not None and arity not in (None, base.arity):
+            raise ValueError(f"mean {base.label!r} has arity {base.arity}, not {arity}")
         super().__init__(
             base.domain,
             arity=base.arity if arity is None else arity,
@@ -59,7 +62,9 @@ class PermutedMean(Mean):
         self.shift = shift
 
     def _evaluate(self, pts):
-        return self.base(rotated(pts, self.shift))
+        # the points are checked: floats, as many as the base takes, and
+        # inside the domain the base shares
+        return self.base._evaluate(list(rotated(pts, self.shift)))
 
 
 class MeanTypeMapping:
@@ -115,20 +120,12 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
     by i before evaluating, for i = 0..n-1.
 
     A variadic mean needs an explicit arity; a fixed-arity mean fixes n
-    itself (a matching explicit arity is accepted).
+    itself (a matching explicit arity is accepted, another is an error of
+    ``PermutedMean``).
     """
-    if mean.arity is not None:
-        if arity is not None and arity != mean.arity:
-            raise ValueError(
-                f"mean {mean.label!r} has arity {mean.arity}, not {arity}"
-            )
-        n = mean.arity
-    else:
-        if arity is None:
-            raise ValueError("a variadic mean needs an explicit arity")
-        n = arity
-        if n < 1:
-            raise ValueError("arity must be at least 1")
+    n = mean.arity if arity is None else arity
+    if n is None:
+        raise ValueError("a variadic mean needs an explicit arity")
     # rotating a variadic mean still needs fixed-length vectors here, so
     # every rotation pins the arity
     comps = [fixed_arity(mean, n), *(PermutedMean(mean, i, n) for i in range(1, n))]
@@ -138,9 +135,6 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
 
 def fixed_arity(mean: Mean, n: int) -> Mean:
     """The mean itself if its arity is already n, a variadic mean pinned
-    to n arguments otherwise; mismatched fixed arities are an error."""
-    if mean.arity == n:
-        return mean
-    if mean.arity is not None:
-        raise ValueError(f"mean {mean.label!r} has arity {mean.arity}, not {n}")
-    return PermutedMean(mean, 0, n)
+    to n arguments otherwise; ``PermutedMean`` refuses a fixed arity that
+    is not n."""
+    return mean if mean.arity == n else PermutedMean(mean, 0, n)

@@ -260,17 +260,12 @@ class SymmetryCheckReport(NamedTuple):
     worst_rotation: int
 
 
-def cyclic_symmetry_check(mean_or_system, samples: int = 50) -> SymmetryCheckReport:
+def cyclic_symmetry_check(mean: Mean, samples: int = 50) -> SymmetryCheckReport:
     """The composed limit must not care how the start vector is rotated,
-    even though each individual component does."""
-    if isinstance(mean_or_system, GeneratorSystem):
-        mean: Mean = GeneralizedQuasiArithmeticMean(mean_or_system)
-    else:
-        mean = mean_or_system
-    if mean.arity is None:
-        raise ValueError("cyclic symmetry needs a fixed-arity mean")
+    even though each individual component does; ``mean`` has a fixed
+    arity, which ``cyclic_mapping`` requires."""
     mapping = cyclic_mapping(mean)
-    n = mean.arity
+    n = mapping.arity
     passed = True
     worst = -1.0
     worst_point = None

@@ -14,8 +14,9 @@ sum body, its one program.  Every evaluation, inversion, mean and fused
 Gauss orbit runs the same kernels on those programs, read from
 ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
-invertibility.  A callable enters a tree only through ``fn=``, which
-guards it.  A caller's point is evaluated exactly where it is.
+invertibility.  A callable enters a tree only through
+``Generator.from_callable``, which guards it.  A caller's point is
+evaluated exactly where it is.
 
 Inversion is bracketed: bisection with Illinois-damped secant refinement,
 terminating on a residual test relative to |y| and to the generator's
@@ -32,7 +33,7 @@ generator), and so for every Gauss step, fused or not.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
@@ -72,9 +73,9 @@ class MonotonicityReport(NamedTuple):
 
 class Generator:
     """A strictly increasing scalar function on an interval, given as an
-    expression tree ``expr`` or as a Python callable ``fn``, which is
-    guarded and kept as the tree.  A callable in ``expr`` that
-    ``kernels.guard`` did not make, bare or as a leaf, is a TypeError."""
+    expression tree ``expr``; ``from_callable`` makes the tree of a
+    Python callable.  A callable in ``expr`` that ``kernels.guard`` did
+    not make, bare or as a leaf, is a TypeError."""
 
     __slots__ = ("domain", "label", "expr", "_body")
 
@@ -82,20 +83,17 @@ class Generator:
         self,
         domain: Interval,
         *,
-        expr: Expr | None = None,
-        fn: Callable[[float], float] | None = None,
+        expr: Expr,
         label: str = "f",
         validate: bool = True,
     ):
-        if (expr is None) == (fn is None):
-            raise ValueError("exactly one of expr or fn is required")
-        raw = None if fn is not None else _raw_callable(expr)
+        raw = _raw_callable(expr)
         if raw is not None:
-            raise TypeError(f"expr holds the unguarded callable {raw!r}; pass a"
-                            " callable as fn= or build with Generator.from_callable")
+            raise TypeError(f"expr holds the unguarded callable {raw!r};"
+                            " build a generator of a callable with Generator.from_callable")
         self.domain = domain
         self.label = label
-        self.expr = expr if fn is None else kernels.guard(fn)
+        self.expr = expr
         self._body = None
         if validate:
             report = check_monotone(self)
@@ -117,7 +115,8 @@ class Generator:
 
     @classmethod
     def from_callable(cls, fn, domain: Interval, *, label="f", validate=True):
-        return cls(domain, fn=fn, label=label, validate=validate)
+        """Build from a Python callable, guarded once as a tree of one leaf."""
+        return cls(domain, expr=kernels.guard(fn), label=label, validate=validate)
 
     def body(self):
         """The generator as a body of the kernels, a Python
@@ -318,13 +317,14 @@ class GeneratorSystem:
 
 
 def sum_generators(generators) -> Generator:
-    """Pointwise sum of generators on one interval.
+    """Pointwise sum of generators on one interval, from any iterable of
+    them, a ``GeneratorSystem`` included.
 
     A sum of strictly increasing functions is strictly increasing, so the
     grid check is skipped.  The sum is the left-folded tree
     f1 + ... + fn of the members' trees.
     """
-    gens = tuple(generators.generators if isinstance(generators, GeneratorSystem) else generators)
+    gens = tuple(generators)
     if not gens:
         raise ValueError("sum_generators needs at least one generator")
     domain = gens[0].domain

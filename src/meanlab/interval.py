@@ -30,7 +30,8 @@ def seeded_rng(seed):
 
 
 class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
-    """A non-degenerate open interval (lo, hi) of the real line."""
+    """A non-degenerate open interval (lo, hi) of the real line: a finite
+    width and at least one float strictly between the ends."""
 
     __slots__ = ()
 
@@ -40,6 +41,10 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
             raise ValueError("interval endpoints must be finite")
         if not lo < hi:
             raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"interval ({lo}, {hi}) is too wide: hi - lo overflows")
+        if not math.nextafter(lo, hi) < hi:
+            raise ValueError(f"interval ({lo}, {hi}) holds no float between its ends")
         return super().__new__(cls, lo, hi)
 
     def contains(self, x: float) -> bool:
@@ -60,14 +65,19 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         """Absolute margin kept from each end by grid() and sample()."""
         return ENDPOINT_INSET * self.width
 
+    def _inset_ends(self) -> tuple:
+        """The ends of grid() and sample(): the inset from each end, and at
+        least the next float inward where the inset rounds back onto it."""
+        lo, hi, inset = self.lo, self.hi, self.inset
+        return max(lo + inset, math.nextafter(lo, hi)), min(hi - inset, math.nextafter(hi, lo))
+
     def grid(self, count: int) -> list:
         """``count`` equally spaced points on the inset interior, endpoints
         included, as a list of floats: i*step + start with the last point
         set to the end, which is ``numpy.linspace`` bit for bit."""
         if count < 2:
             raise ValueError("grid needs at least 2 points")
-        start = self.lo + self.inset
-        stop = self.hi - self.inset
+        start, stop = self._inset_ends()
         step = (stop - start) / (count - 1)
         points = [i * step + start for i in range(count)]
         points[-1] = stop
@@ -78,7 +88,7 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         ``uniform(lo, hi, size)`` (``seeded_rng``'s generator or a
         ``numpy.random.Generator``): a float when ``size`` is None, else
         the draws of shape ``size`` as ``rng`` returns them."""
-        return rng.uniform(self.lo + self.inset, self.hi - self.inset, size)
+        return rng.uniform(*self._inset_ends(), size)
 
     def __str__(self):
         return f"({self.lo}, {self.hi})"

@@ -31,9 +31,14 @@ rotations, so a Gauss step is ``gqam`` on each rotation.  ``gauss``
 runs ``orbit`` over the components of any other mean-type mapping.
 
 ``ACTIVE`` holds the kernels, a ``KernelSet`` of ``eval_one``,
-``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  Callers read
-it at each call, so a wrapper installed there (the benchmark's tracer)
-sees every kernel call.  ``Generator.body`` and
+``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  The package's
+callers outside this module read it at each call, so a wrapper installed
+there (the benchmark's tracer) sees each of their calls.  Calls inside
+the kernels do not go through ``ACTIVE``: the solves of
+``rotated_means``, the ``orbit`` of ``cyclic_gauss`` and the step of
+``gqam`` call the functions of this module directly, so a wrapper on
+``ACTIVE.invert`` counts only the solves of ``Generator.invert_on``.
+``Generator.body`` and
 ``GeneratorSystem.program`` hand the kernels their programs: a
 generator's body, and a system's member matrix and sum body.
 
@@ -357,7 +362,9 @@ def rotated_means(matrix, total, count):
 def gqam(matrix, total, xs):
     """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, given
     the system's member matrix and sum body: the first rotated mean of
-    ``rotated_means``, as (value, status)."""
+    ``rotated_means``, as (value, status).  Its one call of the member
+    matrix evaluates every member at every coordinate: n^2 member values
+    for one mean, which needs only f_j(x_j) and F at min xs and max xs."""
     status, out = rotated_means(matrix, total, 1)(xs, min(xs), max(xs))
     return (out[0], status) if status == STATUS_OK else (math.nan, status)
 

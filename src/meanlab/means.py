@@ -265,10 +265,7 @@ def _equality(pairs, mean_a, mean_b, arity, probes, seed, threshold) -> Equality
     largest gap between the means ``mean_a`` and ``mean_b`` on ``probes``
     seeded random vectors of length ``arity`` from the generators' interval."""
     slopes, offsets, residuals = zip(*(affine_fit(f, g) for f, g in pairs))
-    base = slopes[0]
-    common_slope = all(
-        abs(a - base) <= threshold * max(1.0, abs(base)) for a in slopes
-    )
+    common_slope = all(agrees(a, slopes[0], threshold) for a in slopes)
     rng = seeded_rng(seed)
     worst = -1.0
     worst_pt = None

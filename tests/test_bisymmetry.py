@@ -32,6 +32,7 @@ from meanlab import (
     random_matrix,
     validate_matrix,
 )
+from meanlab import bisymmetry
 from meanlab.cyclic import fixed_arity
 
 I010 = Interval(0.0, 10.0)
@@ -257,7 +258,7 @@ def test_identity_form_is_the_equation_for_the_system_mean():
 def test_gbs_needs_fixed_arity():
     variadic = QuasiArithmeticMean(Generator.from_expression("x", I010))
     comp = fixed_arity(arithmetic_mean(I010), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a variadic mean needs an explicit arity"):
         gbs_for_mean_check(variadic, comp, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -354,6 +355,21 @@ def test_characterize_runs_every_phase_despite_failures():
         "reflexivity",
         "generalized-bisymmetry",
     ]
+
+
+def test_characterize_evaluates_the_rotations_its_composition_iterates(monkeypatch):
+    # one rotation family: the mean of the witness equation is the first
+    # component of the mapping whose Gauss composition is K
+    seen = []
+    check = bisymmetry.gbs_for_mean_check
+
+    def spy(mean, composition, matrix, tol):
+        seen.append(mean is composition.mapping.components[0])
+        return check(mean, composition, matrix, tol)
+
+    monkeypatch.setattr(bisymmetry, "gbs_for_mean_check", spy)
+    characterize(lehmer_mean(I010), trials=5)
+    assert seen and all(seen)
 
 
 def test_characterize_takes_the_arity_fixed_arity_pins():

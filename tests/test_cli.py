@@ -483,6 +483,23 @@ def test_interval_validation(capsys):
     assert run(capsys, "--interval", "5,1", "--gen", "x", "eval", "6")[0] == 2
 
 
+def test_an_interval_whose_width_overflows_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--interval=-1.7e308,1.7e308", "--gen", "x", "eval", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("meanlab: interval '-1.7e308,1.7e308': ")
+    assert "overflows" in err
+
+
+def test_characterize_runs_on_an_interval_narrower_than_its_inset(capsys):
+    # lo + 1e-9 * width rounds back to lo here; the sampled points must
+    # still be inside the open interval
+    code, out, err = run(capsys, "--interval", "1,1.0000001", "--gen", "x", "--gen", "2*x",
+                         "--samples", "3", "verify", "characterize")
+    assert (code, err) == (0, "")
+    assert "consistent" in out
+
+
 def test_bad_sample_and_iteration_counts(capsys):
     assert run(capsys, "--samples", "0", "verify", "m1")[0] == 2
     assert run(capsys, "--max-iter", "0", "--gen", "x", "compose", "1", "2")[0] == 2

@@ -166,6 +166,30 @@ def test_full_cycle_is_identity_on_random_triples():
         assert PermutedMean(m, 3)(pts) == m(pts)
 
 
+def test_permuted_mean_refuses_a_conflicting_arity_when_built():
+    fixed2 = weighted_pair_mean()
+    with pytest.raises(ValueError, match="mean 'gqam\\[x,2.0\\*x\\]' has arity 2, not 3"):
+        PermutedMean(fixed2, 1, 3)
+    assert PermutedMean(fixed2, 1, 2).arity == 2
+    assert PermutedMean(arithmetic_mean(DOM), 1, 3).arity == 3
+
+
+def test_a_rotated_mean_checks_its_points_once(monkeypatch):
+    # the rotation checks the caller's points, and its base evaluates the
+    # rotated points without checking them again: only gqam_eval, which
+    # checks what it is handed, looks at them once more
+    checked = []
+    check = Interval.check_points
+
+    def spy(self, pts):
+        checked.append(list(pts))
+        check(self, pts)
+
+    monkeypatch.setattr(Interval, "check_points", spy)
+    assert PermutedMean(weighted_pair_mean(), 1)([0.0, 3.0]) == pytest.approx(1.0)
+    assert checked == [[0.0, 3.0], [3.0, 0.0]]
+
+
 def test_permuted_label():
     m = weighted_pair_mean()
     assert PermutedMean(m, 1).label.endswith("<1>")
@@ -215,7 +239,7 @@ def test_cyclic_mapping_variadic_needs_arity():
 
 def test_cyclic_mapping_arity_conflict():
     m = weighted_pair_mean()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has arity 2, not 3"):
         cyclic_mapping(m, arity=3)
 
 

@@ -1,6 +1,6 @@
 """The public examples run: the README's library block, its CLI
-examples that show their output, and the package docstring's doctest,
-with the results their comments state."""
+examples that show their output and its ``verify`` lines, and the
+package docstring's doctest, with the results their comments state."""
 
 import doctest
 import re
@@ -75,6 +75,39 @@ def test_readme_cli_example_prints_the_lines_it_shows(capsys, comment, argv, sho
             assert line in printed, line
     expected = re.search(r"exits (\d)", comment)
     assert code == (int(expected.group(1)) if expected else 0)
+
+
+def _verify_lines():
+    """argv of each ``$ meanlab ... verify ...`` line of the README's CLI
+    block, its trailing comment dropped."""
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[2:] for line in block.splitlines()
+            if line.startswith("$ meanlab ") and " verify " in line]
+
+
+VERIFY_LINES = _verify_lines()
+# the verdicts the lines' comments promise: the identities and equations
+# hold, x and 2*x+1 induce one mean, and the demo refutes both its means
+VERDICTS = {"m1": ["pass"], "gbs": ["pass"], "bs": ["pass"], "as": ["pass"],
+            "equality": ["equal"], "characterize": ["refuted", "refuted"]}
+
+
+def test_the_readme_shows_six_verify_lines():
+    # one line per verify suite
+    assert len(VERIFY_LINES) == 6
+    assert sorted(argv[-1] for argv in VERIFY_LINES) == sorted(VERDICTS)
+
+
+@pytest.mark.parametrize("argv", VERIFY_LINES, ids=[" ".join(argv) for argv in VERIFY_LINES])
+def test_readme_verify_line_gives_the_verdict_its_comment_states(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # "  verdict: pass" for a suite, "  <mean>:verdict[i] ... refuted" per
+    # characterized mean
+    verdicts = re.findall(r"^  (?:verdict: |\S+:verdict\[\d+\] .* )(\w+)$", out, re.M)
+    assert verdicts == VERDICTS[argv[-1]]
 
 
 def test_package_doctests_pass():

@@ -154,7 +154,7 @@ def test_a_nan_target_is_out_of_range_after_the_endpoints():
 
 
 def test_from_expression_refuses_a_callable():
-    # a callable in a tree must be guarded, which only fn= does
+    # a callable in a tree must be guarded, which only from_callable does
     with pytest.raises(TypeError, match="from_callable"):
         Generator.from_expression(lambda x: x, I010)
 
@@ -172,7 +172,7 @@ def test_expr_refuses_an_unguarded_callable_bare_or_as_a_leaf():
     with pytest.raises(TypeError, match="from_callable"):
         # unguarded, it raised ValueError out of the monotonicity check
         Generator(dom, expr=lambda x: math.log(x - 1))
-    # the same callable is taken through fn=, guarded, also inside a tree
+    # the same callable is taken through from_callable, guarded, also inside a tree
     g = Generator.from_callable(lambda x: math.log(x - 1), dom, validate=False)
     assert math.isnan(g.body()(0.5))
     tree = Generator(dom, expr=Binary("+", X, g.expr), validate=False)

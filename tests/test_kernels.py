@@ -523,7 +523,8 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
     if family == "lowered":
         members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     else:
-        members = [Generator(domain, fn=body(s), label=s, validate=False) for s in sources]
+        members = [Generator.from_callable(body(s), domain, label=s, validate=False)
+                   for s in sources]
     return GeneratorSystem(members)
 
 

@@ -23,6 +23,7 @@ from meanlab import (
     mean_property_check,
 )
 from meanlab.dsl import X
+from meanlab.interval import seeded_rng
 from meanlab.report import ExperimentConfig, RunReport
 
 I010 = Interval(0.0, 10.0)
@@ -31,10 +32,26 @@ I010 = Interval(0.0, 10.0)
 @pytest.mark.parametrize("lo,hi", [
     (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
     (1.0, 1.0), (2.0, 1.0),
+    (-1.7e308, 1.7e308),  # the width overflows to inf
+    (1.0, math.nextafter(1.0, 2.0)), (0.0, 5e-324),  # no float between the ends
 ])
 def test_interval_rejects_bad_endpoints(lo, hi):
     with pytest.raises(ValueError):
         Interval(lo, hi)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1.0, 1.0000001),  # the inset, 1e-16, rounds back onto both ends
+    (1.0, 1.0 + 4 * 2.0**-52),
+    (-1e300, -1e300 * (1 - 2.0**-50)),
+    (1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0)),  # one float inside
+])
+def test_grid_and_sample_stay_inside_a_narrow_interval(lo, hi):
+    iv = Interval(lo, hi)
+    for count in (2, 3, 7):
+        assert all(iv.contains(x) for x in iv.grid(count)), count
+    assert all(iv.contains(x) for x in iv.sample(seeded_rng(0), 50))
+    assert iv.contains(iv.sample(seeded_rng(1)))
 
 
 @pytest.mark.parametrize("make", [
