@@ -58,7 +58,6 @@ from .gauss import (
     IterationTrace,
     composition_closed_form_check,
     cyclic_symmetry_check,
-    gauss_composition,
     gauss_iterate,
     invariance_residual,
     midpoint,
@@ -142,7 +141,6 @@ __all__ = [
     "cyclic_mapping",
     "cyclic_symmetry_check",
     "eval_expr",
-    "gauss_composition",
     "gauss_iterate",
     "gbs_for_mean_check",
     "generalized_bisymmetry_check",

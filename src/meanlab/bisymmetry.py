@@ -64,16 +64,14 @@ MONOTONE_SLACK = 1e-10
 InputMatrix = tuple[tuple[float, ...], ...]
 
 
-def validate_matrix(matrix, domain: Interval, rows: int | None = None,
-                    cols: int | None = None) -> InputMatrix:
-    """Normalize to a rectangular tuple-of-tuples with every entry in
-    the interval; DomainError otherwise."""
+def validate_matrix(matrix, domain: Interval, n: int | None = None) -> InputMatrix:
+    """Normalize to a square tuple-of-tuples, n x n when ``n`` is given,
+    with every entry in the interval; ValueError for any other shape,
+    DomainError for an entry outside."""
     out = []
     for r, row in enumerate(matrix):
         vals = tuple(float(v) for v in row)
         out.append(vals)
-        if len(vals) != len(out[0]):
-            raise ValueError("matrix rows have unequal lengths")
         for c, v in enumerate(vals):
             if not domain.contains(v):
                 raise DomainError(
@@ -81,10 +79,10 @@ def validate_matrix(matrix, domain: Interval, rows: int | None = None,
                 )
     if not out:
         raise ValueError("matrix is empty")
-    if rows is not None and len(out) != rows:
-        raise ValueError(f"expected {rows} rows, got {len(out)}")
-    if cols is not None and len(out[0]) != cols:
-        raise ValueError(f"expected {cols} columns, got {len(out[0])}")
+    size = len(out) if n is None else n
+    if len(out) != size or any(len(row) != size for row in out):
+        raise ValueError(f"expected a square {size}x{size} matrix,"
+                         f" got rows of lengths {[len(row) for row in out]}")
     return tuple(out)
 
 
@@ -93,10 +91,6 @@ def random_matrix(rng, domain: Interval, n: int) -> InputMatrix:
     by ``rng`` through ``Interval.sample``, as a tuple of row tuples."""
     m = domain.sample(rng, (n, n))
     return tuple(tuple(float(v) for v in row) for row in m)
-
-
-def _column(matrix: InputMatrix, j: int) -> tuple:
-    return tuple(row[j] for row in matrix)
 
 
 class EquationReport(NamedTuple):
@@ -111,12 +105,15 @@ class EquationReport(NamedTuple):
 
 
 def _report(equation, lhs, rhs, tol, matrix=None, point=None) -> EquationReport:
+    # the inputs' scale: the largest |entry| of the matrix, or of the two
+    # blocks of an associativity point
+    scale = max(abs(v) for block in (matrix or point) for v in block)
     return EquationReport(
         equation=equation,
         lhs=lhs,
         rhs=rhs,
         residual=abs(lhs - rhs),
-        passed=agrees(lhs, rhs, tol),
+        passed=agrees(lhs, rhs, tol, scale),
         tol=tol,
         matrix=matrix,
         point=point,
@@ -126,14 +123,9 @@ def _report(equation, lhs, rhs, tol, matrix=None, point=None) -> EquationReport:
 def bisymmetry_check(mean: Mean, matrix, tol: float = EQUATION_TOL) -> EquationReport:
     """One mean, both nestings: aggregate rows first on the left,
     columns first on the right."""
-    m = validate_matrix(matrix, mean.domain)
-    n = len(m)
-    if len(m[0]) != n:
-        raise ValueError("bisymmetry needs a square matrix")
-    if mean.arity is not None and mean.arity != n:
-        raise ValueError(f"mean {mean.label!r} has arity {mean.arity}, matrix is {n}x{n}")
+    m = validate_matrix(matrix, mean.domain, mean.arity)
     lhs = mean([mean(row) for row in m])
-    rhs = mean([mean(_column(m, j)) for j in range(n)])
+    rhs = mean([mean(column) for column in zip(*m)])
     return _report("bisymmetry", lhs, rhs, tol, matrix=m)
 
 
@@ -156,9 +148,9 @@ def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
     ``cyclic_mapping(M)``, which refuses a variadic M.
     """
     comps = cyclic_mapping(mean).components
-    m = validate_matrix(matrix, mean.domain, rows=len(comps), cols=len(comps))
+    m = validate_matrix(matrix, mean.domain, len(comps))
     rows = composition([c(row) for c, row in zip(comps, m)])
-    columns = composition([c(_column(m, i)) for i, c in enumerate(comps)])
+    columns = composition([c(column) for c, column in zip(comps, zip(*m))])
     return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
 
 
@@ -249,7 +241,9 @@ def characterize(
     Phases, in order: sampled continuity probe (a Lipschitz bound
     stand-in, see notes), per-coordinate strict growth probe,
     reflexivity on a grid, then Gauss composition of the rotation family
-    (``composition-convergence`` fails when it cannot be computed) and a
+    (``composition-convergence`` fails when a rotation fails the strict
+    mean probe of ``GaussComposition`` or the composition cannot be
+    computed; the witness search is then skipped) and a
     witness search over lattice + random matrices with ``trials`` random
     ones, seeded by ``seed``, at ``WITNESS_FACTOR * tol``.  The composed
     limit runs at most ``max_iterations`` Gauss steps.  Nothing here
@@ -288,14 +282,21 @@ def characterize(
     # composed limit of the rotation family, then the witness search
     trials_run = 0
     witness = None
+    mapping = cyclic_mapping(pinned)
     try:
-        mapping = cyclic_mapping(pinned)
+        # K's constructor probes every rotation for the strict mean property
         composition = GaussComposition(mapping, DEFAULT_GAP_TOL, max_iterations)
-        # force one evaluation so convergence failures surface here
-        probe = dom.grid(max(2, n))[:n]
-        gauss_iterate(mapping, probe, DEFAULT_GAP_TOL, max_iterations)
-    except MeanlabError as exc:
-        notes.append(f"composition did not converge: {exc}")
+        failure = None
+    except (ValueError, MeanlabError) as exc:
+        failure = str(exc)
+    if failure is None:
+        try:
+            # force one evaluation so convergence failures surface here
+            gauss_iterate(mapping, dom.grid(max(2, n))[:n], DEFAULT_GAP_TOL, max_iterations)
+        except MeanlabError as exc:
+            failure = f"composition did not converge: {exc}"
+    if failure is not None:
+        notes.append(failure)
         phases.append(("composition-convergence", False))
     else:
         errors = 0

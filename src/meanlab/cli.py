@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance of the selected check or iteration, finite and"
                    " at least 0; verify's identity checks pass when"
-                   " |lhs-rhs| <= tol*max(1,|rhs|)")
+                   " |lhs-rhs| <= tol*max(|rhs|,min(1,s)), s the largest |input|")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="iteration budget for Gauss composition (default %(default)s)")
     p.add_argument("--samples", type=int, default=None,
@@ -207,19 +207,18 @@ def _mean_of(gens: list, points=None):
 def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
     pts = list(config.points)
     mean = _mean_of(_build_generators(config.generators, interval), pts)
-    value = mean(pts)
-    prop = mean_property_check(mean, pts)
+    prop = mean_property_check(mean, pts)  # its value is the answer
     report = RunReport(
         command="eval",
         config=config.as_dict(),
         results=[
-            result_row("eval", 0, lhs=value, verdict="ok"),
+            result_row("eval", 0, lhs=prop.value, verdict="ok"),
             result_row(
                 "mean-bounds", 0, lhs=prop.low, rhs=prop.high,
                 verdict="pass" if prop.passed else "fail",
             ),
         ],
-        details={"value": f"{value:.7g}"},
+        details={"value": f"{prop.value:.7g}"},
     )
     return report, 0
 
@@ -275,14 +274,15 @@ def _m1_pairs(system: GeneratorSystem, config: ExperimentConfig):
         system, config.samples, config.tolerance, seed=config.seed,
         max_iterations=max(config.max_iterations, CHECK_MAX_ITER),
     )
-    return ((it, closed) for _pt, it, closed, _res in check.rows)
+    return ((it, closed, agrees(it, closed, config.tolerance, max(map(abs, pt))))
+            for pt, it, closed, _res in check.rows)
 
 
 def _gbs_pairs(system: GeneratorSystem, config: ExperimentConfig):
     for rng in _sample_rngs(config):
         m = random_matrix(rng, system.domain, system.n)
         rep = generalized_bisymmetry_check(system, m, config.tolerance)
-        yield rep.lhs, rep.rhs
+        yield rep.lhs, rep.rhs, rep.passed
 
 
 def _bs_pairs(gen: Generator, config: ExperimentConfig):
@@ -290,7 +290,7 @@ def _bs_pairs(gen: Generator, config: ExperimentConfig):
     for i, rng in enumerate(_sample_rngs(config)):
         n = 2 + (i % 2)   # alternate 2x2 and 3x3 grids
         rep = bisymmetry_check(mean, random_matrix(rng, mean.domain, n), config.tolerance)
-        yield rep.lhs, rep.rhs
+        yield rep.lhs, rep.rhs, rep.passed
 
 
 def _as_pairs(gen: Generator, config: ExperimentConfig):
@@ -300,10 +300,10 @@ def _as_pairs(gen: Generator, config: ExperimentConfig):
         xs = [float(v) for v in gen.domain.sample(rng, k)]
         ys = [float(v) for v in gen.domain.sample(rng, m)]
         rep = associativity_check(gen, xs, ys, config.tolerance)
-        yield rep.lhs, rep.rhs
+        yield rep.lhs, rep.rhs, rep.passed
 
 
-# sampled identity checks: name -> (takes a system, (lhs, rhs) per sample)
+# sampled identity checks: name -> (takes a system, (lhs, rhs, passed) per sample)
 _SAMPLED_CHECKS = {
     "m1": (True, _m1_pairs),
     "gbs": (True, _gbs_pairs),
@@ -316,12 +316,11 @@ def _run_check(name: str, pairs, config: ExperimentConfig) -> RunReport:
     """Rows, worst residual and verdict of a sampled identity check."""
     rows = []
     worst = -1.0
-    for i, (lhs, rhs) in enumerate(pairs):
+    for i, (lhs, rhs, passed) in enumerate(pairs):
         residual = abs(lhs - rhs)
         worst = max(worst, residual)
         rows.append(result_row(
-            name, i, lhs=lhs, rhs=rhs, residual=residual,
-            verdict="pass" if agrees(lhs, rhs, config.tolerance) else "fail",
+            name, i, lhs=lhs, rhs=rhs, residual=residual, verdict="pass" if passed else "fail",
         ))
     details = {
         "max_residual": f"{worst:.7g}",

@@ -107,9 +107,6 @@ class MeanTypeMapping:
             raise ValueError(f"expected {self.arity} points, got {len(pts)}")
         return tuple(c(pts) for c in self.components)
 
-    def __call__(self, xs: Sequence[float]) -> tuple:
-        return self.apply(xs)
-
     def __repr__(self):
         fused = "fused" if self.system is not None else "generic"
         return f"<MeanTypeMapping {self.label!r}, arity {self.arity}, {fused}>"

@@ -18,9 +18,9 @@ from .errors import DomainError
 ENDPOINT_INSET = 1e-9
 
 
-def seeded_rng(seed):
-    """A generator of uniform draws seeded by ``seed``, a non-negative int
-    (None takes fresh OS entropy): ``pcg.default_rng``, which draws what
+def seeded_rng(seed: int):
+    """A generator of uniform draws seeded by ``seed``, a non-negative
+    int: ``pcg.default_rng``, which draws what
     ``numpy.random.default_rng(seed)`` draws, bit for bit, in pure Python.
     Its ``spawn(n)`` gives the children of ``SeedSequence(seed).spawn(n)``.
     The module is imported here, on first use."""

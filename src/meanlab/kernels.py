@@ -133,11 +133,10 @@ def invert(g, y, lo, hi, glo, ghi):
     fb = ghi - y
     side = 0
     for _ in range(INVERT_BUDGET):
-        denom = fb - fa
-        if denom != 0.0:
-            xm = a - fa * (b - a) / denom
-        else:
-            xm = 0.5 * (a + b)
+        # fb - fa > 0: fa < 0 < fb on entry, a step gives the side it
+        # moves a value with |f| > scale >= 0, and Illinois halving touches
+        # only the other side, so at most one of fa, fb is a signed zero
+        xm = a - fa * (b - a) / (fb - fa)
         if not (a < xm < b):
             xm = 0.5 * (a + b)
             if not (a < xm < b):

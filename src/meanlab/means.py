@@ -39,12 +39,17 @@ REFLEXIVITY_TOL = 1e-9
 EQUALITY_FIT_THRESHOLD = 1e-6
 EQUALITY_PROBES = 50  # random vectors the equality checks evaluate both means on
 QAM_PROBE_ARITY = 2  # length of those vectors for a single generator
+BLEND_TOP_WEIGHT = 0.7  # minmax_blend's weight on max
 
 
-def agrees(lhs: float, rhs: float, tol: float) -> bool:
+def agrees(lhs: float, rhs: float, tol: float, scale: float) -> bool:
     """The verdict of every identity check: the two sides agree when
-    |lhs - rhs| <= tol * max(1, |rhs|), relative once |rhs| exceeds 1."""
-    return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+    |lhs - rhs| <= tol * max(|rhs|, min(1, scale)), with ``scale`` the
+    largest |input| of the sample.  The test is relative to |rhs| at
+    every scale; the floor tol * min(1, scale), the orbit's own
+    ``kernels.scaled_stop``, serves a limit at or near 0, and where an
+    input reaches 1 in magnitude it is tol * max(1, |rhs|)."""
+    return abs(lhs - rhs) <= tol * max(abs(rhs), min(1.0, scale))
 
 
 def qam_eval(f: Generator, xs: Sequence[float]) -> float:
@@ -184,17 +189,13 @@ def lehmer_mean(domain: Interval) -> FunctionMean:
     return FunctionMean(lm, domain, label="lehmer2")
 
 
-def minmax_blend(domain: Interval, top_weight: float = 0.7) -> FunctionMean:
-    """Weighted min/max blend: reflexive, continuous and strictly
-    increasing, yet not bisymmetric unless the weights are trivial."""
-    w = float(top_weight)
-    if not 0.0 < w < 1.0:
-        raise ValueError("top_weight must be strictly between 0 and 1")
-
+def minmax_blend(domain: Interval) -> FunctionMean:
+    """The min/max blend with weight BLEND_TOP_WEIGHT on max: reflexive,
+    continuous and strictly increasing, yet not bisymmetric."""
     def blend(pts):
-        return (1.0 - w) * min(pts) + w * max(pts)
+        return (1.0 - BLEND_TOP_WEIGHT) * min(pts) + BLEND_TOP_WEIGHT * max(pts)
 
-    return FunctionMean(blend, domain, label=f"blend{w:g}")
+    return FunctionMean(blend, domain, label=f"blend{BLEND_TOP_WEIGHT:g}")
 
 
 class MeanPropertyReport(NamedTuple):
@@ -239,7 +240,8 @@ def reflexivity_check(mean: Mean, x: float, count: int | None = None) -> Reflexi
     x = float(x)
     k = count if count is not None else (mean.arity if mean.arity is not None else 2)
     v = mean([x] * k)
-    return ReflexivityReport(agrees(v, x, REFLEXIVITY_TOL), x, v, abs(v - x), REFLEXIVITY_TOL)
+    return ReflexivityReport(agrees(v, x, REFLEXIVITY_TOL, abs(x)), x, v, abs(v - x),
+                             REFLEXIVITY_TOL)
 
 
 class EqualityReport(NamedTuple):
@@ -265,7 +267,7 @@ def _equality(pairs, mean_a, mean_b, arity, probes, seed, threshold) -> Equality
     largest gap between the means ``mean_a`` and ``mean_b`` on ``probes``
     seeded random vectors of length ``arity`` from the generators' interval."""
     slopes, offsets, residuals = zip(*(affine_fit(f, g) for f, g in pairs))
-    common_slope = all(agrees(a, slopes[0], threshold) for a in slopes)
+    common_slope = all(agrees(a, slopes[0], threshold, abs(slopes[0])) for a in slopes)
     rng = seeded_rng(seed)
     worst = -1.0
     worst_pt = None

@@ -18,7 +18,6 @@ child's spawn index folded in: a spawn costs one fold, not a new mix.
 from __future__ import annotations
 
 import operator
-import os
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -82,11 +81,8 @@ def _mix_entropy(words: list) -> tuple:
     return _fold(pool, const, words[_POOL:])
 
 
-def default_rng(seed=None) -> SeededRandom:
-    """``numpy.random.default_rng(seed)`` for a non-negative int seed;
-    ``None`` draws 128 bits of OS entropy, as numpy does."""
-    if seed is None:
-        seed = int.from_bytes(os.urandom(16), "little")
+def default_rng(seed: int) -> SeededRandom:
+    """``numpy.random.default_rng(seed)`` for a non-negative int seed."""
     return SeededRandom(*_mix_entropy(_words(operator.index(seed))))
 
 

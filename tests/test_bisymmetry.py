@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    ConvergenceError,
     DomainError,
+    FunctionMean,
+    GaussComposition,
     GeneralizedQuasiArithmeticMean,
     Generator,
     GeneratorSystem,
@@ -22,7 +25,6 @@ from meanlab import (
     builtin_system,
     characterize,
     cyclic_mapping,
-    gauss_composition,
     gbs_for_mean_check,
     generalized_bisymmetry_check,
     geometric_mean,
@@ -55,8 +57,16 @@ def test_validate_matrix_rejects_bad_shapes():
         validate_matrix([[1.0, 2.0], [3.0]], I010)
     with pytest.raises(ValueError):
         validate_matrix([], I010)
-    with pytest.raises(ValueError):
-        validate_matrix([[1.0, 2.0]], I010, rows=2)
+    with pytest.raises(ValueError, match="square 1x1"):
+        validate_matrix([[1.0, 2.0]], I010)
+    with pytest.raises(ValueError, match="square 3x3"):
+        validate_matrix([[1.0, 2.0], [3.0, 4.0]], I010, 3)
+
+
+def test_bisymmetry_check_takes_the_matrix_its_arity_fixes():
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
+    with pytest.raises(ValueError, match="square 3x3"):
+        bisymmetry_check(mean, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_validate_matrix_rejects_outside_entries():
@@ -140,6 +150,15 @@ def test_verdict_is_relative_to_the_right_side():
     assert not bisymmetry_check(blend, m, tol / 4).passed
 
 
+def test_verdict_is_relative_below_one():
+    # the whole interval is 1e-9 wide and the blend's residual 1.2e-11: an
+    # absolute floor of tol = 1e-9 would pass it
+    blend = minmax_blend(Interval(0.0, 1e-9))
+    report = bisymmetry_check(blend, [[1e-10, 9e-10], [5e-10, 2e-10]])
+    assert report.residual == pytest.approx(1.2e-11, rel=1e-3)
+    assert not report.passed
+
+
 # --- generalized bisymmetry for generator systems -------------------------------
 
 
@@ -219,7 +238,7 @@ def test_gbs_symmetric_mean_reduces_to_bisymmetry():
     from meanlab import builtin_generator
 
     gm = fixed_arity(QuasiArithmeticMean(builtin_generator("log(x)", dom)), 2)
-    comp = gauss_composition(cyclic_mapping(gm), gap_tol=1e-11)
+    comp = GaussComposition(cyclic_mapping(gm), gap_tol=1e-11)
     rng = np.random.default_rng(13)
     for _ in range(25):
         m = random_matrix(rng, dom, 2)
@@ -234,7 +253,7 @@ def test_gbs_orientation_columns_on_the_left():
     # which exposes which orientation landed in lhs
     mean = fixed_arity(lehmer_mean(I010), 2)
     mapping = cyclic_mapping(mean)
-    comp = gauss_composition(mapping)
+    comp = GaussComposition(mapping)
     lo, hi = I010.grid(2)
     m = ((lo, 5.0), (hi, 5.0))
     report = gbs_for_mean_check(mean, comp, m)
@@ -380,3 +399,42 @@ def test_characterize_takes_the_arity_fixed_arity_pins():
     assert "generalized-bisymmetry" in verdict.failed_conditions
     assert len(verdict.witness_matrix) == 3
     assert all(len(row) == 3 for row in verdict.witness_matrix)
+
+
+def test_characterize_fails_a_composition_that_does_not_converge():
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,x^3"))
+    verdict = characterize(mean, trials=5, max_iterations=1)
+    assert verdict.failed_conditions == ("composition-convergence",)
+    assert verdict.trials_run == 0
+    assert "composition did not converge" in verdict.notes
+
+
+def test_characterize_fails_a_composition_no_matrix_can_evaluate(monkeypatch):
+    def diverge(mean, composition, matrix, tol):
+        raise ConvergenceError("budget exhausted")
+
+    monkeypatch.setattr(bisymmetry, "gbs_for_mean_check", diverge)
+    verdict = characterize(GeneralizedQuasiArithmeticMean(builtin_system("x,2*x")), trials=5)
+    # the 81 matrices of the 3-point lattice, then the random ones
+    assert verdict.trials_run == 86
+    assert "86 matrices skipped" in verdict.notes
+    assert dict(verdict.phases)["composition-convergence"] is False
+    assert dict(verdict.phases)["generalized-bisymmetry"] is True
+
+
+def test_characterize_refutes_a_mean_the_composition_rejects():
+    # the rotations leave the interval, so K's component check rejects them
+    # before the witness search could step outside it
+    over = FunctionMean(lambda pts: max(pts) + 1e-3, I010, arity=2, label="over")
+    verdict = characterize(over, trials=5)
+    assert verdict.failed_conditions == (
+        "strict-monotonicity", "reflexivity", "composition-convergence")
+    assert verdict.trials_run == 0
+    assert "component 'over' fails the mean property" in verdict.notes
+    assert "outside" in verdict.notes
+
+
+def test_characterize_keeps_the_budget_check():
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        characterize(mean, trials=5, max_iterations=0)

@@ -51,6 +51,22 @@ def test_eval_weighted_pair(capsys):
     assert verdicts["mean-bounds"] == "pass"
 
 
+def test_eval_evaluates_the_mean_once(capsys, monkeypatch):
+    from meanlab import means
+
+    calls = []
+    gqam_eval = means.gqam_eval
+
+    def counted(system, xs):
+        calls.append(xs)
+        return gqam_eval(system, xs)
+
+    monkeypatch.setattr(means, "gqam_eval", counted)
+    code, payload, _ = run_json(capsys, "--gen", "x", "--gen", "2*x", "eval", "0.5", "3")
+    assert code == 0 and payload["details"]["value"] == "2.166667"
+    assert len(calls) == 1
+
+
 def test_eval_single_generator_is_variadic(capsys):
     code, payload, _ = run_json(
         capsys, "--interval", "0.1,10", "--gen", "log(x)", "eval", "1", "4"

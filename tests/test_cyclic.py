@@ -202,7 +202,7 @@ def test_cyclic_mapping_components():
     m = weighted_pair_mean()
     mapping = cyclic_mapping(m)
     assert mapping.arity == 2
-    a, b = mapping((0.0, 3.0))
+    a, b = mapping.apply((0.0, 3.0))
     assert a == pytest.approx(2.0, abs=1e-10)  # (0 + 2*3)/3
     assert b == pytest.approx(1.0, abs=1e-10)  # (3 + 2*0)/3
 

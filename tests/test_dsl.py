@@ -289,8 +289,8 @@ def lowered_eval(evaluator, expr, x):
         return math.nan if folds is None else folds[1][0]
     body = compile_expr(expr)
     if evaluator == "lowered":
-        return kernels.ACTIVE.eval_one(body, x)
-    return kernels.ACTIVE.eval_grid(body, np.asarray([x], dtype=np.float64))[0]
+        return kernels.eval_one(body, x)
+    return kernels.eval_grid(body, np.asarray([x], dtype=np.float64))[0]
 
 
 LOWERED_SOURCES = ["x", "x^2", "x^3", "2*x", "log(x)", "exp(x)", "sqrt(x)", "x^3 + x", "1/(x+1)"]

@@ -455,7 +455,7 @@ def test_systems_hand_the_body_family_each_members_own_body():
         wrong_arity.body()(1.0)
     system = GeneratorSystem([wrong_arity, line])
     with pytest.raises(TypeError):
-        kernels.ACTIVE.gqam(*system.program(), [1.0, 2.0])
+        kernels.gqam(*system.program(), [1.0, 2.0])
     with pytest.raises(TypeError):
         system.program()[0](1.0, 2.0)
 

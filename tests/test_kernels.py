@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from meanlab import (
     Generator,
@@ -389,6 +390,28 @@ def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
         assert lo <= val <= hi
 
 
+# bracket values from the smallest subnormal to 1e308, either sign
+MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(MAGNITUDES, MAGNITUDES, st.booleans(), st.booleans(), st.floats(0.0, 1.0),
+       st.sampled_from([0.2, 1.0, 3.0]))
+@example(5e-324, 5e-324, True, False, 0.5, 1.0)
+@example(1e308, 1e308, True, False, 0.3, 3.0)
+def test_invert_returns_a_status_on_any_bracket(a, b, neg_a, neg_b, t, power):
+    glo, ghi = sorted([-a if neg_a else a, -b if neg_b else b])
+    assume(glo < ghi)
+
+    def g(x):  # increasing from glo to ghi on [0, 1], without overflow
+        w = x ** power
+        return glo * (1.0 - w) + ghi * w
+
+    for y in (glo * (1.0 - t) + ghi * t, glo, ghi, 0.0):
+        x, status = kernels.invert(g, y, 0.0, 1.0, g(0.0), g(1.0))
+        assert status in (STATUS_OK, STATUS_RANGE, STATUS_BUDGET, STATUS_NONFINITE)
+        assert status != STATUS_OK or 0.0 <= x <= 1.0
+
+
 # --- generalized quasi-arithmetic combination --------------------------------
 
 
@@ -447,7 +470,7 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
     dom = Interval(*interval)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    fused = kernels.ACTIVE.cyclic_gauss(*system.program(), x0, 1e-10, 2000)
+    fused = kernels.cyclic_gauss(*system.program(), x0, 1e-10, 2000)
     generic = kernels.orbit(lambda x, mn, mx: (STATUS_OK, list(mapping.apply(x))),
                             x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK and fused[5] in ("gap", "stall", "extrapolated")
@@ -529,7 +552,7 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
 
 
 def one_step(matrix, total, x):
-    used, status, iterates, _, _, _ = kernels.ACTIVE.cyclic_gauss(matrix, total, list(x), 0.0, 1)
+    used, status, iterates, _, _, _ = kernels.cyclic_gauss(matrix, total, list(x), 0.0, 1)
     return used, status, iterates[-1]
 
 
@@ -544,7 +567,7 @@ def assert_step_is_the_rotated_means(system, x):
     used, status, step = one_step(matrix, total, x)
     assert (used, status) == (1, STATUS_BUDGET)
     assert bits([step]) == bits([[val for val, _ in means]]), x
-    got = [kernels.ACTIVE.gqam(matrix, total, r) for r in rotations]
+    got = [kernels.gqam(matrix, total, r) for r in rotations]
     assert bits(got) == bits(means), x
 
 
@@ -584,7 +607,7 @@ def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sour
     matrix, total = on_family(family, sources).program()
     used, status, _ = one_step(matrix, total, x)
     assert (used, status) == (0, STATUS_NONFINITE)
-    val, status = kernels.ACTIVE.gqam(matrix, total, x)
+    val, status = kernels.gqam(matrix, total, x)
     assert status == STATUS_NONFINITE and math.isnan(val)
 
 
@@ -599,7 +622,7 @@ def test_a_member_not_finite_at_another_coordinate_fails_the_mean():
     xs = [1.0, 2.0, 3.0]
     matrix, total = system.program()
     assert reference_gqam([g.body() for g in system], total, xs)[1] == STATUS_OK
-    val, status = kernels.ACTIVE.gqam(matrix, total, xs)
+    val, status = kernels.gqam(matrix, total, xs)
     assert status == STATUS_NONFINITE and math.isnan(val)
     assert one_step(matrix, total, xs)[:2] == (0, STATUS_NONFINITE)
     with pytest.raises(EvalError, match="not finite inside"):

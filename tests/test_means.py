@@ -198,8 +198,6 @@ def test_factory_validation():
         geometric_mean(Interval(-1.0, 1.0))
     with pytest.raises(ValueError):
         lehmer_mean(Interval(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        minmax_blend(I010, top_weight=1.0)
 
 
 # --- mean property and reflexivity -----------------------------------------
@@ -271,6 +269,15 @@ def test_reflexivity_examples():
     assert reflexivity_check(
         GeneralizedQuasiArithmeticMean(builtin_system("log(x),x")), 2.0
     ).passed
+
+
+def test_reflexivity_is_relative_below_one():
+    from meanlab import FunctionMean
+
+    off = FunctionMean(lambda pts: max(pts) * (1.0 + 1e-6), I010, label="off")
+    report = reflexivity_check(off, 1e-6)
+    assert report.deviation == pytest.approx(1e-12, rel=1e-6)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("name", sorted(builtin_systems()))

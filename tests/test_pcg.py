@@ -5,8 +5,6 @@ to ``numpy.random.default_rng`` bit for bit (exact ``==``, no tolerance):
 the seed pool, spawn keys, the PCG64 stream and ``uniform``'s scaling.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -37,23 +35,6 @@ def test_draw_shapes_are_plain_python():
     assert type(scalar) is float
     assert len(vector) == 7 and all(type(v) is float for v in vector)
     assert [len(row) for row in matrix] == [3, 3]
-
-
-def test_no_seed_draws_128_bits_of_os_entropy(monkeypatch):
-    asked = []
-
-    def urandom(n):
-        asked.append(n)
-        return bytes(range(1, n + 1))
-
-    monkeypatch.setattr(os, "urandom", urandom)
-    entropy = int.from_bytes(bytes(range(1, 17)), "little")
-    assert draws(seeded_rng(None)) == draws(np.random.default_rng(entropy))
-    assert asked == [16]
-
-
-def test_no_seed_differs_between_generators():
-    assert seeded_rng(None).uniform(0.0, 1.0, 4) != seeded_rng(None).uniform(0.0, 1.0, 4)
 
 
 def test_negative_seed_is_rejected():
