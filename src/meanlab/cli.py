@@ -11,6 +11,10 @@ no --gen instead examines the two demo means (the contraharmonic
 Lehmer mean and a lopsided min/max blend) that are the package's stock
 non-examples.
 
+The parser is built once per process; every call of ``main`` parses
+into a fresh namespace, so nothing carries over from one call to the
+next.
+
 Exit codes: 0 command ran (pass/fail lives in the report), 2 bad usage
 or inputs outside the interval, 3 iteration budget exhausted, 4
 evaluation and operational failures (a generator that is not finite at
@@ -20,6 +24,7 @@ a given point, an unwritable output and the like).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -95,7 +100,10 @@ _SAMPLE_DEFAULTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each
+    ``parse_args`` fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="meanlab",
         description="Generalized quasi-arithmetic means: evaluation,"

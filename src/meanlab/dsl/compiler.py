@@ -14,6 +14,10 @@ A power with a literal exponent c takes no log per call: its base is
 tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
 is the walker's to the bit.
+Each distinct emitted source is compiled once per process: its code
+object is kept in an LRU of ``CODE_CACHE_SIZE`` entries, and every
+lowering still runs that code in a fresh namespace of its own, so the
+body leaves it binds belong to that lowering alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
 _NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
           "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
           "power": power}
+# distinct lowered sources whose code objects are kept
+CODE_CACHE_SIZE = 256
 _MAX_BITS = struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
 
 
@@ -134,10 +140,16 @@ def _emit(expr, x, prefix, fail, names):
     return lines, value
 
 
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source, name):
+    return compile(source, f"<meanlab {name}>", "exec")
+
+
 def _define(name, params, lines, names):
-    """The function ``name`` with body ``lines``, compiled in ``names``."""
+    """The function ``name`` with body ``lines``, defined in ``names``;
+    the source's code object is compiled once and shared."""
     source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
-    exec(compile(source, f"<meanlab {name}>", "exec"), names)
+    exec(_code(source, name), names)
     return names[name]
 
 

@@ -34,7 +34,7 @@ from meanlab import (
     random_matrix,
     validate_matrix,
 )
-from meanlab import bisymmetry
+from meanlab import bisymmetry, gauss
 from meanlab.cyclic import fixed_arity
 
 I010 = Interval(0.0, 10.0)
@@ -420,6 +420,41 @@ def test_characterize_fails_a_composition_no_matrix_can_evaluate(monkeypatch):
     assert "86 matrices skipped" in verdict.notes
     assert dict(verdict.phases)["composition-convergence"] is False
     assert dict(verdict.phases)["generalized-bisymmetry"] is True
+
+
+def test_characterize_runs_one_orbit_per_distinct_vector(monkeypatch):
+    # the lattice meets the same K inputs on many sides; K's limits are kept
+    starts = []
+    iterate = gauss.gauss_iterate
+
+    def spy(mapping, xs, *args):
+        starts.append(tuple(xs))
+        return iterate(mapping, xs, *args)
+
+    monkeypatch.setattr(gauss, "gauss_iterate", spy)
+    verdict = characterize(GeneralizedQuasiArithmeticMean(builtin_system("x,2*x")), trials=5)
+    assert verdict.consistent and verdict.trials_run == 86
+    # 2 K inputs per matrix, fewer distinct ones
+    assert 0 < len(starts) == len(set(starts)) < 2 * 86
+
+
+def test_characterize_keeps_no_limit_whose_orbit_raises(monkeypatch):
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
+    edge = mean.domain.grid(bisymmetry.LATTICE_POINTS)[0]
+    iterate = gauss.gauss_iterate
+    raised = []
+
+    def spy(mapping, xs, *args):
+        if xs[0] == edge:  # K inputs the lattice meets more than once
+            raised.append(tuple(xs))
+            raise ConvergenceError("budget exhausted")
+        return iterate(mapping, xs, *args)
+
+    monkeypatch.setattr(gauss, "gauss_iterate", spy)
+    verdict = characterize(mean, trials=5)
+    # a repeated vector runs, and is skipped, every time it comes back
+    assert len(raised) > len(set(raised))
+    assert f"{len(raised)} matrices skipped" in verdict.notes
 
 
 def test_characterize_refutes_a_mean_the_composition_rejects():

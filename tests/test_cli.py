@@ -411,6 +411,32 @@ def test_same_seed_gives_identical_reports(capsys):
     assert first["runtime_ms"] != 0.0  # volatile part was really populated
 
 
+def test_repeated_calls_in_one_process_carry_nothing_over(tmp_path, capsys):
+    from meanlab import cli
+
+    defaults = ["--format", "json", "--samples", "3", "verify", "m1"]
+    cli.build_parser.cache_clear()
+    _, fresh, _ = run_json(capsys, *defaults)
+    target = tmp_path / "m1.json"
+    code, out, _ = run(capsys, "--format", "json", "--output", str(target), "--interval", "0.1,5",
+                       "--gen", "x", "--gen", "x^3", "--samples", "3", "verify", "m1")
+    assert (code, out) == (0, "")
+    # the parser fails after it has taken --gen and --gen2
+    code, _, err = run(capsys, "--gen", "x^2", "--gen2", "x", "--format", "xml", "verify", "m1")
+    assert code == 2 and "invalid choice" in err
+    code, again, _ = run_json(capsys, *defaults)
+    assert code == 0
+    assert again["config"]["generators"] == ["x", "2*x"]
+    assert again["config"]["generators2"] == []
+    assert strip_volatile(again) == strip_volatile(fresh)
+    code, equality, _ = run_json(capsys, "--gen", "x", "--gen2", "2*x+1", "verify", "equality")
+    assert (code, equality["details"]["verdict"]) == (0, "equal")
+    assert equality["config"]["generators"] == ["x"]
+    assert json.loads(target.read_text())["config"]["generators"] == ["x", "x^3"]
+    # one parser served every call
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_different_seeds_differ(capsys):
     _, a, _ = run_json(capsys, "--seed", "5", "--samples", "20", "verify", "m1")
     _, b, _ = run_json(capsys, "--seed", "6", "--samples", "20", "verify", "m1")

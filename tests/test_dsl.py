@@ -6,7 +6,8 @@ and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The compiler is then tested
 against ``eval_expr`` through the tree lowered to a Python body, run by
 the kernels on a float and on a float64 vector, and inlined into a
-one-member matrix.
+one-member matrix; last, lowerings of one source share one code object
+and bind their own body leaves.
 """
 
 import math
@@ -29,8 +30,8 @@ from meanlab import (
     parse,
     to_text,
 )
-from meanlab import kernels
-from meanlab.dsl.compiler import compile_matrix
+from meanlab import Generator, kernels
+from meanlab.dsl.compiler import _power_cut, compile_matrix
 
 
 def oracle_eval(source: str, x: float) -> float:
@@ -336,3 +337,37 @@ def test_power_negative_base_integer_exponent():
     assert eval_expr(parse("x^2"), -3.0) == 9.0
     with pytest.raises(EvalError):
         eval_expr(parse("x^2.5"), -3.0)  # would leave the reals
+
+
+# --- one code object per lowered source ---------------------------------
+
+def test_lowerings_share_code_but_call_their_own_body_leaves():
+    dom = Interval(0.1, 5.0)
+    # the same tree shape over different callables lowers to the same source
+    f = Generator.from_callable(lambda x: x, dom).affine(2.0, 1.0).body()
+    g = Generator.from_callable(lambda x: 3.0 * x, dom).affine(2.0, 1.0).body()
+    assert f.__code__ is g.__code__
+    assert f.__globals__ is not g.__globals__
+    assert (f(2.0), g(2.0)) == (5.0, 13.0)
+
+
+@pytest.mark.parametrize("source", ["x^3 + x", "log(x) / (1 + x^2)", "x^2.5", "2*x^-1.5"])
+def test_equal_trees_lower_to_one_code_object(source):
+    assert compile_expr(parse(source)).__code__ is compile_expr(parse(source)).__code__
+    first, second = (compile_matrix([parse(source), parse("x")]) for _ in range(2))
+    assert first.__code__ is second.__code__
+
+
+@pytest.mark.parametrize("exponent", [2.5, 3.0, -1.5])
+def test_a_power_cut_is_a_literal_of_the_shared_code(exponent):
+    body = compile_expr(parse(f"x^{exponent!r}"))
+    cut = _power_cut(exponent)
+    assert float(cut[2:]) in body.__code__.co_consts
+    assert body.__code__ is compile_expr(parse(f"x^{exponent!r}")).__code__
+    # the cut is where the lowered power turns NaN, as the walker raises
+    edge = float(cut[2:])
+    inside, outside = (edge, math.nextafter(edge, math.inf)) if exponent > 0 else (
+        edge, math.nextafter(edge, 0.0))
+    assert math.isfinite(body(inside)) and math.isnan(body(outside))
+    with pytest.raises(EvalError):
+        eval_expr(parse(f"x^{exponent!r}"), outside)
