@@ -94,6 +94,13 @@ _TOL_DEFAULTS = {
     "equality": EQUALITY_FIT_THRESHOLD,
     "characterize": GBS_TOL,
 }
+# Gauss budget floors of the suites that iterate to a limit: slow systems
+# must fail on residuals, never on an artificially small allowance; the
+# config echoes the budget a suite ran with
+_MAX_ITER_FLOORS = {
+    "m1": CHECK_MAX_ITER,
+    "characterize": CHARACTERIZE_MAX_ITER,
+}
 _SAMPLE_DEFAULTS = {
     "equality": EQUALITY_PROBES,
     "characterize": CHARACTERIZE_TRIALS,
@@ -190,7 +197,7 @@ def _resolve(args) -> tuple:
         generators=gen_texts,
         generators2=tuple(args.gen2) if args.gen2 else (),
         tolerance=tol,
-        max_iterations=args.max_iter,
+        max_iterations=max(args.max_iter, _MAX_ITER_FLOORS.get(key, 1)),
         samples=samples,
         seed=args.seed,
         output_format=args.format,
@@ -276,11 +283,9 @@ def _sample_rngs(config: ExperimentConfig):
 
 
 def _m1_pairs(system: GeneratorSystem, config: ExperimentConfig):
-    # floor the budget: slow systems must fail on residuals, never on an
-    # artificially small iteration allowance
     check = composition_closed_form_check(
         system, config.samples, config.tolerance, seed=config.seed,
-        max_iterations=max(config.max_iterations, CHECK_MAX_ITER),
+        max_iterations=config.max_iterations,
     )
     return ((it, closed, agrees(it, closed, config.tolerance, max(map(abs, pt))))
             for pt, it, closed, _res in check.rows)
@@ -380,7 +385,7 @@ def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunRep
     for idx, mean in enumerate(means):
         verdict = characterize(
             mean, trials=config.samples, tol=config.tolerance, seed=config.seed,
-            max_iterations=max(config.max_iterations, CHARACTERIZE_MAX_ITER),
+            max_iterations=config.max_iterations,
         )
         for phase, ok in verdict.phases:
             rows.append(result_row(

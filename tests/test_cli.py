@@ -280,6 +280,20 @@ def test_verify_m1_verdict_is_the_library_verdict(capsys):
     assert payload["details"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv,budget", [
+    (["verify", "m1"], 2000),
+    (["--max-iter", "3", "verify", "m1"], 2000),
+    (["--max-iter", "2500", "verify", "m1"], 2500),
+    (["verify", "characterize"], 4000),
+    (["--max-iter", "5000", "verify", "characterize"], 5000),
+    (["verify", "gbs"], 500),
+    (["--max-iter", "3", "compose", "1", "7"], 3),
+])
+def test_config_echoes_the_budget_the_command_ran_with(capsys, argv, budget):
+    _, payload, _ = run_json(capsys, "--samples", "2", *argv)
+    assert payload["config"]["max_iterations"] == budget
+
+
 def test_verify_m1_needs_a_system(capsys):
     code, _, err = run(capsys, "--gen", "x", "verify", "m1")
     assert code == 2
