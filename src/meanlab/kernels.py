@@ -116,7 +116,7 @@ def invert(g, y, lo, hi, glo, ghi):
     ``Generator.invert_on`` on g itself, ``rotated_means`` off the member
     matrix, once for all its solves.
     """
-    if math.isnan(glo) or math.isnan(ghi):
+    if glo != glo or ghi != ghi:  # NaN
         return math.nan, STATUS_NONFINITE
     if not y > glo:  # y <= glo, or y is NaN, which no endpoint passes
         if glo - y <= INVERT_TOL * max(1.0, abs(y)):
@@ -126,7 +126,12 @@ def invert(g, y, lo, hi, glo, ghi):
         if y - ghi <= INVERT_TOL * max(1.0, abs(y)):
             return hi, STATUS_OK
         return math.nan, STATUS_RANGE
-    scale = INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
+    # glo < y < ghi, so max(|glo|, |ghi|) = max(-glo, ghi) > 0; the
+    # comparisons give the floats the max/min/abs calls would
+    big = ghi if ghi >= -glo else -glo
+    if big > 1.0:
+        big = 1.0
+    scale = INVERT_TOL * (y if y > big else -y if -y > big else big)
     a = lo
     b = hi
     fa = glo - y
@@ -227,6 +232,7 @@ def orbit(step, x0, gap_tol, max_iter):
     x = x0
     n = len(x0)
     depth = n * (n - 1)  # the column 2K of the epsilon table is e_K
+    root = 1.0 / depth if depth else 1.0  # n = 1 stops on its zero gap
     tol = scaled_stop(gap_tol, min(x), max(x))
     agree = SHANKS_AGREE * tol
     rows = []
@@ -245,13 +251,15 @@ def orbit(step, x0, gap_tol, max_iter):
         mx = max(x)
         gap = mx - mn
         gaps.append(gap)
-        floor = GAP_FLOOR * max(abs(mn), abs(mx))
-        if not (gap > max(tol, floor)):
+        # GAP_FLOOR * max(|mn|, |mx|), mn <= mx, by comparison
+        floor = GAP_FLOOR * (mx if mx >= -mn else -mn)
+        if not (gap > tol and gap > floor):
             return used, STATUS_OK, rows, gaps, None, "gap"
         if gap >= last and gap <= STALL_FLOOR * floor:
             return used, STATUS_OK, rows, gaps, None, "stall"
         m = math.fsum(x) / n
-        if abs(m - mean) > floor:
+        # |m - mean| > floor, and False on the first, NaN, mean
+        if m - mean > floor or mean - m > floor:
             # the next diagonal, written over the last one in place:
             # epsilon_{k+1} = epsilon_{k-1} of the older diagonal
             # + 1/(epsilon_k - epsilon_k of the older diagonal)
@@ -265,8 +273,14 @@ def orbit(step, x0, gap_tol, max_iter):
             if len(diagonal) < depth:
                 diagonal.append(e)
             else:
-                close = abs(e - estimate) <= (
-                    1.0 - (gap / gaps[-1 - depth]) ** (1.0 / depth)) * max(agree, floor)
+                d = e - estimate
+                if d < 0.0:
+                    d = -d
+                bound = floor if floor > agree else agree
+                # rho >= 0, so (1 - rho) * bound <= bound: the rate is
+                # needed only where d passes the bound alone; NaN d fails
+                close = d <= bound and d <= (
+                    1.0 - (gap / gaps[-1 - depth]) ** root) * bound
                 if close and agreed and mn <= e <= mx:
                     return used, STATUS_OK, rows, gaps, e, "extrapolated"
                 agreed = close

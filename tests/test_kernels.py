@@ -495,6 +495,12 @@ def test_an_orbit_whose_gap_stalls_within_twice_the_floor_has_converged():
     assert (out[:2], out[5]) == ((50, STATUS_BUDGET), None)
     out = kernels.orbit(identity, [1.0, 1.0 + 4 * eps], 0.0, 50)  # the floor
     assert (out[:2], out[5]) == ((0, STATUS_OK), "gap")
+    # below 0 the floor is GAP_FLOOR times the larger magnitude, mn's:
+    # at -2 a gap of 8 eps meets it, though mx is 8 eps nearer to 0
+    out = kernels.orbit(identity, [-1.0 - 6 * eps, -1.0], 0.0, 50)
+    assert (out[:2], out[5]) == ((1, STATUS_OK), "stall")
+    out = kernels.orbit(identity, [-2.0, -2.0 + 8 * eps], 0.0, 50)
+    assert (out[:2], out[5]) == ((0, STATUS_OK), "gap")
 
 
 def replayed_orbit(n, modes, spread, count=80):
@@ -530,6 +536,230 @@ def test_a_shanks_estimate_outside_the_bracket_does_not_stop_the_orbit():
     used, status, rows, gaps, estimate, stop = replayed_orbit(2, [(1.0, 0.9)], (0.01, 0.5))
     assert (status, estimate, stop) == (STATUS_OK, None, "gap")
     assert gaps[-1] <= 1e-9 < gaps[-2]
+
+
+def test_an_orbit_whose_gap_grew_over_the_window_never_extrapolates():
+    # exact geometric means give estimates that agree, but a spread that
+    # grows by 1.05 a step makes rho > 1 and the agreement bound negative
+    used, status, rows, gaps, estimate, stop = replayed_orbit(2, [(0.01, 0.25)], (1e-3, 1.05))
+    assert (used, status, estimate, stop) == (79, STATUS_BUDGET, None, None)
+    assert gaps[-1] > gaps[0]
+
+
+def test_a_nan_estimate_never_stops_the_orbit():
+    # means that rise by exactly 2^-10 a step: the epsilon table divides
+    # by a zero difference and every estimate is NaN, so only the budget
+    # ends an orbit whose gap 2^-3 never closes
+    rows = [[1.0 + k / 1024 - 0.0625, 1.0 + k / 1024 + 0.0625] for k in range(60)]
+    replay = iter(rows[1:])
+    used, status, _, gaps, estimate, stop = kernels.orbit(
+        lambda x, mn, mx: (STATUS_OK, next(replay)), rows[0], 1e-9, 59)
+    assert (used, status, estimate, stop) == (59, STATUS_BUDGET, None, None)
+    assert set(gaps) == {0.125}
+
+
+# --- per-step arithmetic by comparison -------------------------------------------
+# ``invert`` and ``orbit`` compare floats where a builtin min/max/abs
+# call would cost more than the arithmetic it serves.  Each function
+# below copies one rewritten expression of kernels.py; each test holds
+# it equal to the builtin formula it replaced.
+
+TINY = 5e-324
+BIG = sys.float_info.max
+SIGNED = sorted({v for m in (0.0, TINY, 2.2e-308, 1e-6, 0.5, 1.0 - 2**-53, 1.0, 3.0,
+                             1e300, BIG) for v in (m, -m)} | {-0.0})
+NONNEGATIVE = [-0.0, 0.0, TINY, 2.2e-308, 1e-12, 0.5, 1.0, 3.0, 1e300, BIG]
+
+
+def scale_by_comparison(y, glo, ghi):
+    big = ghi if ghi >= -glo else -glo
+    if big > 1.0:
+        big = 1.0
+    return kernels.INVERT_TOL * (y if y > big else -y if -y > big else big)
+
+
+def floor_by_comparison(mn, mx):
+    return kernels.GAP_FLOOR * (mx if mx >= -mn else -mn)
+
+
+def mean_moved_by_comparison(m, mean, floor):
+    return m - mean > floor or mean - m > floor
+
+
+def agrees_by_comparison(e, estimate, ratio, root, agree, floor):
+    d = e - estimate
+    if d < 0.0:
+        d = -d
+    bound = floor if floor > agree else agree
+    return d <= bound and d <= (1.0 - ratio ** root) * bound
+
+
+def test_the_solve_scale_is_the_builtin_formula_bit_for_bit():
+    # every bracket glo < y < ghi of signed zeros, subnormals, values
+    # below and above 1 and up to the largest float, straddling 0 or not
+    # (-0.0 and 0.0 sit at one place in the sort, so they meet only as ends)
+    count = 0
+    for i, glo in enumerate(SIGNED):
+        for j in range(i + 1, len(SIGNED)):
+            ghi = SIGNED[j]
+            for y in SIGNED[i + 1:j]:
+                if not glo < y < ghi:
+                    continue
+                want = kernels.INVERT_TOL * max(abs(y), min(1.0, max(abs(glo), abs(ghi))))
+                got = scale_by_comparison(y, glo, ghi)
+                assert struct.pack("<d", got) == struct.pack("<d", want), (glo, y, ghi)
+                count += 1
+    assert count > 900
+
+
+@pytest.mark.parametrize("lo,hi,y", [
+    (-1.5, 1.5, 0.0),     # min(1, ...) clamps the bracket's values
+    (-0.5, 0.5, 0.0),     # values below 1 set the scale
+    (-0.75, 0.25, -0.25),  # -glo sets it, the bracket straddling 0
+    (2.0, 4.0, 3.0),      # |y| sets it
+    (-4.0, -2.0, -3.0),   # and -y
+])
+def test_the_solve_accepts_exactly_the_builtin_scale(lo, hi, y):
+    # g is the identity off y, where the first secant step lands; there it
+    # is off by r, a step of y's float grid: accepted at the last step
+    # within the scale, not one step beyond
+    scale = kernels.INVERT_TOL * max(abs(y), min(1.0, max(abs(lo), abs(hi))))
+    step = math.ulp(y) if y else 0.0
+    near = math.floor(scale / step) * step if step else scale
+    far = near + step if step else math.nextafter(scale, math.inf)
+    for r, accepted in ((near, True), (-near, True), (far, False), (-far, False)):
+        def g(x):
+            return x + r if x == y else x
+
+        assert (y + r) - y == r
+        assert (kernels.invert(g, y, lo, hi, lo, hi) == (y, STATUS_OK)) == accepted, r
+
+
+def test_the_gap_floor_and_gap_test_are_the_builtin_formulas():
+    # the floor's value is the builtin one; only a zero floor can differ,
+    # in its sign, which no comparison reads
+    for mn in SIGNED:
+        for mx in SIGNED:
+            if not mn <= mx:
+                continue
+            floor = floor_by_comparison(mn, mx)
+            want = kernels.GAP_FLOOR * max(abs(mn), abs(mx))
+            assert struct.pack("<d", floor) == struct.pack("<d", want) or floor == want == 0.0
+    for gap in [*NONNEGATIVE, math.inf, math.nan]:
+        for tol in NONNEGATIVE:
+            for floor in NONNEGATIVE:
+                assert (gap > tol and gap > floor) == (gap > max(tol, floor)), (gap, tol, floor)
+
+
+def test_the_mean_move_test_is_the_builtin_formula():
+    # m - mean may overflow to infinity; a NaN first mean never moves
+    for m in SIGNED:
+        for mean in [*SIGNED, math.nan]:
+            for floor in NONNEGATIVE:
+                want = abs(m - mean) > floor
+                assert mean_moved_by_comparison(m, mean, floor) == want, (m, mean, floor)
+
+
+def test_the_lazy_shanks_test_is_the_builtin_formula():
+    # the rate is computed only where the rate-free bound passes: rho >= 0
+    # makes (1 - rho) * bound <= bound; ratios above 1 make it negative
+    ratios = [0.0, TINY, 1e-8, 0.5, 0.9, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.05, 1e10]
+    differences = [-1e-3, -1e-12, -TINY, -0.0, 0.0, TINY, 1e-14, 1e-12, 1e-3, math.nan]
+    bounds = [0.0, TINY, 1e-14, 1e-12, 1e-3]
+    for root in (1.0, 0.5, 1 / 6):
+        for ratio in ratios:
+            for d in differences:
+                for estimate in (1.0, math.nan):
+                    e = estimate + d
+                    for agree in bounds:
+                        for floor in bounds:
+                            want = abs(e - estimate) <= (
+                                1.0 - ratio ** root) * max(agree, floor)
+                            got = agrees_by_comparison(e, estimate, ratio, root, agree, floor)
+                            assert got == want, (ratio, d, estimate, agree, floor)
+
+
+# --- orbits pinned bit for bit -------------------------------------------------
+# (iterations, stop, repr of the limit) of fused orbits from fixed starts,
+# computed before the per-step arithmetic traded builtin calls for
+# comparisons; any rewrite of the hot path that moves a bit fails here.
+# The log, exp and non-integer power cases assume the libm the pins were
+# taken with (glibc on x86-64).
+ORBIT_PINS = [
+    (("x", "x^3"), (0.1, 5.0), [
+        ((0.2, 4.8), (137, "extrapolated", "3.7802244929486437"),
+         (610, "gap", "3.7802244929266005")),
+        ((1.0, 2.0), (26, "extrapolated", "1.6343652930125137"),
+         (41, "extrapolated", "1.6343652930118018")),
+        ((4.9, 0.15), (143, "extrapolated", "3.859534538997882"),
+         (637, "gap", "3.8595345389737163")),
+        ((0.5, 3.7), (81, "extrapolated", "2.907605653830761"),
+         (358, "gap", "2.9076056538215678")),
+    ]),
+    (("x", "x^2", "x^3"), (0.1, 5.0), [
+        ((0.3, 2.0, 4.5), (23, "extrapolated", "3.1256145429156468"),
+         (34, "extrapolated", "3.125614542914542")),
+        ((4.8, 0.2, 1.1), (24, "extrapolated", "3.2320413939692463"),
+         (90, "gap", "3.232041393966751")),
+        ((1.0, 1.5, 2.0), (12, "extrapolated", "1.5817972153244806"),
+         (39, "gap", "1.581797215324027")),
+        ((2.5, 0.4, 3.3), (18, "extrapolated", "2.52670382450723"),
+         (67, "gap", "2.5267038245053213")),
+    ]),
+    (("x", "2*x"), (0.0, 10.0), [
+        ((0.0, 3.0), (20, "gap", "1.5"), (27, "gap", "1.5")),
+        ((1.0, 7.0), (21, "gap", "3.999999999999999"), (27, "gap", "3.9999999999999982")),
+        ((9.5, 0.5), (21, "gap", "5.0"), (28, "gap", "5.0")),
+        ((2.0, 2.5), (19, "gap", "2.25"), (25, "gap", "2.25")),
+    ]),
+    (("log(x)", "exp(x)"), (0.1, 3.0), [
+        ((0.2, 2.8), (52, "extrapolated", "2.0569277513543724"),
+         (77, "extrapolated", "2.0569277513528728")),
+        ((1.0, 1.5), (14, "extrapolated", "1.2706549547379795"),
+         (22, "extrapolated", "1.2706549547371921")),
+        ((2.9, 0.3), (63, "extrapolated", "2.187148688730715"),
+         (273, "gap", "2.1871486887229556")),
+        ((0.5, 2.0), (20, "extrapolated", "1.4264106843537412"),
+         (30, "extrapolated", "1.4264106843529933")),
+    ]),
+    (("x^3", "2*x^3"), (1e-4, 5e-3), [
+        ((2e-4, 4.8e-3), (9, "extrapolated", "0.0038098543859945433"),
+         (12, "extrapolated", "0.0038098543859946435")),
+        ((1e-3, 3e-3), (9, "extrapolated", "0.0024101422641748128"),
+         (12, "extrapolated", "0.0024101422641748635")),
+        ((4.5e-3, 1.5e-4), (9, "extrapolated", "0.0035716964608568567"),
+         (12, "extrapolated", "0.0035716964608569516")),
+    ]),
+    (("x^3", "2*x^3"), (1e6, 5e7), [
+        ((2e6, 4.8e7), (13, "extrapolated", "38098543.85994644"),
+         (13, "extrapolated", "38098543.85994644")),
+        ((1e7, 3e7), (32, "gap", "24101422.64174047"), (32, "gap", "24101422.64174047")),
+        ((4.5e7, 1.5e6), (13, "extrapolated", "35716964.6085695"),
+         (13, "extrapolated", "35716964.6085695")),
+    ]),
+    (("x^1.1", "x^1.2"), (1e6, 1e7), [
+        ((1.5e6, 9.5e6), (90, "gap", "5787675.381949414"), (90, "gap", "5787675.381949414")),
+        ((6077982.829103238, 6077982.829103232), (1, "stall", "6077982.829103235"),
+         (1, "stall", "6077982.829103235")),
+    ]),
+]
+
+
+@pytest.mark.parametrize("sources,interval,pins", ORBIT_PINS,
+                         ids=[f"{','.join(s)}@{i[0]:g}" for s, i, _ in ORBIT_PINS])
+def test_fused_orbits_are_pinned_bit_for_bit(sources, interval, pins):
+    # the gap tolerances 1e-9 and 1e-12 under a budget of 4000 steps; the
+    # limit is the estimate, or the midpoint of the last iterate
+    matrix, total = program(*sources, domain=Interval(*interval))
+    for x0, *want in pins:
+        got = []
+        for gap_tol in (1e-9, 1e-12):
+            used, status, rows, _, estimate, stop = kernels.cyclic_gauss(
+                matrix, total, list(x0), gap_tol, 4000)
+            assert status == STATUS_OK
+            limit = estimate if estimate is not None else 0.5 * (min(rows[-1]) + max(rows[-1]))
+            got.append((used, stop, repr(limit)))
+        assert got == want, (sources, x0)
 
 
 def mixed_system():
