@@ -145,9 +145,13 @@ def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
     """The equation for a fixed-arity mean M and the composed limit mean
     K the caller supplies: lhs K(M_1(column 1), ..., M_n(column n)), rhs
     K(M_1(row 1), ..., M_n(row n)), for the rotations M_i of M in
-    ``cyclic_mapping(M)``, which refuses a variadic M.
+    ``cyclic_mapping(M)``, which refuses a variadic M.  A K that
+    ``characterize`` built over the rotations of M hands them through.
     """
-    comps = cyclic_mapping(mean).components
+    if isinstance(composition, _KeptComposition) and composition.rotates is mean:
+        comps = composition.mapping.components
+    else:
+        comps = cyclic_mapping(mean).components
     m = validate_matrix(matrix, mean.domain, len(comps))
     rows = composition([c(row) for c, row in zip(comps, m)])
     columns = composition([c(column) for c, column in zip(comps, zip(*m))])
@@ -227,16 +231,19 @@ def _search_matrices(domain: Interval, n: int, rng, trials: int):
 
 
 class _KeptComposition(GaussComposition):
-    """A Gauss composition that keeps its limit per distinct vector, for
-    one ``characterize`` call, whose lattice meets the same K inputs on
-    many sides; repr tells -0.0 from 0.0, and a vector whose orbit
-    raises is not kept."""
+    """The Gauss composition of the rotation family of the fixed-arity
+    mean ``rotates``, for one ``characterize`` call, whose witness search
+    evaluates that family for every matrix and whose lattice meets the
+    same K inputs on many sides.  It keeps its limit per distinct vector
+    (repr tells -0.0 from 0.0, and a vector whose orbit raises is not
+    kept) and hands ``gbs_for_mean_check`` the family it iterates."""
 
-    __slots__ = ("limits",)
+    __slots__ = ("limits", "rotates")
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, mean, *args):
+        super().__init__(cyclic_mapping(mean), *args)
         self.limits = {}
+        self.rotates = mean
 
     def _evaluate(self, pts):
         key = repr(pts)
@@ -301,17 +308,17 @@ def characterize(
     # composed limit of the rotation family, then the witness search
     trials_run = 0
     witness = None
-    mapping = cyclic_mapping(pinned)
     try:
         # K's constructor probes every rotation for the strict mean property
-        composition = _KeptComposition(mapping, DEFAULT_GAP_TOL, max_iterations)
+        composition = _KeptComposition(pinned, DEFAULT_GAP_TOL, max_iterations)
         failure = None
     except (ValueError, MeanlabError) as exc:
         failure = str(exc)
     if failure is None:
         try:
             # force one evaluation so convergence failures surface here
-            gauss_iterate(mapping, dom.grid(max(2, n))[:n], DEFAULT_GAP_TOL, max_iterations)
+            gauss_iterate(composition.mapping, dom.grid(max(2, n))[:n], DEFAULT_GAP_TOL,
+                          max_iterations)
         except MeanlabError as exc:
             failure = f"composition did not converge: {exc}"
     if failure is not None:
