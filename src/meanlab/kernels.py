@@ -126,8 +126,7 @@ def invert(g, y, lo, hi, glo, ghi):
         if y - ghi <= INVERT_TOL * max(1.0, abs(y)):
             return hi, STATUS_OK
         return math.nan, STATUS_RANGE
-    # glo < y < ghi, so max(|glo|, |ghi|) = max(-glo, ghi) > 0; the
-    # comparisons give the floats the max/min/abs calls would
+    # glo < y < ghi, so max(|glo|, |ghi|) = max(-glo, ghi) > 0
     big = ghi if ghi >= -glo else -glo
     if big > 1.0:
         big = 1.0
