@@ -30,6 +30,20 @@ names the rule that ended it.  ``cyclic_gauss`` runs it over all n
 rotations, so a Gauss step is ``gqam`` on each rotation.  ``gauss``
 runs ``orbit`` over the components of any other mean-type mapping.
 
+The code that runs per step of ``orbit`` and per solve of ``invert``
+compares floats where a builtin ``min``, ``max``, ``abs`` or
+``math.isnan`` call would give the same float: on CPython 3.11 such a
+call costs more than the arithmetic it serves.  Written as comparisons,
+the same orbits let the benchmark's orbit-slow workload verify 1,596
+instead of 1,330 samples a second (medians of ten pairs on a 2-vCPU
+x86-64 VM, ``BENCH_28.json``; a traced run took 12.2 instead of
+14.9 us a Gauss step).
+``orbit`` computes the Shanks rate rho only once an estimate passes the
+rate-free bound: rho >= 0, so the bound (1 - rho) * bound it then tests
+is never larger, and the verdict is the same.  Tests hold each rewritten
+expression to the builtin formula it replaced and pin fixed orbits bit
+for bit.
+
 ``ACTIVE`` holds the kernels, a ``KernelSet`` of ``eval_one``,
 ``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  The package's
 callers outside this module read it at each call, so a wrapper installed

@@ -438,20 +438,26 @@ def test_characterize_runs_one_orbit_per_distinct_vector(monkeypatch):
     assert 0 < len(starts) == len(set(starts)) < 2 * 86
 
 
+def _family_builds(monkeypatch):
+    """The means whose rotation family bisymmetry builds from now on."""
+    builds = []
+    build = bisymmetry.cyclic_mapping
+
+    def spy(mean, *args):
+        builds.append(mean)
+        return build(mean, *args)
+
+    monkeypatch.setattr(bisymmetry, "cyclic_mapping", spy)
+    return builds
+
+
 @pytest.mark.parametrize("mean", [
     GeneralizedQuasiArithmeticMean(builtin_system("x,2*x")),
     lehmer_mean(I010),
 ], ids=["gqam", "variadic"])
 def test_characterize_builds_one_rotation_family(monkeypatch, mean):
     # K holds the family the witness search evaluates for every matrix
-    builds = []
-    build = bisymmetry.cyclic_mapping
-
-    def spy(m, *args):
-        builds.append(m)
-        return build(m, *args)
-
-    monkeypatch.setattr(bisymmetry, "cyclic_mapping", spy)
+    builds = _family_builds(monkeypatch)
     verdict = characterize(mean, trials=5)
     assert verdict.trials_run > 1 and len(builds) == 1
 
@@ -463,14 +469,7 @@ def test_the_generalized_check_builds_the_rotations_of_another_mean(monkeypatch)
     comp = bisymmetry._KeptComposition(gm, 1e-11, 2000)
     m = [[1.0, 3.0], [2.0, 4.0]]
     built = gbs_for_mean_check(gm, GaussComposition(cyclic_mapping(gm), 1e-11, 2000), m)
-    builds = []
-    build = bisymmetry.cyclic_mapping
-
-    def spy(m, *args):
-        builds.append(m)
-        return build(m, *args)
-
-    monkeypatch.setattr(bisymmetry, "cyclic_mapping", spy)
+    builds = _family_builds(monkeypatch)
     assert gbs_for_mean_check(gm, comp, m) == built
     assert builds == []
     gbs_for_mean_check(other, comp, m)
