@@ -31,7 +31,9 @@ from typing import NamedTuple, Sequence
 
 from .cyclic import cyclic_mapping, fixed_arity
 from .errors import ConvergenceError, DomainError, MeanlabError
-from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate
+# gauss_iterate is not called here: the benchmark's tracer wraps the name
+# in every module that once called it, this one included
+from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate  # noqa: F401
 from .generator import Generator, GeneratorSystem
 from .interval import Interval, seeded_rng
 from .logs import log
@@ -316,9 +318,9 @@ def characterize(
         failure = str(exc)
     if failure is None:
         try:
-            # force one evaluation so convergence failures surface here
-            gauss_iterate(composition.mapping, dom.grid(max(2, n))[:n], DEFAULT_GAP_TOL,
-                          max_iterations)
+            # force one evaluation so convergence failures surface here;
+            # K keeps its limit for the witness search
+            composition(dom.grid(max(2, n))[:n])
         except MeanlabError as exc:
             failure = f"composition did not converge: {exc}"
     if failure is not None:

@@ -34,7 +34,7 @@ from meanlab import (
     random_matrix,
     validate_matrix,
 )
-from meanlab import bisymmetry, gauss
+from meanlab import bisymmetry, gauss, kernels
 from meanlab.cyclic import fixed_arity
 
 I010 = Interval(0.0, 10.0)
@@ -438,6 +438,25 @@ def test_characterize_runs_one_orbit_per_distinct_vector(monkeypatch):
     assert 0 < len(starts) == len(set(starts)) < 2 * 86
 
 
+def test_characterize_runs_its_convergence_probe_once(monkeypatch):
+    # the probe before the witness search evaluates K, which keeps its
+    # limit, so the lattice's matrix that meets the probe vector reuses it
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
+    probe = tuple(mean.domain.grid(2))
+    starts = []
+    orbit = kernels.ACTIVE.cyclic_gauss
+
+    def spy(matrix, total, x0, *args):
+        starts.append(tuple(x0))
+        return orbit(matrix, total, x0, *args)
+
+    monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(cyclic_gauss=spy))
+    verdict = characterize(mean, trials=5)
+    assert verdict.consistent and verdict.trials_run == 86
+    assert starts[0] == probe and starts.count(probe) == 1
+    assert len(starts) == len(set(starts))
+
+
 def _family_builds(monkeypatch):
     """The means whose rotation family bisymmetry builds from now on."""
     builds = []
@@ -478,12 +497,14 @@ def test_the_generalized_check_builds_the_rotations_of_another_mean(monkeypatch)
 
 def test_characterize_keeps_no_limit_whose_orbit_raises(monkeypatch):
     mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
-    edge = mean.domain.grid(bisymmetry.LATTICE_POINTS)[0]
+    # the lattice's middle value: K inputs that start with it recur, and
+    # the convergence probe's vector, the interval's two ends, is not one
+    middle = mean.domain.grid(bisymmetry.LATTICE_POINTS)[1]
     iterate = gauss.gauss_iterate
     raised = []
 
     def spy(mapping, xs, *args):
-        if xs[0] == edge:  # K inputs the lattice meets more than once
+        if xs[0] == middle:
             raised.append(tuple(xs))
             raise ConvergenceError("budget exhausted")
         return iterate(mapping, xs, *args)
