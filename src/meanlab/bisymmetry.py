@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 
 from .cyclic import cyclic_mapping, fixed_arity
 from .errors import ConvergenceError, DomainError, MeanlabError
-# gauss_iterate is not called here: the benchmark's tracer wraps the name
-# in every module that once called it, this one included
+# gauss_iterate is not called here; the name stays because the benchmark's
+# tracer swaps it in this module
 from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate  # noqa: F401
 from .generator import Generator, GeneratorSystem
 from .interval import Interval, seeded_rng

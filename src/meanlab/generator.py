@@ -18,9 +18,10 @@ invertibility.  A callable enters a tree only through
 ``Generator.from_callable``, which guards it.  A caller's point is
 evaluated exactly where it is.
 
-Inversion is bracketed: bisection with Illinois-damped secant refinement,
-terminating on a residual test relative to |y| and to the generator's
-values on the bracket.  There is one solve, ``kernels.invert``, whose
+Inversion is bracketed: bisection with secant refinement weighted by the
+Anderson-Bjorck rule, terminating on a residual test relative to |y|
+and to the generator's values on the bracket, and at adjacent floats on
+the endpoints' true residuals.  There is one solve, ``kernels.invert``, whose
 docstring states the test; it takes the body's values at the bracket's
 ends, which ``invert_on`` computes, and stops on the kernels' constants
 ``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.

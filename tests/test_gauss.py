@@ -509,8 +509,7 @@ def test_a_slowly_contracting_orbit_stops_on_its_shanks_estimate():
     assert trace.stop == "extrapolated" and limit == trace.estimate
     assert min(trace.last) <= limit <= max(trace.last)
     assert trace.gaps[-1] > 1e-6
-    # the step it stopped on, pinned when the bracketed solve took the
-    # Anderson-Bjorck weighting (145 under Illinois halving)
+    # the step it stopped on
     assert trace.iterations_used == 166 and len(trace.iterates) == 167
 
 
@@ -555,10 +554,9 @@ LIBRARY_PINS = {
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_SYSTEMS))
 def test_library_results_of_callable_systems_are_pinned_bit_for_bit(name):
-    # values taken when the bracketed solve first weighted its retained
-    # endpoint by the Anderson-Bjorck rule (they moved by at most 6e-13
-    # relative from the Illinois solve's); a rewrite of the lowering or of
-    # the hot path must not move a bit
+    # a sum of callables and an affine image are lowered trees with the
+    # callables as leaves; a rewrite of the lowering or of the hot path
+    # must not move a bit
     system = LIBRARY_SYSTEMS[name]()
     rows = []
     for seed in range(5):

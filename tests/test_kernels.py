@@ -351,9 +351,8 @@ def test_invert_reports_nonfinite_inside_the_bracket(ks):
     ("3*log(x)", 1.0 - 1e-13, 1.0 + 1e-13, 192),
 ])
 def test_invert_takes_the_pinned_steps(ks, source, lo, hi, calls):
-    # the body calls of 20 solves across the range: 175 and 195 under
-    # Illinois halving, 141 and 151 under Anderson-Bjorck weighting; the
-    # bracket a few hundred ulp wide ends on adjacent floats under either
+    # the body calls of 20 solves across the range: the same arithmetic
+    # takes the same steps
     g = body(source)
     count = 0
 
@@ -395,10 +394,9 @@ def test_invert_accepts_float_resolution_at_a_zero_crossing(ks):
 def test_invert_never_accepts_a_target_inside_a_jump(ks, smallest, largest):
     # g(x) = x + j*[x >= c] on (0, 10) reaches no target strictly inside
     # its jump, so the bracket closes on c without a root.  The weights
-    # shrink the retained endpoint's value far below its true residual;
-    # the acceptance at adjacent floats must read the true one.  Weighted
-    # values accepted thousands of these; Illinois halving, which the
-    # weights replaced, accepted a few of the jumps below 1e-6.
+    # shrink the kept endpoint's value far below its true residual, the
+    # more so the smaller the jump; the acceptance at adjacent floats must
+    # read the true one.
     rng = np.random.default_rng(29)
     n = 2000
     false_accepts = []
@@ -707,11 +705,8 @@ def test_the_lazy_shanks_test_is_the_builtin_formula():
 
 
 # --- orbits pinned bit for bit -------------------------------------------------
-# (iterations, stop, repr of the limit) of fused orbits from fixed starts,
-# taken when the bracketed solve first weighted its retained endpoint by
-# the Anderson-Bjorck rule (they moved by at most 3.2e-12 relative from
-# the Illinois solve's); any rewrite of the hot path that moves a bit
-# fails here.
+# (iterations, stop, repr of the limit) of fused orbits from fixed starts;
+# any rewrite of the hot path that moves a bit fails here.
 # The log, exp and non-integer power cases assume the libm the pins were
 # taken with (glibc on x86-64).
 ORBIT_PINS = [
@@ -798,8 +793,8 @@ def test_fused_orbits_are_pinned_bit_for_bit(sources, interval, pins):
 def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, calls):
     # the Gauss steps and sum-body calls of 20 seeded orbits of each
     # system the benchmark's slow orbits run, at gap tolerance 1e-9: 3.45
-    # and 3.81 calls a solve (4.54 and 5.01 under Illinois halving), so a
-    # solve that takes more steps fails here and not only in a timing
+    # and 3.81 calls a solve, so a solve that takes more steps fails here
+    # and not only in a timing
     matrix, total = program(*sources)
     count = 0
 
