@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 
 from .cyclic import cyclic_mapping, fixed_arity
 from .errors import ConvergenceError, DomainError, MeanlabError
-# gauss_iterate is not called here; the name stays because the benchmark's
-# tracer swaps it in this module
+# gauss_iterate and qam_eval are not called here; the names stay because
+# the benchmark's tracer swaps them in this module
 from .gauss import DEFAULT_GAP_TOL, GaussComposition, gauss_iterate  # noqa: F401
 from .generator import Generator, GeneratorSystem
 from .interval import Interval, seeded_rng
@@ -42,7 +42,7 @@ from .means import (
     Mean,
     QuasiArithmeticMean,
     agrees,
-    qam_eval,
+    qam_eval,  # noqa: F401
     reflexivity_check,
 )
 
@@ -125,9 +125,11 @@ def _report(equation, lhs, rhs, tol, matrix=None, point=None) -> EquationReport:
 def bisymmetry_check(mean: Mean, matrix, tol: float = EQUATION_TOL) -> EquationReport:
     """One mean, both nestings: aggregate rows first on the left,
     columns first on the right."""
+    # validate_matrix checks every entry, so the inner means evaluate the
+    # rows and columns directly; the outer mean checks their outputs
     m = validate_matrix(matrix, mean.domain, mean.arity)
-    lhs = mean([mean(row) for row in m])
-    rhs = mean([mean(column) for column in zip(*m)])
+    lhs = mean([mean._evaluate(list(row)) for row in m])
+    rhs = mean([mean._evaluate(list(column)) for column in zip(*m)])
     return _report("bisymmetry", lhs, rhs, tol, matrix=m)
 
 
@@ -155,8 +157,9 @@ def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
     else:
         comps = cyclic_mapping(mean).components
     m = validate_matrix(matrix, mean.domain, len(comps))
-    rows = composition([c(row) for c, row in zip(comps, m)])
-    columns = composition([c(column) for c, column in zip(comps, zip(*m))])
+    # the entries are checked; only K checks the inner means' outputs
+    rows = composition([c._evaluate(list(row)) for c, row in zip(comps, m)])
+    columns = composition([c._evaluate(list(column)) for c, column in zip(comps, zip(*m))])
     return _report("generalized-bisymmetry", columns, rows, tol, matrix=m)
 
 
@@ -168,9 +171,11 @@ def associativity_check(f: Generator, xs: Sequence[float], ys: Sequence[float],
     ys = [float(v) for v in ys]
     if not xs or not ys:
         raise ValueError("associativity needs nonempty blocks")
-    y = qam_eval(f, ys)
-    lhs = qam_eval(f, xs + ys)
-    rhs = qam_eval(f, xs + [y] * len(ys))
+    mean = QuasiArithmeticMean(f)
+    lhs = mean(xs + ys)
+    # that call checked every point, and y lies in [min ys, max ys]
+    y = mean._evaluate(list(ys))
+    rhs = mean._evaluate(xs + [y] * len(ys))
     return _report("associativity", lhs, rhs, tol, point=(tuple(xs), tuple(ys)))
 
 

@@ -101,11 +101,13 @@ class MeanTypeMapping:
         self.system = system
 
     def apply(self, xs: Sequence[float]) -> tuple:
-        """One synchronous step: every component sees the same input."""
+        """One synchronous step: every component sees the same input,
+        checked once here and handed to each in a list of its own."""
         pts = [float(x) for x in xs]
         if len(pts) != self.arity:
             raise ValueError(f"expected {self.arity} points, got {len(pts)}")
-        return tuple(c(pts) for c in self.components)
+        self.domain.check_points(pts)
+        return tuple(c._evaluate(list(pts)) for c in self.components)
 
     def __repr__(self):
         fused = "fused" if self.system is not None else "generic"

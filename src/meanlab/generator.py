@@ -27,8 +27,9 @@ ends, which ``invert_on`` computes, and stops on the kernels' constants
 ``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
-mean in ``means.gqam_eval`` (whose kernel runs the solve on the sum
-generator), and so for every Gauss step, fused or not.
+mean in ``GeneralizedQuasiArithmeticMean._evaluate`` (whose kernel runs
+the solve on the sum generator), and so for every Gauss step, fused or
+not.
 """
 
 from __future__ import annotations

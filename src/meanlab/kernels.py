@@ -67,10 +67,10 @@ Kernels never raise, save for a ``TypeError`` from calling a body of
 the wrong arity.  Scalar evaluation signals trouble with NaN and the
 solvers return status codes.  The callers turn those into package
 exceptions, through ``Generator._invert_error``: ``Generator.invert_on``
-for one solve and ``means.gqam_eval`` for one mean.  ``gauss.gauss_iterate``
-adds only the Gauss budget: a fused orbit whose step failed replays that
-step through the mapping's components, so it raises what
-``means.gqam_eval`` raises.
+for one solve and ``GeneralizedQuasiArithmeticMean._evaluate`` for one
+mean.  ``gauss.gauss_iterate`` adds only the Gauss budget: a fused orbit
+whose step failed replays that step through the mapping's components,
+so it raises what the generalized mean raises.
 
 Status codes shared by the solvers:
 

@@ -1,9 +1,10 @@
 """Quasi-arithmetic means and their generalized, per-coordinate form.
 
-The two evaluators are
+Two classes evaluate them:
 
-    qam_eval(f, xs)      f^{-1}((f(x1)+...+f(xk))/k)        any arity k
-    gqam_eval(S, xs)     (f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) fixed arity n
+    QuasiArithmeticMean(f)            f^{-1}((f(x1)+...+f(xk))/k)   any arity k
+    GeneralizedQuasiArithmeticMean(S) (f1+...+fn)^{-1}(f1(x1)+...+fn(xn))
+                                                                  fixed arity n
 
 with every inversion bracketed by [min xs, max xs]: monotonicity of the
 generators pins the result inside the input range, which both guarantees
@@ -11,14 +12,17 @@ a bracket and makes reflexivity exact (constant input short-circuits at
 the bracket endpoint).  The points are evaluated exactly where the
 caller gives them, anywhere in the open interval; a generator that is
 not finite at one of them is an EvalError.  Both run the one solve,
-``kernels.invert``: ``qam_eval`` through ``Generator.invert_on``,
-``gqam_eval`` as one call of ``kernels.ACTIVE.gqam`` on the system's
-program, its member matrix and sum body: the mean is the first rotation
-of the fused Gauss step, so it evaluates every member at every point
-and is an EvalError where any of them is not finite.
+``kernels.invert``: the first through ``Generator.invert_on``, the
+second as one call of ``kernels.ACTIVE.gqam`` on the system's program,
+its member matrix and sum body: the mean is the first rotation of the
+fused Gauss step, so it evaluates every member at every point and is an
+EvalError where any of them is not finite.
 
-The Mean class hierarchy wraps evaluators with domain and arity
-validation so mapping/iteration code can treat all means uniformly.
+``Mean.__call__`` is the one place a vector is converted and checked
+(floats, arity, at least one point, inside the domain); ``_evaluate``
+computes on points so checked.  ``qam_eval(f, xs)`` and
+``gqam_eval(S, xs)`` are one-shot checked entries: a call of a fresh
+mean of each class.
 """
 
 from __future__ import annotations
@@ -52,38 +56,14 @@ def agrees(lhs: float, rhs: float, tol: float, scale: float) -> bool:
     return abs(lhs - rhs) <= tol * max(abs(rhs), min(1.0, scale))
 
 
-def qam_eval(f: Generator, xs: Sequence[float]) -> float:
-    """Quasi-arithmetic mean generated by f, at any arity >= 1."""
-    pts = [float(x) for x in xs]
-    if not pts:
-        raise ValueError("qam_eval needs at least one point")
-    f.domain.check_points(pts)
-    s = 0.0
-    for x in pts:
-        s += f.eval_inside(x)
-    return f.invert_on(s / len(pts), min(pts), max(pts))
-
-
-def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
-    """Generalized quasi-arithmetic mean of the system, one generator per
-    coordinate."""
-    pts = [float(x) for x in xs]
-    if len(pts) != system.n:
-        raise ValueError(f"expected {system.n} points, got {len(pts)}")
-    system.domain.check_points(pts)
-    v, status = kernels.ACTIVE.gqam(*system.program(), pts)
-    if status != kernels.STATUS_OK:
-        # the kernel solved for the sum of the members at pts
-        target = f"the sum of [{system.label}] at {pts}"
-        raise system.sum_generator()._invert_error(status, target)
-    return v
-
-
 class Mean:
     """A mean as a validated callable on vectors from its domain.
 
-    ``arity`` None means variadic.  Subclasses implement ``_evaluate`` on
-    an already validated list of floats.
+    ``arity`` None means variadic.  ``__call__`` converts and checks the
+    points; subclasses implement ``_evaluate``, which gets checked
+    floats (as many as the arity takes, at least one, inside the domain)
+    in a list of its own, free to change.  Code that has checked a vector
+    already may call ``_evaluate`` directly, with a copy per mean.
     """
 
     __slots__ = ("domain", "arity", "label")
@@ -124,7 +104,11 @@ class QuasiArithmeticMean(Mean):
         self.generator = generator
 
     def _evaluate(self, pts):
-        return qam_eval(self.generator, pts)
+        f = self.generator
+        s = 0.0
+        for x in pts:
+            s += f.eval_inside(x)
+        return f.invert_on(s / len(pts), min(pts), max(pts))
 
 
 class GeneralizedQuasiArithmeticMean(Mean):
@@ -137,7 +121,24 @@ class GeneralizedQuasiArithmeticMean(Mean):
         self.system = system
 
     def _evaluate(self, pts):
-        return gqam_eval(self.system, pts)
+        system = self.system
+        v, status = kernels.ACTIVE.gqam(*system.program(), pts)
+        if status != kernels.STATUS_OK:
+            # the kernel solved for the sum of the members at pts
+            target = f"the sum of [{system.label}] at {pts}"
+            raise system.sum_generator()._invert_error(status, target)
+        return v
+
+
+def qam_eval(f: Generator, xs: Sequence[float]) -> float:
+    """Quasi-arithmetic mean generated by f, at any arity >= 1."""
+    return QuasiArithmeticMean(f)(xs)
+
+
+def gqam_eval(system: GeneratorSystem, xs: Sequence[float]) -> float:
+    """Generalized quasi-arithmetic mean of the system, one generator per
+    coordinate."""
+    return GeneralizedQuasiArithmeticMean(system)(xs)
 
 
 class FunctionMean(Mean):
@@ -293,10 +294,8 @@ def qam_equality_check(f: Generator, g: Generator, *, probes: int = EQUALITY_PRO
                        threshold: float = EQUALITY_FIT_THRESHOLD) -> EqualityReport:
     """Two generators induce one mean exactly when g is a positive
     affine image of f; the one-pair case of the system check."""
-    return _equality(
-        [(f, g)], lambda pts: qam_eval(f, pts), lambda pts: qam_eval(g, pts),
-        QAM_PROBE_ARITY, probes, seed, threshold,
-    )
+    return _equality([(f, g)], QuasiArithmeticMean(f), QuasiArithmeticMean(g),
+                     QAM_PROBE_ARITY, probes, seed, threshold)
 
 
 def gqam_equality_check(first: GeneratorSystem, second: GeneratorSystem, *,
@@ -306,8 +305,6 @@ def gqam_equality_check(first: GeneratorSystem, second: GeneratorSystem, *,
     under affine images with a single common slope."""
     if first.n != second.n:
         raise ValueError("systems must have the same length")
-    return _equality(
-        list(zip(first.generators, second.generators)),
-        lambda pts: gqam_eval(first, pts), lambda pts: gqam_eval(second, pts),
-        first.n, probes, seed, threshold,
-    )
+    return _equality(list(zip(first.generators, second.generators)),
+                     GeneralizedQuasiArithmeticMean(first), GeneralizedQuasiArithmeticMean(second),
+                     first.n, probes, seed, threshold)

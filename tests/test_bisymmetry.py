@@ -281,6 +281,53 @@ def test_gbs_needs_fixed_arity():
         gbs_for_mean_check(variadic, comp, [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_bisymmetry_check_checks_only_the_outer_means_points(checked_points, n):
+    # validate_matrix checks every entry; the inner means evaluate the
+    # rows and columns as they are, the outer mean checks their means
+    mean = QuasiArithmeticMean(Generator.from_expression("log(x)", Interval(0.1, 10.0)))
+    m = random_matrix(np.random.default_rng(n), mean.domain, n)
+    bisymmetry_check(mean, m)
+    seen = list(checked_points)
+    assert seen == [[mean(row) for row in m], [mean(column) for column in zip(*m)]]
+
+
+@pytest.mark.parametrize("name", ["x,2*x", "x,x^3", "x,x^2,x^3"])
+def test_a_generalized_bisymmetry_check_checks_only_the_points_of_k(checked_points, name):
+    system = builtin_system(name)
+    mean = GeneralizedQuasiArithmeticMean(system)
+    m = random_matrix(np.random.default_rng(7), system.domain, system.n)
+    am = fixed_arity(arithmetic_mean(system.domain), system.n)
+    report = generalized_bisymmetry_check(system, m)
+    gbs_for_mean_check(mean, am, m)
+    seen = list(checked_points)
+    comps = cyclic_mapping(mean).components
+    inner = [[c(row) for c, row in zip(comps, m)],
+             [c(column) for c, column in zip(comps, zip(*m))]]
+    assert seen == inner + inner
+    assert report.passed
+
+
+def test_checked_rows_and_columns_reach_each_mean_in_a_list_of_its_own():
+    # a mean that reverses the list it is handed, then returns its first
+    # entry, the last point: handing it the matrix's own rows or a shared
+    # list would change what it or another mean sees
+    def last(pts):
+        pts.reverse()
+        return pts[0]
+
+    rev = FunctionMean(last, I010, arity=3, label="last")
+    m = ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.5, 9.0))
+    report = bisymmetry_check(rev, m)
+    assert report.lhs == rev([rev(row) for row in m]) == 9.0
+    assert report.rhs == rev([rev(column) for column in zip(*m)]) == 9.0
+    k = fixed_arity(arithmetic_mean(I010), 3)
+    comps = cyclic_mapping(rev).components
+    report = gbs_for_mean_check(rev, k, m)
+    assert report.rhs == k([c(row) for c, row in zip(comps, m)])
+    assert report.lhs == k([c(column) for c, column in zip(comps, zip(*m))])
+
+
 # --- associativity ----------------------------------------------------------------
 
 
@@ -318,6 +365,18 @@ def test_associativity_rejects_empty():
     g = Generator.from_expression("x", I010)
     with pytest.raises(ValueError):
         associativity_check(g, (), (1.0,))
+
+
+def test_an_associativity_check_checks_its_points_once(checked_points):
+    g = Generator.from_expression("exp(x)", Interval(0.0, 3.0))
+    report = associativity_check(g, (0.5, 1), (2.0, 2.5, 0.1))
+    seen = list(checked_points)
+    assert seen == [[0.5, 1.0, 2.0, 2.5, 0.1]]
+    y = qam_eval(g, (2.0, 2.5, 0.1))
+    assert report.lhs == qam_eval(g, (0.5, 1.0, 2.0, 2.5, 0.1))
+    assert report.rhs == qam_eval(g, (0.5, 1.0, y, y, y))
+    with pytest.raises(DomainError, match="point 3.5 is outside"):
+        associativity_check(g, (0.5, 1.0), (2.0, 3.5))
 
 
 # --- the characterization pipeline --------------------------------------------------

@@ -52,16 +52,16 @@ def test_eval_weighted_pair(capsys):
 
 
 def test_eval_evaluates_the_mean_once(capsys, monkeypatch):
-    from meanlab import means
+    from meanlab import kernels
 
     calls = []
-    gqam_eval = means.gqam_eval
+    gqam = kernels.ACTIVE.gqam
 
-    def counted(system, xs):
+    def counted(matrix, total, xs):
         calls.append(xs)
-        return gqam_eval(system, xs)
+        return gqam(matrix, total, xs)
 
-    monkeypatch.setattr(means, "gqam_eval", counted)
+    monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(gqam=counted))
     code, payload, _ = run_json(capsys, "--gen", "x", "--gen", "2*x", "eval", "0.5", "3")
     assert code == 0 and payload["details"]["value"] == "2.166667"
     assert len(calls) == 1

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    DomainError,
+    FunctionMean,
     GeneralizedQuasiArithmeticMean,
     Generator,
     GeneratorSystem,
@@ -19,6 +21,8 @@ from meanlab import (
     arithmetic_mean,
     builtin_system,
     cyclic_mapping,
+    gauss_iterate,
+    lehmer_mean,
     mean_property_check,
     rotated,
     sigma,
@@ -174,20 +178,11 @@ def test_permuted_mean_refuses_a_conflicting_arity_when_built():
     assert PermutedMean(arithmetic_mean(DOM), 1, 3).arity == 3
 
 
-def test_a_rotated_mean_checks_its_points_once(monkeypatch):
+def test_a_rotated_mean_checks_its_points_once(checked_points):
     # the rotation checks the caller's points, and its base evaluates the
-    # rotated points without checking them again: only gqam_eval, which
-    # checks what it is handed, looks at them once more
-    checked = []
-    check = Interval.check_points
-
-    def spy(self, pts):
-        checked.append(list(pts))
-        check(self, pts)
-
-    monkeypatch.setattr(Interval, "check_points", spy)
+    # rotated points without checking them again
     assert PermutedMean(weighted_pair_mean(), 1)([0.0, 3.0]) == pytest.approx(1.0)
-    assert checked == [[0.0, 3.0], [3.0, 0.0]]
+    assert checked_points == [[0.0, 3.0]]
 
 
 def test_permuted_label():
@@ -263,6 +258,51 @@ def test_mapping_apply_checks_length():
     mapping = cyclic_mapping(weighted_pair_mean())
     with pytest.raises(ValueError):
         mapping.apply((1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("mean,arity", [
+    (weighted_pair_mean(), None),
+    (GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3")), None),
+    (lehmer_mean(Interval(0.0, 10.0)), 3),
+])
+def test_a_mapping_step_checks_its_points_once(checked_points, mean, arity):
+    mapping = cyclic_mapping(mean, arity)
+    xs = [1.0, 3.0, 4.5][:mapping.arity]
+    step = mapping.apply(xs)
+    assert checked_points == [xs]
+    assert step == tuple(c(xs) for c in mapping.components)
+
+
+def test_a_generic_gauss_step_checks_its_points_once(checked_points):
+    mapping = cyclic_mapping(lehmer_mean(Interval(0.0, 10.0)), arity=3)
+    _, trace = gauss_iterate(mapping, [1.0, 2.0, 7.0])
+    # gauss_iterate checks the start, then each step its own input
+    steps = [list(row) for row in trace.iterates[:trace.iterations_used]]
+    assert checked_points == [[1.0, 2.0, 7.0], *steps]
+
+
+def test_a_mapping_step_rejects_a_point_outside_the_interval():
+    with pytest.raises(DomainError, match="point 12.0 is outside"):
+        cyclic_mapping(weighted_pair_mean()).apply((1.0, 12.0))
+
+
+def reversing_mean(domain, arity):
+    """A mean that reverses the list it is handed and returns its new
+    first entry: the last point, if no other mean shares that list."""
+    def last(pts):
+        pts.reverse()
+        return pts[0]
+
+    return FunctionMean(last, domain, arity=arity, label="last")
+
+
+def test_a_mapping_step_hands_each_component_its_own_list():
+    m = reversing_mean(DOM, 3)
+    xs = [1.0, 2.0, 7.0]
+    for mapping in (MeanTypeMapping([m, m, m]), cyclic_mapping(m)):
+        assert mapping.apply(xs) == tuple(c(xs) for c in mapping.components)
+    assert MeanTypeMapping([m, m, m]).apply(xs) == (7.0, 7.0, 7.0)
+    assert xs == [1.0, 2.0, 7.0]
 
 
 # --- arity pinning and shared domains -------------------------------------------

@@ -184,6 +184,58 @@ def test_mean_rejects_outside_domain():
         m([1.0, 12.0])
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda xs: QuasiArithmeticMean(gen("log(x)"))(xs),
+    lambda xs: GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3", I010))(xs),
+    lambda xs: qam_eval(gen("log(x)"), xs),
+    lambda xs: gqam_eval(builtin_system("x,x^2,x^3", I010), xs),
+], ids=["qam", "gqam", "qam_eval", "gqam_eval"])
+def test_a_mean_checks_its_points_once(checked_points, evaluate):
+    evaluate((1, 2.5, 7.0))
+    assert checked_points == [[1.0, 2.5, 7.0]]
+
+
+def test_the_one_shot_evaluators_check_their_points():
+    f = gen("x")
+    system = builtin_system("x,2*x")
+    with pytest.raises(ValueError):
+        qam_eval(f, [])
+    with pytest.raises(ValueError):
+        gqam_eval(system, [1.0])
+    with pytest.raises(ValueError):
+        gqam_eval(system, [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        qam_eval(f, [1.0, 12.0])
+    with pytest.raises(DomainError):
+        gqam_eval(system, [12.0, 1.0])
+
+
+@pytest.mark.parametrize("check,mean_class,first,second", [
+    (qam_equality_check, QuasiArithmeticMean, "x", "x^2"),
+    (gqam_equality_check, GeneralizedQuasiArithmeticMean, "x,2*x", "x,x^3"),
+])
+def test_an_equality_check_builds_one_mean_per_side(monkeypatch, check, mean_class,
+                                                    first, second):
+    # one mean object per side for all the probes, not one per probe
+    built = []
+    init = mean_class.__init__
+
+    def counted(self, arg):
+        built.append(arg)
+        init(self, arg)
+
+    monkeypatch.setattr(mean_class, "__init__", counted)
+    def make(source):
+        if mean_class is QuasiArithmeticMean:
+            return gen(source)
+        return GeneratorSystem([gen(part) for part in source.split(",")])
+
+    a, b = make(first), make(second)
+    report = check(a, b, probes=5)
+    assert built == [a, b]
+    assert not report.equal
+
+
 def test_factory_values():
     assert arithmetic_mean(I010)([1.0, 3.0]) == 2.0
     assert geometric_mean(I010)([1.0, 4.0]) == pytest.approx(2.0)
