@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .cyclic import cyclic_mapping, fixed_arity
+from .cyclic import cyclic_mapping, fixed_arity, rotation_base
 from .errors import ConvergenceError, DomainError, MeanlabError
 # gauss_iterate and qam_eval are not called here; the names stay because
 # the benchmark's tracer swaps them in this module
@@ -149,10 +149,11 @@ def gbs_for_mean_check(mean: Mean, composition: Mean, matrix,
     """The equation for a fixed-arity mean M and the composed limit mean
     K the caller supplies: lhs K(M_1(column 1), ..., M_n(column n)), rhs
     K(M_1(row 1), ..., M_n(row n)), for the rotations M_i of M in
-    ``cyclic_mapping(M)``, which refuses a variadic M.  A K that
-    ``characterize`` built over the rotations of M hands them through.
+    ``cyclic_mapping(M)``, which refuses a variadic M.  A Gauss
+    composition over the rotations of M hands them through.
     """
-    if isinstance(composition, _KeptComposition) and composition.rotates is mean:
+    if (isinstance(composition, GaussComposition)
+            and rotation_base(composition.mapping.components) is mean):
         comps = composition.mapping.components
     else:
         comps = cyclic_mapping(mean).components
@@ -238,24 +239,22 @@ def _search_matrices(domain: Interval, n: int, rng, trials: int):
 
 
 class _KeptComposition(GaussComposition):
-    """The Gauss composition of the rotation family of the fixed-arity
-    mean ``rotates``, for one ``characterize`` call, whose witness search
-    evaluates that family for every matrix and whose lattice meets the
-    same K inputs on many sides.  It keeps its limit per distinct vector
-    (repr tells -0.0 from 0.0, and a vector whose orbit raises is not
-    kept) and hands ``gbs_for_mean_check`` the family it iterates."""
+    """A Gauss composition for one ``characterize`` call, whose lattice
+    meets the same K inputs on many sides.  It keeps its limit per
+    distinct vector (repr tells -0.0 from 0.0, and a vector whose orbit
+    raises is not kept)."""
 
-    __slots__ = ("limits", "rotates")
+    __slots__ = ("limits",)
 
-    def __init__(self, mean, *args):
-        super().__init__(cyclic_mapping(mean), *args)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.limits = {}
-        self.rotates = mean
 
-    def _evaluate(self, pts):
+    def __call__(self, xs):
+        pts = [float(x) for x in xs]
         key = repr(pts)
         if key not in self.limits:
-            self.limits[key] = super()._evaluate(pts)
+            self.limits[key] = super().__call__(pts)
         return self.limits[key]
 
 
@@ -317,7 +316,7 @@ def characterize(
     witness = None
     try:
         # K's constructor probes every rotation for the strict mean property
-        composition = _KeptComposition(pinned, DEFAULT_GAP_TOL, max_iterations)
+        composition = _KeptComposition(cyclic_mapping(pinned), DEFAULT_GAP_TOL, max_iterations)
         failure = None
     except (ValueError, MeanlabError) as exc:
         failure = str(exc)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .generator import GeneratorSystem
-from .means import GeneralizedQuasiArithmeticMean, Mean
+from .means import Mean
 
 
 def _check_position(n: int, k: int) -> None:
@@ -70,18 +69,15 @@ class PermutedMean(Mean):
 class MeanTypeMapping:
     """A vector of means over one interval, applied synchronously.
 
-    ``system`` is set (by ``cyclic_mapping``) exactly when the mapping is
-    the cyclic rotation family of a generalized quasi-arithmetic mean,
-    expression or callable generators alike; iteration code uses it to run the fused
-    ``cyclic_gauss`` kernel on the system's program instead of calling
-    the components one by one.
+    The components are all a mapping is: ``rotation_base`` tells from
+    them whether it is the rotation family of one mean, and iteration
+    code runs the rotation family of a generalized quasi-arithmetic mean
+    as the fused ``cyclic_gauss`` kernel on that mean's program.
     """
 
-    __slots__ = ("components", "domain", "arity", "label", "system")
+    __slots__ = ("components", "domain", "arity", "label")
 
-    def __init__(self, components: Sequence[Mean], *,
-                 system: GeneratorSystem | None = None,
-                 label: str | None = None):
+    def __init__(self, components: Sequence[Mean], *, label: str | None = None):
         comps = tuple(components)
         if not comps:
             raise ValueError("a mapping needs at least one component")
@@ -98,7 +94,6 @@ class MeanTypeMapping:
         self.domain = domain
         self.arity = n
         self.label = label if label is not None else f"({', '.join(c.label for c in comps)})"
-        self.system = system
 
     def apply(self, xs: Sequence[float]) -> tuple:
         """One synchronous step: every component sees the same input,
@@ -110,8 +105,7 @@ class MeanTypeMapping:
         return tuple(c._evaluate(list(pts)) for c in self.components)
 
     def __repr__(self):
-        fused = "fused" if self.system is not None else "generic"
-        return f"<MeanTypeMapping {self.label!r}, arity {self.arity}, {fused}>"
+        return f"<MeanTypeMapping {self.label!r}, arity {self.arity}>"
 
 
 def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
@@ -128,8 +122,18 @@ def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
     # rotating a variadic mean still needs fixed-length vectors here, so
     # every rotation pins the arity
     comps = [fixed_arity(mean, n), *(PermutedMean(mean, i, n) for i in range(1, n))]
-    system = mean.system if isinstance(mean, GeneralizedQuasiArithmeticMean) else None
-    return MeanTypeMapping(comps, system=system, label=f"cyclic[{mean.label}]")
+    return MeanTypeMapping(comps, label=f"cyclic[{mean.label}]")
+
+
+def rotation_base(components: Sequence[Mean]) -> Mean | None:
+    """The mean M whose rotations 0..n-1 the n components are, or None:
+    component 0 is M, of arity n, and component i is
+    ``PermutedMean(M, i, n)``, the family ``cyclic_mapping(M)`` builds."""
+    base, n = components[0], len(components)
+    if base.arity == n and all(isinstance(c, PermutedMean) and c.base is base and c.shift == i
+                               for i, c in enumerate(components[1:], 1)):
+        return base
+    return None
 
 
 def fixed_arity(mean: Mean, n: int) -> Mean:

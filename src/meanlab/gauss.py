@@ -13,10 +13,12 @@ estimate on an extrapolated stop and the midpoint of the final bracket
 otherwise.  The bracket always contains the true limit, and the midpoint
 sits much closer than the gap itself, so a modest gap tolerance already
 pins the value tightly; the estimate lies in the bracket too, and ends
-a slowly contracting orbit long before its gap closes.  The loop runs as
-the fused ``cyclic_gauss`` kernel over the system's program for
-the cyclic mapping of any generalized quasi-arithmetic mean, or over a
-step that calls ``MeanTypeMapping.apply`` for every other mapping.
+a slowly contracting orbit long before its gap closes.  ``gauss_iterate``
+alone chooses how the loop runs, from the mapping's components: as the
+fused ``cyclic_gauss`` kernel over the system's program where
+``cyclic.rotation_base`` finds them the rotations of a generalized
+quasi-arithmetic mean, or over a step that calls
+``MeanTypeMapping.apply`` for every other mapping.
 
 ``composition_closed_form_check`` is the headline numeric experiment:
 iterating the cyclic mapping of a generalized quasi-arithmetic mean must
@@ -29,7 +31,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .cyclic import MeanTypeMapping, cyclic_mapping, rotated
+from .cyclic import MeanTypeMapping, cyclic_mapping, rotated, rotation_base
 from .errors import ConvergenceError
 from .generator import GeneratorSystem
 from .interval import seeded_rng
@@ -93,6 +95,11 @@ def gauss_iterate(
     scaled by min(1, max|xs|), stalls at float resolution, or the orbit's
     Shanks estimates agree (see ``kernels.orbit``).
 
+    The orbit runs on the fused ``cyclic_gauss`` kernel exactly when
+    ``rotation_base`` finds the components the rotations of a
+    ``GeneralizedQuasiArithmeticMean``, and steps through
+    ``mapping.apply`` otherwise; both end alike, bit for bit.
+
     Returns (limit, trace): the limit is the estimate where there is
     one, the midpoint of the last iterate otherwise; ``trace.stop`` names
     the test that ended the orbit.  Raises ConvergenceError carrying the
@@ -108,9 +115,10 @@ def gauss_iterate(
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and at least 0, got {gap_tol}")
-    if mapping.system is not None:
+    base = rotation_base(mapping.components)
+    if isinstance(base, GeneralizedQuasiArithmeticMean):
         used, status, rows, gaps, estimate, stop = kernels.ACTIVE.cyclic_gauss(
-            *mapping.system.program(), pts, gap_tol, max_iter)
+            *base.system.program(), pts, gap_tol, max_iter)
     else:
         def apply(x, _mn, _mx):
             # component exceptions propagate out of the orbit
@@ -180,8 +188,11 @@ class GaussComposition(Mean):
         self.gap_tol = gap_tol
         self.max_iterations = max_iterations
 
-    def _evaluate(self, pts):
-        return gauss_iterate(self.mapping, pts, self.gap_tol, self.max_iterations)[0]
+    def __call__(self, xs):
+        # gauss_iterate converts and checks the points: K checks them once
+        return gauss_iterate(self.mapping, xs, self.gap_tol, self.max_iterations)[0]
+
+    _evaluate = __call__
 
 
 def invariance_residual(candidate: Mean, mapping: MeanTypeMapping,

@@ -6,6 +6,8 @@ matrices against closed forms computed right here, so a row/column
 transposition bug cannot slip through as a pass.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -541,17 +543,37 @@ def test_characterize_builds_one_rotation_family(monkeypatch, mean):
 
 
 def test_the_generalized_check_builds_the_rotations_of_another_mean(monkeypatch):
-    # a K built over one mean's rotations hands them only to that mean
+    # a K built over one mean's rotations, kept or public, hands them only
+    # to that mean
     gm = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
     other = GeneralizedQuasiArithmeticMean(builtin_system("x,x^3"))
-    comp = bisymmetry._KeptComposition(gm, 1e-11, 2000)
+    kept = bisymmetry._KeptComposition(cyclic_mapping(gm), 1e-11, 2000)
+    public = GaussComposition(cyclic_mapping(gm), 1e-11, 2000)
     m = [[1.0, 3.0], [2.0, 4.0]]
-    built = gbs_for_mean_check(gm, GaussComposition(cyclic_mapping(gm), 1e-11, 2000), m)
+    built = gbs_for_mean_check(gm, public, m)
     builds = _family_builds(monkeypatch)
-    assert gbs_for_mean_check(gm, comp, m) == built
+    assert gbs_for_mean_check(gm, public, m) == built
+    assert gbs_for_mean_check(gm, kept, m) == built
     assert builds == []
-    gbs_for_mean_check(other, comp, m)
-    assert builds == [other]
+    gbs_for_mean_check(other, kept, m)
+    gbs_for_mean_check(other, public, m)
+    assert builds == [other, other]
+
+
+def test_characterize_runs_k_in_the_tracers_gauss_span(monkeypatch):
+    # every K orbit, kept or not, goes through gauss_iterate: each fused
+    # kernel call sits in a gauss span of the benchmark's tracer
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.tracing import Tracer, install
+
+    tracer = Tracer()
+    uninstall = install(tracer)
+    try:
+        verdict = characterize(GeneralizedQuasiArithmeticMean(builtin_system("x,2*x")), trials=5)
+    finally:
+        uninstall()
+    assert verdict.consistent and verdict.trials_run > 1
+    assert tracer.calls["gauss"] == tracer.calls["kernels.cyclic_gauss"] > verdict.trials_run
 
 
 def test_characterize_keeps_no_limit_whose_orbit_raises(monkeypatch):

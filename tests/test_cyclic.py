@@ -28,7 +28,7 @@ from meanlab import (
     sigma,
     sigma_pow,
 )
-from meanlab.cyclic import fixed_arity
+from meanlab.cyclic import fixed_arity, rotation_base
 from meanlab.means import QuasiArithmeticMean
 
 
@@ -214,14 +214,38 @@ def test_cyclic_mapping_components_are_means():
 
 
 def test_cyclic_mapping_fused_flag():
+    # the fused orbit runs where the components rotate a GQAM, lowered
+    # members or callable ones alike
     expressions = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
-    assert cyclic_mapping(expressions).system is not None
+    assert rotation_base(cyclic_mapping(expressions).components) is expressions
     callable_backed = GeneralizedQuasiArithmeticMean(GeneratorSystem([
         Generator.from_callable(lambda x: x, DOM, label="x"),
         Generator.from_callable(lambda x: 2 * x, DOM, label="2*x"),
     ]))
-    assert cyclic_mapping(callable_backed).system is callable_backed.system
-    assert cyclic_mapping(arithmetic_mean(DOM), arity=2).system is None
+    assert rotation_base(cyclic_mapping(callable_backed).components) is callable_backed
+    three = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
+    assert rotation_base(cyclic_mapping(three).components) is three
+    assert rotation_base(cyclic_mapping(arithmetic_mean(DOM), arity=2).components) is None
+
+
+def test_rotation_base_refuses_other_families():
+    # a variadic mean pinned to 3 arguments: component 0 is the pin
+    assert rotation_base(cyclic_mapping(arithmetic_mean(DOM), arity=3).components) is None
+    m = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
+    shuffled = [m, PermutedMean(m, 2, 3), PermutedMean(m, 1, 3)]
+    assert rotation_base(shuffled) is None
+    g = weighted_pair_mean()
+    other = GeneralizedQuasiArithmeticMean(builtin_system("x,x^3", DOM))
+    assert rotation_base([g, PermutedMean(other, 1, 2)]) is None
+    assert rotation_base([g, g]) is None
+
+
+def test_a_mapping_takes_no_system():
+    m = weighted_pair_mean()
+    comps = cyclic_mapping(m).components
+    with pytest.raises(TypeError):
+        MeanTypeMapping(comps, system=m.system)
+    assert not hasattr(MeanTypeMapping(comps), "system")
 
 
 def test_cyclic_mapping_variadic_needs_arity():

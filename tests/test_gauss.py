@@ -20,6 +20,7 @@ from meanlab import (
     GeneratorSystem,
     Interval,
     MeanTypeMapping,
+    PermutedMean,
     RangeError,
     arithmetic_mean,
     builtin_system,
@@ -33,8 +34,9 @@ from meanlab import (
     kernels,
     midpoint,
 )
-from meanlab.cyclic import fixed_arity
+from meanlab.cyclic import fixed_arity, rotation_base
 from meanlab.dsl import parse
+from meanlab.gauss import DEFAULT_GAP_TOL, DEFAULT_MAX_ITER
 
 POS = Interval(0.1, 10.0)
 
@@ -225,6 +227,14 @@ def test_composition_closed_form_for_weighted_pair():
     mean = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x"))
     comp = GaussComposition(cyclic_mapping(mean))
     assert comp((1.0, 4.0)) == pytest.approx(2.5, abs=1e-9)
+
+
+def test_a_composition_checks_its_points_once(checked_points):
+    # gauss_iterate's check of the start vector is K's only one
+    comp = GaussComposition(cyclic_mapping(GeneralizedQuasiArithmeticMean(builtin_system("x,x^3"))))
+    checked_points.clear()
+    comp([0.5, 4.0])
+    assert checked_points == [[0.5, 4.0]]
 
 
 # --- invariance residual -------------------------------------------------------
@@ -418,6 +428,16 @@ FIXED_STARTS = {
 INNER_FAILURES = ("x^20000,x^20000", "x,0 - 2*x")
 
 
+def unrecognized(fused):
+    """The same rotations, each behind a shift-0 pin that
+    ``rotation_base`` does not recognize: gauss_iterate takes the
+    generic orbit over them."""
+    generic = MeanTypeMapping([PermutedMean(c, 0, fused.arity) for c in fused.components],
+                              label=fused.label)
+    assert rotation_base(generic.components) is None
+    return generic
+
+
 @pytest.mark.parametrize("name", sorted(RANDOM_STARTS) + sorted(FIXED_STARTS))
 def test_generic_driver_matches_fused(name):
     if name in FIXED_STARTS:
@@ -431,9 +451,8 @@ def test_generic_driver_matches_fused(name):
         pts = starts[-1]
     mean = GeneralizedQuasiArithmeticMean(system)
     fused = cyclic_mapping(mean)
-    # same components, no system: gauss_iterate takes the generic orbit
-    generic = MeanTypeMapping(fused.components, label=fused.label)
-    assert fused.system is not None and generic.system is None
+    generic = unrecognized(fused)
+    assert rotation_base(fused.components) is mean
     if name not in INNER_FAILURES:
         for start in starts:
             assert gauss_iterate(generic, start, max_iter=2000) == gauss_iterate(fused, start, max_iter=2000)
@@ -450,6 +469,27 @@ def test_generic_driver_matches_fused(name):
         assert "nan" not in text
     else:
         assert trace.iterations_used == 3
+
+
+def test_rotations_of_two_means_run_the_generic_orbit(monkeypatch):
+    # G and a rotation of H, a GQAM of another system on the same interval:
+    # no one mean's rotations, so no fused orbit, and the limit is the
+    # orbit of the mapping's own steps
+    g = GeneralizedQuasiArithmeticMean(builtin_system("x,2*x", POS))
+    h = GeneralizedQuasiArithmeticMean(builtin_system("x,x^3", POS))
+    mapping = MeanTypeMapping([g, PermutedMean(h, 1, 2)])
+    fused = []
+    monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(
+        cyclic_gauss=lambda *args: fused.append(args)))
+    start = [0.5, 4.0]
+    limit, trace = gauss_iterate(mapping, start)
+    assert fused == []
+    used, status, rows, gaps, estimate, stop = kernels.orbit(
+        lambda x, _mn, _mx: (kernels.STATUS_OK, list(mapping.apply(x))),
+        start, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
+    assert status == kernels.STATUS_OK and trace.iterations_used == used
+    assert trace.iterates == tuple(map(tuple, rows)) and trace.stop == stop
+    assert limit == (midpoint(rows[-1]) if estimate is None else estimate)
 
 
 def test_gap_floor_does_not_stop_a_stalled_orbit():
@@ -474,7 +514,7 @@ def test_an_orbit_stalled_just_above_the_floor_has_converged():
     dom = Interval(1e6, 1e7)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in ("x^1.1", "x^1.2")])
     fused = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    generic = MeanTypeMapping(fused.components, label=fused.label)
+    generic = unrecognized(fused)
     start = [6077982.829103238, 6077982.829103232]
     limit, trace = gauss_iterate(fused, start, 1e-9, 5000)
     assert gauss_iterate(generic, start, 1e-9, 5000) == (limit, trace)
