@@ -11,6 +11,12 @@ no --gen instead examines the two demo means (the contraharmonic
 Lehmer mean and a lopsided min/max blend) that are the package's stock
 non-examples.
 
+One table, ``_SUITES``, states each command and verify suite once: its
+--tol and --samples where the flag is not given, the floor under
+--max-iter, the generators where no --gen is given and, for a verify
+suite, the function that runs it.  The sampled suites take either a
+system of at least two generators or exactly one generator.
+
 The parser is built once per process; every call of ``main`` parses
 into a fresh namespace, so nothing carries over from one call to the
 next.
@@ -29,6 +35,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .bisymmetry import (
     CHARACTERIZE_MAX_ITER,
@@ -82,30 +89,6 @@ DEFAULT_GENERATORS = ("x", "2*x")
 # MEANLAB_LOG values; quiet configures no logging, so none is imported
 _LOG_LEVELS = {"quiet": None, "info": "INFO", "trace": "DEBUG"}
 
-# per-subcommand fallbacks when the flag is not given: the library's own
-# defaults; every other sampled check runs CHECK_SAMPLES samples
-_TOL_DEFAULTS = {
-    "eval": None,
-    "compose": DEFAULT_GAP_TOL,
-    "m1": CHECK_TOL,
-    "gbs": GBS_TOL,
-    "bs": EQUATION_TOL,
-    "as": EQUATION_TOL,
-    "equality": EQUALITY_FIT_THRESHOLD,
-    "characterize": GBS_TOL,
-}
-# Gauss budget floors of the suites that iterate to a limit: slow systems
-# must fail on residuals, never on an artificially small allowance; the
-# config echoes the budget a suite ran with
-_MAX_ITER_FLOORS = {
-    "m1": CHECK_MAX_ITER,
-    "characterize": CHARACTERIZE_MAX_ITER,
-}
-_SAMPLE_DEFAULTS = {
-    "equality": EQUALITY_PROBES,
-    "characterize": CHARACTERIZE_TRIALS,
-}
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("points", nargs="+", type=float)
 
     ve = sub.add_parser("verify", help="run a randomized verification suite")
-    ve.add_argument("which", choices=("m1", "gbs", "bs", "as", "equality", "characterize"))
+    ve.add_argument("which", choices=[which for command, which in _SUITES if command == "verify"])
     return p
 
 
@@ -174,30 +157,25 @@ def _build_generators(texts, interval: Interval) -> list:
 def _resolve(args) -> tuple:
     interval = parse_interval(args.interval)
     which = getattr(args, "which", None)
-    key = which if args.command == "verify" else args.command
+    suite = _SUITES[args.command, which]
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise UsageError("--tol must be a finite number at least 0")
-    tol = args.tol if args.tol is not None else _TOL_DEFAULTS.get(key)
-    samples = args.samples
-    if samples is None:
-        samples = _SAMPLE_DEFAULTS.get(key, CHECK_SAMPLES)
+    tol = args.tol if args.tol is not None else suite.tol
+    samples = args.samples if args.samples is not None else suite.samples
     if samples < 1:
         raise UsageError("--samples must be at least 1")
     if args.max_iter < 1:
         raise UsageError("--max-iter must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be at least 0")
-    gen_texts = tuple(args.gen) if args.gen else ()
-    if not gen_texts and not (args.command == "verify" and which == "characterize"):
-        gen_texts = DEFAULT_GENERATORS
     config = ExperimentConfig(
         command=args.command,
         which=which,
         interval=(interval.lo, interval.hi),
-        generators=gen_texts,
+        generators=tuple(args.gen) if args.gen else suite.generators,
         generators2=tuple(args.gen2) if args.gen2 else (),
         tolerance=tol,
-        max_iterations=max(args.max_iter, _MAX_ITER_FLOORS.get(key, 1)),
+        max_iterations=max(args.max_iter, suite.max_iter_floor),
         samples=samples,
         seed=args.seed,
         output_format=args.format,
@@ -224,8 +202,7 @@ def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
     mean = _mean_of(_build_generators(config.generators, interval), pts)
     prop = mean_property_check(mean, pts)  # its value is the answer
     report = RunReport(
-        command="eval",
-        config=config.as_dict(),
+        config,
         results=[
             result_row("eval", 0, lhs=prop.value, verdict="ok"),
             result_row(
@@ -273,7 +250,7 @@ def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
         # the extrapolated limit beside the last iterate's bracket
         details["estimate"] = repr(trace.estimate)
         details["bracket"] = f"[{min(trace.last)!r}, {max(trace.last)!r}]"
-    report = RunReport("compose", config.as_dict(), rows, details)
+    report = RunReport(config, rows, details)
     return report, code
 
 
@@ -282,31 +259,49 @@ def _sample_rngs(config: ExperimentConfig):
     return seeded_rng(config.seed).spawn(config.samples)
 
 
-def _m1_pairs(system: GeneratorSystem, config: ExperimentConfig):
+def _system(interval: Interval, config: ExperimentConfig) -> GeneratorSystem:
+    """The --gen system of a suite that takes at least two generators."""
+    gens = _build_generators(config.generators, interval)
+    if len(gens) < 2:
+        raise UsageError(f"verify {config.which} needs at least two --gen")
+    return GeneratorSystem(gens)
+
+
+def _generator(interval: Interval, config: ExperimentConfig) -> Generator:
+    """The --gen generator of a suite that takes exactly one."""
+    gens = _build_generators(config.generators, interval)
+    if len(gens) != 1:
+        raise UsageError(f"verify {config.which} takes exactly one --gen")
+    return gens[0]
+
+
+def _m1_pairs(interval: Interval, config: ExperimentConfig):
     check = composition_closed_form_check(
-        system, config.samples, config.tolerance, seed=config.seed,
+        _system(interval, config), config.samples, config.tolerance, seed=config.seed,
         max_iterations=config.max_iterations,
     )
     return ((it, closed, agrees(it, closed, config.tolerance, max(map(abs, pt))))
             for pt, it, closed, _res in check.rows)
 
 
-def _gbs_pairs(system: GeneratorSystem, config: ExperimentConfig):
+def _gbs_pairs(interval: Interval, config: ExperimentConfig):
+    system = _system(interval, config)
     for rng in _sample_rngs(config):
         m = random_matrix(rng, system.domain, system.n)
         rep = generalized_bisymmetry_check(system, m, config.tolerance)
         yield rep.lhs, rep.rhs, rep.passed
 
 
-def _bs_pairs(gen: Generator, config: ExperimentConfig):
-    mean = QuasiArithmeticMean(gen)
+def _bs_pairs(interval: Interval, config: ExperimentConfig):
+    mean = QuasiArithmeticMean(_generator(interval, config))
     for i, rng in enumerate(_sample_rngs(config)):
         n = 2 + (i % 2)   # alternate 2x2 and 3x3 grids
         rep = bisymmetry_check(mean, random_matrix(rng, mean.domain, n), config.tolerance)
         yield rep.lhs, rep.rhs, rep.passed
 
 
-def _as_pairs(gen: Generator, config: ExperimentConfig):
+def _as_pairs(interval: Interval, config: ExperimentConfig):
+    gen = _generator(interval, config)
     shapes = ((1, 2), (2, 2), (2, 3))
     for i, rng in enumerate(_sample_rngs(config)):
         k, m = shapes[i % len(shapes)]
@@ -316,30 +311,23 @@ def _as_pairs(gen: Generator, config: ExperimentConfig):
         yield rep.lhs, rep.rhs, rep.passed
 
 
-# sampled identity checks: name -> (takes a system, (lhs, rhs, passed) per sample)
-_SAMPLED_CHECKS = {
-    "m1": (True, _m1_pairs),
-    "gbs": (True, _gbs_pairs),
-    "bs": (False, _bs_pairs),
-    "as": (False, _as_pairs),
-}
-
-
-def _run_check(name: str, pairs, config: ExperimentConfig) -> RunReport:
-    """Rows, worst residual and verdict of a sampled identity check."""
+def _run_check(pairs, interval: Interval, config: ExperimentConfig) -> RunReport:
+    """Rows, worst residual and verdict of the sampled identity check
+    whose samples ``pairs(interval, config)`` gives as (lhs, rhs, passed)."""
     rows = []
     worst = -1.0
-    for i, (lhs, rhs, passed) in enumerate(pairs):
+    for i, (lhs, rhs, passed) in enumerate(pairs(interval, config)):
         residual = abs(lhs - rhs)
         worst = max(worst, residual)
         rows.append(result_row(
-            name, i, lhs=lhs, rhs=rhs, residual=residual, verdict="pass" if passed else "fail",
+            config.which, i, lhs=lhs, rhs=rhs, residual=residual,
+            verdict="pass" if passed else "fail",
         ))
     details = {
         "max_residual": f"{worst:.7g}",
         "verdict": "pass" if all(r["verdict"] == "pass" for r in rows) else "fail",
     }
-    return RunReport("verify", config.as_dict(), rows, details)
+    return RunReport(config, rows, details)
 
 
 def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
@@ -372,7 +360,7 @@ def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
         "slopes": ", ".join(f"{a:.7g}" for a in rep.slopes),
         "offsets": ", ".join(f"{b:.7g}" for b in rep.offsets),
     }
-    return RunReport("verify", config.as_dict(), rows, details)
+    return RunReport(config, rows, details)
 
 
 def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunReport:
@@ -399,26 +387,44 @@ def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunRep
         details[mean.label] = verdict.summary()
         if verdict.witness_matrix is not None:
             details[f"{mean.label}:witness"] = [list(r) for r in verdict.witness_matrix]
-    return RunReport("verify", config.as_dict(), rows, details)
+    return RunReport(config, rows, details)
+
+
+class _Suite(NamedTuple):
+    """The settings of a command, or of a verify suite, where no flag
+    gives them, and a verify suite's ``run(interval, config)``, which
+    returns its report.  ``max_iter_floor`` is the least Gauss budget of
+    a suite that iterates to a limit: slow systems must fail on
+    residuals, never on an artificially small allowance; the config
+    echoes the budget a suite ran with."""
+
+    tol: float | None
+    samples: int = CHECK_SAMPLES
+    max_iter_floor: int = 1
+    generators: tuple = DEFAULT_GENERATORS
+    run: Callable | None = None
+
+
+# keyed by command and suite, the suites in the order `verify` lists
+# them; the runners look the library checks up in this module as they
+# run, never here, so a check swapped into the module is the one called
+_SUITES = {
+    ("eval", None): _Suite(None),
+    ("compose", None): _Suite(DEFAULT_GAP_TOL),
+    ("verify", "m1"): _Suite(CHECK_TOL, max_iter_floor=CHECK_MAX_ITER,
+                             run=functools.partial(_run_check, _m1_pairs)),
+    ("verify", "gbs"): _Suite(GBS_TOL, run=functools.partial(_run_check, _gbs_pairs)),
+    ("verify", "bs"): _Suite(EQUATION_TOL, run=functools.partial(_run_check, _bs_pairs)),
+    ("verify", "as"): _Suite(EQUATION_TOL, run=functools.partial(_run_check, _as_pairs)),
+    ("verify", "equality"): _Suite(EQUALITY_FIT_THRESHOLD, EQUALITY_PROBES,
+                                   run=_verify_equality),
+    ("verify", "characterize"): _Suite(GBS_TOL, CHARACTERIZE_TRIALS, CHARACTERIZE_MAX_ITER,
+                                       (), _verify_characterize),
+}
 
 
 def cmd_verify(interval: Interval, config: ExperimentConfig) -> tuple:
-    which = config.which
-    if which == "equality":
-        return _verify_equality(interval, config), 0
-    if which == "characterize":
-        return _verify_characterize(interval, config), 0
-    takes_system, pairs = _SAMPLED_CHECKS[which]
-    gens = _build_generators(config.generators, interval)
-    if takes_system:
-        if len(gens) < 2:
-            raise UsageError(f"verify {which} needs at least two --gen")
-        subject = GeneratorSystem(gens)
-    else:
-        if len(gens) != 1:
-            raise UsageError(f"verify {which} takes exactly one --gen")
-        subject = gens[0]
-    return _run_check(which, pairs(subject, config), config), 0
+    return _SUITES["verify", config.which].run(interval, config), 0
 
 
 def _setup_logging() -> None:

@@ -95,13 +95,19 @@ class MeanTypeMapping:
         self.arity = n
         self.label = label if label is not None else f"({', '.join(c.label for c in comps)})"
 
-    def apply(self, xs: Sequence[float]) -> tuple:
-        """One synchronous step: every component sees the same input,
-        checked once here and handed to each in a list of its own."""
+    def checked(self, xs: Sequence[float]) -> list:
+        """xs as a list of floats, one per component, every one inside
+        the interval; ValueError or DomainError otherwise."""
         pts = [float(x) for x in xs]
         if len(pts) != self.arity:
             raise ValueError(f"expected {self.arity} points, got {len(pts)}")
         self.domain.check_points(pts)
+        return pts
+
+    def apply(self, xs: Sequence[float]) -> tuple:
+        """One synchronous step: every component sees the same input,
+        checked once here and handed to each in a list of its own."""
+        pts = self.checked(xs)
         return tuple(c._evaluate(list(pts)) for c in self.components)
 
     def __repr__(self):

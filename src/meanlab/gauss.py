@@ -66,15 +66,19 @@ class IterationTrace(NamedTuple):
     the Shanks estimate of its limit where the orbit ended on one (None
     otherwise).  ``stop`` is the test of ``kernels.orbit`` that ended a
     converged orbit, as the orbit named it: "gap", "stall" or
-    "extrapolated" (the Shanks estimate); None when it did not converge."""
+    "extrapolated" (the Shanks estimate); None when it did not converge,
+    so ``converged`` is ``stop is not None``."""
 
     iterates: tuple
     gaps: tuple
-    converged: bool
     iterations_used: int
     gap_tol: float
     estimate: float | None = None
     stop: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop is not None
 
     @property
     def last(self) -> tuple:
@@ -107,10 +111,7 @@ def gauss_iterate(
     inside a component raises that component's exception, without a trace.
     Raises ValueError when gap_tol is not finite or is below 0.
     """
-    pts = [float(x) for x in xs]
-    if len(pts) != mapping.arity:
-        raise ValueError(f"expected {mapping.arity} points, got {len(pts)}")
-    mapping.domain.check_points(pts)
+    pts = mapping.checked(xs)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= gap_tol < math.inf:
@@ -125,8 +126,7 @@ def gauss_iterate(
             return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
 
         used, status, rows, gaps, estimate, stop = kernels.orbit(apply, pts, gap_tol, max_iter)
-    trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), status == kernels.STATUS_OK,
-                           used, gap_tol, estimate, stop)
+    trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), used, gap_tol, estimate, stop)
     if status == kernels.STATUS_OK:
         log(__name__, "debug", "%s converged in %d steps (%s stop, gap %.3e)",
             mapping.label, used, stop, trace.gaps[-1])

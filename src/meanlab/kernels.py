@@ -400,8 +400,8 @@ def rotated_means(matrix, total, count):
         if not (math.isfinite(glo) and math.isfinite(ghi)):
             return STATUS_NONFINITE, None
         out = []
-        for y in targets[:count]:
-            val, st = invert(total, y, mn, mx, glo, ghi)
+        for i in range(count):
+            val, st = invert(total, targets[i], mn, mx, glo, ghi)
             if st != STATUS_OK:
                 return st, None
             out.append(val)

@@ -61,10 +61,10 @@ def result_row(check_name: str, sample_index: int, lhs=None, rhs=None,
 class RunReport:
     __slots__ = ("command", "config", "results", "details", "runtime_ms", "timestamp")
 
-    def __init__(self, command: str, config: dict, results: list | None = None,
+    def __init__(self, config: ExperimentConfig, results: list | None = None,
                  details: dict | None = None):
-        self.command = command
-        self.config = config
+        self.command = config.command
+        self.config = config.as_dict()
         self.results = [] if results is None else results
         self.details = {} if details is None else details
         self.runtime_ms = 0.0

@@ -556,6 +556,37 @@ def test_characterize_runs_on_an_interval_narrower_than_its_inset(capsys):
     assert "consistent" in out
 
 
+# each command's settings when no --tol, --samples, --max-iter or --gen
+# is given: (tolerance, samples, max_iterations, generators)
+@pytest.mark.parametrize("argv,resolved", [
+    (["eval", "1", "2"], (None, 100, 500, ("x", "2*x"))),
+    (["compose", "1", "7"], (1e-10, 100, 500, ("x", "2*x"))),
+    (["verify", "m1"], (1e-7, 100, 2000, ("x", "2*x"))),
+    (["verify", "gbs"], (1e-7, 100, 500, ("x", "2*x"))),
+    (["verify", "bs"], (1e-9, 100, 500, ("x", "2*x"))),
+    (["verify", "as"], (1e-9, 100, 500, ("x", "2*x"))),
+    (["verify", "equality"], (1e-6, 50, 500, ("x", "2*x"))),
+    (["verify", "characterize"], (1e-7, 1000, 4000, ())),
+], ids=["eval", "compose", "m1", "gbs", "bs", "as", "equality", "characterize"])
+def test_each_command_resolves_its_own_defaults(argv, resolved):
+    from meanlab import cli
+
+    _, config = cli._resolve(cli.build_parser().parse_args(argv))
+    assert (config.tolerance, config.samples, config.max_iterations,
+            config.generators) == resolved
+
+
+def test_an_unknown_suite_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    code, out, err = run(capsys, "verify", "bogus")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: meanlab verify [-h] {m1,gbs,bs,as,equality,characterize}\n"
+        "meanlab verify: error: argument which: invalid choice: 'bogus'"
+        " (choose from 'm1', 'gbs', 'bs', 'as', 'equality', 'characterize')\n"
+    )
+
+
 def test_bad_sample_and_iteration_counts(capsys):
     assert run(capsys, "--samples", "0", "verify", "m1")[0] == 2
     assert run(capsys, "--max-iter", "0", "--gen", "x", "compose", "1", "2")[0] == 2

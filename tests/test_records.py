@@ -105,6 +105,9 @@ def test_reports_compare_by_value():
     first = gauss_iterate(mapping, [1.0, 7.0])[1]
     assert gauss_iterate(mapping, [1.0, 7.0])[1] == first
     assert first.last == first.iterates[-1]
+    # converged is read off the stop, never stored beside it
+    assert "converged" not in first._fields and len(first) == 6
+    assert first.converged and not first._replace(stop=None).converged
 
 
 def test_repr_text():
@@ -133,8 +136,12 @@ def test_config_echo_keeps_its_key_order():
 
 
 def test_run_report_is_mutable_with_fresh_defaults():
-    first = RunReport("eval", {})
-    second = RunReport("eval", {})
+    config = ExperimentConfig("eval", (0.0, 10.0), ("x",), (), None, None, 500, 100, 0,
+                              "json", (1.0, 2.0))
+    first = RunReport(config)
+    second = RunReport(config)
+    # the command and the config echo come from the config
+    assert (first.command, first.config) == ("eval", config.as_dict())
     first.results.append({"check_name": "eval"})
     first.details["value"] = "1"
     assert (second.results, second.details) == ([], {})
