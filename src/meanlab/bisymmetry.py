@@ -209,7 +209,7 @@ class CharacterizationVerdict(NamedTuple):
 
 
 def _probe_vectors(domain: Interval, n: int, rng) -> list:
-    return [[float(v) for v in domain.sample(rng, n)] for _ in range(PROBE_COUNT)]
+    return [domain.sample(rng, n) for _ in range(PROBE_COUNT)]
 
 
 def _first_bad_nudge(mean, vectors, step, bad):

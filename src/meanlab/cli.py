@@ -6,16 +6,23 @@
 
 Generators come from repeated --gen flags (DSL expressions, in order);
 without any --gen the stock pair x, 2*x on the default interval is
-used so every command runs out of the box.  `verify characterize` with
-no --gen instead examines the two demo means (the contraharmonic
-Lehmer mean and a lopsided min/max blend) that are the package's stock
-non-examples.
+used, or x^2 alone by the suites that take one generator (bs, as), so
+every command runs out of the box.  `verify characterize` with no --gen
+instead examines the two demo means (the contraharmonic Lehmer mean and
+a lopsided min/max blend) that are the package's stock non-examples.
 
 One table, ``_SUITES``, states each command and verify suite once: its
 --tol and --samples where the flag is not given, the floor under
 --max-iter, the generators where no --gen is given and, for a verify
 suite, the function that runs it.  The sampled suites take either a
 system of at least two generators or exactly one generator.
+
+Each run value is resolved once, by ``_resolve``: the one
+``ExperimentConfig`` it returns holds the parsed ``Interval`` and
+every setting, and the commands, suites and generator builders take
+that config alone.  ``compose`` pins its mean to the number of points
+with ``cyclic.fixed_arity``, as ``characterize`` does, before it builds
+the cyclic mapping.
 
 The parser is built once per process; every call of ``main`` parses
 into a fresh namespace, so nothing carries over from one call to the
@@ -48,7 +55,7 @@ from .bisymmetry import (
     generalized_bisymmetry_check,
     random_matrix,
 )
-from .cyclic import cyclic_mapping
+from .cyclic import cyclic_mapping, fixed_arity
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -150,11 +157,11 @@ def parse_interval(text: str) -> Interval:
         raise UsageError(f"interval {text!r}: {exc}") from None
 
 
-def _build_generators(texts, interval: Interval) -> list:
-    return [Generator.from_expression(t, interval) for t in texts]
+def _build_generators(config: ExperimentConfig, texts) -> list:
+    return [Generator.from_expression(t, config.interval) for t in texts]
 
 
-def _resolve(args) -> tuple:
+def _resolve(args) -> ExperimentConfig:
     interval = parse_interval(args.interval)
     which = getattr(args, "which", None)
     suite = _SUITES[args.command, which]
@@ -168,10 +175,10 @@ def _resolve(args) -> tuple:
         raise UsageError("--max-iter must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be at least 0")
-    config = ExperimentConfig(
+    return ExperimentConfig(
         command=args.command,
         which=which,
-        interval=(interval.lo, interval.hi),
+        interval=interval,
         generators=tuple(args.gen) if args.gen else suite.generators,
         generators2=tuple(args.gen2) if args.gen2 else (),
         tolerance=tol,
@@ -181,12 +188,12 @@ def _resolve(args) -> tuple:
         output_format=args.format,
         points=tuple(getattr(args, "points", ()) or ()),
     )
-    return interval, config
 
 
-def _mean_of(gens: list, points=None):
-    """The quasi-arithmetic mean of a single generator, else the
+def _mean_of(config: ExperimentConfig, points=None):
+    """The quasi-arithmetic mean of a single --gen generator, else the
     generalized mean of the system, which takes one point per generator."""
+    gens = _build_generators(config, config.generators)
     if len(gens) == 1:
         return QuasiArithmeticMean(gens[0])
     if points is not None and len(points) != len(gens):
@@ -197,11 +204,11 @@ def _mean_of(gens: list, points=None):
     return GeneralizedQuasiArithmeticMean(GeneratorSystem(gens))
 
 
-def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
+def cmd_eval(config: ExperimentConfig) -> tuple:
     pts = list(config.points)
-    mean = _mean_of(_build_generators(config.generators, interval), pts)
+    mean = _mean_of(config, pts)
     prop = mean_property_check(mean, pts)  # its value is the answer
-    report = RunReport(
+    return RunReport(
         config,
         results=[
             result_row("eval", 0, lhs=prop.value, verdict="ok"),
@@ -211,14 +218,12 @@ def cmd_eval(interval: Interval, config: ExperimentConfig) -> tuple:
             ),
         ],
         details={"value": f"{prop.value:.7g}"},
-    )
-    return report, 0
+    ), 0
 
 
-def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
+def cmd_compose(config: ExperimentConfig) -> tuple:
     pts = list(config.points)
-    mean = _mean_of(_build_generators(config.generators, interval), pts)
-    mapping = cyclic_mapping(mean, arity=len(pts))
+    mapping = cyclic_mapping(fixed_arity(_mean_of(config, pts), len(pts)))
     code = 0
     try:
         limit, trace = gauss_iterate(mapping, pts, config.tolerance, config.max_iterations)
@@ -250,8 +255,7 @@ def cmd_compose(interval: Interval, config: ExperimentConfig) -> tuple:
         # the extrapolated limit beside the last iterate's bracket
         details["estimate"] = repr(trace.estimate)
         details["bracket"] = f"[{min(trace.last)!r}, {max(trace.last)!r}]"
-    report = RunReport(config, rows, details)
-    return report, code
+    return RunReport(config, rows, details), code
 
 
 def _sample_rngs(config: ExperimentConfig):
@@ -259,64 +263,64 @@ def _sample_rngs(config: ExperimentConfig):
     return seeded_rng(config.seed).spawn(config.samples)
 
 
-def _system(interval: Interval, config: ExperimentConfig) -> GeneratorSystem:
+def _system(config: ExperimentConfig) -> GeneratorSystem:
     """The --gen system of a suite that takes at least two generators."""
-    gens = _build_generators(config.generators, interval)
+    gens = _build_generators(config, config.generators)
     if len(gens) < 2:
         raise UsageError(f"verify {config.which} needs at least two --gen")
     return GeneratorSystem(gens)
 
 
-def _generator(interval: Interval, config: ExperimentConfig) -> Generator:
+def _generator(config: ExperimentConfig) -> Generator:
     """The --gen generator of a suite that takes exactly one."""
-    gens = _build_generators(config.generators, interval)
+    gens = _build_generators(config, config.generators)
     if len(gens) != 1:
         raise UsageError(f"verify {config.which} takes exactly one --gen")
     return gens[0]
 
 
-def _m1_pairs(interval: Interval, config: ExperimentConfig):
+def _m1_pairs(config: ExperimentConfig):
     check = composition_closed_form_check(
-        _system(interval, config), config.samples, config.tolerance, seed=config.seed,
+        _system(config), config.samples, config.tolerance, seed=config.seed,
         max_iterations=config.max_iterations,
     )
     return ((it, closed, agrees(it, closed, config.tolerance, max(map(abs, pt))))
             for pt, it, closed, _res in check.rows)
 
 
-def _gbs_pairs(interval: Interval, config: ExperimentConfig):
-    system = _system(interval, config)
+def _gbs_pairs(config: ExperimentConfig):
+    system = _system(config)
     for rng in _sample_rngs(config):
         m = random_matrix(rng, system.domain, system.n)
         rep = generalized_bisymmetry_check(system, m, config.tolerance)
         yield rep.lhs, rep.rhs, rep.passed
 
 
-def _bs_pairs(interval: Interval, config: ExperimentConfig):
-    mean = QuasiArithmeticMean(_generator(interval, config))
+def _bs_pairs(config: ExperimentConfig):
+    mean = QuasiArithmeticMean(_generator(config))
     for i, rng in enumerate(_sample_rngs(config)):
         n = 2 + (i % 2)   # alternate 2x2 and 3x3 grids
         rep = bisymmetry_check(mean, random_matrix(rng, mean.domain, n), config.tolerance)
         yield rep.lhs, rep.rhs, rep.passed
 
 
-def _as_pairs(interval: Interval, config: ExperimentConfig):
-    gen = _generator(interval, config)
+def _as_pairs(config: ExperimentConfig):
+    gen = _generator(config)
     shapes = ((1, 2), (2, 2), (2, 3))
     for i, rng in enumerate(_sample_rngs(config)):
         k, m = shapes[i % len(shapes)]
-        xs = [float(v) for v in gen.domain.sample(rng, k)]
-        ys = [float(v) for v in gen.domain.sample(rng, m)]
+        xs = gen.domain.sample(rng, k)
+        ys = gen.domain.sample(rng, m)
         rep = associativity_check(gen, xs, ys, config.tolerance)
         yield rep.lhs, rep.rhs, rep.passed
 
 
-def _run_check(pairs, interval: Interval, config: ExperimentConfig) -> RunReport:
+def _run_check(pairs, config: ExperimentConfig) -> RunReport:
     """Rows, worst residual and verdict of the sampled identity check
-    whose samples ``pairs(interval, config)`` gives as (lhs, rhs, passed)."""
+    whose samples ``pairs(config)`` gives as (lhs, rhs, passed)."""
     rows = []
     worst = -1.0
-    for i, (lhs, rhs, passed) in enumerate(pairs(interval, config)):
+    for i, (lhs, rhs, passed) in enumerate(pairs(config)):
         residual = abs(lhs - rhs)
         worst = max(worst, residual)
         rows.append(result_row(
@@ -330,7 +334,7 @@ def _run_check(pairs, interval: Interval, config: ExperimentConfig) -> RunReport
     return RunReport(config, rows, details)
 
 
-def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
+def _verify_equality(config: ExperimentConfig) -> RunReport:
     if not config.generators2:
         raise UsageError("verify equality needs --gen2")
     if len(config.generators2) != len(config.generators):
@@ -338,8 +342,8 @@ def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
             f"--gen2 count ({len(config.generators2)}) must match --gen"
             f" count ({len(config.generators)})"
         )
-    first = _build_generators(config.generators, interval)
-    second = _build_generators(config.generators2, interval)
+    first = _build_generators(config, config.generators)
+    second = _build_generators(config, config.generators2)
     settings = {"probes": config.samples, "seed": config.seed, "threshold": config.tolerance}
     if len(first) == 1:
         rep = qam_equality_check(first[0], second[0], **settings)
@@ -363,11 +367,11 @@ def _verify_equality(interval: Interval, config: ExperimentConfig) -> RunReport:
     return RunReport(config, rows, details)
 
 
-def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunReport:
+def _verify_characterize(config: ExperimentConfig) -> RunReport:
     if config.generators:
-        means = [_mean_of(_build_generators(config.generators, interval))]
+        means = [_mean_of(config)]
     else:
-        means = [lehmer_mean(interval), minmax_blend(interval)]
+        means = [lehmer_mean(config.interval), minmax_blend(config.interval)]
     rows = []
     details = {}
     for idx, mean in enumerate(means):
@@ -392,7 +396,7 @@ def _verify_characterize(interval: Interval, config: ExperimentConfig) -> RunRep
 
 class _Suite(NamedTuple):
     """The settings of a command, or of a verify suite, where no flag
-    gives them, and a verify suite's ``run(interval, config)``, which
+    gives them, and a verify suite's ``run(config)``, which
     returns its report.  ``max_iter_floor`` is the least Gauss budget of
     a suite that iterates to a limit: slow systems must fail on
     residuals, never on an artificially small allowance; the config
@@ -414,8 +418,12 @@ _SUITES = {
     ("verify", "m1"): _Suite(CHECK_TOL, max_iter_floor=CHECK_MAX_ITER,
                              run=functools.partial(_run_check, _m1_pairs)),
     ("verify", "gbs"): _Suite(GBS_TOL, run=functools.partial(_run_check, _gbs_pairs)),
-    ("verify", "bs"): _Suite(EQUATION_TOL, run=functools.partial(_run_check, _bs_pairs)),
-    ("verify", "as"): _Suite(EQUATION_TOL, run=functools.partial(_run_check, _as_pairs)),
+    # bs and as take one generator: x^2, strictly increasing on the
+    # default interval
+    ("verify", "bs"): _Suite(EQUATION_TOL, generators=("x^2",),
+                             run=functools.partial(_run_check, _bs_pairs)),
+    ("verify", "as"): _Suite(EQUATION_TOL, generators=("x^2",),
+                             run=functools.partial(_run_check, _as_pairs)),
     ("verify", "equality"): _Suite(EQUALITY_FIT_THRESHOLD, EQUALITY_PROBES,
                                    run=_verify_equality),
     ("verify", "characterize"): _Suite(GBS_TOL, CHARACTERIZE_TRIALS, CHARACTERIZE_MAX_ITER,
@@ -423,8 +431,8 @@ _SUITES = {
 }
 
 
-def cmd_verify(interval: Interval, config: ExperimentConfig) -> tuple:
-    return _SUITES["verify", config.which].run(interval, config), 0
+def cmd_verify(config: ExperimentConfig) -> tuple:
+    return _SUITES["verify", config.which].run(config), 0
 
 
 def _setup_logging() -> None:
@@ -450,13 +458,13 @@ def main(argv=None) -> int:
     _setup_logging()
     start = time.perf_counter()
     try:
-        interval, config = _resolve(args)
+        config = _resolve(args)
         if args.command == "eval":
-            report, code = cmd_eval(interval, config)
+            report, code = cmd_eval(config)
         elif args.command == "compose":
-            report, code = cmd_compose(interval, config)
+            report, code = cmd_compose(config)
         else:
-            report, code = cmd_verify(interval, config)
+            report, code = cmd_verify(config)
     except (UsageError, ParseError, MonotonicityError, DomainError,
             DegenerateError, ValueError) as exc:
         print(f"meanlab: {exc}", file=sys.stderr)

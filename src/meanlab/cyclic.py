@@ -5,6 +5,11 @@ arithmetic is exact integer work, no floats involved), 0-based in the
 vector helpers.  ``sigma`` sends 1 to n and every other k to k - 1;
 ``sigma_pow`` is its i-th iterate, with negative i meaning the inverse
 rotation.
+
+``cyclic_mapping(M)`` takes a mean of fixed arity n; ``fixed_arity(M, n)``
+is the one way to pin a variadic mean to n arguments first.  Every
+mapping ``cyclic_mapping`` builds is a rotation family that
+``rotation_base`` recognizes.
 """
 
 from __future__ import annotations
@@ -114,27 +119,22 @@ class MeanTypeMapping:
         return f"<MeanTypeMapping {self.label!r}, arity {self.arity}>"
 
 
-def cyclic_mapping(mean: Mean, arity: int | None = None) -> MeanTypeMapping:
+def cyclic_mapping(mean: Mean) -> MeanTypeMapping:
     """The mapping whose component i rotates the arguments of ``mean``
-    by i before evaluating, for i = 0..n-1.
-
-    A variadic mean needs an explicit arity; a fixed-arity mean fixes n
-    itself (a matching explicit arity is accepted, another is an error of
-    ``PermutedMean``).
-    """
-    n = mean.arity if arity is None else arity
-    if n is None:
-        raise ValueError("a variadic mean needs an explicit arity")
-    # rotating a variadic mean still needs fixed-length vectors here, so
-    # every rotation pins the arity
-    comps = [fixed_arity(mean, n), *(PermutedMean(mean, i, n) for i in range(1, n))]
+    by i before evaluating, for i = 0..n-1, n the arity of ``mean``:
+    ``[mean, PermutedMean(mean, 1), ...]``, the family ``rotation_base``
+    recognizes.  A variadic mean is an error; pin it first with
+    ``fixed_arity(mean, n)``."""
+    if mean.arity is None:
+        raise ValueError("a variadic mean needs an explicit arity: pin it with fixed_arity")
+    comps = [mean, *(PermutedMean(mean, i) for i in range(1, mean.arity))]
     return MeanTypeMapping(comps, label=f"cyclic[{mean.label}]")
 
 
 def rotation_base(components: Sequence[Mean]) -> Mean | None:
     """The mean M whose rotations 0..n-1 the n components are, or None:
     component 0 is M, of arity n, and component i is
-    ``PermutedMean(M, i, n)``, the family ``cyclic_mapping(M)`` builds."""
+    ``PermutedMean(M, i)``, the family ``cyclic_mapping(M)`` builds."""
     base, n = components[0], len(components)
     if base.arity == n and all(isinstance(c, PermutedMean) and c.base is base and c.shift == i
                                for i, c in enumerate(components[1:], 1)):

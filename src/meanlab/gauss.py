@@ -171,7 +171,7 @@ class GaussComposition(Mean):
              for k in range(mapping.arity)]
         ]
         for _ in range(VALIDATION_PROBES):
-            vectors.append([float(v) for v in dom.sample(rng, mapping.arity)])
+            vectors.append(dom.sample(rng, mapping.arity))
         for comp in mapping.components:
             for vec in vectors:
                 report = mean_property_check(comp, vec)
@@ -232,7 +232,7 @@ def composition_closed_form_check(
     worst = -1.0
     worst_point = None
     for rng in seeded_rng(seed).spawn(samples):
-        pts = [float(v) for v in system.domain.sample(rng, system.n)]
+        pts = system.domain.sample(rng, system.n)
         left = gauss_iterate(mapping, pts, CHECK_GAP_TOL, max_iterations)[0]
         right = closed(pts)
         residual = abs(left - right)
@@ -274,7 +274,7 @@ def cyclic_symmetry_check(mean: Mean, samples: int = 50) -> SymmetryCheckReport:
     worst_point = None
     worst_rot = 0
     for rng in seeded_rng(0).spawn(samples):
-        pts = [float(v) for v in mean.domain.sample(rng, n)]
+        pts = mean.domain.sample(rng, n)
         base = gauss_iterate(mapping, pts, DEFAULT_GAP_TOL, CHECK_MAX_ITER)[0]
         for i in range(1, n):
             other = gauss_iterate(mapping, rotated(pts, i), DEFAULT_GAP_TOL, CHECK_MAX_ITER)[0]

@@ -273,7 +273,7 @@ def _equality(pairs, mean_a, mean_b, arity, probes, seed, threshold) -> Equality
     worst = -1.0
     worst_pt = None
     for _ in range(probes):
-        pts = [float(v) for v in pairs[0][0].domain.sample(rng, arity)]
+        pts = pairs[0][0].domain.sample(rng, arity)
         gap = abs(mean_a(pts) - mean_b(pts))
         if gap > worst:
             worst = gap

@@ -28,7 +28,8 @@ VOLATILE_KEYS = ("timestamp", "runtime_ms")
 
 
 class ExperimentConfig(NamedTuple):
-    """Resolved run configuration, echoed verbatim into every report."""
+    """Resolved run configuration, echoed verbatim into every report;
+    ``interval`` is the parsed ``Interval``, which echoes as (lo, hi)."""
 
     command: str
     interval: tuple[float, float]

@@ -23,6 +23,7 @@ import pytest
 
 from meanlab.cli import main, parse_interval
 from meanlab.errors import UsageError
+from meanlab.interval import Interval
 from meanlab.report import RESULT_COLUMNS, strip_volatile
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -563,17 +564,27 @@ def test_characterize_runs_on_an_interval_narrower_than_its_inset(capsys):
     (["compose", "1", "7"], (1e-10, 100, 500, ("x", "2*x"))),
     (["verify", "m1"], (1e-7, 100, 2000, ("x", "2*x"))),
     (["verify", "gbs"], (1e-7, 100, 500, ("x", "2*x"))),
-    (["verify", "bs"], (1e-9, 100, 500, ("x", "2*x"))),
-    (["verify", "as"], (1e-9, 100, 500, ("x", "2*x"))),
+    (["verify", "bs"], (1e-9, 100, 500, ("x^2",))),
+    (["verify", "as"], (1e-9, 100, 500, ("x^2",))),
     (["verify", "equality"], (1e-6, 50, 500, ("x", "2*x"))),
     (["verify", "characterize"], (1e-7, 1000, 4000, ())),
 ], ids=["eval", "compose", "m1", "gbs", "bs", "as", "equality", "characterize"])
 def test_each_command_resolves_its_own_defaults(argv, resolved):
     from meanlab import cli
 
-    _, config = cli._resolve(cli.build_parser().parse_args(argv))
+    config = cli._resolve(cli.build_parser().parse_args(argv))
     assert (config.tolerance, config.samples, config.max_iterations,
             config.generators) == resolved
+    # the config holds the parsed interval, which echoes as a pair
+    assert type(config.interval) is Interval and config.interval == (0.0, 10.0)
+
+
+@pytest.mark.parametrize("which", ["bs", "as"])
+def test_one_generator_suites_run_without_gen(capsys, which):
+    code, payload, err = run_json(capsys, "verify", which)
+    assert (code, err) == (0, "")
+    assert payload["config"]["generators"] == ["x^2"]
+    assert [row["verdict"] for row in payload["results"]] == ["pass"] * 100
 
 
 def test_an_unknown_suite_is_a_usage_error(capsys, monkeypatch):
@@ -647,10 +658,11 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
 
 # pinned JSON reports: a fused compose trace, characterize, whose demo
 # means run the generic Gauss loop, the equality and generalized
-# bisymmetry suites, and m1 on the benchmark's slowly contracting
-# system; only + - * / and powers with integer exponents enter, but for
-# the verdicts of characterize on log(x), a variadic mean that it
-# examines at arity 2
+# bisymmetry suites, m1 on the benchmark's slowly contracting system and
+# a compose of the variadic log(x) mean pinned to three points; only
+# + - * / and powers with integer exponents enter, but for the two
+# log(x) reports: the geometric mean of the compose and the verdicts of
+# characterize, which examines that variadic mean at arity 2
 @pytest.mark.parametrize("name,argv", [
     ("compose_x_2x", ["--gen", "x", "--gen", "2*x", "compose", "1", "7"]),
     ("characterize_demo", ["--samples", "30", "verify", "characterize"]),
@@ -670,6 +682,7 @@ def test_verify_csv_bytes_are_pinned(capsys, which, gens):
                            "--samples", "20", "--seed", "1", "verify", "m1"]),
     ("verify_m1_x3_2x3_small", ["--gen", "x^3", "--gen", "2*x^3", "--interval", "1e-4,5e-3",
                                 "--samples", "20", "verify", "m1"]),
+    ("compose_log_x", ["--interval", "0.1,10", "--gen", "log(x)", "compose", "1", "4", "7"]),
 ])
 def test_json_reports_are_pinned(capsys, name, argv):
     code, payload, _ = run_json(capsys, *argv)

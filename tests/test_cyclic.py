@@ -154,7 +154,7 @@ def test_permuted_mean_closed_form():
 
 def test_symmetric_mean_is_rotation_blind():
     am = arithmetic_mean(DOM)
-    rotations = cyclic_mapping(am, arity=3).components
+    rotations = cyclic_mapping(fixed_arity(am, 3)).components
     rng = np.random.default_rng(3)
     for _ in range(20):
         pts = DOM.sample(rng, 3)
@@ -225,12 +225,16 @@ def test_cyclic_mapping_fused_flag():
     assert rotation_base(cyclic_mapping(callable_backed).components) is callable_backed
     three = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
     assert rotation_base(cyclic_mapping(three).components) is three
-    assert rotation_base(cyclic_mapping(arithmetic_mean(DOM), arity=2).components) is None
+    # a variadic mean pinned to 2 arguments: the pin is the base, and it
+    # is no GQAM, so its orbit steps through apply
+    pinned = fixed_arity(arithmetic_mean(DOM), 2)
+    assert rotation_base(cyclic_mapping(pinned).components) is pinned
 
 
 def test_rotation_base_refuses_other_families():
-    # a variadic mean pinned to 3 arguments: component 0 is the pin
-    assert rotation_base(cyclic_mapping(arithmetic_mean(DOM), arity=3).components) is None
+    # the rotations of a variadic mean pinned to 3 arguments are the pin's
+    pinned = fixed_arity(arithmetic_mean(DOM), 3)
+    assert rotation_base(cyclic_mapping(pinned).components) is pinned
     m = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
     shuffled = [m, PermutedMean(m, 2, 3), PermutedMean(m, 1, 3)]
     assert rotation_base(shuffled) is None
@@ -250,16 +254,21 @@ def test_a_mapping_takes_no_system():
 
 def test_cyclic_mapping_variadic_needs_arity():
     am = arithmetic_mean(DOM)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a variadic mean needs an explicit arity"):
         cyclic_mapping(am)
-    mapping = cyclic_mapping(am, arity=3)
+    mapping = cyclic_mapping(fixed_arity(am, 3))
     assert mapping.arity == 3
+    assert [c.label for c in mapping.components] == ["AM", "AM<1>", "AM<2>"]
 
 
 def test_cyclic_mapping_arity_conflict():
+    # fixed_arity is the one arity pin: cyclic_mapping takes no arity,
+    # and a fixed-arity mean pinned to another arity is refused
     m = weighted_pair_mean()
+    with pytest.raises(TypeError):
+        cyclic_mapping(m, arity=2)
     with pytest.raises(ValueError, match="has arity 2, not 3"):
-        cyclic_mapping(m, arity=3)
+        cyclic_mapping(fixed_arity(m, 3))
 
 
 def test_mapping_validates_components():
@@ -290,7 +299,7 @@ def test_mapping_apply_checks_length():
     (lehmer_mean(Interval(0.0, 10.0)), 3),
 ])
 def test_a_mapping_step_checks_its_points_once(checked_points, mean, arity):
-    mapping = cyclic_mapping(mean, arity)
+    mapping = cyclic_mapping(mean if arity is None else fixed_arity(mean, arity))
     xs = [1.0, 3.0, 4.5][:mapping.arity]
     step = mapping.apply(xs)
     assert checked_points == [xs]
@@ -298,7 +307,7 @@ def test_a_mapping_step_checks_its_points_once(checked_points, mean, arity):
 
 
 def test_a_generic_gauss_step_checks_its_points_once(checked_points):
-    mapping = cyclic_mapping(lehmer_mean(Interval(0.0, 10.0)), arity=3)
+    mapping = cyclic_mapping(fixed_arity(lehmer_mean(Interval(0.0, 10.0)), 3))
     _, trace = gauss_iterate(mapping, [1.0, 2.0, 7.0])
     # gauss_iterate checks the start, then each step its own input
     steps = [list(row) for row in trace.iterates[:trace.iterations_used]]

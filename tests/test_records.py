@@ -22,6 +22,7 @@ from meanlab import (
     gauss_iterate,
     mean_property_check,
 )
+from meanlab.cyclic import fixed_arity
 from meanlab.dsl import X
 from meanlab.interval import seeded_rng
 from meanlab.report import ExperimentConfig, RunReport
@@ -101,7 +102,7 @@ def test_equality_and_hash_by_value():
 
 
 def test_reports_compare_by_value():
-    mapping = cyclic_mapping(arithmetic_mean(I010), arity=2)
+    mapping = cyclic_mapping(fixed_arity(arithmetic_mean(I010), 2))
     first = gauss_iterate(mapping, [1.0, 7.0])[1]
     assert gauss_iterate(mapping, [1.0, 7.0])[1] == first
     assert first.last == first.iterates[-1]
