@@ -166,10 +166,10 @@ class Generator:
         """
         y, lo, hi = float(y), float(lo), float(hi)
         g = self.body()
-        x, status = kernels.ACTIVE.invert(g, y, lo, hi, g(lo), g(hi))
+        xs, status = kernels.ACTIVE.invert(g, [y], lo, hi, g(lo), g(hi))
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}")
-        return x
+        return xs[0]
 
     def _invert_error(self, status, target):
         """The package exception for a failed solve; ``target`` names

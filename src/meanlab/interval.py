@@ -40,7 +40,7 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if not lo < hi:
-            raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
+            raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
         if not math.isfinite(hi - lo):
             raise ValueError(f"interval ({lo}, {hi}) is too wide: hi - lo overflows")
         if not math.nextafter(lo, hi) < hi:

@@ -108,6 +108,9 @@ STALL_FLOOR = 2.0
 # successive Shanks estimates of an orbit's limit must agree to this
 # fraction of the orbit's gap tolerance (or to its floor) to end it
 SHANKS_AGREE = 0.01
+# the geometric modes of an orbit's mean that its Shanks estimate removes:
+# Wynn's table is 2 * SHANKS_MODES columns deep for every n
+SHANKS_MODES = 3
 
 
 class KernelSet(NamedTuple):
@@ -118,19 +121,21 @@ class KernelSet(NamedTuple):
     cyclic_gauss: callable
 
 
-def invert(g, y, lo, hi, glo, ghi):
-    """The bracketed solve for g(x) = y on [lo, hi], g a body that is
-    increasing there, given the endpoint values glo = g(lo) and
-    ghi = g(hi) (NaN where g is not finite).
+def invert(g, ys, lo, hi, glo, ghi):
+    """The bracketed solve for g(x) = y, for each target y of the list
+    ys, on [lo, hi], g a body that is increasing there, given the
+    endpoint values glo = g(lo) and ghi = g(hi) (NaN where g is not
+    finite).  The targets share the bracket and its values, so the
+    rotated means of a Gauss step are one call.
 
     Secant steps on the bracket with bisection as the fallback, within
-    INVERT_BUDGET steps.  The first step is plain regula falsi.  When a
-    step lands on the same side as the step before it, the value of the
-    endpoint kept on the other side is multiplied by the Anderson-Bjorck
-    weight m = 1 - f(new)/f(previous), or by 0.5 where m <= 0 (Anderson
-    & Bjorck, BIT 13, 1973; it replaced Illinois halving, Dowell &
-    Jarratt, BIT 11, 1971, and takes about a quarter fewer steps).  Stops
-    on the residual test
+    INVERT_BUDGET steps per target.  The first step is plain regula
+    falsi.  When a step lands on the same side as the step before it,
+    the value of the endpoint kept on the other side is multiplied by
+    the Anderson-Bjorck weight m = 1 - f(new)/f(previous), or by 0.5
+    where m <= 0 (Anderson & Bjorck, BIT 13, 1973; it replaced Illinois
+    halving, Dowell & Jarratt, BIT 11, 1971, and takes about a quarter
+    fewer steps).  Stops on the residual test
     |g(x)-y| <= INVERT_TOL*max(|y|, min(1, max(|g(lo)|, |g(hi)|))),
     relative to g's values on the bracket even below 1.  At an endpoint,
     or between adjacent floats, |g(x)-y| <= INVERT_TOL*max(1,|y|)
@@ -141,76 +146,94 @@ def invert(g, y, lo, hi, glo, ghi):
     its residual, and a target inside a jump of g would pass on them.
     A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``);
     a NaN target is bracketed by no values (``STATUS_RANGE``).
-    Returns (x, status).  The callers evaluate the endpoints:
-    ``Generator.invert_on`` on g itself, ``rotated_means`` off the member
-    matrix, once for all its solves.
+    Returns (xs, status): on success the solutions in the order of ys;
+    on a failure xs ends at the first target that failed, with NaN, or
+    with the midpoint of its last bracket where the budget ran out, and
+    the targets after it are not solved.  The callers evaluate the
+    endpoints: ``Generator.invert_on`` on g itself, for one target, and
+    ``rotated_means`` off the member matrix.
     """
     if glo != glo or ghi != ghi:  # NaN
-        return math.nan, STATUS_NONFINITE
-    if not y > glo:  # y <= glo, or y is NaN, which no endpoint passes
-        if glo - y <= INVERT_TOL * max(1.0, abs(y)):
-            return lo, STATUS_OK
-        return math.nan, STATUS_RANGE
-    if y >= ghi:
-        if y - ghi <= INVERT_TOL * max(1.0, abs(y)):
-            return hi, STATUS_OK
-        return math.nan, STATUS_RANGE
-    # glo < y < ghi, so max(|glo|, |ghi|) = max(-glo, ghi) > 0
+        return [math.nan], STATUS_NONFINITE
+    tol = INVERT_TOL
+    budget = range(INVERT_BUDGET)
+    # glo < y < ghi below, so max(|glo|, |ghi|) = max(-glo, ghi) > 0
     big = ghi if ghi >= -glo else -glo
     if big > 1.0:
         big = 1.0
-    scale = INVERT_TOL * (y if y > big else -y if -y > big else big)
-    a = lo
-    b = hi
-    # fa, fb: the endpoints' residuals as the secant weighs them; ra, rb:
-    # their true residuals g(x) - y
-    fa = ra = glo - y
-    fb = rb = ghi - y
-    side = 0
-    for _ in range(INVERT_BUDGET):
-        # fb - fa > 0: fa < 0 < fb on entry, a step gives the side it
-        # moves a true residual with |f| > scale >= 0, and a weight m in
-        # (0, 1] scales only the other side, keeping its sign or
-        # underflowing it to a zero of that sign, so at most one of fa, fb
-        # is a signed zero
-        xm = a - fa * (b - a) / (fb - fa)
-        if not (a < xm < b):
-            xm = 0.5 * (a + b)
+    xs = []
+    for y in ys:
+        if not y > glo:  # y <= glo, or y is NaN, which no endpoint passes
+            if glo - y <= tol * max(1.0, abs(y)):
+                xs.append(lo)
+                continue
+            xs.append(math.nan)
+            return xs, STATUS_RANGE
+        if y >= ghi:
+            if y - ghi <= tol * max(1.0, abs(y)):
+                xs.append(hi)
+                continue
+            xs.append(math.nan)
+            return xs, STATUS_RANGE
+        scale = tol * (y if y > big else -y if -y > big else big)
+        a = lo
+        b = hi
+        # fa, fb: the endpoints' residuals as the secant weighs them; ra,
+        # rb: their true residuals g(x) - y
+        fa = ra = glo - y
+        fb = rb = ghi - y
+        side = 0
+        for _ in budget:
+            # fb - fa > 0: fa < 0 < fb on entry, a step gives the side it
+            # moves a true residual with |f| > scale >= 0, and a weight m
+            # in (0, 1] scales only the other side, keeping its sign or
+            # underflowing it to a zero of that sign, so at most one of
+            # fa, fb is a signed zero
+            xm = a - fa * (b - a) / (fb - fa)
             if not (a < xm < b):
-                # bracket has collapsed to adjacent floats: accept the
-                # endpoint whose true residual is within the loose
-                # tolerance; a weighted value may be far smaller
-                loose = INVERT_TOL * max(1.0, abs(y))
-                if -ra <= rb:
-                    if -ra <= loose:
-                        return a, STATUS_OK
-                else:
-                    if rb <= loose:
-                        return b, STATUS_OK
-                return 0.5 * (a + b), STATUS_BUDGET
-        fm = g(xm)
-        if fm != fm:  # NaN
-            return math.nan, STATUS_NONFINITE
-        fm -= y
-        if -scale <= fm <= scale:
-            return xm, STATUS_OK
-        if fm < 0.0:
-            if side == -1:
-                # a second step on this side: fa is the last step's true
-                # residual, of fm's sign and nonzero
-                m = 1.0 - fm / fa
-                fb *= m if m > 0.0 else 0.5
-            a = xm
-            fa = ra = fm
-            side = -1
+                xm = 0.5 * (a + b)
+                if not (a < xm < b):
+                    # bracket has collapsed to adjacent floats: accept the
+                    # endpoint whose true residual is within the loose
+                    # tolerance; a weighted value may be far smaller
+                    loose = tol * max(1.0, abs(y))
+                    if -ra <= rb:
+                        if -ra <= loose:
+                            xs.append(a)
+                            break
+                    elif rb <= loose:
+                        xs.append(b)
+                        break
+                    xs.append(0.5 * (a + b))
+                    return xs, STATUS_BUDGET
+            fm = g(xm)
+            if fm != fm:  # NaN
+                xs.append(math.nan)
+                return xs, STATUS_NONFINITE
+            fm -= y
+            if -scale <= fm <= scale:
+                xs.append(xm)
+                break
+            if fm < 0.0:
+                if side == -1:
+                    # a second step on this side: fa is the last step's
+                    # true residual, of fm's sign and nonzero
+                    m = 1.0 - fm / fa
+                    fb *= m if m > 0.0 else 0.5
+                a = xm
+                fa = ra = fm
+                side = -1
+            else:
+                if side == 1:
+                    m = 1.0 - fm / fb
+                    fa *= m if m > 0.0 else 0.5
+                b = xm
+                fb = rb = fm
+                side = 1
         else:
-            if side == 1:
-                m = 1.0 - fm / fb
-                fa *= m if m > 0.0 else 0.5
-            b = xm
-            fb = rb = fm
-            side = 1
-    return 0.5 * (a + b), STATUS_BUDGET
+            xs.append(0.5 * (a + b))
+            return xs, STATUS_BUDGET
+    return xs, STATUS_OK
 
 
 def scaled_stop(gap_tol, mn, mx):
@@ -269,18 +292,29 @@ def orbit(step, x0, gap_tol, max_iter):
     """
     x = x0
     n = len(x0)
-    depth = n * (n - 1)  # the column 2K of the epsilon table is e_K
-    root = 1.0 / depth if depth else 1.0  # n = 1 stops on its zero gap
+    fsum = math.fsum
+    nan = math.nan
+    # the tested columns of Wynn's table: column 2j holds Shanks' e_j, so
+    # the deep column is e_SHANKS_MODES and the low one e_K, tested only
+    # where K = n(n-1)/2 is the smaller (n = 2; n = 1 stops on its zero gap)
+    depth = 2 * SHANKS_MODES
+    root = 1.0 / depth
+    low = n * (n - 1)
+    if low >= depth:
+        low = 0
+    low_root = 1.0 / low if low else 1.0
     tol = scaled_stop(gap_tol, min(x), max(x))
     agree = SHANKS_AGREE * tol
     rows = []
     gaps = []
     last = math.inf
-    mean = math.nan
-    estimate = math.nan
-    agreed = False  # the last estimate agreed with the one before it
+    mean = nan
+    # each column's last estimate, and whether it agreed with the one
+    # before it
+    estimate = low_estimate = nan
+    agreed = low_agreed = False
     # the last ascending diagonal of Wynn's epsilon table up to column
-    # 2K - 1: entry k is epsilon_k of the means from the (k+1)-th last on
+    # depth - 1: entry k is epsilon_k of the means from the (k+1)-th last on
     diagonal = []
     used = 0
     while True:
@@ -295,7 +329,7 @@ def orbit(step, x0, gap_tol, max_iter):
             return used, STATUS_OK, rows, gaps, None, "gap"
         if gap >= last and gap <= STALL_FLOOR * floor:
             return used, STATUS_OK, rows, gaps, None, "stall"
-        m = math.fsum(x) / n
+        m = fsum(x) / n
         # |m - mean| > floor, and False on the first, NaN, mean
         if m - mean > floor or mean - m > floor:
             # the next diagonal, written over the last one in place:
@@ -306,30 +340,42 @@ def orbit(step, x0, gap_tol, max_iter):
             for k, older in enumerate(diagonal):
                 diagonal[k] = e
                 d = e - older
-                e = below + 1.0 / d if d != 0.0 else math.nan
+                e = below + 1.0 / d if d != 0.0 else nan
                 below = older
+            bound = floor if floor > agree else agree
+            # each column's test: rho >= 0, so (1 - rho) * bound <= bound,
+            # and the rate over the column's window is needed only where d
+            # passes the bound alone; NaN d fails
             if len(diagonal) < depth:
                 diagonal.append(e)
             else:
                 d = e - estimate
                 if d < 0.0:
                     d = -d
-                bound = floor if floor > agree else agree
-                # rho >= 0, so (1 - rho) * bound <= bound: the rate is
-                # needed only where d passes the bound alone; NaN d fails
                 close = d <= bound and d <= (
                     1.0 - (gap / gaps[-1 - depth]) ** root) * bound
                 if close and agreed and mn <= e <= mx:
                     return used, STATUS_OK, rows, gaps, e, "extrapolated"
                 agreed = close
                 estimate = e
+            if low and len(diagonal) > low:
+                e = diagonal[low]
+                d = e - low_estimate
+                if d < 0.0:
+                    d = -d
+                close = d <= bound and d <= (
+                    1.0 - (gap / gaps[-1 - low]) ** low_root) * bound
+                if close and low_agreed and mn <= e <= mx:
+                    return used, STATUS_OK, rows, gaps, e, "extrapolated"
+                low_agreed = close
+                low_estimate = e
         else:
             # a mean that does not move has no geometric tail: start
             # the table again from it
             diagonal.clear()
             diagonal.append(m)
-            estimate = math.nan
-            agreed = False
+            estimate = low_estimate = nan
+            agreed = low_agreed = False
         mean = m
         if used >= max_iter:
             return used, STATUS_BUDGET, rows, gaps, None, None
@@ -390,22 +436,22 @@ def rotated_means(matrix, total, count):
     finite, and otherwise with the status of the first solve that fails.
     """
 
+    isfinite = math.isfinite
+    solve = invert
+    ok = STATUS_OK
+    nonfinite = STATUS_NONFINITE
+
     def step(x, mn, mx):
         m = matrix(*x)
         if m is None:
-            return STATUS_NONFINITE, None
+            return nonfinite, None
         targets, folds = m
         glo = folds[x.index(mn)]
         ghi = folds[x.index(mx)]
-        if not (math.isfinite(glo) and math.isfinite(ghi)):
-            return STATUS_NONFINITE, None
-        out = []
-        for i in range(count):
-            val, st = invert(total, targets[i], mn, mx, glo, ghi)
-            if st != STATUS_OK:
-                return st, None
-            out.append(val)
-        return STATUS_OK, out
+        if not (isfinite(glo) and isfinite(ghi)):
+            return nonfinite, None
+        out, status = solve(total, targets[:count], mn, mx, glo, ghi)
+        return (ok, out) if status == ok else (status, None)
 
     return step
 
@@ -413,9 +459,10 @@ def rotated_means(matrix, total, count):
 def gqam(matrix, total, xs):
     """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, given
     the system's member matrix and sum body: the first rotated mean of
-    ``rotated_means``, as (value, status).  Its one call of the member
-    matrix evaluates every member at every coordinate: n^2 member values
-    for one mean, which needs only f_j(x_j) and F at min xs and max xs."""
+    ``rotated_means``, as (value, status), which solves for its one
+    target alone.  Its one call of the member matrix evaluates every
+    member at every coordinate: n^2 member values for one mean, which
+    needs only f_j(x_j) and F at min xs and max xs."""
     status, out = rotated_means(matrix, total, 1)(xs, min(xs), max(xs))
     return (out[0], status) if status == STATUS_OK else (math.nan, status)
 
@@ -455,6 +502,6 @@ def warm_up():
                               Generator(dom, expr=cube, validate=False)])
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])
-    ACTIVE.invert(body, 2.0, 0.5, 4.0, body(0.5), body(4.0))
+    ACTIVE.invert(body, [2.0], 0.5, 4.0, body(0.5), body(4.0))
     ACTIVE.gqam(*system.program(), [1.0, 2.0])
     ACTIVE.cyclic_gauss(*system.program(), [1.0, 2.0], 1e-10, 100)

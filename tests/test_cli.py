@@ -540,6 +540,12 @@ def test_interval_validation(capsys):
     assert run(capsys, "--interval", "5,1", "--gen", "x", "eval", "6")[0] == 2
 
 
+def test_a_reversed_interval_is_written_open(capsys):
+    # intervals are open, and the message writes the parsed ends so
+    assert run(capsys, "--interval", "1,0", "eval", "1") == (
+        2, "", "meanlab: interval '1,0': interval requires lo < hi, got (1.0, 0.0)\n")
+
+
 def test_an_interval_whose_width_overflows_is_a_usage_error(capsys):
     code, out, err = run(capsys, "--interval=-1.7e308,1.7e308", "--gen", "x", "eval", "1", "2")
     assert code == 2

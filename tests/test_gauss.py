@@ -550,7 +550,7 @@ def test_a_slowly_contracting_orbit_stops_on_its_shanks_estimate():
     assert min(trace.last) <= limit <= max(trace.last)
     assert trace.gaps[-1] > 1e-6
     # the step it stopped on
-    assert trace.iterations_used == 166 and len(trace.iterates) == 167
+    assert trace.iterations_used == 152 and len(trace.iterates) == 153
 
 
 def _mixed_system():
@@ -569,24 +569,24 @@ LIBRARY_POINTS = [(0.3, 4.2), (1.0, 2.0), (4.9, 0.15), (2.5, 2.5)]
 # seeds 0-4, then gqam_eval at LIBRARY_POINTS, by system
 LIBRARY_PINS = {
     "callable": ([
-        (3.7991795748010038, 3.799179574801572), (2.760908430518591, 2.760908430518786),
+        (3.7991795748014376, 3.799179574801572), (2.760908430518886, 2.760908430518786),
         (2.816385305946025, 2.816385305946584), (2.7708165455400073, 2.7708165455405473),
         (3.72537604970246, 3.72537604970438), (3.701734110427139, 3.7017341104279424),
-        (2.4197592065991254, 2.4197592065992053), (2.544642295402869, 2.5446422954039747),
-        (3.620154002325714, 3.6201540023263976), (4.903068987880085, 4.903068987880299),
+        (2.419759206599461, 2.4197592065992053), (2.5446422954032304, 2.5446422954039747),
+        (3.62015400232618, 3.6201540023263976), (4.903068987880085, 4.903068987880299),
     ], [3.6692607905174732, 1.7828270804131212, 3.3975352186218393, 2.5]),
     "mixed": ([
-        (3.7495503440621816, 3.7495503440616695), (2.7141529221040077, 2.7141529221047547),
-        (2.7547577490420285, 2.7547577490422195), (2.7665459544751037, 2.766545954474824),
-        (3.653438252343466, 3.6534382523435767), (3.639197730765551, 3.6391977307663876),
-        (2.410322669994013, 2.4103226699941156), (2.4710423739325176, 2.4710423739323564),
-        (3.5613359941250815, 3.5613359941256304), (4.90306635938944, 4.903066359389609),
+        (3.7495503440622535, 3.7495503440616695), (2.7141529221040392, 2.7141529221047547),
+        (2.75475774904207, 2.7547577490422195), (2.766545954475139, 2.766545954474824),
+        (3.6534382523442663, 3.6534382523435767), (3.6391977307661962, 3.6391977307663876),
+        (2.4103226699940437, 2.4103226699941156), (2.471042373932535, 2.4710423739323564),
+        (3.5613359941254092, 3.5613359941256304), (4.9030663593896096, 4.903066359389609),
     ], [2.2139318356400146, 1.3891935965396842, 4.592871175682313, 2.5]),
     "affine": ([
-        (3.799179574801003, 3.799179574801572), (2.760908430518591, 2.760908430518786),
-        (2.816385305946024, 2.8163853059465844), (2.770816545540007, 2.7708165455405473),
-        (3.72537604970246, 3.7253760497043795), (3.70173411042714, 3.7017341104279424),
-        (2.4197592065991254, 2.4197592065992053), (2.544642295402869, 2.5446422954039747),
+        (3.799179574801003, 3.799179574801572), (2.7609084305188865, 2.760908430518786),
+        (2.816385305946024, 2.8163853059465844), (2.770816545540383, 2.7708165455405473),
+        (3.7253760497029926, 3.7253760497043795), (3.701734110427635, 3.7017341104279424),
+        (2.419759206599461, 2.4197592065992053), (2.5446422954032304, 2.5446422954039747),
         (3.620154002325713, 3.620154002326398), (4.903068987880085, 4.903068987880299),
     ], [3.6692607905174737, 1.7828270804131212, 3.3975352186218393, 2.5]),
 }
