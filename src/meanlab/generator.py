@@ -22,8 +22,9 @@ Inversion is bracketed: bisection with secant refinement weighted by the
 Anderson-Bjorck rule, terminating on a residual test relative to |y|
 and to the generator's values on the bracket, and at adjacent floats on
 the endpoints' true residuals.  There is one solve, ``kernels.invert``, whose
-docstring states the test; it takes the body's values at the bracket's
-ends, which ``invert_on`` computes, and stops on the kernels' constants
+docstring states the test; it takes a list of targets and the body's
+values at the bracket's ends, which ``invert_on`` computes and passes
+with its one target, and stops on the kernels' constants
 ``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
@@ -162,7 +163,8 @@ class Generator:
 
         Raises RangeError when y is not bracketed by g(lo) and g(hi),
         ConvergenceError if the step budget runs out, and EvalError on
-        non-finite evaluations.
+        non-finite evaluations.  It is one ``kernels.invert`` call on the
+        one target y.
         """
         y, lo, hi = float(y), float(lo), float(hi)
         g = self.body()

@@ -16,9 +16,10 @@ member's tree inlined, and returns the folds a mean needs.  This
 module only runs them.
 
 The bracketed solve is one function, ``invert``, which calls the body
-it inverts; its callers evaluate the bracket's endpoints.  Every solve
-stops on ``INVERT_TOL`` within ``INVERT_BUDGET`` steps, two constants
-read at each call and set nowhere else.  Its secant steps weigh the
+it inverts for a list of targets on one bracket; its callers evaluate
+the bracket's endpoints.  Every solve stops on ``INVERT_TOL`` within
+``INVERT_BUDGET`` steps, two constants read at each call and set
+nowhere else.  Its secant steps weigh the
 endpoint that two steps in a row leave in place by the Anderson-Bjorck
 rule, and it keeps each endpoint's true residual beside the weighted
 one: the acceptance at adjacent floats reads the true residual, since a
@@ -29,13 +30,22 @@ second (medians of ten pairs on a 2-vCPU x86-64 VM, ``BENCH_29.json``).
 A system's generalized quasi-arithmetic means are computed in one
 place, ``rotated_means``: one call of the member matrix gives the
 targets of the rotated means of the cyclic mapping and, as folds,
-F(min x) and F(max x) for F = f1+...+fn, then one solve per mean
-inverts F.  ``gqam``, one mean, is its first rotation.  Gauss
-iteration, with its stopping rules (a closed gap, a stalled gap, or a
-Shanks estimate of the limit), is written once in ``orbit``, which
-names the rule that ended it.  ``cyclic_gauss`` runs it over all n
-rotations, so a Gauss step is ``gqam`` on each rotation.  ``gauss``
-runs ``orbit`` over the components of any other mean-type mapping.
+F(min x) and F(max x) for F = f1+...+fn, then one ``invert`` call
+inverts F at every target.  ``gqam``, one mean, is its first rotation,
+and solves for that target alone.  Gauss iteration, with its stopping
+rules (a closed gap, a stalled gap, or a Shanks estimate of the limit),
+is written once in ``orbit``, which names the rule that ended it.
+``cyclic_gauss`` runs it over the step of all n rotations, so a Gauss
+step is one matrix call and one solve call.  ``gauss`` runs ``orbit``
+over the components of any other mean-type mapping.  The Shanks
+estimate removes the ``SHANKS_MODES`` = 3 leading geometric modes of
+the iterates' mean for every n, and at n = 2 it also tests e_1 off the
+same table.  At n = 2 three modes instead of one took the orbit-slow
+benchmark's x, x^3 orbits (seeds 1000-1019) from 74.8 to 56.0 Gauss
+steps on average, and the workload from 1,731 to 1,898 verified samples
+a second (medians of ten pairs on a 2-vCPU x86-64 VM, ``BENCH_34.json``);
+at n = 3 the table was already three modes deep, and from n = 4 on the
+cap keeps its window at 7 means.
 
 The code that runs per step of ``orbit`` and per solve of ``invert``
 compares floats where a builtin ``min``, ``max``, ``abs`` or
@@ -55,7 +65,7 @@ for bit.
 ``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  The package's
 callers outside this module read it at each call, so a wrapper installed
 there (the benchmark's tracer) sees each of their calls.  Calls inside
-the kernels do not go through ``ACTIVE``: the solves of
+the kernels do not go through ``ACTIVE``: the solve of
 ``rotated_means``, the ``orbit`` of ``cyclic_gauss`` and the step of
 ``gqam`` call the functions of this module directly, so a wrapper on
 ``ACTIVE.invert`` counts only the solves of ``Generator.invert_on``.
@@ -260,26 +270,47 @@ def orbit(step, x0, gap_tol, max_iter):
 
     The mapping preserves the arithmetic mean to first order (its
     Jacobian at the limit is a circulant whose rows and columns sum to
-    1), so m_k - L is led by K = n(n-1)/2 geometric modes, the products
-    of pairs of the Jacobian's n - 1 non-unit eigenvalues.  Shanks'
-    transform e_K (Shanks, J. Math. Phys. 34, 1955) of the last 2K+1
-    means, computed by Wynn's epsilon algorithm (Wynn, MTAC 10, 1956),
-    annihilates them.  The orbit stops on the estimate once all three
-    hold:
+    1), so m_k - L is led by geometric modes of second and higher order:
+    the K = n(n-1)/2 products of pairs of the Jacobian's n - 1 non-unit
+    eigenvalues, then longer products.  Shanks' transform e_j (Shanks,
+    J. Math. Phys. 34, 1955) of the last 2j+1 means, column 2j of Wynn's
+    epsilon table (Wynn, MTAC 10, 1956), annihilates j modes.  The table
+    is 2 * SHANKS_MODES columns deep for every n, and its estimate
+    e_SHANKS_MODES, e_3, removes the three modes that lead:
+
+    - at n = 2 the one non-unit eigenvalue lambda gives the modes
+      lambda^(pk) for p >= 2, so e_3 removes lambda^2, lambda^3 and
+      lambda^4, where e_1 would leave lambda^3 in place;
+    - at n = 3 the K = 3 products are all of them;
+    - from n = 4 on, the eigenvalues come in conjugate pairs lambda_k,
+      lambda_{n-k}, so lambda_1^2, lambda_1 lambda_{n-1} and
+      lambda_{n-1}^2 share the largest modulus; the cap keeps the
+      table's window at 7 means instead of n(n-1) + 1 (on choosing the
+      column for a sum of exponentials see Brezinski & Redivo-Zaglia,
+      Extrapolation Methods, 1991).
+
+    Where K is below SHANKS_MODES, at n = 2 alone, e_K is tested too,
+    read off the same ascending diagonal at entry 2K: affine-related
+    members (x^3, 2*x^3) leave only the even powers of lambda, which
+    fall so fast that e_3's table is near singular, while e_1 ends such
+    an orbit as early as it did alone.  Each tested column keeps its own last estimate, and the
+    orbit stops on a column's estimate once all three hold (the deeper
+    column is tested first):
 
     - it lies in [mn, mx];
-    - it and the previous iterate's estimate each differ from the
+    - it and the column's previous estimate each differ from the
       estimate before them by at most (1 - rho) * max(SHANKS_AGREE * tol,
-      floor), where rho = (gap_k / gap_{k-2K})^(1/2K) is the gap's
-      contraction rate over the estimate's window: estimates that still
-      move by d a step at rate rho are about d / (1 - rho) from their
-      limit, so a slowly contracting orbit must agree the more closely;
-      and the estimates' error can change sign from step to step, so
-      one small difference may be a coincidence, two in a row rarely;
+      floor), where rho = (gap_k / gap_{k-2j})^(1/2j) is the gap's
+      contraction rate over the column's window of 2j steps: estimates
+      that still move by d a step at rate rho are about d / (1 - rho)
+      from their limit, so a slowly contracting orbit must agree the
+      more closely; and the estimates' error can change sign from step
+      to step, so one small difference may be a coincidence, two in a
+      row rarely;
     - every step over the estimate's window moved the mean by more than
       floor: a step that does not starts the table again, so a mean
       sequence with no geometric tail, such as that of a linear
-      mapping, never extrapolates.
+      mapping, never extrapolates, however many modes it has.
 
     The orbit is never restarted from an estimate: the mapping fixes the
     whole diagonal, and the limit depends on the start.
@@ -429,11 +460,12 @@ def rotated_means(matrix, total, count):
     Rotation i is F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n]
     and F = f1+...+fn, solved on [mn, mx], which brackets it by the mean
     property.  One call of the member matrix gives every target and, in
-    the columns where mn and mx first sit, F(mn) and F(mx), shared by
-    the solves (a zero may differ in sign from the sum body's, which the
-    solve never reads).  The step fails (``STATUS_NONFINITE``) where a
-    member value at any coordinate, or one of those two folds, is not
-    finite, and otherwise with the status of the first solve that fails.
+    the columns where mn and mx first sit, F(mn) and F(mx) (a zero may
+    differ in sign from the sum body's, which the solve never reads);
+    one ``invert`` call then solves the first ``count`` targets on that
+    bracket.  The step fails (``STATUS_NONFINITE``) where a member value
+    at any coordinate, or one of those two folds, is not finite, and
+    otherwise with the status of the first target whose solve fails.
     """
 
     isfinite = math.isfinite

@@ -7,6 +7,7 @@ loop, and status codes that classify every failure mode."""
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ from meanlab.kernels import (
     guard,
     warm_up,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The benchmark's 40-digit reference, ``perfbench/oracle.py``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT))
+        from perfbench import oracle
+    return oracle
 
 
 @pytest.fixture(params=["numpy"])  # the kernels' former name, kept as the tests' id
@@ -420,6 +433,23 @@ def test_invert_never_accepts_a_target_inside_a_jump(ks, smallest, largest):
     assert false_accepts == []
 
 
+def test_one_solve_call_is_the_solves_of_its_targets():
+    # the targets share the bracket and its values; each is solved as if
+    # alone, and the first that fails ends the call with its status
+    g = body("x^3+x")
+    lo, hi = 0.1, 5.0
+    glo, ghi = g(lo), g(hi)
+    ys = [glo, *(glo + (ghi - glo) * k / 7 for k in range(1, 7)), ghi]
+    xs, status = kernels.invert(g, ys, lo, hi, glo, ghi)
+    assert status == STATUS_OK
+    assert bits([xs]) == bits([[solve(kernels, g, y, lo, hi)[0] for y in ys]])
+    xs, status = kernels.invert(g, [ys[3], ghi + 1.0, ys[4]], lo, hi, glo, ghi)
+    assert status == STATUS_RANGE and len(xs) == 2
+    assert xs[0] == solve(kernels, g, ys[3], lo, hi)[0] and math.isnan(xs[1])
+    xs, status = kernels.invert(g, ys, lo, hi, math.nan, ghi)
+    assert status == STATUS_NONFINITE and len(xs) == 1 and math.isnan(xs[0])
+
+
 # bracket values from the smallest subnormal to 1e308, either sign
 MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
 
@@ -558,6 +588,31 @@ def test_shanks_estimate_annihilates_the_means_geometric_modes(n, modes):
     assert (used, status, stop) == (n * (n - 1) + 2, STATUS_OK, "extrapolated")
     assert estimate == pytest.approx(1.0, abs=1e-15)
     assert gaps[-1] > 1e-3
+
+
+def test_a_pair_stops_on_e3_of_its_three_leading_modes():
+    # at n = 2 the mean's error is a sum of the powers lambda^p, p >= 2, of
+    # the one non-unit eigenvalue: e_1 leaves lambda^3 and lambda^4 in
+    # place, while e_3 of 7 means removes all three, so the estimates of the
+    # iterates 6, 7 and 8 agree and the third ends the orbit
+    lam = 0.5
+    used, status, rows, gaps, estimate, stop = replayed_orbit(
+        2, [(0.01, lam**2), (-0.02, lam**3), (0.005, lam**4)], (0.5, 0.7))
+    assert (used, status, stop) == (2 * kernels.SHANKS_MODES + 2, STATUS_OK, "extrapolated")
+    assert estimate == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_pair_with_even_modes_alone_stops_on_e1():
+    # affine-related members, such as x^3 and 2*x^3, leave only the even
+    # powers of lambda in the mean, where e_3's table is near singular: e_1
+    # ends the orbit at step 7, as it did before e_3 was tested, and before
+    # e_3's estimates can agree twice
+    lam = -1 / 3
+    used, status, rows, gaps, estimate, stop = replayed_orbit(
+        2, [(0.1, lam**2), (1e-5, lam**4)], (0.5, 0.8))
+    assert (used, status, stop) == (7, STATUS_OK, "extrapolated")
+    assert used < 2 * kernels.SHANKS_MODES + 2
+    assert estimate == pytest.approx(1.0, abs=1e-15)
 
 
 def test_a_shanks_estimate_outside_the_bracket_does_not_stop_the_orbit():
@@ -798,7 +853,7 @@ def test_fused_orbits_are_pinned_bit_for_bit(sources, interval, pins):
 ])
 def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, calls):
     # the Gauss steps and sum-body calls of 20 seeded orbits of each
-    # system the benchmark's slow orbits run, at gap tolerance 1e-9: 3.45
+    # system the benchmark's slow orbits run, at gap tolerance 1e-9: 3.58
     # and 3.81 calls a solve, so a solve that takes more steps fails here
     # and not only in a timing
     matrix, total = program(*sources)
@@ -817,6 +872,58 @@ def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, ca
         assert out[1] == STATUS_OK
         used += out[0]
     assert (used, count) == (steps, calls)
+
+
+# the first n of these members on (0.1, 5): from n = 4 on the mean has
+# more than SHANKS_MODES modes, and the capped table still ends the orbit
+WIDE_MEMBERS = ("x", "x^3", "x^2", "sqrt(x)", "log(x)", "exp(x)", "x^4", "2*x")
+WIDE_PINS = {
+    4: [((1.29, 0.67, 2.02, 0.91), (13, "extrapolated", "1.3630749890451501")),
+        ((0.51, 2.05, 4.42, 3.88), (33, "extrapolated", "3.3114755427525555")),
+        ((3.72, 1.22, 2.67, 1.47), (22, "extrapolated", "2.6082632566467683"))],
+    6: [((3.85, 3.98, 2.43, 1.4, 0.2, 3.25), (21, "extrapolated", "3.0587161080327916")),
+        ((2.36, 3.69, 1.92, 3.74, 1.45, 3.89), (20, "extrapolated", "3.152357386294938")),
+        ((3.56, 2.1, 2.68, 3.34, 1.09, 2.75), (16, "extrapolated", "2.8062989130919247"))],
+    8: [((1.24, 4.63, 0.78, 3.44, 0.59, 1.34, 4.8, 1.16),
+         (37, "extrapolated", "3.3862169462964835")),
+        ((3.15, 2.31, 2.28, 2.48, 1.08, 4.02, 0.61, 1.28),
+         (24, "extrapolated", "2.6833609776062186")),
+        ((0.29, 1.43, 2.08, 4.35, 1.94, 0.72, 1.39, 4.76),
+         (27, "extrapolated", "3.1908477601249152"))],
+}
+
+
+@pytest.mark.parametrize("n", sorted(WIDE_PINS))
+def test_wide_orbits_stop_on_the_capped_shanks_estimate(oracle, n):
+    # (iterations, stop, repr of the limit) at gap tolerance 1e-10, each
+    # limit within 1e-11 of the 40-digit quasi-arithmetic mean of the sum;
+    # the oracle has no sqrt(x) or x^4, so they are written out here
+    import mpmath
+
+    sources = WIDE_MEMBERS[:n]
+    extra = {"sqrt(x)": mpmath.sqrt, "x^4": lambda x: x**4}
+    reference = oracle.Oracle([])
+    reference.fs = [oracle.GENERATORS.get(s) or extra[s] for s in sources]
+    matrix, total = program(*sources)
+    for x0, want in WIDE_PINS[n]:
+        used, status, _, _, estimate, stop = kernels.cyclic_gauss(matrix, total, list(x0),
+                                                                  1e-10, 4000)
+        assert status == STATUS_OK
+        assert (used, stop, repr(estimate)) == want, x0
+        assert oracle.rel_err(estimate, reference.qam(x0)) <= 1e-11, x0
+
+
+def test_a_capped_table_never_extrapolates_a_linear_system():
+    # x, 2*x, ..., 6*x keeps the arithmetic mean fixed: its 15 modes are
+    # more than the table removes, but a mean that does not move has none
+    # to remove, so every orbit ends on its gap after the table could fill
+    matrix, total = program("x", *(f"{k}*x" for k in range(2, 7)))
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        used, status, _, _, estimate, stop = kernels.cyclic_gauss(
+            matrix, total, rng.uniform(0.2, 4.8, 6).tolist(), 1e-10, 4000)
+        assert (status, stop, estimate) == (STATUS_OK, "gap", None)
+        assert used > 2 * kernels.SHANKS_MODES + 2
 
 
 def mixed_system():
