@@ -470,7 +470,6 @@ def rotated_means(matrix, total, count):
 
     isfinite = math.isfinite
     solve = invert
-    ok = STATUS_OK
     nonfinite = STATUS_NONFINITE
 
     def step(x, mn, mx):
@@ -483,7 +482,7 @@ def rotated_means(matrix, total, count):
         if not (isfinite(glo) and isfinite(ghi)):
             return nonfinite, None
         out, status = solve(total, targets[:count], mn, mx, glo, ghi)
-        return (ok, out) if status == ok else (status, None)
+        return status, out
 
     return step
 
