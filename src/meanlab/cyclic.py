@@ -9,14 +9,15 @@ rotation.
 ``cyclic_mapping(M)`` takes a mean of fixed arity n; ``fixed_arity(M, n)``
 is the one way to pin a variadic mean to n arguments first.  Every
 mapping ``cyclic_mapping`` builds is a rotation family that
-``rotation_base`` recognizes.
+``rotation_base`` recognizes.  A mapping checks a vector as its means
+do, with ``means.checked_vector``: the count message names the mapping.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .means import Mean
+from .means import Mean, checked_vector
 
 
 def _check_position(n: int, k: int) -> None:
@@ -102,12 +103,9 @@ class MeanTypeMapping:
 
     def checked(self, xs: Sequence[float]) -> list:
         """xs as a list of floats, one per component, every one inside
-        the interval; ValueError or DomainError otherwise."""
-        pts = [float(x) for x in xs]
-        if len(pts) != self.arity:
-            raise ValueError(f"expected {self.arity} points, got {len(pts)}")
-        self.domain.check_points(pts)
-        return pts
+        the interval, by the means' one ``checked_vector``; ValueError or
+        DomainError otherwise."""
+        return checked_vector(xs, self.domain, self.arity, self.label)
 
     def apply(self, xs: Sequence[float]) -> tuple:
         """One synchronous step: every component sees the same input,

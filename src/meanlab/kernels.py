@@ -19,14 +19,12 @@ The bracketed solve is one function, ``invert``, which calls the body
 it inverts for a list of targets on one bracket; its callers evaluate
 the bracket's endpoints.  Every solve stops on ``INVERT_TOL`` within
 ``INVERT_BUDGET`` steps, two constants read at each call and set
-nowhere else.  Its secant steps weigh the
-endpoint that two steps in a row leave in place by the Anderson-Bjorck
-rule, and it keeps each endpoint's true residual beside the weighted
-one: the acceptance at adjacent floats reads the true residual, since a
-weighted value can be far below it.  The weights cut a solve of the
-benchmark's slow orbits from 4.73 to 3.60 evaluations on average, and
-its orbit-slow workload went from 1,587 to 1,729 verified samples a
-second (medians of ten pairs on a 2-vCPU x86-64 VM, ``BENCH_29.json``).
+nowhere else.  Its secant steps weigh the endpoint that two steps in a
+row leave in place by the Anderson-Bjorck rule, which takes fewer
+evaluations per solve than Illinois halving, and it keeps each
+endpoint's true residual beside the weighted one: the acceptance at
+adjacent floats reads the true residual, since a weighted value can be
+far below it.
 A system's generalized quasi-arithmetic means are computed in one
 place, ``rotated_means``: one call of the member matrix gives the
 targets of the rotated means of the cyclic mapping and, as folds,
@@ -40,21 +38,14 @@ step is one matrix call and one solve call.  ``gauss`` runs ``orbit``
 over the components of any other mean-type mapping.  The Shanks
 estimate removes the ``SHANKS_MODES`` = 3 leading geometric modes of
 the iterates' mean for every n, and at n = 2 it also tests e_1 off the
-same table.  At n = 2 three modes instead of one took the orbit-slow
-benchmark's x, x^3 orbits (seeds 1000-1019) from 74.8 to 56.0 Gauss
-steps on average, and the workload from 1,731 to 1,898 verified samples
-a second (medians of ten pairs on a 2-vCPU x86-64 VM, ``BENCH_34.json``);
-at n = 3 the table was already three modes deep, and from n = 4 on the
-cap keeps its window at 7 means.
+same table.  At n = 2 three modes end a slowly contracting orbit in
+fewer Gauss steps than one; at n = 3 they are all the leading modes;
+from n = 4 on the cap keeps the table's window at 7 means.
 
 The code that runs per step of ``orbit`` and per solve of ``invert``
 compares floats where a builtin ``min``, ``max``, ``abs`` or
 ``math.isnan`` call would give the same float: on CPython 3.11 such a
-call costs more than the arithmetic it serves.  Written as comparisons,
-the same orbits let the benchmark's orbit-slow workload verify 1,596
-instead of 1,330 samples a second (medians of ten pairs on a 2-vCPU
-x86-64 VM, ``BENCH_28.json``; a traced run took 12.2 instead of
-14.9 us a Gauss step).
+call costs more than the arithmetic it serves.
 ``orbit`` computes the Shanks rate rho only once an estimate passes the
 rate-free bound: rho >= 0, so the bound (1 - rho) * bound it then tests
 is never larger, and the verdict is the same.  Tests hold each rewritten
@@ -154,8 +145,10 @@ def invert(g, ys, lo, hi, glo, ghi):
     Between adjacent floats it reads the endpoints' true residuals, kept
     beside their weighted values: the weights shrink a value far below
     its residual, and a target inside a jump of g would pass on them.
-    A NaN from g inside the bracket ends the solve (``STATUS_NONFINITE``);
-    a NaN target is bracketed by no values (``STATUS_RANGE``).
+    A target on or past either end value, or NaN, has that one test: it
+    takes the nearer end, or fails with ``STATUS_RANGE`` (always for a NaN
+    target, which no values bracket).  A NaN from g inside the bracket
+    ends the solve (``STATUS_NONFINITE``).
     Returns (xs, status): on success the solutions in the order of ys;
     on a failure xs ends at the first target that failed, with NaN, or
     with the midpoint of its last bracket where the budget ran out, and
@@ -173,15 +166,12 @@ def invert(g, ys, lo, hi, glo, ghi):
         big = 1.0
     xs = []
     for y in ys:
-        if not y > glo:  # y <= glo, or y is NaN, which no endpoint passes
-            if glo - y <= tol * max(1.0, abs(y)):
-                xs.append(lo)
-                continue
-            xs.append(math.nan)
-            return xs, STATUS_RANGE
-        if y >= ghi:
-            if y - ghi <= tol * max(1.0, abs(y)):
-                xs.append(hi)
+        if not glo < y < ghi:
+            # on or past an end, or NaN: the nearer end, where its residual
+            # is within the loose tolerance, which a NaN residual never is
+            x, r = (lo, glo - y) if y <= glo else (hi, y - ghi)
+            if r <= tol * max(1.0, abs(y)):
+                xs.append(x)
                 continue
             xs.append(math.nan)
             return xs, STATUS_RANGE

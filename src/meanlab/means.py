@@ -18,8 +18,9 @@ its member matrix and sum body: the mean is the first rotation of the
 fused Gauss step, so it evaluates every member at every point and is an
 EvalError where any of them is not finite.
 
-``Mean.__call__`` is the one place a vector is converted and checked
-(floats, arity, at least one point, inside the domain); ``_evaluate``
+``checked_vector`` is the one vector check (floats, arity, at least one
+point, inside the domain): ``Mean.__call__`` runs it on every call, and
+``cyclic.MeanTypeMapping.checked`` on a mapping's vector; ``_evaluate``
 computes on points so checked.  ``qam_eval(f, xs)`` and
 ``gqam_eval(S, xs)`` are one-shot checked entries: a call of a fresh
 mean of each class.
@@ -56,13 +57,29 @@ def agrees(lhs: float, rhs: float, tol: float, scale: float) -> bool:
     return abs(lhs - rhs) <= tol * max(abs(rhs), min(1.0, scale))
 
 
+def checked_vector(xs: Sequence[float], domain: Interval, arity: int | None,
+                   label: str) -> list:
+    """The one vector check of a mean or a mapping: xs as a new list of
+    floats, ``arity`` of them (any number where it is None), at least
+    one, and every one inside ``domain``.  ValueError for the count,
+    naming ``label``; DomainError (``Interval.check_points``) for the
+    first point outside."""
+    pts = [float(x) for x in xs]
+    if arity is not None and len(pts) != arity:
+        raise ValueError(f"{label!r} expects {arity} points, got {len(pts)}")
+    if not pts:
+        raise ValueError(f"{label!r} needs at least one point")
+    domain.check_points(pts)
+    return pts
+
+
 class Mean:
     """A mean as a validated callable on vectors from its domain.
 
     ``arity`` None means variadic.  ``__call__`` converts and checks the
-    points; subclasses implement ``_evaluate``, which gets checked
-    floats (as many as the arity takes, at least one, inside the domain)
-    in a list of its own, free to change.  Code that has checked a vector
+    points with ``checked_vector``; subclasses implement ``_evaluate``,
+    which gets checked floats (as many as the arity takes, at least one,
+    inside the domain) in a list of its own, free to change.  Code that has checked a vector
     already may call ``_evaluate`` directly, with a copy per mean.
     """
 
@@ -76,15 +93,7 @@ class Mean:
         self.label = label
 
     def __call__(self, xs: Sequence[float]) -> float:
-        pts = [float(x) for x in xs]
-        if self.arity is not None and len(pts) != self.arity:
-            raise ValueError(
-                f"{self.label!r} expects {self.arity} points, got {len(pts)}"
-            )
-        if not pts:
-            raise ValueError(f"{self.label!r} needs at least one point")
-        self.domain.check_points(pts)
-        return self._evaluate(pts)
+        return self._evaluate(checked_vector(xs, self.domain, self.arity, self.label))
 
     def _evaluate(self, pts: list[float]) -> float:
         raise NotImplementedError

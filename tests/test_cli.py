@@ -207,6 +207,18 @@ def test_compose_gap_rows_decrease(capsys):
     assert stops == ["extrapolated", "gap"]
 
 
+def test_a_csv_compose_report_leaves_the_gap_rows_sides_empty(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "--interval", "0.1,5", "--gen", "x",
+                       "--gen", "2*x", "compose", "1", "3")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check_name"] for r in rows[1:]] == ["gap"] * (len(rows) - 1)
+    assert float(rows[0]["lhs"]) == pytest.approx(2.0) and rows[0]["rhs"] == ""
+    for k, row in enumerate(rows[1:]):
+        assert (row["sample_index"], row["lhs"], row["rhs"], row["verdict"]) == (str(k), "", "", "")
+        assert float(row["residual"]) >= 0.0
+
+
 # --- verify suites ---------------------------------------------------------------
 
 

@@ -287,6 +287,25 @@ def test_mapping_rejects_mixed_domains():
         MeanTypeMapping([fixed_arity(a, 2), fixed_arity(b, 2)])
 
 
+def test_mapping_refuses_a_component_of_another_arity():
+    m = weighted_pair_mean()
+    with pytest.raises(ValueError) as exc:
+        MeanTypeMapping([m, m, m])
+    assert str(exc.value) == f"component {m.label!r} has arity 2, expected 3"
+
+
+def test_a_mapping_checks_a_vector_as_its_means_do():
+    # one check: the count message names the mapping as a mean's names the mean
+    mean = GeneralizedQuasiArithmeticMean(builtin_system("x,x^2,x^3"))
+    mapping = cyclic_mapping(mean)
+    for checked, label in ((mapping.checked, mapping.label), (mean, mean.label)):
+        with pytest.raises(ValueError) as exc:
+            checked([1.0, 2.0])
+        assert str(exc.value) == f"{label!r} expects 3 points, got 2"
+    assert mapping.label == f"cyclic[{mean.label}]"
+    assert mapping.checked((1, 2.5, 3)) == [1.0, 2.5, 3.0]
+
+
 def test_mapping_apply_checks_length():
     mapping = cyclic_mapping(weighted_pair_mean())
     with pytest.raises(ValueError):

@@ -63,6 +63,12 @@ def test_unclosed_call_reports_eof_position():
     assert exc.value.position == 4
 
 
+def test_a_call_needs_its_parenthesis():
+    with pytest.raises(ParseError, match=r"expected '\('") as exc:
+        parse("exp x")
+    assert exc.value.position == 4
+
+
 def test_affine_at_three():
     assert eval_expr(parse("2*x+1"), 3.0) == 7.0
 

@@ -468,6 +468,26 @@ def test_system_affine():
         assert t[1](x) == pytest.approx(3.0 * s[1](x) - 2.0)
 
 
+def test_system_affine_needs_one_offset_per_member():
+    with pytest.raises(ValueError, match="need one offset per generator"):
+        builtin_system("x,2*x").affine(3.0, [1.0])
+
+
+def test_sum_generators_needs_members_on_one_interval():
+    with pytest.raises(ValueError, match="needs at least one generator"):
+        sum_generators([])
+    x = Generator(I010, expr=X, validate=False)
+    with pytest.raises(ValueError, match="must share one interval"):
+        sum_generators([x, Generator(Interval(0.0, 5.0), expr=X, validate=False)])
+
+
+def test_affine_fit_refuses_a_generator_not_finite_on_its_grid():
+    # log(x - 1) is NaN on the grid points at or below 1
+    f = Generator(I010, expr=parse("log(x - 1)"), validate=False)
+    with pytest.raises(EvalError, match="non-finite value on the sample grid"):
+        affine_fit(f, Generator(I010, expr=X, validate=False))
+
+
 # --- properties -----------------------------------------------------------
 
 

@@ -178,6 +178,15 @@ def test_gqam_mean_object_arity():
         m([1.0, 2.0, 3.0])
 
 
+def test_a_mean_takes_at_least_one_point():
+    from meanlab import FunctionMean
+
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        FunctionMean(max, I010, arity=0)
+    with pytest.raises(ValueError, match="'qam\\[x\\]' needs at least one point"):
+        QuasiArithmeticMean(gen("x"))([])
+
+
 def test_mean_rejects_outside_domain():
     m = QuasiArithmeticMean(gen("x"))
     with pytest.raises(DomainError):

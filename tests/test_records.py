@@ -41,6 +41,11 @@ def test_interval_rejects_bad_endpoints(lo, hi):
         Interval(lo, hi)
 
 
+def test_a_grid_needs_two_points():
+    with pytest.raises(ValueError, match="grid needs at least 2 points"):
+        I010.grid(1)
+
+
 @pytest.mark.parametrize("lo,hi", [
     (1.0, 1.0000001),  # the inset, 1e-16, rounds back onto both ends
     (1.0, 1.0 + 4 * 2.0**-52),
@@ -148,3 +153,10 @@ def test_run_report_is_mutable_with_fresh_defaults():
     assert (second.results, second.details) == ([], {})
     assert first.stamp(1.5) is first
     assert first.runtime_ms == 1.5 and first.timestamp
+
+
+def test_a_report_refuses_an_unknown_format():
+    config = ExperimentConfig("eval", (0.0, 10.0), ("x",), (), None, None, 500, 100, 0,
+                              "json", (1.0, 2.0))
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        RunReport(config).render("xml")
