@@ -27,8 +27,6 @@ from .cyclic import (
     PermutedMean,
     cyclic_mapping,
     rotated,
-    sigma,
-    sigma_pow,
 )
 from .dsl import (
     Binary,
@@ -37,7 +35,6 @@ from .dsl import (
     Unary,
     Variable,
     compile_expr,
-    eval_expr,
     parse,
     to_text,
 )
@@ -140,7 +137,6 @@ __all__ = [
     "composition_closed_form_check",
     "cyclic_mapping",
     "cyclic_symmetry_check",
-    "eval_expr",
     "gauss_iterate",
     "gbs_for_mean_check",
     "generalized_bisymmetry_check",
@@ -158,8 +154,6 @@ __all__ = [
     "random_matrix",
     "reflexivity_check",
     "rotated",
-    "sigma",
-    "sigma_pow",
     "sum_generators",
     "to_text",
     "validate_matrix",

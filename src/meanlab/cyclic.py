@@ -1,9 +1,9 @@
 """Cyclic argument rotation and mean-type mappings built from it.
 
-Index convention: positions are 1-based in ``sigma``/``sigma_pow`` (the
-arithmetic is exact integer work, no floats involved), 0-based in the
-vector helpers.  ``sigma`` sends 1 to n and every other k to k - 1;
-``sigma_pow`` is its i-th iterate, with negative i meaning the inverse
+``rotated(xs, i)`` is the one statement of the rotation convention: its
+entry j is ``xs[(j - i) % n]``, 0-based, for any integer i.  In the
+paper's 1-based terms, its entry k is x at sigma^i(k), where sigma sends
+1 to n and every other k to k - 1, and a negative i is the inverse
 rotation.
 
 ``cyclic_mapping(M)`` takes a mean of fixed arity n; ``fixed_arity(M, n)``
@@ -20,27 +20,8 @@ from typing import Sequence
 from .means import Mean, checked_vector
 
 
-def _check_position(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 1 <= k <= n:
-        raise IndexError(f"position {k} is outside 1..{n}")
-
-
-def sigma(n: int, k: int) -> int:
-    """One backward rotation step on positions 1..n."""
-    _check_position(n, k)
-    return n if k == 1 else k - 1
-
-
-def sigma_pow(n: int, i: int, k: int) -> int:
-    """i-th iterate of sigma; i may be any integer."""
-    _check_position(n, k)
-    return (k - 1 - i) % n + 1
-
-
 def rotated(xs: Sequence[float], power: int) -> tuple:
-    """The vector with entry k equal to xs at position sigma_pow(power, k)."""
+    """The vector whose entry j is xs[(j - power) % n], n = len(xs)."""
     n = len(xs)
     return tuple(xs[(j - power) % n] for j in range(n))
 

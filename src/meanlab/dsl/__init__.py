@@ -1,10 +1,10 @@
 """Tiny expression language for strictly increasing generators.
 
-Public surface: ``parse`` text into an expression tree, ``eval_expr`` as
-the reference evaluator, ``to_text`` as the canonical printer, and
-``compile_expr`` to lower a tree to a Python body.  A tree or its text
-becomes a generator on an interval through
-``Generator.from_expression``, after the monotonicity grid check.
+Public surface: ``parse`` text into an expression tree, ``to_text`` as
+the canonical printer, and ``compile_expr`` to lower a tree to a Python
+body, the one evaluator of trees.  A tree or its text becomes a
+generator on an interval through ``Generator.from_expression``, after
+the monotonicity grid check.
 The tree is the one program form: ``compiler`` lowers it straight to
 Python, for a generator's body and a system's member matrix alike.  A
 Python callable, guarded, enters a tree as a leaf, which has no text.
@@ -17,7 +17,6 @@ from .ast import (
     Unary,
     Variable,
     X,
-    eval_expr,
     to_text,
 )
 from .compiler import compile_expr
@@ -31,7 +30,6 @@ __all__ = [
     "Variable",
     "X",
     "compile_expr",
-    "eval_expr",
     "parse",
     "to_text",
 ]

@@ -11,23 +11,21 @@ callable, guarded once by ``kernels.guard``, enters sums and affine
 images of generators, and a bare body is a tree of one leaf.  A body
 has no text form.
 
-``eval_expr`` is a direct recursive walk and serves as the reference
-semantics: the Python bodies ``compiler.compile_expr`` makes of trees,
-and the member matrices of ``compiler.compile_matrix``, are tested
-against it bit for bit.  A body leaf's value is what the body returns.
-Non-finite values do not come back: exp, log, sqrt, division and ``^``
-are NaN outside their guards, and so is any binary operation whose
-result is not finite, so an overflow stays NaN through a later division
-or exp.  The lowered bodies follow the same rule, node by node in the
-walker's post-order; any other evaluator of trees must.
+The value of a tree at x is defined node by node, in post-order.  A
+body leaf's value is what the body returns.  Non-finite values do not
+come back: exp, log, sqrt, division and ``^`` are NaN outside their
+guards, and so is any binary operation whose result is not finite, so an
+overflow stays NaN through a later division or exp; a tree whose value
+is NaN is not finite at x.  ``compiler`` lowers trees to Python that
+follows this rule.  A direct recursive walk of the tree, the reference
+semantics, lives with the tests (``tests/support.py``), which hold the
+lowered bodies and member matrices to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple, Union
-
-from ..errors import EvalError
 
 UNARY_OPS = ("neg", "exp", "log", "sqrt")
 BINARY_OPS = ("+", "-", "*", "/", "^")
@@ -114,70 +112,6 @@ def power(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
-def safe_exp(v: float) -> float:
-    if v > _EXP_MAX:
-        return math.nan
-    return math.exp(v)
-
-
-def safe_log(v: float) -> float:
-    if v <= 0.0:
-        return math.nan
-    return math.log(v)
-
-
-def safe_sqrt(v: float) -> float:
-    if v < 0.0:
-        return math.nan
-    return math.sqrt(v)
-
-
-def safe_div(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.nan
-    return num / den
-
-
-def eval_expr(expr: Expr, x: float) -> float:
-    """Evaluate at a scalar, raising EvalError where the expression is
-    not finite (see the module docstring for where that is)."""
-    v = _walk(expr, float(x))
-    if not math.isfinite(v):
-        raise EvalError(f"expression is not finite at x = {x}")
-    return v
-
-
-def _walk(expr: Expr, x: float) -> float:
-    if callable(expr):
-        return expr(x)
-    if isinstance(expr, Constant):
-        return expr.value
-    if isinstance(expr, Variable):
-        return x
-    if isinstance(expr, Unary):
-        v = _walk(expr.operand, x)
-        if expr.op == "neg":
-            return -v
-        if expr.op == "exp":
-            return safe_exp(v)
-        if expr.op == "log":
-            return safe_log(v)
-        return safe_sqrt(v)
-    a = _walk(expr.left, x)
-    b = _walk(expr.right, x)
-    if expr.op == "+":
-        r = a + b
-    elif expr.op == "-":
-        r = a - b
-    elif expr.op == "*":
-        r = a * b
-    elif expr.op == "/":
-        r = safe_div(a, b)
-    else:
-        r = power(a, b)
-    return r if math.isfinite(r) else math.nan
-
-
 # Printer precedence levels, matching the grammar in parser.py:
 # sums bind loosest, then products, unary minus, and ^ tightest with an
 # atom-only base.
@@ -211,7 +145,8 @@ def to_text(expr: Expr) -> str:
 
 def _fmt(expr: Expr, context: int) -> str:
     if isinstance(expr, Constant):
-        text = repr(expr.value) if expr.value >= 0.0 else "-" + repr(-expr.value)
+        # an integral value without ".0": int() would write 1e300 out in full
+        text = (repr(expr.value) if expr.value >= 0.0 else "-" + repr(-expr.value)).removesuffix(".0")
     elif isinstance(expr, Variable):
         text = "x"
     elif callable(expr):

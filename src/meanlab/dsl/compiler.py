@@ -4,16 +4,17 @@ This is the one place where a tree becomes code.  ``compile_expr``
 makes a generator's body, a Python function of x; ``compile_matrix``
 makes a system's member matrix, a Python function of x0..x_{n-1}.  Both
 emit the same statements for a tree: one per node, in post-order, so
-the tree's operations run in the order ``eval_expr`` runs them and give
-its values bit for bit.  Sums and affine images of generators are trees
-too, left-folded ``+`` nodes and ``f*a + b``, and lower the same way.
+the tree's operations run in the order ``ast`` defines its value in and
+give that value bit for bit, as the reference walker of the tests does.
+Sums and affine images of generators are trees too, left-folded ``+``
+nodes and ``f*a + b``, and lower the same way.
 A body leaf, the guarded body of a Python callable, is bound once in
 the lowered function's namespace and called with a NaN test; a bare
 body is its own lowering.
 A power with a literal exponent c takes no log per call: its base is
 tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
-is the walker's to the bit.
+is ``power``'s to the bit.
 Each distinct emitted source is compiled once per process: its code
 object is kept in an LRU of ``CODE_CACHE_SIZE`` entries, and every
 lowering still runs that code in a fresh namespace of its own, so the
@@ -155,7 +156,7 @@ def _define(name, params, lines, names):
 
 def compile_expr(expr: Expr):
     """The tree as a body: a straight-line Python function of x that
-    returns the tree's value, NaN where ``eval_expr`` raises (a guard
+    returns the tree's value, NaN where the tree is not finite (a guard
     fails, a body leaf is NaN or a binary result is not finite).  A
     bare body comes back as it is."""
     if callable(expr):

@@ -307,22 +307,13 @@ class GeneratorSystem:
             [g.affine(a, b) for g, b in zip(self.generators, offsets)]
         )
 
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __getitem__(self, idx):
-        return self.generators[idx]
-
     def __repr__(self):
         return f"GeneratorSystem([{self.label}] on {self.domain})"
 
 
 def sum_generators(generators) -> Generator:
     """Pointwise sum of generators on one interval, from any iterable of
-    them, a ``GeneratorSystem`` included.
+    them, such as a system's ``generators``.
 
     A sum of strictly increasing functions is strictly increasing, so the
     grid check is skipped.  The sum is the left-folded tree

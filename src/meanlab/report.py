@@ -11,7 +11,9 @@ matrices); text is a human summary of the same rows.
 
 Determinism: given the same config and seed, the CSV bytes and the JSON
 bytes are identical between runs, except for the timestamp and the wall
-time, which obviously cannot repeat and are excluded from that contract.
+time, which obviously cannot repeat and are excluded from that contract:
+``VOLATILE_KEYS`` names them.  The config echo is
+``ExperimentConfig._asdict()``.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class ExperimentConfig(NamedTuple):
     output_format: str
     points: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def result_row(check_name: str, sample_index: int, lhs=None, rhs=None,
                residual=None, verdict: str = "") -> dict:
@@ -65,7 +64,7 @@ class RunReport:
     def __init__(self, config: ExperimentConfig, results: list | None = None,
                  details: dict | None = None):
         self.command = config.command
-        self.config = config.as_dict()
+        self.config = config._asdict()
         self.results = [] if results is None else results
         self.details = {} if details is None else details
         self.runtime_ms = 0.0
@@ -147,9 +146,3 @@ def _num(v) -> str:
     if isinstance(v, float):
         return f"{v:.7g}"
     return str(v)
-
-
-def strip_volatile(payload: dict) -> dict:
-    """Drop the fields outside the determinism contract (for comparing
-    two JSON reports in tests)."""
-    return {k: v for k, v in payload.items() if k not in VOLATILE_KEYS}

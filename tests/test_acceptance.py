@@ -31,13 +31,13 @@ from meanlab import (
     qam_equality_check,
     qam_eval,
     reflexivity_check,
-    sigma,
-    sigma_pow,
+    rotated,
 )
 from meanlab.cli import main
 from meanlab.cyclic import fixed_arity
 from meanlab.kernels import warm_up
-from meanlab.report import strip_volatile
+
+from support import strip_volatile
 
 I010 = Interval(0.0, 10.0)
 
@@ -101,16 +101,18 @@ def test_c2_generalized_bisymmetry_and_collapse():
 
 
 def test_c3_exact_rotation_identities():
+    # rotated on the positions 0..n-1 themselves: entry k-1 of
+    # rotated(idx, i) is sigma^i(k) - 1, sigma the paper's backward rotation
     ok = True
     for n in range(1, 13):
+        idx = tuple(range(n))
+        ok = ok and rotated(idx, n) == idx                        # full cycle is identity
         for k in range(1, n + 1):
-            ok = ok and sigma_pow(n, n, k) == k          # full cycle is identity
-            ok = ok and sigma_pow(n, k, k) == n          # k steps from k reach n
+            ok = ok and rotated(idx, k)[k - 1] == n - 1           # k steps from k reach n
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                ok = ok and sigma_pow(n, 1 - b, a) == sigma_pow(n, 1 - a, b)
-        if n >= 2:
-            ok = ok and sigma(n, 1) == n
+                ok = ok and rotated(idx, 1 - b)[a - 1] == rotated(idx, 1 - a)[b - 1]
+        ok = ok and rotated(idx, 1)[0] == n - 1                   # sigma(1) = n
     _line("C3 exact cyclic-rotation identities, n <= 12, zero tolerance", ok)
     assert ok
 

@@ -1,7 +1,9 @@
 """Cyclic rotation arithmetic and the induced mean families.
 
-Everything in the index layer is exact integer work, so those tests use
-equality with zero tolerance.
+Rotation is exact index work, so its tests rotate the positions 0..n-1
+themselves and use equality with zero tolerance.  sigma in a test name
+is the paper's backward rotation, whose i-th power ``rotated(xs, i)``
+applies to a vector.
 """
 
 import itertools
@@ -25,107 +27,33 @@ from meanlab import (
     lehmer_mean,
     mean_property_check,
     rotated,
-    sigma,
-    sigma_pow,
 )
 from meanlab.cyclic import fixed_arity, rotation_base
 from meanlab.means import QuasiArithmeticMean
 
 
-# --- the rotation step ------------------------------------------------------
-
-
-def test_sigma_wraps_first_position():
-    assert sigma(4, 1) == 4
-
-
-def test_sigma_steps_down():
-    assert sigma(4, 3) == 2
-
-
-def test_sigma_two_cycle():
-    assert sigma(2, 2) == 1
-    assert sigma(2, 1) == 2
-
-
-def test_sigma_bounds():
-    with pytest.raises(IndexError):
-        sigma(4, 0)
-    with pytest.raises(IndexError):
-        sigma(4, 5)
-    with pytest.raises(ValueError):
-        sigma(0, 1)
-
-
-def test_sigma_pow_examples():
-    assert sigma_pow(5, 3, 3) == 5
-    assert sigma_pow(5, 0, 4) == 4
-    assert sigma_pow(5, -1, 5) == 1
+# --- vector rotation ---------------------------------------------------------
 
 
 def test_sigma_pow_inverse_undoes_sigma():
     for n in range(1, 8):
-        for k in range(1, n + 1):
-            assert sigma_pow(n, -1, sigma(n, k)) == k
-            assert sigma(n, sigma_pow(n, -1, k)) == k
-
-
-def test_sigma_pow_is_iterated_sigma():
-    for n in range(1, 9):
-        for i in range(0, 2 * n):
-            for k in range(1, n + 1):
-                v = k
-                for _ in range(i):
-                    v = sigma(n, v)
-                assert sigma_pow(n, i, k) == v
-
-
-# the three exact identities, every n up to 12, no tolerance anywhere
-
-
-def test_sigma_order_n_is_identity():
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert sigma_pow(n, n, k) == k
-
-
-def test_sigma_i_of_i_lands_on_n():
-    for n in range(1, 13):
-        for i in range(1, n + 1):
-            assert sigma_pow(n, i, i) == n
-
-
-def test_sigma_exponent_symmetry():
-    for n in range(1, 13):
-        for alpha in range(1, n + 1):
-            for beta in range(1, n + 1):
-                assert sigma_pow(n, 1 - beta, alpha) == sigma_pow(n, 1 - alpha, beta)
+        idx = tuple(range(n))
+        assert rotated(rotated(idx, 1), -1) == idx
+        assert rotated(rotated(idx, -1), 1) == idx
 
 
 def test_sigma_pow_periodic_in_exponent():
     for n in range(1, 10):
+        idx = tuple(range(n))
         for i in range(-2 * n, 2 * n + 1):
-            for k in range(1, n + 1):
-                assert sigma_pow(n, i + n, k) == sigma_pow(n, i, k)
+            assert rotated(idx, i + n) == rotated(idx, i)
 
 
 def test_sigma_pow_composes_additively():
     for n in (2, 3, 5):
+        idx = tuple(range(n))
         for i, j in itertools.product(range(-n, n + 1), repeat=2):
-            for k in range(1, n + 1):
-                assert sigma_pow(n, i, sigma_pow(n, j, k)) == sigma_pow(n, i + j, k)
-
-
-# --- vector rotation ---------------------------------------------------------
-
-
-def test_rotated_matches_sigma_pow():
-    xs = (10.0, 20.0, 30.0, 40.0)
-    n = len(xs)
-    for power in range(-n, 2 * n):
-        ys = rotated(xs, power)
-        for k in range(1, n + 1):
-            assert ys[k - 1] == xs[sigma_pow(n, power, k) - 1]
+            assert rotated(rotated(idx, j), i) == rotated(idx, i + j)
 
 
 def test_rotated_zero_is_identity():
@@ -172,7 +100,7 @@ def test_full_cycle_is_identity_on_random_triples():
 
 def test_permuted_mean_refuses_a_conflicting_arity_when_built():
     fixed2 = weighted_pair_mean()
-    with pytest.raises(ValueError, match="mean 'gqam\\[x,2.0\\*x\\]' has arity 2, not 3"):
+    with pytest.raises(ValueError, match="mean 'gqam\\[x,2\\*x\\]' has arity 2, not 3"):
         PermutedMean(fixed2, 1, 3)
     assert PermutedMean(fixed2, 1, 2).arity == 2
     assert PermutedMean(arithmetic_mean(DOM), 1, 3).arity == 3

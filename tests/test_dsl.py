@@ -1,6 +1,6 @@
 """Parser, printer, evaluator, and compiler for the generator language.
 
-The reference semantics is ``eval_expr`` (a plain recursive walk).  An
+The reference semantics is ``support.eval_expr``, a plain recursive walk.  An
 independent oracle below translates source text into a Python expression
 and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The compiler is then tested
@@ -26,12 +26,13 @@ from meanlab import (
     Unary,
     Variable,
     compile_expr,
-    eval_expr,
     parse,
     to_text,
 )
-from meanlab import Generator, kernels
+from meanlab import Generator, builtin_system, kernels
 from meanlab.dsl.compiler import _power_cut, compile_matrix
+
+from support import eval_expr
 
 
 def oracle_eval(source: str, x: float) -> float:
@@ -266,6 +267,14 @@ def test_round_trip_random_trees(expr, x):
         return  # guard fired; printer contract only covers finite points
     got = eval_expr(parse(to_text(expr)), x)
     assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+def test_labels_print_integral_constants_without_a_point():
+    assert Generator.from_expression("x^3", Interval(0.1, 5.0)).label == "x^3"
+    assert builtin_system("x,2*x").label == "x,2*x"
+    assert to_text(parse("x^2.5 - 0.5")) == "x^2.5 - 0.5"
+    # repr with the point dropped, not int(), which writes 1e300 out in full
+    assert to_text(Constant(1e300)) == "1e+300"
 
 
 @given(exprs())

@@ -300,7 +300,7 @@ def test_configured_logging_gets_records_from_the_calling_functions(caplog):
         ("INFO", "composition_closed_form_check"),
     ]
     assert records[-1].getMessage() == (
-        f"closed-form check [x,2.0*x]: 2 samples, max residual {report.max_residual:.3e} (pass)")
+        f"closed-form check [x,2*x]: 2 samples, max residual {report.max_residual:.3e} (pass)")
     assert records[-1].pathname.endswith("gauss.py")
 
 

@@ -367,7 +367,7 @@ def test_builtin_system_names():
     assert set(systems) == {"x,2*x", "x,x^3", "log(x),x", "exp(x),x", "x,x^2,x^3"}
     assert systems["x,x^2,x^3"].n == 3
     for s in systems.values():
-        assert all(g.expr is not None for g in s)
+        assert all(g.expr is not None for g in s.generators)
 
 
 def test_builtin_rebind_domain():
@@ -397,7 +397,7 @@ def test_sum_generator_is_pointwise_sum():
     total = s.sum_generator()
     for x in s.domain.grid(16):
         x = float(x)
-        assert total(x) == pytest.approx(s[0](x) + s[1](x), rel=1e-15)
+        assert total(x) == pytest.approx(s.generators[0](x) + s.generators[1](x), rel=1e-15)
 
 
 def test_sum_generators_callable_path():
@@ -464,8 +464,8 @@ def test_system_affine():
     s = builtin_system("x,2*x")
     t = s.affine(3.0, [1.0, -2.0])
     for x in (0.5, 4.0):
-        assert t[0](x) == pytest.approx(3.0 * s[0](x) + 1.0)
-        assert t[1](x) == pytest.approx(3.0 * s[1](x) - 2.0)
+        assert t.generators[0](x) == pytest.approx(3.0 * s.generators[0](x) + 1.0)
+        assert t.generators[1](x) == pytest.approx(3.0 * s.generators[1](x) - 2.0)
 
 
 def test_system_affine_needs_one_offset_per_member():

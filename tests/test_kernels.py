@@ -24,7 +24,7 @@ from meanlab import (
     kernels,
     sum_generators,
 )
-from meanlab.dsl import Binary, Constant, Unary, X, compile_expr, eval_expr, parse
+from meanlab.dsl import Binary, Constant, Unary, X, compile_expr, parse
 from meanlab.dsl.compiler import compile_matrix
 from meanlab.errors import EvalError
 from meanlab.kernels import (
@@ -35,6 +35,8 @@ from meanlab.kernels import (
     guard,
     warm_up,
 )
+
+from support import eval_expr
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,7 +299,7 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
                               Generator.from_expression("log(x)", dom)])
     matrix, total = system.program()
     assert system.program()[0] is matrix  # made once
-    bodies = [g.body() for g in system]
+    bodies = [g.body() for g in system.generators]
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(0.1, 5.0, 3).tolist()
@@ -958,7 +960,7 @@ def assert_step_is_the_rotated_means(system, x):
     # the rotated means from the member bodies, the step's and gqam's
     x = [float(v) for v in x]
     matrix, total = system.program()
-    bodies = [g.body() for g in system]
+    bodies = [g.body() for g in system.generators]
     rotations = [x[-i:] + x[:-i] for i in range(len(x))]
     means = [reference_gqam(bodies, total, r) for r in rotations]
     assert [st for _, st in means] == [STATUS_OK] * len(x)
@@ -1019,7 +1021,7 @@ def test_a_member_not_finite_at_another_coordinate_fails_the_mean():
                               Generator.from_expression("x^3", dom)])
     xs = [1.0, 2.0, 3.0]
     matrix, total = system.program()
-    assert reference_gqam([g.body() for g in system], total, xs)[1] == STATUS_OK
+    assert reference_gqam([g.body() for g in system.generators], total, xs)[1] == STATUS_OK
     val, status = kernels.gqam(matrix, total, xs)
     assert status == STATUS_NONFINITE and math.isnan(val)
     assert one_step(matrix, total, xs)[:2] == (0, STATUS_NONFINITE)
@@ -1038,7 +1040,7 @@ def test_sum_body_is_the_fold_of_the_member_bodies(name):
     # inside it from the sum body, which agree:
     # F(x) == 0.0 + f1(x) + ... + fn(x), NaN exactly where that is not finite
     system = mixed_system() if name == "mixed" else builtin_systems()[name]
-    members = [g.body() for g in system]
+    members = [g.body() for g in system.generators]
     total = system.sum_generator().body()
     for x in FOLD_POINTS:
         fold = 0.0

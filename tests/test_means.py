@@ -147,7 +147,7 @@ def test_gqam_callable_system_matches_tape(name):
         Generator.from_callable(body, dom, label=t, validate=False) for t, body in members
     ])
     # one member of each kind
-    mixed = GeneratorSystem([tree[0], fn[1]])
+    mixed = GeneratorSystem([tree.generators[0], fn.generators[1]])
     rng = np.random.default_rng(29)
     seen = set()
     for _ in range(40):

@@ -134,11 +134,11 @@ def test_every_value_is_true():
 def test_config_echo_keeps_its_key_order():
     config = ExperimentConfig("eval", (0.0, 10.0), ("x",), (), None, None, 500, 100, 0,
                               "json", (1.0, 2.0))
-    assert list(config.as_dict()) == [
+    assert list(config._asdict()) == [
         "command", "interval", "generators", "generators2", "which", "tolerance",
         "max_iterations", "samples", "seed", "output_format", "points",
     ]
-    assert config.as_dict()["points"] == (1.0, 2.0)
+    assert config._asdict()["points"] == (1.0, 2.0)
 
 
 def test_run_report_is_mutable_with_fresh_defaults():
@@ -147,7 +147,7 @@ def test_run_report_is_mutable_with_fresh_defaults():
     first = RunReport(config)
     second = RunReport(config)
     # the command and the config echo come from the config
-    assert (first.command, first.config) == ("eval", config.as_dict())
+    assert (first.command, first.config) == ("eval", config._asdict())
     first.results.append({"check_name": "eval"})
     first.details["value"] = "1"
     assert (second.results, second.details) == ([], {})

@@ -1,5 +1,6 @@
 """The repository's own scripts: ``tools/code_lines.py`` counts the
-lines that hold code, and nothing else."""
+lines that hold code, and nothing else, and ``tools/never_entered.py``
+names the functions a run never enters."""
 
 import importlib.util
 from pathlib import Path
@@ -7,11 +8,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _code_lines():
+    return _load("code_lines", ROOT / "tools" / "code_lines.py")
 
 
 SAMPLE = '''"""A module docstring
@@ -47,3 +52,47 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     assert _code_lines().main([str(package)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "     7  pkg/a.py", "     1  pkg/sub/b.py", "     8  total"]
+
+
+ENTERED_SAMPLE = '''def used():
+    return helper()
+
+
+def helper():
+    def inner():
+        return 1
+    return 2
+
+
+def unused():
+    return 3
+
+
+class K:
+    def method(self):
+        return 1
+
+    @staticmethod
+    def never():
+        return 0
+'''
+
+
+def test_never_entered_names_each_function_a_run_does_not_call(tmp_path):
+    tool = _load("never_entered", ROOT / "tools" / "never_entered.py")
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text(ENTERED_SAMPLE)
+    (package / "sub" / "b.py").write_text("def not_imported():\n    pass\n")
+    sample = _load("entered_sample", package / "a.py")
+
+    def run():
+        sample.used()
+        sample.K().method()
+
+    rows = [(path.relative_to(package).as_posix(), first, name, lines)
+            for path, first, name, lines in tool.never_entered(package, run)]
+    # a decorated function starts at its decorator; a nested one is named
+    # through its enclosing function
+    assert rows == [("a.py", 6, "helper.inner", 2), ("a.py", 11, "unused", 2),
+                    ("a.py", 19, "K.never", 3), ("sub/b.py", 1, "not_imported", 2)]
