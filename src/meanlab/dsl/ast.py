@@ -83,6 +83,17 @@ Expr = Union[Constant, Variable, Unary, Binary, Callable[[float], float]]
 X = Variable()
 
 
+def leaves(expr: Expr):
+    """The body leaves of a tree, left to right."""
+    if isinstance(expr, Binary):
+        yield from leaves(expr.left)
+        yield from leaves(expr.right)
+    elif isinstance(expr, Unary):
+        yield from leaves(expr.operand)
+    elif callable(expr):
+        yield expr
+
+
 def power(base: float, exponent: float) -> float:
     """Real-valued power with NaN for anything that would leave the reals.
 
@@ -131,7 +142,7 @@ def _prec(expr: Expr) -> int:
         return _PREC_POW
     if isinstance(expr, Unary) and expr.op == "neg":
         return _PREC_NEG
-    if isinstance(expr, Constant) and expr.value < 0.0:
+    if isinstance(expr, Constant) and math.copysign(1.0, expr.value) < 0.0:  # -0.0 too
         return _PREC_NEG
     return _PREC_ATOM
 

@@ -15,21 +15,29 @@ A power with a literal exponent c takes no log per call: its base is
 tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
 is ``power``'s to the bit.
-Each distinct emitted source is compiled once per process: its code
-object is kept in an LRU of ``CODE_CACHE_SIZE`` entries, and every
-lowering still runs that code in a fresh namespace of its own, so the
-body leaves it binds belong to that lowering alone.
+A lowering is a pure function of its trees, so each is made once per
+process: ``kept`` holds the function that ``compile_expr`` or
+``compile_matrix`` makes of a tree, and ``generator.check_monotone``'s
+verdict for a tree on an interval, in one LRU of ``CODE_CACHE_SIZE``
+entries.  The key is the ``repr`` of each tree and interval, which
+tells ``Constant(-0.0)`` from ``Constant(0.0)`` where ``==`` does not.
+A tree that holds a body leaf is never kept: a leaf may be any
+callable, impure ones included, and every guard is new, so its key
+would never repeat.  Such a tree is lowered afresh on every call, into
+a namespace of its own, so the leaves it binds belong to that lowering
+alone.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import struct
 import sys
 
-from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, power
+from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, leaves, power
 
 # the test under which each guarded function is not finite
 _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
@@ -37,8 +45,9 @@ _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
 _NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
           "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
           "power": power}
-# distinct lowered sources whose code objects are kept
+# lowerings and grid verdicts kept per process, least recently used first
 CODE_CACHE_SIZE = 256
+_KEPT = collections.OrderedDict()
 _MAX_BITS = struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
 
 
@@ -141,16 +150,29 @@ def _emit(expr, x, prefix, fail, names):
     return lines, value
 
 
-@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _code(source, name):
-    return compile(source, f"<meanlab {name}>", "exec")
+def kept(make, *parts):
+    """``make()``, kept per process under the ``repr`` of ``parts``, a
+    tag and the trees and intervals it is a pure function of, in the LRU
+    of ``CODE_CACHE_SIZE`` entries; made afresh and not kept where a
+    tree holds a body leaf."""
+    if any(True for part in parts for _ in leaves(part)):
+        return make()
+    key = repr(parts)
+    # a hit is popped and put back as the most recent; the value returned
+    # is never read back from the dict, which another thread may evict from
+    value = _KEPT.pop(key, None)
+    if value is None:
+        value = make()
+    _KEPT[key] = value
+    if len(_KEPT) > CODE_CACHE_SIZE:
+        _KEPT.popitem(last=False)
+    return value
 
 
 def _define(name, params, lines, names):
-    """The function ``name`` with body ``lines``, defined in ``names``;
-    the source's code object is compiled once and shared."""
+    """The function ``name`` with body ``lines``, defined in ``names``."""
     source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
-    exec(_code(source, name), names)
+    exec(compile(source, f"<meanlab {name}>", "exec"), names)
     return names[name]
 
 
@@ -158,9 +180,14 @@ def compile_expr(expr: Expr):
     """The tree as a body: a straight-line Python function of x that
     returns the tree's value, NaN where the tree is not finite (a guard
     fails, a body leaf is NaN or a binary result is not finite).  A
-    bare body comes back as it is."""
+    bare body comes back as it is.  A tree without body leaves is
+    lowered once per process: trees of one ``repr`` share the function."""
     if callable(expr):
         return expr
+    return kept(lambda: _lower_body(expr), "body", expr)
+
+
+def _lower_body(expr):
     names = dict(_NAMES)
     lines, value = _emit(expr, "x", "", "return nan", names)
     return _define("body", "x", [*lines, f"return {value}"], names)
@@ -176,7 +203,12 @@ def compile_matrix(members):
 
     each folded in member order; it returns None where some member value
     is NaN.  Each member is a tree, inlined at each coordinate by the
-    emitter of ``compile_expr``."""
+    emitter of ``compile_expr``.  Members that hold no body leaf are
+    lowered once per process, as ``compile_expr``'s trees are."""
+    return kept(lambda: _lower_matrix(members), "matrix", *members)
+
+
+def _lower_matrix(members):
     n = len(members)
     names = dict(_NAMES)
     lines = []

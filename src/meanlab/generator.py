@@ -14,7 +14,11 @@ sum body, its one program.  Every evaluation, inversion, mean and fused
 Gauss orbit runs the same kernels on those programs, read from
 ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
-invertibility.  A callable enters a tree only through
+invertibility.  The verdict, like a tree's lowering, is kept per process
+under the ``repr`` of the tree and of the interval, in the one LRU of
+``dsl.compiler.kept``, so a tree built again on the same interval is
+not evaluated again; a tree that holds a body leaf is checked on every
+construction, and never kept.  A callable enters a tree only through
 ``Generator.from_callable``, which guards it.  A caller's point is
 evaluated exactly where it is.
 
@@ -40,8 +44,8 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
-from .dsl.ast import Binary, Constant, Expr, Unary
-from .dsl.compiler import compile_matrix
+from .dsl.ast import Binary, Constant, Expr, leaves
+from .dsl.compiler import compile_matrix, kept
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -90,7 +94,8 @@ class Generator:
         label: str = "f",
         validate: bool = True,
     ):
-        raw = _raw_callable(expr)
+        # a callable that ``kernels.guard`` did not make
+        raw = next((leaf for leaf in leaves(expr) if not getattr(leaf, "guarded", False)), None)
         if raw is not None:
             raise TypeError(f"expr holds the unguarded callable {raw!r};"
                             " build a generator of a callable with Generator.from_callable")
@@ -202,21 +207,18 @@ class Generator:
         return f"Generator({self.label!r} on {self.domain})"
 
 
-def _raw_callable(expr):
-    """A callable in the tree that ``kernels.guard`` did not make, or None."""
-    if isinstance(expr, Binary):
-        return _raw_callable(expr.left) or _raw_callable(expr.right)
-    if isinstance(expr, Unary):
-        return _raw_callable(expr.operand)
-    return expr if callable(expr) and not getattr(expr, "guarded", False) else None
-
-
 def check_monotone(g: Generator) -> MonotonicityReport:
     """Grid check for strict growth on MONOTONE_GRID points.  Never raises.
 
     Non-finite values fail the check too, with the offending point
-    doubled as the witness pair.
+    doubled as the witness pair.  The verdict is kept per process for
+    the generator's tree and interval, unless the tree holds a body
+    leaf (``dsl.compiler.kept``).
     """
+    return kept(lambda: _grid_check(g), "monotone", g.expr, g.domain)
+
+
+def _grid_check(g):
     xs = g.domain.grid(MONOTONE_GRID)
     vs = g.eval_grid(xs)
     for i in range(MONOTONE_GRID):

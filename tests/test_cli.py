@@ -70,6 +70,28 @@ def test_eval_evaluates_the_mean_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_repeated_verify_m1_builds_its_generators_from_the_kept_trees(capsys, monkeypatch):
+    from meanlab import kernels
+
+    grids = []
+    eval_grid = kernels.ACTIVE.eval_grid
+
+    def counted(body, xs):
+        grids.append(len(xs))
+        return eval_grid(body, xs)
+
+    monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(eval_grid=counted))
+    argv = ("--gen", "x", "--gen", "x^3", "--interval", "0.2,4", "--samples", "3",
+            "verify", "m1")
+    code, first, err = run_json(capsys, *argv)
+    assert code == 0
+    grids.clear()
+    code, again, again_err = run_json(capsys, *argv)
+    # the second run's grid checks were kept from the first
+    assert grids == []
+    assert (code, strip_volatile(again), again_err) == (0, strip_volatile(first), err)
+
+
 def test_eval_single_generator_is_variadic(capsys):
     code, payload, _ = run_json(
         capsys, "--interval", "0.1,10", "--gen", "log(x)", "eval", "1", "4"

@@ -6,8 +6,8 @@ and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The compiler is then tested
 against ``eval_expr`` through the tree lowered to a Python body, run by
 the kernels on a float and on a float64 vector, and inlined into a
-one-member matrix; last, lowerings of one source share one code object
-and bind their own body leaves.
+one-member matrix; last, a tree without body leaves is lowered once per
+process, and a tree with them is lowered afresh and binds its own.
 """
 
 import math
@@ -29,8 +29,10 @@ from meanlab import (
     parse,
     to_text,
 )
-from meanlab import Generator, builtin_system, kernels
-from meanlab.dsl.compiler import _power_cut, compile_matrix
+from meanlab import Generator, GeneratorSystem, builtin_system, kernels
+from meanlab.dsl import compiler
+from meanlab.dsl.ast import BINARY_OPS, UNARY_OPS, X
+from meanlab.dsl.compiler import CODE_CACHE_SIZE, _power_cut, compile_matrix
 
 from support import eval_expr
 
@@ -277,6 +279,22 @@ def test_labels_print_integral_constants_without_a_point():
     assert to_text(Constant(1e300)) == "1e+300"
 
 
+SIGNED_ZERO_TREES = [tree for c in (Constant(0.0), Constant(-0.0)) for tree in (
+    *(Binary(op, c, X) for op in BINARY_OPS),
+    *(Binary(op, X, c) for op in BINARY_OPS),
+    *(Unary(op, c) for op in UNARY_OPS))]
+
+
+@pytest.mark.parametrize("expr", SIGNED_ZERO_TREES, ids=to_text)
+def test_signed_zero_constants_print_and_reparse_to_the_same_values(expr):
+    # -0.0 prints as "-0", which binds as a unary minus: as a base it needs
+    # parentheses, or -0^x reparses as -(0^x)
+    text = to_text(expr)
+    want, got = compile_expr(expr), compile_expr(parse(text))
+    for x in (-2.0, -0.0, 0.0, 0.5, 2.0):
+        assert repr(got(x)) == repr(want(x)), (text, x)
+
+
 @given(exprs())
 def test_printed_text_always_reparses(expr):
     assert parse(to_text(expr)) is not None
@@ -354,14 +372,14 @@ def test_power_negative_base_integer_exponent():
         eval_expr(parse("x^2.5"), -3.0)  # would leave the reals
 
 
-# --- one code object per lowered source ---------------------------------
+# --- one lowering per tree -------------------------------------------------
 
 def test_lowerings_share_code_but_call_their_own_body_leaves():
     dom = Interval(0.1, 5.0)
-    # the same tree shape over different callables lowers to the same source
+    # the same tree shape over different callables lowers to the same
+    # source, but a tree that holds a body leaf is lowered afresh each time
     f = Generator.from_callable(lambda x: x, dom).affine(2.0, 1.0).body()
     g = Generator.from_callable(lambda x: 3.0 * x, dom).affine(2.0, 1.0).body()
-    assert f.__code__ is g.__code__
     assert f.__globals__ is not g.__globals__
     assert (f(2.0), g(2.0)) == (5.0, 13.0)
 
@@ -386,3 +404,43 @@ def test_a_power_cut_is_a_literal_of_the_shared_code(exponent):
     assert math.isfinite(body(inside)) and math.isnan(body(outside))
     with pytest.raises(EvalError):
         eval_expr(parse(f"x^{exponent!r}"), outside)
+
+
+def test_affine_images_by_signed_zeros_keep_their_own_bodies():
+    # Constant(-0.0) == Constant(0.0), so trees are kept by their repr
+    x = Generator.from_expression("x", Interval(0.1, 5.0))
+    minus, plus = (x.affine(1.0, b).body() for b in (-0.0, 0.0))
+    assert math.copysign(1.0, minus(-0.0)) == -1.0
+    assert math.copysign(1.0, plus(-0.0)) == 1.0
+
+
+def test_systems_of_different_callables_never_share_a_matrix():
+    dom = Interval(0.1, 5.0)
+    calls = []
+
+    def system(scale):
+        def member(x):
+            calls.append(scale)
+            return scale * x
+        return GeneratorSystem([Generator.from_callable(member, dom),
+                                Generator.from_expression("x", dom)])
+
+    (one, one_sum), (three, three_sum) = system(1.0).program(), system(3.0).program()
+    assert one is not three and one_sum is not three_sum
+    calls.clear()
+    assert one(1.0, 2.0) == ([3.0, 3.0], [2.0, 4.0]) and set(calls) == {1.0}
+    calls.clear()
+    assert three(1.0, 2.0) == ([5.0, 7.0], [4.0, 8.0]) and set(calls) == {3.0}
+    calls.clear()
+    assert (one_sum(2.0), three_sum(2.0)) == (4.0, 8.0) and calls == [1.0, 3.0]
+
+
+def test_kept_lowerings_are_bounded_least_recently_used_first():
+    trees = [Binary("+", X, Constant(k + 0.25)) for k in range(CODE_CACHE_SIZE + 50)]
+    first = compile_expr(trees[0])
+    for tree in trees:
+        compile_expr(tree)
+    assert len(compiler._KEPT) <= CODE_CACHE_SIZE
+    assert compile_expr(trees[-1]) is compile_expr(trees[-1])
+    # the first tree was evicted long ago: it is lowered again
+    assert compile_expr(trees[0]) is not first

@@ -278,6 +278,14 @@ def test_from_expression_rejects_decreasing():
     assert report is not None and not report.passed
 
 
+def test_a_tree_that_fails_the_grid_check_fails_on_every_construction():
+    # the verdict is kept per tree and interval; the message is each build's
+    for label in ("first", "second"):
+        with pytest.raises(MonotonicityError, match=f"'{label}' is not strictly") as exc:
+            Generator.from_expression("1 - x^2", I010, label=label)
+        assert exc.value.report.reason == "not increasing"
+
+
 def test_flat_body_rejected():
     with pytest.raises(MonotonicityError):
         Generator.from_expression("3 + 0*x", I010)

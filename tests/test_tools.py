@@ -54,6 +54,22 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
         "     7  pkg/a.py", "     1  pkg/sub/b.py", "     8  total"]
 
 
+def test_code_lines_compares_a_change_with_its_parent(tmp_path, capsys):
+    change, parent = tmp_path / "pkg", tmp_path / "parent" / "pkg"
+    (change / "sub").mkdir(parents=True)
+    (parent / "sub").mkdir(parents=True)
+    (change / "a.py").write_text(SAMPLE)
+    (parent / "a.py").write_text(SAMPLE + "y = 2\n")
+    (change / "sub" / "new.py").write_text("x = 1\n")
+    (parent / "sub" / "old.py").write_text("x = 1\ny = 2\n")
+    assert _code_lines().main([str(change), str(parent)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     8 ->      7  pkg/a.py",
+        "     - ->      1  pkg/sub/new.py",
+        "     2 ->      -  pkg/sub/old.py",
+        "    10 ->      8  total"]
+
+
 ENTERED_SAMPLE = '''def used():
     return helper()
 

@@ -8,10 +8,13 @@ counts, so a multi-line string that is not a docstring counts in full.
 
 Run from the root of the repository:
 
-    python tools/code_lines.py [package directory]
+    python tools/code_lines.py [package directory [parent package directory]]
 
 It prints one line per module, ``<lines>  <path>``, in path order, and
-the total last.
+the total last.  Given a second directory, the same package at the
+parent commit (say, from ``git archive``), it prints ``<parent> ->
+<change>  <path>`` for every module of either tree, with "-" for a
+module that one of them lacks, and the totals last.
 """
 
 from __future__ import annotations
@@ -48,14 +51,26 @@ def code_lines(source: str) -> int:
     return len(code - docstring_lines(ast.parse(source)))
 
 
+def counts(root: Path) -> dict:
+    """The code-only lines of each module under ``root``, keyed by its
+    path relative to ``root``, in path order."""
+    return {path.relative_to(root).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "meanlab"
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.relative_to(root.parent)}")
-    print(f"{total:6d}  total")
+    change = counts(root)
+    if len(argv) < 2:
+        for name, count in change.items():
+            print(f"{count:6d}  {root.name}/{name}")
+        print(f"{sum(change.values()):6d}  total")
+        return 0
+    parent = counts(Path(argv[1]))
+    for name in sorted(change.keys() | parent.keys()):
+        before, after = (str(side.get(name, "-")) for side in (parent, change))
+        print(f"{before:>6} -> {after:>6}  {root.name}/{name}")
+    print(f"{sum(parent.values()):6d} -> {sum(change.values()):6d}  total")
     return 0
 
 
