@@ -6,7 +6,7 @@ body, the one evaluator of trees.  A tree or its text becomes a
 generator on an interval through ``Generator.from_expression``, after
 the monotonicity grid check.
 The tree is the one program form: ``compiler`` lowers it straight to
-Python, for a generator's body and a system's member matrix alike.  A
+Python, for a generator's body and a system's Gauss step alike.  A
 Python callable, guarded, enters a tree as a leaf, which has no text.
 """
 

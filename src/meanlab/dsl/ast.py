@@ -24,6 +24,7 @@ lowered bodies and member matrices to it bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Union
 
@@ -92,6 +93,11 @@ def leaves(expr: Expr):
         yield from leaves(expr.operand)
     elif callable(expr):
         yield expr
+
+
+def sum_tree(trees) -> Expr:
+    """The left-folded sum f1 + ... + fn of a sequence of trees."""
+    return functools.reduce(lambda left, right: Binary("+", left, right), trees)
 
 
 def power(base: float, exponent: float) -> float:

@@ -1,13 +1,14 @@
 """Lowering of expression trees to straight-line Python.
 
 This is the one place where a tree becomes code.  ``compile_expr``
-makes a generator's body, a Python function of x; ``compile_matrix``
-makes a system's member matrix, a Python function of x0..x_{n-1}.  Both
-emit the same statements for a tree: one per node, in post-order, so
-the tree's operations run in the order ``ast`` defines its value in and
-give that value bit for bit, as the reference walker of the tests does.
-Sums and affine images of generators are trees too, left-folded ``+``
-nodes and ``f*a + b``, and lower the same way.
+makes a generator's body, a Python function of x; ``compile_step``
+makes a system's Gauss step, a Python function of the list x of its
+n coordinates.  Both emit the same statements for a tree: one per node,
+in post-order, so the tree's operations run in the order ``ast``
+defines its value in and give that value bit for bit, as the reference
+walker of the tests does.  Sums and affine images of generators are
+trees too, left-folded ``+`` nodes and ``f*a + b``, and lower the same
+way.
 A body leaf, the guarded body of a Python callable, is bound once in
 the lowered function's namespace and called with a NaN test; a bare
 body is its own lowering.
@@ -15,9 +16,17 @@ A power with a literal exponent c takes no log per call: its base is
 tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
 is ``power``'s to the bit.
+The bracketed solve is written once, as ``_SOLVE``, the statements of
+an Anderson-Bjorck loop around a hole for the statements that evaluate
+g at the trial point.  ``compile_invert`` fills the hole with a call of
+g, and makes ``kernels.invert``; ``compile_step`` fills it with the
+sum of the members' trees, inlined as a tree is.  The emitted code reads
+``kernels.INVERT_TOL`` and ``INVERT_BUDGET`` at each call.
+``step_source`` and ``invert_source`` give the Python source of both,
+which ``tools/lowered.py`` prints.
 A lowering is a pure function of its trees, so each is made once per
 process: ``kept`` holds the function that ``compile_expr`` or
-``compile_matrix`` makes of a tree, and ``generator.check_monotone``'s
+``compile_step`` makes of a tree, and ``generator.check_monotone``'s
 verdict for a tree on an interval, in one LRU of ``CODE_CACHE_SIZE``
 entries.  The key is the ``repr`` of each tree and interval, which
 tells ``Constant(-0.0)`` from ``Constant(0.0)`` where ``==`` does not.
@@ -37,7 +46,7 @@ import math
 import struct
 import sys
 
-from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, leaves, power
+from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, leaves, power, sum_tree
 
 # the test under which each guarded function is not finite
 _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
@@ -84,13 +93,13 @@ def _emit(expr, x, prefix, fail, names):
     """Statements that compute the tree at the input named ``x`` and the
     expression of its value: the tree's nodes in post-order, on
     temporaries named ``prefix`` + "t" + the node's post-order index,
-    each guard running the statement ``fail`` where the value is not
-    finite.  Constants become literals, in parentheses, and a negated
-    literal is one too.  A body leaf is bound in the namespace ``names``
-    once, under "b" and a number, and its value is tested for NaN only,
-    the one non-finite value a body returns.  A power with a literal
-    exponent c runs the positive-base branch of ``power`` inline and
-    calls ``power`` for every other base.  Inline, the base is tested
+    each guard running the statements of the list ``fail`` where the
+    value is not finite.  Constants become literals, in parentheses, and
+    a negated literal is one too.  A body leaf is bound in the namespace
+    ``names`` once, under "b" and a number, and its value is tested for
+    NaN only, the one non-finite value a body returns.  A power with a
+    literal exponent c runs the positive-base branch of ``power`` inline
+    and calls ``power`` for every other base.  Inline, the base is tested
     against the cut of c, computed once by ``_power_cut`` exactly where
     power's log test flips, and pow below the cut is finite, so only
     ``power``'s value is tested; an exponent with no cut (c = 0,
@@ -100,6 +109,9 @@ def _emit(expr, x, prefix, fail, names):
     Statements are indented relative to their block."""
     lines = []
     slots = itertools.count()
+
+    def unless(test, pad=""):
+        return [f"{pad}if {test}:", *(f"{pad}    {s}" for s in fail)]
 
     def walk(node):
         if isinstance(node, Unary):
@@ -115,39 +127,143 @@ def _emit(expr, x, prefix, fail, names):
         if callable(node):
             b = next((k for k, v in names.items() if v is node), f"b{len(names)}")
             names[b] = node
-            lines.extend([f"{t} = {b}({x})", f"if {t} != {t}:", f"    {fail}"])
+            lines.extend([f"{t} = {b}({x})", *unless(f"{t} != {t}")])
             return t
         if isinstance(node, Unary):
             if node.op != "neg":
-                lines.extend([f"if {a} {_GUARD[node.op]}:", f"    {fail}", f"{t} = {node.op}({a})"])
+                lines.extend([*unless(f"{a} {_GUARD[node.op]}"), f"{t} = {node.op}({a})"])
             elif a.startswith("("):  # a literal: negated exactly
                 return f"({-float(a[1:-1])!r})"
             else:
                 lines.append(f"{t} = -{a}")
             return t
         if node.op == "/":
-            lines.extend([f"if {b} == 0.0:", f"    {fail}"])
+            lines.extend(unless(f"{b} == 0.0"))
         if node.op == "^" and b.startswith("("):
             cut = _power_cut(float(b[1:-1]))
             lines.extend([f"if {a} > 0.0:",
-                          *([f"    if {a} {cut}:", f"        {fail}"] if cut else []),
+                          *(unless(f"{a} {cut}", "    ") if cut else []),
                           f"    {t} = pow({a}, {b})",
                           "else:",
                           f"    {t} = power({a}, {b})"])
             if cut:  # below the cut pow is finite: only power's value is tested
-                lines.extend([f"    if not isfinite({t}):", f"        {fail}"])
+                lines.extend(unless(f"not isfinite({t})", "    "))
                 return t
         elif node.op == "^":
             lines.append(f"{t} = power({a}, {b})")
         else:
             lines.append(f"{t} = {a} {node.op} {b}")
-        lines.extend([f"if not isfinite({t}):", f"    {fail}"])
+        lines.extend(unless(f"not isfinite({t})"))
         return t
 
     value = walk(expr)
     if not (isinstance(expr, Binary) or callable(expr)):
-        lines.extend([f"if not isfinite({value}):", f"    {fail}"])
+        lines.extend(unless(f"not isfinite({value})"))
     return lines, value
+
+
+# The bracketed solve of g(x) = y for each target y of {ys} on [{lo}, {hi}],
+# given glo = g({lo}) and ghi = g({hi}), both finite: ``kernels.invert``'s
+# docstring states it.  {evaluate} computes g at the trial point xm, and
+# {value} is its value; {ret_range}, {ret_budget} and {ret_ok} return the
+# solutions xs with a status.
+_SOLVE = """\
+tol = kernels.INVERT_TOL
+budget = range(kernels.INVERT_BUDGET)
+# glo < y < ghi below, so max(|glo|, |ghi|) = max(-glo, ghi) > 0
+big = ghi if ghi >= -glo else -glo
+if big > 1.0:
+    big = 1.0
+xs = []
+for y in {ys}:
+    if not glo < y < ghi:
+        # on or past an end, or NaN: the nearer end, where its residual
+        # is within the loose tolerance, which a NaN residual never is
+        end, r = ({lo}, glo - y) if y <= glo else ({hi}, y - ghi)
+        if r <= tol * max(1.0, abs(y)):
+            xs.append(end)
+            continue
+        xs.append(nan)
+        {ret_range}
+    scale = tol * (y if y > big else -y if -y > big else big)
+    a = {lo}
+    b = {hi}
+    # fa, fb: the endpoints' residuals as the secant weighs them; ra,
+    # rb: their true residuals g(x) - y
+    fa = ra = glo - y
+    fb = rb = ghi - y
+    side = 0
+    for _ in budget:
+        # fb - fa > 0: fa < 0 < fb on entry, a step gives the side it
+        # moves a true residual with |f| > scale >= 0, and a weight m
+        # in (0, 1] scales only the other side, keeping its sign or
+        # underflowing it to a zero of that sign, so at most one of
+        # fa, fb is a signed zero
+        xm = a - fa * (b - a) / (fb - fa)
+        if not (a < xm < b):
+            xm = 0.5 * (a + b)
+            if not (a < xm < b):
+                # bracket has collapsed to adjacent floats: accept the
+                # endpoint whose true residual is within the loose
+                # tolerance; a weighted value may be far smaller
+                loose = tol * max(1.0, abs(y))
+                if -ra <= rb:
+                    if -ra <= loose:
+                        xs.append(a)
+                        break
+                elif rb <= loose:
+                    xs.append(b)
+                    break
+                xs.append(0.5 * (a + b))
+                {ret_budget}
+{evaluate}
+        fm = {value} - y
+        if -scale <= fm <= scale:
+            xs.append(xm)
+            break
+        if fm < 0.0:
+            if side == -1:
+                # a second step on this side: fa is the last step's
+                # true residual, of fm's sign and nonzero
+                m = 1.0 - fm / fa
+                fb *= m if m > 0.0 else 0.5
+            a = xm
+            fa = ra = fm
+            side = -1
+        else:
+            if side == 1:
+                m = 1.0 - fm / fb
+                fa *= m if m > 0.0 else 0.5
+            b = xm
+            fb = rb = fm
+            side = 1
+    else:
+        xs.append(0.5 * (a + b))
+        {ret_budget}
+{ret_ok}"""
+_STATUSES = ("STATUS_OK", "STATUS_RANGE", "STATUS_BUDGET", "STATUS_NONFINITE")
+
+
+def _solve(ys, lo, hi, evaluate, ret):
+    """The lines of ``_SOLVE`` over the targets ``ys`` on [lo, hi], each
+    named by an expression.  ``evaluate(fail)`` gives the statements that
+    compute g at xm, running the statements ``fail`` where g is not
+    finite, and the expression of g's value; ``ret`` formats a status
+    name into the statement that returns it with xs."""
+    lines, value = evaluate(["xs.append(nan)", ret.format("STATUS_NONFINITE")])
+    return _SOLVE.format(
+        ys=ys, lo=lo, hi=hi, value=value, evaluate="\n".join(" " * 8 + line for line in lines),
+        ret_range=ret.format("STATUS_RANGE"), ret_budget=ret.format("STATUS_BUDGET"),
+        ret_ok=ret.format("STATUS_OK")).splitlines()
+
+
+def _solve_names():
+    """The namespace of lowered code that solves: ``kernels``, whose
+    INVERT_TOL and INVERT_BUDGET it reads at each call, and its status
+    names."""
+    from .. import kernels  # here: kernels lowers its own solve on import
+
+    return {**_NAMES, "kernels": kernels, **{k: getattr(kernels, k) for k in _STATUSES}}
 
 
 def kept(make, *parts):
@@ -169,9 +285,12 @@ def kept(make, *parts):
     return value
 
 
-def _define(name, params, lines, names):
-    """The function ``name`` with body ``lines``, defined in ``names``."""
-    source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
+def _source(name, params, lines):
+    return "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
+
+
+def _define(name, source, names):
+    """The function ``name`` of ``source``, defined in ``names``."""
     exec(compile(source, f"<meanlab {name}>", "exec"), names)
     return names[name]
 
@@ -189,39 +308,92 @@ def compile_expr(expr: Expr):
 
 def _lower_body(expr):
     names = dict(_NAMES)
-    lines, value = _emit(expr, "x", "", "return nan", names)
-    return _define("body", "x", [*lines, f"return {value}"], names)
+    lines, value = _emit(expr, "x", "", ["return nan"], names)
+    return _define("body", _source("body", "x", [*lines, f"return {value}"]), names)
 
 
-def compile_matrix(members):
-    """A system's member matrix: ``matrix(x0, ..., x_{n-1})`` evaluates
-    each member f_j at each coordinate x_k, member by member, and
-    returns (targets, folds), two lists of floats:
+def _invert():
+    """The source of ``kernels.invert`` and its namespace: ``_SOLVE``
+    with g a body called at each trial point, tested for NaN."""
+    names = _solve_names()
 
-        targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n})
-        folds[k]   = 0.0 + f_0(x_k) + ... + f_{n-1}(x_k)
+    def call(fail):
+        return ["gm = g(xm)", "if gm != gm:  # NaN", *("    " + s for s in fail)], "gm"
 
-    each folded in member order; it returns None where some member value
-    is NaN.  Each member is a tree, inlined at each coordinate by the
-    emitter of ``compile_expr``.  Members that hold no body leaf are
-    lowered once per process, as ``compile_expr``'s trees are."""
-    return kept(lambda: _lower_matrix(members), "matrix", *members)
+    lines = ["if glo != glo or ghi != ghi:  # NaN",
+             "    return [nan], STATUS_NONFINITE",
+             *_solve("ys", "lo", "hi", call, "return xs, {}")]
+    return _source("invert", "g, ys, lo, hi, glo, ghi", lines), names
 
 
-def _lower_matrix(members):
+def compile_invert():
+    """``kernels.invert``, the one bracketed solve, as ``_SOLVE`` emits it
+    with g called as a leaf."""
+    return _define("invert", *_invert())
+
+
+def invert_source():
+    """The Python source of ``kernels.invert``."""
+    return _invert()[0]
+
+
+def compile_step(members):
+    """A system's Gauss step, ``step(x, mn, mx, count=n) -> (status,
+    out)``, for the list x of n floats, of span [mn, mx] (its min and
+    max): ``out`` holds the means of the first ``count`` rotations of
+    the cyclic mapping,
+
+        rotation i = F^{-1}(targets[i]),  F = f_0 + ... + f_{n-1},
+        targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n}),
+
+    solved on [mn, mx], which brackets each by the mean property.  The
+    step evaluates each member f_j at each coordinate x_k, member by
+    member, its tree inlined by the emitter of ``compile_expr``, and
+    fails with ``STATUS_NONFINITE`` (and ``out`` None) where one of
+    those values is NaN.  F(mn) and F(mx) are the folds
+    0.0 + f_0(x_k) + ... + f_{n-1}(x_k) at the first coordinate x_k
+    equal to each, as ``list.index`` finds it (a zero may differ in
+    sign from F's, which the solve never reads); the step fails the
+    same way where either is not finite.  Then ``_SOLVE`` solves the
+    targets with F's tree, the left fold ``dsl.ast.sum_tree`` of the
+    members, inlined at each trial point: ``out`` and the status are
+    what ``kernels.invert`` returns on F's body.  Members that hold no
+    body leaf are lowered once per process, as ``compile_expr``'s
+    trees are."""
+    return kept(lambda: _define("step", *_lower_step(members)), "step", *members)
+
+
+def step_source(members):
+    """The Python source of ``compile_step(members)``."""
+    return _lower_step(members)[0]
+
+
+def _lower_step(members):
     n = len(members)
-    names = dict(_NAMES)
-    lines = []
+    names = _solve_names()
+    coords = [f"x{k}" for k in range(n)]
+    lines = [f"[{', '.join(coords)}] = x"]
     value = {}
     for j, member in enumerate(members):
         for k in range(n):
-            emitted, value[j, k] = _emit(member, f"x{k}", f"m{j}_{k}_", "return None", names)
+            emitted, value[j, k] = _emit(member, f"x{k}", f"m{j}_{k}_",
+                                         ["return STATUS_NONFINITE, None"], names)
             lines += emitted
 
     def fold(terms):
         return " + ".join(["0.0", *terms])
 
+    for end, at in (("glo", "mn"), ("ghi", "mx")):
+        # F at the first coordinate equal to the end, as list.index finds it
+        for k in range(n - 1):
+            lines += [f"{'if' if k == 0 else 'elif'} x{k} is {at} or x{k} == {at}:",
+                      f"    {end} = {fold(value[j, k] for j in range(n))}"]
+        last = fold(value[j, n - 1] for j in range(n))
+        lines += ["else:", f"    {end} = {last}"] if n > 1 else [f"{end} = {last}"]
+    lines += ["if not (isfinite(glo) and isfinite(ghi)):",
+              "    return STATUS_NONFINITE, None"]
     targets = [fold(value[j, (j - i) % n] for j in range(n)) for i in range(n)]
-    folds = [fold(value[j, k] for j in range(n)) for k in range(n)]
-    lines.append(f"return [{', '.join(targets)}], [{', '.join(folds)}]")
-    return _define("matrix", ", ".join(f"x{k}" for k in range(n)), lines, names)
+    total = sum_tree(members)
+    lines += _solve(f"({', '.join(targets)},)[:count]", "mn", "mx",
+                    lambda fail: _emit(total, "xm", "s", fail, names), "return {}, xs")
+    return _source("step", f"x, mn, mx, count={n}", lines), names

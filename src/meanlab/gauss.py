@@ -119,7 +119,7 @@ def gauss_iterate(
     base = rotation_base(mapping.components)
     if isinstance(base, GeneralizedQuasiArithmeticMean):
         used, status, rows, gaps, estimate, stop = kernels.ACTIVE.cyclic_gauss(
-            *base.system.program(), pts, gap_tol, max_iter)
+            base.system.program(), pts, gap_tol, max_iter)
     else:
         def apply(x, _mn, _mx):
             # component exceptions propagate out of the orbit

@@ -9,10 +9,11 @@ once to straight-line Python and kept on the generator.  Sums and affine
 images of generators are trees themselves, with the members' trees, body
 leaves included, as subtrees, so they lower the same way.
 ``Generator.body`` and ``GeneratorSystem.program`` hand the kernels
-their programs: a generator's body, and a system's member matrix and
-sum body, its one program.  Every evaluation, inversion, mean and fused
-Gauss orbit runs the same kernels on those programs, read from
-``kernels.ACTIVE`` at each call.
+their programs: a generator's body, and a system's Gauss step, its one
+program, which ``dsl.compiler.compile_step`` lowers from the members'
+trees with their sum inlined into its solve.  Every evaluation,
+inversion, mean and fused Gauss orbit runs the same kernels on those
+programs, read from ``kernels.ACTIVE`` at each call.
 Construction grid-checks strict growth, so code downstream may rely on
 invertibility.  The verdict, like a tree's lowering, is kept per process
 under the ``repr`` of the tree and of the interval, in the one LRU of
@@ -25,16 +26,18 @@ evaluated exactly where it is.
 Inversion is bracketed: bisection with secant refinement weighted by the
 Anderson-Bjorck rule, terminating on a residual test relative to |y|
 and to the generator's values on the bracket, and at adjacent floats on
-the endpoints' true residuals.  There is one solve, ``kernels.invert``, whose
-docstring states the test; it takes a list of targets and the body's
-values at the bracket's ends, which ``invert_on`` computes and passes
-with its one target, and stops on the kernels' constants
-``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.
+the endpoints' true residuals.  There is one solve, emitted once by
+``dsl.compiler``: ``kernels.invert``, whose docstring states the test,
+calls its body; a system's step inlines its sum.  ``kernels.invert``
+takes a list of targets and the body's values at the bracket's ends,
+which ``invert_on`` computes and passes with its one target, and both
+stop on the kernels' constants ``INVERT_TOL`` and ``INVERT_BUDGET``,
+which no caller sets.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``GeneralizedQuasiArithmeticMean._evaluate`` (whose kernel runs
-the solve on the sum generator), and so for every Gauss step, fused or
-not.
+the solve on the sum of the members), and so for every Gauss step,
+fused or not.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .dsl import compile_expr, parse, to_text
-from .dsl.ast import Binary, Constant, Expr, leaves
-from .dsl.compiler import compile_matrix, kept
+from .dsl.ast import Binary, Constant, Expr, leaves, sum_tree
+from .dsl.compiler import compile_step, kept
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -293,12 +296,11 @@ class GeneratorSystem:
         return self._sum
 
     def program(self):
-        """(matrix, total) for the kernels ``gqam`` and ``cyclic_gauss``:
-        the member matrix of ``compile_matrix`` over the members' trees
-        and the sum generator's body, made once, on first use."""
+        """The system's Gauss step for the kernels ``gqam`` and
+        ``cyclic_gauss``: ``compile_step`` over the members' trees, made
+        once, on first use."""
         if self._program is None:
-            self._program = (compile_matrix([g.expr for g in self.generators]),
-                             self.sum_generator().body())
+            self._program = compile_step([g.expr for g in self.generators])
         return self._program
 
     def affine(self, a: float, offsets: Sequence[float]) -> "GeneratorSystem":
@@ -328,11 +330,8 @@ def sum_generators(generators) -> Generator:
     for g in gens[1:]:
         if g.domain != domain:
             raise ValueError("summed generators must share one interval")
-    expr = gens[0].expr
-    for g in gens[1:]:
-        expr = Binary("+", expr, g.expr)
-    return Generator(domain, expr=expr, label=" + ".join(g.label for g in gens),
-                     validate=False)
+    return Generator(domain, expr=sum_tree(g.expr for g in gens),
+                     label=" + ".join(g.label for g in gens), validate=False)
 
 
 # Built-in generators with their customary intervals.  The system

@@ -9,33 +9,33 @@ the generator is not finite: its expression tree lowered once by
 ``dsl.compiler.compile_expr`` to straight-line Python.  A user callable
 is wrapped once by ``guard`` and is a leaf of that tree, called by the
 lowered code; a tree of that one leaf is its own body.  Bodies are
-guarded when they are made, not per call.  A system's member matrix,
-made once by ``dsl.compiler.compile_matrix``, is one generated function
-of x0..x_{n-1} that evaluates every member at every coordinate, each
-member's tree inlined, and returns the folds a mean needs.  This
-module only runs them.
+guarded when they are made, not per call.  This module only runs them.
 
-The bracketed solve is one function, ``invert``, which calls the body
-it inverts for a list of targets on one bracket; its callers evaluate
-the bracket's endpoints.  Every solve stops on ``INVERT_TOL`` within
-``INVERT_BUDGET`` steps, two constants read at each call and set
-nowhere else.  Its secant steps weigh the endpoint that two steps in a
-row leave in place by the Anderson-Bjorck rule, which takes fewer
-evaluations per solve than Illinois halving, and it keeps each
-endpoint's true residual beside the weighted one: the acceptance at
-adjacent floats reads the true residual, since a weighted value can be
-far below it.
+The bracketed solve is stated once, as the emitter ``dsl.compiler``
+writes it, for a list of targets on one bracket whose endpoint values
+its callers give.  ``invert`` is that emission with the body it
+inverts called at each trial point; a system's Gauss step, lowered
+once by ``dsl.compiler.compile_step``, is the same emission with the
+sum F = f1+...+fn inlined there.  Every solve stops on ``INVERT_TOL``
+within ``INVERT_BUDGET`` steps, two constants of this module that the
+emitted code reads at each call and that are set nowhere else.  Its
+secant steps weigh the endpoint that two steps in a row leave in place
+by the Anderson-Bjorck rule, which takes fewer evaluations per solve
+than Illinois halving, and it keeps each endpoint's true residual
+beside the weighted one: the acceptance at adjacent floats reads the
+true residual, since a weighted value can be far below it.
 A system's generalized quasi-arithmetic means are computed in one
-place, ``rotated_means``: one call of the member matrix gives the
-targets of the rotated means of the cyclic mapping and, as folds,
-F(min x) and F(max x) for F = f1+...+fn, then one ``invert`` call
-inverts F at every target.  ``gqam``, one mean, is its first rotation,
-and solves for that target alone.  Gauss iteration, with its stopping
-rules (a closed gap, a stalled gap, or a Shanks estimate of the limit),
-is written once in ``orbit``, which names the rule that ended it.
-``cyclic_gauss`` runs it over the step of all n rotations, so a Gauss
-step is one matrix call and one solve call.  ``gauss`` runs ``orbit``
-over the components of any other mean-type mapping.  The Shanks
+place, its step ``step(x, mn, mx, count=n) -> (status, out)``: it
+evaluates every member at every coordinate, each member's tree inlined,
+folds the targets of the rotated means of the cyclic mapping and F(min
+x), F(max x), and solves the first ``count`` targets.  ``gqam``, one
+mean, is its first rotation, and solves for that target alone.  Gauss
+iteration, with its stopping rules (a closed gap, a stalled gap, or a
+Shanks estimate of the limit), is written once in ``orbit``, which
+names the rule that ended it.  ``cyclic_gauss`` runs it over the step
+of all n rotations, so a Gauss step is one call of generated code.
+``gauss`` runs ``orbit`` over the components of any other mean-type
+mapping.  The Shanks
 estimate removes the ``SHANKS_MODES`` = 3 leading geometric modes of
 the iterates' mean for every n, and at n = 2 it also tests e_1 off the
 same table.  At n = 2 three modes end a slowly contracting orbit in
@@ -56,13 +56,12 @@ for bit.
 ``eval_grid``, ``invert``, ``gqam`` and ``cyclic_gauss``.  The package's
 callers outside this module read it at each call, so a wrapper installed
 there (the benchmark's tracer) sees each of their calls.  Calls inside
-the kernels do not go through ``ACTIVE``: the solve of
-``rotated_means``, the ``orbit`` of ``cyclic_gauss`` and the step of
-``gqam`` call the functions of this module directly, so a wrapper on
+the kernels do not go through ``ACTIVE``: ``cyclic_gauss`` hands the
+step to ``orbit`` directly, and a step solves inline, so a wrapper on
 ``ACTIVE.invert`` counts only the solves of ``Generator.invert_on``.
 ``Generator.body`` and
 ``GeneratorSystem.program`` hand the kernels their programs: a
-generator's body, and a system's member matrix and sum body.
+generator's body, and a system's Gauss step.
 
 Kernels never raise, save for a ``TypeError`` from calling a body of
 the wrong arity.  Scalar evaluation signals trouble with NaN and the
@@ -86,6 +85,8 @@ from __future__ import annotations
 import math
 import sys
 from typing import NamedTuple
+
+from .dsl.compiler import compile_invert
 
 # numba is not a backend: the kernels are plain Python.  The name stays
 # because the benchmark harness reads it on every run.
@@ -122,8 +123,8 @@ class KernelSet(NamedTuple):
     cyclic_gauss: callable
 
 
-def invert(g, ys, lo, hi, glo, ghi):
-    """The bracketed solve for g(x) = y, for each target y of the list
+invert = compile_invert()
+invert.__doc__ = """The bracketed solve for g(x) = y, for each target y of the list
     ys, on [lo, hi], g a body that is increasing there, given the
     endpoint values glo = g(lo) and ghi = g(hi) (NaN where g is not
     finite).  The targets share the bracket and its values, so the
@@ -153,87 +154,10 @@ def invert(g, ys, lo, hi, glo, ghi):
     on a failure xs ends at the first target that failed, with NaN, or
     with the midpoint of its last bracket where the budget ran out, and
     the targets after it are not solved.  The callers evaluate the
-    endpoints: ``Generator.invert_on`` on g itself, for one target, and
-    ``rotated_means`` off the member matrix.
+    endpoints: ``Generator.invert_on`` on g itself, for one target; a
+    system's step, which solves the same way with its sum inlined, off
+    its member values.
     """
-    if glo != glo or ghi != ghi:  # NaN
-        return [math.nan], STATUS_NONFINITE
-    tol = INVERT_TOL
-    budget = range(INVERT_BUDGET)
-    # glo < y < ghi below, so max(|glo|, |ghi|) = max(-glo, ghi) > 0
-    big = ghi if ghi >= -glo else -glo
-    if big > 1.0:
-        big = 1.0
-    xs = []
-    for y in ys:
-        if not glo < y < ghi:
-            # on or past an end, or NaN: the nearer end, where its residual
-            # is within the loose tolerance, which a NaN residual never is
-            x, r = (lo, glo - y) if y <= glo else (hi, y - ghi)
-            if r <= tol * max(1.0, abs(y)):
-                xs.append(x)
-                continue
-            xs.append(math.nan)
-            return xs, STATUS_RANGE
-        scale = tol * (y if y > big else -y if -y > big else big)
-        a = lo
-        b = hi
-        # fa, fb: the endpoints' residuals as the secant weighs them; ra,
-        # rb: their true residuals g(x) - y
-        fa = ra = glo - y
-        fb = rb = ghi - y
-        side = 0
-        for _ in budget:
-            # fb - fa > 0: fa < 0 < fb on entry, a step gives the side it
-            # moves a true residual with |f| > scale >= 0, and a weight m
-            # in (0, 1] scales only the other side, keeping its sign or
-            # underflowing it to a zero of that sign, so at most one of
-            # fa, fb is a signed zero
-            xm = a - fa * (b - a) / (fb - fa)
-            if not (a < xm < b):
-                xm = 0.5 * (a + b)
-                if not (a < xm < b):
-                    # bracket has collapsed to adjacent floats: accept the
-                    # endpoint whose true residual is within the loose
-                    # tolerance; a weighted value may be far smaller
-                    loose = tol * max(1.0, abs(y))
-                    if -ra <= rb:
-                        if -ra <= loose:
-                            xs.append(a)
-                            break
-                    elif rb <= loose:
-                        xs.append(b)
-                        break
-                    xs.append(0.5 * (a + b))
-                    return xs, STATUS_BUDGET
-            fm = g(xm)
-            if fm != fm:  # NaN
-                xs.append(math.nan)
-                return xs, STATUS_NONFINITE
-            fm -= y
-            if -scale <= fm <= scale:
-                xs.append(xm)
-                break
-            if fm < 0.0:
-                if side == -1:
-                    # a second step on this side: fa is the last step's
-                    # true residual, of fm's sign and nonzero
-                    m = 1.0 - fm / fa
-                    fb *= m if m > 0.0 else 0.5
-                a = xm
-                fa = ra = fm
-                side = -1
-            else:
-                if side == 1:
-                    m = 1.0 - fm / fb
-                    fa *= m if m > 0.0 else 0.5
-                b = xm
-                fb = rb = fm
-                side = 1
-        else:
-            xs.append(0.5 * (a + b))
-            return xs, STATUS_BUDGET
-    return xs, STATUS_OK
 
 
 def scaled_stop(gap_tol, mn, mx):
@@ -442,58 +366,22 @@ def eval_grid(body, xs):
     return [body(float(x)) for x in xs]
 
 
-def rotated_means(matrix, total, count):
-    """The step ``step(x, mn, mx) -> (status, out)`` that gives the means
-    of the first ``count`` rotations of the list of floats x, of span
-    [mn, mx], for a system given by its member matrix and sum body.
-
-    Rotation i is F^{-1}(f1(y1)+...+fn(yn)) with y_j = x[(j - i) mod n]
-    and F = f1+...+fn, solved on [mn, mx], which brackets it by the mean
-    property.  One call of the member matrix gives every target and, in
-    the columns where mn and mx first sit, F(mn) and F(mx) (a zero may
-    differ in sign from the sum body's, which the solve never reads);
-    one ``invert`` call then solves the first ``count`` targets on that
-    bracket.  The step fails (``STATUS_NONFINITE``) where a member value
-    at any coordinate, or one of those two folds, is not finite, and
-    otherwise with the status of the first target whose solve fails.
-    """
-
-    isfinite = math.isfinite
-    solve = invert
-    nonfinite = STATUS_NONFINITE
-
-    def step(x, mn, mx):
-        m = matrix(*x)
-        if m is None:
-            return nonfinite, None
-        targets, folds = m
-        glo = folds[x.index(mn)]
-        ghi = folds[x.index(mx)]
-        if not (isfinite(glo) and isfinite(ghi)):
-            return nonfinite, None
-        out, status = solve(total, targets[:count], mn, mx, glo, ghi)
-        return status, out
-
-    return step
-
-
-def gqam(matrix, total, xs):
+def gqam(step, xs):
     """(f1+...+fn)^{-1}(f1(x1)+...+fn(xn)) for a list of floats xs, given
-    the system's member matrix and sum body: the first rotated mean of
-    ``rotated_means``, as (value, status), which solves for its one
-    target alone.  Its one call of the member matrix evaluates every
+    the system's Gauss step: its first rotated mean, as (value, status),
+    which solves for its one target alone.  The step evaluates every
     member at every coordinate: n^2 member values for one mean, which
     needs only f_j(x_j) and F at min xs and max xs."""
-    status, out = rotated_means(matrix, total, 1)(xs, min(xs), max(xs))
+    status, out = step(xs, min(xs), max(xs), 1)
     return (out[0], status) if status == STATUS_OK else (math.nan, status)
 
 
-def cyclic_gauss(matrix, total, x0, gap_tol, max_iter):
-    """Gauss iteration of the cyclic mapping of a system, given its
-    member matrix and sum body, from the list of floats x0: ``orbit``
-    over the step of all n ``rotated_means``, as (iterations_used,
-    status, rows, gaps, estimate, stop)."""
-    return orbit(rotated_means(matrix, total, len(x0)), x0, gap_tol, max_iter)
+def cyclic_gauss(step, x0, gap_tol, max_iter):
+    """Gauss iteration of the cyclic mapping of a system, given its Gauss
+    step, from the list of floats x0: ``orbit`` over the step of all n
+    rotated means, as (iterations_used, status, rows, gaps, estimate,
+    stop)."""
+    return orbit(step, x0, gap_tol, max_iter)
 
 
 # The kernels.  Callers read ACTIVE at each call and never keep it: the
@@ -524,5 +412,5 @@ def warm_up():
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])
     ACTIVE.invert(body, [2.0], 0.5, 4.0, body(0.5), body(4.0))
-    ACTIVE.gqam(*system.program(), [1.0, 2.0])
-    ACTIVE.cyclic_gauss(*system.program(), [1.0, 2.0], 1e-10, 100)
+    ACTIVE.gqam(system.program(), [1.0, 2.0])
+    ACTIVE.cyclic_gauss(system.program(), [1.0, 2.0], 1e-10, 100)

@@ -11,12 +11,13 @@ generators pins the result inside the input range, which both guarantees
 a bracket and makes reflexivity exact (constant input short-circuits at
 the bracket endpoint).  The points are evaluated exactly where the
 caller gives them, anywhere in the open interval; a generator that is
-not finite at one of them is an EvalError.  Both run the one solve,
-``kernels.invert``: the first through ``Generator.invert_on``, the
-second as one call of ``kernels.ACTIVE.gqam`` on the system's program,
-its member matrix and sum body: the mean is the first rotation of the
-fused Gauss step, so it evaluates every member at every point and is an
-EvalError where any of them is not finite.
+not finite at one of them is an EvalError.  Both run the one solve that
+``dsl.compiler`` emits: the first through ``Generator.invert_on`` and
+``kernels.invert``, the second as one call of ``kernels.ACTIVE.gqam`` on
+the system's program, its Gauss step, whose solve has the sum of the
+members inlined: the mean is the first rotation of that step, so it
+evaluates every member at every point and is an EvalError where any of
+them is not finite.
 
 ``checked_vector`` is the one vector check (floats, arity, at least one
 point, inside the domain): ``Mean.__call__`` runs it on every call, and
@@ -131,7 +132,7 @@ class GeneralizedQuasiArithmeticMean(Mean):
 
     def _evaluate(self, pts):
         system = self.system
-        v, status = kernels.ACTIVE.gqam(*system.program(), pts)
+        v, status = kernels.ACTIVE.gqam(system.program(), pts)
         if status != kernels.STATUS_OK:
             # the kernel solved for the sum of the members at pts
             target = f"the sum of [{system.label}] at {pts}"

@@ -1,17 +1,24 @@
 """What the tests share: the reference semantics of expression trees,
-and the comparison of two reports outside their volatile keys.
+the reference Gauss step, and the comparison of two reports outside
+their volatile keys.
 
 ``eval_expr`` is a direct recursive walk of a tree.  The Python bodies
-``compile_expr`` makes of trees, and the member matrices of
-``compile_matrix``, are tested against it bit for bit.  The walk
+``compile_expr`` makes of trees are tested against it bit for bit.  The walk
 computes a tree's nodes in post-order, as ``meanlab.dsl.ast`` defines a
 tree's value: a body leaf's value is what the body returns; exp, log,
 sqrt, division and ``^`` are NaN outside their guards, and so is any
 binary operation whose result is not finite.
+
+``reference_step`` is a system's Gauss step computed from its member
+bodies and its sum body, with one ``kernels.invert`` call: the steps
+of ``compile_step``, whose member values and sum are inlined, are
+tested against it bit for bit, as ``step_bits`` compares them.
 """
 
 import math
+import struct
 
+from meanlab import kernels
 from meanlab.dsl.ast import _EXP_MAX, Constant, Expr, Unary, Variable, power
 from meanlab.errors import EvalError
 from meanlab.report import VOLATILE_KEYS
@@ -79,6 +86,41 @@ def _walk(expr: Expr, x: float) -> float:
     else:
         r = power(a, b)
     return r if math.isfinite(r) else math.nan
+
+
+def reference_step(bodies, total, x, count=None):
+    """The Gauss step of a system at the list of floats x, as (status,
+    out), from its member bodies and its sum body ``total``: every
+    member at every coordinate, NaN failing the step; the rotated
+    targets and F at min x and max x (at its first coordinate) folded
+    onto 0.0 in member order, F not finite failing the step; then one
+    ``kernels.invert`` call for the first ``count`` targets (all n by
+    default) on [min x, max x]."""
+    n = len(x)
+    values = [[b(v) for v in x] for b in bodies]
+    if any(v != v for row in values for v in row):
+        return kernels.STATUS_NONFINITE, None
+
+    def fold(terms):
+        s = 0.0
+        for v in terms:
+            s += v
+        return s
+
+    targets = [fold(values[j][(j - i) % n] for j in range(n)) for i in range(n)]
+    mn, mx = min(x), max(x)
+    glo, ghi = (fold(values[j][x.index(end)] for j in range(n)) for end in (mn, mx))
+    if not (math.isfinite(glo) and math.isfinite(ghi)):
+        return kernels.STATUS_NONFINITE, None
+    xs, status = kernels.invert(total, targets[:count or n], mn, mx, glo, ghi)
+    return status, xs
+
+
+def step_bits(result):
+    """A step's (status, out) with each float of out as its bits, so
+    that NaN equals NaN and -0.0 differs from 0.0."""
+    status, out = result
+    return status, None if out is None else [struct.pack("<d", v) for v in out]
 
 
 def strip_volatile(payload: dict) -> dict:

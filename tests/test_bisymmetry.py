@@ -507,9 +507,9 @@ def test_characterize_runs_its_convergence_probe_once(monkeypatch):
     starts = []
     orbit = kernels.ACTIVE.cyclic_gauss
 
-    def spy(matrix, total, x0, *args):
+    def spy(step, x0, *args):
         starts.append(tuple(x0))
-        return orbit(matrix, total, x0, *args)
+        return orbit(step, x0, *args)
 
     monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(cyclic_gauss=spy))
     verdict = characterize(mean, trials=5)

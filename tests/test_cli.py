@@ -60,9 +60,9 @@ def test_eval_evaluates_the_mean_once(capsys, monkeypatch):
     calls = []
     gqam = kernels.ACTIVE.gqam
 
-    def counted(matrix, total, xs):
+    def counted(step, xs):
         calls.append(xs)
-        return gqam(matrix, total, xs)
+        return gqam(step, xs)
 
     monkeypatch.setattr(kernels, "ACTIVE", kernels.ACTIVE._replace(gqam=counted))
     code, payload, _ = run_json(capsys, "--gen", "x", "--gen", "2*x", "eval", "0.5", "3")

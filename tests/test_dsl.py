@@ -6,8 +6,8 @@ and evaluates it with the math module — on inputs where no guard fires,
 the two must agree to float equality.  The compiler is then tested
 against ``eval_expr`` through the tree lowered to a Python body, run by
 the kernels on a float and on a float64 vector, and inlined into a
-one-member matrix; last, a tree without body leaves is lowered once per
-process, and a tree with them is lowered afresh and binds its own.
+one-member Gauss step; last, a tree without body leaves is lowered once
+per process, and a tree with them is lowered afresh and binds its own.
 """
 
 import math
@@ -32,7 +32,7 @@ from meanlab import (
 from meanlab import Generator, GeneratorSystem, builtin_system, kernels
 from meanlab.dsl import compiler
 from meanlab.dsl.ast import BINARY_OPS, UNARY_OPS, X
-from meanlab.dsl.compiler import CODE_CACHE_SIZE, _power_cut, compile_matrix
+from meanlab.dsl.compiler import CODE_CACHE_SIZE, _power_cut, compile_step
 
 from support import eval_expr
 
@@ -200,7 +200,7 @@ def test_nesting_within_the_bounds_parses_prints_and_lowers(source):
     assert parse(to_text(expr)) == expr
     want = eval_expr(expr, 0.5)
     assert compile_expr(expr)(0.5) == want
-    assert compile_matrix([expr])(0.5)[0] == [want]
+    assert compile_step([expr])([0.5], 0.5, 0.5) == (kernels.STATUS_OK, [0.5])
 
 
 # --- round trips --------------------------------------------------------
@@ -312,16 +312,24 @@ def test_a_body_leaf_has_no_text_form():
 
 # the lowered tree run by the kernels on one float ("lowered") and
 # on a numpy float64 vector ("numpy"), and the tree inlined into a
-# one-member matrix, whose fold is the tree's value, None for NaN;
+# one-member Gauss step ("matrix"), which fails where the tree is NaN and
+# otherwise gives kernels.invert's mean of the tree's fold on [x, x];
 # the tests keep the names they had when trees compiled to tapes
 EVALUATORS = ("numpy", "lowered", "matrix")
 
 
 def lowered_eval(evaluator, expr, x):
-    if evaluator == "matrix":
-        folds = compile_matrix([expr])(x)
-        return math.nan if folds is None else folds[1][0]
     body = compile_expr(expr)
+    if evaluator == "matrix":
+        # a mean of one point shows only whether the member is finite
+        # there: the tree's value is the body's, where the step succeeds
+        status, out = compile_step([expr])([x], x, x)
+        if status == kernels.STATUS_NONFINITE:
+            return math.nan
+        fold = 0.0 + body(x)
+        xs, want = kernels.invert(body, [fold], x, x, fold, fold)
+        assert (status, out) == (want, xs)
+        return body(x)
     if evaluator == "lowered":
         return kernels.eval_one(body, x)
     return kernels.eval_grid(body, np.asarray([x], dtype=np.float64))[0]
@@ -387,7 +395,7 @@ def test_lowerings_share_code_but_call_their_own_body_leaves():
 @pytest.mark.parametrize("source", ["x^3 + x", "log(x) / (1 + x^2)", "x^2.5", "2*x^-1.5"])
 def test_equal_trees_lower_to_one_code_object(source):
     assert compile_expr(parse(source)).__code__ is compile_expr(parse(source)).__code__
-    first, second = (compile_matrix([parse(source), parse("x")]) for _ in range(2))
+    first, second = (compile_step([parse(source), parse("x")]) for _ in range(2))
     assert first.__code__ is second.__code__
 
 
@@ -425,14 +433,16 @@ def test_systems_of_different_callables_never_share_a_matrix():
         return GeneratorSystem([Generator.from_callable(member, dom),
                                 Generator.from_expression("x", dom)])
 
-    (one, one_sum), (three, three_sum) = system(1.0).program(), system(3.0).program()
-    assert one is not three and one_sum is not three_sum
+    # each step calls its own member, at the coordinates and in the
+    # inlined sum: F = 2x solves the targets 3, 3 to 1.5, 1.5, and
+    # F = 4x the targets 5, 7 to 1.25, 1.75
+    one, three = system(1.0).program(), system(3.0).program()
+    assert one is not three
     calls.clear()
-    assert one(1.0, 2.0) == ([3.0, 3.0], [2.0, 4.0]) and set(calls) == {1.0}
+    assert one([1.0, 2.0], 1.0, 2.0) == (kernels.STATUS_OK, [1.5, 1.5]) and set(calls) == {1.0}
     calls.clear()
-    assert three(1.0, 2.0) == ([5.0, 7.0], [4.0, 8.0]) and set(calls) == {3.0}
-    calls.clear()
-    assert (one_sum(2.0), three_sum(2.0)) == (4.0, 8.0) and calls == [1.0, 3.0]
+    assert three([1.0, 2.0], 1.0, 2.0) == (kernels.STATUS_OK, [1.25, 1.75])
+    assert set(calls) == {3.0}
 
 
 def test_kept_lowerings_are_bounded_least_recently_used_first():

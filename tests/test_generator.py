@@ -442,15 +442,18 @@ def test_systems_hand_the_body_family_each_members_own_body():
     value = {cube: lambda x: x**3, line: lambda x: x, square: lambda x: x * x}
     for members in ([cube, line], [cube, cube], trees):
         system = GeneratorSystem(members)
-        matrix, total = system.program()
+        step = system.program()
+        total = system.sum_generator().body()
         for g in members:
             for x in (0.5, 2.5):
                 assert g.body()(x) == value[g](x)
-        for x in ([0.5, 2.5], [2.5, 0.5]):  # row j of the matrix is member j
-            targets, folds = matrix(*x)
-            assert targets[0] == value[members[0]](x[0]) + value[members[1]](x[1])
-            assert folds == [value[members[0]](v) + value[members[1]](v) for v in x]
-            assert folds == [total(v) for v in x]
+        for x in ([0.5, 2.5], [2.5, 0.5]):  # member j takes coordinate j - i of rotation i
+            f0, f1 = value[members[0]], value[members[1]]
+            targets = [f0(x[0]) + f1(x[1]), f0(x[1]) + f1(x[0])]
+            lo, hi = min(x), max(x)
+            assert [total(v) for v in x] == [f0(v) + f1(v) for v in x]
+            xs, status = kernels.invert(total, targets, lo, hi, total(lo), total(hi))
+            assert step(x, lo, hi) == (status, xs) and status == kernels.STATUS_OK
     # the lowered body is the tree's value, NaN where it is not finite
     assert line.body()(2.5) == line.eval_inside(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))
@@ -463,9 +466,9 @@ def test_systems_hand_the_body_family_each_members_own_body():
         wrong_arity.body()(1.0)
     system = GeneratorSystem([wrong_arity, line])
     with pytest.raises(TypeError):
-        kernels.gqam(*system.program(), [1.0, 2.0])
+        kernels.gqam(system.program(), [1.0, 2.0])
     with pytest.raises(TypeError):
-        system.program()[0](1.0, 2.0)
+        system.program()([1.0, 2.0], 1.0, 2.0)
 
 
 def test_system_affine():

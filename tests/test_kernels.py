@@ -1,8 +1,9 @@
 """Kernel contracts: lowered trees bit for bit with the tree walker,
-member matrices bit for bit with the folds of the member bodies, one
-fused Gauss step and ``gqam`` bit for bit with the rotated means
-computed from the member bodies, fused orbits with the generic Gauss
-loop, and status codes that classify every failure mode."""
+lowered Gauss steps bit for bit with ``kernels.invert`` on the folds of
+the member bodies, one fused Gauss step and ``gqam`` bit for bit with
+the rotated means computed from the member bodies, fused orbits with
+the generic Gauss loop, and status codes that classify every failure
+mode."""
 
 import math
 import struct
@@ -20,12 +21,14 @@ from meanlab import (
     Interval,
     builtin_systems,
     cyclic_mapping,
+    gauss_iterate,
     gqam_eval,
     kernels,
     sum_generators,
 )
 from meanlab.dsl import Binary, Constant, Unary, X, compile_expr, parse
-from meanlab.dsl.compiler import compile_matrix
+from meanlab.dsl.ast import sum_tree
+from meanlab.dsl.compiler import compile_step
 from meanlab.errors import EvalError
 from meanlab.kernels import (
     STATUS_BUDGET,
@@ -36,7 +39,7 @@ from meanlab.kernels import (
     warm_up,
 )
 
-from support import eval_expr
+from support import eval_expr, reference_step, step_bits
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +59,7 @@ def body(source):
 
 
 def program(*sources, domain=Interval(0.1, 5.0)):
-    """(matrix, total) of the system of the given expression members."""
+    """The Gauss step of the system of the given expression members."""
     members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     return GeneratorSystem(members).program()
 
@@ -154,15 +157,27 @@ def test_lowered_tape_matches_the_stack_machine_bit_for_bit(source):
     # walker eval_expr, on DSL text and on trees with body leaves
     expr = parse(source) if isinstance(source, str) else source
     lowered = compile_expr(expr)
-    matrix = compile_matrix([expr])
+    step = compile_step([expr])
     for x in LOWERING_POINTS:
         want = _outcome(lambda: eval_expr(expr, x))
         # a caller of Generator.body may pass np.float64; the package never does
         for arg in (x, np.float64(x)):
             assert _outcome(lambda: lowered(arg)) == want, (source, arg)
-        # the one-member matrix folds the value onto 0.0 and is None for NaN
-        folded = _outcome(lambda: 0.0 + eval_expr(expr, x))
-        assert _outcome(lambda: math.nan if matrix(x) is None else matrix(x)[1][0]) == folded
+        assert_one_member_step(step, expr, x)
+
+
+def assert_one_member_step(step, expr, x):
+    # a one-member step folds the walker's value onto 0.0 and fails where
+    # the walker raises; its one mean, on the bracket [x, x], is what
+    # kernels.invert gives for that fold there
+    try:
+        fold = 0.0 + eval_expr(expr, x)
+    except EvalError:
+        want = STATUS_NONFINITE, None
+    else:
+        xs, status = kernels.invert(compile_expr(expr), [fold], x, x, fold, fold)
+        want = status, xs
+    assert step_bits(step([x], x, x)) == step_bits(want), (expr, x)
 
 
 def _walker_flip(c):
@@ -194,13 +209,12 @@ def test_a_literal_power_fails_exactly_where_the_walker_does(c):
     # pow overflow at c = 1e17)
     expr = parse(f"x^{c!r}")
     lowered = compile_expr(expr)
-    matrix = compile_matrix([expr])
+    step = compile_step([expr])
     flip = _walker_flip(c)
     for x in (math.nextafter(flip, 0.0), flip, math.nextafter(flip, math.inf)):
         want = _outcome(lambda: eval_expr(expr, x))
         assert _outcome(lambda: lowered(x)) == want, (c, x)
-        folded = _outcome(lambda: 0.0 + eval_expr(expr, x))
-        assert _outcome(lambda: math.nan if matrix(x) is None else matrix(x)[1][0]) == folded, (c, x)
+        assert_one_member_step(step, expr, x)
 
 
 def test_literal_powers_take_no_log():
@@ -221,7 +235,7 @@ def test_sum_and_affine_bodies_are_their_members_values_bit_for_bit():
             assert struct.pack("<d", got) == struct.pack("<d", want), x
 
 
-# --- member matrices ----------------------------------------------------------
+# --- lowered Gauss steps -----------------------------------------------------
 
 
 # negated literals, 1/x at 0, the log/sqrt/exp guards, and the inlined
@@ -239,7 +253,7 @@ BENIGN_POINTS = [0.5, 1.0, 1.5, 2.5, 3.75]
 
 
 def matrix_members(kind, n):
-    """n members as compile_matrix takes them (trees or bodies) and as
+    """n members as compile_step takes them (trees or bodies) and as
     bodies; the kind "tapes", the trees' former form, is kept as the
     tests' id."""
     members = []
@@ -252,26 +266,6 @@ def matrix_members(kind, n):
     return members, bodies
 
 
-def folded(bodies, x):
-    # the member bodies' values folded as the matrix folds them, or None
-    n = len(x)
-    values = [[b(v) for v in x] for b in bodies]
-    if any(math.isnan(v) for row in values for v in row):
-        return None
-    targets, folds = [], []
-    for i in range(n):
-        s = 0.0
-        for j in range(n):
-            s += values[j][(j - i) % n]
-        targets.append(s)
-    for k in range(n):
-        s = 0.0
-        for j in range(n):
-            s += values[j][k]
-        folds.append(s)
-    return targets, folds
-
-
 def bits(result):
     return None if result is None else [[struct.pack("<d", v) for v in part] for part in result]
 
@@ -279,16 +273,21 @@ def bits(result):
 @pytest.mark.parametrize("kind", ["tapes", "callables", "mixed"])
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 def test_member_matrix_is_the_fold_of_the_member_bodies(kind, n):
+    # the step's member values, folded into its targets and F(mn), F(mx),
+    # solved on [mn, mx] with the sum inlined, are kernels.invert on the
+    # folds of the member bodies, with the sum tree's body: every status
+    # and solution, or the failure where a member value is NaN
     members, bodies = matrix_members(kind, n)
-    matrix = compile_matrix(members)
+    step = compile_step(members)
+    total = compile_expr(sum_tree(members))
     rng = np.random.default_rng(n)
     seen = set()
     for trial in range(300):
         pool = BENIGN_POINTS if trial % 2 else MATRIX_POINTS
         x = [pool[i] for i in rng.integers(len(pool), size=n)]
-        want = folded(bodies, x)
-        assert bits(matrix(*x)) == bits(want), (kind, n, x)
-        seen.add(want is None)
+        want = reference_step(bodies, total, x)
+        assert step_bits(step(x, min(x), max(x))) == step_bits(want), (kind, n, x)
+        seen.add(want[1] is None)
     assert seen == {True, False}
 
 
@@ -297,15 +296,17 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
     cube = Generator.from_callable(lambda x: x**3, dom, label="cube")
     system = GeneratorSystem([Generator.from_expression("x^2", dom), cube,
                               Generator.from_expression("log(x)", dom)])
-    matrix, total = system.program()
-    assert system.program()[0] is matrix  # made once
+    step = system.program()
+    assert system.program() is step  # made once
     bodies = [g.body() for g in system.generators]
+    total = system.sum_generator().body()
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(0.1, 5.0, 3).tolist()
-        assert bits(matrix(*x)) == bits(folded(bodies, x))
-        assert matrix(*x)[1] == [total(v) for v in x]
-    assert matrix(1.0, 2.0, -1.0) is None
+        for count in (1, 3):
+            assert step_bits(step(x, min(x), max(x), count)) == step_bits(
+                reference_step(bodies, total, x, count))
+    assert step([1.0, 2.0, -1.0], -1.0, 2.0) == (STATUS_NONFINITE, None)
 
 
 # --- inversion --------------------------------------------------------------
@@ -473,13 +474,13 @@ def test_invert_returns_a_status_on_any_bracket(a, b, neg_a, neg_b, t, power):
 
 
 def test_gqam_weighted_pair_closed_form():
-    val, status = kernels.gqam(*program("x", "2*x"), [1.0, 4.0])
+    val, status = kernels.gqam(program("x", "2*x"), [1.0, 4.0])
     assert status == STATUS_OK
     assert val == pytest.approx(3.0, abs=1e-9)  # (x1 + 2 x2) / 3
 
 
 def test_gqam_flags_domain_violation():
-    val, status = kernels.gqam(*program("log(x)", "x"), [-1.0, 2.0])
+    val, status = kernels.gqam(program("log(x)", "x"), [-1.0, 2.0])
     assert status == STATUS_NONFINITE
     assert math.isnan(val)
 
@@ -488,9 +489,8 @@ def test_gqam_flags_domain_violation():
 
 
 def run_cyclic(sources, x0, gap_tol=1e-10, max_iter=500, domain=Interval(0.1, 5.0)):
-    matrix, total = program(*sources, domain=domain)
     used, status, iterates, gaps, _, _ = kernels.cyclic_gauss(
-        matrix, total, [float(v) for v in x0], gap_tol, max_iter)
+        program(*sources, domain=domain), [float(v) for v in x0], gap_tol, max_iter)
     assert len(iterates) == len(gaps) == used + 1
     return used, status, iterates, gaps
 
@@ -527,7 +527,7 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
     dom = Interval(*interval)
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
-    fused = kernels.cyclic_gauss(*system.program(), x0, 1e-10, 2000)
+    fused = kernels.cyclic_gauss(system.program(), x0, 1e-10, 2000)
     generic = kernels.orbit(lambda x, mn, mx: (STATUS_OK, list(mapping.apply(x))),
                             x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK and fused[5] in ("gap", "stall", "extrapolated")
@@ -832,12 +832,12 @@ ORBIT_PINS = [
 def test_fused_orbits_are_pinned_bit_for_bit(sources, interval, pins):
     # the gap tolerances 1e-9 and 1e-12 under a budget of 4000 steps; the
     # limit is the estimate, or the midpoint of the last iterate
-    matrix, total = program(*sources, domain=Interval(*interval))
+    step = program(*sources, domain=Interval(*interval))
     for x0, *want in pins:
         got = []
         for gap_tol in (1e-9, 1e-12):
             used, status, rows, _, estimate, stop = kernels.cyclic_gauss(
-                matrix, total, list(x0), gap_tol, 4000)
+                step, list(x0), gap_tol, 4000)
             assert status == STATUS_OK
             limit = estimate if estimate is not None else 0.5 * (min(rows[-1]) + max(rows[-1]))
             got.append((used, stop, repr(limit)))
@@ -852,8 +852,12 @@ def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, ca
     # the Gauss steps and sum-body calls of 20 seeded orbits of each
     # system the benchmark's slow orbits run, at gap tolerance 1e-9: 3.58
     # and 3.81 calls a solve, so a solve that takes more steps fails here
-    # and not only in a timing
-    matrix, total = program(*sources)
+    # and not only in a timing.  The lowered step inlines the sum, so each
+    # step of its orbit is solved again by kernels.invert on a counting
+    # sum body, which must give the next row bit for bit
+    step = program(*sources)
+    bodies = [body(s) for s in sources]
+    total = compile_expr(sum_tree([parse(s) for s in sources]))
     count = 0
 
     def counted(x):
@@ -865,9 +869,12 @@ def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, ca
     used = 0
     for _ in range(20):
         x0 = rng.uniform(0.1, 5.0, len(sources)).tolist()
-        out = kernels.cyclic_gauss(matrix, counted, x0, 1e-9, 4000)
+        out = kernels.cyclic_gauss(step, x0, 1e-9, 4000)
         assert out[1] == STATUS_OK
         used += out[0]
+        rows = out[2]
+        for x, image in zip(rows, rows[1:]):
+            assert step_bits(reference_step(bodies, counted, x)) == step_bits((STATUS_OK, image))
     assert (used, count) == (steps, calls)
 
 
@@ -910,10 +917,9 @@ def test_wide_orbits_stop_on_the_capped_shanks_estimate(oracle, n):
              "x^6": lambda x: x**6}
     reference = oracle.Oracle([])
     reference.fs = [oracle.GENERATORS.get(s) or extra[s] for s in sources]
-    matrix, total = program(*sources)
+    step = program(*sources)
     for x0, want in WIDE_PINS[n]:
-        used, status, _, _, estimate, stop = kernels.cyclic_gauss(matrix, total, list(x0),
-                                                                  1e-10, 4000)
+        used, status, _, _, estimate, stop = kernels.cyclic_gauss(step, list(x0), 1e-10, 4000)
         assert status == STATUS_OK
         assert (used, stop, repr(estimate)) == want, x0
         assert oracle.rel_err(estimate, reference.qam(x0)) <= 1e-11, x0
@@ -923,11 +929,11 @@ def test_a_capped_table_never_extrapolates_a_linear_system():
     # x, 2*x, ..., 6*x keeps the arithmetic mean fixed: its 15 modes are
     # more than the table removes, but a mean that does not move has none
     # to remove, so every orbit ends on its gap after the table could fill
-    matrix, total = program("x", *(f"{k}*x" for k in range(2, 7)))
+    step = program("x", *(f"{k}*x" for k in range(2, 7)))
     rng = np.random.default_rng(6)
     for _ in range(10):
         used, status, _, _, estimate, stop = kernels.cyclic_gauss(
-            matrix, total, rng.uniform(0.2, 4.8, 6).tolist(), 1e-10, 4000)
+            step, rng.uniform(0.2, 4.8, 6).tolist(), 1e-10, 4000)
         assert (status, stop, estimate) == (STATUS_OK, "gap", None)
         assert used > 2 * kernels.SHANKS_MODES + 2
 
@@ -940,9 +946,9 @@ def mixed_system():
 
 
 def on_family(family, sources, domain=Interval(0.1, 5.0)):
-    """A system of expression members, inlined into the member matrix,
-    or of the same members' lowered bodies as callables, which the
-    matrix calls."""
+    """A system of expression members, inlined into the Gauss step, or
+    of the same members' lowered bodies as callables, which the step
+    calls."""
     if family == "lowered":
         members = [Generator(domain, expr=parse(s), label=s, validate=False) for s in sources]
     else:
@@ -951,23 +957,24 @@ def on_family(family, sources, domain=Interval(0.1, 5.0)):
     return GeneratorSystem(members)
 
 
-def one_step(matrix, total, x):
-    used, status, iterates, _, _, _ = kernels.cyclic_gauss(matrix, total, list(x), 0.0, 1)
+def one_step(step, x):
+    used, status, iterates, _, _, _ = kernels.cyclic_gauss(step, list(x), 0.0, 1)
     return used, status, iterates[-1]
 
 
 def assert_step_is_the_rotated_means(system, x):
     # the rotated means from the member bodies, the step's and gqam's
     x = [float(v) for v in x]
-    matrix, total = system.program()
+    step = system.program()
+    total = system.sum_generator().body()
     bodies = [g.body() for g in system.generators]
     rotations = [x[-i:] + x[:-i] for i in range(len(x))]
     means = [reference_gqam(bodies, total, r) for r in rotations]
     assert [st for _, st in means] == [STATUS_OK] * len(x)
-    used, status, step = one_step(matrix, total, x)
+    used, status, image = one_step(step, x)
     assert (used, status) == (1, STATUS_BUDGET)
-    assert bits([step]) == bits([[val for val, _ in means]]), x
-    got = [kernels.gqam(matrix, total, r) for r in rotations]
+    assert bits([image]) == bits([[val for val, _ in means]]), x
+    got = [kernels.gqam(step, r) for r in rotations]
     assert bits(got) == bits(means), x
 
 
@@ -984,8 +991,8 @@ def assert_step_is_the_rotated_means(system, x):
 ])
 def test_one_fused_step_is_the_rotated_means_bit_for_bit(family, sources, interval):
     # the step and gqam read their targets and the shared F(min), F(max)
-    # off one matrix of member values; the reference evaluates them from
-    # the member bodies and the sum body
+    # off one evaluation of every member at every coordinate; the
+    # reference evaluates them from the member bodies and the sum body
     system = on_family(family, sources, Interval(*interval))
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -1004,11 +1011,71 @@ def test_one_fused_step_of_a_mixed_system_is_the_rotated_means():
     (["x*1e308", "x*1e308"], [0.5, 1.5]),  # members are, their sum at max x is not
 ])
 def test_a_fused_step_fails_where_a_member_or_the_sum_is_not_finite(family, sources, x):
-    matrix, total = on_family(family, sources).program()
-    used, status, _ = one_step(matrix, total, x)
+    step = on_family(family, sources).program()
+    used, status, _ = one_step(step, x)
     assert (used, status) == (0, STATUS_NONFINITE)
-    val, status = kernels.gqam(matrix, total, x)
+    val, status = kernels.gqam(step, x)
     assert status == STATUS_NONFINITE and math.isnan(val)
+
+
+def test_a_fused_step_fails_where_the_sum_is_not_finite_inside_the_bracket():
+    # the first member is finite at both coordinates of (1, 2) but NaN on
+    # (1.4, 1.6), where the first secant point of the target 3 of
+    # F = 2x lands: the inlined sum fails inside the solve's loop
+    dom = Interval(0.1, 5.0)
+    hole = Generator.from_callable(lambda x: math.nan if 1.4 < x < 1.6 else x, dom,
+                                   label="hole", validate=False)
+    system = GeneratorSystem([hole, Generator.from_expression("x", dom)])
+    step = system.program()
+    x = [1.0, 2.0]
+    want = reference_step([g.body() for g in system.generators],
+                          system.sum_generator().body(), x)
+    assert want[0] == STATUS_NONFINITE and want[1] is not None  # not before the solve
+    assert step_bits(step(x, 1.0, 2.0)) == step_bits(want)
+    assert one_step(step, x)[:2] == (0, STATUS_NONFINITE)
+    val, status = kernels.gqam(step, x)
+    assert status == STATUS_NONFINITE and math.isnan(val)
+    with pytest.raises(EvalError) as exc:
+        gauss_iterate(cyclic_mapping(GeneralizedQuasiArithmeticMean(system)), x)
+    assert str(exc.value) == "'hole + x' is not finite inside (0.1, 5.0)"
+
+
+def test_the_lowered_step_reads_the_solve_constants_at_each_call(monkeypatch):
+    # x, x^3 with x^3 a callable that counts its calls, lowered before the
+    # constants change: with no tolerance and 3 steps, every solve runs
+    # out of steps, so a step evaluates the cube at its 2 coordinates and
+    # at 3 trial points, and gives the statuses and values that
+    # kernels.invert gives.  A step that wrote either constant into its
+    # code would solve to 1e-12 within 200 steps and call the cube more
+    # or less often, even were kernels.invert written the same way
+    calls = 0
+
+    def cube(x):
+        nonlocal calls
+        calls += 1
+        return x**3
+
+    dom = Interval(0.1, 5.0)
+    system = GeneratorSystem([Generator.from_expression("x", dom),
+                              Generator.from_callable(cube, dom, label="cube")])
+    step = system.program()
+    bodies = [g.body() for g in system.generators]
+    total = system.sum_generator().body()
+    monkeypatch.setattr(kernels, "INVERT_TOL", 0.0)
+    monkeypatch.setattr(kernels, "INVERT_BUDGET", 3)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x = rng.uniform(0.1, 5.0, 2).tolist()
+        calls = 0
+        used, status, rows, _, _, _ = kernels.cyclic_gauss(step, x, 0.0, 1)
+        assert (used, status, calls) == (0, STATUS_BUDGET, 2 + 3)
+        assert reference_step(bodies, total, x)[0] == status
+        calls = 0
+        got = kernels.gqam(step, x)
+        assert calls == 2 + 3
+        status, _ = reference_step(bodies, total, x, 1)
+        assert bits([got]) == bits([(math.nan, status)]) and status == STATUS_BUDGET
+        assert step_bits(step(x, min(x), max(x))) == step_bits(reference_step(bodies, total, x))
 
 
 def test_a_member_not_finite_at_another_coordinate_fails_the_mean():
@@ -1020,11 +1087,12 @@ def test_a_member_not_finite_at_another_coordinate_fails_the_mean():
     system = GeneratorSystem([hole, Generator.from_expression("x^2", dom),
                               Generator.from_expression("x^3", dom)])
     xs = [1.0, 2.0, 3.0]
-    matrix, total = system.program()
+    step = system.program()
+    total = system.sum_generator().body()
     assert reference_gqam([g.body() for g in system.generators], total, xs)[1] == STATUS_OK
-    val, status = kernels.gqam(matrix, total, xs)
+    val, status = kernels.gqam(step, xs)
     assert status == STATUS_NONFINITE and math.isnan(val)
-    assert one_step(matrix, total, xs)[:2] == (0, STATUS_NONFINITE)
+    assert one_step(step, xs)[:2] == (0, STATUS_NONFINITE)
     with pytest.raises(EvalError, match="not finite inside"):
         gqam_eval(system, xs)
 
@@ -1036,8 +1104,8 @@ FOLD_POINTS = [sign * 10.0**e for e in range(-300, 301, 20) for sign in (1.0, -1
 
 @pytest.mark.parametrize("name", [*builtin_systems(), "mixed"])
 def test_sum_body_is_the_fold_of_the_member_bodies(name):
-    # the solve reads F at the bracket's ends off the member matrix and
-    # inside it from the sum body, which agree:
+    # the step reads F at the bracket's ends off its member values and
+    # inside it from the inlined sum tree, which agree:
     # F(x) == 0.0 + f1(x) + ... + fn(x), NaN exactly where that is not finite
     system = mixed_system() if name == "mixed" else builtin_systems()[name]
     members = [g.body() for g in system.generators]

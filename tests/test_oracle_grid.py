@@ -7,8 +7,8 @@ benchmark's independent mpmath oracle (``perfbench/oracle.py``, the
 quasi-arithmetic mean of f1+...+fn, which the paper proves is the
 limit), for orbits of 2, 3 and 5 members on (0.1 s, 5 s) for scales s
 from 1e-6 to 1e12, wherever the generators are finite there.  The fused
-orbit over the member matrix and the generic orbit over the mapping's
-components must end alike, bit for bit.
+orbit over the system's lowered step and the generic orbit over the
+mapping's components must end alike, bit for bit.
 
 Where one member dominates the others (x, x^3 away from s = 1), the
 cyclic mapping is close to a rotation of the coordinates and contracts
