@@ -1,12 +1,14 @@
 """Lowering of expression trees to straight-line Python.
 
 This is the one place where a tree becomes code.  ``compile_expr``
-makes a generator's body, a Python function of x; ``compile_step``
-makes a system's Gauss step, a Python function of the list x of its
-n coordinates.  Both emit the same statements for a tree: one per node,
-in post-order, so the tree's operations run in the order ``ast``
-defines its value in and give that value bit for bit, as the reference
-walker of the tests does.  Sums and affine images of generators are
+makes a generator's body, a Python function of x; ``compile_solve``
+makes the bracketed solve of F(x) = y for a tree F, a Python function
+of a list of targets; ``compile_step`` makes a system's Gauss step, a
+Python function of the list x of its n coordinates.  All three emit
+the same statements for a tree: one per node, in post-order, so the
+tree's operations run in the order ``ast`` defines its value in and
+give that value bit for bit, as the reference walker of the tests
+does.  Sums and affine images of generators are
 trees too, left-folded ``+`` nodes and ``f*a + b``, and lower the same
 way.
 A body leaf, the guarded body of a Python callable, is bound once in
@@ -17,18 +19,19 @@ tested against a float cut computed once per exponent, at lowering,
 where ``power``'s test ``c*log(a) > _EXP_MAX`` flips, so the NaN set
 is ``power``'s to the bit.
 The bracketed solve is written once, as ``_SOLVE``, the statements of
-an Anderson-Bjorck loop around a hole for the statements that evaluate
-g at the trial point.  ``compile_invert`` fills the hole with a call of
-g, and makes ``kernels.invert``; ``compile_step`` fills it with the
-sum of the members' trees, inlined as a tree is.  The emitted code reads
+an Anderson-Bjorck loop over the targets ``ys`` on [lo, hi], around
+one hole: the statements and the value of a tree at the trial point.
+``compile_solve`` fills it with F's tree, and ``compile_step`` with the
+sum of the members' trees, inlined as a tree is, so a step ends in the
+lines of ``compile_solve`` of that sum.  The emitted code reads
 ``kernels.INVERT_TOL`` and ``INVERT_BUDGET`` at each call.
-``step_source`` and ``invert_source`` give the Python source of both,
-which ``tools/lowered.py`` prints.
+Each lowered function carries its Python source as ``source``, which
+``tools/lowered.py`` prints for a step and a solve.
 A lowering is a pure function of its trees, so each is made once per
-process: ``kept`` holds the function that ``compile_expr`` or
-``compile_step`` makes of a tree, and ``generator.check_monotone``'s
-verdict for a tree on an interval, in one LRU of ``CODE_CACHE_SIZE``
-entries.  The key is the ``repr`` of each tree and interval, which
+process: ``kept`` holds the function that ``compile_expr``,
+``compile_solve`` or ``compile_step`` makes of a tree, and
+``generator.check_monotone``'s verdict for a tree on an interval, in
+one LRU of ``CODE_CACHE_SIZE`` entries.  The key is the ``repr`` of each tree and interval, which
 tells ``Constant(-0.0)`` from ``Constant(0.0)`` where ``==`` does not.
 A tree that holds a body leaf is never kept: a leaf may be any
 callable, impure ones included, and every guard is new, so its key
@@ -46,14 +49,16 @@ import math
 import struct
 import sys
 
+from .. import kernels
 from .ast import _EXP_MAX, Binary, Constant, Expr, Unary, Variable, leaves, power, sum_tree
 
 # the test under which each guarded function is not finite
 _GUARD = {"exp": f"> {_EXP_MAX!r}", "log": "<= 0.0", "sqrt": "< 0.0"}
 # what lowered code may name
-_NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan,
+_NAMES = {"__name__": __name__, "isfinite": math.isfinite, "nan": math.nan, "inf": math.inf,
           "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow,
-          "power": power}
+          "power": power, "kernels": kernels,
+          **{k: v for k, v in vars(kernels).items() if k.startswith("STATUS_")}}
 # lowerings and grid verdicts kept per process, least recently used first
 CODE_CACHE_SIZE = 256
 _KEPT = collections.OrderedDict()
@@ -162,11 +167,10 @@ def _emit(expr, x, prefix, fail, names):
     return lines, value
 
 
-# The bracketed solve of g(x) = y for each target y of {ys} on [{lo}, {hi}],
-# given glo = g({lo}) and ghi = g({hi}), both finite: ``kernels.invert``'s
+# The bracketed solve of g(x) = y for each target y of ys on [lo, hi],
+# given glo = g(lo) and ghi = g(hi), both finite: ``kernels.invert``'s
 # docstring states it.  {evaluate} computes g at the trial point xm, and
-# {value} is its value; {ret_range}, {ret_budget} and {ret_ok} return the
-# solutions xs with a status.
+# {value} is its value.
 _SOLVE = """\
 tol = kernels.INVERT_TOL
 budget = range(kernels.INVERT_BUDGET)
@@ -175,19 +179,20 @@ big = ghi if ghi >= -glo else -glo
 if big > 1.0:
     big = 1.0
 xs = []
-for y in {ys}:
+for y in ys:
     if not glo < y < ghi:
-        # on or past an end, or NaN: the nearer end, where its residual
-        # is within the loose tolerance, which a NaN residual never is
-        end, r = ({lo}, glo - y) if y <= glo else ({hi}, y - ghi)
-        if r <= tol * max(1.0, abs(y)):
+        # on or past an end, or NaN or infinite: the nearer end, where
+        # its residual is finite and within the loose tolerance; a NaN
+        # target's residual is NaN, an infinite one's infinite
+        end, r = (lo, glo - y) if y <= glo else (hi, y - ghi)
+        if r < inf and r <= tol * max(1.0, abs(y)):
             xs.append(end)
             continue
         xs.append(nan)
-        {ret_range}
+        return xs, STATUS_RANGE
     scale = tol * (y if y > big else -y if -y > big else big)
-    a = {lo}
-    b = {hi}
+    a = lo
+    b = hi
     # fa, fb: the endpoints' residuals as the secant weighs them; ra,
     # rb: their true residuals g(x) - y
     fa = ra = glo - y
@@ -201,7 +206,8 @@ for y in {ys}:
         # fa, fb is a signed zero
         xm = a - fa * (b - a) / (fb - fa)
         if not (a < xm < b):
-            xm = 0.5 * (a + b)
+            # the halves summed: a + b may overflow where they do not
+            xm = 0.5 * a + 0.5 * b
             if not (a < xm < b):
                 # bracket has collapsed to adjacent floats: accept the
                 # endpoint whose true residual is within the loose
@@ -214,8 +220,8 @@ for y in {ys}:
                 elif rb <= loose:
                     xs.append(b)
                     break
-                xs.append(0.5 * (a + b))
-                {ret_budget}
+                xs.append(0.5 * a + 0.5 * b)
+                return xs, STATUS_BUDGET
 {evaluate}
         fm = {value} - y
         if -scale <= fm <= scale:
@@ -238,32 +244,19 @@ for y in {ys}:
             fb = rb = fm
             side = 1
     else:
-        xs.append(0.5 * (a + b))
-        {ret_budget}
-{ret_ok}"""
-_STATUSES = ("STATUS_OK", "STATUS_RANGE", "STATUS_BUDGET", "STATUS_NONFINITE")
+        xs.append(0.5 * a + 0.5 * b)
+        return xs, STATUS_BUDGET
+return xs, STATUS_OK"""
 
 
-def _solve(ys, lo, hi, evaluate, ret):
-    """The lines of ``_SOLVE`` over the targets ``ys`` on [lo, hi], each
-    named by an expression.  ``evaluate(fail)`` gives the statements that
-    compute g at xm, running the statements ``fail`` where g is not
-    finite, and the expression of g's value; ``ret`` formats a status
-    name into the statement that returns it with xs."""
-    lines, value = evaluate(["xs.append(nan)", ret.format("STATUS_NONFINITE")])
-    return _SOLVE.format(
-        ys=ys, lo=lo, hi=hi, value=value, evaluate="\n".join(" " * 8 + line for line in lines),
-        ret_range=ret.format("STATUS_RANGE"), ret_budget=ret.format("STATUS_BUDGET"),
-        ret_ok=ret.format("STATUS_OK")).splitlines()
-
-
-def _solve_names():
-    """The namespace of lowered code that solves: ``kernels``, whose
-    INVERT_TOL and INVERT_BUDGET it reads at each call, and its status
-    names."""
-    from .. import kernels  # here: kernels lowers its own solve on import
-
-    return {**_NAMES, "kernels": kernels, **{k: getattr(kernels, k) for k in _STATUSES}}
+def _solve(tree, names):
+    """The lines of ``_SOLVE`` with the tree inlined at the trial point
+    xm, which ends the solve with ``STATUS_NONFINITE`` where it is not
+    finite; a body leaf is bound in ``names``."""
+    lines, value = _emit(tree, "xm", "s", ["xs.append(nan)", "return xs, STATUS_NONFINITE"],
+                         names)
+    return _SOLVE.format(evaluate="\n".join(" " * 8 + line for line in lines),
+                         value=value).splitlines()
 
 
 def kept(make, *parts):
@@ -285,13 +278,13 @@ def kept(make, *parts):
     return value
 
 
-def _source(name, params, lines):
-    return "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
-
-
-def _define(name, source, names):
-    """The function ``name`` of ``source``, defined in ``names``."""
+def _define(name, params, lines, names):
+    """The function ``name`` of ``params`` whose body is the statements
+    ``lines``, defined in ``names``; it carries its Python source as
+    ``source``."""
+    source = "\n".join([f"def {name}({params}):", *("    " + line for line in lines)])
     exec(compile(source, f"<meanlab {name}>", "exec"), names)
+    names[name].source = source
     return names[name]
 
 
@@ -309,81 +302,70 @@ def compile_expr(expr: Expr):
 def _lower_body(expr):
     names = dict(_NAMES)
     lines, value = _emit(expr, "x", "", ["return nan"], names)
-    return _define("body", _source("body", "x", [*lines, f"return {value}"]), names)
+    return _define("body", "x", [*lines, f"return {value}"], names)
 
 
-def _invert():
-    """The source of ``kernels.invert`` and its namespace: ``_SOLVE``
-    with g a body called at each trial point, tested for NaN."""
-    names = _solve_names()
+def compile_solve(tree):
+    """The bracketed solve of F(x) = y, F the tree, as ``solve(ys, lo,
+    hi, glo, ghi) -> (xs, status)``, which ``kernels.invert`` runs: the
+    statements of ``_SOLVE``, with the tree inlined at each trial point
+    by the emitter of ``compile_expr``, after a test that fails the
+    solve with ``STATUS_NONFINITE`` (and xs [nan]) where glo or ghi is
+    NaN.  A bare body is a tree of one leaf, called there and tested
+    for NaN.  A tree without body leaves is lowered once per process,
+    as ``compile_expr``'s trees are."""
+    return kept(lambda: _lower_solve(tree), "solve", tree)
 
-    def call(fail):
-        return ["gm = g(xm)", "if gm != gm:  # NaN", *("    " + s for s in fail)], "gm"
 
+def _lower_solve(tree):
+    names = dict(_NAMES)
     lines = ["if glo != glo or ghi != ghi:  # NaN",
              "    return [nan], STATUS_NONFINITE",
-             *_solve("ys", "lo", "hi", call, "return xs, {}")]
-    return _source("invert", "g, ys, lo, hi, glo, ghi", lines), names
-
-
-def compile_invert():
-    """``kernels.invert``, the one bracketed solve, as ``_SOLVE`` emits it
-    with g called as a leaf."""
-    return _define("invert", *_invert())
-
-
-def invert_source():
-    """The Python source of ``kernels.invert``."""
-    return _invert()[0]
+             *_solve(tree, names)]
+    return _define("solve", "ys, lo, hi, glo, ghi", lines, names)
 
 
 def compile_step(members):
-    """A system's Gauss step, ``step(x, mn, mx, count=n) -> (status,
-    out)``, for the list x of n floats, of span [mn, mx] (its min and
+    """A system's Gauss step, ``step(x, lo, hi, count=n) -> (out,
+    status)``, for the list x of n floats, of span [lo, hi] (its min and
     max): ``out`` holds the means of the first ``count`` rotations of
     the cyclic mapping,
 
         rotation i = F^{-1}(targets[i]),  F = f_0 + ... + f_{n-1},
         targets[i] = 0.0 + f_0(x_{(0-i) mod n}) + ... + f_{n-1}(x_{(n-1-i) mod n}),
 
-    solved on [mn, mx], which brackets each by the mean property.  The
+    solved on [lo, hi], which brackets each by the mean property.  The
     step evaluates each member f_j at each coordinate x_k, member by
     member, its tree inlined by the emitter of ``compile_expr``, and
     fails with ``STATUS_NONFINITE`` (and ``out`` None) where one of
-    those values is NaN.  F(mn) and F(mx) are the folds
+    those values is NaN.  F(lo) and F(hi) are the folds
     0.0 + f_0(x_k) + ... + f_{n-1}(x_k) at the first coordinate x_k
     equal to each, as ``list.index`` finds it (a zero may differ in
     sign from F's, which the solve never reads); the step fails the
-    same way where either is not finite.  Then ``_SOLVE`` solves the
-    targets with F's tree, the left fold ``dsl.ast.sum_tree`` of the
-    members, inlined at each trial point: ``out`` and the status are
-    what ``kernels.invert`` returns on F's body.  Members that hold no
-    body leaf are lowered once per process, as ``compile_expr``'s
-    trees are."""
-    return kept(lambda: _define("step", *_lower_step(members)), "step", *members)
-
-
-def step_source(members):
-    """The Python source of ``compile_step(members)``."""
-    return _lower_step(members)[0]
+    same way where either is not finite.  Then the statements of
+    ``compile_solve`` of F's tree, the left fold ``dsl.ast.sum_tree`` of
+    the members, solve the targets inline: ``out`` and the status are
+    what that solve returns.  Members that hold no body leaf are lowered
+    once per process, as ``compile_expr``'s trees are."""
+    return kept(lambda: _lower_step(members), "step", *members)
 
 
 def _lower_step(members):
     n = len(members)
-    names = _solve_names()
+    names = dict(_NAMES)
     coords = [f"x{k}" for k in range(n)]
     lines = [f"[{', '.join(coords)}] = x"]
     value = {}
     for j, member in enumerate(members):
         for k in range(n):
             emitted, value[j, k] = _emit(member, f"x{k}", f"m{j}_{k}_",
-                                         ["return STATUS_NONFINITE, None"], names)
+                                         ["return None, STATUS_NONFINITE"], names)
             lines += emitted
 
     def fold(terms):
         return " + ".join(["0.0", *terms])
 
-    for end, at in (("glo", "mn"), ("ghi", "mx")):
+    for end, at in (("glo", "lo"), ("ghi", "hi")):
         # F at the first coordinate equal to the end, as list.index finds it
         for k in range(n - 1):
             lines += [f"{'if' if k == 0 else 'elif'} x{k} is {at} or x{k} == {at}:",
@@ -391,9 +373,7 @@ def _lower_step(members):
         last = fold(value[j, n - 1] for j in range(n))
         lines += ["else:", f"    {end} = {last}"] if n > 1 else [f"{end} = {last}"]
     lines += ["if not (isfinite(glo) and isfinite(ghi)):",
-              "    return STATUS_NONFINITE, None"]
+              "    return None, STATUS_NONFINITE"]
     targets = [fold(value[j, (j - i) % n] for j in range(n)) for i in range(n)]
-    total = sum_tree(members)
-    lines += _solve(f"({', '.join(targets)},)[:count]", "mn", "mx",
-                    lambda fail: _emit(total, "xm", "s", fail, names), "return {}, xs")
-    return _source("step", f"x, mn, mx, count={n}", lines), names
+    lines += [f"ys = ({', '.join(targets)},)[:count]", *_solve(sum_tree(members), names)]
+    return _define("step", f"x, lo, hi, count={n}", lines, names)

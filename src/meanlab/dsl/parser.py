@@ -148,7 +148,10 @@ class _Parser:
             raise ParseError("unexpected end of input", tok.pos)
         if tok.kind == "number":
             self.advance()
-            return Constant(float(tok.text)), 1
+            try:
+                return Constant(float(tok.text)), 1
+            except ValueError:  # a literal past the largest float
+                raise ParseError(f"constant {tok.text!r} is not finite", tok.pos) from None
         if tok.kind == "ident":
             if tok.text == "x":
                 self.advance()

@@ -86,7 +86,8 @@ class IterationTrace(NamedTuple):
 
 
 def midpoint(xs: Sequence[float]) -> float:
-    return 0.5 * (min(xs) + max(xs))
+    # the halves summed: min + max may overflow where they do not
+    return 0.5 * min(xs) + 0.5 * max(xs)
 
 
 def gauss_iterate(
@@ -123,7 +124,7 @@ def gauss_iterate(
     else:
         def apply(x, _mn, _mx):
             # component exceptions propagate out of the orbit
-            return kernels.STATUS_OK, [float(v) for v in mapping.apply(x)]
+            return [float(v) for v in mapping.apply(x)], kernels.STATUS_OK
 
         used, status, rows, gaps, estimate, stop = kernels.orbit(apply, pts, gap_tol, max_iter)
     trace = IterationTrace(tuple(map(tuple, rows)), tuple(gaps), used, gap_tol, estimate, stop)

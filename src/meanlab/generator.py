@@ -8,8 +8,9 @@ It runs on the kernels, ``kernels.ACTIVE``, as a body, the tree lowered
 once to straight-line Python and kept on the generator.  Sums and affine
 images of generators are trees themselves, with the members' trees, body
 leaves included, as subtrees, so they lower the same way.
-``Generator.body`` and ``GeneratorSystem.program`` hand the kernels
-their programs: a generator's body, and a system's Gauss step, its one
+``Generator.body``, ``Generator.invert_on`` and
+``GeneratorSystem.program`` hand the kernels their programs: a
+generator's body and solve, and a system's Gauss step, its one
 program, which ``dsl.compiler.compile_step`` lowers from the members'
 trees with their sum inlined into its solve.  Every evaluation,
 inversion, mean and fused Gauss orbit runs the same kernels on those
@@ -26,13 +27,14 @@ evaluated exactly where it is.
 Inversion is bracketed: bisection with secant refinement weighted by the
 Anderson-Bjorck rule, terminating on a residual test relative to |y|
 and to the generator's values on the bracket, and at adjacent floats on
-the endpoints' true residuals.  There is one solve, emitted once by
-``dsl.compiler``: ``kernels.invert``, whose docstring states the test,
-calls its body; a system's step inlines its sum.  ``kernels.invert``
-takes a list of targets and the body's values at the bracket's ends,
-which ``invert_on`` computes and passes with its one target, and both
-stop on the kernels' constants ``INVERT_TOL`` and ``INVERT_BUDGET``,
-which no caller sets.
+the endpoints' true residuals.  There is one solve, emitted by
+``dsl.compiler`` with a tree inlined at each trial point: a generator's
+own, which ``compile_solve`` lowers once, on the first ``invert_on``,
+and ``kernels.invert``, whose docstring states the test, runs; and a
+system's sum, inlined into its step.  The solve takes a list of targets
+and the tree's values at the bracket's ends, which ``invert_on``
+computes and passes with its one target, and both stop on the kernels'
+constants ``INVERT_TOL`` and ``INVERT_BUDGET``, which no caller sets.
 ``Generator._invert_error`` is the one place its status codes become
 package exceptions: for one solve in ``invert_on``, for one generalized
 mean in ``GeneralizedQuasiArithmeticMean._evaluate`` (whose kernel runs
@@ -48,7 +50,7 @@ from typing import NamedTuple, Sequence
 from . import kernels
 from .dsl import compile_expr, parse, to_text
 from .dsl.ast import Binary, Constant, Expr, leaves, sum_tree
-from .dsl.compiler import compile_step, kept
+from .dsl.compiler import compile_solve, compile_step, kept
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -87,7 +89,7 @@ class Generator:
     Python callable.  A callable in ``expr`` that ``kernels.guard`` did
     not make, bare or as a leaf, is a TypeError."""
 
-    __slots__ = ("domain", "label", "expr", "_body")
+    __slots__ = ("domain", "label", "expr", "_body", "_solve")
 
     def __init__(
         self,
@@ -105,7 +107,7 @@ class Generator:
         self.domain = domain
         self.label = label
         self.expr = expr
-        self._body = None
+        self._body = self._solve = None
         if validate:
             report = check_monotone(self)
             if not report.passed:
@@ -172,11 +174,14 @@ class Generator:
         Raises RangeError when y is not bracketed by g(lo) and g(hi),
         ConvergenceError if the step budget runs out, and EvalError on
         non-finite evaluations.  It is one ``kernels.invert`` call on the
-        one target y.
+        one target y, which runs the tree's solve, lowered by
+        ``compile_solve`` on the first call.
         """
         y, lo, hi = float(y), float(lo), float(hi)
         g = self.body()
-        xs, status = kernels.ACTIVE.invert(g, [y], lo, hi, g(lo), g(hi))
+        if self._solve is None:
+            self._solve = compile_solve(self.expr)
+        xs, status = kernels.ACTIVE.invert(self._solve, [y], lo, hi, g(lo), g(hi))
         if status != kernels.STATUS_OK:
             raise self._invert_error(status, f"y = {y}")
         return xs[0]

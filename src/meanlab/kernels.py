@@ -11,12 +11,14 @@ is wrapped once by ``guard`` and is a leaf of that tree, called by the
 lowered code; a tree of that one leaf is its own body.  Bodies are
 guarded when they are made, not per call.  This module only runs them.
 
-The bracketed solve is stated once, as the emitter ``dsl.compiler``
-writes it, for a list of targets on one bracket whose endpoint values
-its callers give.  ``invert`` is that emission with the body it
-inverts called at each trial point; a system's Gauss step, lowered
-once by ``dsl.compiler.compile_step``, is the same emission with the
-sum F = f1+...+fn inlined there.  Every solve stops on ``INVERT_TOL``
+The bracketed solve is stated once, as the statements ``dsl.compiler``
+emits for a list of targets on one bracket whose endpoint values its
+callers give, with the tree of the function it inverts inlined at each
+trial point.  ``compile_solve`` lowers it alone, as the ``solve`` that
+``invert`` runs; a system's Gauss step, lowered once by
+``compile_step``, ends in the same statements with the sum F =
+f1+...+fn inlined.  This module lowers nothing and imports nothing of
+the compiler.  Every solve stops on ``INVERT_TOL``
 within ``INVERT_BUDGET`` steps, two constants of this module that the
 emitted code reads at each call and that are set nowhere else.  Its
 secant steps weigh the endpoint that two steps in a row leave in place
@@ -24,8 +26,9 @@ by the Anderson-Bjorck rule, which takes fewer evaluations per solve
 than Illinois halving, and it keeps each endpoint's true residual
 beside the weighted one: the acceptance at adjacent floats reads the
 true residual, since a weighted value can be far below it.
-A system's generalized quasi-arithmetic means are computed in one
-place, its step ``step(x, mn, mx, count=n) -> (status, out)``: it
+Every program and kernel returns its result first and its status
+second.  A system's generalized quasi-arithmetic means are computed in
+one place, its step ``step(x, lo, hi, count=n) -> (out, status)``: it
 evaluates every member at every coordinate, each member's tree inlined,
 folds the targets of the rotated means of the cyclic mapping and F(min
 x), F(max x), and solves the first ``count`` targets.  ``gqam``, one
@@ -59,9 +62,9 @@ there (the benchmark's tracer) sees each of their calls.  Calls inside
 the kernels do not go through ``ACTIVE``: ``cyclic_gauss`` hands the
 step to ``orbit`` directly, and a step solves inline, so a wrapper on
 ``ACTIVE.invert`` counts only the solves of ``Generator.invert_on``.
-``Generator.body`` and
+``Generator.body``, ``Generator.invert_on`` and
 ``GeneratorSystem.program`` hand the kernels their programs: a
-generator's body, and a system's Gauss step.
+generator's body and solve, and a system's Gauss step.
 
 Kernels never raise, save for a ``TypeError`` from calling a body of
 the wrong arity.  Scalar evaluation signals trouble with NaN and the
@@ -85,8 +88,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import NamedTuple
-
-from .dsl.compiler import compile_invert
 
 # numba is not a backend: the kernels are plain Python.  The name stays
 # because the benchmark harness reads it on every run.
@@ -123,12 +124,13 @@ class KernelSet(NamedTuple):
     cyclic_gauss: callable
 
 
-invert = compile_invert()
-invert.__doc__ = """The bracketed solve for g(x) = y, for each target y of the list
-    ys, on [lo, hi], g a body that is increasing there, given the
-    endpoint values glo = g(lo) and ghi = g(hi) (NaN where g is not
-    finite).  The targets share the bracket and its values, so the
-    rotated means of a Gauss step are one call.
+def invert(solve, ys, lo, hi, glo, ghi):
+    """The bracketed solve for g(x) = y, for each target y of the list
+    ys, on [lo, hi], g increasing there, given the endpoint values
+    glo = g(lo) and ghi = g(hi) (NaN where g is not finite): a run of
+    ``solve``, the lowering of g's tree by ``dsl.compiler.compile_solve``.
+    The targets share the bracket and its values, so the rotated means
+    of a Gauss step are one solve.
 
     Secant steps on the bracket with bisection as the fallback, within
     INVERT_BUDGET steps per target.  The first step is plain regula
@@ -146,18 +148,21 @@ invert.__doc__ = """The bracketed solve for g(x) = y, for each target y of the l
     Between adjacent floats it reads the endpoints' true residuals, kept
     beside their weighted values: the weights shrink a value far below
     its residual, and a target inside a jump of g would pass on them.
-    A target on or past either end value, or NaN, has that one test: it
-    takes the nearer end, or fails with ``STATUS_RANGE`` (always for a NaN
-    target, which no values bracket).  A NaN from g inside the bracket
-    ends the solve (``STATUS_NONFINITE``).
+    A target on or past either end value, NaN or infinite, has that one
+    test: it takes the nearer end, or fails with ``STATUS_RANGE``
+    (always for a NaN or an infinite target, whose residual is never
+    within a tolerance).  A NaN from g inside the bracket ends the solve
+    (``STATUS_NONFINITE``), as does a NaN glo or ghi.  Midpoints are
+    0.5*a + 0.5*b, which does not overflow near the largest float.
     Returns (xs, status): on success the solutions in the order of ys;
     on a failure xs ends at the first target that failed, with NaN, or
     with the midpoint of its last bracket where the budget ran out, and
     the targets after it are not solved.  The callers evaluate the
     endpoints: ``Generator.invert_on`` on g itself, for one target; a
-    system's step, which solves the same way with its sum inlined, off
-    its member values.
+    system's step, which runs the same statements with its sum inlined,
+    off its member values.
     """
+    return solve(ys, lo, hi, glo, ghi)
 
 
 def scaled_stop(gap_tol, mn, mx):
@@ -168,7 +173,7 @@ def scaled_stop(gap_tol, mn, mx):
 
 def orbit(step, x0, gap_tol, max_iter):
     """Gauss iteration from the list of floats x0 of a mapping whose
-    ``step(x, mn, mx) -> (status, out)`` gives the image ``out`` of the
+    ``step(x, mn, mx) -> (out, status)`` gives the image ``out`` of the
     list x, of span [mn, mx], as a list of floats.  The orbit stops,
     converged, on the first of three tests, checked in this order at
     each iterate, and names it:
@@ -180,7 +185,8 @@ def orbit(step, x0, gap_tol, max_iter):
     "stall"         a step left the gap no smaller while it is within
                     STALL_FLOOR * floor;
     "extrapolated"  the orbit's limit is extrapolated from the
-                    arithmetic means m_k = fsum(x_k)/n of its iterates.
+                    arithmetic means m_k = fsum(x_k)/n of its iterates
+                    (the fsum of x_k/n where fsum(x_k) overflows).
 
     The mapping preserves the arithmetic mean to first order (its
     Jacobian at the limit is a circulant whose rows and columns sum to
@@ -274,7 +280,10 @@ def orbit(step, x0, gap_tol, max_iter):
             return used, STATUS_OK, rows, gaps, None, "gap"
         if gap >= last and gap <= STALL_FLOOR * floor:
             return used, STATUS_OK, rows, gaps, None, "stall"
-        m = fsum(x) / n
+        try:
+            m = fsum(x) / n
+        except OverflowError:  # the sum passes the largest float, the mean does not
+            m = fsum([v / n for v in x])
         # |m - mean| > floor, and False on the first, NaN, mean
         if m - mean > floor or mean - m > floor:
             # the next diagonal, written over the last one in place:
@@ -324,7 +333,7 @@ def orbit(step, x0, gap_tol, max_iter):
         mean = m
         if used >= max_iter:
             return used, STATUS_BUDGET, rows, gaps, None, None
-        status, out = step(x, mn, mx)
+        out, status = step(x, mn, mx)
         if status != STATUS_OK:
             return used, status, rows, gaps, None, None
         x = out
@@ -372,7 +381,7 @@ def gqam(step, xs):
     which solves for its one target alone.  The step evaluates every
     member at every coordinate: n^2 member values for one mean, which
     needs only f_j(x_j) and F at min xs and max xs."""
-    status, out = step(xs, min(xs), max(xs), 1)
+    out, status = step(xs, min(xs), max(xs), 1)
     return (out[0], status) if status == STATUS_OK else (math.nan, status)
 
 
@@ -411,6 +420,6 @@ def warm_up():
                               Generator(dom, expr=cube, validate=False)])
     ACTIVE.eval_one(body, 1.0)
     ACTIVE.eval_grid(body, [1.0, 2.0])
-    ACTIVE.invert(body, [2.0], 0.5, 4.0, body(0.5), body(4.0))
+    Generator(dom, expr=cube, validate=False).invert_on(2.0, 0.5, 4.0)
     ACTIVE.gqam(system.program(), [1.0, 2.0])
     ACTIVE.cyclic_gauss(system.program(), [1.0, 2.0], 1e-10, 100)

@@ -12,10 +12,10 @@ a bracket and makes reflexivity exact (constant input short-circuits at
 the bracket endpoint).  The points are evaluated exactly where the
 caller gives them, anywhere in the open interval; a generator that is
 not finite at one of them is an EvalError.  Both run the one solve that
-``dsl.compiler`` emits: the first through ``Generator.invert_on`` and
-``kernels.invert``, the second as one call of ``kernels.ACTIVE.gqam`` on
-the system's program, its Gauss step, whose solve has the sum of the
-members inlined: the mean is the first rotation of that step, so it
+``dsl.compiler`` emits, with a tree inlined: the first through
+``Generator.invert_on``, whose ``kernels.invert`` runs the solve of f's
+tree, the second as one call of ``kernels.ACTIVE.gqam`` on the system's
+program, its Gauss step, whose solve has the sum of the members inlined: the mean is the first rotation of that step, so it
 evaluates every member at every point and is an EvalError where any of
 them is not finite.
 

@@ -10,16 +10,19 @@ sqrt, division and ``^`` are NaN outside their guards, and so is any
 binary operation whose result is not finite.
 
 ``reference_step`` is a system's Gauss step computed from its member
-bodies and its sum body, with one ``kernels.invert`` call: the steps
-of ``compile_step``, whose member values and sum are inlined, are
+bodies and its sum body, with one ``kernels.invert`` call on the solve
+that ``compile_solve`` lowers from the sum body, called as a leaf: the
+steps of ``compile_step``, whose member values and sum are inlined, are
 tested against it bit for bit, as ``step_bits`` compares them.
 """
 
+import functools
 import math
 import struct
 
 from meanlab import kernels
 from meanlab.dsl.ast import _EXP_MAX, Constant, Expr, Unary, Variable, power
+from meanlab.dsl.compiler import compile_solve
 from meanlab.errors import EvalError
 from meanlab.report import VOLATILE_KEYS
 
@@ -88,18 +91,23 @@ def _walk(expr: Expr, x: float) -> float:
     return r if math.isfinite(r) else math.nan
 
 
+# the solves of the bodies used last, each lowered once: compile_solve
+# lowers a tree with a body leaf, such as a bare body, afresh on every call
+solve_of = functools.lru_cache(maxsize=16)(compile_solve)
+
+
 def reference_step(bodies, total, x, count=None):
-    """The Gauss step of a system at the list of floats x, as (status,
-    out), from its member bodies and its sum body ``total``: every
+    """The Gauss step of a system at the list of floats x, as (out,
+    status), from its member bodies and its sum body ``total``: every
     member at every coordinate, NaN failing the step; the rotated
     targets and F at min x and max x (at its first coordinate) folded
     onto 0.0 in member order, F not finite failing the step; then one
-    ``kernels.invert`` call for the first ``count`` targets (all n by
-    default) on [min x, max x]."""
+    ``kernels.invert`` call of the sum body's solve for the first
+    ``count`` targets (all n by default) on [min x, max x]."""
     n = len(x)
     values = [[b(v) for v in x] for b in bodies]
     if any(v != v for row in values for v in row):
-        return kernels.STATUS_NONFINITE, None
+        return None, kernels.STATUS_NONFINITE
 
     def fold(terms):
         s = 0.0
@@ -111,16 +119,15 @@ def reference_step(bodies, total, x, count=None):
     mn, mx = min(x), max(x)
     glo, ghi = (fold(values[j][x.index(end)] for j in range(n)) for end in (mn, mx))
     if not (math.isfinite(glo) and math.isfinite(ghi)):
-        return kernels.STATUS_NONFINITE, None
-    xs, status = kernels.invert(total, targets[:count or n], mn, mx, glo, ghi)
-    return status, xs
+        return None, kernels.STATUS_NONFINITE
+    return kernels.invert(solve_of(total), targets[:count or n], mn, mx, glo, ghi)
 
 
 def step_bits(result):
-    """A step's (status, out) with each float of out as its bits, so
+    """A step's (out, status) with each float of out as its bits, so
     that NaN equals NaN and -0.0 differs from 0.0."""
-    status, out = result
-    return status, None if out is None else [struct.pack("<d", v) for v in out]
+    out, status = result
+    return None if out is None else [struct.pack("<d", v) for v in out], status
 
 
 def strip_volatile(payload: dict) -> dict:

@@ -547,9 +547,14 @@ def test_output_to_missing_directory_exits_4(tmp_path, capsys):
     (["--output", "{dir}", "--gen", "x", "eval", "2"], 4),
     (["--interval", "1,2", "--gen", "x" + "^1" * 2000, "eval", "1.5"], 2),
     (["--interval", "1,2", "--gen", "+".join(["x"] * 5000), "eval", "1.5"], 2),
+    (["--gen", "x^1e400", "eval", "1"], 2),
+    # a sum of generator values past the largest float: never a value
+    (["--interval=1e300,1.7e308", "--gen", "x", "eval", "1e308", "1.5e308"], 4),
+    (["--interval=1e300,1.7e308", "--gen", "x", "--gen", "x", "eval", "1e308", "1.5e308"], 4),
 ], ids=["tol-nan", "unknown-identifier", "point-count", "point-outside", "infinite-endpoint",
         "nonfinite-on-grid", "gbs-one-gen", "equality-no-gen2", "unwritable-output",
-        "deep-power", "deep-sum"])
+        "deep-power", "deep-sum", "infinite-constant", "qam-target-overflows",
+        "gqam-sum-overflows"])
 def test_hostile_input_exits_with_a_documented_code(capsys, tmp_path, argv, want):
     # the contract: a documented exit code, no traceback, and on 2 or 4 one
     # line on stderr that names the program; a directory is not writable as
@@ -558,6 +563,19 @@ def test_hostile_input_exits_with_a_documented_code(capsys, tmp_path, argv, want
     assert code == want
     assert out == ""
     assert [line.startswith("meanlab: ") for line in err.splitlines()] == [True]
+
+
+@pytest.mark.parametrize("argv,details", [
+    (["--gen", "x/4", "--gen", "x/4", "eval", "1e308", "1.5e308"], {"value": "1.25e+308"}),
+    (["--gen", "x/4", "--gen", "x/4", "compose", "1e308", "1.5e308"],
+     {"limit": "1.25e+308", "iterations": "1"}),
+    (["--gen", "x/4", "--gen", "x/4", "--samples", "3", "verify", "m1"], {"verdict": "pass"}),
+], ids=["eval", "compose", "verify-m1"])
+def test_coordinates_whose_sum_overflows_have_a_mean(capsys, argv, details):
+    # the orbit's mean and every midpoint are taken without overflow
+    code, payload, err = run_json(capsys, "--interval=1e300,1.7e308", *argv)
+    assert (code, err) == (0, "")
+    assert details.items() <= payload["details"].items()
 
 
 # --- argument handling ------------------------------------------------------------------

@@ -10,6 +10,7 @@ one-member Gauss step; last, a tree without body leaves is lowered once
 per process, and a tree with them is lowered afresh and binds its own.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from meanlab import (
 from meanlab import Generator, GeneratorSystem, builtin_system, kernels
 from meanlab.dsl import compiler
 from meanlab.dsl.ast import BINARY_OPS, UNARY_OPS, X
-from meanlab.dsl.compiler import CODE_CACHE_SIZE, _power_cut, compile_step
+from meanlab.dsl.compiler import CODE_CACHE_SIZE, _power_cut, compile_solve, compile_step
 
 from support import eval_expr
 
@@ -138,6 +139,8 @@ def test_whitespace_insignificant():
         ("2 + sin(x)", 4),
         ("@x", 0),
         ("", 0),
+        ("1e400", 0),  # constants past the largest float
+        ("x^1e400", 2),
     ],
 )
 def test_error_positions(source, position):
@@ -200,7 +203,7 @@ def test_nesting_within_the_bounds_parses_prints_and_lowers(source):
     assert parse(to_text(expr)) == expr
     want = eval_expr(expr, 0.5)
     assert compile_expr(expr)(0.5) == want
-    assert compile_step([expr])([0.5], 0.5, 0.5) == (kernels.STATUS_OK, [0.5])
+    assert compile_step([expr])([0.5], 0.5, 0.5) == ([0.5], kernels.STATUS_OK)
 
 
 # --- round trips --------------------------------------------------------
@@ -323,12 +326,11 @@ def lowered_eval(evaluator, expr, x):
     if evaluator == "matrix":
         # a mean of one point shows only whether the member is finite
         # there: the tree's value is the body's, where the step succeeds
-        status, out = compile_step([expr])([x], x, x)
-        if status == kernels.STATUS_NONFINITE:
+        got = compile_step([expr])([x], x, x)
+        if got[1] == kernels.STATUS_NONFINITE:
             return math.nan
         fold = 0.0 + body(x)
-        xs, want = kernels.invert(body, [fold], x, x, fold, fold)
-        assert (status, out) == (want, xs)
+        assert got == kernels.invert(compile_solve(expr), [fold], x, x, fold, fold)
         return body(x)
     if evaluator == "lowered":
         return kernels.eval_one(body, x)
@@ -397,6 +399,19 @@ def test_equal_trees_lower_to_one_code_object(source):
     assert compile_expr(parse(source)).__code__ is compile_expr(parse(source)).__code__
     first, second = (compile_step([parse(source), parse("x")]) for _ in range(2))
     assert first.__code__ is second.__code__
+    assert compile_solve(parse(source)).__code__ is compile_solve(parse(source)).__code__
+
+
+def test_the_solve_is_stated_once_and_solves_a_body_leaf_afresh():
+    # the statements of the solve appear once in the compiler's source;
+    # a solve of a tree with a body leaf calls its own leaf
+    assert inspect.getsource(compiler).count("for _ in budget:") == 1
+    dom = Interval(0.1, 5.0)
+    solves = [compile_solve(Generator.from_callable(lambda x, k=k: k * x, dom).expr)
+              for k in (1.0, 4.0)]
+    assert solves[0] is not solves[1]
+    assert [solve([2.0], 0.5, 4.0, 0.5 * k, 4.0 * k) for solve, k in zip(solves, (1.0, 4.0))] == [
+        ([2.0], kernels.STATUS_OK), ([0.5], kernels.STATUS_OK)]
 
 
 @pytest.mark.parametrize("exponent", [2.5, 3.0, -1.5])
@@ -439,9 +454,9 @@ def test_systems_of_different_callables_never_share_a_matrix():
     one, three = system(1.0).program(), system(3.0).program()
     assert one is not three
     calls.clear()
-    assert one([1.0, 2.0], 1.0, 2.0) == (kernels.STATUS_OK, [1.5, 1.5]) and set(calls) == {1.0}
+    assert one([1.0, 2.0], 1.0, 2.0) == ([1.5, 1.5], kernels.STATUS_OK) and set(calls) == {1.0}
     calls.clear()
-    assert three([1.0, 2.0], 1.0, 2.0) == (kernels.STATUS_OK, [1.25, 1.75])
+    assert three([1.0, 2.0], 1.0, 2.0) == ([1.25, 1.75], kernels.STATUS_OK)
     assert set(calls) == {3.0}
 
 

@@ -67,6 +67,12 @@ def test_agm_limit_matches_oracle():
     assert limit == pytest.approx(1.4567910310469069, abs=1e-10)
 
 
+def test_the_midpoint_of_a_vector_near_the_largest_float_is_finite():
+    # min + max overflows: each is halved before the sum
+    assert midpoint([1.7e308, 1e308, 1.5e308]) == 1.35e308
+    assert midpoint([-1.7e308, -1e308]) == -1.35e308
+
+
 def test_agm_gaps_strictly_decrease():
     _, trace = gauss_iterate(agm_mapping(), (1.0, 9.5), gap_tol=1e-12)
     gaps = trace.gaps
@@ -485,7 +491,7 @@ def test_rotations_of_two_means_run_the_generic_orbit(monkeypatch):
     limit, trace = gauss_iterate(mapping, start)
     assert fused == []
     used, status, rows, gaps, estimate, stop = kernels.orbit(
-        lambda x, _mn, _mx: (kernels.STATUS_OK, list(mapping.apply(x))),
+        lambda x, _mn, _mx: (list(mapping.apply(x)), kernels.STATUS_OK),
         start, DEFAULT_GAP_TOL, DEFAULT_MAX_ITER)
     assert status == kernels.STATUS_OK and trace.iterations_used == used
     assert trace.iterates == tuple(map(tuple, rows)) and trace.stop == stop

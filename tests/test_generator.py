@@ -32,6 +32,7 @@ from meanlab import (
 )
 from meanlab import kernels
 from meanlab.dsl import Binary, Constant, X, parse
+from meanlab.dsl.compiler import compile_solve
 
 I010 = Interval(0.0, 10.0)
 
@@ -452,8 +453,8 @@ def test_systems_hand_the_body_family_each_members_own_body():
             targets = [f0(x[0]) + f1(x[1]), f0(x[1]) + f1(x[0])]
             lo, hi = min(x), max(x)
             assert [total(v) for v in x] == [f0(v) + f1(v) for v in x]
-            xs, status = kernels.invert(total, targets, lo, hi, total(lo), total(hi))
-            assert step(x, lo, hi) == (status, xs) and status == kernels.STATUS_OK
+            xs, status = kernels.invert(compile_solve(total), targets, lo, hi, total(lo), total(hi))
+            assert step(x, lo, hi) == (xs, status) and status == kernels.STATUS_OK
     # the lowered body is the tree's value, NaN where it is not finite
     assert line.body()(2.5) == line.eval_inside(2.5) == 2.5
     assert math.isnan(Generator.from_expression("log(x)", dom).body()(-1.0))

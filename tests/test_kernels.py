@@ -5,6 +5,7 @@ the rotated means computed from the member bodies, fused orbits with
 the generic Gauss loop, and status codes that classify every failure
 mode."""
 
+import ast
 import math
 import struct
 import sys
@@ -28,7 +29,7 @@ from meanlab import (
 )
 from meanlab.dsl import Binary, Constant, Unary, X, compile_expr, parse
 from meanlab.dsl.ast import sum_tree
-from meanlab.dsl.compiler import compile_step
+from meanlab.dsl.compiler import compile_solve, compile_step
 from meanlab.errors import EvalError
 from meanlab.kernels import (
     STATUS_BUDGET,
@@ -39,7 +40,7 @@ from meanlab.kernels import (
     warm_up,
 )
 
-from support import eval_expr, reference_step, step_bits
+from support import eval_expr, reference_step, solve_of, step_bits
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,10 +174,9 @@ def assert_one_member_step(step, expr, x):
     try:
         fold = 0.0 + eval_expr(expr, x)
     except EvalError:
-        want = STATUS_NONFINITE, None
+        want = None, STATUS_NONFINITE
     else:
-        xs, status = kernels.invert(compile_expr(expr), [fold], x, x, fold, fold)
-        want = status, xs
+        want = kernels.invert(compile_solve(expr), [fold], x, x, fold, fold)
     assert step_bits(step([x], x, x)) == step_bits(want), (expr, x)
 
 
@@ -287,7 +287,7 @@ def test_member_matrix_is_the_fold_of_the_member_bodies(kind, n):
         x = [pool[i] for i in rng.integers(len(pool), size=n)]
         want = reference_step(bodies, total, x)
         assert step_bits(step(x, min(x), max(x))) == step_bits(want), (kind, n, x)
-        seen.add(want[1] is None)
+        seen.add(want[0] is None)
     assert seen == {True, False}
 
 
@@ -306,7 +306,7 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
         for count in (1, 3):
             assert step_bits(step(x, min(x), max(x), count)) == step_bits(
                 reference_step(bodies, total, x, count))
-    assert step([1.0, 2.0, -1.0], -1.0, 2.0) == (STATUS_NONFINITE, None)
+    assert step([1.0, 2.0, -1.0], -1.0, 2.0) == (None, STATUS_NONFINITE)
 
 
 # --- inversion --------------------------------------------------------------
@@ -315,8 +315,9 @@ def test_a_system_matrix_inlines_tapes_and_calls_bodies():
 def solve(g, y, lo, hi, glo=None, ghi=None):
     """The solve of g(x) = y on [lo, hi], given g's values at both ends
     (g's own unless stated), as (x, status): one target's solve, whose x
-    is NaN or, where the budget ran out, a midpoint on a failure."""
-    xs, status = kernels.invert(g, [y], lo, hi, g(lo) if glo is None else glo,
+    is NaN or, where the budget ran out, a midpoint on a failure.  The
+    solve is the one ``compile_solve`` lowers from the body g."""
+    xs, status = kernels.invert(solve_of(g), [y], lo, hi, g(lo) if glo is None else glo,
                                 g(hi) if ghi is None else ghi)
     assert len(xs) == 1
     return xs[0], status
@@ -416,14 +417,14 @@ def test_invert_never_accepts_a_target_inside_a_jump(smallest, largest):
     rng = np.random.default_rng(29)
     n = 2000
     false_accepts = []
+
+    def g(x):  # one body, so one lowered solve, for every c and j
+        return x + j if x >= c else x
+
     for c, j, t in zip(rng.uniform(0.5, 9.5, n),
                        np.exp(rng.uniform(math.log(smallest), math.log(largest), n)),
                        rng.uniform(0.0, 1.0, n)):
         c, j = float(c), float(j)
-
-        def g(x):
-            return x + j if x >= c else x
-
         y = c + float(t) * j
         x, status = solve(g, y, 0.0, 10.0)
         if status == STATUS_OK and abs(g(x) - y) > kernels.INVERT_TOL * max(1.0, abs(y)):
@@ -438,14 +439,40 @@ def test_one_solve_call_is_the_solves_of_its_targets():
     lo, hi = 0.1, 5.0
     glo, ghi = g(lo), g(hi)
     ys = [glo, *(glo + (ghi - glo) * k / 7 for k in range(1, 7)), ghi]
-    xs, status = kernels.invert(g, ys, lo, hi, glo, ghi)
+    xs, status = kernels.invert(solve_of(g), ys, lo, hi, glo, ghi)
     assert status == STATUS_OK
     assert bits([xs]) == bits([[solve(g, y, lo, hi)[0] for y in ys]])
-    xs, status = kernels.invert(g, [ys[3], ghi + 1.0, ys[4]], lo, hi, glo, ghi)
+    xs, status = kernels.invert(solve_of(g), [ys[3], ghi + 1.0, ys[4]], lo, hi, glo, ghi)
     assert status == STATUS_RANGE and len(xs) == 2
     assert xs[0] == solve(g, ys[3], lo, hi)[0] and math.isnan(xs[1])
-    xs, status = kernels.invert(g, ys, lo, hi, math.nan, ghi)
+    xs, status = kernels.invert(solve_of(g), ys, lo, hi, math.nan, ghi)
     assert status == STATUS_NONFINITE and len(xs) == 1 and math.isnan(xs[0])
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf])
+def test_an_infinite_target_is_out_of_range(y):
+    # its residual at the nearer end and its loose tolerance are both
+    # infinite: the end test must not read inf <= inf as a pass
+    val, status = solve(body("x"), y, 1e308, 1.5e308)
+    assert status == STATUS_RANGE and math.isnan(val)
+
+
+def test_a_bracket_near_the_largest_float_halves_without_overflow(monkeypatch):
+    # a + b overflows on [1e308, 1.5e308]: the bisection midpoint and the
+    # midpoint returned where the budget runs out are 0.5*a + 0.5*b
+    g = body("x/4 + x/4")
+    assert solve(g, 0.625e308, 1e308, 1.5e308) == (1.25e308, STATUS_OK)
+    monkeypatch.setattr(kernels, "INVERT_BUDGET", 0)
+    assert solve(g, 0.6e308, 1e308, 1.5e308) == (1.25e308, STATUS_BUDGET)
+
+
+def test_kernels_run_a_lowered_solve_and_lower_nothing():
+    # invert is a function of this module that runs the solve it is
+    # given; the module imports nothing of the compiler at its top
+    assert kernels.invert.__code__.co_filename == kernels.__file__
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    imported = [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert not any("dsl" in (name or "") for name in imported)
 
 
 # bracket values from the smallest subnormal to 1e308, either sign
@@ -528,7 +555,7 @@ def test_fused_orbit_is_the_generic_orbit_bit_for_bit(sources, x0, interval):
     system = GeneratorSystem([Generator.from_expression(s, dom) for s in sources])
     mapping = cyclic_mapping(GeneralizedQuasiArithmeticMean(system))
     fused = kernels.cyclic_gauss(system.program(), x0, 1e-10, 2000)
-    generic = kernels.orbit(lambda x, mn, mx: (STATUS_OK, list(mapping.apply(x))),
+    generic = kernels.orbit(lambda x, mn, mx: (list(mapping.apply(x)), STATUS_OK),
                             x0, 1e-10, 2000)
     assert fused[1] == STATUS_OK and fused[5] in ("gap", "stall", "extrapolated")
     # (used, status, rows, gaps, estimate, stop): every row and gap, the
@@ -541,7 +568,7 @@ def test_an_orbit_whose_gap_stalls_within_twice_the_floor_has_converged():
     # the identity mapping never shrinks a gap: 6 ulp at 1.0 is above the
     # 4-ulp floor and within twice it, 9 ulp is beyond
     def identity(x, mn, mx):
-        return STATUS_OK, list(x)
+        return list(x), STATUS_OK
 
     eps = sys.float_info.epsilon
     used, status, rows, gaps, estimate, stop = kernels.orbit(
@@ -571,7 +598,7 @@ def replayed_orbit(n, modes, spread, count=80):
         s = d * q**k
         rows.append([m - s, m + s] if n == 2 else [m - s, m, m + s])
     replay = iter(rows[1:])
-    return kernels.orbit(lambda x, mn, mx: (STATUS_OK, next(replay)), rows[0], 1e-9, count - 1)
+    return kernels.orbit(lambda x, mn, mx: (next(replay), STATUS_OK), rows[0], 1e-9, count - 1)
 
 
 @pytest.mark.parametrize("n,modes", [
@@ -635,9 +662,17 @@ def test_a_nan_estimate_never_stops_the_orbit():
     rows = [[1.0 + k / 1024 - 0.0625, 1.0 + k / 1024 + 0.0625] for k in range(60)]
     replay = iter(rows[1:])
     used, status, _, gaps, estimate, stop = kernels.orbit(
-        lambda x, mn, mx: (STATUS_OK, next(replay)), rows[0], 1e-9, 59)
+        lambda x, mn, mx: (next(replay), STATUS_OK), rows[0], 1e-9, 59)
     assert (used, status, estimate, stop) == (59, STATUS_BUDGET, None, None)
     assert set(gaps) == {0.125}
+
+
+def test_an_orbit_whose_coordinates_sum_past_the_largest_float_has_a_mean():
+    # fsum of 1e308 and 1.5e308 overflows: the orbit's mean is the fsum
+    # of the coordinates over n there, and fsum(x)/n everywhere else
+    step = program("x/4", "x/4", domain=Interval(1e300, 1.7e308))
+    used, status, rows, _, _, stop = kernels.cyclic_gauss(step, [1e308, 1.5e308], 1e-10, 100)
+    assert (used, status, rows[-1], stop) == (1, STATUS_OK, [1.25e308, 1.25e308], "gap")
 
 
 # --- per-step arithmetic by comparison -------------------------------------------
@@ -874,7 +909,7 @@ def test_the_benchmark_systems_take_the_pinned_sum_body_calls(sources, steps, ca
         used += out[0]
         rows = out[2]
         for x, image in zip(rows, rows[1:]):
-            assert step_bits(reference_step(bodies, counted, x)) == step_bits((STATUS_OK, image))
+            assert step_bits(reference_step(bodies, counted, x)) == step_bits((image, STATUS_OK))
     assert (used, count) == (steps, calls)
 
 
@@ -1030,7 +1065,7 @@ def test_a_fused_step_fails_where_the_sum_is_not_finite_inside_the_bracket():
     x = [1.0, 2.0]
     want = reference_step([g.body() for g in system.generators],
                           system.sum_generator().body(), x)
-    assert want[0] == STATUS_NONFINITE and want[1] is not None  # not before the solve
+    assert want[1] == STATUS_NONFINITE and want[0] is not None  # not before the solve
     assert step_bits(step(x, 1.0, 2.0)) == step_bits(want)
     assert one_step(step, x)[:2] == (0, STATUS_NONFINITE)
     val, status = kernels.gqam(step, x)
@@ -1069,11 +1104,11 @@ def test_the_lowered_step_reads_the_solve_constants_at_each_call(monkeypatch):
         calls = 0
         used, status, rows, _, _, _ = kernels.cyclic_gauss(step, x, 0.0, 1)
         assert (used, status, calls) == (0, STATUS_BUDGET, 2 + 3)
-        assert reference_step(bodies, total, x)[0] == status
+        assert reference_step(bodies, total, x)[1] == status
         calls = 0
         got = kernels.gqam(step, x)
         assert calls == 2 + 3
-        status, _ = reference_step(bodies, total, x, 1)
+        _, status = reference_step(bodies, total, x, 1)
         assert bits([got]) == bits([(math.nan, status)]) and status == STATUS_BUDGET
         assert step_bits(step(x, min(x), max(x))) == step_bits(reference_step(bodies, total, x))
 

@@ -1,7 +1,7 @@
 """The repository's own scripts: ``tools/code_lines.py`` counts the
 lines that hold code, and nothing else, ``tools/never_entered.py``
 names the functions a run never enters, and ``tools/lowered.py`` prints
-the lowered source of a Gauss step and of ``kernels.invert``."""
+the lowered source of a Gauss step and of the solve of its sum."""
 
 import ast
 import importlib.util
@@ -119,15 +119,18 @@ def test_never_entered_names_each_function_a_run_does_not_call(tmp_path):
 def test_lowered_prints_a_step_with_one_solve_loop_and_the_solve(capsys):
     tool = _load("lowered", ROOT / "tools" / "lowered.py")
     assert tool.main(["--gen", "x", "--gen", "x^3"]) == 0
-    step, invert = capsys.readouterr().out.rstrip("\n").split("\n\n")
-    for source, name, params in ((step, "step", ["x", "mn", "mx", "count"]),
-                                 (invert, "invert", ["g", "ys", "lo", "hi", "glo", "ghi"])):
+    step, solve = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    for source, name, params in ((step, "step", ["x", "lo", "hi", "count"]),
+                                 (solve, "solve", ["ys", "lo", "hi", "glo", "ghi"])):
         compile(source, f"<{name}>", "exec")
         (fn,) = ast.parse(source).body
         assert fn.name == name and [a.arg for a in fn.args.args] == params
         loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
         # one loop over the targets, and inside it the one solve loop
-        assert [ast.unparse(loop.iter) for loop in loops][1:] == ["budget"], name
-        assert len(loops) == 2, name
-    # the step inlines the sum where the solve calls g
-    assert "gm = g(xm)" in invert and "g(xm)" not in step and "pow(xm, (3.0))" in step
+        assert [ast.unparse(loop.iter) for loop in loops] == ["ys", "budget"], name
+    # the step ends in the solve of the sum's tree, line for line, after
+    # the solve's test of its end values; the sum is inlined, not called
+    body = solve.splitlines()[3:]
+    assert step.splitlines()[-len(body) - 1].startswith("    ys = (")
+    assert step.splitlines()[-len(body):] == body
+    assert "pow(xm, (3.0))" in solve

@@ -1,17 +1,19 @@
 """Print the Python source that ``meanlab.dsl.compiler`` lowers a
-system's Gauss step to, and the source of ``kernels.invert``.
+system's Gauss step to, and the source of the solve it lowers the sum
+of the members to.
 
-Both are emitted from the one statement of the bracketed solve: the
-step inlines the sum of its members at each trial point, where
-``kernels.invert`` calls its body g.
+Both hold the one statement of the bracketed solve, ``_SOLVE``, with
+the sum of the members inlined at each trial point: the step runs it on
+its rotated targets, and ``compile_solve`` of the sum's tree is what
+``kernels.invert`` runs for the quasi-arithmetic mean of the sum.
 
 Run from the root of the repository:
 
     python tools/lowered.py --gen x --gen x^3
 
 Each ``--gen`` is one member, in the generator language, in member
-order.  It prints the step's source, a blank line, and the source of
-``kernels.invert``.
+order.  It prints the source that the step carries, a blank line, and
+the source of ``compile_solve`` of the members' sum.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from meanlab.dsl import compiler, parse
+    from meanlab.dsl.ast import sum_tree
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gen", action="append", required=True, metavar="EXPR",
                         help="a member of the system, in order")
     args = parser.parse_args(argv)
-    print(compiler.step_source([parse(text) for text in args.gen]))
+    members = [parse(text) for text in args.gen]
+    print(compiler.compile_step(members).source)
     print()
-    print(compiler.invert_source())
+    print(compiler.compile_solve(sum_tree(members)).source)
     return 0
 
 
